@@ -1,13 +1,13 @@
 """Command-line front end: cached precomputation and rendered output.
 
 The cache is a directory of small JSON files, one entry each: symmetric
-group character tables, the exact log coupling table, prime zeta Taylor
-families, and complement dimension polynomials.  Exact data travels as
-integer and fraction strings, big reals as decimal strings wide enough to
-restore every bit at the recorded precision.  Precomputing twice is a
-no-op: only entries whose stored precision falls short of the request are
-rebuilt.  Writes take a directory lock file; reads touch only immutable
-files and need no lock.
+group character tables and prime zeta Taylor families.  Files of any other
+kind, such as coupling-table or dimension-polynomial entries written by
+older versions, are ignored.  Exact data travels as integers, big reals
+as decimal strings wide enough to restore every bit at the recorded
+precision.  Precomputing twice is a no-op: only entries whose stored
+precision falls short of the request are rebuilt.  Writes take a directory
+lock file; reads touch only immutable files and need no lock.
 """
 
 import argparse
@@ -25,18 +25,18 @@ from mpmath import mp
 from . import __version__
 from ._golden import golden_entries
 from .characters import character_table, install_table
-from .frobenius_schur import SkewDimPoly, dim_complement, dim_complement_poly, dim_fs
+from .frobenius_schur import dim_complement, dim_complement_poly, dim_fs
 from .moments import (
-    FTable,
     NonConvergenceError,
     V_poly,
     W_coeff,
     _b_coeff,
+    _keys_upto,
+    _v_series,
     a_factor,
     c_coeff,
     d_table,
     f_table,
-    install_f_table,
     moment_polynomial,
 )
 from .partitions import (
@@ -48,7 +48,6 @@ from .partitions import (
 )
 from .symseries import (
     POWERSUM,
-    KPoly,
     PairSeries,
     bump_gamburd_residual,
     series_exp,
@@ -65,7 +64,6 @@ CACHE_ENV = "ZETAMOMENTS_CACHE_DIR"
 # stored big reals carry this many digits beyond the requested precision, so
 # that elevated-precision internal requests still find the cache sufficient
 PZETA_MARGIN = 25
-DIMPOLY_MAX_WEIGHT = 4
 
 
 class CacheError(Exception):
@@ -80,31 +78,15 @@ class CacheEntry(NamedTuple):
     tolerances: dict = {}
 
 
-def _frac_str(v):
-    f = Fraction(v)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def _real_str(x, digits):
     return mp.nstr(x, digits, strip_zeros=False)
-
-
-def _part_slug(mu):
-    return ".".join(str(p) for p in mu) if mu else "e"
 
 
 def entry_filename(kind, params):
     if kind == "chartable":
         return "chartable_n%d.json" % params["n"]
-    if kind == "ftable":
-        return "ftable_w%d.json" % params["max_weight"]
     if kind == "pzeta":
         return "pzeta_r%d.json" % params["r"]
-    if kind == "dimpoly":
-        return "dimpoly_%s_%s.json" % (
-            _part_slug(tuple(params["kap"])),
-            _part_slug(tuple(params["lam"])),
-        )
     raise CacheError("unknown cache kind %r" % (kind,))
 
 
@@ -190,26 +172,6 @@ def decode_chartable(entry):
     }
 
 
-def encode_ftable(table):
-    entries = [
-        [list(ka), list(la), _frac_str(v)]
-        for (ka, la), v in sorted(table.entries.items())
-    ]
-    return CacheEntry(
-        "ftable", {"max_weight": table.max_weight}, {"entries": entries}
-    )
-
-
-def decode_ftable(entry):
-    return FTable(
-        entry.params["max_weight"],
-        {
-            (tuple(ka), tuple(la)): Fraction(s)
-            for ka, la, s in entry.payload["entries"]
-        },
-    )
-
-
 def encode_pzeta(pz):
     digits = pz.digits
     width = digits + 12
@@ -232,35 +194,17 @@ def decode_pzeta(entry):
     return PrimeZetaCoeffs(entry.params["r"], coeffs, digits, tails)
 
 
-def encode_dimpoly(kap, lam, poly):
-    return CacheEntry(
-        "dimpoly",
-        {"kap": list(kap), "lam": list(lam)},
-        {"B": [_frac_str(c) for c in poly.B.coeffs], "depth": poly.depth},
-    )
-
-
-def decode_dimpoly(entry):
-    return SkewDimPoly(
-        KPoly([Fraction(s) for s in entry.payload["B"]]),
-        entry.payload["depth"],
-    )
-
-
-_loaded_dimpoly = {}
-
-
 def load_cache(root):
     """Install every cache entry under root; returns per-kind counts.
 
-    Character tables and the coupling table are exact and install outright.
-    Prime zeta families install behind a precision gate, so an entry with
-    too few digits for a later request is recomputed, never reused.
+    Character tables are exact and install outright.  Prime zeta families
+    install behind a precision gate, so an entry with too few digits for a
+    later request is recomputed, never reused.  Entries of any other kind
+    are skipped.
     """
-    counts = {"chartable": 0, "ftable": 0, "pzeta": 0, "dimpoly": 0}
+    counts = {"chartable": 0, "pzeta": 0}
     if not os.path.isdir(root):
         return counts
-    best_ftable = None
     for filename in sorted(os.listdir(root)):
         if not filename.endswith(".json"):
             continue
@@ -269,22 +213,10 @@ def load_cache(root):
             continue
         if entry.kind == "chartable":
             install_table(entry.params["n"], decode_chartable(entry))
-        elif entry.kind == "ftable":
-            table = decode_ftable(entry)
-            if best_ftable is None or table.max_weight > best_ftable.max_weight:
-                best_ftable = table
-        elif entry.kind == "pzeta":
+        else:
             pz = decode_pzeta(entry)
             install_prime_zeta(pz.r, pz)
-        elif entry.kind == "dimpoly":
-            key = (
-                tuple(entry.params["kap"]),
-                tuple(entry.params["lam"]),
-            )
-            _loaded_dimpoly[key] = decode_dimpoly(entry)
         counts[entry.kind] += 1
-    if best_ftable is not None:
-        install_f_table(best_ftable)
     return counts
 
 
@@ -293,7 +225,7 @@ def _truncation_horizon(n_max):
     return max(8, n_max + 3) + 8
 
 
-def cmd_precompute(n_max, digits, cache_dir, tol=None):
+def cmd_precompute(n_max, digits, cache_dir):
     """Build and persist every table the pipeline wants, skipping fresh ones."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("nmax must be a positive integer")
@@ -301,8 +233,8 @@ def cmd_precompute(n_max, digits, cache_dir, tol=None):
         raise ValueError("digits must be a positive integer")
     os.makedirs(cache_dir, exist_ok=True)
     have = load_cache(cache_dir)
-    built = {"chartable": 0, "ftable": 0, "pzeta": 0, "dimpoly": 0}
-    reused = {"chartable": 0, "ftable": 0, "pzeta": 0, "dimpoly": 0}
+    built = {"chartable": 0, "pzeta": 0}
+    reused = {"chartable": 0, "pzeta": 0}
     with cache_lock(cache_dir):
         for n in range(n_max + 1):
             if load_entry(cache_dir, entry_filename("chartable", {"n": n})):
@@ -310,18 +242,6 @@ def cmd_precompute(n_max, digits, cache_dir, tol=None):
                 continue
             save_entry(cache_dir, encode_chartable(n, character_table(n)))
             built["chartable"] += 1
-        fresh = None
-        for filename in os.listdir(cache_dir):
-            if filename.startswith("ftable_"):
-                got = decode_ftable(load_entry(cache_dir, filename))
-                if got.max_weight >= n_max:
-                    fresh = got
-                    break
-        if fresh is not None:
-            reused["ftable"] += 1
-        else:
-            save_entry(cache_dir, encode_ftable(f_table(n_max)))
-            built["ftable"] += 1
         store_digits = digits + PZETA_MARGIN
         for r in range(1, _truncation_horizon(n_max) + 1):
             old = load_entry(cache_dir, entry_filename("pzeta", {"r": r}))
@@ -338,21 +258,6 @@ def cmd_precompute(n_max, digits, cache_dir, tol=None):
             save_entry(cache_dir, entry)
             install_prime_zeta(r, pz)
             built["pzeta"] += 1
-        for total in range(DIMPOLY_MAX_WEIGHT + 1):
-            if total > n_max:
-                break
-            for a in range(total + 1):
-                for kap in partitions_of(a):
-                    for lam in partitions_of(total - a):
-                        params = {"kap": list(kap), "lam": list(lam)}
-                        if load_entry(
-                            cache_dir, entry_filename("dimpoly", params)
-                        ):
-                            reused["dimpoly"] += 1
-                            continue
-                        poly = dim_complement_poly(kap, lam)
-                        save_entry(cache_dir, encode_dimpoly(kap, lam, poly))
-                        built["dimpoly"] += 1
     return {"cache_dir": cache_dir, "loaded": have, "built": built,
             "reused": reused}
 
@@ -509,6 +414,14 @@ def _check_v_identities():
         for r in range(1, 7):
             if V_poly(r, (), ())(k) != _b_coeff(k, r):
                 raise AssertionError("local log mismatch k=%d r=%d" % (k, r))
+        # the engine's tail route against the f-table contraction
+        tail = _v_series(k, 4, 6)[0]
+        for r in range(1, 7):
+            for mu, nu in _keys_upto(4):
+                if V_poly(r, mu, nu)(k) != tail[r].get((mu, nu), 0):
+                    raise AssertionError(
+                        "tail route at k=%d r=%d %r %r" % (k, r, mu, nu)
+                    )
 
 
 def _check_dimpoly_identity():
@@ -626,21 +539,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p, request=True):
         p.add_argument("--digits", type=int, default=50)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument(
             "--cache-dir",
             default=os.environ.get(CACHE_ENV, os.path.join(".", "cache")),
         )
-        if with_format:
+        if request:
+            p.add_argument("--tol", type=float, default=None)
             p.add_argument(
                 "--format", choices=("text", "json", "csv"), default="text"
             )
 
     p = sub.add_parser("precompute", help="build and persist the shared tables")
     p.add_argument("--nmax", type=int, required=True)
-    common(p, with_format=False)
+    common(p, request=False)
 
     p = sub.add_parser("coeff", help="one polynomial coefficient")
     p.add_argument("--k", type=int, required=True)
@@ -664,9 +577,8 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         if args.command == "precompute":
-            status = cmd_precompute(args.nmax, args.digits, args.cache_dir,
-                                    tol=args.tol)
-            for kind in ("chartable", "ftable", "pzeta", "dimpoly"):
+            status = cmd_precompute(args.nmax, args.digits, args.cache_dir)
+            for kind in ("chartable", "pzeta"):
                 sys.stdout.write(
                     "%s: built %d, reused %d\n"
                     % (kind, status["built"][kind], status["reused"][kind])

@@ -1,12 +1,16 @@
 """Moment polynomial pipeline: exact tables feeding big-real coefficients.
 
-The chain: the logarithm of an exact pair series gives a rational f-table;
-contracting the f-table against monomial symmetric evaluations gives the V
-polynomials in k; V at an integer k combines with prime power sums into the
-W coefficients; exponentiating the W series and switching both slots to the
-Schur basis gives the d-table; d-entries paired with complement skew
-dimensions assemble every coefficient c_N(k) of the degree-k**2 moment
-polynomial for the 2k-th moment of zeta on the critical line.
+The chain: the local Euler factor, expanded over pairs of partitions, gives
+one ratio series X_{mu nu}(Q) in Q = 1/p per key; at an integer k the V
+values are the Q**r coefficients of the pair-series logarithm of 1 + X; V
+combines with prime power sums into the W coefficients; exponentiating the
+W series and switching both slots to the Schur basis gives the d-table;
+d-entries paired with complement skew dimensions assemble every coefficient
+c_N(k) of the degree-k**2 moment polynomial for the 2k-th moment of zeta on
+the critical line.  The same V, as polynomials in k, come from contracting
+the rational f-table (the logarithm of an exact pair series) against
+monomial symmetric evaluations; that route is the paper's exact object and
+the oracle the engine is checked against.
 
 The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
@@ -103,32 +107,20 @@ class MomentPolynomial(NamedTuple):
         return acc
 
 
-_f_store = {"built": None, "installed": None}
-
-
-def install_f_table(entry):
-    """Register (or with None, drop) an externally supplied f-table."""
-    _f_store["installed"] = entry
-
-
-def _build_f_table(n_max):
-    coeffs = {EMPTY_KEY: 1}
-    for a in range(1, n_max + 1):
-        for ka in partitions_of(a):
-            za = centralizer_order(ka)
-            for la in partitions_of(a):
-                coeffs[(ka, la)] = Fraction(1, za * centralizer_order(la))
-    series = PairSeries(POWERSUM, 2 * n_max, coeffs)
-    return FTable(n_max, dict(series_log(series).coeffs))
+_f_store = {"built": None}
 
 
 def _f_entries(n_max):
-    inst = _f_store["installed"]
-    if inst is not None and inst.max_weight >= n_max:
-        return inst.entries
     built = _f_store["built"]
     if built is None or built.max_weight < n_max:
-        built = _build_f_table(n_max)
+        coeffs = {EMPTY_KEY: 1}
+        for a in range(1, n_max + 1):
+            for ka in partitions_of(a):
+                za = centralizer_order(ka)
+                for la in partitions_of(a):
+                    coeffs[(ka, la)] = Fraction(1, za * centralizer_order(la))
+        series = PairSeries(POWERSUM, 2 * n_max, coeffs)
+        built = FTable(n_max, dict(series_log(series).coeffs))
         _f_store["built"] = built
     return built.entries
 
@@ -180,56 +172,6 @@ def V_poly(r, mu, nu):
         return KPoly()
     top = max(by_exp)
     return KPoly([scale * by_exp.get(e, Fraction(0)) for e in range(top + 1)])
-
-
-@lru_cache(maxsize=None)
-def _v_fixed(k, wmax, r, absolute=False):
-    """V values at integer k for every key of total weight <= wmax, exact.
-
-    Matrix route: contract the f-table once per left slot, then dot against
-    each right slot.  absolute=True replaces every f entry by its magnitude,
-    giving a termwise upper bound used by the tail bookkeeping.
-    """
-    ft = _f_entries(r)
-    kaps = partitions_of(r)
-    nk = len(kaps)
-    mus = [m for a in range(wmax + 1) for m in partitions_of(a)]
-    amat = {m: [monomial_eval(m, ka) * k ** len(ka) for ka in kaps] for m in mus}
-    rows = []
-    for ka in kaps:
-        row = []
-        for la in kaps:
-            fv = ft.get((ka, la), 0)
-            row.append(abs(fv) if absolute else fv)
-        rows.append(row)
-    half = {}
-    for m in mus:
-        cur = [Fraction(0)] * nk
-        am = amat[m]
-        for i in range(nk):
-            ai = am[i]
-            if ai:
-                fr = rows[i]
-                for j in range(nk):
-                    if fr[j]:
-                        cur[j] += ai * fr[j]
-        half[m] = cur
-    out = {}
-    for m in mus:
-        wm = sum(m)
-        hm = half[m]
-        for nu in mus:
-            if wm + sum(nu) > wmax:
-                continue
-            an = amat[nu]
-            acc = Fraction(0)
-            for j in range(nk):
-                if an[j] and hm[j]:
-                    acc += hm[j] * an[j]
-            if acc:
-                acc = acc * multinomial(wm + sum(nu), m + nu)
-                out[(m, nu)] = acc / k ** (len(m) + len(nu))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -330,6 +272,107 @@ def _a_seqs(k, wmax, U):
                     new[u + v] += cu * wt[v]
         out[m] = new
     return out
+
+
+class _QSeries:
+    """Power series in Q = 1/p cut after a fixed order, exact coefficients.
+
+    The coefficient ring series_log runs over for the exact tail: integer
+    coefficients over one common denominator, kept in lowest terms.  Sums
+    and scalar multiples act entrywise, and the product drops every power of
+    Q beyond the shorter operand.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = [c // g for c in num]
+            den //= g
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if isinstance(other, _QSeries):
+            return self.num == other.num and self.den == other.den
+        return other == 0 and not any(self.num)
+
+    def __add__(self, other):
+        if not isinstance(other, _QSeries):
+            if other != 0:
+                return NotImplemented
+            return self
+        d1, d2 = self.den, other.den
+        den = d1 // math.gcd(d1, d2) * d2
+        m1, m2 = den // d1, den // d2
+        return _QSeries([a * m1 + b * m2 for a, b in zip(self.num, other.num)], den)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, _QSeries):
+            other = Fraction(other)
+            return _QSeries(
+                [a * other.numerator for a in self.num],
+                self.den * other.denominator,
+            )
+        a, b = self.num, other.num
+        n = min(len(a), len(b))
+        out = [0] * n
+        for i in range(n):
+            x = a[i]
+            if x:
+                for j in range(n - i):
+                    y = b[j]
+                    if y:
+                        out[i + j] += x * y
+        return _QSeries(out, self.den * other.den)
+
+    __rmul__ = __mul__
+
+
+@lru_cache(maxsize=None)
+def _v_series(k, wmax, R):
+    """Exact V_r at integer k and termwise bounds on them, for r = 1..R.
+
+    V_r for the key (mu, nu) is n! times the Q**r coefficient of log(1 + X),
+    n = |mu| + |nu|, where X_{mu nu}(Q) = z_{mu nu}(Q) / z_0(Q) is the ratio
+    of local factor expansions and the log runs over the pair series.  The
+    same log of 1 - |X|, with every coefficient replaced by its magnitude,
+    gives a coefficientwise majorant.  The empty key is the scalar local
+    log.  Returns two lists indexed by r of {key: Fraction}, zeros omitted.
+    """
+    aseq = _a_seqs(k, wmax, R)
+    z0 = [a * a for a in aseq[()]]
+    # z0 has constant term 1, so its reciprocal has integer coefficients
+    inv = [1] + [0] * R
+    for u in range(1, R + 1):
+        inv[u] = -sum(z0[i] * inv[u - i] for i in range(1, u + 1))
+    signed, majorant = {EMPTY_KEY: 1}, {EMPTY_KEY: 1}
+    for m, nu in _keys_upto(wmax):
+        if not m and not nu:
+            continue
+        den = _norm_den(m) * _norm_den(nu)
+        z = [a * b for a, b in zip(aseq[m], aseq[nu])]
+        x = [sum(z[i] * inv[u - i] for i in range(u + 1)) for u in range(R + 1)]
+        signed[(m, nu)] = _QSeries(x, den)
+        majorant[(m, nu)] = _QSeries([-abs(c) for c in x], den)
+    vr = [{} for _ in range(R + 1)]
+    vb = [{} for _ in range(R + 1)]
+    for table, x, sign, b0 in (
+        (vr, signed, 1, _b_series(k, R)),
+        (vb, majorant, -1, _b_series(k, R, True)),
+    ):
+        for r in range(1, R + 1):
+            if b0[r]:
+                table[r][EMPTY_KEY] = b0[r]
+        for key, s in series_log(PairSeries(POWERSUM, wmax, x)).coeffs.items():
+            fact = sign * math.factorial(sum(key[0]) + sum(key[1]))
+            for r in range(1, R + 1):
+                if s.num[r]:
+                    table[r][key] = Fraction(fact * s.num[r], s.den)
+    return vr, vb
 
 
 _w_cache = {}
@@ -453,26 +496,22 @@ def _w_engine(k, wmax, digits, tol_f):
                         g = g - n1 * lpow[sum(key[0]) + sum(key[1])] * pinv
                     if g:
                         vals[key] += g
+        # exact V tables to order R, extended 16 orders at a time: the tail
+        # rarely passes r = 16, and each chunk is rebuilt from scratch
+        R = 16
+        v_tab, vb_tab = _v_series(k, wmax, R)
         head = prime_zeta_taylor(1, wmax, wdps - 5).coeffs
-        for key, fv in _v_fixed(k, wmax, 1).items():
+        for key, fv in v_tab[1].items():
             n = sum(key[0]) + sum(key[1])
             vals[key] += mp.mpf(fv.numerator) / fv.denominator * head[n]
-
-        def tail_v(r):
-            if wmax:
-                return _v_fixed(k, wmax, r), _v_fixed(k, wmax, r, True)
-            return (
-                {EMPTY_KEY: _b_coeff(k, r)},
-                {EMPTY_KEY: _b_coeff(k, r, True)},
-            )
 
         history = {key: [] for key in keys}
         gmax_hist = []
         growth = []
         vb_prev_max = None
-        envtail = {}
         streak = 0
         min_stop = max(8, wmax + 3)
+        floor = mp.mpf(10) ** (-(digits + 6))
         r = 1
         while True:
             r += 1
@@ -483,7 +522,10 @@ def _w_engine(k, wmax, digits, tol_f):
                     meta={"prime_cutoff": pcut, "r_max_used": r - 1,
                           "digits": digits, "tol": tol_f},
                 )
-            vr, vb = tail_v(r)
+            if r > R:
+                R += 16
+                v_tab, vb_tab = _v_series(k, wmax, R)
+            vr, vb = v_tab[r], vb_tab[r]
             ct = prime_zeta_beyond(r, wmax, primes, wdps - 5)
             allsmall = True
             tmax = mp.mpf(0)
@@ -514,42 +556,39 @@ def _w_engine(k, wmax, digits, tol_f):
             vb_prev_max = vb_max
             if r < min_stop or streak < 3:
                 continue
-            # certified closure: beyond-cutoff prime families shrink at least
-            # by 1/pcut per step in r, the V bound grows by a measured factor
+            # the reported error closes the tail: a geometric estimate from
+            # the last increments, plus the certified envelope, in which the
+            # beyond-cutoff prime families shrink at least by 1/pcut per step
+            # in r and the V majorant grows by a measured factor
+            q = 0.5
+            rats = [
+                float(gmax_hist[i + 1] / gmax_hist[i])
+                for i in range(len(gmax_hist) - 1)
+                if gmax_hist[i] > 0
+            ]
+            if rats:
+                q = min(0.9, max(1e-6, max(rats)))
+            qm = mp.mpf(q)
             chat = mp.mpf(max([2.0] + growth))
             envs = [envelope_bound(r, n, pcut) for n in range(wmax + 1)]
-            ok = True
+            errs = {}
             for key in keys:
+                h = history[key]
+                geo = mp.mpf("1.5") * max(h) * qm / (1 - qm) if h else mp.mpf(0)
                 fb = vb.get(key)
-                n = sum(key[0]) + sum(key[1])
+                env = mp.mpf(0)
                 if fb:
-                    bound = (
+                    n = sum(key[0]) + sum(key[1])
+                    env = mp.mpf("1.5") * (
                         mp.mpf(fb.numerator) / fb.denominator
                         * envs[n] * chat / (pcut - chat)
                     )
-                else:
-                    bound = mp.mpf(0)
-                envtail[key] = bound
-                if bound >= tol_eff * (1 + abs(vals[key])):
-                    ok = False
-            if ok:
+                scale = 1 + abs(vals[key])
+                if geo + env >= tol_eff * scale:
+                    break
+                errs[key] = geo + env + floor * scale
+            else:
                 break
-        q = 0.5
-        rats = [
-            float(gmax_hist[i + 1] / gmax_hist[i])
-            for i in range(len(gmax_hist) - 1)
-            if gmax_hist[i] > 0
-        ]
-        if rats:
-            q = min(0.9, max(1e-6, max(rats)))
-        qm = mp.mpf(q)
-        floor = mp.mpf(10) ** (-(digits + 6))
-        errs = {}
-        for key in keys:
-            h = history[key]
-            geo = mp.mpf("1.5") * max(h) * qm / (1 - qm) if h else mp.mpf(0)
-            env = mp.mpf("1.5") * envtail.get(key, mp.mpf(0))
-            errs[key] = geo + env + floor * (1 + abs(vals[key]))
         meta = {"r_max_used": r, "prime_cutoff": pcut, "digits": digits,
                 "tol": tol_f}
     with mp.workdps(digits + 8):
@@ -558,18 +597,41 @@ def _w_engine(k, wmax, digits, tol_f):
     return vals, errs, meta
 
 
+def _check_request(k, digits, tol, k_min=1):
+    """The input contract shared by the public entry points.
+
+    k is an integer of at least k_min, digits a positive integer and tol
+    either None or a finite positive number; booleans count as neither.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < k_min:
+        raise ValueError(
+            "k must be a %s integer" % ("positive" if k_min else "nonnegative")
+        )
+    if isinstance(digits, bool) or not isinstance(digits, int) or digits < 1:
+        raise ValueError("digits must be a positive integer")
+    if tol is not None and (
+        isinstance(tol, bool)
+        or not isinstance(tol, (int, float))
+        or not math.isfinite(tol)
+        or tol <= 0
+    ):
+        raise ValueError("tol must be None or a finite positive number")
+
+
 def W_coeff(mu, nu, k, digits=50, tol=None):
     """One W value with its error estimate.
 
     The tail sum over r stops at the first index past the floor where three
-    consecutive increments stay below tolerance and the certified prime
-    envelope closes the remainder; a hard cap at r=200 raises
-    NonConvergenceError carrying the partial table.
+    consecutive increments stay below tolerance and, for every key, the
+    tail part of the reported error (the geometric estimate from the last
+    increments plus the certified prime envelope on the V majorant) stays
+    below tol * (1 + |value|); the reported error adds the precision floor.
+    A hard cap at r=200 raises NonConvergenceError carrying the partial
+    table.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_request(k, digits, tol)
     vals, errs, _ = _w_full(k, sum(mu) + sum(nu), digits, tol)
     return ValueWithError(vals[(mu, nu)], errs[(mu, nu)])
 
@@ -583,8 +645,7 @@ def d_table(k, n_max, digits=50, tol=None):
     of the exponential convolved with the W error bounds, pushed through the
     same basis change with absolute character values.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_request(k, digits, tol)
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     if n_max > k * k:
@@ -827,8 +888,7 @@ def c_coeff(N, k, digits=50, tol=None):
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_request(k, digits, tol, k_min=0)
     if N > k * k:
         warnings.warn(
             "c_%d at k=%d lies beyond degree k**2; empty assembly, exact 0"
@@ -846,10 +906,7 @@ def moment_polynomial(k, digits=50, tol=None):
     One shared W engine run and one shared d-table cover all N; the k = 0
     polynomial is the empty-product constant 1.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    if not isinstance(digits, int) or digits < 1:
-        raise ValueError("digits must be a positive integer")
+    _check_request(k, digits, tol, k_min=0)
     if k == 0:
         meta = {"r_max_used": 0, "prime_cutoff": 0, "tol": None,
                 "cache_versions": {"zetamoments": __version__}}

@@ -2,26 +2,21 @@
 
 import json
 import os
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from zetamoments import cli, moments
+from zetamoments import characters, cli, zeta_numerics
 from zetamoments.characters import install_table
 from zetamoments.cli import (
     SCHEMA_VERSION,
     CacheError,
     cache_lock,
     decode_chartable,
-    decode_dimpoly,
-    decode_ftable,
     decode_pzeta,
     encode_chartable,
-    encode_dimpoly,
-    encode_ftable,
     encode_pzeta,
     entry_filename,
     load_cache,
@@ -29,9 +24,6 @@ from zetamoments.cli import (
     main,
     save_entry,
 )
-from zetamoments.frobenius_schur import SkewDimPoly
-from zetamoments.moments import FTable, install_f_table
-from zetamoments.symseries import KPoly
 from zetamoments.zeta_numerics import PrimeZetaCoeffs, install_prime_zeta
 
 
@@ -40,10 +32,8 @@ def pristine_installs():
     yield
     for n in range(12):
         install_table(n, None)
-    install_f_table(None)
     for r in range(1, 40):
         install_prime_zeta(r, None)
-    cli._loaded_dimpoly.clear()
 
 
 partition = st.lists(st.integers(1, 5), max_size=4).map(
@@ -73,18 +63,6 @@ class TestCacheFormat:
         assert back == table
         assert all(isinstance(v, int) for v in back.values())
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        w=st.integers(1, 9),
-        entries=st.dictionaries(pair, st.fractions(), max_size=8),
-    )
-    def test_ftable_roundtrip_is_exact(self, w, entries):
-        back = decode_ftable(roundtrip(encode_ftable(FTable(w, entries))))
-        assert back.max_weight == w
-        assert back.entries == entries
-        for v in back.entries.values():
-            assert isinstance(v, Fraction)
-
     @settings(max_examples=25, deadline=None)
     @given(
         r=st.integers(1, 20),
@@ -108,19 +86,6 @@ class TestCacheFormat:
             assert a == b
         for a, b in zip(tb, back.tail_bounds):
             assert a == b
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        kap=partition,
-        lam=partition,
-        cs=st.lists(st.fractions(), min_size=1, max_size=6),
-        depth=st.integers(0, 8),
-    )
-    def test_dimpoly_roundtrip_is_exact(self, kap, lam, cs, depth):
-        poly = SkewDimPoly(KPoly(cs), depth)
-        back = decode_dimpoly(roundtrip(encode_dimpoly(kap, lam, poly)))
-        assert back.B == poly.B
-        assert back.depth == depth
 
     def test_saved_files_are_deterministic(self, tmp_path):
         entry = encode_chartable(2, {((2,), (1, 1)): -1, ((2,), (2,)): 1})
@@ -172,10 +137,8 @@ class TestPrecompute:
     def test_build_then_reuse(self, tmp_path, capsys):
         root = str(tmp_path / "c")
         status = cli.cmd_precompute(3, 15, root)
-        assert status["built"]["chartable"] == 4
-        assert status["built"]["ftable"] == 1
-        assert status["built"]["pzeta"] > 0
-        assert status["built"]["dimpoly"] > 0
+        assert status["built"] == {"chartable": 4, "pzeta": 16}
+        assert len(os.listdir(root)) == 20
         again = cli.cmd_precompute(3, 15, root)
         assert all(v == 0 for v in again["built"].values())
         assert again["reused"]["chartable"] == 4
@@ -183,19 +146,35 @@ class TestPrecompute:
     def test_loaded_tables_are_installed(self, tmp_path):
         root = str(tmp_path / "c")
         cli.cmd_precompute(3, 15, root)
-        install_f_table(None)
         for n in range(12):
             install_table(n, None)
+        for r in range(1, 40):
+            install_prime_zeta(r, None)
         counts = load_cache(root)
-        assert counts["ftable"] == 1
-        assert counts["chartable"] == 4
-        installed = moments._f_store["installed"]
-        assert installed is not None and installed.max_weight == 3
-        # the installed coupling table serves lookups with the known values
-        got = moments.f_table(2)
-        assert got.entries[((1,), (1,))] == 1
-        assert got.entries[((1, 1), (1, 1))] == Fraction(-1, 4)
-        assert cli._loaded_dimpoly[((1,), (1,))].depth == 2
+        assert counts == {"chartable": 4, "pzeta": 16}
+        assert characters._installed[2][((1, 1), (2,))] == -1
+        pz = zeta_numerics._installed_pzeta[2]
+        assert pz.digits == 15 + cli.PZETA_MARGIN and len(pz.coeffs) == 4
+
+    def test_retired_kinds_are_skipped(self, tmp_path):
+        # coupling-table and dimension-polynomial files from older versions
+        root = tmp_path / "c"
+        cli.cmd_precompute(1, 12, str(root))
+        old = {
+            "ftable_w2.json": ("ftable", {"max_weight": 2},
+                               {"entries": [[[1], [1], "1/1"]]}),
+            "dimpoly_1_1.json": ("dimpoly", {"kap": [1], "lam": [1]},
+                                 {"B": ["2/1"], "depth": 2}),
+        }
+        for name, (kind, params, payload) in old.items():
+            (root / name).write_text(json.dumps({
+                "schema_version": SCHEMA_VERSION, "kind": kind,
+                "params": params, "payload": payload,
+            }))
+        assert load_cache(str(root)) == {"chartable": 2, "pzeta": 16}
+        status = cli.cmd_precompute(1, 12, str(root))
+        assert all(v == 0 for v in status["built"].values())
+        assert (root / "ftable_w2.json").exists()
 
     def test_digit_upgrade_replaces_only_pzeta(self, tmp_path):
         root = tmp_path / "c"
@@ -203,7 +182,7 @@ class TestPrecompute:
         keep = {
             p.name: p.read_bytes()
             for p in root.iterdir()
-            if p.name.startswith(("chartable", "ftable", "dimpoly"))
+            if p.name.startswith("chartable")
         }
         pz_before = {
             p.name: p.read_bytes()
@@ -212,8 +191,6 @@ class TestPrecompute:
         status = cli.cmd_precompute(2, 30, str(root))
         assert status["built"]["pzeta"] == len(pz_before)
         assert status["built"]["chartable"] == 0
-        assert status["built"]["ftable"] == 0
-        assert status["built"]["dimpoly"] == 0
         for name, data in keep.items():
             assert (root / name).read_bytes() == data
         for name, data in pz_before.items():
@@ -225,13 +202,20 @@ class TestPrecompute:
         os.unlink(os.path.join(root, "chartable_n1.json"))
         status = cli.cmd_precompute(1, 12, root)
         assert status["built"]["chartable"] == 1
-        assert status["built"]["ftable"] == 0
+        assert status["built"]["pzeta"] == 0
 
     def test_bad_arguments_are_input_errors(self, tmp_path):
         with pytest.raises(ValueError):
             cli.cmd_precompute(0, 10, str(tmp_path))
         with pytest.raises(ValueError):
             cli.cmd_precompute(2, 0, str(tmp_path))
+
+    def test_tol_is_not_a_precompute_option(self, tmp_path, capsys):
+        rc = main(["precompute", "--nmax", "1", "--digits", "10", "--tol",
+                   "1e-5", "--cache-dir", str(tmp_path / "c")])
+        assert rc == 1
+        assert not (tmp_path / "c").exists()
+        capsys.readouterr()
 
 
 class TestCommands:
@@ -297,6 +281,15 @@ class TestCommands:
         assert main(["nonsense"]) == 1
         assert main([]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("extra", [
+        ["--digits", "0"], ["--digits", "-3"], ["--tol", "nan"],
+        ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
+    ])
+    def test_bad_request_is_exit_1(self, extra, capsys):
+        for cmd in (["coeff", "--k", "1", "--N", "0"], ["poly", "--k", "1"]):
+            assert main(cmd + extra) == 1
+            assert "input error" in capsys.readouterr().err
 
     def test_malformed_cache_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "ftable_w2.json").write_text("{broken")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from zetamoments import moments
 from zetamoments.moments import (
-    FTable,
     MomentPolynomial,
     NonConvergenceError,
     ValueWithError,
@@ -16,14 +16,14 @@ from zetamoments.moments import (
     WPoly,
     W_coeff,
     _b_coeff,
-    _v_fixed,
+    _keys_upto,
+    _v_series,
     a_factor,
     c_coeff,
     d_table,
     d_table_symbolic,
     f_table,
     g_factor,
-    install_f_table,
     install_w_table,
     moment_polynomial,
 )
@@ -149,17 +149,6 @@ class TestFTable:
         # cross-weight coefficients of the source vanish
         assert back.get((2,), (1,)) == 0
 
-    def test_install_override_and_fallback(self):
-        fake = FTable(1, {((1,), (1,)): F(7)})
-        install_f_table(fake)
-        try:
-            assert f_table(1).entries == {((1,), (1,)): F(7)}
-            # deeper than the override falls back to building
-            assert f_table(2).entries[((2,), (2,))] == F(1, 4)
-        finally:
-            install_f_table(None)
-        assert f_table(1).entries == {((1,), (1,)): 1}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             f_table(0)
@@ -193,20 +182,33 @@ class TestVPoly:
             assert v.degree <= 2 * r - len(mu) - len(nu)
 
     def test_matches_fixed_k_tables(self):
+        # the engine's Q-series route against the f-table contraction
         for k in (2, 3):
-            for r in (1, 2, 3):
-                fixed = _v_fixed(k, 4, r)
-                for mu in PARTS_W4:
-                    for nu in PARTS_W4:
-                        if sum(mu) + sum(nu) > 4:
-                            continue
-                        assert V_poly(r, mu, nu)(k) == fixed.get((mu, nu), 0)
+            tail = _v_series(k, 4, 6)[0]
+            for r in range(1, 7):
+                for mu, nu in _keys_upto(4):
+                    assert V_poly(r, mu, nu)(k) == tail[r].get((mu, nu), 0)
 
     def test_empty_pair_matches_local_log_coefficients(self):
         # two independent builds of the same scalar sequence
         for k in (2, 3, 4):
             for r in range(1, 9):
-                assert _v_fixed(k, 0, r)[EMPTY_KEY] == _b_coeff(k, r)
+                assert V_poly(r, (), ())(k) == _b_coeff(k, r)
+                assert _v_series(k, 0, 8)[0][r][EMPTY_KEY] == _b_coeff(k, r)
+                assert _v_series(k, 2, 8)[0][r][EMPTY_KEY] == _b_coeff(k, r)
+
+    def test_tail_does_not_depend_on_the_truncation(self):
+        short, long_ = _v_series(2, 3, 8), _v_series(2, 3, 16)
+        for r in range(1, 9):
+            assert short[0][r] == long_[0][r]
+            assert short[1][r] == long_[1][r]
+
+    @pytest.mark.parametrize("k,wmax", [(1, 2), (2, 4), (3, 4)])
+    def test_majorant_bounds_every_value(self, k, wmax):
+        vr, vb = _v_series(k, wmax, 14)
+        for r in range(1, 15):
+            for key, v in vr[r].items():
+                assert abs(v) <= vb[r][key], (r, key)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -250,6 +252,15 @@ class TestWEngine:
                 hi = W_coeff(mu, nu, 2, digits=25)
                 assert abs(lo.value - hi.value) <= lo.error
                 assert lo.error < mp.mpf("1e-8")
+
+    def test_errors_at_the_stop_are_within_tolerance(self):
+        # the stop rule tests the error it reports: tail part below tol
+        vals, errs, meta = moments._w_full(2, 4, 10)
+        tol, floor = mp.mpf(10) ** -10, mp.mpf(10) ** -16
+        assert meta["r_max_used"] >= 8
+        for key, err in errs.items():
+            scale = 1 + abs(vals[key])
+            assert 0 < err <= (tol + floor) * scale * (1 + mp.mpf(10) ** -15)
 
     def test_tol_loosens_the_target(self):
         loose = W_coeff((1,), (1,), 2, digits=12, tol=1e-6)
@@ -486,3 +497,48 @@ class TestAssembly:
             moment_polynomial(2, 0)
         with pytest.raises(ValueError):
             c_coeff(-1, 2)
+
+
+# (k, digits, tol) requests every public entry point refuses with ValueError
+BAD_REQUESTS = [
+    (True, 10, None),
+    (1.0, 10, None),
+    (1, 0, None),
+    (1, -3, None),
+    (1, True, None),
+    (1, "x", None),
+    (1, 10, float("nan")),
+    (1, 10, float("inf")),
+    (1, 10, 0),
+    (1, 10, -1.0),
+    (1, 10, True),
+    (1, 10, "1e-5"),
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("k,digits,tol", BAD_REQUESTS)
+    def test_c_coeff(self, k, digits, tol):
+        with pytest.raises(ValueError):
+            c_coeff(0, k, digits=digits, tol=tol)
+
+    @pytest.mark.parametrize("k,digits,tol", BAD_REQUESTS)
+    def test_W_coeff(self, k, digits, tol):
+        before = len(moments._w_cache)
+        with pytest.raises(ValueError):
+            W_coeff((1,), (), k, digits=digits, tol=tol)
+        assert len(moments._w_cache) == before
+
+    @pytest.mark.parametrize("k,digits,tol", BAD_REQUESTS)
+    def test_d_table(self, k, digits, tol):
+        with pytest.raises(ValueError):
+            d_table(k, 0, digits=digits, tol=tol)
+
+    @pytest.mark.parametrize("k,digits,tol", BAD_REQUESTS)
+    def test_moment_polynomial(self, k, digits, tol):
+        with pytest.raises(ValueError):
+            moment_polynomial(k, digits=digits, tol=tol)
+
+    def test_good_tol_values_pass(self):
+        assert W_coeff((), (), 1, digits=10, tol=1e-8).error > 0
+        assert W_coeff((), (), 1, digits=10, tol=1).error > 0
