@@ -199,14 +199,15 @@ def load_cache(root):
 
     Character tables are exact and install outright.  Prime zeta families
     install behind a precision gate, so an entry with too few digits for a
-    later request is recomputed, never reused.  Entries of any other kind
-    are skipped.
+    later request is recomputed, never reused.  Files of any other kind,
+    such as those older versions wrote, are skipped unread.
     """
     counts = {"chartable": 0, "pzeta": 0}
     if not os.path.isdir(root):
         return counts
+    live = tuple(kind + "_" for kind in counts)
     for filename in sorted(os.listdir(root)):
-        if not filename.endswith(".json"):
+        if not (filename.endswith(".json") and filename.startswith(live)):
             continue
         entry = load_entry(root, filename)
         if entry is None or entry.kind not in counts:
@@ -466,7 +467,9 @@ def _check_split_alphabet():
 
 
 def _check_prime_zeta_routes():
-    for r in (2, 3, 4):
+    # at r = 9 the Moebius arguments 9m >= 45 take the short
+    # Euler-Maclaurin head of zeta_taylor
+    for r in (2, 3, 4, 9):
         a = prime_zeta_taylor(r, 4, 25)
         b = prime_zeta_direct(r, 4, 25)
         with mp.workdps(35):
@@ -500,7 +503,7 @@ FULL_CHECKS = [
     ("arithmetic factor at k=2 vs closed form", "oracle", _check_euler_product),
     ("first moment linear term vs Euler gamma", "oracle", _check_first_moment),
     ("split alphabet residuals, weight <= 3", "oracle", _check_split_alphabet),
-    ("prime zeta two-route agreement, r = 2..4", "identity", _check_prime_zeta_routes),
+    ("prime zeta two-route agreement, r = 2..4, 9", "identity", _check_prime_zeta_routes),
     ("W and d symmetry at k=2", "identity", _check_w_symmetry),
 ]
 

@@ -49,10 +49,11 @@ def _round_out(values, digits):
         return tuple(+v for v in values)
 
 
-def _poly_mul(a, b):
-    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
+def _poly_mul(a, b, size):
+    """Product of two coefficient lists, truncated to its first size terms."""
+    out = [mp.mpf(0)] * min(size, len(a) + len(b) - 1)
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
             out[i + j] += x * y
     return out
 
@@ -69,19 +70,50 @@ def _series_log_list(s):
     return out
 
 
+def _em_head_length(x, nmax, digits):
+    """Euler-Maclaurin head length M for zeta_taylor at real x > 1.
+
+    Correction i adds B_2i/(2i)! * M**(1-x-2i) * sum_u E_u * P_i[a-u] to
+    coefficient a, where E_u = (-log M)**u/u! and P_i is the u-polynomial
+    (x+u)(x+1+u)...(x+2i-2+u).  Bounding |E_u| by (1+log M)**nmax and the
+    coefficients of P_i by P_i at u = 1:
+      correction 1 <= (x+1)/12 * M**(-x-1) * (1+log M)**nmax <= B,
+          B = (x+nmax+2) * M**(-x-1) * (1+log M)**nmax,
+      correction 2 <= (x+1)(x+2)(x+3)/720 * M**(-x-3) * (1+log M)**nmax
+                   <= B * ((x+3)/M)**2 / 720.
+    For t**-x the derivatives alternate in sign, so the remainder after a
+    correction is below the next one (for a >= 1 the tests check the
+    result against mpmath).  The head is the smallest M >= 3 that
+    puts B times max(1, ((x+3)/M)**2/720) two digits below the loop's stop
+    threshold 10**-(digits+10): the loop then stops after correction 1 and
+    the dropped remainder stays under 10**-(digits+12).  Large x needs only a
+    few terms (x = 460 at 131 digits takes M = 3).  The length is capped at
+    max(20, digits), the fixed head that small x needs anyway.
+    """
+    cap = max(20, digits)
+    goal = -(digits + 12) * math.log(10)
+    for M in range(3, cap):
+        lm = math.log(M)
+        first = math.log(x + nmax + 2) - (x + 1) * lm + nmax * math.log1p(lm)
+        if first + max(0.0, 2 * math.log((x + 3) / M) - math.log(720)) < goal:
+            return M
+    return cap
+
+
 def zeta_taylor(x0, nmax, digits=50):
     """Taylor coefficients of zeta around x0: zeta^(a)(x0)/a! for a <= nmax.
 
-    Euler-Maclaurin with the head length tied to the digit request; only the
-    region strictly right of the pole is supported, with a small buffer so the
-    pole distance cannot eat the whole working precision silently.
+    Euler-Maclaurin with the head length sized to the argument and the digit
+    request (see _em_head_length), so large x0 sums only a few terms; only
+    the region strictly right of the pole is supported, with a small buffer
+    so the pole distance cannot eat the whole working precision silently.
     """
     if not isinstance(nmax, int) or nmax < 0:
         raise ValueError("nmax must be a nonnegative integer")
     xf = float(mp.mpf(1) * x0)
     if not xf > 1 + 1e-3:
         raise ValueError("zeta_taylor needs x0 > 1.001, got %r" % (x0,))
-    M = max(20, digits)
+    M = _em_head_length(xf, nmax, digits)
     extra = int((nmax + 1) * max(0.0, -math.log10(xf - 1))) + 15
     wp = digits + extra
     with mp.workdps(wp):
@@ -137,8 +169,8 @@ def zeta_taylor(x0, nmax, digits=50):
                 )
             prev_mag = mag
             i += 1
-            poly = _poly_mul(poly, [x + 2 * i - 3, mp.mpf(1)])
-            poly = _poly_mul(poly, [x + 2 * i - 2, mp.mpf(1)])
+            poly = _poly_mul(poly, [x + 2 * i - 3, mp.mpf(1)], nmax + 1)
+            poly = _poly_mul(poly, [x + 2 * i - 2, mp.mpf(1)], nmax + 1)
             mfac /= M * M
     return _round_out(out, digits)
 
@@ -324,10 +356,13 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     """The same family with the listed primes' contribution removed.
 
     The full family and the head are both tiny multiples of what cancels, so
-    the subtraction runs at a precision elevated by roughly the cancelled
-    ratio; the returned values are reliable near 10**-(digits+5) absolutely.
+    the subtraction runs at wp = digits + 10 + extra digits, with extra about
+    the cancelled ratio r*log10(max(primes)/2) + 8; the returned values are
+    good to about `digits` digits relative to their own size.  The head is
+    summed in B-bit integers (see below), with an error under 10**-(wp+2)
+    absolutely, so it adds nothing to the error of the base family.
     """
-    primes = sorted(primes)
+    primes = sorted(int(p) for p in primes)
     if primes and primes[-1] >= 2:
         extra = int(r * math.log10(max(primes[-1], 4) / 2.0)) + 8
     else:
@@ -335,13 +370,36 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     base = prime_zeta_taylor(r, nmax, digits + extra)
     with mp.workdps(digits + 10 + extra):
         out = list(base.coeffs[: nmax + 1])
-        for p in primes:
-            Lp = -mp.log(p)
-            t = mp.mpf(p) ** (-r)
-            out[0] -= t
+        if not primes:
+            return _round_out(out, digits)
+        # Head terms p**-r * l**n / n!, l = log p, as integers in units of
+        # 2**-B: t_0 = floor(2**B / p**r), L = floor(2**B * l) (from a log
+        # at B + 20 bits, so off by under 1 + 2**-16) and
+        # t_n = floor(t_{n-1} * L / 2**B / n).  t_0 is off by under 1 unit.
+        # Each later step scales the error carried in by L/2**B/n < (1+l)/n
+        # and adds under 3: its floor, plus L's error times
+        # p**-r * l**(n-1)/(n-1)! <= p**(1-r) <= 1.  So term n of one prime
+        # is off by under 3 * sum_{j<=n} (1+l)**j/j! <= 3 * (2+l)**n units,
+        # below 2**(2 + n*g) with g = bit_length(int(log max p) + 3), and a
+        # sum over the primes by under 2**(s - B) units of 1, where
+        # s = len.bit_length() + nmax*g + 2.  B = prec + s + 10 makes that
+        # 2**-(prec+10) < 10**-(wp+3).
+        g = (int(math.log(max(primes[-1], 2))) + 3).bit_length()
+        B = mp.prec + len(primes).bit_length() + nmax * g + 12
+        logs = []
+        if nmax:
+            with mp.workprec(B + 20):
+                logs = [int(mp.ldexp(mp.log(p), B)) for p in primes]
+        sums = [0] * (nmax + 1)
+        for i, p in enumerate(primes):
+            t = (1 << B) // p ** r
+            sums[0] += t
             for n in range(1, nmax + 1):
-                t = t * Lp / n
-                out[n] -= t
+                t = ((t * logs[i]) >> B) // n
+                sums[n] += t
+        for n in range(nmax + 1):
+            head = mp.ldexp(mp.mpf(sums[n]), -B)
+            out[n] += head if n % 2 else -head
     return _round_out(out, digits)
 
 

@@ -292,11 +292,19 @@ class TestCommands:
             assert "input error" in capsys.readouterr().err
 
     def test_malformed_cache_is_exit_3(self, tmp_path, capsys):
-        (tmp_path / "ftable_w2.json").write_text("{broken")
+        (tmp_path / "pzeta_r2.json").write_text("{broken")
         rc = main(["coeff", "--k", "1", "--N", "0", "--digits", "10",
                    "--cache-dir", str(tmp_path)])
         assert rc == 3
         capsys.readouterr()
+
+    def test_malformed_retired_kind_is_skipped(self, tmp_path, capsys):
+        # older versions wrote ftable_* files; a broken one is never read
+        (tmp_path / "ftable_w2.json").write_text("{broken")
+        rc = main(["coeff", "--k", "1", "--N", "0", "--digits", "10",
+                   "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip()
 
     def test_cache_dir_env_var_and_flag(self, monkeypatch):
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +8,7 @@ from mpmath import mp
 
 from zetamoments.zeta_numerics import (
     PrimeZetaCoeffs,
+    _em_head_length,
     bernoulli,
     envelope_bound,
     install_prime_zeta,
@@ -68,6 +71,38 @@ class TestZetaTaylor:
             zeta_derivative(-1, 2, 20)
         with pytest.raises(ValueError):
             zeta_taylor(2, -1, 20)
+
+    @pytest.mark.parametrize("digits", [25, 80, 131])
+    @pytest.mark.parametrize("x", [45, 90, 180, 460])
+    def test_short_head_matches_mpmath(self, x, digits):
+        got = zeta_taylor(x, 6, digits)
+        with mp.workdps(digits + 15):
+            for a in range(7):
+                ref = mpmath.zeta(x, derivative=a) / mp.factorial(a)
+                assert abs(got[a] - ref) < mp.mpf(10) ** (-digits), (x, a)
+
+    def test_head_shrinks_with_the_argument(self):
+        assert _em_head_length(2, 4, 30) == 30
+        assert _em_head_length(45, 4, 30) < 30
+        assert _em_head_length(460, 9, 131) == 3
+        for x in (45, 90, 180, 460):
+            lens = [_em_head_length(x, 6, d) for d in (25, 80, 131)]
+            assert lens == sorted(lens)
+
+    def test_engine_argument_grid_converges(self):
+        # the Moebius loops call x0 = m*r up to about 470, nmax <= 9 and
+        # digits <= 131; a head too short for its argument would make the
+        # Euler-Maclaurin loop diverge and raise
+        rng = random.Random(3)
+        cases = {(470, 9, 131), (470, 0, 20), (45, 9, 131), (2, 9, 131)}
+        while len(cases) < 60:
+            r = rng.randint(2, 16)
+            m = rng.randint(1, 470 // r)
+            cases.add((m * r, rng.randint(0, 9), rng.randint(20, 131)))
+        for x0, nmax, digits in sorted(cases):
+            got = zeta_taylor(x0, nmax, digits)
+            assert len(got) == nmax + 1
+            assert all(mp.isfinite(c) for c in got), (x0, nmax, digits)
 
     def test_first_derivative_matches_finite_difference(self):
         digits = 30
@@ -229,7 +264,45 @@ class TestPrimeZetaTaylor:
             prime_zeta_direct(1, 2, 20)
 
 
+def _beyond_reference(r, nmax, primes, digits):
+    """The head subtraction as a plain mpf loop, at its own precision."""
+    primes = sorted(primes)
+    if primes and primes[-1] >= 2:
+        extra = int(r * math.log10(max(primes[-1], 4) / 2.0)) + 8
+    else:
+        extra = 0
+    base = prime_zeta_taylor(r, nmax, digits + extra)
+    with mp.workdps(digits + 10 + extra):
+        out = list(base.coeffs[: nmax + 1])
+        for p in primes:
+            Lp = -mp.log(p)
+            t = mp.mpf(p) ** (-r)
+            out[0] -= t
+            for n in range(1, nmax + 1):
+                t = t * Lp / n
+                out[n] -= t
+    return out
+
+
 class TestBeyondAndEnvelope:
+    @pytest.mark.parametrize("r", [2, 9, 16])
+    @pytest.mark.parametrize("pcut, nmax, digits", [(67968, 0, 60), (3200, 4, 40)])
+    def test_fixed_point_head_matches_mpf_loop(self, r, pcut, nmax, digits):
+        ps = primes_upto(pcut)
+        got = prime_zeta_beyond(r, nmax, ps, digits)
+        ref = _beyond_reference(r, nmax, ps, digits + 20)
+        with mp.workdps(digits + 30):
+            for n in range(nmax + 1):
+                assert abs(got[n] - ref[n]) < mp.mpf(10) ** (-(digits + 3)) * abs(ref[n]), n
+
+    @pytest.mark.parametrize("primes", [[], [2], [7, 2, 5, 3]])
+    def test_fixed_point_head_short_lists(self, primes):
+        got = prime_zeta_beyond(3, 4, primes, 30)
+        ref = _beyond_reference(3, 4, primes, 50)
+        with mp.workdps(60):
+            for n in range(5):
+                assert abs(got[n] - ref[n]) < mp.mpf(10) ** -33 * abs(ref[n]), n
+
     def test_beyond_nothing_is_full(self):
         with mp.workdps(30):
             full = prime_zeta_taylor(2, 3, 25).coeffs
