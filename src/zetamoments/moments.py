@@ -14,9 +14,12 @@ the oracle the engine is checked against.
 
 The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
-factors are accumulated prime by prime up to a cutoff (with each prime's
+factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
-the cutoff only, where it converges geometrically.  The cutoff comes from
+the cutoff only, where it converges geometrically.  Below the cutoff the
+empty key's local factor has a closed form, an integer ratio at Q = 1/p, so
+its part is one fixed-point product over the primes and a single log; the
+other keys take one pair-series log per prime.  The cutoff comes from
 the digit and tolerance request; tail estimates combine a certified envelope
 on the beyond-cutoff prime sums with the measured decay of the last few
 increments.
@@ -436,6 +439,37 @@ def _w_full(k, wmax, digits, tol=None):
     return vals, errs, dict(hit[2])
 
 
+def _empty_key_head(k, primes):
+    """sum over the primes of log z_0(1/p) - k**2/p, to 2**-(prec+10).
+
+    z_0(Q) = sum_u C(u+k-1, k-1)**2 Q**u = P_k(Q) / (1-Q)**(2k-1), P_k the
+    Gauss square polynomial, so at Q = 1/p the local factor is the ratio of
+    integers z_0 = A_k(p) * p**k / (p-1)**(2k-1), A_k(p) = sum_j
+    C(k-1, j)**2 p**(k-1-j).  The product of the z_0 is kept in B-bit fixed
+    point, T = floor(T * A_k(p) * p**k / (p-1)**(2k-1)) from T = 2**B, and
+    S = sum floor(k**2 * 2**B / p), so one log serves every prime.  Each
+    z_0 > 1 keeps T >= 2**B, so each floor moves log T by under 2**(1-B),
+    and each floor of S by under 2**-B: with n primes the result is off by
+    under 3n * 2**-B < 2**-(prec+10) for B = prec + bit_length(n) + 12.  T
+    only grows to about 2**B * exp(k**2 * sum 1/p), about 2**(B+35) at
+    k = 3 and p < 67,968, so it needs no rescaling.  The log and the
+    subtraction run at B + 10 bits, and the value comes back at that
+    precision; the caller's next sum rounds it.
+    """
+    B = mp.prec + len(primes).bit_length() + 12
+    row = [math.comb(k - 1, j) ** 2 for j in range(k)]
+    T, S = 1 << B, 0
+    k2B = (k * k) << B
+    for p in primes:
+        A = 0
+        for c in row:
+            A = A * p + c
+        T = T * A * p ** k // (p - 1) ** (2 * k - 1)
+        S += k2B // p
+    with mp.workprec(B + 10):
+        return mp.log(mp.ldexp(T, -B)) - mp.ldexp(S, -B)
+
+
 def _w_engine(k, wmax, digits, tol_f):
     wdps = digits + 15
     pcut = _prime_cutoff(k, digits, tol_f)
@@ -458,7 +492,11 @@ def _w_engine(k, wmax, digits, tol_f):
                     math.factorial(nu[0]) if nu else 1
                 )
                 norm1[(m, nu)] = mp.mpf(k ** (2 - len(m) - len(nu))) / den
-        for p in primes:
+        # the empty key's head part is one fixed-point product of its
+        # closed-form local factors; the nonempty keys take one pair-series
+        # log per head prime, normalised by z0 from the same integer rows
+        vals[EMPTY_KEY] = _empty_key_head(k, primes)
+        for p in (primes if wmax else ()):
             lp = mp.log(p)
             pinv = mp.mpf(1) / p
             lpow = [mp.mpf(1)]
@@ -482,20 +520,18 @@ def _w_engine(k, wmax, digits, tol_f):
                     mp.mpf(d) * p_top * normf[(m, nu)] * lpow[sum(m) + sum(nu)]
                 )
             z0 = z[EMPTY_KEY]
-            vals[EMPTY_KEY] += mp.log(z0) - norm1[EMPTY_KEY] * pinv
-            if wmax:
-                norm = {key: v / z0 for key, v in z.items()}
-                norm[EMPTY_KEY] = mp.mpf(1)
-                glog = series_log(PairSeries(POWERSUM, wmax, norm)).coeffs
-                for key in keys:
-                    if key == EMPTY_KEY:
-                        continue
-                    g = glog.get(key, 0)
-                    n1 = norm1.get(key)
-                    if n1 is not None:
-                        g = g - n1 * lpow[sum(key[0]) + sum(key[1])] * pinv
-                    if g:
-                        vals[key] += g
+            norm = {key: v / z0 for key, v in z.items()}
+            norm[EMPTY_KEY] = mp.mpf(1)
+            glog = series_log(PairSeries(POWERSUM, wmax, norm)).coeffs
+            for key in keys:
+                if key == EMPTY_KEY:
+                    continue
+                g = glog.get(key, 0)
+                n1 = norm1.get(key)
+                if n1 is not None:
+                    g = g - n1 * lpow[sum(key[0]) + sum(key[1])] * pinv
+                if g:
+                    vals[key] += g
         # exact V tables to order R, extended 16 orders at a time: the tail
         # rarely passes r = 16, and each chunk is rebuilt from scratch
         R = 16

@@ -11,11 +11,15 @@ Stieltjes expansion around the pole, and of prime power sums
 for integer r.  The r = 1 family is regularized by removing the logarithmic
 singularity before expanding.  Two construction routes are kept deliberately
 separate: the default route goes through an in-house Euler-Maclaurin engine
-and the Moebius inversion of log zeta, while prime_zeta_direct sums sieved
-primes and closes the tail with mpmath's own zeta derivatives, sharing no
-zeta code with the default route.
+(whose head is summed in fixed-point integers at integer arguments) and the
+Moebius inversion of log zeta, while prime_zeta_direct sums sieved primes in
+plain mpf arithmetic and closes the tail with mpmath's own zeta
+derivatives, sharing no zeta code with the default route.  It must stay
+that way: prime_zeta_direct is the oracle the default route is checked
+against.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -23,17 +27,37 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from sympy import primerange
-from sympy.functions.combinatorial.numbers import mobius as _mobius
+from mpmath.libmp import log_int_fixed
 
 
 def mobius_int(m):
-    return int(_mobius(m))
+    """Moebius function of a positive integer, by trial division."""
+    if m < 1:
+        raise ValueError("Moebius function needs a positive integer, got %r" % (m,))
+    m = int(m)
+    mu = 1
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if m > 1 else mu
 
 
 def primes_upto(x):
-    """All primes p <= x, ascending."""
-    return [int(p) for p in primerange(2, x + 1)]
+    """All primes p <= x, ascending (sieve of Eratosthenes)."""
+    n = int(x)
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def bernoulli(n):
@@ -100,6 +124,35 @@ def _em_head_length(x, nmax, digits):
     return cap
 
 
+def _em_head_fixed(n, nmax, M):
+    """sum_{j<M} j**-n * (-log j)**a / a! for a <= nmax at an integer n >= 2.
+
+    Terms j**-n * l**a / a!, l = log j, are integers in units of 2**-B, by
+    the recursion of prime_zeta_beyond's head: t_0 = floor(2**B / j**n),
+    L = log_int_fixed(j, B) (under 2 units off) and
+    t_a = floor(t_{a-1} * L / 2**B / a).  t_0 is off by under 1 unit.  Step
+    a scales the error carried in by L/2**B/a < (1+l)/a and adds under 3:
+    its floor, plus L's error times j**-n * l**(a-1)/(a-1)! <= j**(1-n) <= 1.
+    So term a of one j is off by under 3 * (2+l)**a < 2**(2 + a*g) units,
+    g = bit_length(int(log M) + 3), and the sum over j < M by under
+    2**(s - B) units of 1, s = bit_length(M) + nmax*g + 2.
+    B = prec + s + 10 makes that 2**-(prec+10).  The j = 1 term is exactly
+    1 in coefficient 0 and 0 in the others; with nmax = 0 no log is taken.
+    """
+    g = (int(math.log(M)) + 3).bit_length()
+    B = mp.prec + M.bit_length() + nmax * g + 12
+    sums = [1 << B] + [0] * nmax
+    for j in range(2, M):
+        t = (1 << B) // j ** n
+        sums[0] += t
+        if nmax:
+            L = log_int_fixed(j, B)
+            for a in range(1, nmax + 1):
+                t = ((t * L) >> B) // a
+                sums[a] += t
+    return [mp.ldexp(mp.mpf(-v if a % 2 else v), -B) for a, v in enumerate(sums)]
+
+
 def zeta_taylor(x0, nmax, digits=50):
     """Taylor coefficients of zeta around x0: zeta^(a)(x0)/a! for a <= nmax.
 
@@ -107,6 +160,11 @@ def zeta_taylor(x0, nmax, digits=50):
     request (see _em_head_length), so large x0 sums only a few terms; only
     the region strictly right of the pole is supported, with a small buffer
     so the pole distance cannot eat the whole working precision silently.
+    At an integer x0 (every call the Moebius loops make) the head
+    sum_{j<M} j**-x0 * (-log j)**a / a! is summed in B-bit integers, with an
+    error under 2**-(prec+10) at the working precision, and takes no log at
+    all when nmax = 0; any other real x0 (zeta_derivative at 1 + s, say)
+    sums the head in mpf arithmetic.
     """
     if not isinstance(nmax, int) or nmax < 0:
         raise ValueError("nmax must be a nonnegative integer")
@@ -118,15 +176,18 @@ def zeta_taylor(x0, nmax, digits=50):
     wp = digits + extra
     with mp.workdps(wp):
         x = mp.mpf(1) * x0
-        out = [mp.mpf(0)] * (nmax + 1)
-        for j in range(1, M):
-            t = mp.mpf(j) ** (-x)
-            Lj = -mp.log(j)
-            out[0] += t
-            for a in range(1, nmax + 1):
-                t = t * Lj / a
-                out[a] += t
-        L = mp.log(M)
+        if mp.isint(x):
+            out = _em_head_fixed(int(x), nmax, M)
+        else:
+            out = [mp.mpf(0)] * (nmax + 1)
+            for j in range(1, M):
+                t = mp.mpf(j) ** (-x)
+                Lj = -mp.log(j)
+                out[0] += t
+                for a in range(1, nmax + 1):
+                    t = t * Lj / a
+                    out[a] += t
+        L = mp.log(M) if nmax else 0
         c = x - 1
         E = [mp.mpf(1)]
         for u in range(1, nmax + 1):

@@ -15,7 +15,10 @@ from zetamoments.moments import (
     V_poly,
     WPoly,
     W_coeff,
+    _a_seqs,
     _b_coeff,
+    _empty_key_head,
+    _gauss_square_poly,
     _keys_upto,
     _v_series,
     a_factor,
@@ -29,6 +32,7 @@ from zetamoments.moments import (
 )
 from zetamoments.partitions import centralizer_order, partitions_of
 from zetamoments.symseries import EMPTY_KEY, POWERSUM, KPoly, PairSeries, series_exp
+from zetamoments.zeta_numerics import primes_upto
 
 F = Fraction
 
@@ -215,6 +219,52 @@ class TestVPoly:
             V_poly(0, (), ())
         with pytest.raises(ValueError):
             V_poly(1, (1, 2), ())
+
+
+def _empty_key_reference(k, primes, wdps):
+    """The head part of W at the empty key as a per-prime mpf loop: the local
+    factor z0 summed from its integer coefficient row, then log z0 - k**2/p."""
+    with mp.workdps(wdps):
+        u_top = int((wdps * math.log(10) + 30) / math.log(2)) + 30
+        row = _a_seqs(k, 0, u_top)[()]
+        out = mp.mpf(0)
+        for p in primes:
+            up = min(u_top, int((wdps * math.log(10) + 30) / math.log(p)) + 30)
+            d = sum(row[u] ** 2 * p ** (up - u) for u in range(up + 1))
+            z0 = mp.mpf(d) * mp.mpf(p) ** (-up)
+            out += mp.log(z0) - mp.mpf(k * k) / p
+        return out
+
+
+class TestEmptyKeyHead:
+    WDPS = 65
+
+    def _check(self, k, primes):
+        with mp.workdps(self.WDPS):
+            got = _empty_key_head(k, primes)
+        ref = _empty_key_reference(k, primes, self.WDPS + 20)
+        with mp.workdps(self.WDPS + 20):
+            assert abs(got - ref) < mp.mpf(10) ** -(self.WDPS + 2), (k, len(primes))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_per_prime_logs(self, k):
+        self._check(k, primes_upto(67968))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("primes", [[], [2], [2, 3, 5, 7]])
+    def test_short_lists(self, k, primes):
+        self._check(k, primes)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_local_factor_closed_form(self, k):
+        # sum_u C(u+k-1, k-1)**2 Q**u * (1-Q)**(2k-1) is the Gauss square
+        # polynomial, exactly, as integer series cut at Q**40
+        U = 40
+        z = [a * a for a in _a_seqs(k, 0, U)[()]]
+        for _ in range(2 * k - 1):
+            z = [z[0]] + [z[u] - z[u - 1] for u in range(1, U + 1)]
+        pol = list(_gauss_square_poly(k))
+        assert z == pol + [0] * (U + 1 - len(pol))
 
 
 class TestWEngine:

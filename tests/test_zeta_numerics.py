@@ -39,6 +39,41 @@ def test_primes_and_mobius():
     assert [mobius_int(m) for m in range(1, 7)] == [1, -1, -1, 0, -1, 1]
 
 
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primes_match_trial_division():
+    ref = [n for n in range(10_001) if _is_prime(n)]
+    xs = list(range(200)) + list(range(200, 10_001, 101)) + [9409, 9973, 10_000]
+    for x in xs:
+        assert primes_upto(x) == [p for p in ref if p <= x], x
+    assert [primes_upto(x) for x in (0, 1, 2, 3)] == [[], [], [2], [2, 3]]
+
+
+def test_primes_at_the_cutoff_limit():
+    assert len(primes_upto(2_000_000)) == 148_933
+
+
+def test_mobius_matches_factorisation():
+    primes = primes_upto(2000)
+    for m in range(1, 2001):
+        exps = []
+        rest = m
+        for p in primes:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if e:
+                exps.append(e)
+        want = 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+        assert mobius_int(m) == want, m
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            mobius_int(m)
+
+
 class TestZetaTaylor:
     def test_zeta_two(self):
         with mp.workdps(40):
@@ -73,7 +108,7 @@ class TestZetaTaylor:
             zeta_taylor(2, -1, 20)
 
     @pytest.mark.parametrize("digits", [25, 80, 131])
-    @pytest.mark.parametrize("x", [45, 90, 180, 460])
+    @pytest.mark.parametrize("x", [2, 3, 7, 20, 45, 90, 180, 460])
     def test_short_head_matches_mpmath(self, x, digits):
         got = zeta_taylor(x, 6, digits)
         with mp.workdps(digits + 15):
@@ -88,6 +123,20 @@ class TestZetaTaylor:
         for x in (45, 90, 180, 460):
             lens = [_em_head_length(x, 6, d) for d in (25, 80, 131)]
             assert lens == sorted(lens)
+
+    @pytest.mark.parametrize("x", [2, 45, 460])
+    def test_integer_argument_at_order_zero_takes_no_log(self, x, monkeypatch):
+        with mp.workdps(60):
+            ref = mpmath.zeta(x)
+
+        def no_log(*args, **kwargs):
+            raise AssertionError("mp.log called")
+
+        monkeypatch.setattr(mp, "log", no_log)
+        got = zeta_taylor(x, 0, 50)[0]
+        monkeypatch.undo()
+        with mp.workdps(60):
+            assert abs(got - ref) < mp.mpf(10) ** -50
 
     def test_engine_argument_grid_converges(self):
         # the Moebius loops call x0 = m*r up to about 470, nmax <= 9 and
