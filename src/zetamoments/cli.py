@@ -468,14 +468,23 @@ def _check_split_alphabet():
 
 def _check_prime_zeta_routes():
     # at r = 9 the Moebius arguments 9m >= 45 take the short
-    # Euler-Maclaurin head of zeta_taylor
-    for r in (2, 3, 4, 9):
-        a = prime_zeta_taylor(r, 4, 25)
-        b = prime_zeta_direct(r, 4, 25)
-        with mp.workdps(35):
-            for n in range(5):
-                if abs(a.coeffs[n] - b[n]) > mp.mpf("1e-20"):
-                    raise AssertionError("routes differ at r=%d n=%d" % (r, n))
+    # Euler-Maclaurin head of zeta_taylor; r = 2 at 80 digits runs the
+    # longest Bernoulli tails, at the small arguments 2m
+    for r, nmax, digits, tol in (
+        (2, 4, 25, "1e-20"),
+        (3, 4, 25, "1e-20"),
+        (4, 4, 25, "1e-20"),
+        (9, 4, 25, "1e-20"),
+        (2, 0, 80, "1e-75"),
+    ):
+        a = prime_zeta_taylor(r, nmax, digits)
+        b = prime_zeta_direct(r, nmax, digits)
+        with mp.workdps(digits + 10):
+            for n in range(nmax + 1):
+                if abs(a.coeffs[n] - b[n]) > mp.mpf(tol):
+                    raise AssertionError(
+                        "routes differ at r=%d n=%d, %d digits" % (r, n, digits)
+                    )
 
 
 def _check_w_symmetry():
@@ -503,7 +512,11 @@ FULL_CHECKS = [
     ("arithmetic factor at k=2 vs closed form", "oracle", _check_euler_product),
     ("first moment linear term vs Euler gamma", "oracle", _check_first_moment),
     ("split alphabet residuals, weight <= 3", "oracle", _check_split_alphabet),
-    ("prime zeta two-route agreement, r = 2..4, 9", "identity", _check_prime_zeta_routes),
+    (
+        "prime zeta two-route agreement, r = 2..4, 9 and r = 2 at 80 digits",
+        "identity",
+        _check_prime_zeta_routes,
+    ),
     ("W and d symmetry at k=2", "identity", _check_w_symmetry),
 ]
 

@@ -11,8 +11,9 @@ Stieltjes expansion around the pole, and of prime power sums
 for integer r.  The r = 1 family is regularized by removing the logarithmic
 singularity before expanding.  Two construction routes are kept deliberately
 separate: the default route goes through an in-house Euler-Maclaurin engine
-(whose head is summed in fixed-point integers at integer arguments) and the
-Moebius inversion of log zeta, while prime_zeta_direct sums sieved primes in
+(which at integer arguments sums the whole series, head and Bernoulli tail,
+in fixed-point integers with exact Bernoulli fractions) and the Moebius
+inversion of log zeta, while prime_zeta_direct sums sieved primes in
 plain mpf arithmetic and closes the tail with mpmath's own zeta
 derivatives, sharing no zeta code with the default route.  It must stay
 that way: prime_zeta_direct is the oracle the default route is checked
@@ -30,11 +31,17 @@ from mpmath import mp
 from mpmath.libmp import log_int_fixed
 
 
+def _check_index(value, name, low=0):
+    """Reject anything but an int of at least low; booleans are not ints here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(
+            "%s must be an integer >= %d, got %r" % (name, low, value)
+        )
+
+
 def mobius_int(m):
     """Moebius function of a positive integer, by trial division."""
-    if m < 1:
-        raise ValueError("Moebius function needs a positive integer, got %r" % (m,))
-    m = int(m)
+    _check_index(m, "Moebius argument", 1)
     mu = 1
     d = 2
     while d * d <= m:
@@ -62,8 +69,7 @@ def primes_upto(x):
 
 def bernoulli(n):
     """Exact Bernoulli number; the n = 1 value is -1/2."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("Bernoulli index must be a nonnegative integer")
+    _check_index(n, "Bernoulli index")
     p, q = mp.bernfrac(n)
     return Fraction(int(p), int(q))
 
@@ -108,8 +114,9 @@ def _em_head_length(x, nmax, digits):
     For t**-x the derivatives alternate in sign, so the remainder after a
     correction is below the next one (for a >= 1 the tests check the
     result against mpmath).  The head is the smallest M >= 3 that
-    puts B times max(1, ((x+3)/M)**2/720) two digits below the loop's stop
-    threshold 10**-(digits+10): the loop then stops after correction 1 and
+    puts B times max(1, ((x+3)/M)**2/720) two digits below the tail loop's
+    stop threshold 10**-(digits+10) * max(1, |zeta(x)|) (compared in units of
+    2**-B on the integer route): the loop then stops after correction 1 and
     the dropped remainder stays under 10**-(digits+12).  Large x needs only a
     few terms (x = 460 at 131 digits takes M = 3).  The length is capped at
     max(20, digits), the fixed head that small x needs anyway.
@@ -124,33 +131,159 @@ def _em_head_length(x, nmax, digits):
     return cap
 
 
-def _em_head_fixed(n, nmax, M):
-    """sum_{j<M} j**-n * (-log j)**a / a! for a <= nmax at an integer n >= 2.
+@lru_cache(maxsize=None)
+def _bernoulli_ratio(i):
+    """B_2i / (2i)! as an exact fraction."""
+    return bernoulli(2 * i) / math.factorial(2 * i)
 
-    Terms j**-n * l**a / a!, l = log j, are integers in units of 2**-B, by
-    the recursion of prime_zeta_beyond's head: t_0 = floor(2**B / j**n),
-    L = log_int_fixed(j, B) (under 2 units off) and
-    t_a = floor(t_{a-1} * L / 2**B / a).  t_0 is off by under 1 unit.  Step
-    a scales the error carried in by L/2**B/a < (1+l)/a and adds under 3:
-    its floor, plus L's error times j**-n * l**(a-1)/(a-1)! <= j**(1-n) <= 1.
-    So term a of one j is off by under 3 * (2+l)**a < 2**(2 + a*g) units,
-    g = bit_length(int(log M) + 3), and the sum over j < M by under
-    2**(s - B) units of 1, s = bit_length(M) + nmax*g + 2.
-    B = prec + s + 10 makes that 2**-(prec+10).  The j = 1 term is exactly
-    1 in coefficient 0 and 0 in the others; with nmax = 0 no log is taken.
+
+def _em_fixed(n, nmax, M, digits):
+    """Euler-Maclaurin sum for zeta^(a)(n)/a!, a <= nmax, at an integer n >= 2.
+
+    Everything is an integer in units of 2**-B; only log M and log j are
+    not exact rationals.  With l = log M, c = n - 1 and the magnitudes
+    e_u = l**u/u! (E_u = (-1)**u * e_u), coefficient a is (-1)**a times
+      head_a = sum_{j<M} j**-n * (log j)**a / a!,
+      main_a = sum_u e_u * c**u / (c**(a+1) * M**c)   (from M**(1-s)/(s-1)),
+      half_a = e_a / (2 * M**n)                         (from M**-s / 2),
+    plus correction i, with B_2i/(2i)! = N_i/D_i exactly and
+    P_i = (n+u)(n+1+u)...(n+2i-2+u) an integer polynomial in u:
+      floor(N_i * sum_u E_u * P_i[a-u] / (D_i * M**(n+2i-1))).
+    The corrections stop at the first i whose largest term is below
+    10**-(digits+10) * max(1, |coefficient 0|), and raise RuntimeError once
+    they grow again after i = 3 or reach i = 4M (the terms are smallest
+    near 2i = 2*pi*M, where every supported call has long stopped).
+
+    Error, in units, with g = bit_length(int(l) + 3), so 2 + l < 2**g:
+    - head: under 2**(bit_length(M) + nmax*g + 2), as in prime_zeta_beyond
+      (t_0 = floor(2**B / j**n), t_a = floor(t_{a-1} * L_j / 2**B / a));
+    - e_u: e_0 = 2**B exactly and e_u = floor(e_{u-1} * L / 2**B / u), L
+      from log_int_fixed(M, B) (under 2 units off), so the error d_u obeys
+      d_u <= d_{u-1}*l/u + 2*(1+l)**(u-1) + 2, hence d_u < 4*(2+l)**u
+      <= D = 2**(2 + nmax*g);
+    - main_a and half_a: one floor each after dividing by at least M >= 3,
+      under (nmax + 2) * D together;
+    - correction i: one floor plus D * T_i, T_i = |N_i/D_i| * P_i(1) *
+      M**(1-n-2i), which bounds the coefficient sum of P_i.  Since e_0 is
+      exact, the a = 0 term is T_i * n/(n+2i-1) to a unit, so T_i is under
+      2i times the step's largest term (plus a unit).  T_i < 1 for i <= 3
+      (|B_2i|/(2i)! < 4/(2*pi)**2i, n >= 2, M >= 3), so those terms are
+      below (1+l)**nmax < 2**(nmax*g); later ones are no larger, or the
+      loop has raised.  Over I <= 4M steps the corrections are off by under
+      I + 2 * D * 2**(nmax*g) * I*(I+1) < 2**(3 + 2*nmax*g + 2*bit_length(4M)).
+    Each part is under 2**(s-2) with s = 2*nmax*g + 2*bit_length(4M) + 5,
+    so B = prec + s + 10 keeps the sum within 2**-(prec+10) of the exact
+    truncated Euler-Maclaurin sum.  With nmax = 0 no log is taken.
     """
     g = (int(math.log(M)) + 3).bit_length()
-    B = mp.prec + M.bit_length() + nmax * g + 12
-    sums = [1 << B] + [0] * nmax
+    B = mp.prec + 2 * nmax * g + 2 * (4 * M).bit_length() + 15
+    one = 1 << B
+    head = [one] + [0] * nmax
     for j in range(2, M):
-        t = (1 << B) // j ** n
-        sums[0] += t
+        t = one // j ** n
+        head[0] += t
         if nmax:
             L = log_int_fixed(j, B)
             for a in range(1, nmax + 1):
                 t = ((t * L) >> B) // a
-                sums[a] += t
-    return [mp.ldexp(mp.mpf(-v if a % 2 else v), -B) for a, v in enumerate(sums)]
+                head[a] += t
+    e = [one]
+    if nmax:
+        L = log_int_fixed(M, B)
+        for u in range(1, nmax + 1):
+            e.append(((e[-1] * L) >> B) // u)
+    c = n - 1
+    Mc = M ** c
+    out = []
+    for a in range(nmax + 1):
+        main = sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc)
+        v = head[a] + main + e[a] // (2 * Mc * M)
+        out.append(-v if a % 2 else v)
+    E = [-v if u % 2 else v for u, v in enumerate(e)]
+    thresh = max(one, abs(out[0])) // 10 ** (digits + 10)
+    poly = ([n, 1] + [0] * nmax)[: nmax + 1]
+    den = M ** (n + 1)
+    i = 1
+    while True:
+        q = _bernoulli_ratio(i)
+        d = q.denominator * den
+        mag = 0
+        for a in range(nmax + 1):
+            s = sum(E[u] * poly[a - u] for u in range(a + 1))
+            term = q.numerator * s // d
+            out[a] += term
+            mag = max(mag, abs(term))
+        if mag < thresh:
+            break
+        if i > 3 and (mag > prev or i >= 4 * M):
+            raise RuntimeError(
+                "Euler-Maclaurin tail diverged before reaching %d digits" % digits
+            )
+        prev = mag
+        i += 1
+        for shift in (n + 2 * i - 3, n + 2 * i - 2):
+            poly = [shift * p + lo for p, lo in zip(poly, [0] + poly)]
+        den *= M * M
+    return [mp.ldexp(mp.mpf(v), -B) for v in out]
+
+
+def _em_mpf(x, nmax, M, digits):
+    """The same Euler-Maclaurin sum in mpf arithmetic, for any real x > 1."""
+    out = [mp.mpf(0)] * (nmax + 1)
+    for j in range(1, M):
+        t = mp.mpf(j) ** (-x)
+        Lj = -mp.log(j)
+        out[0] += t
+        for a in range(1, nmax + 1):
+            t = t * Lj / a
+            out[a] += t
+    L = mp.log(M) if nmax else 0
+    c = x - 1
+    E = [mp.mpf(1)]
+    for u in range(1, nmax + 1):
+        E.append(E[-1] * (-L) / u)
+    Mpow = mp.mpf(M) ** (1 - x)
+    cpow = 1 / c
+    C = []
+    for v in range(nmax + 1):
+        C.append(cpow)
+        cpow = -cpow / c
+    for a in range(nmax + 1):
+        s = mp.mpf(0)
+        for u in range(a + 1):
+            s += E[u] * C[a - u]
+        out[a] += Mpow * s
+    half = Mpow / M / 2
+    for a in range(nmax + 1):
+        out[a] += half * E[a]
+    thresh = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(out[0]))
+    poly = [x, mp.mpf(1)]
+    i = 1
+    prev_mag = mp.inf
+    mfac = Mpow / (M * M)
+    while True:
+        coef = mp.bernoulli(2 * i) / mp.factorial(2 * i) * mfac
+        mag = mp.mpf(0)
+        for a in range(nmax + 1):
+            s = mp.mpf(0)
+            for u in range(a + 1):
+                if a - u < len(poly):
+                    s += E[u] * poly[a - u]
+            term = coef * s
+            out[a] += term
+            mag = max(mag, abs(term))
+        if mag < thresh:
+            break
+        if mag > prev_mag and i > 3:
+            raise RuntimeError(
+                "Euler-Maclaurin tail diverged before reaching %d digits" % digits
+            )
+        prev_mag = mag
+        i += 1
+        poly = _poly_mul(poly, [x + 2 * i - 3, mp.mpf(1)], nmax + 1)
+        poly = _poly_mul(poly, [x + 2 * i - 2, mp.mpf(1)], nmax + 1)
+        mfac /= M * M
+    return out
 
 
 def zeta_taylor(x0, nmax, digits=50):
@@ -160,86 +293,33 @@ def zeta_taylor(x0, nmax, digits=50):
     request (see _em_head_length), so large x0 sums only a few terms; only
     the region strictly right of the pole is supported, with a small buffer
     so the pole distance cannot eat the whole working precision silently.
-    At an integer x0 (every call the Moebius loops make) the head
-    sum_{j<M} j**-x0 * (-log j)**a / a! is summed in B-bit integers, with an
-    error under 2**-(prec+10) at the working precision, and takes no log at
-    all when nmax = 0; any other real x0 (zeta_derivative at 1 + s, say)
-    sums the head in mpf arithmetic.
+    The Bernoulli corrections run until the largest term of a step drops
+    below 10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if
+    they grow again first.  At an integer x0 (every call the Moebius loops
+    make) the whole sum, head and tail, is one computation in B-bit
+    integers with exact Bernoulli fractions (_em_fixed), within
+    2**-(prec+10) of the exact truncated sum at the working precision, and
+    it takes no log at all when nmax = 0.  Any other real x0
+    (zeta_derivative at 1 + s, say) sums it in mpf arithmetic.
     """
-    if not isinstance(nmax, int) or nmax < 0:
-        raise ValueError("nmax must be a nonnegative integer")
+    _check_index(nmax, "nmax")
     xf = float(mp.mpf(1) * x0)
     if not xf > 1 + 1e-3:
         raise ValueError("zeta_taylor needs x0 > 1.001, got %r" % (x0,))
     M = _em_head_length(xf, nmax, digits)
     extra = int((nmax + 1) * max(0.0, -math.log10(xf - 1))) + 15
-    wp = digits + extra
-    with mp.workdps(wp):
+    with mp.workdps(digits + extra):
         x = mp.mpf(1) * x0
         if mp.isint(x):
-            out = _em_head_fixed(int(x), nmax, M)
+            out = _em_fixed(int(x), nmax, M, digits)
         else:
-            out = [mp.mpf(0)] * (nmax + 1)
-            for j in range(1, M):
-                t = mp.mpf(j) ** (-x)
-                Lj = -mp.log(j)
-                out[0] += t
-                for a in range(1, nmax + 1):
-                    t = t * Lj / a
-                    out[a] += t
-        L = mp.log(M) if nmax else 0
-        c = x - 1
-        E = [mp.mpf(1)]
-        for u in range(1, nmax + 1):
-            E.append(E[-1] * (-L) / u)
-        Mpow = mp.mpf(M) ** (1 - x)
-        cpow = 1 / c
-        C = []
-        for v in range(nmax + 1):
-            C.append(cpow)
-            cpow = -cpow / c
-        for a in range(nmax + 1):
-            s = mp.mpf(0)
-            for u in range(a + 1):
-                s += E[u] * C[a - u]
-            out[a] += Mpow * s
-        half = Mpow / M / 2
-        for a in range(nmax + 1):
-            out[a] += half * E[a]
-        thresh = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(out[0]))
-        poly = [x, mp.mpf(1)]
-        i = 1
-        prev_mag = mp.inf
-        mfac = Mpow / (M * M)
-        while True:
-            coef = mp.bernoulli(2 * i) / mp.factorial(2 * i) * mfac
-            mag = mp.mpf(0)
-            for a in range(nmax + 1):
-                s = mp.mpf(0)
-                for u in range(a + 1):
-                    if a - u < len(poly):
-                        s += E[u] * poly[a - u]
-                term = coef * s
-                out[a] += term
-                mag = max(mag, abs(term))
-            if mag < thresh:
-                break
-            if mag > prev_mag and i > 3:
-                raise RuntimeError(
-                    "Euler-Maclaurin tail diverged before reaching %d digits" % digits
-                )
-            prev_mag = mag
-            i += 1
-            poly = _poly_mul(poly, [x + 2 * i - 3, mp.mpf(1)], nmax + 1)
-            poly = _poly_mul(poly, [x + 2 * i - 2, mp.mpf(1)], nmax + 1)
-            mfac /= M * M
+            out = _em_mpf(x, nmax, M, digits)
     return _round_out(out, digits)
 
 
 def zeta_derivative(a, x, digits=50):
     """a-th derivative of zeta at real x > 1.001."""
-    if not isinstance(a, int) or a < 0:
-        raise ValueError("derivative order must be a nonnegative integer")
+    _check_index(a, "derivative order")
     coeffs = zeta_taylor(x, a, digits)
     with mp.workdps(digits + 5):
         return +(coeffs[a] * mp.factorial(a))
@@ -264,8 +344,7 @@ def stieltjes_gamma(n, digits=50):
     combinations of the log-power basis, so the correction terms cost no
     precision beyond the final evaluation.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("Stieltjes index must be a nonnegative integer")
+    _check_index(n, "Stieltjes index")
     M = max(20, digits)
     wp = digits + 20 + n
     with mp.workdps(wp):
@@ -308,8 +387,7 @@ def stieltjes_cumulant(n, digits=50):
     Coefficient n of the logarithm of s*zeta(1+s), rescaled by n! and an
     alternating sign; the n = 0 value is exactly 0.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("cumulant index must be a nonnegative integer")
+    _check_index(n, "cumulant index")
     if n == 0:
         return mp.mpf(0)
     with mp.workdps(digits + 15):
@@ -372,10 +450,8 @@ def prime_zeta_taylor(r, nmax, digits=50):
     n = 0 value to about -0.3157.  An installed cache entry is returned as is
     when it covers the requested order and digits.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("prime zeta order must be a positive integer")
-    if not isinstance(nmax, int) or nmax < 0:
-        raise ValueError("nmax must be a nonnegative integer")
+    _check_index(r, "prime zeta order", 1)
+    _check_index(nmax, "nmax")
     entry = _installed_pzeta.get(r)
     if entry is not None and entry.digits >= digits and len(entry.coeffs) > nmax:
         return entry
@@ -471,10 +547,8 @@ def envelope_bound(r, n, M, digits=15):
     still rise is summed explicitly and the rest is the exact incomplete
     integral, a finite sum after integrating by parts.
     """
-    if not isinstance(r, int) or r < 2:
-        raise ValueError("envelope needs r >= 2")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_index(r, "envelope order r", 2)
+    _check_index(n, "envelope index n")
     if M < 2:
         raise ValueError("M must be at least 2")
     with mp.workdps(digits + 10):
@@ -503,8 +577,7 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
     zeta derivatives from mpmath itself.  No code is shared with
     prime_zeta_taylor beyond the final rounding.
     """
-    if not isinstance(r, int) or r < 2:
-        raise ValueError("direct route needs r >= 2")
+    _check_index(r, "direct route order r", 2)
     X = int(prime_cutoff)
     if X < 10:
         raise ValueError("prime cutoff too small to be useful")

@@ -6,9 +6,13 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from zetamoments import zeta_numerics
+from zetamoments.cli import encode_pzeta
 from zetamoments.zeta_numerics import (
     PrimeZetaCoeffs,
+    _em_fixed,
     _em_head_length,
+    _em_mpf,
     bernoulli,
     envelope_bound,
     install_prime_zeta,
@@ -72,6 +76,65 @@ def test_mobius_matches_factorisation():
     for m in (0, -1):
         with pytest.raises(ValueError):
             mobius_int(m)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (mobius_int, (6.5,)),
+        (mobius_int, (True,)),
+        (zeta_taylor, (2, True)),
+        (zeta_taylor, (2, 1.0)),
+        (zeta_derivative, (True, 2)),
+        (zeta_derivative, (1.0, 2)),
+        (prime_zeta_taylor, (True, 0, 20)),
+        (prime_zeta_taylor, (2.0, 0, 20)),
+        (prime_zeta_taylor, (2, False, 20)),
+        (stieltjes_gamma, (True,)),
+        (stieltjes_gamma, (1.0,)),
+        (stieltjes_cumulant, (True,)),
+        (stieltjes_cumulant, (2.0,)),
+        (envelope_bound, (2.0, 0, 100)),
+        (envelope_bound, (2, True, 100)),
+        (envelope_bound, (2, 0.5, 100)),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
+)
+def test_integer_arguments_reject_bools_and_non_integers(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_boolean_order_cannot_poison_the_family_cache():
+    # True == 1 in an lru_cache key, so an accepted True would be served
+    # back later to a plain r = 1 request and encoded as "r": true
+    with pytest.raises(ValueError):
+        prime_zeta_taylor(True, 0, 20)
+    fam = prime_zeta_taylor(1, 0, 20)
+    assert type(fam.r) is int
+    assert type(encode_pzeta(fam).params["r"]) is int
+
+
+def _em_reference(x0, nmax, digits):
+    """The Euler-Maclaurin sum by the mpf body that real arguments take."""
+    M = _em_head_length(float(x0), nmax, digits)
+    with mp.workdps(digits + 15):
+        return _em_mpf(mp.mpf(x0), nmax, M, digits)
+
+
+def _kernel_grid():
+    # sampled engine arguments x0 = m*r <= 470, nmax <= 9, digits 20..131,
+    # plus the corners: the longest tails sit at x0 = 2
+    rng = random.Random(7)
+    cases = {(2, 0, 136), (2, 9, 131), (45, 9, 131), (470, 0, 20)}
+    while len(cases) < 64:
+        r = rng.randint(2, 16)
+        m = rng.randint(1, 470 // r)
+        cases.add((m * r, rng.randint(0, 9), rng.randint(20, 131)))
+    return sorted(cases)
+
+
+_KERNEL_GRID = _kernel_grid()
 
 
 class TestZetaTaylor:
@@ -152,6 +215,41 @@ class TestZetaTaylor:
             got = zeta_taylor(x0, nmax, digits)
             assert len(got) == nmax + 1
             assert all(mp.isfinite(c) for c in got), (x0, nmax, digits)
+
+    @pytest.mark.parametrize("nmax", [0, 4])
+    @pytest.mark.parametrize("x", [2, 45, 460])
+    def test_integer_route_takes_no_mpf_bernoulli_or_factorial(self, x, nmax, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("mpf Bernoulli or factorial called")
+
+        monkeypatch.setattr(mp, "bernoulli", banned)
+        monkeypatch.setattr(mp, "factorial", banned)
+        got = zeta_taylor(x, nmax, 50)
+        monkeypatch.undo()
+        with mp.workdps(60):
+            for a in range(nmax + 1):
+                ref = mpmath.zeta(x, derivative=a) / mp.factorial(a)
+                assert abs(got[a] - ref) < mp.mpf(10) ** -50, a
+
+    @pytest.mark.parametrize("nmax", [0, 4])
+    @pytest.mark.parametrize("x", [2, mp.mpf("2.5")], ids=["integer", "real"])
+    def test_short_head_at_small_argument_diverges(self, x, nmax, monkeypatch):
+        # with M = 3 the corrections are smallest near i = 3*pi, about
+        # 1e-8, far above a 50 digit threshold, so both routes must raise
+        monkeypatch.setattr(zeta_numerics, "_em_head_length", lambda *args: 3)
+        with pytest.raises(RuntimeError):
+            zeta_taylor(x, nmax, 50)
+
+    @pytest.mark.parametrize("x, nmax, digits", _KERNEL_GRID)
+    def test_integer_kernel_matches_mpf_reference(self, x, nmax, digits):
+        M = _em_head_length(float(x), nmax, digits)
+        with mp.workdps(digits + 15):
+            got = _em_fixed(x, nmax, M, digits)
+        ref = _em_reference(x, nmax, digits + 20)
+        with mp.workdps(digits + 40):
+            tol = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(ref[0]))
+            for a in range(nmax + 1):
+                assert abs(got[a] - ref[a]) < tol, a
 
     def test_first_derivative_matches_finite_difference(self):
         digits = 30
