@@ -4,27 +4,32 @@ character_value(lam, mu) is the exact integer value of the irreducible
 character indexed by lam on the conjugacy class of cycle type mu.  Values are
 memoized per (lam, mu) pair; character_table(n) materializes the full table
 for one weight.  install_table lets a cache layer hand back a previously
-stored table so repeated runs skip the recursion.
+stored table so repeated runs skip the recursion.  All three share one table
+per weight, so an installed or dropped table is seen by every later call.
 """
 
+from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 from .partitions import check_partition, partitions_of
 
-_installed = {}
+_tables = {}
+_built = [0]
 
 
 def install_table(n, table):
     """Register a precomputed {(lam, mu): value} table for weight n.
 
-    Pass None to drop a previously installed table.  Installed entries win
-    over the recursion, so feeding a wrong table gives wrong characters; the
-    caller owns validation.
+    Pass None to drop the stored table for n, installed or built; the next
+    character_table(n) rebuilds it.  Installed entries win over the
+    recursion, so feeding a wrong table gives wrong characters; the caller
+    owns validation.
     """
     if table is None:
-        _installed.pop(n, None)
+        _tables.pop(n, None)
     else:
-        _installed[n] = dict(table)
+        _tables[n] = dict(table)
 
 
 def _strip_removals(beta, r):
@@ -70,20 +75,27 @@ def character_value(lam, mu):
             "character index and class have different weights: %r vs %r" % (lam, mu)
         )
     n = sum(lam)
-    table = _installed.get(n)
+    table = _tables.get(n)
     if table is not None:
         return table[(lam, mu)]
     return _char_beta(_beta_set(lam), mu)
 
 
-@lru_cache(maxsize=None)
 def character_table(n):
-    """Full character table of the symmetric group on n letters as a flat dict."""
-    installed = _installed.get(n)
-    if installed is not None:
-        return dict(installed)
-    return {
-        (lam, mu): _char_beta(_beta_set(lam), mu)
-        for lam in partitions_of(n)
-        for mu in partitions_of(n)
-    }
+    """Full character table of the symmetric group on n letters: a read-only
+    flat view of the stored table, which the first call builds if none was
+    installed."""
+    table = _tables.get(n)
+    if table is None:
+        _built[0] += 1
+        table = _tables[n] = {
+            (lam, mu): _char_beta(_beta_set(lam), mu)
+            for lam in partitions_of(n)
+            for mu in partitions_of(n)
+        }
+    return MappingProxyType(table)
+
+
+# tables built and weights held, under the names of lru_cache's cache_info
+_StoreInfo = namedtuple("StoreInfo", "misses currsize")
+character_table.cache_info = lambda: _StoreInfo(_built[0], len(_tables))

@@ -31,7 +31,6 @@ from .moments import (
     V_poly,
     W_coeff,
     _b_coeff,
-    _keys_upto,
     _v_series,
     a_factor,
     c_coeff,
@@ -49,6 +48,7 @@ from .partitions import (
 from .symseries import (
     POWERSUM,
     PairSeries,
+    _plan,
     bump_gamburd_residual,
     series_exp,
 )
@@ -418,7 +418,7 @@ def _check_v_identities():
         # the engine's tail route against the f-table contraction
         tail = _v_series(k, 4, 6)[0]
         for r in range(1, 7):
-            for mu, nu in _keys_upto(4):
+            for mu, nu in _plan(4).keys:
                 if V_poly(r, mu, nu)(k) != tail[r].get((mu, nu), 0):
                     raise AssertionError(
                         "tail route at k=%d r=%d %r %r" % (k, r, mu, nu)

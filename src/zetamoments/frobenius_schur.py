@@ -21,7 +21,6 @@ from .partitions import (
     check_partition,
     complement,
     dim_hook,
-    dim_paths,
     frobenius_coords,
     partitions_of,
     shifted_frobenius,
@@ -288,21 +287,17 @@ def dim_fs(mu, nu):
     return val / _falling(n, m)
 
 
-def dim_complement(kap, lam, k, route="fs"):
+def dim_complement(kap, lam, k):
     """dim(lam, complement of kap in the k x k square); 0 when kap does not fit.
 
-    Also 0 when lam outweighs the complement.  route picks the engine:
-    "fs" evaluates the dimension polynomial, "paths" counts lattice paths.
+    Also 0 when lam outweighs the complement.  The value comes from the
+    dimension polynomial; partitions.dim_paths counts the same lattice paths.
     """
     kap = check_partition(kap)
     lam = check_partition(lam)
     hat = complement(kap, k, k)
     if hat is None or sum(lam) > sum(hat):
         return 0
-    if route == "paths":
-        return dim_paths(lam, hat)
-    if route != "fs":
-        raise ValueError("unknown route %r" % (route,))
     val = dim_fs(lam, hat)
     assert val.denominator == 1
     return int(val)

@@ -42,6 +42,7 @@ from .symseries import (
     POWERSUM,
     KPoly,
     PairSeries,
+    _plan,
     monomial_eval,
     multinomial,
     p_to_schur,
@@ -50,6 +51,7 @@ from .symseries import (
     series_mul,
 )
 from .zeta_numerics import (
+    _series_log_list,
     envelope_bound,
     prime_zeta_beyond,
     prime_zeta_taylor,
@@ -73,14 +75,12 @@ class ValueWithError(NamedTuple):
 class NonConvergenceError(RuntimeError):
     """A truncation scheme hit its hard cap before reaching the target.
 
-    partial carries whatever table was accumulated so far and meta the
-    parameters in force, so callers can report diagnostics rather than a
-    bare failure.
+    meta carries the parameters in force, so callers can report diagnostics
+    rather than a bare failure.
     """
 
-    def __init__(self, message, partial=None, meta=None):
+    def __init__(self, message, meta=None):
         super().__init__(message)
-        self.partial = partial
         self.meta = meta
 
 
@@ -185,31 +185,17 @@ def _gauss_square_poly(k):
 
 @lru_cache(maxsize=None)
 def _b_series(k, R, absolute=False):
-    """[Q^r] log of the local factor, split as (2k-1)/r plus the log of the
-    polynomial part; absolute=True accumulates magnitudes instead."""
-    pol = _gauss_square_poly(k)
-    x = [Fraction(0)] * (R + 1)
+    """[Q^r] log of the local factor, split as (2k-1)/r plus log(1 + x), x
+    the polynomial part less 1; absolute=True takes -log(1 - x) instead,
+    which has the magnitudes of log(1 + x)'s power expansion."""
+    sign = -1 if absolute else 1
+    s = [Fraction(1)] + [Fraction(0)] * R
     for j in range(1, min(k - 1, R) + 1):
-        x[j] = pol[j]
-    cur = [Fraction(1)] + [Fraction(0)] * R
-    out = [Fraction(0)] * (R + 1)
-    for m in range(1, R + 1):
-        new = [Fraction(0)] * (R + 1)
-        for i in range(R + 1):
-            ci = cur[i]
-            if ci:
-                for j in range(1, min(k - 1, R - i) + 1):
-                    if x[j]:
-                        new[i + j] += ci * x[j]
-        cur = new
-        if not any(cur):
-            break
-        sgn = 1 if (m % 2 == 1 or absolute) else -1
-        for i in range(R + 1):
-            out[i] += sgn * Fraction(cur[i], m)
-    for r in range(1, R + 1):
-        out[r] += Fraction(2 * k - 1, r)
-    return tuple(out)
+        s[j] = sign * _gauss_square_poly(k)[j]
+    lg = _series_log_list(s)
+    return (Fraction(0),) + tuple(
+        sign * lg[r] + Fraction(2 * k - 1, r) for r in range(1, R + 1)
+    )
 
 
 def _b_coeff(k, r, absolute=False):
@@ -221,17 +207,6 @@ def _b_coeff(k, r, absolute=False):
 def _rho_inv(k):
     """Growth proxy for the local log coefficients, used to place cutoffs."""
     return 1 + max(math.comb(k - 1, j) ** 2 for j in range(k))
-
-
-@lru_cache(maxsize=None)
-def _keys_upto(wmax):
-    out = []
-    for a in range(wmax + 1):
-        for m in partitions_of(a):
-            for b in range(wmax + 1 - a):
-                for nu in partitions_of(b):
-                    out.append((m, nu))
-    return tuple(out)
 
 
 def _norm_den(mu):
@@ -353,9 +328,7 @@ def _v_series(k, wmax, R):
     for u in range(1, R + 1):
         inv[u] = -sum(z0[i] * inv[u - i] for i in range(1, u + 1))
     signed, majorant = {EMPTY_KEY: 1}, {EMPTY_KEY: 1}
-    for m, nu in _keys_upto(wmax):
-        if not m and not nu:
-            continue
+    for m, nu in _plan(wmax).keys[1:]:
         den = _norm_den(m) * _norm_den(nu)
         z = [a * b for a, b in zip(aseq[m], aseq[nu])]
         x = [sum(z[i] * inv[u - i] for i in range(u + 1)) for u in range(R + 1)]
@@ -412,7 +385,7 @@ def _w_full(k, wmax, digits, tol=None):
     inst = _installed_w.get(k)
     if inst is not None:
         vals, errs = {}, {}
-        for key in _keys_upto(wmax):
+        for key in _plan(wmax).keys:
             got = inst.get(key, 0)
             if isinstance(got, ValueWithError):
                 vals[key] = mp.mpf(1) * got.value
@@ -434,8 +407,9 @@ def _w_full(k, wmax, digits, tol=None):
     if hit is None:
         hit = _w_engine(k, wmax, digits, tol_f)
         _w_cache[ckey] = hit
-    vals = {key: hit[0][key] for key in _keys_upto(wmax)}
-    errs = {key: hit[1][key] for key in _keys_upto(wmax)}
+    keys = _plan(wmax).keys
+    vals = {key: hit[0][key] for key in keys}
+    errs = {key: hit[1][key] for key in keys}
     return vals, errs, dict(hit[2])
 
 
@@ -473,7 +447,7 @@ def _empty_key_head(k, primes):
 def _w_engine(k, wmax, digits, tol_f):
     wdps = digits + 15
     pcut = _prime_cutoff(k, digits, tol_f)
-    keys = _keys_upto(wmax)
+    keys = _plan(wmax).keys
     mus = [m for a in range(wmax + 1) for m in partitions_of(a)]
     with mp.workdps(wdps):
         tol_eff = mp.mpf(tol_f)
@@ -554,7 +528,6 @@ def _w_engine(k, wmax, digits, tol_f):
             if r > 200:
                 raise NonConvergenceError(
                     "W tail not converged by r=200 at k=%d" % k,
-                    partial=dict(vals),
                     meta={"prime_cutoff": pcut, "r_max_used": r - 1,
                           "digits": digits, "tol": tol_f},
                 )
@@ -662,8 +635,8 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
     tail part of the reported error (the geometric estimate from the last
     increments plus the certified prime envelope on the V majorant) stays
     below tol * (1 + |value|); the reported error adds the precision floor.
-    A hard cap at r=200 raises NonConvergenceError carrying the partial
-    table.
+    A hard cap at r=200 raises NonConvergenceError carrying the truncation
+    parameters.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
@@ -702,7 +675,7 @@ def d_table(k, n_max, digits=50, tol=None):
             PairSeries(POWERSUM, n_max, errser),
         ).coeffs
         out = {}
-        for kap, lam in _keys_upto(n_max):
+        for kap, lam in _plan(n_max).keys:
             ta = character_table(sum(kap))
             tb = character_table(sum(lam))
             derr = mp.mpf(0)
@@ -838,12 +811,11 @@ def d_table_symbolic(n_max):
         raise ValueError("symbolic mode is limited to n_max <= 3")
     sym = {
         key: WPoly.symbol(*key)
-        for key in _keys_upto(n_max)
-        if key != EMPTY_KEY
+        for key in _plan(n_max).keys[1:]
     }
     sser = p_to_schur(series_exp(PairSeries(POWERSUM, n_max, sym)))
     out = {}
-    for kap, lam in _keys_upto(n_max):
+    for kap, lam in _plan(n_max).keys:
         got = sser.get(kap, lam)
         out[(kap, lam)] = got if isinstance(got, WPoly) else WPoly.constant(got)
     return out
@@ -903,9 +875,8 @@ def _assemble(N, k, digits, dtab):
     with mp.workdps(digits + 10):
         acc = mp.mpf(0)
         err = mp.mpf(0)
-        for kap, lam in _keys_upto(N):
-            if sum(kap) + sum(lam) != N:
-                continue
+        plan = _plan(N)
+        for kap, lam in plan.keys[plan.starts[N]:]:
             dm = dim_complement(kap, lam, k)
             if dm:
                 dv = dtab[(kap, lam)]

@@ -196,29 +196,28 @@ def dim_hook(lam):
     return factorial(n) // H
 
 
-def _det_fractions(m):
-    """Exact determinant by fraction-free style elimination on Fraction entries."""
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
+def _det(rows):
+    """Determinant by Gaussian elimination; works for Fraction and mpf entries."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = 1
     for c in range(n):
-        piv = None
+        piv, pv = None, None
         for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
+            if m[r][c] != 0 and (pv is None or abs(m[r][c]) > pv):
+                piv, pv = r, abs(m[r][c])
         if piv is None:
-            return Fraction(0)
+            return 0 * det
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             det = -det
-        det *= m[c][c]
+        det = det * m[c][c]
         inv = m[c][c]
         for r in range(c + 1, n):
             if m[r][c] != 0:
                 f = m[r][c] / inv
                 for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
+                    m[r][cc] = m[r][cc] - f * m[c][cc]
     return det
 
 
@@ -243,6 +242,6 @@ def dim_skew_det(kap, lam):
             e = (lam[i] if i < len(lam) else 0) - (kap[j] if j < len(kap) else 0) - i + j
             row.append(Fraction(1, factorial(e)) if e >= 0 else Fraction(0))
         m.append(row)
-    val = factorial(nl - nk) * _det_fractions(m)
+    val = factorial(nl - nk) * _det(m)
     assert val.denominator == 1
     return int(val)

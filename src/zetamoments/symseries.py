@@ -8,21 +8,26 @@ float coefficients.
 
 A PairSeries is a truncated series indexed by pairs (mu, nu) of partitions,
 graded by total weight.  In the powersum basis multiplication is the free
-commutative product (part multisets concatenate); log and exp are computed by
-a weight-by-weight recurrence obtained from the grading derivation, which
-matches the defining power series through the truncation order.
+commutative product (part multisets concatenate).  Every product comes from
+one plan per truncation weight, built once, of index triples grouped by the
+operand weights, so each coefficient ring only does arithmetic over it.  log
+and exp share one weight-by-weight recurrence obtained from the grading
+derivation, which matches the defining power series through the truncation
+order.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import mp
 
 from .characters import character_table
 from .partitions import (
     ZERO_MARKER,
+    _det,
     centralizer_order,
     check_partition,
     partitions_of,
@@ -151,31 +156,6 @@ def monomial_eval(mu, xs):
     return total
 
 
-def _det(rows):
-    """Determinant by Gaussian elimination; works for Fraction and mpf entries."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for c in range(n):
-        piv, pv = None, None
-        for r in range(c, n):
-            if m[r][c] != 0 and (pv is None or abs(m[r][c]) > pv):
-                piv, pv = r, abs(m[r][c])
-        if piv is None:
-            return 0 * det
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / inv
-                for cc in range(c, n):
-                    m[r][cc] = m[r][cc] - f * m[c][cc]
-    return det
-
-
 def schur_eval(lam, points):
     """Schur polynomial s_lam at a finite alphabet, by the ratio of alternants.
 
@@ -251,41 +231,69 @@ class PairSeries:
         return out
 
 
-def _key_weight(key):
-    return sum(key[0]) + sum(key[1])
+class _Plan(NamedTuple):
+    """The pair keys of total weight <= wmax and every product among them.
+
+    keys runs through the weights in turn, and within weight w through |mu| =
+    0..w, then partitions_of's order for mu and for nu; keys[starts[w]:
+    starts[w + 1]] have weight w.  products[w][j] lists the index triples
+    (out, a, b) with keys[a] of weight j, keys[b] of weight w - j and
+    keys[out] their product, both part multisets merged.
+    """
+
+    keys: tuple
+    index: dict
+    starts: tuple
+    products: tuple
 
 
-def _merge(a, b):
-    return tuple(sorted(a + b, reverse=True))
+@lru_cache(maxsize=None)
+def _plan(wmax):
+    keys, starts = [], [0]
+    for w in range(wmax + 1):
+        keys += [(mu, nu) for a in range(w + 1) for mu in partitions_of(a)
+                 for nu in partitions_of(w - a)]
+        starts.append(len(keys))
+    index = {key: i for i, key in enumerate(keys)}
+    at = [tuple(range(starts[w], starts[w + 1])) for w in range(wmax + 1)]
+
+    def times(a, b):
+        (m1, n1), (m2, n2) = keys[a], keys[b]
+        return index[(tuple(sorted(m1 + m2, reverse=True)),
+                      tuple(sorted(n1 + n2, reverse=True)))]
+
+    products = tuple(
+        tuple(tuple((times(a, b), a, b) for a in at[j] for b in at[w - j])
+              for j in range(w + 1))
+        for w in range(wmax + 1)
+    )
+    return _Plan(tuple(keys), index, tuple(starts), products)
 
 
-def _components(series):
-    comp = [dict() for _ in range(series.max_weight + 1)]
+def _dense(plan, series):
+    """Coefficients listed over plan.keys: 0 where absent, none past the plan."""
+    x = [0] * len(plan.keys)
     for key, val in series.coeffs.items():
-        comp[_key_weight(key)][key] = val
-    return comp
+        if key in plan.index:
+            x[plan.index[key]] = val
+    return x
 
 
-def _mul_comp(d1, d2, acc, scale=1):
-    """acc += scale * d1 * d2 for homogeneous component dicts."""
-    for (m1, n1), v1 in d1.items():
-        for (m2, n2), v2 in d2.items():
-            key = (_merge(m1, m2), _merge(n1, n2))
-            prev = acc.get(key, 0)
-            val = prev + scale * (v1 * v2)
-            if val == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = val
-
-
-def _from_components(basis, max_weight, comp):
-    out = PairSeries(basis, max_weight)
-    for d in comp:
-        for key, val in d.items():
-            if val != 0:
-                out.coeffs[key] = val
+def _series(plan, x):
+    """The powersum series of a list over plan.keys, zeros dropped."""
+    out = PairSeries(POWERSUM, len(plan.starts) - 2)
+    out.coeffs = {key: v for key, v in zip(plan.keys, x) if v != 0}
     return out
+
+
+def _accumulate(triples, x, y, acc):
+    """acc[out] += x[a] * y[b] over the triples, skipping zero operands."""
+    for out, a, b in triples:
+        u = x[a]
+        if u:
+            v = y[b]
+            if v:
+                acc[out] = acc[out] + u * v
 
 
 def series_mul(a, b):
@@ -294,77 +302,72 @@ def series_mul(a, b):
         raise ValueError("cannot multiply series in different bases")
     if a.basis != POWERSUM:
         raise ValueError("series multiplication requires the powersum basis")
-    mw = min(a.max_weight, b.max_weight)
-    ca, cb = _components(a), _components(b)
-    comp = [dict() for _ in range(mw + 1)]
-    for wa in range(mw + 1):
-        if not ca[wa]:
-            continue
-        for wb in range(mw + 1 - wa):
-            if cb[wb]:
-                _mul_comp(ca[wa], cb[wb], comp[wa + wb])
-    return _from_components(POWERSUM, mw, comp)
+    plan = _plan(min(a.max_weight, b.max_weight))
+    x, y = _dense(plan, a), _dense(plan, b)
+    acc = [0] * len(plan.keys)
+    for row in plan.products:
+        for triples in row:
+            _accumulate(triples, x, y, acc)
+    return _series(plan, acc)
+
+
+def _exp_log(series, log):
+    """S = exp(L) from a powersum series L with zero constant term, or with
+    log set L = log(S) from one S with constant term exactly 1.
+
+    The grading derivation D (weight w times w) gives D S = (D L) S for
+    S = exp(L), so w S_w = w L_w + sum_{0<j<w} (D L)_j S_{w-j}: the same
+    cross sums serve both directions, solved for S_w or for L_w.  This
+    agrees with the defining power series through the truncation.
+    """
+    name = "series_log" if log else "series_exp"
+    if series.basis != POWERSUM:
+        raise ValueError("%s requires the powersum basis" % name)
+    if series.coeffs.get(EMPTY_KEY, 0) != int(log):
+        raise ValueError("%s needs constant term %d" % (name, log))
+    plan = _plan(series.max_weight)
+    n, given = len(plan.keys), _dense(plan, series)
+    s, lg = (given, [0] * n) if log else ([1] + [0] * (n - 1), given)
+    dl, cross = [0] * n, [0] * n
+    for w in range(1, len(plan.starts) - 1):
+        for j in range(1, w):
+            _accumulate(plan.products[w][j], dl, s, cross)
+        inv = Fraction(1, w)
+        for i in range(plan.starts[w], plan.starts[w + 1]):
+            if log:
+                lg[i] = s[i] + cross[i] * -inv
+            dl[i] = lg[i] * w
+            if not log:
+                s[i] = (dl[i] + cross[i]) * inv
+    return _series(plan, lg if log else s)
 
 
 def series_log(series):
-    """Logarithm of a powersum-basis series with constant term exactly 1.
-
-    Weight recurrence L_w = S_w - (1/w) * sum_{j<w} j L_j S_{w-j}; this agrees
-    with substituting into log(1+x) = x - x^2/2 + ... up to the truncation.
-    """
-    if series.basis != POWERSUM:
-        raise ValueError("series_log requires the powersum basis")
-    if series.coeffs.get(EMPTY_KEY, 0) != 1:
-        raise ValueError("series_log needs constant term 1")
-    W = series.max_weight
-    comp = _components(series)
-    log_comp = [dict() for _ in range(W + 1)]
-    for w in range(1, W + 1):
-        acc = dict(comp[w])
-        for j in range(1, w):
-            if log_comp[j] and comp[w - j]:
-                _mul_comp(log_comp[j], comp[w - j], acc, scale=Fraction(-j, w))
-        log_comp[w] = {k: v for k, v in acc.items() if v != 0}
-    return _from_components(POWERSUM, W, log_comp)
+    """Logarithm of a powersum-basis series with constant term exactly 1."""
+    return _exp_log(series, log=True)
 
 
 def series_exp(series):
-    """Exponential of a powersum-basis series with zero constant term.
+    """Exponential of a powersum-basis series with zero constant term."""
+    return _exp_log(series, log=False)
 
-    Weight recurrence F_w = (1/w) * sum_{j<=w} j A_j F_{w-j} with F_0 = 1.
+
+def _switch_basis(series, src, dst, table):
+    """Change both slots of a series from the basis src to dst.
+
+    table(n)[(new, old)] is the weight-n transition coefficient, so the
+    coefficient at (kappa, lambda) on the new side is the sum over old keys
+    (mu, nu) of the matching weights of the two coefficients times the old
+    value.
     """
-    if series.basis != POWERSUM:
-        raise ValueError("series_exp requires the powersum basis")
-    if series.coeffs.get(EMPTY_KEY, 0) != 0:
-        raise ValueError("series_exp needs zero constant term")
-    W = series.max_weight
-    comp = _components(series)
-    exp_comp = [dict() for _ in range(W + 1)]
-    exp_comp[0][EMPTY_KEY] = 1
-    for w in range(1, W + 1):
-        acc = {}
-        for j in range(1, w + 1):
-            if comp[j] and exp_comp[w - j]:
-                _mul_comp(comp[j], exp_comp[w - j], acc, scale=Fraction(j, w))
-        exp_comp[w] = {k: v for k, v in acc.items() if v != 0}
-    return _from_components(POWERSUM, W, exp_comp)
-
-
-def p_to_schur(series):
-    """Change both slots from the powersum to the Schur basis.
-
-    The Schur-side coefficient at (kappa, lambda) is the character-weighted sum
-    of powersum coefficients over classes of the matching weights, with no
-    centralizer division in this direction.
-    """
-    if series.basis != POWERSUM:
-        raise ValueError("series is not in the powersum basis")
+    if series.basis != src:
+        raise ValueError("series is not in the %s basis" % src)
     blocks = {}
     for (mu, nu), val in series.coeffs.items():
         blocks.setdefault((sum(mu), sum(nu)), {})[(mu, nu)] = val
-    out = PairSeries(SCHUR, series.max_weight)
+    out = PairSeries(dst, series.max_weight)
     for (a, b), blk in blocks.items():
-        ta, tb = character_table(a), character_table(b)
+        ta, tb = table(a), table(b)
         for kap in partitions_of(a):
             for lam in partitions_of(b):
                 tot = 0
@@ -375,26 +378,21 @@ def p_to_schur(series):
     return out
 
 
+def p_to_schur(series):
+    """Change both slots from the powersum to the Schur basis.
+
+    The coefficients are the characters, with no centralizer division in
+    this direction.
+    """
+    return _switch_basis(series, POWERSUM, SCHUR, character_table)
+
+
 def schur_to_p(series):
     """Inverse transition; divides by both centralizer orders."""
-    if series.basis != SCHUR:
-        raise ValueError("series is not in the Schur basis")
-    blocks = {}
-    for (kap, lam), val in series.coeffs.items():
-        blocks.setdefault((sum(kap), sum(lam)), {})[(kap, lam)] = val
-    out = PairSeries(POWERSUM, series.max_weight)
-    for (a, b), blk in blocks.items():
-        ta, tb = character_table(a), character_table(b)
-        for mu in partitions_of(a):
-            zmu = centralizer_order(mu)
-            for nu in partitions_of(b):
-                znu = centralizer_order(nu)
-                tot = 0
-                for (kap, lam), val in blk.items():
-                    tot += ta[(kap, mu)] * tb[(lam, nu)] * val
-                if tot != 0:
-                    out.coeffs[(mu, nu)] = tot * Fraction(1, zmu * znu)
-    return out
+    return _switch_basis(series, SCHUR, POWERSUM, lambda n: {
+        (mu, kap): Fraction(v, centralizer_order(mu))
+        for (kap, mu), v in character_table(n).items()
+    })
 
 
 def bump_gamburd_residual(kap, lam, points):

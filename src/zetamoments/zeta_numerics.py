@@ -425,10 +425,6 @@ class PrimeZetaCoeffs(NamedTuple):
     digits: int
     tail_bounds: tuple = ()
 
-    def tail_bound(self, M, n):
-        """Certified bound on the part of coeffs[n] coming from primes above M."""
-        return envelope_bound(self.r, n, M)
-
 
 _installed_pzeta = {}
 

@@ -81,16 +81,27 @@ def test_table_is_complete_and_consistent():
 
 def test_install_table_overrides_and_clears():
     n = 4
-    true = character_table(n)
+    true = dict(character_table(n))
     fake = dict(true)
     key = ((2, 1, 1), (4,))
     fake[key] = true[key] + 100
     install_table(n, fake)
     try:
+        # the installed table replaces the one already built, for both calls
         assert character_value(*key) == true[key] + 100
+        assert character_table(n)[key] == true[key] + 100
     finally:
         install_table(n, None)
+    # a dropped table is rebuilt, not served stale
     assert character_value(*key) == true[key]
+    assert dict(character_table(n)) == true
+
+
+def test_table_is_read_only():
+    tab = character_table(3)
+    with pytest.raises(TypeError):
+        tab[((3,), (3,))] = 7
+    assert character_table(3)[((3,), (3,))] == 1
 
 
 def test_first_column_sum_counts_involutions():

@@ -152,7 +152,7 @@ class TestPrecompute:
             install_prime_zeta(r, None)
         counts = load_cache(root)
         assert counts == {"chartable": 4, "pzeta": 16}
-        assert characters._installed[2][((1, 1), (2,))] == -1
+        assert characters._tables[2][((1, 1), (2,))] == -1
         pz = zeta_numerics._installed_pzeta[2]
         assert pz.digits == 15 + cli.PZETA_MARGIN and len(pz.coeffs) == 4
 

@@ -17,9 +17,9 @@ from zetamoments.moments import (
     W_coeff,
     _a_seqs,
     _b_coeff,
+    _b_series,
     _empty_key_head,
     _gauss_square_poly,
-    _keys_upto,
     _v_series,
     a_factor,
     c_coeff,
@@ -31,7 +31,14 @@ from zetamoments.moments import (
     moment_polynomial,
 )
 from zetamoments.partitions import centralizer_order, partitions_of
-from zetamoments.symseries import EMPTY_KEY, POWERSUM, KPoly, PairSeries, series_exp
+from zetamoments.symseries import (
+    EMPTY_KEY,
+    POWERSUM,
+    KPoly,
+    PairSeries,
+    _plan,
+    series_exp,
+)
 from zetamoments.zeta_numerics import primes_upto
 
 F = Fraction
@@ -190,7 +197,7 @@ class TestVPoly:
         for k in (2, 3):
             tail = _v_series(k, 4, 6)[0]
             for r in range(1, 7):
-                for mu, nu in _keys_upto(4):
+                for mu, nu in _plan(4).keys:
                     assert V_poly(r, mu, nu)(k) == tail[r].get((mu, nu), 0)
 
     def test_empty_pair_matches_local_log_coefficients(self):
@@ -200,6 +207,31 @@ class TestVPoly:
                 assert V_poly(r, (), ())(k) == _b_coeff(k, r)
                 assert _v_series(k, 0, 8)[0][r][EMPTY_KEY] == _b_coeff(k, r)
                 assert _v_series(k, 2, 8)[0][r][EMPTY_KEY] == _b_coeff(k, r)
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_local_log_matches_power_expansion(self, k, absolute):
+        # the local log through the scalar recurrence against the sum over m
+        # of (+-x)**m / m, x the Gauss square polynomial less 1
+        R = 80
+        x = [F(0)] * (R + 1)
+        for j in range(1, min(k - 1, R) + 1):
+            x[j] = _gauss_square_poly(k)[j]
+        cur = [F(1)] + [F(0)] * R
+        want = [F(0)] * (R + 1)
+        for m in range(1, R + 1):
+            new = [F(0)] * (R + 1)
+            for i, ci in enumerate(cur):
+                if ci:
+                    for j in range(1, min(k - 1, R - i) + 1):
+                        new[i + j] += ci * x[j]
+            cur = new
+            sgn = 1 if (m % 2 or absolute) else -1
+            for i in range(R + 1):
+                want[i] += sgn * F(cur[i], m)
+        for r in range(1, R + 1):
+            want[r] += F(2 * k - 1, r)
+        assert _b_series(k, R, absolute) == tuple(want)
 
     def test_tail_does_not_depend_on_the_truncation(self):
         short, long_ = _v_series(2, 3, 8), _v_series(2, 3, 16)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetamoments.characters import character_value
+from zetamoments.moments import WPoly, _QSeries
 from zetamoments.partitions import centralizer_order, contains, partitions_of
 from zetamoments.symseries import (
     EMPTY_KEY,
@@ -14,6 +15,7 @@ from zetamoments.symseries import (
     SCHUR,
     KPoly,
     PairSeries,
+    _plan,
     bump_gamburd_residual,
     monomial_eval,
     multinomial,
@@ -251,6 +253,91 @@ class TestExpLog:
         for m in range(6):
             key = ((1,) * m, ())
             assert e.coeffs.get(key, 0) == c ** m * Fraction(1, fact[m])
+
+
+# a small log-side series over the nonempty keys up to weight 4, one seed
+# value per key; each ring below builds its coefficients from these
+RING_KEYS = [key for key in _plan(4).keys[1:] if len(key[0]) + len(key[1]) <= 2]
+
+
+def ring_series(ring):
+    coeffs = {}
+    for i, key in enumerate(RING_KEYS):
+        if ring == "mpf":
+            coeffs[key] = mp.mpf(i % 5 - 2) / (i + 3)
+        elif ring == "qseries":
+            coeffs[key] = _QSeries([0, i % 3 - 1, 2, -i], i + 2)
+        else:
+            coeffs[key] = WPoly.symbol(*key) * Fraction(1, i + 1)
+    return PairSeries(POWERSUM, 4, coeffs)
+
+
+def same_series(a, b, ring):
+    if ring != "mpf":
+        return a == b
+    tol = mp.mpf(10) ** (5 - mp.dps)
+    keys = set(a.coeffs) | set(b.coeffs)
+    return a.max_weight == b.max_weight and all(
+        abs(a.get(*key) - b.get(*key)) <= tol for key in keys
+    )
+
+
+class TestPlanAcrossRings:
+    @pytest.mark.parametrize("ring", ["mpf", "qseries", "wpoly"])
+    def test_exp_then_log_then_exp(self, ring):
+        with mp.workdps(30):
+            a = ring_series(ring)
+            e = series_exp(a)
+            assert e.coeffs[EMPTY_KEY] == 1
+            assert same_series(series_log(e), a, ring)
+            assert same_series(series_exp(series_log(e)), e, ring)
+
+    @pytest.mark.parametrize("ring", ["mpf", "qseries", "wpoly"])
+    def test_mul_matches_exp_of_sum(self, ring):
+        # exp(a) * exp(a) = exp(2a), and an unequal order truncates
+        with mp.workdps(30):
+            a = ring_series(ring)
+            e = series_exp(a)
+            two = PairSeries(POWERSUM, 4, {k: v * 2 for k, v in a.coeffs.items()})
+            assert same_series(series_mul(e, e), series_exp(two), ring)
+            low = PairSeries(POWERSUM, 2, {
+                k: v for k, v in e.coeffs.items() if sum(k[0]) + sum(k[1]) <= 2
+            })
+            got = series_mul(low, e)
+            assert got.max_weight == 2
+            assert same_series(got, series_mul(low, low), ring)
+
+    def test_weight_zero(self):
+        one = PairSeries(POWERSUM, 0, {EMPTY_KEY: 1})
+        assert series_log(one).coeffs == {}
+        assert series_exp(PairSeries(POWERSUM, 0)) == one
+        assert series_mul(one, PairSeries(POWERSUM, 3, {EMPTY_KEY: 5})) == (
+            PairSeries(POWERSUM, 0, {EMPTY_KEY: 5})
+        )
+
+    def test_plan_is_built_once_per_weight(self):
+        _plan(5)
+        before = _plan.cache_info()
+        s = PairSeries(POWERSUM, 5, {EMPTY_KEY: 1, ((1,), (2,)): 3})
+        series_exp(series_log(s))
+        series_mul(s, s)
+        after = _plan.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 3
+
+    def test_plan_layout(self):
+        plan = _plan(3)
+        assert plan.keys[0] == EMPTY_KEY
+        for w in range(4):
+            block = plan.keys[plan.starts[w]:plan.starts[w + 1]]
+            assert {sum(m) + sum(n) for m, n in block} <= {w}
+            for j in range(w + 1):
+                for out, a, b in plan.products[w][j]:
+                    (m1, n1), (m2, n2) = plan.keys[a], plan.keys[b]
+                    assert sum(m1) + sum(n1) == j
+                    assert sorted(plan.keys[out][0]) == sorted(m1 + m2)
+                    assert sorted(plan.keys[out][1]) == sorted(n1 + n2)
+        assert len(plan.keys) == len(set(plan.keys)) == 1 + 2 + 5 + 10
 
 
 class TestBasisTransitions:
