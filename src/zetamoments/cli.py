@@ -1,11 +1,10 @@
 """Command-line front end: cached precomputation and rendered output.
 
-The cache is a directory of small JSON files, one entry each: symmetric
-group character tables and prime zeta Taylor families.  Files of any other
-kind, such as coupling-table or dimension-polynomial entries written by
-older versions, are ignored.  Exact data travels as integers, big reals
-as decimal strings wide enough to restore every bit at the recorded
-precision.  Precomputing twice is a no-op: only entries whose stored
+The cache is a directory of small JSON files, one prime zeta Taylor family
+each.  Files of any other kind, such as the character-table, coupling-table
+or dimension-polynomial entries older versions wrote, are ignored.  Big
+reals travel as decimal strings wide enough to restore every bit at the
+recorded precision.  Precomputing twice is a no-op: only entries whose stored
 precision falls short of the request are rebuilt.  Writes take a directory
 lock file; reads touch only immutable files and need no lock.
 """
@@ -24,7 +23,7 @@ from mpmath import mp
 
 from . import __version__
 from ._golden import golden_entries
-from .characters import character_table, install_table
+from .characters import character_table
 from .frobenius_schur import dim_complement, dim_complement_poly, dim_fs
 from .moments import (
     NonConvergenceError,
@@ -75,7 +74,6 @@ class CacheEntry(NamedTuple):
     params: dict
     payload: dict
     schema_version: int = SCHEMA_VERSION
-    tolerances: dict = {}
 
 
 def _real_str(x, digits):
@@ -83,8 +81,6 @@ def _real_str(x, digits):
 
 
 def entry_filename(kind, params):
-    if kind == "chartable":
-        return "chartable_n%d.json" % params["n"]
     if kind == "pzeta":
         return "pzeta_r%d.json" % params["r"]
     raise CacheError("unknown cache kind %r" % (kind,))
@@ -118,7 +114,6 @@ def save_entry(root, entry):
         "schema_version": entry.schema_version,
         "kind": entry.kind,
         "params": entry.params,
-        "tolerances": entry.tolerances,
         "payload": entry.payload,
     }
     data = json.dumps(doc, sort_keys=True, indent=1)
@@ -151,25 +146,10 @@ def load_entry(root, filename):
                 % (path, doc["schema_version"], SCHEMA_VERSION)
             )
         return CacheEntry(
-            doc["kind"], doc["params"], doc["payload"],
-            doc["schema_version"], doc.get("tolerances", {}),
+            doc["kind"], doc["params"], doc["payload"], doc["schema_version"]
         )
     except (KeyError, TypeError) as exc:
         raise CacheError("malformed cache entry %s: %s" % (path, exc)) from exc
-
-
-def encode_chartable(n, table):
-    entries = [
-        [list(lam), list(mu), v] for (lam, mu), v in sorted(table.items())
-    ]
-    return CacheEntry("chartable", {"n": n}, {"entries": entries})
-
-
-def decode_chartable(entry):
-    return {
-        (tuple(lam), tuple(mu)): int(v)
-        for lam, mu, v in entry.payload["entries"]
-    }
 
 
 def encode_pzeta(pz):
@@ -197,12 +177,12 @@ def decode_pzeta(entry):
 def load_cache(root):
     """Install every cache entry under root; returns per-kind counts.
 
-    Character tables are exact and install outright.  Prime zeta families
-    install behind a precision gate, so an entry with too few digits for a
-    later request is recomputed, never reused.  Files of any other kind,
-    such as those older versions wrote, are skipped unread.
+    Prime zeta families install behind a precision gate, so an entry with
+    too few digits for a later request is recomputed, never reused.  Files
+    of any other kind, such as those older versions wrote, are skipped
+    unread.
     """
-    counts = {"chartable": 0, "pzeta": 0}
+    counts = {"pzeta": 0}
     if not os.path.isdir(root):
         return counts
     live = tuple(kind + "_" for kind in counts)
@@ -212,11 +192,8 @@ def load_cache(root):
         entry = load_entry(root, filename)
         if entry is None or entry.kind not in counts:
             continue
-        if entry.kind == "chartable":
-            install_table(entry.params["n"], decode_chartable(entry))
-        else:
-            pz = decode_pzeta(entry)
-            install_prime_zeta(pz.r, pz)
+        pz = decode_pzeta(entry)
+        install_prime_zeta(pz.r, pz)
         counts[entry.kind] += 1
     return counts
 
@@ -227,22 +204,17 @@ def _truncation_horizon(n_max):
 
 
 def cmd_precompute(n_max, digits, cache_dir):
-    """Build and persist every table the pipeline wants, skipping fresh ones."""
+    """Build and persist the prime zeta families the pipeline wants,
+    skipping fresh ones."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("nmax must be a positive integer")
     if not isinstance(digits, int) or digits < 1:
         raise ValueError("digits must be a positive integer")
     os.makedirs(cache_dir, exist_ok=True)
     have = load_cache(cache_dir)
-    built = {"chartable": 0, "pzeta": 0}
-    reused = {"chartable": 0, "pzeta": 0}
+    built = {"pzeta": 0}
+    reused = {"pzeta": 0}
     with cache_lock(cache_dir):
-        for n in range(n_max + 1):
-            if load_entry(cache_dir, entry_filename("chartable", {"n": n})):
-                reused["chartable"] += 1
-                continue
-            save_entry(cache_dir, encode_chartable(n, character_table(n)))
-            built["chartable"] += 1
         store_digits = digits + PZETA_MARGIN
         for r in range(1, _truncation_horizon(n_max) + 1):
             old = load_entry(cache_dir, entry_filename("pzeta", {"r": r}))
@@ -252,11 +224,7 @@ def cmd_precompute(n_max, digits, cache_dir):
                     reused["pzeta"] += 1
                     continue
             pz = prime_zeta_taylor(r, n_max, store_digits)
-            entry = encode_pzeta(pz)._replace(
-                tolerances={"requested_digits": digits,
-                            "stored_digits": store_digits}
-            )
-            save_entry(cache_dir, entry)
+            save_entry(cache_dir, encode_pzeta(pz))
             install_prime_zeta(r, pz)
             built["pzeta"] += 1
     return {"cache_dir": cache_dir, "loaded": have, "built": built,
@@ -594,11 +562,10 @@ def main(argv=None):
     try:
         if args.command == "precompute":
             status = cmd_precompute(args.nmax, args.digits, args.cache_dir)
-            for kind in ("chartable", "pzeta"):
-                sys.stdout.write(
-                    "%s: built %d, reused %d\n"
-                    % (kind, status["built"][kind], status["reused"][kind])
-                )
+            sys.stdout.write(
+                "pzeta: built %d, reused %d\n"
+                % (status["built"]["pzeta"], status["reused"]["pzeta"])
+            )
             sys.stdout.write("cache at %s\n" % status["cache_dir"])
         elif args.command == "coeff":
             sys.stdout.write(

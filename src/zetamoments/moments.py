@@ -40,9 +40,11 @@ from .partitions import centralizer_order, check_partition, dim_hook, partitions
 from .symseries import (
     EMPTY_KEY,
     POWERSUM,
+    SCHUR,
     KPoly,
     PairSeries,
     _plan,
+    _switch_basis,
     monomial_eval,
     multinomial,
     p_to_schur,
@@ -670,28 +672,19 @@ def d_table(k, n_max, digits=50, tol=None):
         errser = {
             key: v for key, v in werr.items() if key != EMPTY_KEY and v != 0
         }
-        delta = series_mul(
-            PairSeries(POWERSUM, n_max, mags),
-            PairSeries(POWERSUM, n_max, errser),
-        ).coeffs
+        derrs = _switch_basis(
+            series_mul(
+                PairSeries(POWERSUM, n_max, mags),
+                PairSeries(POWERSUM, n_max, errser),
+            ),
+            POWERSUM, SCHUR,
+            lambda n: {key: abs(v) for key, v in character_table(n).items()},
+        )
         out = {}
         for kap, lam in _plan(n_max).keys:
-            ta = character_table(sum(kap))
-            tb = character_table(sum(lam))
-            derr = mp.mpf(0)
-            for m in partitions_of(sum(kap)):
-                xa = ta[(kap, m)]
-                if not xa:
-                    continue
-                for nu in partitions_of(sum(lam)):
-                    xb = tb[(lam, nu)]
-                    if xb:
-                        dv = delta.get((m, nu))
-                        if dv:
-                            derr += abs(xa * xb) * dv
             sval = sser.get(kap, lam)
             out[(kap, lam)] = ValueWithError(
-                +(aval * sval), +(aval * derr + abs(sval) * a_err)
+                +(aval * sval), +(aval * derrs.get(kap, lam) + abs(sval) * a_err)
             )
     return out
 

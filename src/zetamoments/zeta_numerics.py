@@ -123,10 +123,11 @@ def _em_head_length(x, nmax, digits):
     """
     cap = max(20, digits)
     goal = -(digits + 12) * math.log(10)
+    lead, l720 = math.log(x + nmax + 2), math.log(720)
     for M in range(3, cap):
         lm = math.log(M)
-        first = math.log(x + nmax + 2) - (x + 1) * lm + nmax * math.log1p(lm)
-        if first + max(0.0, 2 * math.log((x + 3) / M) - math.log(720)) < goal:
+        first = lead - (x + 1) * lm + nmax * math.log1p(lm)
+        if first + max(0.0, 2 * math.log((x + 3) / M) - l720) < goal:
             return M
     return cap
 

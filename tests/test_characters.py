@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetamoments.characters import character_table, character_value, install_table
+from zetamoments.characters import character_table, character_value
 from zetamoments.partitions import centralizer_order, conjugate, dim_hook, partitions_of
 
 
@@ -79,22 +79,13 @@ def test_table_is_complete_and_consistent():
             assert character_value(*key) == val
 
 
-def test_install_table_overrides_and_clears():
-    n = 4
-    true = dict(character_table(n))
-    fake = dict(true)
-    key = ((2, 1, 1), (4,))
-    fake[key] = true[key] + 100
-    install_table(n, fake)
-    try:
-        # the installed table replaces the one already built, for both calls
-        assert character_value(*key) == true[key] + 100
-        assert character_table(n)[key] == true[key] + 100
-    finally:
-        install_table(n, None)
-    # a dropped table is rebuilt, not served stale
-    assert character_value(*key) == true[key]
-    assert dict(character_table(n)) == true
+def test_table_is_built_once_per_weight():
+    character_table.cache_clear()
+    before = character_table.cache_info().misses
+    first = character_table(4)
+    assert character_table.cache_info().misses == before + 1
+    assert character_table(4) is first
+    assert character_table.cache_info().misses == before + 1
 
 
 def test_table_is_read_only():

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from zetamoments import characters, cli, zeta_numerics
-from zetamoments.characters import install_table
+from zetamoments import cli, zeta_numerics
 from zetamoments.cli import (
     SCHEMA_VERSION,
     CacheError,
     cache_lock,
-    decode_chartable,
     decode_pzeta,
-    encode_chartable,
     encode_pzeta,
     entry_filename,
     load_cache,
@@ -30,39 +27,39 @@ from zetamoments.zeta_numerics import PrimeZetaCoeffs, install_prime_zeta
 @pytest.fixture(autouse=True)
 def pristine_installs():
     yield
-    for n in range(12):
-        install_table(n, None)
     for r in range(1, 40):
         install_prime_zeta(r, None)
-
-
-partition = st.lists(st.integers(1, 5), max_size=4).map(
-    lambda xs: tuple(sorted(xs, reverse=True))
-)
-pair = st.tuples(partition, partition)
 
 
 def roundtrip(entry):
     doc = json.loads(json.dumps(
         {"schema_version": entry.schema_version, "kind": entry.kind,
-         "params": entry.params, "tolerances": entry.tolerances,
-         "payload": entry.payload},
+         "params": entry.params, "payload": entry.payload},
         sort_keys=True))
     return cli.CacheEntry(doc["kind"], doc["params"], doc["payload"],
-                          doc["schema_version"], doc["tolerances"])
+                          doc["schema_version"])
+
+
+# retired cache kinds that older versions wrote: (file name, kind, params,
+# payload)
+RETIRED = [
+    ("ftable_w2.json", "ftable", {"max_weight": 2},
+     {"entries": [[[1], [1], "1/1"]]}),
+    ("dimpoly_1_1.json", "dimpoly", {"kap": [1], "lam": [1]},
+     {"B": ["2/1"], "depth": 2}),
+    ("chartable_n2.json", "chartable", {"n": 2},
+     {"entries": [[[1, 1], [2], -1], [[2], [2], 1]]}),
+]
+
+
+def write_doc(path, kind, params, payload, **extra):
+    path.write_text(json.dumps(dict({
+        "schema_version": SCHEMA_VERSION, "kind": kind,
+        "params": params, "payload": payload,
+    }, **extra)))
 
 
 class TestCacheFormat:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(0, 9),
-        table=st.dictionaries(pair, st.integers(-(10**15), 10**15), max_size=8),
-    )
-    def test_chartable_roundtrip_is_exact(self, n, table):
-        back = decode_chartable(roundtrip(encode_chartable(n, table)))
-        assert back == table
-        assert all(isinstance(v, int) for v in back.values())
-
     @settings(max_examples=25, deadline=None)
     @given(
         r=st.integers(1, 20),
@@ -88,7 +85,10 @@ class TestCacheFormat:
             assert a == b
 
     def test_saved_files_are_deterministic(self, tmp_path):
-        entry = encode_chartable(2, {((2,), (1, 1)): -1, ((2,), (2,)): 1})
+        with mp.workdps(20):
+            pz = PrimeZetaCoeffs(3, (mp.mpf(1) / 7, -mp.mpf(2) / 3), 15,
+                                 (mp.mpf("1e-20"),))
+        entry = encode_pzeta(pz)
         name = entry_filename(entry.kind, entry.params)
         with cache_lock(str(tmp_path)):
             save_entry(str(tmp_path), entry)
@@ -98,13 +98,19 @@ class TestCacheFormat:
         assert first == second
 
     def test_newer_schema_is_rejected(self, tmp_path):
-        path = tmp_path / "chartable_n1.json"
-        path.write_text(json.dumps({
-            "schema_version": SCHEMA_VERSION + 1, "kind": "chartable",
-            "params": {"n": 1}, "payload": {"entries": []},
-        }))
-        with pytest.raises(CacheError):
-            load_entry(str(tmp_path), "chartable_n1.json")
+        write_doc(tmp_path / "pzeta_r1.json", "pzeta", {"r": 1, "n_max": 0},
+                  {"digits": 15, "coeffs": ["1.0"], "tail_bounds": []},
+                  schema_version=SCHEMA_VERSION + 1)
+        with pytest.raises(CacheError, match="newer"):
+            load_entry(str(tmp_path), "pzeta_r1.json")
+
+    def test_older_entry_with_tolerances_still_loads(self, tmp_path):
+        # older versions also wrote a "tolerances" key that nothing read
+        write_doc(tmp_path / "pzeta_r4.json", "pzeta", {"r": 4, "n_max": 0},
+                  {"digits": 15, "coeffs": ["0.5"], "tail_bounds": []},
+                  tolerances={"requested_digits": 10, "stored_digits": 15})
+        pz = decode_pzeta(load_entry(str(tmp_path), "pzeta_r4.json"))
+        assert pz.r == 4 and pz.digits == 15 and pz.coeffs == (mp.mpf("0.5"),)
 
     def test_garbage_file_is_reported_with_path(self, tmp_path):
         path = tmp_path / "pzeta_r1.json"
@@ -137,72 +143,64 @@ class TestPrecompute:
     def test_build_then_reuse(self, tmp_path, capsys):
         root = str(tmp_path / "c")
         status = cli.cmd_precompute(3, 15, root)
-        assert status["built"] == {"chartable": 4, "pzeta": 16}
-        assert len(os.listdir(root)) == 20
+        assert status["built"] == {"pzeta": 16}
+        assert sorted(os.listdir(root)) == sorted(
+            "pzeta_r%d.json" % r for r in range(1, 17)
+        )
         again = cli.cmd_precompute(3, 15, root)
-        assert all(v == 0 for v in again["built"].values())
-        assert again["reused"]["chartable"] == 4
+        assert again["built"] == {"pzeta": 0}
+        assert again["reused"] == {"pzeta": 16}
 
     def test_loaded_tables_are_installed(self, tmp_path):
         root = str(tmp_path / "c")
         cli.cmd_precompute(3, 15, root)
-        for n in range(12):
-            install_table(n, None)
         for r in range(1, 40):
             install_prime_zeta(r, None)
         counts = load_cache(root)
-        assert counts == {"chartable": 4, "pzeta": 16}
-        assert characters._tables[2][((1, 1), (2,))] == -1
+        assert counts == {"pzeta": 16}
         pz = zeta_numerics._installed_pzeta[2]
         assert pz.digits == 15 + cli.PZETA_MARGIN and len(pz.coeffs) == 4
 
-    def test_retired_kinds_are_skipped(self, tmp_path):
-        # coupling-table and dimension-polynomial files from older versions
+    @pytest.mark.parametrize("name,kind,params,payload", RETIRED,
+                             ids=[kind for _, kind, *_ in RETIRED])
+    def test_retired_kinds_are_skipped(self, tmp_path, name, kind, params,
+                                       payload):
         root = tmp_path / "c"
         cli.cmd_precompute(1, 12, str(root))
-        old = {
-            "ftable_w2.json": ("ftable", {"max_weight": 2},
-                               {"entries": [[[1], [1], "1/1"]]}),
-            "dimpoly_1_1.json": ("dimpoly", {"kap": [1], "lam": [1]},
-                                 {"B": ["2/1"], "depth": 2}),
-        }
-        for name, (kind, params, payload) in old.items():
-            (root / name).write_text(json.dumps({
-                "schema_version": SCHEMA_VERSION, "kind": kind,
-                "params": params, "payload": payload,
-            }))
-        assert load_cache(str(root)) == {"chartable": 2, "pzeta": 16}
+        write_doc(root / name, kind, params, payload)
+        data = (root / name).read_bytes()
+        assert load_cache(str(root)) == {"pzeta": 16}
         status = cli.cmd_precompute(1, 12, str(root))
-        assert all(v == 0 for v in status["built"].values())
-        assert (root / "ftable_w2.json").exists()
+        assert status["built"] == {"pzeta": 0}
+        assert (root / name).read_bytes() == data
 
     def test_digit_upgrade_replaces_only_pzeta(self, tmp_path):
         root = tmp_path / "c"
         cli.cmd_precompute(2, 15, str(root))
-        keep = {
-            p.name: p.read_bytes()
-            for p in root.iterdir()
-            if p.name.startswith("chartable")
-        }
+        name, kind, params, payload = RETIRED[-1]
+        write_doc(root / name, kind, params, payload)
+        keep = (root / name).read_bytes()
         pz_before = {
             p.name: p.read_bytes()
             for p in root.iterdir() if p.name.startswith("pzeta")
         }
         status = cli.cmd_precompute(2, 30, str(root))
-        assert status["built"]["pzeta"] == len(pz_before)
-        assert status["built"]["chartable"] == 0
-        for name, data in keep.items():
-            assert (root / name).read_bytes() == data
+        assert status["built"] == {"pzeta": len(pz_before)}
+        assert (root / name).read_bytes() == keep
         for name, data in pz_before.items():
             assert (root / name).read_bytes() != data
+            entry = load_entry(str(root), name)
+            assert entry.payload["digits"] == 30 + cli.PZETA_MARGIN
 
     def test_partial_cache_is_topped_up(self, tmp_path):
         root = str(tmp_path / "c")
         cli.cmd_precompute(1, 12, root)
-        os.unlink(os.path.join(root, "chartable_n1.json"))
+        keep = open(os.path.join(root, "pzeta_r2.json"), "rb").read()
+        os.unlink(os.path.join(root, "pzeta_r1.json"))
         status = cli.cmd_precompute(1, 12, root)
-        assert status["built"]["chartable"] == 1
-        assert status["built"]["pzeta"] == 0
+        assert status["built"] == {"pzeta": 1}
+        assert status["reused"] == {"pzeta": 15}
+        assert open(os.path.join(root, "pzeta_r2.json"), "rb").read() == keep
 
     def test_bad_arguments_are_input_errors(self, tmp_path):
         with pytest.raises(ValueError):
@@ -298,9 +296,11 @@ class TestCommands:
         assert rc == 3
         capsys.readouterr()
 
-    def test_malformed_retired_kind_is_skipped(self, tmp_path, capsys):
-        # older versions wrote ftable_* files; a broken one is never read
-        (tmp_path / "ftable_w2.json").write_text("{broken")
+    @pytest.mark.parametrize("name", [name for name, *_ in RETIRED],
+                             ids=[kind for _, kind, *_ in RETIRED])
+    def test_malformed_retired_kind_is_skipped(self, tmp_path, capsys, name):
+        # a broken file of a kind older versions wrote is never read
+        (tmp_path / name).write_text("{broken")
         rc = main(["coeff", "--k", "1", "--N", "0", "--digits", "10",
                    "--cache-dir", str(tmp_path)])
         assert rc == 0
