@@ -26,6 +26,7 @@ increments.
 """
 
 import math
+import operator
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -64,7 +65,7 @@ try:
     from math import sumprod as _sumprod
 except ImportError:
     def _sumprod(a, b):
-        return sum(x * y for x, y in zip(a, b))
+        return sum(map(operator.mul, a, b))
 
 
 class ValueWithError(NamedTuple):

@@ -13,7 +13,9 @@ singularity before expanding.  Two construction routes are kept deliberately
 separate: the default route goes through an in-house Euler-Maclaurin engine
 (which at integer arguments sums the whole series, head and Bernoulli tail,
 in fixed-point integers with exact Bernoulli fractions) and the Moebius
-inversion of log zeta, while prime_zeta_direct sums sieved primes in
+inversion of log zeta, which takes that engine's integers through the log
+and the Moebius sum in one B-bit integer pass per family (B derived in
+_moebius_fixed), while prime_zeta_direct sums sieved primes in
 plain mpf arithmetic and closes the tail with mpmath's own zeta
 derivatives, sharing no zeta code with the default route.  It must stay
 that way: prime_zeta_direct is the oracle the default route is checked
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import log_int_fixed
+from mpmath.libmp import from_man_exp, log_int_fixed, mpf_log, to_fixed
 
 
 def _check_index(value, name, low=0):
@@ -174,7 +176,8 @@ def _em_fixed(n, nmax, M, digits):
       I + 2 * D * 2**(nmax*g) * I*(I+1) < 2**(3 + 2*nmax*g + 2*bit_length(4M)).
     Each part is under 2**(s-2) with s = 2*nmax*g + 2*bit_length(4M) + 5,
     so B = prec + s + 10 keeps the sum within 2**-(prec+10) of the exact
-    truncated Euler-Maclaurin sum.  With nmax = 0 no log is taken.
+    truncated Euler-Maclaurin sum.  With nmax = 0 no log is taken.  Returns
+    the coefficients as integers in units of 2**-B, with B.
     """
     g = (int(math.log(M)) + 3).bit_length()
     B = mp.prec + 2 * nmax * g + 2 * (4 * M).bit_length() + 15
@@ -225,7 +228,7 @@ def _em_fixed(n, nmax, M, digits):
         for shift in (n + 2 * i - 3, n + 2 * i - 2):
             poly = [shift * p + lo for p, lo in zip(poly, [0] + poly)]
         den *= M * M
-    return [mp.ldexp(mp.mpf(v), -B) for v in out]
+    return out, B
 
 
 def _em_mpf(x, nmax, M, digits):
@@ -296,9 +299,9 @@ def zeta_taylor(x0, nmax, digits=50):
     so the pole distance cannot eat the whole working precision silently.
     The Bernoulli corrections run until the largest term of a step drops
     below 10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if
-    they grow again first.  At an integer x0 (every call the Moebius loops
-    make) the whole sum, head and tail, is one computation in B-bit
-    integers with exact Bernoulli fractions (_em_fixed), within
+    they grow again first.  At an integer x0 the whole sum, head and tail,
+    is one computation in B-bit integers with exact Bernoulli fractions
+    (_em_fixed, which the Moebius pass also calls directly), within
     2**-(prec+10) of the exact truncated sum at the working precision, and
     it takes no log at all when nmax = 0.  Any other real x0
     (zeta_derivative at 1 + s, say) sums it in mpf arithmetic.
@@ -312,7 +315,8 @@ def zeta_taylor(x0, nmax, digits=50):
     with mp.workdps(digits + extra):
         x = mp.mpf(1) * x0
         if mp.isint(x):
-            out = _em_fixed(int(x), nmax, M, digits)
+            ints, B = _em_fixed(int(x), nmax, M, digits)
+            out = [mp.ldexp(mp.mpf(v), -B) for v in ints]
         else:
             out = _em_mpf(x, nmax, M, digits)
     return _round_out(out, digits)
@@ -402,15 +406,73 @@ def stieltjes_cumulant(n, digits=50):
         return +val
 
 
-def _log_zeta_taylor(x0, nmax, digits):
-    """Coefficients of log zeta(x0 + u) in u, through the in-house engine."""
-    zt = zeta_taylor(x0, nmax, digits)
-    with mp.workdps(digits + 10):
-        z0 = zt[0]
-        s = [mp.mpf(1)] + [zt[a] / z0 for a in range(1, nmax + 1)]
-        lo = _series_log_list(s)
-        lo[0] = mp.log(z0)
-        return _round_out(lo, digits)
+def _log_zeta_fixed(x0, nmax, b):
+    """Coefficients of log zeta(x0 + u) in u at an integer x0 >= 2, as
+    integers in units of 2**-b, each within 2**(2*nmax + 6) units.
+
+    Write z_a = zeta^(a)(x0)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a| and the
+    log coefficients are at most 2, and so is |z_a / z_0|: each is a sum over
+    j >= 2 of at most j**-2 * (log j)**a / a!, whose integral over t >= 1 is
+    1 and whose largest term is below 1.
+    - The kernel runs at working precision b with d = ceil(b*log10 2) - 9
+      digits: its integers are within 2**-(b+10) of the truncated sum, whose
+      last correction, under 10**-(d+10) * max(1, zeta(x0)), bounds the
+      dropped remainder by 2*10**-(d+10) <= 2**-b / 5.  Shifted down to b
+      bits (one floor), v_a is off by under 2 units; so is v_0 after it is
+      raised to at least 2**b, which only moves it toward 2**b * zeta(x0).
+    - s_a = floor(v_a * 2**b / v_0) is off by under 2*(1 + 2) + 1 = 7 units.
+    - lz_0 is a log at b + 10 bits of v_0 * 2**-b >= 1: off by under 4.
+    - lz_w = s_w - floor(sum_{j<w} j * lz_j * s_{w-j} / (w * 2**b)) is off
+      by e_w <= 1 + 7*(2w - 1) + 2.01 * sum_{j<w} e_j, with e_1 = 7, so
+      e_w <= 56 * 4**w < 2**(2w + 6).
+    """
+    d = math.ceil(b * math.log10(2)) - 9
+    with mp.workprec(b):
+        ints, B = _em_fixed(x0, nmax, _em_head_length(x0, nmax, d), d)
+    v = [x >> (B - b) for x in ints]
+    one = 1 << b
+    v0 = max(v[0], one)
+    s = [one] + [(x << b) // v0 for x in v[1:]]
+    lz = [to_fixed(mpf_log(from_man_exp(v0, -b), b + 10), b)]
+    for w in range(1, nmax + 1):
+        acc = sum(j * lz[j] * s[w - j] for j in range(1, w))
+        lz.append(s[w] - acc // (w << b))
+    return lz
+
+
+def _moebius_fixed(r, nmax, digits, start, stop):
+    """sum over start <= m < stop of mu(m)/m * log zeta(m*r + m*u), by
+    coefficient of u, as integers in units of 2**-B; returns (sums, B).
+
+    Coefficient n of the m term is mu(m) * m**(n-1) * lz_n(m*r), so slot 0
+    takes floor(mu * lz_0 / m) and slot n >= 1 takes mu * m**(n-1) * lz_n.
+    Each m works at its own b = c + a*bit_length(m) bits, a = max(nmax-1, 0),
+    which a left shift carries exactly to the common
+    B = c + a*bit_length(stop).  lz_n is within 2**(2*nmax + 6) units of
+    2**-b (_log_zeta_fixed) and m**(n-1) < 2**(a*bit_length(m)), so each m
+    adds under 2**(2*nmax + 6 - c) to a slot, and slot 0's floor one unit
+    of 2**-B more.  Over fewer than stop values of m, that is under
+    2**(bit_length(stop) + 2*nmax + 7 - c), so
+    c = T + bit_length(stop) + 2*nmax + 7 with 2**-T <= 10**-(digits+12)
+    keeps every slot within 10**-(digits+12) of the exact sum.
+    """
+    T = math.ceil((digits + 12) * math.log2(10))
+    c = T + stop.bit_length() + 2 * nmax + 7
+    a = max(nmax - 1, 0)
+    B = c + a * stop.bit_length()
+    sums = [0] * (nmax + 1)
+    for m in range(start, stop):
+        mu = mobius_int(m)
+        if not mu:
+            continue
+        b = c + a * m.bit_length()
+        lz = _log_zeta_fixed(m * r, nmax, b)
+        f = mu << (B - b)
+        sums[0] += f * lz[0] // m
+        for n in range(1, nmax + 1):
+            sums[n] += f * lz[n]
+            f *= m
+    return sums, B
 
 
 class PrimeZetaCoeffs(NamedTuple):
@@ -442,10 +504,13 @@ def prime_zeta_taylor(r, nmax, digits=50):
     """Coefficient family for sum_p p**(-r): index n carries (-log p)**n / n!.
 
     For r >= 2 this is Moebius inversion of log zeta along the arithmetic
-    progression of arguments m*r.  For r = 1 the family is the regularized
-    one: the logarithmic blowup is removed before expanding, which shifts the
-    n = 0 value to about -0.3157.  An installed cache entry is returned as is
-    when it covers the requested order and digits.
+    progression of arguments m*r, summed in B-bit integers: zeta_taylor's
+    integer kernel, then the log series and the Moebius sum, with one
+    conversion to mpf at the end (_compute_prime_zeta).  For r = 1 the
+    family is the regularized one: the logarithmic blowup is removed before
+    expanding, which shifts the n = 0 value to about -0.3157.  An installed
+    cache entry is returned as is when it covers the requested order and
+    digits.
     """
     _check_index(r, "prime zeta order", 1)
     _check_index(nmax, "nmax")
@@ -457,30 +522,32 @@ def prime_zeta_taylor(r, nmax, digits=50):
 
 @lru_cache(maxsize=None)
 def _compute_prime_zeta(r, nmax, digits):
+    """The family by Moebius inversion of log zeta, rounded to digits.
+
+    Runs in one integer pass over squarefree m (_moebius_fixed), within
+    10**-(digits+12) of the truncated sum, which stops at the first m with
+    4 * m**nmax * 2**(-m*r) < 10**-(digits+10), compared exactly in
+    integers.  The r = 1 family starts at m = 2 on top of the regularized
+    m = 1 term from the Stieltjes constants, in mpf.
+    """
     with mp.workdps(digits + 15):
-        thresh = mp.mpf(10) ** (-(digits + 10))
         if r == 1:
             gam = [stieltjes_gamma(j, digits + 8) for j in range(nmax)]
             s = [mp.mpf(1)]
             for m in range(1, nmax + 1):
                 s.append((-1) ** (m - 1) * gam[m - 1] / mp.factorial(m - 1))
             out = _series_log_list(s)
-            m = 2
+            start = 2
         else:
             out = [mp.mpf(0)] * (nmax + 1)
-            m = 1
-        while True:
-            bound = 4 * mp.mpf(m) ** nmax * mp.mpf(2) ** (-m * r)
-            if bound < thresh:
-                break
-            mu = mobius_int(m)
-            if mu:
-                lz = _log_zeta_taylor(m * r, nmax, digits + 5)
-                scale = mp.mpf(1)
-                for n in range(nmax + 1):
-                    out[n] += Fraction(mu, m) * scale * lz[n]
-                    scale *= m
-            m += 1
+            start = 1
+        stop, lhs = start, 4 * 10 ** (digits + 10)
+        while lhs * stop ** nmax >= 1 << (stop * r):
+            stop += 1
+        sums, B = _moebius_fixed(r, nmax, digits, start, stop)
+        for n, v in enumerate(sums):
+            out[n] += mp.ldexp(mp.mpf(v), -B)
+        bound = 4 * mp.mpf(stop) ** nmax * mp.mpf(2) ** (-stop * r)
         floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
         tb = _round_out([4 * bound + floor] * (nmax + 1), digits)
     return PrimeZetaCoeffs(r, _round_out(out, digits), digits, tb)

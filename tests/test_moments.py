@@ -1,6 +1,7 @@
 """Tests for the moment pipeline: exact tables, the W engine, assembly."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,17 @@ class TestEmptyKeyHead:
             z = [z[0]] + [z[u] - z[u - 1] for u in range(1, U + 1)]
         pol = list(_gauss_square_poly(k))
         assert z == pol + [0] * (U + 1 - len(pol))
+
+
+def test_sumprod_matches_plain_sum():
+    # the per-prime dot products of big-int rows, empty rows included
+    rng = random.Random(11)
+    rows = [([], []), ([5], [7])]
+    for n in (3, 60, 150):
+        a = [rng.getrandbits(40) - (1 << 39) for _ in range(n)]
+        rows.append((a, [rng.getrandbits(500) for _ in range(n)]))
+    for a, b in rows:
+        assert moments._sumprod(a, b) == sum(x * y for x, y in zip(a, b))
 
 
 class TestWEngine:

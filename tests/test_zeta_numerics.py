@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from zetamoments import zeta_numerics
 from zetamoments.cli import encode_pzeta
@@ -13,6 +14,8 @@ from zetamoments.zeta_numerics import (
     _em_fixed,
     _em_head_length,
     _em_mpf,
+    _round_out,
+    _series_log_list,
     bernoulli,
     envelope_bound,
     install_prime_zeta,
@@ -244,7 +247,8 @@ class TestZetaTaylor:
     def test_integer_kernel_matches_mpf_reference(self, x, nmax, digits):
         M = _em_head_length(float(x), nmax, digits)
         with mp.workdps(digits + 15):
-            got = _em_fixed(x, nmax, M, digits)
+            ints, B = _em_fixed(x, nmax, M, digits)
+            got = [mp.ldexp(mp.mpf(v), -B) for v in ints]
         ref = _em_reference(x, nmax, digits + 20)
         with mp.workdps(digits + 40):
             tol = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(ref[0]))
@@ -409,6 +413,87 @@ class TestPrimeZetaTaylor:
             prime_zeta_taylor(2, -1, 20)
         with pytest.raises(ValueError):
             prime_zeta_direct(1, 2, 20)
+
+
+def _mpf_stop_bound(r, nmax, digits, m):
+    """The Moebius loop's stop test in mpf: the first m from the start with
+    4 * m**nmax * 2**(-m*r) < 10**-(digits+10), and that bound."""
+    thresh = mp.mpf(10) ** (-(digits + 10))
+    while True:
+        bound = 4 * mp.mpf(m) ** nmax * mp.mpf(2) ** (-m * r)
+        if bound < thresh:
+            return m, bound
+        m += 1
+
+
+def _family_reference(r, nmax, digits):
+    """The family by the Moebius loop in mpf arithmetic: each log zeta series
+    from zeta_taylor's rounded values, summed as Fraction(mu, m) * m**n * lz."""
+    with mp.workdps(digits + 15):
+        if r == 1:
+            gam = [stieltjes_gamma(j, digits + 8) for j in range(nmax)]
+            s = [mp.mpf(1)]
+            for m in range(1, nmax + 1):
+                s.append((-1) ** (m - 1) * gam[m - 1] / mp.factorial(m - 1))
+            out = _series_log_list(s)
+            start = 2
+        else:
+            out = [mp.mpf(0)] * (nmax + 1)
+            start = 1
+        stop, _ = _mpf_stop_bound(r, nmax, digits, start)
+        for m in range(start, stop):
+            mu = mobius_int(m)
+            if not mu:
+                continue
+            zt = zeta_taylor(m * r, nmax, digits + 5)
+            lz = _series_log_list([mp.mpf(1)] + [v / zt[0] for v in zt[1:]])
+            lz[0] = mp.log(zt[0])
+            scale = mp.mpf(1)
+            for n in range(nmax + 1):
+                out[n] += Fraction(mu, m) * scale * lz[n]
+                scale *= m
+    return out
+
+
+_FAMILY_GRID = [
+    (r, nmax, digits)
+    for r in (1, 2, 3, 9, 16)
+    for nmax in (0, 4, 9)
+    for digits in (20, 60, 131)
+]
+
+
+class TestMoebiusPass:
+    @pytest.mark.parametrize("r, nmax, digits", _FAMILY_GRID)
+    def test_family_matches_mpf_reference(self, r, nmax, digits):
+        got = zeta_numerics._compute_prime_zeta.__wrapped__(r, nmax, digits)
+        ref = _family_reference(r, nmax, digits + 20)
+        # the coefficients are rounded to digits + 5 digits on the way out
+        half_ulp = mp.mpf(2) ** -dps_to_prec(digits + 5)
+        with mp.workdps(digits + 40):
+            for n in range(nmax + 1):
+                tol = mp.mpf(10) ** (-(digits + 10)) + abs(ref[n]) * half_ulp
+                assert abs(got.coeffs[n] - ref[n]) < tol, n
+
+    @pytest.mark.parametrize("r, nmax, digits", _FAMILY_GRID)
+    def test_stop_rule_keeps_the_mpf_tail_bounds(self, r, nmax, digits):
+        got = zeta_numerics._compute_prime_zeta.__wrapped__(r, nmax, digits)
+        with mp.workdps(digits + 15):
+            _, bound = _mpf_stop_bound(r, nmax, digits, 2 if r == 1 else 1)
+            floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
+            want = _round_out([4 * bound + floor] * (nmax + 1), digits)
+        assert [v._mpf_ for v in got.tail_bounds] == [v._mpf_ for v in want]
+
+    @pytest.mark.parametrize("r", [2, 9])
+    def test_higher_orders_take_no_mpf_series_log(self, r, monkeypatch):
+        want = zeta_numerics._compute_prime_zeta.__wrapped__(r, 4, 30)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("mpf series log called")
+
+        monkeypatch.setattr(zeta_numerics, "_series_log_list", banned)
+        got = zeta_numerics._compute_prime_zeta.__wrapped__(r, 4, 30)
+        assert got == want
 
 
 def _beyond_reference(r, nmax, primes, digits):
