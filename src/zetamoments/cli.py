@@ -30,6 +30,7 @@ from .moments import (
     V_poly,
     W_coeff,
     _b_coeff,
+    _check_request,
     _v_series,
     a_factor,
     c_coeff,
@@ -53,6 +54,7 @@ from .symseries import (
 )
 from .zeta_numerics import (
     PrimeZetaCoeffs,
+    _check_index,
     install_prime_zeta,
     prime_zeta_direct,
     prime_zeta_taylor,
@@ -206,10 +208,8 @@ def _truncation_horizon(n_max):
 def cmd_precompute(n_max, digits, cache_dir):
     """Build and persist the prime zeta families the pipeline wants,
     skipping fresh ones."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("nmax must be a positive integer")
-    if not isinstance(digits, int) or digits < 1:
-        raise ValueError("digits must be a positive integer")
+    _check_index(n_max, "nmax", 1)
+    _check_index(digits, "digits", 1)
     os.makedirs(cache_dir, exist_ok=True)
     have = load_cache(cache_dir)
     built = {"pzeta": 0}
@@ -252,6 +252,8 @@ def _coeff_doc(k, n_index, digits, got, note):
 
 def cmd_coeff(k, n_index, digits, fmt="text", cache_dir=None, tol=None):
     """One coefficient, rendered; degenerate indices come back zero with a note."""
+    _check_index(n_index, "N")
+    _check_request(k, digits, tol, k_min=0)
     if cache_dir:
         load_cache(cache_dir)
     note = None
@@ -275,8 +277,7 @@ def cmd_coeff(k, n_index, digits, fmt="text", cache_dir=None, tol=None):
 
 def cmd_poly(k, digits, fmt="text", cache_dir=None, tol=None):
     """The full coefficient family for one k, rendered."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_request(k, digits, tol)
     if cache_dir:
         load_cache(cache_dir)
     poly = moment_polynomial(k, digits=digits, tol=tol)

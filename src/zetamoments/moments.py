@@ -16,17 +16,27 @@ The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
 factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
-the cutoff only, where it converges geometrically.  Below the cutoff the
-empty key's local factor has a closed form, an integer ratio at Q = 1/p, so
-its part is one fixed-point product over the primes and a single log; the
-other keys take one pair-series log per prime.  The cutoff comes from
-the digit and tolerance request; tail estimates combine a certified envelope
-on the beyond-cutoff prime sums with the measured decay of the last few
-increments.
+the cutoff only, where it converges geometrically.  Below the cutoff every
+key's local factor is an exact integer ratio at Q = 1/p (see below): the
+empty key's part is one fixed-point product over the primes and a single
+log, and the other keys take one pair-series log per prime.  The cutoff
+comes from the digit and tolerance request; tail estimates combine a
+certified envelope on the beyond-cutoff prime sums with the measured decay
+of the last few increments.
+
+The closed form.  The local numerator a_mu(u) of _a_seqs has generating
+function T**len(mu) * prod_m E_{m-1}(T) / (1-T)**(k+|mu|), E_j the Eulerian
+polynomials (E_0 = 1, else of degree j-1).  Its numerator has degree at most
+|mu| < k+|mu|, so a_mu(u) is a polynomial in u of degree k-1+|mu|, and
+z_{mu nu}(Q) = sum_u a_mu(u) a_nu(u) Q**u is exactly N(Q) / (1-Q)**(D+1),
+D = 2k-2+n, n = |mu|+|nu|, with integer N of degree at most D.  The empty
+key's N is the Gauss square polynomial, so z_0(1/p) = A_k(p) p**k /
+(p-1)**(2k-1), A_k(p) = sum_j C(k-1, j)**2 p**(k-1-j), and X_{mu nu}(1/p) =
+z_{mu nu}(1/p) / z_0(1/p) = Ntil(p) / (p**(k-1) A_k(p) (p-1)**n), with
+Ntil(p) = sum_i N_i p**(D-i).
 """
 
 import math
-import operator
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -54,19 +64,13 @@ from .symseries import (
     series_mul,
 )
 from .zeta_numerics import (
+    _check_index,
     _series_log_list,
     envelope_bound,
     prime_zeta_beyond,
     prime_zeta_taylor,
     primes_upto,
 )
-
-try:
-    from math import sumprod as _sumprod
-except ImportError:
-    def _sumprod(a, b):
-        return sum(map(operator.mul, a, b))
-
 
 class ValueWithError(NamedTuple):
     """A big real paired with an absolute error estimate."""
@@ -139,8 +143,7 @@ def f_table(n_max):
     the matching coefficient of its formal logarithm.  Entries exist exactly
     for 1 <= |kappa| = |lambda| <= n_max.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _check_index(n_max, "n_max", 1)
     entries = _f_entries(n_max)
     picked = {key: v for key, v in entries.items() if sum(key[0]) <= n_max}
     return FTable(n_max, picked)
@@ -154,8 +157,7 @@ def V_poly(r, mu, nu):
     partition, with k carrying the length difference as its exponent.  The
     degree never exceeds 2r - len(mu) - len(nu).
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("r must be a positive integer")
+    _check_index(r, "r", 1)
     mu = check_partition(mu)
     nu = check_partition(nu)
     ft = _f_entries(r)
@@ -182,8 +184,9 @@ def V_poly(r, mu, nu):
 
 @lru_cache(maxsize=None)
 def _gauss_square_poly(k):
-    """Polynomial part of the local Euler factor: squared binomial row k-1."""
-    return tuple(Fraction(math.comb(k - 1, j) ** 2) for j in range(k))
+    """Polynomial part of the local Euler factor: squared binomial row k-1,
+    the integer coefficients of P_k from the constant term up."""
+    return tuple(math.comb(k - 1, j) ** 2 for j in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -355,20 +358,6 @@ def _v_series(k, wmax, R):
 
 
 _w_cache = {}
-_installed_w = {}
-
-
-def install_w_table(k, entries):
-    """Register (or with None, drop) a complete W table override for k.
-
-    Entries map (mu, nu) keys to numbers or ValueWithError pairs; keys the
-    table omits count as exactly zero.  Meant for cache plumbing and for
-    probing which entries downstream values depend on.
-    """
-    if entries is None:
-        _installed_w.pop(k, None)
-    else:
-        _installed_w[k] = dict(entries)
 
 
 def _prime_cutoff(k, digits, tol_f):
@@ -384,21 +373,8 @@ def _prime_cutoff(k, digits, tol_f):
 
 
 def _w_full(k, wmax, digits, tol=None):
-    """All W values for keys of total weight <= wmax: (values, errors, meta)."""
-    inst = _installed_w.get(k)
-    if inst is not None:
-        vals, errs = {}, {}
-        for key in _plan(wmax).keys:
-            got = inst.get(key, 0)
-            if isinstance(got, ValueWithError):
-                vals[key] = mp.mpf(1) * got.value
-                errs[key] = mp.mpf(1) * got.error
-            else:
-                vals[key] = mp.mpf(1) * got
-                errs[key] = mp.mpf(0)
-        meta = {"r_max_used": None, "prime_cutoff": None, "digits": digits,
-                "tol": None, "installed": True}
-        return vals, errs, meta
+    """All W values for keys of total weight <= wmax: (values, errors, meta),
+    from the first cached run of at least that weight, if any."""
     tol_f = 10.0 ** (-digits) if tol is None else float(tol)
     ckey = (k, wmax, digits, tol_f)
     hit = _w_cache.get(ckey)
@@ -419,11 +395,9 @@ def _w_full(k, wmax, digits, tol=None):
 def _empty_key_head(k, primes):
     """sum over the primes of log z_0(1/p) - k**2/p, to 2**-(prec+10).
 
-    z_0(Q) = sum_u C(u+k-1, k-1)**2 Q**u = P_k(Q) / (1-Q)**(2k-1), P_k the
-    Gauss square polynomial, so at Q = 1/p the local factor is the ratio of
-    integers z_0 = A_k(p) * p**k / (p-1)**(2k-1), A_k(p) = sum_j
-    C(k-1, j)**2 p**(k-1-j).  The product of the z_0 is kept in B-bit fixed
-    point, T = floor(T * A_k(p) * p**k / (p-1)**(2k-1)) from T = 2**B, and
+    Each z_0(1/p) = A_k(p) * p**k / (p-1)**(2k-1) is a ratio of integers
+    (see the module docstring); their product is kept in B-bit fixed point,
+    T = floor(T * A_k(p) * p**k / (p-1)**(2k-1)) from T = 2**B, and
     S = sum floor(k**2 * 2**B / p), so one log serves every prime.  Each
     z_0 > 1 keeps T >= 2**B, so each floor moves log T by under 2**(1-B),
     and each floor of S by under 2**-B: with n primes the result is off by
@@ -434,7 +408,7 @@ def _empty_key_head(k, primes):
     precision; the caller's next sum rounds it.
     """
     B = mp.prec + len(primes).bit_length() + 12
-    row = [math.comb(k - 1, j) ** 2 for j in range(k)]
+    row = _gauss_square_poly(k)
     T, S = 1 << B, 0
     k2B = (k * k) << B
     for p in primes:
@@ -447,17 +421,51 @@ def _empty_key_head(k, primes):
         return mp.log(mp.ldexp(T, -B)) - mp.ldexp(S, -B)
 
 
+def _ratio_numerators(k, wmax):
+    """{(mu, nu): (n, [N_0, ..., N_D])} for the nonempty keys of weight
+    <= wmax with mu <= nu: the numerator of z_{mu nu} (module docstring),
+    the first D+1 terms of the pair's product row differenced D+1 times."""
+    aseq = _a_seqs(k, wmax, 2 * k - 1 + wmax)
+    out = {}
+    for m, nu in _plan(wmax).keys[1:]:
+        if m > nu:
+            continue
+        n = sum(m) + sum(nu)
+        top = 2 * k - 2 + n
+        z = [a * b for a, b in zip(aseq[m][: top + 1], aseq[nu])]
+        for _ in range(top + 1):
+            for u in range(top, 0, -1):
+                z[u] -= z[u - 1]
+        out[(m, nu)] = (n, z)
+    return out
+
+
+def _local_ratios(k, p, numer, wmax):
+    """X_{mu nu}(1/p) for every pair of numer (from _ratio_numerators): one
+    Horner evaluation of Ntil(p) and one mpf division each."""
+    A = 0
+    for c in _gauss_square_poly(k):
+        A = A * p + c
+    den = [p ** (k - 1) * A]
+    for _ in range(wmax):
+        den.append(den[-1] * (p - 1))
+    out = {}
+    for pair, (n, N) in numer.items():
+        t = 0
+        for c in N:
+            t = t * p + c
+        out[pair] = mp.mpf(t) / den[n]
+    return out
+
+
 def _w_engine(k, wmax, digits, tol_f):
     wdps = digits + 15
     pcut = _prime_cutoff(k, digits, tol_f)
     keys = _plan(wmax).keys
-    mus = [m for a in range(wmax + 1) for m in partitions_of(a)]
     with mp.workdps(wdps):
         tol_eff = mp.mpf(tol_f)
         primes = primes_upto(pcut)
         vals = {key: mp.mpf(0) for key in keys}
-        u_top = int((wdps * math.log(10) + 30) / math.log(2)) + 30
-        aseq = _a_seqs(k, wmax, u_top)
         normf = {
             key: mp.mpf(1) / (_norm_den(key[0]) * _norm_den(key[1]))
             for key in keys
@@ -471,42 +479,27 @@ def _w_engine(k, wmax, digits, tol_f):
                 norm1[(m, nu)] = mp.mpf(k ** (2 - len(m) - len(nu))) / den
         # the empty key's head part is one fixed-point product of its
         # closed-form local factors; the nonempty keys take one pair-series
-        # log per head prime, normalised by z0 from the same integer rows
+        # log per head prime of 1 + X, X the closed-form integer ratios
         vals[EMPTY_KEY] = _empty_key_head(k, primes)
+        numer = _ratio_numerators(k, wmax)
+        pairs = [(key, key if key[0] <= key[1] else key[::-1],
+                  sum(key[0]) + sum(key[1])) for key in keys[1:]]
         for p in (primes if wmax else ()):
             lp = mp.log(p)
             pinv = mp.mpf(1) / p
             lpow = [mp.mpf(1)]
             for _ in range(wmax):
                 lpow.append(lpow[-1] * (-lp))
-            up = min(u_top, int((wdps * math.log(10) + 30) / math.log(p)) + 30)
-            pw = [1] * (up + 1)
-            for u in range(up - 1, -1, -1):
-                pw[u] = pw[u + 1] * p
-            scaled = {m: [aseq[m][u] * pw[u] for u in range(up + 1)] for m in mus}
-            p_top = mp.mpf(p) ** (-up)
-            dots = {}
-            z = {}
-            for m, nu in keys:
-                pair = (m, nu) if m <= nu else (nu, m)
-                d = dots.get(pair)
-                if d is None:
-                    d = _sumprod(aseq[pair[0]][: up + 1], scaled[pair[1]])
-                    dots[pair] = d
-                z[(m, nu)] = (
-                    mp.mpf(d) * p_top * normf[(m, nu)] * lpow[sum(m) + sum(nu)]
-                )
-            z0 = z[EMPTY_KEY]
-            norm = {key: v / z0 for key, v in z.items()}
-            norm[EMPTY_KEY] = mp.mpf(1)
+            x = _local_ratios(k, p, numer, wmax)
+            norm = {EMPTY_KEY: mp.mpf(1)}
+            for key, pair, n in pairs:
+                norm[key] = x[pair] * normf[key] * lpow[n]
             glog = series_log(PairSeries(POWERSUM, wmax, norm)).coeffs
-            for key in keys:
-                if key == EMPTY_KEY:
-                    continue
+            for key, _, n in pairs:
                 g = glog.get(key, 0)
                 n1 = norm1.get(key)
                 if n1 is not None:
-                    g = g - n1 * lpow[sum(key[0]) + sum(key[1])] * pinv
+                    g = g - n1 * lpow[n] * pinv
                 if g:
                     vals[key] += g
         # exact V tables to order R, extended 16 orders at a time: the tail
@@ -639,7 +632,9 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
     increments plus the certified prime envelope on the V majorant) stays
     below tol * (1 + |value|); the reported error adds the precision floor.
     A hard cap at r=200 raises NonConvergenceError carrying the truncation
-    parameters.
+    parameters.  A table the process already built for a larger weight at
+    the same digits and tolerance answers instead of a new run, so the value
+    and its error depend on the call history.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
@@ -658,8 +653,7 @@ def d_table(k, n_max, digits=50, tol=None):
     same basis change with absolute character values.
     """
     _check_request(k, digits, tol)
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
+    _check_index(n_max, "n_max")
     if n_max > k * k:
         raise ValueError("n_max cannot exceed k**2")
     vals, werr, _ = _w_full(k, n_max, digits, tol)
@@ -799,8 +793,7 @@ def d_table_symbolic(n_max):
     substituted entry.  Kept to small weights, where the expansion is
     readable; the numeric pipeline covers the rest.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
+    _check_index(n_max, "n_max")
     if n_max > 3:
         raise ValueError("symbolic mode is limited to n_max <= 3")
     sym = {
@@ -817,8 +810,7 @@ def d_table_symbolic(n_max):
 
 def g_factor(k):
     """Number of standard fillings of the k by k square, exactly."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_index(k, "k")
     return dim_hook((k,) * k)
 
 
@@ -830,8 +822,7 @@ def a_factor(k, digits=50):
     terms shrink geometrically, summed until two consecutive terms fall
     below the target.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_request(k, digits, None, k_min=0)
     if k == 0:
         return mp.mpf(1)
     cutoff = max(800, 4 * _rho_inv(k))
@@ -844,7 +835,7 @@ def a_factor(k, digits=50):
             q = mp.mpf(1) / p
             loc = mp.mpf(0)
             for j in range(len(pol) - 1, -1, -1):
-                loc = loc * q + int(pol[j])
+                loc = loc * q + pol[j]
             acc += e2 * mp.log(1 - q) + mp.log(loc)
         thresh = mp.mpf(10) ** (-(digits + 8))
         small = 0
@@ -885,10 +876,13 @@ def c_coeff(N, k, digits=50, tol=None):
     dimensions, divided by (k**2 - N)!.
 
     N beyond k**2 is the degenerate regime where the assembly is empty; the
-    value is exactly zero and a warning notes it.
+    value is exactly zero and a warning notes it.  A W table the process
+    already built for a larger weight at the same digits and tolerance
+    serves the request, so value and error depend on the call history:
+    c_0(3) at 15 digits reports an error of 2.6e-23 fresh and 3.1e-25 after
+    c_2, each value within its own error.
     """
-    if not isinstance(N, int) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
+    _check_index(N, "N")
     _check_request(k, digits, tol, k_min=0)
     if N > k * k:
         warnings.warn(

@@ -81,15 +81,6 @@ def _round_out(values, digits):
         return tuple(+v for v in values)
 
 
-def _poly_mul(a, b, size):
-    """Product of two coefficient lists, truncated to its first size terms."""
-    out = [mp.mpf(0)] * min(size, len(a) + len(b) - 1)
-    for i, x in enumerate(a[:size]):
-        for j, y in enumerate(b[: size - i]):
-            out[i + j] += x * y
-    return out
-
-
 def _series_log_list(s):
     """log of a scalar power series with s[0] = 1, same truncation order."""
     n = len(s) - 1
@@ -261,7 +252,7 @@ def _em_mpf(x, nmax, M, digits):
     for a in range(nmax + 1):
         out[a] += half * E[a]
     thresh = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(out[0]))
-    poly = [x, mp.mpf(1)]
+    poly = ([x, mp.mpf(1)] + [0] * nmax)[: nmax + 1]
     i = 1
     prev_mag = mp.inf
     mfac = Mpow / (M * M)
@@ -271,8 +262,7 @@ def _em_mpf(x, nmax, M, digits):
         for a in range(nmax + 1):
             s = mp.mpf(0)
             for u in range(a + 1):
-                if a - u < len(poly):
-                    s += E[u] * poly[a - u]
+                s += E[u] * poly[a - u]
             term = coef * s
             out[a] += term
             mag = max(mag, abs(term))
@@ -284,8 +274,8 @@ def _em_mpf(x, nmax, M, digits):
             )
         prev_mag = mag
         i += 1
-        poly = _poly_mul(poly, [x + 2 * i - 3, mp.mpf(1)], nmax + 1)
-        poly = _poly_mul(poly, [x + 2 * i - 2, mp.mpf(1)], nmax + 1)
+        for shift in (x + 2 * i - 3, x + 2 * i - 2):
+            poly = [shift * p + lo for p, lo in zip(poly, [0] + poly)]
         mfac /= M * M
     return out
 

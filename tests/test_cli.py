@@ -208,6 +208,17 @@ class TestPrecompute:
         with pytest.raises(ValueError):
             cli.cmd_precompute(2, 0, str(tmp_path))
 
+    @pytest.mark.parametrize("n_max,digits,name", [
+        (True, 10, "nmax"), (2.0, 10, "nmax"), (2, True, "digits"),
+        (2, 10.0, "digits"),
+    ])
+    def test_bools_and_floats_are_refused_before_any_work(self, tmp_path, n_max,
+                                                          digits, name):
+        root = tmp_path / "c"
+        with pytest.raises(ValueError, match="^%s must be" % name):
+            cli.cmd_precompute(n_max, digits, str(root))
+        assert not root.exists()
+
     def test_tol_is_not_a_precompute_option(self, tmp_path, capsys):
         rc = main(["precompute", "--nmax", "1", "--digits", "10", "--tol",
                    "1e-5", "--cache-dir", str(tmp_path / "c")])
@@ -288,6 +299,24 @@ class TestCommands:
         for cmd in (["coeff", "--k", "1", "--N", "0"], ["poly", "--k", "1"]):
             assert main(cmd + extra) == 1
             assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call,args,name", [
+        ("cmd_poly", (True, 10), "k"),
+        ("cmd_poly", (2.0, 10), "k"),
+        ("cmd_poly", (1, True), "digits"),
+        ("cmd_poly", (1, 10.0), "digits"),
+        ("cmd_coeff", (True, 0, 10), "k"),
+        ("cmd_coeff", (2.0, 0, 10), "k"),
+        ("cmd_coeff", (1, True, 10), "N"),
+        ("cmd_coeff", (1, 0.0, 10), "N"),
+        ("cmd_coeff", (1, 0, True), "digits"),
+    ])
+    def test_bools_and_floats_are_refused_before_any_work(self, tmp_path, call,
+                                                          args, name):
+        # a broken cache file would turn any read into a CacheError
+        (tmp_path / "pzeta_r2.json").write_text("{broken")
+        with pytest.raises(ValueError, match="^%s must be" % name):
+            getattr(cli, call)(*args, cache_dir=str(tmp_path))
 
     def test_malformed_cache_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "pzeta_r2.json").write_text("{broken")

@@ -1,7 +1,6 @@
 """Tests for the moment pipeline: exact tables, the W engine, assembly."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from zetamoments import moments
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
-    ValueWithError,
     V_poly,
     WPoly,
     W_coeff,
@@ -21,6 +19,8 @@ from zetamoments.moments import (
     _b_series,
     _empty_key_head,
     _gauss_square_poly,
+    _local_ratios,
+    _ratio_numerators,
     _v_series,
     a_factor,
     c_coeff,
@@ -28,7 +28,6 @@ from zetamoments.moments import (
     d_table_symbolic,
     f_table,
     g_factor,
-    install_w_table,
     moment_polynomial,
 )
 from zetamoments.partitions import centralizer_order, partitions_of
@@ -290,25 +289,55 @@ class TestEmptyKeyHead:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_local_factor_closed_form(self, k):
-        # sum_u C(u+k-1, k-1)**2 Q**u * (1-Q)**(2k-1) is the Gauss square
-        # polynomial, exactly, as integer series cut at Q**40
-        U = 40
-        z = [a * a for a in _a_seqs(k, 0, U)[()]]
-        for _ in range(2 * k - 1):
-            z = [z[0]] + [z[u] - z[u - 1] for u in range(1, U + 1)]
-        pol = list(_gauss_square_poly(k))
-        assert z == pol + [0] * (U + 1 - len(pol))
+        # sum_u a_mu(u) a_nu(u) Q**u * (1-Q)**(D+1), D = 2k-2+|mu|+|nu|, is a
+        # polynomial of degree <= D for every key of weight <= 6, exactly, as
+        # integer series cut at Q**40; for the empty key it is the Gauss
+        # square polynomial, and the engine's numerators are its first terms
+        U, wmax = 40, 6
+        aseq = _a_seqs(k, wmax, U)
+        numer = _ratio_numerators(k, wmax)
+        for m, nu in _plan(wmax).keys:
+            D = 2 * k - 2 + sum(m) + sum(nu)
+            z = [a * b for a, b in zip(aseq[m], aseq[nu])]
+            for _ in range(D + 1):
+                z = [z[0]] + [z[u] - z[u - 1] for u in range(1, U + 1)]
+            assert z[D + 1:] == [0] * (U - D), (m, nu)
+            if (m, nu) == EMPTY_KEY:
+                pol = list(_gauss_square_poly(k))
+                assert z == pol + [0] * (U + 1 - len(pol))
+            else:
+                pair = (m, nu) if m <= nu else (nu, m)
+                assert numer[pair] == (sum(m) + sum(nu), z[: D + 1]), (m, nu)
 
 
-def test_sumprod_matches_plain_sum():
-    # the per-prime dot products of big-int rows, empty rows included
-    rng = random.Random(11)
-    rows = [([], []), ([5], [7])]
-    for n in (3, 60, 150):
-        a = [rng.getrandbits(40) - (1 << 39) for _ in range(n)]
-        rows.append((a, [rng.getrandbits(500) for _ in range(n)]))
-    for a, b in rows:
-        assert moments._sumprod(a, b) == sum(x * y for x, y in zip(a, b))
+def _ratio_reference(k, wmax, p, wdps):
+    """X_{mu nu}(1/p) for every pair of _ratio_numerators(k, wmax), as the
+    per-prime dot products of the integer rows z_{mu nu} and z_0 cut at
+    Q**up, far past the working precision."""
+    with mp.workdps(wdps):
+        u_top = int((wdps * math.log(10) + 30) / math.log(2)) + 30
+        aseq = _a_seqs(k, wmax, u_top)
+        up = min(u_top, int((wdps * math.log(10) + 30) / math.log(p)) + 30)
+
+        def z(m, nu):
+            d = sum(aseq[m][u] * aseq[nu][u] * p ** (up - u) for u in range(up + 1))
+            return mp.mpf(d) * mp.mpf(p) ** (-up)
+
+        z0 = z((), ())
+        return {pair: z(*pair) / z0 for pair in _ratio_numerators(k, wmax)}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 313])
+def test_local_ratios_match_truncated_dot_products(k, p):
+    wdps, wmax = 30, 4
+    with mp.workdps(wdps):
+        got = _local_ratios(k, p, _ratio_numerators(k, wmax), wmax)
+    ref = _ratio_reference(k, wmax, p, wdps + 20)
+    assert set(got) == set(ref)
+    with mp.workdps(wdps + 20):
+        for pair, x in got.items():
+            assert abs(x - ref[pair]) <= abs(ref[pair]) * mp.mpf(10) ** -(wdps - 1), pair
 
 
 class TestWEngine:
@@ -361,20 +390,6 @@ class TestWEngine:
         tight = W_coeff((1,), (1,), 2, digits=12)
         assert abs(loose.value - tight.value) <= loose.error + tight.error
 
-    def test_install_override(self):
-        key = ((1,), (1,))
-        install_w_table(5, {key: ValueWithError(mp.mpf("0.25"), mp.mpf("1e-30")),
-                            EMPTY_KEY: mp.mpf("0.5")})
-        try:
-            got = W_coeff((1,), (1,), 5, digits=10)
-            assert got.value == mp.mpf("0.25")
-            assert got.error == mp.mpf("1e-30")
-            # a key the table omits is exactly zero
-            missing = W_coeff((2,), (), 5, digits=10)
-            assert missing.value == 0 and missing.error == 0
-        finally:
-            install_w_table(5, None)
-
     def test_unreachable_precision_raises(self):
         with pytest.raises(NonConvergenceError) as info:
             W_coeff((), (), 1, digits=120)
@@ -413,19 +428,21 @@ class TestDTable:
         d = d_table(2, 2, digits=15)
         assert all(e.error > 0 for e in d.values())
 
-    def test_grading_ignores_out_of_grade_keys(self):
-        base = {EMPTY_KEY: mp.mpf(0), ((1,), ()): mp.mpf(0), ((), (1,)): mp.mpf(0),
-                ((1,), (1,)): mp.mpf("0.25"), ((2,), ()): mp.mpf("0.125"),
-                ((1, 1), ()): mp.mpf(0), ((), (2,)): mp.mpf(0), ((), (1, 1)): mp.mpf(0)}
-        install_w_table(2, base)
-        try:
-            d1 = d_table(2, 2, digits=15)
-            bumped = dict(base)
-            bumped[((2,), ())] = mp.mpf("0.5")
-            install_w_table(2, bumped)
-            d2 = d_table(2, 2, digits=15)
-        finally:
-            install_w_table(2, None)
+    def test_grading_ignores_out_of_grade_keys(self, monkeypatch):
+        # a W table with every key zero but two, each exact
+        def table(entries):
+            def w_full(k, wmax, digits, tol=None):
+                vals = {key: entries.get(key, mp.mpf(0)) for key in _plan(wmax).keys}
+                return vals, {key: mp.mpf(0) for key in vals}, {}
+            return w_full
+
+        base = {((1,), (1,)): mp.mpf("0.25"), ((2,), ()): mp.mpf("0.125")}
+        monkeypatch.setattr(moments, "_w_full", table(base))
+        d1 = d_table(2, 2, digits=15)
+        bumped = dict(base)
+        bumped[((2,), ())] = mp.mpf("0.5")
+        monkeypatch.setattr(moments, "_w_full", table(bumped))
+        d2 = d_table(2, 2, digits=15)
         # the entry in grade with the bumped key moves, the others hold still
         assert d1[((1,), (1,))].value == d2[((1,), (1,))].value == mp.mpf("0.25")
         assert d1[((2,), ())].value == mp.mpf("0.125")
@@ -565,6 +582,19 @@ class TestAssembly:
         assert p.coefficients == ((0, mp.mpf(1), mp.mpf(0)),)
         assert p.evaluate(7) == 1
 
+    def test_leading_coefficient_after_higher_weights(self, monkeypatch):
+        # c_0 reuses whichever W table of larger weight the process built
+        # first, so its error depends on the call history; every history
+        # stays within its own reported error of a 30-digit run
+        want = c_coeff(0, 3, digits=30).value
+        for first in ((), (2,), (4,)):
+            monkeypatch.setattr(moments, "_w_cache", {})
+            for n in first:
+                c_coeff(n, 3, digits=15)
+            got = c_coeff(0, 3, digits=15)
+            with mp.workdps(40):
+                assert abs(got.value - want) <= got.error, first
+
     def test_degenerate_index_warns_and_is_zero(self):
         with pytest.warns(UserWarning):
             got = c_coeff(5, 2, digits=10)
@@ -609,6 +639,25 @@ BAD_REQUESTS = [
     (1, 10, "1e-5"),
 ]
 
+# entry points with a bad integer argument other than k, digits and tol
+BAD_INDICES = [
+    (c_coeff, (True, 2), "N"),
+    (c_coeff, (1.0, 2), "N"),
+    (d_table, (2, True), "n_max"),
+    (d_table, (2, 1.0), "n_max"),
+    (d_table_symbolic, (True,), "n_max"),
+    (d_table_symbolic, (1.0,), "n_max"),
+    (g_factor, (True,), "k"),
+    (g_factor, (2.0,), "k"),
+    (f_table, (True,), "n_max"),
+    (f_table, (2.0,), "n_max"),
+    (a_factor, (True,), "k"),
+    (a_factor, (2.0,), "k"),
+    (a_factor, (2, True), "digits"),
+    (V_poly, (True, (), ()), "r"),
+    (V_poly, (1.0, (), ()), "r"),
+]
+
 
 class TestInputContract:
     @pytest.mark.parametrize("k,digits,tol", BAD_REQUESTS)
@@ -632,6 +681,16 @@ class TestInputContract:
     def test_moment_polynomial(self, k, digits, tol):
         with pytest.raises(ValueError):
             moment_polynomial(k, digits=digits, tol=tol)
+
+    @pytest.mark.parametrize("fn,args,name", BAD_INDICES,
+                             ids=["-".join([f.__name__] + [repr(x) for x in a])
+                                  for f, a, _ in BAD_INDICES])
+    def test_other_integer_arguments(self, fn, args, name):
+        # booleans and floats are refused on entry, before any W work
+        before = len(moments._w_cache)
+        with pytest.raises(ValueError, match="^%s must be" % name):
+            fn(*args)
+        assert len(moments._w_cache) == before
 
     def test_good_tol_values_pass(self):
         assert W_coeff((), (), 1, digits=10, tol=1e-8).error > 0
