@@ -11,6 +11,7 @@ lock file; reads touch only immutable files and need no lock.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,6 +32,10 @@ from .moments import (
     W_coeff,
     _b_coeff,
     _check_request,
+    _gauss_square_poly,
+    _head_logs,
+    _prime_cutoff,
+    _ratio_numerators,
     _v_series,
     a_factor,
     c_coeff,
@@ -46,11 +51,13 @@ from .partitions import (
     partitions_of,
 )
 from .symseries import (
+    EMPTY_KEY,
     POWERSUM,
     PairSeries,
     _plan,
     bump_gamburd_residual,
     series_exp,
+    series_log,
 )
 from .zeta_numerics import (
     PrimeZetaCoeffs,
@@ -58,6 +65,7 @@ from .zeta_numerics import (
     install_prime_zeta,
     prime_zeta_direct,
     prime_zeta_taylor,
+    primes_upto,
 )
 
 SCHEMA_VERSION = 1
@@ -458,6 +466,52 @@ def _check_prime_zeta_routes():
                     )
 
 
+def _head_log_oracle(k, wmax, p):
+    """One head prime's part of every key's W by the mpf pair-series log at
+    the working precision, the route moments._head_logs replaced: the log
+    of 1 + X with each X_{mu nu}(1/p) scaled by (-log p)**n / nd, less the
+    leading 1/p part of the keys whose partitions have at most one part."""
+    A = 0
+    for c in _gauss_square_poly(k):
+        A = A * p + c
+    lp = -mp.log(p)
+    numer = _ratio_numerators(k, wmax)
+    keys = _plan(wmax).keys
+    x = {EMPTY_KEY: 1}
+    for m, nu in keys[1:]:
+        n, N, nd = numer[(m, nu) if m <= nu else (nu, m)]
+        t = 0
+        for c in N:
+            t = t * p + c
+        x[(m, nu)] = mp.mpf(t) / (p ** (k - 1) * A * (p - 1) ** n * nd) * lp**n
+    out = series_log(PairSeries(POWERSUM, wmax, x)).coeffs
+    out[EMPTY_KEY] = (
+        mp.log(mp.mpf(A * p**k) / (p - 1) ** (2 * k - 1)) - mp.mpf(k * k) / p
+    )
+    for m, nu in keys[1:]:
+        if len(m) <= 1 and len(nu) <= 1:
+            n1 = mp.mpf(k ** (2 - len(m) - len(nu))) / (
+                math.factorial(sum(m)) * math.factorial(sum(nu))
+            )
+            out[(m, nu)] = out.get((m, nu), 0) - n1 * lp ** (sum(m) + sum(nu)) / p
+    return out
+
+
+def _check_head_log(k=3, wmax=4, digits=15):
+    # one prime at a time, so each key's bound is 2**-(prec+10); p = 2 and
+    # 3 have the largest ratios, the last head prime the largest log powers
+    primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
+    for p in (2, 3, primes[-1]):
+        with mp.workdps(digits + 15):
+            got = _head_logs(k, wmax, [p])
+            tol = mp.ldexp(1, -(mp.prec + 10))
+        with mp.workdps(digits + 30):
+            want = _head_log_oracle(k, wmax, p)
+            for key, v in got.items():
+                if abs(v - want.get(key, 0)) > tol:
+                    raise AssertionError("p=%d at %r" % (p, key))
+
+
 def _check_w_symmetry():
     a = W_coeff((1,), (2,), 2, digits=12)
     b = W_coeff((2,), (1,), 2, digits=12)
@@ -490,6 +544,11 @@ FULL_CHECKS = [
         _check_prime_zeta_routes,
     ),
     ("W and d symmetry at k=2", "identity", _check_w_symmetry),
+    (
+        "head-prime integer log vs mpf series_log, k = 3, weight 4",
+        "oracle",
+        _check_head_log,
+    ),
 ]
 
 

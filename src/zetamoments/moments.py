@@ -17,9 +17,10 @@ the decay of the prime family.  The engine therefore splits: local log
 factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
 the cutoff only, where it converges geometrically.  Below the cutoff every
-key's local factor is an exact integer ratio at Q = 1/p (see below): the
-empty key's part is one fixed-point product over the primes and a single
-log, and the other keys take one pair-series log per prime.  The cutoff
+key's local factor is an exact integer ratio at Q = 1/p (see below), so the
+head is one integer pass per prime: the empty key's part is one fixed-point
+product over the primes and a single log, and the other keys take one
+pair-series log per prime in B-bit integers (_head_logs).  The cutoff
 comes from the digit and tolerance request; tail estimates combine a
 certified envelope on the beyond-cutoff prime sums with the measured decay
 of the last few increments.
@@ -43,6 +44,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, log_int_fixed
 
 from . import __version__
 from .characters import character_table
@@ -54,6 +56,7 @@ from .symseries import (
     SCHUR,
     KPoly,
     PairSeries,
+    _log_fixed,
     _plan,
     _switch_basis,
     monomial_eval,
@@ -374,57 +377,27 @@ def _prime_cutoff(k, digits, tol_f):
 
 def _w_full(k, wmax, digits, tol=None):
     """All W values for keys of total weight <= wmax: (values, errors, meta),
-    from the first cached run of at least that weight, if any."""
+    from the cached run of the largest weight at the same k, digits and
+    tolerance, if one covers wmax."""
     tol_f = 10.0 ** (-digits) if tol is None else float(tol)
-    ckey = (k, wmax, digits, tol_f)
-    hit = _w_cache.get(ckey)
-    if hit is None:
-        for (ck, cw, cd, ct), stored in _w_cache.items():
-            if ck == k and cd == digits and ct == tol_f and cw >= wmax:
-                hit = stored
-                break
-    if hit is None:
+    top = max((cw for ck, cw, cd, ct in _w_cache
+               if (ck, cd, ct) == (k, digits, tol_f)), default=-1)
+    if top >= wmax:
+        hit = _w_cache[(k, top, digits, tol_f)]
+    else:
         hit = _w_engine(k, wmax, digits, tol_f)
-        _w_cache[ckey] = hit
+        _w_cache[(k, wmax, digits, tol_f)] = hit
     keys = _plan(wmax).keys
     vals = {key: hit[0][key] for key in keys}
     errs = {key: hit[1][key] for key in keys}
     return vals, errs, dict(hit[2])
 
 
-def _empty_key_head(k, primes):
-    """sum over the primes of log z_0(1/p) - k**2/p, to 2**-(prec+10).
-
-    Each z_0(1/p) = A_k(p) * p**k / (p-1)**(2k-1) is a ratio of integers
-    (see the module docstring); their product is kept in B-bit fixed point,
-    T = floor(T * A_k(p) * p**k / (p-1)**(2k-1)) from T = 2**B, and
-    S = sum floor(k**2 * 2**B / p), so one log serves every prime.  Each
-    z_0 > 1 keeps T >= 2**B, so each floor moves log T by under 2**(1-B),
-    and each floor of S by under 2**-B: with n primes the result is off by
-    under 3n * 2**-B < 2**-(prec+10) for B = prec + bit_length(n) + 12.  T
-    only grows to about 2**B * exp(k**2 * sum 1/p), about 2**(B+35) at
-    k = 3 and p < 67,968, so it needs no rescaling.  The log and the
-    subtraction run at B + 10 bits, and the value comes back at that
-    precision; the caller's next sum rounds it.
-    """
-    B = mp.prec + len(primes).bit_length() + 12
-    row = _gauss_square_poly(k)
-    T, S = 1 << B, 0
-    k2B = (k * k) << B
-    for p in primes:
-        A = 0
-        for c in row:
-            A = A * p + c
-        T = T * A * p ** k // (p - 1) ** (2 * k - 1)
-        S += k2B // p
-    with mp.workprec(B + 10):
-        return mp.log(mp.ldexp(T, -B)) - mp.ldexp(S, -B)
-
-
 def _ratio_numerators(k, wmax):
-    """{(mu, nu): (n, [N_0, ..., N_D])} for the nonempty keys of weight
+    """{(mu, nu): (n, [N_0, ..., N_D], nd)} for the nonempty keys of weight
     <= wmax with mu <= nu: the numerator of z_{mu nu} (module docstring),
-    the first D+1 terms of the pair's product row differenced D+1 times."""
+    the first D+1 terms of the pair's product row differenced D+1 times,
+    and the key's norm denominator nd = _norm_den(mu) * _norm_den(nu)."""
     aseq = _a_seqs(k, wmax, 2 * k - 1 + wmax)
     out = {}
     for m, nu in _plan(wmax).keys[1:]:
@@ -436,25 +409,145 @@ def _ratio_numerators(k, wmax):
         for _ in range(top + 1):
             for u in range(top, 0, -1):
                 z[u] -= z[u - 1]
-        out[(m, nu)] = (n, z)
+        out[(m, nu)] = (n, z, _norm_den(m) * _norm_den(nu))
     return out
 
 
-def _local_ratios(k, p, numer, wmax):
-    """X_{mu nu}(1/p) for every pair of numer (from _ratio_numerators): one
-    Horner evaluation of Ntil(p) and one mpf division each."""
-    A = 0
-    for c in _gauss_square_poly(k):
-        A = A * p + c
-    den = [p ** (k - 1) * A]
-    for _ in range(wmax):
-        den.append(den[-1] * (p - 1))
+def _local_ratios(k, p, A, numer, B):
+    """floor(2**B * X_{mu nu}(1/p) / nd) for every pair of numer (from
+    _ratio_numerators), A = A_k(p): one Horner evaluation of Ntil(p) and
+    one integer floor each."""
+    base = p ** (k - 1) * A
     out = {}
-    for pair, (n, N) in numer.items():
+    for pair, (n, N, nd) in numer.items():
         t = 0
         for c in N:
             t = t * p + c
-        out[pair] = mp.mpf(t) / den[n]
+        out[pair] = (t << B) // (base * (p - 1) ** n * nd)
+    return out
+
+
+def _head_growth(k, wmax, numer, top):
+    """Bits g with 2**g above every G_n of _head_logs, n = 1..wmax, from
+    the majorants at p = 2 and c = 1 + log(top); one bit covers the float
+    rounding."""
+    plan = _plan(wmax)
+    K = [plan.starts[w + 1] - plan.starts[w] for w in range(wmax + 1)]
+    X = [0.0] * (wmax + 1)
+    for (m, nu), (n, N, nd) in numer.items():
+        xbar = sum(abs(c) * 2.0 ** (n - i) for i, c in enumerate(N)) / nd
+        X[n] += xbar if m == nu else 2 * xbar
+    lam, E = [0.0] * (wmax + 1), [0.0] * (wmax + 1)
+    c = 1 + math.log(top)
+    G = 1.0
+    for w in range(1, wmax + 1):
+        lam[w] = X[w] + sum(j * lam[j] * X[w - j] for j in range(1, w)) / w
+        E[w] = 2 * K[w] + sum(
+            j * (E[j] * X[w - j] + lam[j] * K[w - j]) for j in range(1, w)
+        ) / w
+        G = max(G, (E[w] + 1 + 3 * w * (lam[w] + k * k)) * c ** w)
+    return math.ceil(math.log2(G)) + 1
+
+
+def _head_logs(k, wmax, primes):
+    """The head primes' part of every key's W, {key: mpf} over _plan(wmax),
+    each within 2**-(prec+10) of the exact sum; one integer pass per prime.
+
+    The empty key takes the sum over the primes of log z_0(1/p) - k**2/p.
+    Each z_0(1/p) = A_k(p) * p**k / (p-1)**(2k-1) is a ratio of integers
+    (see the module docstring); their product is kept in B0-bit fixed point,
+    T = floor(T * A_k(p) * p**k / (p-1)**(2k-1)) from T = 2**B0, and
+    S = sum floor(k**2 * 2**B0 / p), so one log serves every prime.  Each
+    z_0 > 1 keeps T >= 2**B0, so each floor moves log T by under 2**(1-B0),
+    and each floor of S by under 2**-B0: with P primes the result is off by
+    under 3P * 2**-B0 < 2**-(prec+10) for B0 = prec + bit_length(P) + 12.
+    T only grows to about 2**B0 * exp(k**2 * sum 1/p), about 2**(B0+35) at
+    k = 3 and p < 67,968, so it needs no rescaling.  The log and the
+    subtraction run at B0 + 10 bits, and the value comes back at that
+    precision; the caller's next sum rounds it.
+
+    A key (mu, nu) of weight n >= 1 takes the sum over the primes of
+    (-log p)**n * (lg_{mu nu} - [n1/p]): lg = log(1 + sum x) over the pair
+    series, x_{mu nu} = X_{mu nu}(1/p) / nd the L-free ratios, and n1 =
+    k**(2-len(mu)-len(nu)) / (mu_1! nu_1!) <= k**2 the leading 1/p part,
+    removed only where both partitions have at most one part.  The log is
+    graded by weight, so (-log p)**n leaves it and multiplies the result.
+    In units u = 2**-B, per prime:
+    - x > 0 (z_{mu nu} and z_0 are series of nonnegative terms), so
+      S = floor(2**B x) (_local_ratios) has 0 <= x - S u < u.
+    - _log_fixed's error e, summed over the K_w keys of weight w, obeys
+      E_w <= 2 K_w + sum_{0<j<w} (j/w) (E_j X_{w-j} + Lam_j K_{w-j}) units:
+      each output has its S floor and its own floor, and the cross term
+      (j lg~_a) S_b - (j lg_a) x_b is e_a S_b + lg_a (S_b - x_b).  X_j and
+      Lam_j are the weight-j sums of x and of |lg|, and Lam_j is at most
+      [t**j] -log(1 - sum_w X_w t**w): -log(1 - |X|) majorizes log(1 + X)
+      coefficientwise, and setting every key of weight w to t**w only
+      gathers nonnegative terms.
+    - x <= xbar = sum_i |N_i| p**(n-i) / ((p-1)**n nd), since A_k(p) >=
+      p**(k-1), and each term decreases in p; the recurrences are monotone
+      in X, so X, Lam and E taken from xbar at p = 2 hold at every prime.
+      They grow with the weight: at k = 3, Lam_9 is about 2**22 at p = 2
+      and its bound from xbar about 2**33.  The Q-series of X has radius
+      about 0.27 there, so no p = 2 majorant in Q converges; these are
+      finite sums instead.
+    - L = log_int_fixed(p, B) is under 2 units off 2**B log p, so P_n =
+      floor(P_{n-1} L / 2**B) is off from (log p)**n by under 3n c**(n-1)
+      units, c = 1 + log(max prime).
+    - floor(n1 2**B / p) adds under one unit to lg - n1/p, whose size is at
+      most Lam_n + k**2; the product with P_n is off by under G_n = (E_n + 1
+      + 3n (Lam_n + k**2)) c**n units.
+    The products are summed over the primes exactly, at scale 2**(2B), and
+    floored once, so each key is off by under (P + 1) max G_n units, below
+    2**(bit_length(P) + g - B) with 2**g >= G_n (_head_growth), and
+    B = prec + bit_length(P) + g + 10 meets the target.  The values come
+    back exactly, as B-bit fixed point; the caller's next sum rounds them.
+    """
+    plan = _plan(wmax)
+    keys = plan.keys
+    bits = mp.prec + len(primes).bit_length() + 10
+    B0 = bits + 2
+    T, S0 = 1 << B0, 0
+    k2B = (k * k) << B0
+    row = _gauss_square_poly(k)
+    acc = [0] * len(keys)
+    B = bits
+    if wmax and primes:
+        numer = _ratio_numerators(k, wmax)
+        B += _head_growth(k, wmax, numer, primes[-1])
+        where = {pair: (plan.index[pair], plan.index[pair[::-1]])
+                 for pair in numer}
+        ones = [
+            (plan.index[(m, nu)], (k ** (2 - len(m) - len(nu))) << B,
+             (math.factorial(m[0]) if m else 1)
+             * (math.factorial(nu[0]) if nu else 1))
+            for m, nu in keys[1:] if len(m) <= 1 and len(nu) <= 1
+        ]
+    for p in primes:
+        A = 0
+        for c in row:
+            A = A * p + c
+        T = T * A * p ** k // (p - 1) ** (2 * k - 1)
+        S0 += k2B // p
+        if not wmax:
+            continue
+        s = [1 << B] + [0] * (len(keys) - 1)
+        for pair, v in _local_ratios(k, p, A, numer, B).items():
+            i, j = where[pair]
+            s[i] = s[j] = v
+        lg = _log_fixed(plan, s, B)
+        for i, num, f in ones:
+            lg[i] -= num // (f * p)
+        L, power = log_int_fixed(p, B), 1 << B
+        for n in range(1, wmax + 1):
+            power = power * L >> B
+            lo, hi = plan.starts[n], plan.starts[n + 1]
+            acc[lo:hi] = [a + g * power for a, g in zip(acc[lo:hi], lg[lo:hi])]
+    with mp.workprec(B0 + 10):
+        out = {EMPTY_KEY: mp.log(mp.ldexp(T, -B0)) - mp.ldexp(S0, -B0)}
+    for n in range(1, wmax + 1):
+        sign = -1 if n % 2 else 1
+        for i in range(plan.starts[n], plan.starts[n + 1]):
+            out[keys[i]] = mp.make_mpf(from_man_exp(sign * (acc[i] >> B), -B))
     return out
 
 
@@ -465,43 +558,10 @@ def _w_engine(k, wmax, digits, tol_f):
     with mp.workdps(wdps):
         tol_eff = mp.mpf(tol_f)
         primes = primes_upto(pcut)
-        vals = {key: mp.mpf(0) for key in keys}
-        normf = {
-            key: mp.mpf(1) / (_norm_den(key[0]) * _norm_den(key[1]))
-            for key in keys
-        }
-        norm1 = {}
-        for m, nu in keys:
-            if len(m) <= 1 and len(nu) <= 1:
-                den = (math.factorial(m[0]) if m else 1) * (
-                    math.factorial(nu[0]) if nu else 1
-                )
-                norm1[(m, nu)] = mp.mpf(k ** (2 - len(m) - len(nu))) / den
-        # the empty key's head part is one fixed-point product of its
-        # closed-form local factors; the nonempty keys take one pair-series
-        # log per head prime of 1 + X, X the closed-form integer ratios
-        vals[EMPTY_KEY] = _empty_key_head(k, primes)
-        numer = _ratio_numerators(k, wmax)
-        pairs = [(key, key if key[0] <= key[1] else key[::-1],
-                  sum(key[0]) + sum(key[1])) for key in keys[1:]]
-        for p in (primes if wmax else ()):
-            lp = mp.log(p)
-            pinv = mp.mpf(1) / p
-            lpow = [mp.mpf(1)]
-            for _ in range(wmax):
-                lpow.append(lpow[-1] * (-lp))
-            x = _local_ratios(k, p, numer, wmax)
-            norm = {EMPTY_KEY: mp.mpf(1)}
-            for key, pair, n in pairs:
-                norm[key] = x[pair] * normf[key] * lpow[n]
-            glog = series_log(PairSeries(POWERSUM, wmax, norm)).coeffs
-            for key, _, n in pairs:
-                g = glog.get(key, 0)
-                n1 = norm1.get(key)
-                if n1 is not None:
-                    g = g - n1 * lpow[n] * pinv
-                if g:
-                    vals[key] += g
+        # below the cutoff every key's local factor is an exact integer
+        # ratio: one integer pass per head prime, the empty key's product
+        # and the other keys' pair-series log, converted once at the end
+        vals = _head_logs(k, wmax, primes)
         # exact V tables to order R, extended 16 orders at a time: the tail
         # rarely passes r = 16, and each chunk is rebuilt from scratch
         R = 16
@@ -632,9 +692,9 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
     increments plus the certified prime envelope on the V majorant) stays
     below tol * (1 + |value|); the reported error adds the precision floor.
     A hard cap at r=200 raises NonConvergenceError carrying the truncation
-    parameters.  A table the process already built for a larger weight at
-    the same digits and tolerance answers instead of a new run, so the value
-    and its error depend on the call history.
+    parameters.  The table of the largest weight the process already built
+    at the same digits and tolerance answers instead of a new run, if it
+    covers the key, so the value and its error depend on the call history.
     """
     mu = check_partition(mu)
     nu = check_partition(nu)
@@ -876,11 +936,12 @@ def c_coeff(N, k, digits=50, tol=None):
     dimensions, divided by (k**2 - N)!.
 
     N beyond k**2 is the degenerate regime where the assembly is empty; the
-    value is exactly zero and a warning notes it.  A W table the process
-    already built for a larger weight at the same digits and tolerance
-    serves the request, so value and error depend on the call history:
-    c_0(3) at 15 digits reports an error of 2.6e-23 fresh and 3.1e-25 after
-    c_2, each value within its own error.
+    value is exactly zero and a warning notes it.  The W table of the
+    largest weight the process already built at the same digits and
+    tolerance serves the request, if it reaches weight N, so value and error
+    depend on the call history: c_0(3) at 15 digits reports an error of
+    2.6e-23 fresh, 3.1e-25 after c_2 and 2.6e-26 after c_4, whether or not
+    c_2 ran before c_4, each value within its own error.
     """
     _check_index(N, "N")
     _check_request(k, digits, tol, k_min=0)

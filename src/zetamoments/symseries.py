@@ -342,6 +342,26 @@ def _exp_log(series, log):
     return _series(plan, lg if log else s)
 
 
+def _log_fixed(plan, s, B):
+    """The recurrence of _exp_log for the log, in units of 2**-B.
+
+    s lists integer coefficients over plan.keys, s[0] = 2**B, and the log
+    comes back the same way: lg_w = s_w - floor(sum_{0<j<w} (j lg_j) s_{w-j}
+    / (w * 2**B)), one floor per coefficient.  Its error analysis belongs to
+    the caller, which knows the sizes of s (moments._head_logs).
+    """
+    n = len(plan.keys)
+    lg, dl, cross = [0] * n, [0] * n, [0] * n
+    for w in range(1, len(plan.starts) - 1):
+        for j in range(1, w):
+            _accumulate(plan.products[w][j], dl, s, cross)
+        wB = w << B
+        for i in range(plan.starts[w], plan.starts[w + 1]):
+            lg[i] = s[i] - cross[i] // wB
+            dl[i] = lg[i] * w
+    return lg
+
+
 def series_log(series):
     """Logarithm of a powersum-basis series with constant term exactly 1."""
     return _exp_log(series, log=True)

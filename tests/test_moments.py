@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from zetamoments import moments
+from zetamoments.cli import _check_head_log
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
@@ -17,8 +18,8 @@ from zetamoments.moments import (
     _a_seqs,
     _b_coeff,
     _b_series,
-    _empty_key_head,
     _gauss_square_poly,
+    _head_logs,
     _local_ratios,
     _ratio_numerators,
     _v_series,
@@ -273,7 +274,7 @@ class TestEmptyKeyHead:
 
     def _check(self, k, primes):
         with mp.workdps(self.WDPS):
-            got = _empty_key_head(k, primes)
+            got = _head_logs(k, 0, primes)[EMPTY_KEY]
         ref = _empty_key_reference(k, primes, self.WDPS + 20)
         with mp.workdps(self.WDPS + 20):
             assert abs(got - ref) < mp.mpf(10) ** -(self.WDPS + 2), (k, len(primes))
@@ -307,37 +308,61 @@ class TestEmptyKeyHead:
                 assert z == pol + [0] * (U + 1 - len(pol))
             else:
                 pair = (m, nu) if m <= nu else (nu, m)
-                assert numer[pair] == (sum(m) + sum(nu), z[: D + 1]), (m, nu)
+                assert numer[pair][:2] == (sum(m) + sum(nu), z[: D + 1]), (m, nu)
 
 
-def _ratio_reference(k, wmax, p, wdps):
-    """X_{mu nu}(1/p) for every pair of _ratio_numerators(k, wmax), as the
-    per-prime dot products of the integer rows z_{mu nu} and z_0 cut at
-    Q**up, far past the working precision."""
-    with mp.workdps(wdps):
-        u_top = int((wdps * math.log(10) + 30) / math.log(2)) + 30
-        aseq = _a_seqs(k, wmax, u_top)
-        up = min(u_top, int((wdps * math.log(10) + 30) / math.log(p)) + 30)
+def _ratio_reference(k, wmax, p, bits):
+    """X_{mu nu}(1/p) / nd for every pair of _ratio_numerators(k, wmax) as
+    exact fractions of the integer rows z_{mu nu} and z_0 cut at Q**up,
+    where the dropped tails are far below 2**-bits."""
+    up = int((bits + 100) / math.log2(p)) + 60
+    aseq = _a_seqs(k, wmax, up)
 
-        def z(m, nu):
-            d = sum(aseq[m][u] * aseq[nu][u] * p ** (up - u) for u in range(up + 1))
-            return mp.mpf(d) * mp.mpf(p) ** (-up)
+    def z(m, nu):
+        return sum(aseq[m][u] * aseq[nu][u] * p ** (up - u) for u in range(up + 1))
 
-        z0 = z((), ())
-        return {pair: z(*pair) / z0 for pair in _ratio_numerators(k, wmax)}
+    z0 = z((), ())
+    return {pair: Fraction(z(*pair), z0 * nd)
+            for pair, (_, _, nd) in _ratio_numerators(k, wmax).items()}
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("p", [2, 3, 313])
 def test_local_ratios_match_truncated_dot_products(k, p):
-    wdps, wmax = 30, 4
-    with mp.workdps(wdps):
-        got = _local_ratios(k, p, _ratio_numerators(k, wmax), wmax)
-    ref = _ratio_reference(k, wmax, p, wdps + 20)
+    B, wmax = 120, 4
+    A = sum(c * p ** (k - 1 - j) for j, c in enumerate(_gauss_square_poly(k)))
+    got = _local_ratios(k, p, A, _ratio_numerators(k, wmax), B)
+    ref = _ratio_reference(k, wmax, p, B)
     assert set(got) == set(ref)
-    with mp.workdps(wdps + 20):
-        for pair, x in got.items():
-            assert abs(x - ref[pair]) <= abs(ref[pair]) * mp.mpf(10) ** -(wdps - 1), pair
+    slack = Fraction(1, 2**20)
+    for pair, s in got.items():
+        assert -slack < ref[pair] * 2**B - s < 1 + slack, pair
+
+
+class TestHeadLogs:
+    """The integer head against the mpf pair-series log it replaced, with
+    the leading 1/p part removed from the single-part keys."""
+
+    @pytest.mark.parametrize("k,wmax,digits", [(3, 4, 15), (2, 4, 30), (3, 9, 30)])
+    def test_matches_mpf_series_log(self, k, wmax, digits):
+        # p = 2, 3 and the last head prime, against the oracle at digits + 30
+        _check_head_log(k, wmax, digits)
+
+    def test_primes_add_up(self):
+        primes = [2, 3, 5, 7, 11]
+        with mp.workdps(30):
+            whole = _head_logs(3, 3, primes)
+            parts = [_head_logs(3, 3, [p]) for p in primes]
+            tol = len(primes) * mp.ldexp(1, -(mp.prec + 9))
+        with mp.workdps(60):
+            for key, v in whole.items():
+                assert abs(v - sum(part[key] for part in parts)) <= tol, key
+
+    def test_no_primes_is_zero(self):
+        with mp.workdps(20):
+            got = _head_logs(2, 3, [])
+        assert set(got) == set(_plan(3).keys)
+        assert all(v == 0 for v in got.values())
 
 
 class TestWEngine:
@@ -583,17 +608,21 @@ class TestAssembly:
         assert p.evaluate(7) == 1
 
     def test_leading_coefficient_after_higher_weights(self, monkeypatch):
-        # c_0 reuses whichever W table of larger weight the process built
-        # first, so its error depends on the call history; every history
-        # stays within its own reported error of a 30-digit run
+        # c_0 reuses the W table of the largest weight the process built at
+        # the same digits and tolerance, so its error depends on the call
+        # history, but not on the order the larger tables came in; every
+        # history stays within its own reported error of a 30-digit run
         want = c_coeff(0, 3, digits=30).value
-        for first in ((), (2,), (4,)):
+        got = {}
+        for first in ((), (2,), (4,), (2, 4)):
             monkeypatch.setattr(moments, "_w_cache", {})
             for n in first:
                 c_coeff(n, 3, digits=15)
-            got = c_coeff(0, 3, digits=15)
+            got[first] = c_coeff(0, 3, digits=15)
             with mp.workdps(40):
-                assert abs(got.value - want) <= got.error, first
+                assert abs(got[first].value - want) <= got[first].error, first
+        assert got[(2, 4)].error._mpf_ == got[(4,)].error._mpf_
+        assert got[(2, 4)].value._mpf_ == got[(4,)].value._mpf_
 
     def test_degenerate_index_warns_and_is_zero(self):
         with pytest.warns(UserWarning):

@@ -15,6 +15,7 @@ from zetamoments.symseries import (
     SCHUR,
     KPoly,
     PairSeries,
+    _log_fixed,
     _plan,
     bump_gamburd_residual,
     monomial_eval,
@@ -243,6 +244,32 @@ class TestExpLog:
                 else:
                     total.coeffs[key] = cur
         assert series_log(s) == total
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fixed_point_log_within_its_bound(self, seed):
+        # floors of a positive exact series through _log_fixed, against 2**B
+        # times the exact log; each weight's summed error obeys the bound
+        # E_w of moments._head_logs
+        rng = random.Random(seed)
+        B, wmax = 64, 5
+        plan = _plan(wmax)
+        x = {key: Fraction(rng.randrange(1, 300), 200) for key in plan.keys[1:]}
+        exact = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **x}))
+        s = [1 << B] + [int(x[key] * 2**B) for key in plan.keys[1:]]
+        lg = _log_fixed(plan, s, B)
+        K, X, lam, E = [0], [0], [0], [0]
+        for w in range(1, wmax + 1):
+            block = plan.keys[plan.starts[w]:plan.starts[w + 1]]
+            K.append(len(block))
+            X.append(sum(x[key] for key in block))
+            lam.append(X[w] + Fraction(sum(j * lam[j] * X[w - j]
+                                           for j in range(1, w)), w))
+            E.append(2 * K[w] + Fraction(sum(j * (E[j] * X[w - j] + lam[j] * K[w - j])
+                                             for j in range(1, w)), w))
+            err = sum(abs(lg[plan.index[key]] - exact.get(*key) * 2**B)
+                      for key in block)
+            assert err <= E[w], w
+            assert sum(abs(exact.get(*key)) for key in block) <= lam[w], w
 
     def test_exp_of_single_powersum(self):
         # exp(c * p_1 x 1) has coefficient c^m / m! on the m-fold key
