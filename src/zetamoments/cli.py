@@ -60,9 +60,11 @@ from .symseries import (
     series_log,
 )
 from .zeta_numerics import (
+    HeadPrimes,
     PrimeZetaCoeffs,
     _check_index,
     install_prime_zeta,
+    prime_zeta_beyond,
     prime_zeta_direct,
     prime_zeta_taylor,
     primes_upto,
@@ -466,6 +468,29 @@ def _check_prime_zeta_routes():
                     )
 
 
+def _check_head_power_sums(pcut=3200, nmax=4, digits=30):
+    # one shared head through r = 2..18 crosses a chunk boundary; the oracle
+    # subtracts each prime's p**-r (-log p)**n / n! in mpf, 20 digits up
+    primes = primes_upto(pcut)
+    head = HeadPrimes(primes)
+    for r in range(2, 19):
+        got = prime_zeta_beyond(r, nmax, head, digits)
+        extra = head.extra(r)
+        base = prime_zeta_taylor(r, nmax, digits + 20 + extra)
+        with mp.workdps(digits + 30 + extra):
+            want = list(base.coeffs[: nmax + 1])
+            for p in primes:
+                lp = -mp.log(p)
+                t = mp.mpf(p) ** -r
+                want[0] -= t
+                for n in range(1, nmax + 1):
+                    t = t * lp / n
+                    want[n] -= t
+            for n in range(nmax + 1):
+                if abs(got[n] - want[n]) > mp.mpf(10) ** -(digits + 3) * abs(want[n]):
+                    raise AssertionError("r=%d n=%d" % (r, n))
+
+
 def _head_log_oracle(k, wmax, p):
     """One head prime's part of every key's W by the mpf pair-series log at
     the working precision, the route moments._head_logs replaced: the log
@@ -548,6 +573,11 @@ FULL_CHECKS = [
         "head-prime integer log vs mpf series_log, k = 3, weight 4",
         "oracle",
         _check_head_log,
+    ),
+    (
+        "head-prime power sums vs mpf loop, r = 2..18 below 3200, nmax 4",
+        "oracle",
+        _check_head_power_sums,
     ),
 ]
 

@@ -16,11 +16,14 @@ The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
 factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
-the cutoff only, where it converges geometrically.  Below the cutoff every
-key's local factor is an exact integer ratio at Q = 1/p (see below), so the
-head is one integer pass per prime: the empty key's part is one fixed-point
-product over the primes and a single log, and the other keys take one
-pair-series log per prime in B-bit integers (_head_logs).  The cutoff
+the cutoff only, where it converges geometrically.  Each beyond-cutoff
+family is the Moebius-inverted prime-zeta family less the head primes' power
+sums, which one HeadPrimes per run sums for 16 consecutive r at a time, one
+integer pass per prime (zeta_numerics.prime_zeta_beyond).  Below the cutoff
+every key's local factor is an exact integer ratio at Q = 1/p (see below),
+so the head is one integer pass per prime: the empty key's part is one
+fixed-point product over the primes and a single log, and the other keys
+take one pair-series log per prime in B-bit integers (_head_logs).  The cutoff
 comes from the digit and tolerance request; tail estimates combine a
 certified envelope on the beyond-cutoff prime sums with the measured decay
 of the last few increments.
@@ -67,6 +70,7 @@ from .symseries import (
     series_mul,
 )
 from .zeta_numerics import (
+    HeadPrimes,
     _check_index,
     _series_log_list,
     envelope_bound,
@@ -562,6 +566,8 @@ def _w_engine(k, wmax, digits, tol_f):
         # ratio: one integer pass per head prime, the empty key's product
         # and the other keys' pair-series log, converted once at the end
         vals = _head_logs(k, wmax, primes)
+        # the head primes for the beyond-cutoff families at every r below
+        head_primes = HeadPrimes(primes)
         # exact V tables to order R, extended 16 orders at a time: the tail
         # rarely passes r = 16, and each chunk is rebuilt from scratch
         R = 16
@@ -591,7 +597,7 @@ def _w_engine(k, wmax, digits, tol_f):
                 R += 16
                 v_tab, vb_tab = _v_series(k, wmax, R)
             vr, vb = v_tab[r], vb_tab[r]
-            ct = prime_zeta_beyond(r, wmax, primes, wdps - 5)
+            ct = prime_zeta_beyond(r, wmax, head_primes, wdps - 5)
             allsmall = True
             tmax = mp.mpf(0)
             for key, fv in vr.items():
@@ -888,6 +894,7 @@ def a_factor(k, digits=50):
     cutoff = max(800, 4 * _rho_inv(k))
     with mp.workdps(digits + 15):
         primes = primes_upto(cutoff)
+        head = HeadPrimes(primes)
         e2 = (k - 1) ** 2
         pol = _gauss_square_poly(k)
         acc = mp.mpf(0)
@@ -907,7 +914,7 @@ def a_factor(k, digits=50):
                     "Euler product tail not closed by r=400", meta={"k": k}
                 )
             br = _b_coeff(k, r) - Fraction(k * k, r)
-            tail0 = prime_zeta_beyond(r, 0, primes, digits + 6)[0]
+            tail0 = prime_zeta_beyond(r, 0, head, digits + 6)[0]
             term = mp.mpf(br.numerator) / br.denominator * tail0
             acc += term
             small = small + 1 if abs(term) < thresh * max(1, abs(acc)) else 0

@@ -26,11 +26,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import floordiv, lt, mul, rshift
 from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, log_int_fixed, mpf_log, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, mpf_log, to_fixed
 
 
 def _check_index(value, name, low=0):
@@ -56,17 +57,23 @@ def mobius_int(m):
     return -mu if m > 1 else mu
 
 
-def primes_upto(x):
-    """All primes p <= x, ascending (sieve of Eratosthenes)."""
-    n = int(x)
-    if n < 2:
-        return []
+def _prime_flags(n):
+    """Sieve of Eratosthenes: a bytearray whose entry j <= n is 1 iff j is
+    prime; n >= 1."""
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(itertools.compress(range(n + 1), sieve))
+    return sieve
+
+
+def primes_upto(x):
+    """All primes p <= x, ascending (sieve of Eratosthenes)."""
+    n = int(x)
+    if n < 2:
+        return []
+    return list(itertools.compress(range(n + 1), _prime_flags(n)))
 
 
 def bernoulli(n):
@@ -543,54 +550,120 @@ def _compute_prime_zeta(r, nmax, digits):
     return PrimeZetaCoeffs(r, _round_out(out, digits), digits, tb)
 
 
-def prime_zeta_beyond(r, nmax, primes, digits=50):
-    """The same family with the listed primes' contribution removed.
+class HeadPrimes:
+    """The primes a beyond-cutoff family leaves out, with their power sums
+    for one chunk of `span` consecutive orders r at a time.
 
-    The full family and the head are both tiny multiples of what cancels, so
-    the subtraction runs at wp = digits + 10 + extra digits, with extra about
-    the cancelled ratio r*log10(max(primes)/2) + 8; the returned values are
-    good to about `digits` digits relative to their own size.  The head is
-    summed in B-bit integers (see below), with an error under 10**-(wp+2)
-    absolutely, so it adds nothing to the error of the base family.
+    The primes are validated and sorted once: each must be an int (not a
+    bool), prime, and listed once, or ValueError is raised.  sums(r, nmax,
+    digits) serves every r of the current chunk; any other r, nmax or
+    digits starts a new chunk at that r.  Only the chunk's span * (nmax + 1)
+    sums are kept, never an integer per prime, so the object stays small
+    however many primes it holds.
     """
-    primes = sorted(int(p) for p in primes)
-    if primes and primes[-1] >= 2:
-        extra = int(r * math.log10(max(primes[-1], 4) / 2.0)) + 8
-    else:
-        extra = 0
+
+    BLOCK = 256  # primes per C-level map pass: short lists keep memory flat
+
+    def __init__(self, primes, span=16):
+        _check_index(span, "chunk span", 1)
+        ps = list(primes)
+        if not set(map(type, ps)) <= {int}:
+            bad = next(p for p in ps if type(p) is not int)
+            raise ValueError("head primes must be ints, got %r" % (bad,))
+        ps.sort()
+        if ps and ps[0] < 2:
+            raise ValueError("head primes must be at least 2, got %d" % ps[0])
+        if not all(map(lt, ps, itertools.islice(ps, 1, None))):
+            raise ValueError("head primes must be distinct")
+        if ps:
+            flags = _prime_flags(ps[-1])
+            if not all(map(flags.__getitem__, ps)):
+                bad = next(p for p in ps if not flags[p])
+                raise ValueError("head prime %d is not a prime" % bad)
+        self.primes = ps
+        self.span = span
+        # the current chunk: its first r, its (nmax, digits), its B and
+        # its sums at r0, r0 + 1, ...
+        self._r0 = self._key = self._B = self._sums = None
+
+    def extra(self, r):
+        """Digits prime_zeta_beyond adds at order r for the cancellation."""
+        if not self.primes:
+            return 0
+        return int(r * math.log10(max(self.primes[-1], 4) / 2.0)) + 8
+
+    def sums(self, r, nmax, digits):
+        """(sums, B): sums[n] is the head's power sum at r, index n, as an
+        integer in units of 2**-B (see prime_zeta_beyond)."""
+        if self._key != (nmax, digits) or not 0 <= r - self._r0 < self.span:
+            self._B, self._sums = self._pass(r, nmax, digits)
+            self._r0, self._key = r, (nmax, digits)
+        return self._sums[r - self._r0], self._B
+
+    def _pass(self, r0, nmax, digits):
+        """One integer pass per prime over r0 .. r0 + span - 1; (B, sums)."""
+        ps = self.primes
+        g = (int(math.log(ps[-1])) + 3).bit_length()
+        prec = dps_to_prec(digits + 10 + self.extra(r0 + self.span - 1))
+        B = prec + len(ps).bit_length() + nmax * g + 12
+        one = 1 << B
+        sums = [[0] * (nmax + 1) for _ in range(self.span)]
+        for i in range(0, len(ps), self.BLOCK):
+            block = ps[i : i + self.BLOCK]
+            t = [one // p ** r0 for p in block]
+            logs = [log_int_fixed(p, B) for p in block] if nmax else ()
+            for j, row in enumerate(sums):
+                if j:
+                    t = list(map(floordiv, t, block))
+                row[0] += sum(t)
+                u = t
+                for n in range(1, nmax + 1):
+                    u = map(rshift, map(mul, u, logs), itertools.repeat(B))
+                    u = list(map(floordiv, u, itertools.repeat(n)))
+                    row[n] += sum(u)
+        return B, sums
+
+
+def prime_zeta_beyond(r, nmax, primes, digits=50):
+    """The same family with the head primes' contribution removed.
+
+    primes is a HeadPrimes, or any iterable of primes, which is validated
+    and summed as a one-r chunk; a caller stepping through r passes one
+    HeadPrimes to every call, so each prime takes one integer pass per
+    chunk of r.  The full family and the head are both tiny multiples of
+    what cancels, so the subtraction runs at wp = digits + 10 + extra
+    digits, with extra about the cancelled ratio r*log10(max(primes)/2) + 8;
+    the returned values are good to about `digits` digits relative to their
+    own size.  The head is summed in B-bit integers (see below), with an
+    error under 10**-(wp+2) absolutely, so it adds nothing to the error of
+    the base family.
+
+    Head terms p**-r * l**n / n!, l = log p, are integers in units of
+    2**-B: t_0 = floor(2**B / p**r), under a unit off (a chunk starts at
+    floor(2**B / p**r0) and steps r by t_0 //= p, which keeps the floor
+    exact: floor(floor(x)/p) = floor(x/p) for an integer p); L =
+    log_int_fixed(p, B), under 2 units off 2**B * l; and t_n =
+    floor(t_{n-1} * L / 2**B / n).  Each step n
+    scales the error carried in by L/2**B/n < (1+l)/n and adds under 3:
+    its floor, plus L's error, under 2, times p**-r * l**(n-1)/(n-1)!/n
+    <= p**(1-r) <= 1.  So term n of one prime is off by under 3 * sum_{j<=n}
+    (1+l)**j/j! <= 3 * (2+l)**n units, below 2**(2 + n*g) with g =
+    bit_length(int(log max p) + 3), and a sum over the primes by under
+    2**(s - B) units of 1, where s = len.bit_length() + nmax*g + 2.  The
+    chunk takes B = prec + s + 10, prec the working precision of its last
+    r, the largest: that makes it 2**-(prec+10) < 10**-(wp+3) at every r
+    of the chunk.
+    """
+    head = primes if isinstance(primes, HeadPrimes) else HeadPrimes(primes, 1)
+    extra = head.extra(r)
     base = prime_zeta_taylor(r, nmax, digits + extra)
     with mp.workdps(digits + 10 + extra):
         out = list(base.coeffs[: nmax + 1])
-        if not primes:
-            return _round_out(out, digits)
-        # Head terms p**-r * l**n / n!, l = log p, as integers in units of
-        # 2**-B: t_0 = floor(2**B / p**r), L = floor(2**B * l) (from a log
-        # at B + 20 bits, so off by under 1 + 2**-16) and
-        # t_n = floor(t_{n-1} * L / 2**B / n).  t_0 is off by under 1 unit.
-        # Each later step scales the error carried in by L/2**B/n < (1+l)/n
-        # and adds under 3: its floor, plus L's error times
-        # p**-r * l**(n-1)/(n-1)! <= p**(1-r) <= 1.  So term n of one prime
-        # is off by under 3 * sum_{j<=n} (1+l)**j/j! <= 3 * (2+l)**n units,
-        # below 2**(2 + n*g) with g = bit_length(int(log max p) + 3), and a
-        # sum over the primes by under 2**(s - B) units of 1, where
-        # s = len.bit_length() + nmax*g + 2.  B = prec + s + 10 makes that
-        # 2**-(prec+10) < 10**-(wp+3).
-        g = (int(math.log(max(primes[-1], 2))) + 3).bit_length()
-        B = mp.prec + len(primes).bit_length() + nmax * g + 12
-        logs = []
-        if nmax:
-            with mp.workprec(B + 20):
-                logs = [int(mp.ldexp(mp.log(p), B)) for p in primes]
-        sums = [0] * (nmax + 1)
-        for i, p in enumerate(primes):
-            t = (1 << B) // p ** r
-            sums[0] += t
-            for n in range(1, nmax + 1):
-                t = ((t * logs[i]) >> B) // n
-                sums[n] += t
-        for n in range(nmax + 1):
-            head = mp.ldexp(mp.mpf(sums[n]), -B)
-            out[n] += head if n % 2 else -head
+        if head.primes:
+            sums, B = head.sums(r, nmax, digits)
+            for n, v in enumerate(sums):
+                h = mp.ldexp(mp.mpf(v), -B)
+                out[n] += h if n % 2 else -h
     return _round_out(out, digits)
 
 

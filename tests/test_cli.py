@@ -290,6 +290,12 @@ class TestCommands:
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
+    def test_full_level_has_head_power_sum_oracle(self):
+        found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
+                 if label.startswith("head-prime power sums")]
+        assert len(found) == 1 and found[0][0] == "oracle"
+        found[0][1]()
+
     def test_exit_codes_for_bad_input(self, capsys):
         assert main(["coeff", "--k", "2", "--N", "-1"]) == 1
         assert main(["poly", "--k", "0"]) == 1

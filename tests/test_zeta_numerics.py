@@ -10,6 +10,7 @@ from mpmath.libmp import dps_to_prec
 from zetamoments import zeta_numerics
 from zetamoments.cli import encode_pzeta
 from zetamoments.zeta_numerics import (
+    HeadPrimes,
     PrimeZetaCoeffs,
     _em_fixed,
     _em_head_length,
@@ -534,6 +535,45 @@ class TestBeyondAndEnvelope:
         with mp.workdps(60):
             for n in range(5):
                 assert abs(got[n] - ref[n]) < mp.mpf(10) ** -33 * abs(ref[n]), n
+
+    def test_chunk_sums_are_exact_floors(self):
+        ps = primes_upto(3200)
+        head = HeadPrimes(ps)
+        for r in range(2, 21):
+            sums, B = head.sums(r, 4, 40)
+            assert sums[0] == sum((1 << B) // p**r for p in ps), r
+
+    @pytest.mark.parametrize(
+        "pcut, nmax, digits", [(67968, 0, 60), (3200, 4, 40), (316, 4, 25)]
+    )
+    def test_shared_head_matches_fresh_list(self, pcut, nmax, digits):
+        ps = primes_upto(pcut)
+        head = HeadPrimes(ps)
+        for r in range(2, 21):
+            shared = prime_zeta_beyond(r, nmax, head, digits)
+            fresh = prime_zeta_beyond(r, nmax, ps, digits)
+            assert [v._mpf_ for v in shared] == [v._mpf_ for v in fresh], r
+
+    def test_shared_head_restarts(self):
+        ps = primes_upto(500)
+        head = HeadPrimes(ps)
+        # r stepping backwards, nmax growing, digits changing, the last r of
+        # a chunk, and r past its end; each new chunk starts at the asked r
+        for r, nmax, digits, r0 in [(9, 2, 30, 9), (5, 2, 30, 5), (6, 4, 30, 6),
+                                    (7, 4, 45, 7), (22, 4, 45, 7), (23, 4, 45, 23)]:
+            got = prime_zeta_beyond(r, nmax, head, digits)
+            want = prime_zeta_beyond(r, nmax, ps, digits)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want], r
+            assert head._r0 == r0
+
+    @pytest.mark.parametrize(
+        "primes", [[2.5], [2, 2], [1], [0], [-3], [True], [4], [2, 3, 9], [3, None]]
+    )
+    def test_bad_head_primes_rejected(self, primes):
+        with pytest.raises(ValueError):
+            HeadPrimes(primes)
+        with pytest.raises(ValueError):
+            prime_zeta_beyond(3, 0, primes, 20)
 
     def test_beyond_nothing_is_full(self):
         with mp.workdps(30):
