@@ -72,8 +72,9 @@ from .zeta_numerics import (
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "ZETAMOMENTS_CACHE_DIR"
-# stored big reals carry this many digits beyond the requested precision, so
-# that elevated-precision internal requests still find the cache sufficient
+# stored families carry 25 digits beyond the request: the W engine asks for
+# digits + 10 + L absolute ones, |V_r| < 10**L over r <= 16, served to L = 15:
+# k = 2 (L = 5) and k = 3 up to weight 4 (L = 12)
 PZETA_MARGIN = 25
 
 
@@ -469,13 +470,13 @@ def _check_prime_zeta_routes():
 
 
 def _check_head_power_sums(pcut=3200, nmax=4, digits=30):
-    # one shared head through r = 2..18 crosses a chunk boundary; the oracle
-    # subtracts each prime's p**-r (-log p)**n / n! in mpf, 20 digits up
+    # one head for r = 2..18, past a chunk's end, at the absolute digits that
+    # carry `digits` relative ones to r = 18; the oracle is mpf, 20 digits up
     primes = primes_upto(pcut)
     head = HeadPrimes(primes)
+    extra = int(18 * math.log10(pcut / 2.0)) + 8
     for r in range(2, 19):
-        got = prime_zeta_beyond(r, nmax, head, digits)
-        extra = head.extra(r)
+        got = prime_zeta_beyond(r, nmax, head, digits + extra)
         base = prime_zeta_taylor(r, nmax, digits + 20 + extra)
         with mp.workdps(digits + 30 + extra):
             want = list(base.coeffs[: nmax + 1])

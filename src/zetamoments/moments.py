@@ -18,15 +18,15 @@ factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
 the cutoff only, where it converges geometrically.  Each beyond-cutoff
 family is the Moebius-inverted prime-zeta family less the head primes' power
-sums, which one HeadPrimes per run sums for 16 consecutive r at a time, one
-integer pass per prime (zeta_numerics.prime_zeta_beyond).  Below the cutoff
-every key's local factor is an exact integer ratio at Q = 1/p (see below),
-so the head is one integer pass per prime: the empty key's part is one
-fixed-point product over the primes and a single log, and the other keys
-take one pair-series log per prime in B-bit integers (_head_logs).  The cutoff
-comes from the digit and tolerance request; tail estimates combine a
-certified envelope on the beyond-cutoff prime sums with the measured decay
-of the last few increments.
+sums (zeta_numerics.prime_zeta_beyond); the 16 families of a V chunk share
+one absolute accuracy (_v_chunk), their log zeta values and one HeadPrimes
+pass per prime.  Below the cutoff every key's local factor is an exact
+integer ratio at Q = 1/p (see below), so the head is one integer pass per
+prime: the empty key's part is one fixed-point product over the primes and
+a single log, and the other keys take one pair-series log per prime in
+B-bit integers (_head_logs).  The cutoff comes from the digit and tolerance
+request; tail estimates combine a certified envelope on the beyond-cutoff
+prime sums with the measured decay of the last few increments.
 
 The closed form.  The local numerator a_mu(u) of _a_seqs has generating
 function T**len(mu) * prod_m E_{m-1}(T) / (1-T)**(k+|mu|), E_j the Eulerian
@@ -42,6 +42,7 @@ Ntil(p) = sum_i N_i p**(D-i).
 
 import math
 import warnings
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -555,11 +556,19 @@ def _head_logs(k, wmax, primes):
     return out
 
 
+def _v_chunk(k, wmax, R, digits):
+    """_v_series to order R, and digits + 10 + L, |V_r| < 10**L: a family at
+    that many absolute digits is within 2 * 10**-(digits+12+L), so the r <=
+    200 terms V_r * family move W by under 10**-(digits+9), below its floor."""
+    v_tab, vb_tab = _v_series(k, wmax, R)
+    top = max(abs(f.numerator) // f.denominator for vr in v_tab for f in vr.values())
+    return v_tab, vb_tab, digits + 10 + len(str(top))
+
+
 def _w_engine(k, wmax, digits, tol_f):
-    wdps = digits + 15
     pcut = _prime_cutoff(k, digits, tol_f)
     keys = _plan(wmax).keys
-    with mp.workdps(wdps):
+    with mp.workdps(digits + 15):
         tol_eff = mp.mpf(tol_f)
         primes = primes_upto(pcut)
         # below the cutoff every key's local factor is an exact integer
@@ -571,15 +580,15 @@ def _w_engine(k, wmax, digits, tol_f):
         # exact V tables to order R, extended 16 orders at a time: the tail
         # rarely passes r = 16, and each chunk is rebuilt from scratch
         R = 16
-        v_tab, vb_tab = _v_series(k, wmax, R)
-        head = prime_zeta_taylor(1, wmax, wdps - 5).coeffs
+        v_tab, vb_tab, fam_digits = _v_chunk(k, wmax, R, digits)
+        head = prime_zeta_taylor(1, wmax, fam_digits).coeffs
         for key, fv in v_tab[1].items():
             n = sum(key[0]) + sum(key[1])
             vals[key] += mp.mpf(fv.numerator) / fv.denominator * head[n]
 
-        history = {key: [] for key in keys}
-        gmax_hist = []
-        growth = []
+        history = {key: deque(maxlen=3) for key in keys}
+        gmax_hist = deque(maxlen=4)
+        growth = deque(maxlen=3)
         vb_prev_max = None
         streak = 0
         min_stop = max(8, wmax + 3)
@@ -595,9 +604,9 @@ def _w_engine(k, wmax, digits, tol_f):
                 )
             if r > R:
                 R += 16
-                v_tab, vb_tab = _v_series(k, wmax, R)
+                v_tab, vb_tab, fam_digits = _v_chunk(k, wmax, R, digits)
             vr, vb = v_tab[r], vb_tab[r]
-            ct = prime_zeta_beyond(r, wmax, head_primes, wdps - 5)
+            ct = prime_zeta_beyond(r, wmax, head_primes, fam_digits)
             allsmall = True
             tmax = mp.mpf(0)
             for key, fv in vr.items():
@@ -606,15 +615,10 @@ def _w_engine(k, wmax, digits, tol_f):
                 vals[key] += term
                 mag = abs(term)
                 tmax = max(tmax, mag)
-                h = history[key]
-                h.append(mag)
-                if len(h) > 3:
-                    del h[0]
+                history[key].append(mag)
                 if mag >= tol_eff * (1 + abs(vals[key])):
                     allsmall = False
             gmax_hist.append(tmax)
-            if len(gmax_hist) > 4:
-                del gmax_hist[0]
             streak = streak + 1 if allsmall else 0
             vb_max = max(
                 (mp.mpf(f.numerator) / f.denominator for f in vb.values()),
@@ -622,8 +626,6 @@ def _w_engine(k, wmax, digits, tol_f):
             )
             if vb_prev_max:
                 growth.append(float(vb_max / vb_prev_max))
-                if len(growth) > 3:
-                    del growth[0]
             vb_prev_max = vb_max
             if r < min_stop or streak < 3:
                 continue
@@ -640,7 +642,7 @@ def _w_engine(k, wmax, digits, tol_f):
             if rats:
                 q = min(0.9, max(1e-6, max(rats)))
             qm = mp.mpf(q)
-            chat = mp.mpf(max([2.0] + growth))
+            chat = mp.mpf(max([2.0, *growth]))
             envs = [envelope_bound(r, n, pcut) for n in range(wmax + 1)]
             errs = {}
             for key in keys:
@@ -886,7 +888,8 @@ def a_factor(k, digits=50):
     Local factors are evaluated outright up to a cutoff; the log of the
     remaining product is a series in beyond-cutoff prime power sums whose
     terms shrink geometrically, summed until two consecutive terms fall
-    below the target.
+    below the target.  Each family runs at digits + 8 + L absolute digits,
+    |b_r| < 10**L, so the terms move the log by under 10**-(digits+8).
     """
     _check_request(k, digits, None, k_min=0)
     if k == 0:
@@ -914,7 +917,8 @@ def a_factor(k, digits=50):
                     "Euler product tail not closed by r=400", meta={"k": k}
                 )
             br = _b_coeff(k, r) - Fraction(k * k, r)
-            tail0 = prime_zeta_beyond(r, 0, head, digits + 6)[0]
+            fam_digits = digits + 8 + len(str(abs(br.numerator) // br.denominator))
+            tail0 = prime_zeta_beyond(r, 0, head, fam_digits)[0]
             term = mp.mpf(br.numerator) / br.denominator * tail0
             acc += term
             small = small + 1 if abs(term) < thresh * max(1, abs(acc)) else 0

@@ -14,12 +14,12 @@ separate: the default route goes through an in-house Euler-Maclaurin engine
 (which at integer arguments sums the whole series, head and Bernoulli tail,
 in fixed-point integers with exact Bernoulli fractions) and the Moebius
 inversion of log zeta, which takes that engine's integers through the log
-and the Moebius sum in one B-bit integer pass per family (B derived in
-_moebius_fixed), while prime_zeta_direct sums sieved primes in
-plain mpf arithmetic and closes the tail with mpmath's own zeta
-derivatives, sharing no zeta code with the default route.  It must stay
-that way: prime_zeta_direct is the oracle the default route is checked
-against.
+and the Moebius sum in one B-bit integer pass per family (_moebius_fixed;
+families at one nmax and digits share each cached log zeta), while
+prime_zeta_direct sums sieved primes in plain mpf arithmetic and closes the
+tail with mpmath's own zeta derivatives, sharing no zeta code with the
+default route.  It must stay that way: prime_zeta_direct is the oracle the
+default route is checked against.
 """
 
 import itertools
@@ -304,6 +304,7 @@ def zeta_taylor(x0, nmax, digits=50):
     (zeta_derivative at 1 + s, say) sums it in mpf arithmetic.
     """
     _check_index(nmax, "nmax")
+    _check_index(digits, "digits", 1)
     xf = float(mp.mpf(1) * x0)
     if not xf > 1 + 1e-3:
         raise ValueError("zeta_taylor needs x0 > 1.001, got %r" % (x0,))
@@ -347,6 +348,7 @@ def stieltjes_gamma(n, digits=50):
     precision beyond the final evaluation.
     """
     _check_index(n, "Stieltjes index")
+    _check_index(digits, "digits", 1)
     M = max(20, digits)
     wp = digits + 20 + n
     with mp.workdps(wp):
@@ -390,6 +392,7 @@ def stieltjes_cumulant(n, digits=50):
     alternating sign; the n = 0 value is exactly 0.
     """
     _check_index(n, "cumulant index")
+    _check_index(digits, "digits", 1)
     if n == 0:
         return mp.mpf(0)
     with mp.workdps(digits + 15):
@@ -403,9 +406,10 @@ def stieltjes_cumulant(n, digits=50):
         return +val
 
 
+@lru_cache(maxsize=None)
 def _log_zeta_fixed(x0, nmax, b):
-    """Coefficients of log zeta(x0 + u) in u at an integer x0 >= 2, as
-    integers in units of 2**-b, each within 2**(2*nmax + 6) units.
+    """Coefficients of log zeta(x0 + u) in u at an integer x0 >= 2, as a
+    tuple of integers in units of 2**-b, each within 2**(2*nmax + 6) units.
 
     Write z_a = zeta^(a)(x0)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a| and the
     log coefficients are at most 2, and so is |z_a / z_0|: each is a sum over
@@ -434,7 +438,7 @@ def _log_zeta_fixed(x0, nmax, b):
     for w in range(1, nmax + 1):
         acc = sum(j * lz[j] * s[w - j] for j in range(1, w))
         lz.append(s[w] - acc // (w << b))
-    return lz
+    return tuple(lz)
 
 
 def _moebius_fixed(r, nmax, digits, start, stop):
@@ -443,26 +447,26 @@ def _moebius_fixed(r, nmax, digits, start, stop):
 
     Coefficient n of the m term is mu(m) * m**(n-1) * lz_n(m*r), so slot 0
     takes floor(mu * lz_0 / m) and slot n >= 1 takes mu * m**(n-1) * lz_n.
-    Each m works at its own b = c + a*bit_length(m) bits, a = max(nmax-1, 0),
-    which a left shift carries exactly to the common
-    B = c + a*bit_length(stop).  lz_n is within 2**(2*nmax + 6) units of
-    2**-b (_log_zeta_fixed) and m**(n-1) < 2**(a*bit_length(m)), so each m
-    adds under 2**(2*nmax + 6 - c) to a slot, and slot 0's floor one unit
-    of 2**-B more.  Over fewer than stop values of m, that is under
-    2**(bit_length(stop) + 2*nmax + 7 - c), so
-    c = T + bit_length(stop) + 2*nmax + 7 with 2**-T <= 10**-(digits+12)
-    keeps every slot within 10**-(digits+12) of the exact sum.
+    x = m*r works at b(x) = c + (a+2)*bit_length(x) bits, a = max(nmax-1, 0),
+    c = T + 2*nmax + 8, 2**-T <= 10**-(digits+12): set by (x, nmax, digits)
+    alone, so families share their common (cached) _log_zeta_fixed calls; a
+    left shift carries each exactly to B = b(stop*r).  lz_n is within
+    2**(2*nmax + 6) units of 2**-b and m**(n-1) <= 2**(a*bit_length(x)), so
+    the m term adds under 2**(2*nmax + 6 - c) / x**2 <= 2**(2*nmax + 6 - c)
+    / m**2 to a slot, under 2**(2*nmax + 7 - c) over all m, and slot 0's
+    floors a unit of 2**-B < 2**-c / stop**2 each, under 2**-c: every slot
+    is within 2**-T of the exact sum.
     """
     T = math.ceil((digits + 12) * math.log2(10))
-    c = T + stop.bit_length() + 2 * nmax + 7
+    c = T + 2 * nmax + 8
     a = max(nmax - 1, 0)
-    B = c + a * stop.bit_length()
+    B = c + (a + 2) * (stop * r).bit_length()
     sums = [0] * (nmax + 1)
     for m in range(start, stop):
         mu = mobius_int(m)
         if not mu:
             continue
-        b = c + a * m.bit_length()
+        b = c + (a + 2) * (m * r).bit_length()
         lz = _log_zeta_fixed(m * r, nmax, b)
         f = mu << (B - b)
         sums[0] += f * lz[0] // m
@@ -511,6 +515,7 @@ def prime_zeta_taylor(r, nmax, digits=50):
     """
     _check_index(r, "prime zeta order", 1)
     _check_index(nmax, "nmax")
+    _check_index(digits, "digits", 1)
     entry = _installed_pzeta.get(r)
     if entry is not None and entry.digits >= digits and len(entry.coeffs) > nmax:
         return entry
@@ -556,10 +561,10 @@ class HeadPrimes:
 
     The primes are validated and sorted once: each must be an int (not a
     bool), prime, and listed once, or ValueError is raised.  sums(r, nmax,
-    digits) serves every r of the current chunk; any other r, nmax or
-    digits starts a new chunk at that r.  Only the chunk's span * (nmax + 1)
-    sums are kept, never an integer per prime, so the object stays small
-    however many primes it holds.
+    digits) serves every r of the current chunk, its B set by the absolute
+    digits alone; any other r, nmax or digits starts a new chunk at that r.
+    Only the chunk's span * (nmax + 1) sums are kept, never an integer per
+    prime, so the object stays small however many primes it holds.
     """
 
     BLOCK = 256  # primes per C-level map pass: short lists keep memory flat
@@ -586,12 +591,6 @@ class HeadPrimes:
         # its sums at r0, r0 + 1, ...
         self._r0 = self._key = self._B = self._sums = None
 
-    def extra(self, r):
-        """Digits prime_zeta_beyond adds at order r for the cancellation."""
-        if not self.primes:
-            return 0
-        return int(r * math.log10(max(self.primes[-1], 4) / 2.0)) + 8
-
     def sums(self, r, nmax, digits):
         """(sums, B): sums[n] is the head's power sum at r, index n, as an
         integer in units of 2**-B (see prime_zeta_beyond)."""
@@ -604,8 +603,7 @@ class HeadPrimes:
         """One integer pass per prime over r0 .. r0 + span - 1; (B, sums)."""
         ps = self.primes
         g = (int(math.log(ps[-1])) + 3).bit_length()
-        prec = dps_to_prec(digits + 10 + self.extra(r0 + self.span - 1))
-        B = prec + len(ps).bit_length() + nmax * g + 12
+        B = dps_to_prec(digits + 10) + len(ps).bit_length() + nmax * g + 12
         one = 1 << B
         sums = [[0] * (nmax + 1) for _ in range(self.span)]
         for i in range(0, len(ps), self.BLOCK):
@@ -625,45 +623,40 @@ class HeadPrimes:
 
 
 def prime_zeta_beyond(r, nmax, primes, digits=50):
-    """The same family with the head primes' contribution removed.
+    """The same family with the head primes' contribution removed, each
+    value within 10**-(digits+3) of the exact one: digits is an absolute
+    accuracy, what a caller adding V_r times the family to O(1) values
+    needs (the family is about max(primes)**(1-r)).
 
     primes is a HeadPrimes, or any iterable of primes, which is validated
     and summed as a one-r chunk; a caller stepping through r passes one
     HeadPrimes to every call, so each prime takes one integer pass per
-    chunk of r.  The full family and the head are both tiny multiples of
-    what cancels, so the subtraction runs at wp = digits + 10 + extra
-    digits, with extra about the cancelled ratio r*log10(max(primes)/2) + 8;
-    the returned values are good to about `digits` digits relative to their
-    own size.  The head is summed in B-bit integers (see below), with an
-    error under 10**-(wp+2) absolutely, so it adds nothing to the error of
-    the base family.
+    chunk of r.  The full family, prime_zeta_taylor at digits, is within
+    its tail_bounds, under 1.1 * 10**-(digits+4) for r >= 2; the head, the
+    subtraction at digits + 10 and the rounding add under 10**-(digits+5).
 
     Head terms p**-r * l**n / n!, l = log p, are integers in units of
     2**-B: t_0 = floor(2**B / p**r), under a unit off (a chunk starts at
     floor(2**B / p**r0) and steps r by t_0 //= p, which keeps the floor
     exact: floor(floor(x)/p) = floor(x/p) for an integer p); L =
     log_int_fixed(p, B), under 2 units off 2**B * l; and t_n =
-    floor(t_{n-1} * L / 2**B / n).  Each step n
-    scales the error carried in by L/2**B/n < (1+l)/n and adds under 3:
-    its floor, plus L's error, under 2, times p**-r * l**(n-1)/(n-1)!/n
-    <= p**(1-r) <= 1.  So term n of one prime is off by under 3 * sum_{j<=n}
-    (1+l)**j/j! <= 3 * (2+l)**n units, below 2**(2 + n*g) with g =
-    bit_length(int(log max p) + 3), and a sum over the primes by under
-    2**(s - B) units of 1, where s = len.bit_length() + nmax*g + 2.  The
-    chunk takes B = prec + s + 10, prec the working precision of its last
-    r, the largest: that makes it 2**-(prec+10) < 10**-(wp+3) at every r
-    of the chunk.
+    floor(t_{n-1} * L / 2**B / n).  Each step n scales the error carried in
+    by L/2**B/n < (1+l)/n and adds under 3: its floor, plus L's error,
+    under 2, times p**-r * l**(n-1)/(n-1)!/n <= p**(1-r) <= 1.  So term n
+    of one prime is off by under 3 * sum_{j<=n} (1+l)**j/j! <= 3 * (2+l)**n
+    units, below 2**(2 + n*g) with g = bit_length(int(log max p) + 3), and
+    a sum over the primes by under 2**(s - B) units of 1, where s =
+    len.bit_length() + nmax*g + 2.  B = prec + s + 10, prec the working
+    precision of digits + 10, makes it 2**-(prec+10) < 10**-(digits+13).
     """
     head = primes if isinstance(primes, HeadPrimes) else HeadPrimes(primes, 1)
-    extra = head.extra(r)
-    base = prime_zeta_taylor(r, nmax, digits + extra)
-    with mp.workdps(digits + 10 + extra):
+    base = prime_zeta_taylor(r, nmax, digits)
+    with mp.workdps(digits + 10):
         out = list(base.coeffs[: nmax + 1])
         if head.primes:
             sums, B = head.sums(r, nmax, digits)
             for n, v in enumerate(sums):
-                h = mp.ldexp(mp.mpf(v), -B)
-                out[n] += h if n % 2 else -h
+                out[n] += mp.ldexp(mp.mpf(v if n % 2 else -v), -B)
     return _round_out(out, digits)
 
 
@@ -676,6 +669,7 @@ def envelope_bound(r, n, M, digits=15):
     """
     _check_index(r, "envelope order r", 2)
     _check_index(n, "envelope index n")
+    _check_index(digits, "digits", 1)
     if M < 2:
         raise ValueError("M must be at least 2")
     with mp.workdps(digits + 10):
@@ -705,6 +699,7 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
     prime_zeta_taylor beyond the final rounding.
     """
     _check_index(r, "direct route order r", 2)
+    _check_index(digits, "digits", 1)
     X = int(prime_cutoff)
     if X < 10:
         raise ValueError("prime cutoff too small to be useful")

@@ -40,7 +40,8 @@ from zetamoments.symseries import (
     _plan,
     series_exp,
 )
-from zetamoments.zeta_numerics import primes_upto
+from zetamoments import zeta_numerics
+from zetamoments.zeta_numerics import HeadPrimes, primes_upto
 
 F = Fraction
 
@@ -365,7 +366,59 @@ class TestHeadLogs:
         assert all(v == 0 for v in got.values())
 
 
+def _relative_families(monkeypatch, digits):
+    """Make the W engine take every prime family to digits + 10 digits
+    relative to its own size: beyond the cutoff that adds the cancelled
+    ratio, r * log10(max prime / 2) + 8 digits."""
+
+    def taylor(r, nmax, _):
+        return zeta_numerics.prime_zeta_taylor(r, nmax, digits + 10)
+
+    def beyond(r, nmax, head, _):
+        extra = int(r * math.log10(head.primes[-1] / 2.0)) + 8
+        return zeta_numerics.prime_zeta_beyond(
+            r, nmax, head.primes, digits + 10 + extra)
+
+    monkeypatch.setattr(moments, "prime_zeta_taylor", taylor)
+    monkeypatch.setattr(moments, "prime_zeta_beyond", beyond)
+
+
 class TestWEngine:
+    @pytest.mark.parametrize(
+        "k, wmax, digits", [(2, 4, 10), (3, 4, 15), (3, 0, 50), (4, 3, 12)]
+    )
+    def test_absolute_families_match_relative_ones(self, k, wmax, digits,
+                                                   monkeypatch):
+        tol_f = 10.0 ** -digits
+        vals, errs, meta = moments._w_engine(k, wmax, digits, tol_f)
+        _relative_families(monkeypatch, digits)
+        want, want_errs, want_meta = moments._w_engine(k, wmax, digits, tol_f)
+        assert meta == want_meta
+        with mp.workdps(digits + 20):
+            for key, v in want.items():
+                diff = abs(vals[key] - v)
+                assert diff <= want_errs[key], key
+                # the families' part stays under a tenth of the reported floor
+                assert diff <= mp.mpf(10) ** -(digits + 7) * (1 + abs(v)), key
+                # the tail estimate is formed from the terms themselves, so
+                # it moves in its last digits, never in the ones printed
+                assert abs(errs[key] - want_errs[key]) <= 1e-9 * want_errs[key]
+
+    def test_one_head_pass_serves_c0(self, monkeypatch):
+        # c_0(3) at 50 digits stops at r = 14: one chunk, one absolute digit
+        # count, so the 6,771 head primes take one integer pass
+        calls = []
+        real = HeadPrimes._pass
+
+        def counted(self, r0, nmax, digits):
+            calls.append(r0)
+            return real(self, r0, nmax, digits)
+
+        monkeypatch.setattr(HeadPrimes, "_pass", counted)
+        monkeypatch.setattr(moments, "_w_cache", {})
+        c_coeff(0, 3, 50)
+        assert calls == [2]
+
     def test_empty_key_at_k1_vanishes(self):
         got = W_coeff((), (), 1, digits=20)
         assert abs(got.value) <= got.error

@@ -109,6 +109,28 @@ def test_integer_arguments_reject_bools_and_non_integers(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (prime_zeta_taylor, (2, 2, 2.5)),
+        (prime_zeta_taylor, (2, 2, True)),
+        (prime_zeta_taylor, (2, 2, 0)),
+        (prime_zeta_taylor, (2, 2, -5)),
+        (zeta_taylor, (3, 2, -4)),
+        (zeta_derivative, (1, 3, 0)),
+        (prime_zeta_beyond, (2, 0, [2], -3)),
+        (envelope_bound, (2, 0, 100, -3)),
+        (stieltjes_gamma, (1, 0)),
+        (stieltjes_cumulant, (0, 0)),
+        (prime_zeta_direct, (2, 0, 0)),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
+)
+def test_digits_must_be_a_positive_integer(fn, args):
+    with pytest.raises(ValueError, match="digits"):
+        fn(*args)
+
+
 def test_boolean_order_cannot_poison_the_family_cache():
     # True == 1 in an lru_cache key, so an accepted True would be served
     # back later to a plain r = 1 request and encoded as "r": true
@@ -485,6 +507,22 @@ class TestMoebiusPass:
             want = _round_out([4 * bound + floor] * (nmax + 1), digits)
         assert [v._mpf_ for v in got.tail_bounds] == [v._mpf_ for v in want]
 
+    def test_family_is_the_same_from_cold_and_warm_caches(self):
+        # each log zeta depends on its arguments alone, so a family comes out
+        # the same whichever families filled the shared cache before it
+        zeta_numerics._compute_prime_zeta.cache_clear()
+        zeta_numerics._log_zeta_fixed.cache_clear()
+        cold = prime_zeta_taylor(3, 4, 30)
+        zeta_numerics._compute_prime_zeta.cache_clear()
+        for r in (1, 2, 6):
+            prime_zeta_taylor(r, 4, 30)
+        hits = zeta_numerics._log_zeta_fixed.cache_info().hits
+        warm = prime_zeta_taylor(3, 4, 30)
+        assert warm is not cold
+        assert zeta_numerics._log_zeta_fixed.cache_info().hits > hits
+        assert [v._mpf_ for v in warm.coeffs] == [v._mpf_ for v in cold.coeffs]
+        assert warm.tail_bounds == cold.tail_bounds
+
     @pytest.mark.parametrize("r", [2, 9])
     def test_higher_orders_take_no_mpf_series_log(self, r, monkeypatch):
         want = zeta_numerics._compute_prime_zeta.__wrapped__(r, 4, 30)
@@ -497,13 +535,15 @@ class TestMoebiusPass:
         assert got == want
 
 
+def _relative_extra(r, primes):
+    """Digits beyond a relative accuracy that carry it as an absolute one:
+    the beyond family is about max(primes)**(1-r)."""
+    return int(r * math.log10(max(*primes, 4) / 2.0)) + 8 if primes else 0
+
+
 def _beyond_reference(r, nmax, primes, digits):
     """The head subtraction as a plain mpf loop, at its own precision."""
-    primes = sorted(primes)
-    if primes and primes[-1] >= 2:
-        extra = int(r * math.log10(max(primes[-1], 4) / 2.0)) + 8
-    else:
-        extra = 0
+    extra = _relative_extra(r, primes)
     base = prime_zeta_taylor(r, nmax, digits + extra)
     with mp.workdps(digits + 10 + extra):
         out = list(base.coeffs[: nmax + 1])
@@ -522,7 +562,7 @@ class TestBeyondAndEnvelope:
     @pytest.mark.parametrize("pcut, nmax, digits", [(67968, 0, 60), (3200, 4, 40)])
     def test_fixed_point_head_matches_mpf_loop(self, r, pcut, nmax, digits):
         ps = primes_upto(pcut)
-        got = prime_zeta_beyond(r, nmax, ps, digits)
+        got = prime_zeta_beyond(r, nmax, ps, digits + _relative_extra(r, ps))
         ref = _beyond_reference(r, nmax, ps, digits + 20)
         with mp.workdps(digits + 30):
             for n in range(nmax + 1):
