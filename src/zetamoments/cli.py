@@ -447,10 +447,10 @@ def _check_split_alphabet():
 
 
 def _check_prime_zeta_routes():
-    # at r = 9 the Moebius arguments 9m >= 45 take the short
-    # Euler-Maclaurin head of zeta_taylor; r = 2 at 80 digits runs the
-    # longest Bernoulli tails, at the small arguments 2m; r = 3 at nmax = 9
-    # checks the m**(n-1) amplification of the integer Moebius pass
+    # log zeta(m*r) takes Euler-Maclaurin below x = 24..39 and the Euler
+    # product past it: r = 30 takes only the product, every other row both;
+    # r = 2 at 80 digits runs the longest Bernoulli tails, and r = 3 at
+    # nmax = 9 the m**(n-1) amplification of the integer Moebius pass
     for r, nmax, digits, tol in (
         (2, 4, 25, "1e-20"),
         (3, 4, 25, "1e-20"),
@@ -458,6 +458,8 @@ def _check_prime_zeta_routes():
         (9, 4, 25, "1e-20"),
         (2, 0, 80, "1e-75"),
         (3, 9, 40, "1e-35"),
+        (12, 4, 40, "1e-35"),
+        (30, 4, 40, "1e-35"),
     ):
         a = prime_zeta_taylor(r, nmax, digits)
         b = prime_zeta_direct(r, nmax, digits)
@@ -564,8 +566,8 @@ FULL_CHECKS = [
     ("first moment linear term vs Euler gamma", "oracle", _check_first_moment),
     ("split alphabet residuals, weight <= 3", "oracle", _check_split_alphabet),
     (
-        "prime zeta two-route agreement, r = 2..4, 9, r = 2 at 80 digits"
-        " and r = 3 at nmax 9",
+        "prime zeta two-route agreement, r = 2..4, 9, 12, 30, r = 2 at 80"
+        " digits and r = 3 at nmax 9",
         "identity",
         _check_prime_zeta_routes,
     ),

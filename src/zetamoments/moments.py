@@ -371,7 +371,7 @@ _w_cache = {}
 def _prime_cutoff(k, digits, tol_f):
     log10_t = 12 + max(digits, -math.log10(tol_f))
     cut = max(50.0, _rho_inv(k) * 10 ** (log10_t / 15))
-    if cut > 2_000_000:
+    if cut > HeadPrimes.MAX_PRIME:
         raise NonConvergenceError(
             "prime cutoff %.0f beyond the supported range; lower digits or tol"
             % cut,

@@ -8,25 +8,24 @@ Stieltjes expansion around the pole, and of prime power sums
 
     sum over primes of p**(-r) * (-log p)**n / n!
 
-for integer r.  The r = 1 family is regularized by removing the logarithmic
-singularity before expanding.  Two construction routes are kept deliberately
-separate: the default route goes through an in-house Euler-Maclaurin engine
-(which at integer arguments sums the whole series, head and Bernoulli tail,
-in fixed-point integers with exact Bernoulli fractions) and the Moebius
-inversion of log zeta, which takes that engine's integers through the log
-and the Moebius sum in one B-bit integer pass per family (_moebius_fixed;
-families at one nmax and digits share each cached log zeta), while
-prime_zeta_direct sums sieved primes in plain mpf arithmetic and closes the
-tail with mpmath's own zeta derivatives, sharing no zeta code with the
-default route.  It must stay that way: prime_zeta_direct is the oracle the
-default route is checked against.
+for integer r; the r = 1 family drops the logarithmic singularity.  The
+default route is the Moebius inversion of log zeta in one B-bit integer pass
+per family (_moebius_fixed), whose log zeta at each argument, cached and
+shared by families, comes from one integer kernel (_log_zeta_fixed): an
+Euler-Maclaurin sum with exact Bernoulli fractions from the pole x = 1 (where
+it also gives the Stieltjes constants) to moderate x, and the Euler product
+over the primes beyond.  prime_zeta_direct sums sieved primes in plain mpf
+arithmetic and closes the tail with mpmath's own zeta derivatives; it shares
+only primes_upto's sieve (tested against trial division), mobius_int and the
+final rounding with the default route, and must stay so: it is the oracle
+the default route is checked against.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import floordiv, lt, mul, rshift
+from operator import add, floordiv, lt, mul, rshift
 from typing import NamedTuple
 
 import mpmath
@@ -132,6 +131,12 @@ def _em_head_length(x, nmax, digits):
     return cap
 
 
+def _log_int(j, B):
+    """log_int_fixed(j, B) at B rounded up to 128: mpmath recomputes on each rise."""
+    top = B + -B % 128
+    return log_int_fixed(j, top) >> (top - B)
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_ratio(i):
     """B_2i / (2i)! as an exact fraction."""
@@ -139,7 +144,8 @@ def _bernoulli_ratio(i):
 
 
 def _em_fixed(n, nmax, M, digits):
-    """Euler-Maclaurin sum for zeta^(a)(n)/a!, a <= nmax, at an integer n >= 2.
+    """Euler-Maclaurin sum for zeta^(a)(n)/a!, a <= nmax, at an integer n >= 2;
+    at the pole n = 1, the same for the regular part zeta(1+u) - 1/u.
 
     Everything is an integer in units of 2**-B; only log M and log j are
     not exact rationals.  With l = log M, c = n - 1 and the magnitudes
@@ -149,72 +155,70 @@ def _em_fixed(n, nmax, M, digits):
       half_a = e_a / (2 * M**n)                         (from M**-s / 2),
     plus correction i, with B_2i/(2i)! = N_i/D_i exactly and
     P_i = (n+u)(n+1+u)...(n+2i-2+u) an integer polynomial in u:
-      floor(N_i * sum_u E_u * P_i[a-u] / (D_i * M**(n+2i-1))).
-    The corrections stop at the first i whose largest term is below
+      floor(N_i * (E * P_i)[a] / (D_i * M**(n+2i-1))),
+    the truncated product E * P_i carried from step to step.  At n = 1 the
+    main term's regular part (M**-u - 1)/u gives main_a = -e_{a+1}.  The
+    corrections stop at the first i whose largest term is below
     10**-(digits+10) * max(1, |coefficient 0|), and raise RuntimeError once
     they grow again after i = 3 or reach i = 4M (the terms are smallest
     near 2i = 2*pi*M, where every supported call has long stopped).
 
-    Error, in units, with g = bit_length(int(l) + 3), so 2 + l < 2**g:
+    Error, in units, with g = bit_length(int(l) + 3), so 2 + l < 2**g, and
+    nu = nmax, or nmax + 1 at n = 1 (the highest e_u used):
     - head: under 2**(bit_length(M) + nmax*g + 2), as in prime_zeta_beyond
       (t_0 = floor(2**B / j**n), t_a = floor(t_{a-1} * L_j / 2**B / a));
     - e_u: e_0 = 2**B exactly and e_u = floor(e_{u-1} * L / 2**B / u), L
       from log_int_fixed(M, B) (under 2 units off), so the error d_u obeys
       d_u <= d_{u-1}*l/u + 2*(1+l)**(u-1) + 2, hence d_u < 4*(2+l)**u
-      <= D = 2**(2 + nmax*g);
-    - main_a and half_a: one floor each after dividing by at least M >= 3,
-      under (nmax + 2) * D together;
+      <= D = 2**(2 + nu*g);
+    - main_a and half_a: under (nmax + 2) * D together (a floor each);
     - correction i: one floor plus D * T_i, T_i = |N_i/D_i| * P_i(1) *
       M**(1-n-2i), which bounds the coefficient sum of P_i.  Since e_0 is
       exact, the a = 0 term is T_i * n/(n+2i-1) to a unit, so T_i is under
       2i times the step's largest term (plus a unit).  T_i < 1 for i <= 3
-      (|B_2i|/(2i)! < 4/(2*pi)**2i, n >= 2, M >= 3), so those terms are
-      below (1+l)**nmax < 2**(nmax*g); later ones are no larger, or the
-      loop has raised.  Over I <= 4M steps the corrections are off by under
-      I + 2 * D * 2**(nmax*g) * I*(I+1) < 2**(3 + 2*nmax*g + 2*bit_length(4M)).
-    Each part is under 2**(s-2) with s = 2*nmax*g + 2*bit_length(4M) + 5,
+      (|B_2i|/(2i)! < 4/(2*pi)**2i, n >= 1, M >= 3), so those terms are
+      below (1+l)**nmax < 2**(nu*g); later ones are no larger, or the loop
+      has raised.  Over I <= 4M steps the corrections are off by under
+      I + 2 * D * 2**(nu*g) * I*(I+1) < 2**(3 + 2*nu*g + 2*bit_length(4M)).
+    Each part is under 2**(s-2) with s = 2*nu*g + 2*bit_length(4M) + 5,
     so B = prec + s + 10 keeps the sum within 2**-(prec+10) of the exact
-    truncated Euler-Maclaurin sum.  With nmax = 0 no log is taken.  Returns
-    the coefficients as integers in units of 2**-B, with B.
+    truncated Euler-Maclaurin sum.  With nmax = 0 and n >= 2 no log is
+    taken.  Returns the coefficients as integers in units of 2**-B, with B.
     """
     g = (int(math.log(M)) + 3).bit_length()
-    B = mp.prec + 2 * nmax * g + 2 * (4 * M).bit_length() + 15
+    nu = nmax + (n == 1)
+    B = mp.prec + 2 * nu * g + 2 * (4 * M).bit_length() + 15
     one = 1 << B
     head = [one] + [0] * nmax
     for j in range(2, M):
         t = one // j ** n
         head[0] += t
-        if nmax:
-            L = log_int_fixed(j, B)
-            for a in range(1, nmax + 1):
-                t = ((t * L) >> B) // a
-                head[a] += t
-    e = [one]
-    if nmax:
-        L = log_int_fixed(M, B)
-        for u in range(1, nmax + 1):
-            e.append(((e[-1] * L) >> B) // u)
+        L = _log_int(j, B) if nmax else 0
+        for a in range(1, nmax + 1):
+            t = ((t * L) >> B) // a
+            head[a] += t
+    e, L = [one], _log_int(M, B) if nu else 0
+    for u in range(1, nu + 1):
+        e.append(((e[-1] * L) >> B) // u)
     c = n - 1
     Mc = M ** c
     out = []
     for a in range(nmax + 1):
-        main = sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc)
-        v = head[a] + main + e[a] // (2 * Mc * M)
-        out.append(-v if a % 2 else v)
-    E = [-v if u % 2 else v for u, v in enumerate(e)]
+        main = -e[a + 1] if not c else (
+            sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
+        t = head[a] + main + e[a] // (2 * Mc * M)
+        out.append(-t if a % 2 else t)
+    E = [-v if u % 2 else v for u, v in enumerate(e[: nmax + 1])]
     thresh = max(one, abs(out[0])) // 10 ** (digits + 10)
-    poly = ([n, 1] + [0] * nmax)[: nmax + 1]
     den = M ** (n + 1)
+    E = [n * p + lo for p, lo in zip(E, [0] + E)]
     i = 1
     while True:
         q = _bernoulli_ratio(i)
         d = q.denominator * den
-        mag = 0
-        for a in range(nmax + 1):
-            s = sum(E[u] * poly[a - u] for u in range(a + 1))
-            term = q.numerator * s // d
-            out[a] += term
-            mag = max(mag, abs(term))
+        terms = [q.numerator * v // d for v in E]
+        out = list(map(add, out, terms))
+        mag = max(map(abs, terms))
         if mag < thresh:
             break
         if i > 3 and (mag > prev or i >= 4 * M):
@@ -224,7 +228,7 @@ def _em_fixed(n, nmax, M, digits):
         prev = mag
         i += 1
         for shift in (n + 2 * i - 3, n + 2 * i - 2):
-            poly = [shift * p + lo for p, lo in zip(poly, [0] + poly)]
+            E = [shift * p + lo for p, lo in zip(E, [0] + E)]
         den *= M * M
     return out, B
 
@@ -240,39 +244,23 @@ def _em_mpf(x, nmax, M, digits):
             t = t * Lj / a
             out[a] += t
     L = mp.log(M) if nmax else 0
-    c = x - 1
     E = [mp.mpf(1)]
     for u in range(1, nmax + 1):
         E.append(E[-1] * (-L) / u)
     Mpow = mp.mpf(M) ** (1 - x)
-    cpow = 1 / c
-    C = []
-    for v in range(nmax + 1):
-        C.append(cpow)
-        cpow = -cpow / c
+    C = [(-1) ** v / (x - 1) ** (v + 1) for v in range(nmax + 1)]
     for a in range(nmax + 1):
-        s = mp.mpf(0)
-        for u in range(a + 1):
-            s += E[u] * C[a - u]
-        out[a] += Mpow * s
-    half = Mpow / M / 2
-    for a in range(nmax + 1):
-        out[a] += half * E[a]
+        out[a] += Mpow * (sum(E[u] * C[a - u] for u in range(a + 1)) + E[a] / (2 * M))
     thresh = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(out[0]))
-    poly = ([x, mp.mpf(1)] + [0] * nmax)[: nmax + 1]
+    E = [x * p + lo for p, lo in zip(E, [0] + E)]
     i = 1
     prev_mag = mp.inf
     mfac = Mpow / (M * M)
     while True:
         coef = mp.bernoulli(2 * i) / mp.factorial(2 * i) * mfac
-        mag = mp.mpf(0)
-        for a in range(nmax + 1):
-            s = mp.mpf(0)
-            for u in range(a + 1):
-                s += E[u] * poly[a - u]
-            term = coef * s
-            out[a] += term
-            mag = max(mag, abs(term))
+        terms = [coef * v for v in E]
+        out = list(map(add, out, terms))
+        mag = max(map(abs, terms))
         if mag < thresh:
             break
         if mag > prev_mag and i > 3:
@@ -282,7 +270,7 @@ def _em_mpf(x, nmax, M, digits):
         prev_mag = mag
         i += 1
         for shift in (x + 2 * i - 3, x + 2 * i - 2):
-            poly = [shift * p + lo for p, lo in zip(poly, [0] + poly)]
+            E = [shift * p + lo for p, lo in zip(E, [0] + E)]
         mfac /= M * M
     return out
 
@@ -291,17 +279,14 @@ def zeta_taylor(x0, nmax, digits=50):
     """Taylor coefficients of zeta around x0: zeta^(a)(x0)/a! for a <= nmax.
 
     Euler-Maclaurin with the head length sized to the argument and the digit
-    request (see _em_head_length), so large x0 sums only a few terms; only
-    the region strictly right of the pole is supported, with a small buffer
-    so the pole distance cannot eat the whole working precision silently.
-    The Bernoulli corrections run until the largest term of a step drops
-    below 10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if
-    they grow again first.  At an integer x0 the whole sum, head and tail,
-    is one computation in B-bit integers with exact Bernoulli fractions
-    (_em_fixed, which the Moebius pass also calls directly), within
-    2**-(prec+10) of the exact truncated sum at the working precision, and
-    it takes no log at all when nmax = 0.  Any other real x0
-    (zeta_derivative at 1 + s, say) sums it in mpf arithmetic.
+    request (see _em_head_length); only x0 > 1.001 is supported, so the
+    pole distance cannot eat the whole working precision silently.  The
+    Bernoulli corrections run until the largest term of a step drops below
+    10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if they
+    grow again first.  An integer x0 takes the B-bit integer kernel
+    (_em_fixed), within 2**-(prec+10) of the truncated sum and with no log
+    at nmax = 0; any other real x0 (zeta_derivative at 1 + s, say) sums it
+    in mpf arithmetic.
     """
     _check_index(nmax, "nmax")
     _check_index(digits, "digits", 1)
@@ -328,122 +313,147 @@ def zeta_derivative(a, x, digits=50):
         return +(coeffs[a] * mp.factorial(a))
 
 
-def _derive_log_family(fam):
-    """One d/dt step on a combination of (log t)**a * t**-c basis terms."""
-    out = {}
-    for (a, c), coef in fam.items():
-        if a > 0:
-            key = (a - 1, c + 1)
-            out[key] = out.get(key, Fraction(0)) + a * coef
-        key = (a, c + 1)
-        out[key] = out.get(key, Fraction(0)) - c * coef
-    return out
-
-
 def stieltjes_gamma(n, digits=50):
-    """n-th Stieltjes constant, by Euler-Maclaurin on (log t)**n / t.
-
-    The odd-order derivatives at the cut point are carried as exact rational
-    combinations of the log-power basis, so the correction terms cost no
-    precision beyond the final evaluation.
-    """
+    """n-th Stieltjes constant gamma_n = (-1)**n * n! * R_n, R_n coefficient n
+    of zeta(1+u) - 1/u from the integer kernel at the pole (_em_fixed at 1).
+    At d = digits + 5 + len(str(n!)) digits R_n is within 10**-(d+3) (the
+    kernel's 2**-(prec+10) and dropped remainder), so gamma_n is within
+    10**-(digits+8)."""
     _check_index(n, "Stieltjes index")
     _check_index(digits, "digits", 1)
-    M = max(20, digits)
-    wp = digits + 20 + n
-    with mp.workdps(wp):
-        L = mp.log(M)
-        acc = mp.mpf(1) if n == 0 else mp.mpf(0)
-        for j in range(2, M):
-            acc += mp.log(j) ** n / j
-        acc -= L ** (n + 1) / (n + 1)
-        acc += L ** n / (2 * M)
-        thresh = mp.mpf(10) ** (-(digits + 10))
-        fam = {(n, 1): Fraction(1)}
-        i = 1
-        prev_mag = mp.inf
-        while True:
-            steps = 1 if i == 1 else 2
-            for _ in range(steps):
-                fam = _derive_log_family(fam)
-            val = mp.mpf(0)
-            for (a, c), coef in fam.items():
-                val += mp.mpf(coef.numerator) / coef.denominator * L ** a * mp.mpf(M) ** (-c)
-            b2i = mp.bernoulli(2 * i) / mp.factorial(2 * i)
-            term = b2i * val
-            acc -= term
-            mag = abs(term)
-            if mag < thresh:
-                break
-            if mag > prev_mag and i > 3:
-                raise RuntimeError(
-                    "Euler-Maclaurin tail diverged before reaching %d digits" % digits
-                )
-            prev_mag = mag
-            i += 1
+    f = math.factorial(n)
+    d = digits + 5 + len(str(f))
+    with mp.workdps(d):
+        ints, B = _em_fixed(1, n, _em_head_length(1, n, d), d)
     with mp.workdps(digits + 5):
-        return +acc
+        return mp.ldexp(mp.mpf((-1) ** n * f * ints[n]), -B)
 
 
 def stieltjes_cumulant(n, digits=50):
     """Cumulant-style recombination of the Stieltjes constants.
 
     Coefficient n of the logarithm of s*zeta(1+s), rescaled by n! and an
-    alternating sign; the n = 0 value is exactly 0.
+    alternating sign; the n = 0 value is exactly 0.  It is read from
+    _log_zeta_fixed(1, n, b), whose b carries its 2**(2n+6) units through n!.
     """
     _check_index(n, "cumulant index")
     _check_index(digits, "digits", 1)
-    if n == 0:
-        return mp.mpf(0)
-    with mp.workdps(digits + 15):
-        s = [mp.mpf(1)]
-        for m in range(1, n + 1):
-            g = stieltjes_gamma(m - 1, digits + 8)
-            s.append((-1) ** (m - 1) * g / mp.factorial(m - 1))
-        lo = _series_log_list(s)
-        val = -((-1) ** n) * lo[n] * mp.factorial(n)
+    f = math.factorial(n)
+    b = dps_to_prec(digits + 5) + 2 * n + 10 + f.bit_length()
     with mp.workdps(digits + 5):
-        return +val
+        return mp.ldexp(mp.mpf((-1) ** (n + 1) * f * _log_zeta_fixed(1, n, b)[n]), -b)
+
+
+@lru_cache(maxsize=None)
+def _euler_primes(t):
+    """The primes below 2**t, t >= 2, from primes_upto's sieve."""
+    return tuple(itertools.compress(range(1 << t), _prime_flags((1 << t) - 1)))
+
+
+def _euler_bits(x, nmax, b):
+    """t if log zeta(x + u) at b bits takes the Euler product over the primes
+    below P = 2**t, P**(x-1) >= 2**(b + 4*nmax + 4), else None: that needs
+    x > max(nmax, 1), t <= 13 and at most twice as many primes as the longest
+    Euler-Maclaurin head, max(20, d) terms at d = ceil(b*log10 2) - 9.  So
+    timed at x = 10..79, nmax 0, 4, 9, b = 150..450, it costs 0.1-0.7 of the
+    Euler-Maclaurin kernel (0.6-1.2 at 2.4-2.6 times as many primes); M(x)
+    for max(20, d) picks alike at x < 500, nmax <= 16, b <= 1200."""
+    t = max(2, -(-(b + 4 * nmax + 4) // (x - 1))) if x > max(nmax, 1) else 14
+    pi = (0, 1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028)  # below 2**t
+    cap = max(20, math.ceil(b * math.log10(2)) - 9)
+    return t if t <= 13 and pi[t] <= 2 * cap else None
+
+
+def _log_zeta_euler(x, nmax, b, t):
+    """Coefficients of log zeta(x + u) = sum over prime powers q = p**k of
+    q**-(x+u) / k, summed over q < P = 2**t, in units of 2**-b.
+
+    Term a of q, q**-x * (-log q)**a / (k * a!), is in units of 2**-B, B = b
+    + 4*nmax + t + 6: t_0 = floor(2**B / (k * q**x)), t_a = floor(t_{a-1} *
+    k * L / 2**s / a), L = log_int_fixed(p, s) under 2 units off at s =
+    bit_length(floor(2**B / p**x) * p) + 4.  L's error adds under 2**(B+1-s)
+    * q**(1-x) <= 1/4 unit to a step, which floors once and scales the error
+    carried in by (1 + log q)/a, so term a is off by under 3 * (2 + log q)**a
+    < 2**(2 + 4a) (log q < 9.1), over the under 2**t q (those whose t_0 is
+    0, and every q after them, add only zeros) under 2**-(b+4).  For x >
+    nmax and P >= 4, y**-x * (log y)**a falls on y >= P, so the integers
+    past P add under its value at P plus its integral from P, at most
+    2 * P**(1-x) * (1 + log P)**a <= 2**-(b+3).  With the final shift each
+    coefficient is within 2 units of 2**-b."""
+    B = b + 4 * nmax + t + 6
+    one, P = 1 << B, 1 << t
+    out = [0] * (nmax + 1)
+    for p in _euler_primes(t):
+        px = p ** x
+        if px > one:
+            break
+        s = (one // px * p).bit_length() + 4
+        L = _log_int(p, s) if nmax else 0
+        k, q, qx = 1, p, px
+        while q < P and k * qx <= one:
+            v = one // (k * qx)
+            out[0] += v
+            for a in range(1, nmax + 1):
+                v = ((v * k * L) >> s) // a
+                out[a] += -v if a % 2 else v
+            k, q, qx = k + 1, q * p, qx * px
+    return tuple(v >> (B - b) for v in out)
 
 
 @lru_cache(maxsize=None)
 def _log_zeta_fixed(x0, nmax, b):
-    """Coefficients of log zeta(x0 + u) in u at an integer x0 >= 2, as a
-    tuple of integers in units of 2**-b, each within 2**(2*nmax + 6) units.
+    """Coefficients of log zeta(x0 + u) in u at an integer x0 >= 2, and of
+    the regular log(u * zeta(1 + u)) at the pole x0 = 1, as a tuple of
+    integers in units of 2**-b, each within 2**(2*nmax + 6) units.
 
+    _euler_bits picks the route from (x0, nmax, b) alone: the Euler product
+    (_log_zeta_euler), or the Euler-Maclaurin kernel and its series log.
     Write z_a = zeta^(a)(x0)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a| and the
-    log coefficients are at most 2, and so is |z_a / z_0|: each is a sum over
-    j >= 2 of at most j**-2 * (log j)**a / a!, whose integral over t >= 1 is
-    1 and whose largest term is below 1.
+    log coefficients are at most 2, and so is |z_a / z_0|: each is a sum
+    over j >= 2 of at most j**-2 * (log j)**a / a!, whose integral over
+    t >= 1 is 1 and whose largest term is below 1.  At the pole the series
+    is 1 + sum_a R_a u**(a+1), R_a the kernel's coefficients; on |u| = 2,
+    |zeta(1+u) - 1/u| < 0.71 and |log(u * zeta(1+u))| < 1.8 (sampled), so
+    by Cauchy both kinds are under 1.
     - The kernel runs at working precision b with d = ceil(b*log10 2) - 9
       digits: its integers are within 2**-(b+10) of the truncated sum, whose
       last correction, under 10**-(d+10) * max(1, zeta(x0)), bounds the
       dropped remainder by 2*10**-(d+10) <= 2**-b / 5.  Shifted down to b
       bits (one floor), v_a is off by under 2 units; so is v_0 after it is
       raised to at least 2**b, which only moves it toward 2**b * zeta(x0).
-    - s_a = floor(v_a * 2**b / v_0) is off by under 2*(1 + 2) + 1 = 7 units.
-    - lz_0 is a log at b + 10 bits of v_0 * 2**-b >= 1: off by under 4.
+    - s_a = floor(v_a * 2**b / v_0) is off by under 2*(1 + 2) + 1 = 7 units
+      (at the pole s_a = v_{a-1}, under 2).
+    - lz_0 = log(v_0 * 2**-b) at b + 10 bits is off by under 4 (0 at the pole).
     - lz_w = s_w - floor(sum_{j<w} j * lz_j * s_{w-j} / (w * 2**b)) is off
       by e_w <= 1 + 7*(2w - 1) + 2.01 * sum_{j<w} e_j, with e_1 = 7, so
       e_w <= 56 * 4**w < 2**(2w + 6).
     """
+    if t := _euler_bits(x0, nmax, b):
+        return _log_zeta_euler(x0, nmax, b, t)
+    pole = x0 == 1
+    if pole and not nmax:
+        return (0,)
     d = math.ceil(b * math.log10(2)) - 9
     with mp.workprec(b):
-        ints, B = _em_fixed(x0, nmax, _em_head_length(x0, nmax, d), d)
-    v = [x >> (B - b) for x in ints]
+        ints, B = _em_fixed(x0, nmax - pole, _em_head_length(x0, nmax, d), d)
     one = 1 << b
-    v0 = max(v[0], one)
-    s = [one] + [(x << b) // v0 for x in v[1:]]
-    lz = [to_fixed(mpf_log(from_man_exp(v0, -b), b + 10), b)]
+    v = [x >> (B - b) for x in ints]
+    if pole:
+        s, lz = [one] + v, [0]
+    else:
+        v0 = max(v[0], one)
+        s = [one] + [(x << b) // v0 for x in v[1:]]
+        lz = [to_fixed(mpf_log(from_man_exp(v0, -b), b + 10), b)]
     for w in range(1, nmax + 1):
         acc = sum(j * lz[j] * s[w - j] for j in range(1, w))
         lz.append(s[w] - acc // (w << b))
     return tuple(lz)
 
 
-def _moebius_fixed(r, nmax, digits, start, stop):
-    """sum over start <= m < stop of mu(m)/m * log zeta(m*r + m*u), by
-    coefficient of u, as integers in units of 2**-B; returns (sums, B).
+def _moebius_fixed(r, nmax, digits, stop):
+    """sum over 1 <= m < stop of mu(m)/m * log zeta(m*r + m*u), by
+    coefficient of u, as integers in units of 2**-B; returns (sums, B).  At
+    r = 1 the m = 1 term is the regular log(u * zeta(1 + u)).
 
     Coefficient n of the m term is mu(m) * m**(n-1) * lz_n(m*r), so slot 0
     takes floor(mu * lz_0 / m) and slot n >= 1 takes mu * m**(n-1) * lz_n.
@@ -462,7 +472,7 @@ def _moebius_fixed(r, nmax, digits, start, stop):
     a = max(nmax - 1, 0)
     B = c + (a + 2) * (stop * r).bit_length()
     sums = [0] * (nmax + 1)
-    for m in range(start, stop):
+    for m in range(1, stop):
         mu = mobius_int(m)
         if not mu:
             continue
@@ -504,14 +514,11 @@ def install_prime_zeta(r, entry):
 def prime_zeta_taylor(r, nmax, digits=50):
     """Coefficient family for sum_p p**(-r): index n carries (-log p)**n / n!.
 
-    For r >= 2 this is Moebius inversion of log zeta along the arithmetic
-    progression of arguments m*r, summed in B-bit integers: zeta_taylor's
-    integer kernel, then the log series and the Moebius sum, with one
-    conversion to mpf at the end (_compute_prime_zeta).  For r = 1 the
-    family is the regularized one: the logarithmic blowup is removed before
-    expanding, which shifts the n = 0 value to about -0.3157.  An installed
-    cache entry is returned as is when it covers the requested order and
-    digits.
+    Moebius inversion of log zeta along the arguments m*r, summed in B-bit
+    integers (_compute_prime_zeta).  For r = 1 the family is the regularized
+    one: the logarithmic blowup is removed before expanding, which shifts the
+    n = 0 value to about -0.3157.  An installed cache entry is returned as
+    is when it covers the requested order and digits.
     """
     _check_index(r, "prime zeta order", 1)
     _check_index(nmax, "nmax")
@@ -526,29 +533,17 @@ def prime_zeta_taylor(r, nmax, digits=50):
 def _compute_prime_zeta(r, nmax, digits):
     """The family by Moebius inversion of log zeta, rounded to digits.
 
-    Runs in one integer pass over squarefree m (_moebius_fixed), within
-    10**-(digits+12) of the truncated sum, which stops at the first m with
-    4 * m**nmax * 2**(-m*r) < 10**-(digits+10), compared exactly in
-    integers.  The r = 1 family starts at m = 2 on top of the regularized
-    m = 1 term from the Stieltjes constants, in mpf.
+    One integer pass over squarefree m (_moebius_fixed; at r = 1 its m = 1
+    term is the regular log(u * zeta(1 + u))), within 10**-(digits+12) of
+    the truncated sum, which stops at the first m with 4 * m**nmax *
+    2**(-m*r) < 10**-(digits+10), compared exactly in integers.
     """
     with mp.workdps(digits + 15):
-        if r == 1:
-            gam = [stieltjes_gamma(j, digits + 8) for j in range(nmax)]
-            s = [mp.mpf(1)]
-            for m in range(1, nmax + 1):
-                s.append((-1) ** (m - 1) * gam[m - 1] / mp.factorial(m - 1))
-            out = _series_log_list(s)
-            start = 2
-        else:
-            out = [mp.mpf(0)] * (nmax + 1)
-            start = 1
-        stop, lhs = start, 4 * 10 ** (digits + 10)
+        stop, lhs = 1, 4 * 10 ** (digits + 10)
         while lhs * stop ** nmax >= 1 << (stop * r):
             stop += 1
-        sums, B = _moebius_fixed(r, nmax, digits, start, stop)
-        for n, v in enumerate(sums):
-            out[n] += mp.ldexp(mp.mpf(v), -B)
+        sums, B = _moebius_fixed(r, nmax, digits, stop)
+        out = [mp.ldexp(mp.mpf(v), -B) for v in sums]
         bound = 4 * mp.mpf(stop) ** nmax * mp.mpf(2) ** (-stop * r)
         floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
         tb = _round_out([4 * bound + floor] * (nmax + 1), digits)
@@ -560,7 +555,8 @@ class HeadPrimes:
     for one chunk of `span` consecutive orders r at a time.
 
     The primes are validated and sorted once: each must be an int (not a
-    bool), prime, and listed once, or ValueError is raised.  sums(r, nmax,
+    bool), prime, at most MAX_PRIME (checked before the validating sieve
+    runs) and listed once, or ValueError is raised.  sums(r, nmax,
     digits) serves every r of the current chunk, its B set by the absolute
     digits alone; any other r, nmax or digits starts a new chunk at that r.
     Only the chunk's span * (nmax + 1) sums are kept, never an integer per
@@ -568,6 +564,7 @@ class HeadPrimes:
     """
 
     BLOCK = 256  # primes per C-level map pass: short lists keep memory flat
+    MAX_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted
 
     def __init__(self, primes, span=16):
         _check_index(span, "chunk span", 1)
@@ -576,8 +573,8 @@ class HeadPrimes:
             bad = next(p for p in ps if type(p) is not int)
             raise ValueError("head primes must be ints, got %r" % (bad,))
         ps.sort()
-        if ps and ps[0] < 2:
-            raise ValueError("head primes must be at least 2, got %d" % ps[0])
+        if ps and not 2 <= ps[0] <= ps[-1] <= self.MAX_PRIME:
+            raise ValueError("head primes must lie in [2, %d]" % self.MAX_PRIME)
         if not all(map(lt, ps, itertools.islice(ps, 1, None))):
             raise ValueError("head primes must be distinct")
         if ps:
@@ -695,8 +692,9 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
 
     Sums the sieved primes up to the cutoff outright, then closes with
     Moebius inversion of log zeta restricted to the remaining primes, taking
-    zeta derivatives from mpmath itself.  No code is shared with
-    prime_zeta_taylor beyond the final rounding.
+    zeta derivatives from mpmath itself.  With prime_zeta_taylor it shares
+    only primes_upto's sieve (tested against trial division), mobius_int
+    and the final rounding.
     """
     _check_index(r, "direct route order r", 2)
     _check_index(digits, "digits", 1)

@@ -419,6 +419,33 @@ class TestWEngine:
         c_coeff(0, 3, 50)
         assert calls == [2]
 
+    def test_c0_runs_euler_maclaurin_only_below_the_crossover(self, monkeypatch):
+        # c_0(3) at 50 digits asks log zeta at 243 arguments; the Euler
+        # product serves those past the crossover, so the Euler-Maclaurin
+        # kernel runs 31 times (242 before the product route)
+        kernel, below = [], set()
+        real_kernel, real_bits = zeta_numerics._em_fixed, zeta_numerics._euler_bits
+
+        def counted(*args):
+            kernel.append(args[0])
+            return real_kernel(*args)
+
+        def bits(x, nmax, b):
+            t = real_bits(x, nmax, b)
+            if t is None:
+                below.add((x, nmax, b))
+            return t
+
+        monkeypatch.setattr(zeta_numerics, "_em_fixed", counted)
+        monkeypatch.setattr(zeta_numerics, "_euler_bits", bits)
+        monkeypatch.setattr(zeta_numerics, "_installed_pzeta", {})
+        monkeypatch.setattr(moments, "_w_cache", {})
+        zeta_numerics._log_zeta_fixed.cache_clear()
+        zeta_numerics._compute_prime_zeta.cache_clear()
+        c_coeff(0, 3, 50)
+        assert len(kernel) <= len(below)
+        assert len(kernel) == 31
+
     def test_empty_key_at_k1_vanishes(self):
         got = W_coeff((), (), 1, digits=20)
         assert abs(got.value) <= got.error

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -139,6 +141,15 @@ def test_boolean_order_cannot_poison_the_family_cache():
     fam = prime_zeta_taylor(1, 0, 20)
     assert type(fam.r) is int
     assert type(encode_pzeta(fam).params["r"]) is int
+
+
+@lru_cache(maxsize=None)
+def _mpmath_stieltjes():
+    """mpmath.stieltjes(n) for n <= 16 at 160 digits, by mpmath's own
+    quadrature: the oracle for every Stieltjes constant checked here, now
+    that stieltjes_gamma shares the engine's kernel (about 12 s, once)."""
+    with mp.workdps(160):
+        return tuple(mpmath.stieltjes(n) for n in range(17))
 
 
 def _em_reference(x0, nmax, digits):
@@ -299,6 +310,12 @@ class TestStieltjes:
                 got = stieltjes_gamma(n, 30)
                 ref = mpmath.stieltjes(n)
                 assert abs(got - ref) < mp.mpf("1e-28"), n
+        # every order P_4 asks for, at low, middle and high precision
+        for digits in (131, 45, 15):
+            with mp.workdps(digits + 10):
+                for n, ref in enumerate(_mpmath_stieltjes()):
+                    got = stieltjes_gamma(n, digits)
+                    assert abs(got - ref) < mp.mpf(10) ** -digits, (digits, n)
 
     def test_gamma_one_leading_digits(self):
         with mp.workdps(30):
@@ -451,10 +468,11 @@ def _mpf_stop_bound(r, nmax, digits, m):
 
 def _family_reference(r, nmax, digits):
     """The family by the Moebius loop in mpf arithmetic: each log zeta series
-    from zeta_taylor's rounded values, summed as Fraction(mu, m) * m**n * lz."""
+    from zeta_taylor's rounded values, summed as Fraction(mu, m) * m**n * lz;
+    r = 1 adds the log of the Stieltjes series, its constants from mpmath."""
     with mp.workdps(digits + 15):
         if r == 1:
-            gam = [stieltjes_gamma(j, digits + 8) for j in range(nmax)]
+            gam = _mpmath_stieltjes()[:nmax]
             s = [mp.mpf(1)]
             for m in range(1, nmax + 1):
                 s.append((-1) ** (m - 1) * gam[m - 1] / mp.factorial(m - 1))
@@ -533,6 +551,51 @@ class TestMoebiusPass:
         monkeypatch.setattr(zeta_numerics, "_series_log_list", banned)
         got = zeta_numerics._compute_prime_zeta.__wrapped__(r, 4, 30)
         assert got == want
+
+
+def _route_window(nmax, b):
+    """x from 4 below to 4 past the first argument the Euler product takes."""
+    x = max(nmax, 1) + 1
+    while zeta_numerics._euler_bits(x, nmax, b) is None:
+        x += 1
+    return range(x - 4, x + 5)
+
+
+class TestLogZetaRoutes:
+    @pytest.mark.parametrize("b", [120, 260, 480])
+    @pytest.mark.parametrize("nmax", [0, 4, 9])
+    def test_both_routes_agree_around_the_crossover(self, nmax, b, monkeypatch):
+        # each route is within 2**(2*nmax + 6) units of the exact log
+        for x in _route_window(nmax, b):
+            t = max(2, -(-(b + 4 * nmax + 4) // (x - 1)))
+            euler = zeta_numerics._log_zeta_euler(x, nmax, b, t)
+            monkeypatch.setattr(zeta_numerics, "_euler_bits", lambda *args: None)
+            em = zeta_numerics._log_zeta_fixed.__wrapped__(x, nmax, b)
+            monkeypatch.undo()
+            for a in range(nmax + 1):
+                assert abs(euler[a] - em[a]) < 2 ** (2 * nmax + 7), (x, a)
+
+    def test_crossover_splits_the_window(self):
+        # the window's first arguments take Euler-Maclaurin, its last the product
+        xs = _route_window(4, 260)
+        assert zeta_numerics._euler_bits(xs[3], 4, 260) is None
+        assert all(zeta_numerics._euler_bits(x, 4, 260) for x in xs[4:])
+        assert zeta_numerics._euler_bits(1, 4, 260) is None
+        # the rule's prime counts are those of the sieve the product runs over
+        pi = [len(zeta_numerics._euler_primes(t)) for t in range(2, 14)]
+        assert pi == [2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028]
+
+    @pytest.mark.parametrize("nmax", [0, 4, 16])
+    def test_pole_is_the_log_of_the_stieltjes_series(self, nmax):
+        # log(u * zeta(1 + u)) from mpmath's Stieltjes constants
+        b = 300
+        got = zeta_numerics._log_zeta_fixed(1, nmax, b)
+        with mp.workdps(110):
+            gam = _mpmath_stieltjes()
+            s = [mp.mpf(1)] + [(-1) ** n * gam[n] / mp.factorial(n) for n in range(nmax)]
+            ref = _series_log_list(s)
+            for a in range(nmax + 1):
+                assert abs(mp.ldexp(got[a], -b) - ref[a]) < mp.ldexp(2 ** (2 * nmax + 6), -b), a
 
 
 def _relative_extra(r, primes):
@@ -614,6 +677,21 @@ class TestBeyondAndEnvelope:
             HeadPrimes(primes)
         with pytest.raises(ValueError):
             prime_zeta_beyond(3, 0, primes, 20)
+
+    def test_head_primes_past_the_cutoff_cap_rejected_before_the_sieve(self):
+        # a sieve to 10**9 would take about 1 GB; the cap check allocates none
+        tracemalloc.start()
+        try:
+            for primes in ([1_000_000_007], [2, 2_000_003]):
+                with pytest.raises(ValueError):
+                    HeadPrimes(primes)
+                with pytest.raises(ValueError):
+                    prime_zeta_beyond(2, 0, primes, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert HeadPrimes([1_999_993]).primes == [1_999_993]
 
     def test_beyond_nothing_is_full(self):
         with mp.workdps(30):
