@@ -36,7 +36,9 @@ from .moments import (
     _head_logs,
     _prime_cutoff,
     _ratio_numerators,
+    _v_chunk,
     _v_series,
+    _w_engine,
     a_factor,
     c_coeff,
     d_table,
@@ -540,6 +542,25 @@ def _check_head_log(k=3, wmax=4, digits=15):
                     raise AssertionError("p=%d at %r" % (p, key))
 
 
+def _check_w_tail(k=2, wmax=4, digits=10):
+    # the mpf sum the integer tail replaced, at digits + 20 over the engine's
+    # r_max_used: head + V_1 P(1) + sum_r V_r P_beyond(r) at its chunk's digits
+    got, _, meta = _w_engine(k, wmax, digits, 10.0**-digits)
+    with mp.workdps(digits + 20):
+        primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
+        want, head = _head_logs(k, wmax, primes), HeadPrimes(primes)
+        for r in range(1, meta["r_max_used"] + 1):
+            v_tab, _, fam_digits, _ = _v_chunk(k, wmax, -(-r // 16) * 16, digits)
+            fam = (prime_zeta_beyond(r, wmax, head, fam_digits) if r > 1
+                   else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
+            for (m, nu), fv in v_tab[r].items():
+                want[(m, nu)] += (mp.mpf(fv.numerator) / fv.denominator
+                                  * fam[sum(m) + sum(nu)])
+        for key, v in want.items():
+            if abs(got[key] - v) > mp.mpf(10) ** -(digits + 8) * (1 + abs(v)):
+                raise AssertionError("W differs at %r" % (key,))
+
+
 def _check_w_symmetry():
     a = W_coeff((1,), (2,), 2, digits=12)
     b = W_coeff((2,), (1,), 2, digits=12)
@@ -577,6 +598,8 @@ FULL_CHECKS = [
         "oracle",
         _check_head_log,
     ),
+    ("W tail integer sum vs mpf re-summation, k = 2, weight 4", "oracle",
+     _check_w_tail),
     (
         "head-prime power sums vs mpf loop, r = 2..18 below 3200, nmax 4",
         "oracle",

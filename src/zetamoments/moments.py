@@ -16,14 +16,15 @@ The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
 factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
-the cutoff only, where it converges geometrically.  Each beyond-cutoff
-family is the Moebius-inverted prime-zeta family less the head primes' power
-sums (zeta_numerics.prime_zeta_beyond); the 16 families of a V chunk share
-one absolute accuracy (_v_chunk), their log zeta values and one HeadPrimes
-pass per prime.  Below the cutoff every key's local factor is an exact
-integer ratio at Q = 1/p (see below), so the head is one integer pass per
-prime: the empty key's part is one fixed-point product over the primes and
-a single log, and the other keys take one pair-series log per prime in
+the cutoff only, where it converges geometrically; that sum, V_r times a
+family per key, and its stop test run in B-bit integers (_w_engine).  Each
+beyond-cutoff family is the Moebius-inverted prime-zeta family less the head
+primes' power sums (zeta_numerics.prime_zeta_beyond); the 16 families of a V
+chunk share one absolute accuracy (_v_chunk), their log zeta values and one
+HeadPrimes pass per prime.  Below the cutoff every key's local factor is an
+exact integer ratio at Q = 1/p (see below), so the head is one integer pass
+per prime: the empty key's part is one fixed-point product over the primes
+and a single log, and the other keys take one pair-series log per prime in
 B-bit integers (_head_logs).  The cutoff comes from the digit and tolerance
 request; tail estimates combine a certified envelope on the beyond-cutoff
 prime sums with the measured decay of the last few increments.
@@ -48,7 +49,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, log_int_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, to_fixed
 
 from . import __version__
 from .characters import character_table
@@ -73,7 +74,6 @@ from .symseries import (
 from .zeta_numerics import (
     HeadPrimes,
     _check_index,
-    _series_log_list,
     envelope_bound,
     prime_zeta_beyond,
     prime_zeta_taylor,
@@ -201,14 +201,17 @@ def _gauss_square_poly(k):
 def _b_series(k, R, absolute=False):
     """[Q^r] log of the local factor, split as (2k-1)/r plus log(1 + x), x
     the polynomial part less 1; absolute=True takes -log(1 - x) instead,
-    which has the magnitudes of log(1 + x)'s power expansion."""
-    sign = -1 if absolute else 1
-    s = [Fraction(1)] + [Fraction(0)] * R
-    for j in range(1, min(k - 1, R) + 1):
-        s[j] = sign * _gauss_square_poly(k)[j]
-    lg = _series_log_list(s)
+    which has the magnitudes of log(1 + x)'s power expansion.  By Newton's
+    identity, with x = sum_{0<j<k} c_j Q**j, t_r = r [Q^r] log(1 + x) solves
+    (1 + x) sum_r t_r Q**r = Q x', so the integers t_r = r c_r - sum_{0<j<
+    min(r,k)} c_j t_{r-j}; -log(1 - x) flips the sign of the sum."""
+    c, t = _gauss_square_poly(k), [0] * (R + 1)
+    sign = 1 if absolute else -1
+    for r in range(1, R + 1):
+        t[r] = (r * c[r] if r < k else 0) + sign * sum(
+            c[j] * t[r - j] for j in range(1, min(r, k)))
     return (Fraction(0),) + tuple(
-        sign * lg[r] + Fraction(2 * k - 1, r) for r in range(1, R + 1)
+        Fraction(t[r] + 2 * k - 1, r) for r in range(1, R + 1)
     )
 
 
@@ -557,35 +560,55 @@ def _head_logs(k, wmax, primes):
 
 
 def _v_chunk(k, wmax, R, digits):
-    """_v_series to order R, and digits + 10 + L, |V_r| < 10**L: a family at
-    that many absolute digits is within 2 * 10**-(digits+12+L), so the r <=
-    200 terms V_r * family move W by under 10**-(digits+9), below its floor."""
+    """_v_series to order R, digits + 10 + L, |V_r| < 10**L, and the tail's
+    bits for it (_w_engine): a family at that many absolute digits is within
+    2 * 10**-(digits+12+L), so the r <= 200 terms V_r * family move W by
+    under 10**-(digits+9), below its floor."""
     v_tab, vb_tab = _v_series(k, wmax, R)
     top = max(abs(f.numerator) // f.denominator for vr in v_tab for f in vr.values())
-    return v_tab, vb_tab, digits + 10 + len(str(top))
+    fam_digits = digits + 10 + len(str(top))
+    return v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40
+
+
+def _below_tol(mag, v, tn, td, B):
+    """mag < tn/td * (1 + |v|) for mag and v in units 2**-B, exactly."""
+    return mag * td < tn * ((1 << B) + abs(v))
 
 
 def _w_engine(k, wmax, digits, tol_f):
+    """(values, errors, meta) of every key of weight <= wmax.
+
+    The r-sum runs in units of 2**-B.  Each head value and family
+    coefficient x is taken once to f = floor(2**B x) (to_fixed), under a
+    unit off, and each term to floor(V.numerator * f / V.denominator), under
+    |V_r| + 1 units off 2**B V_r x.  With |V_r| < 10**L, r <= 200 terms and
+    the head leave a value under 200 (10**L + 1) + 1 < 2**8 10**L units off,
+    and B = dps_to_prec(digits + 10 + L) + 40 > (digits + 10 + L) log2(10)
+    + 42 (_v_chunk) makes that under 10**-(digits+20), far below the
+    families' 10**-(digits+9).  The 32 bits beyond the 8 the values need
+    resolve the last terms, whose magnitudes the closure's q and geo read,
+    ten digits below the families' own accuracy, so the reported errors do
+    not move with the scale.  A chunk that raises L shifts every stored
+    integer left, exactly.  mpf enters only in the closure and the final
+    conversion.
+    """
     pcut = _prime_cutoff(k, digits, tol_f)
     keys = _plan(wmax).keys
+    weight = {key: sum(key[0]) + sum(key[1]) for key in keys}
+    tn, td = tol_f.as_integer_ratio()
     with mp.workdps(digits + 15):
-        tol_eff = mp.mpf(tol_f)
         primes = primes_upto(pcut)
         # below the cutoff every key's local factor is an exact integer
         # ratio: one integer pass per head prime, the empty key's product
         # and the other keys' pair-series log, converted once at the end
-        vals = _head_logs(k, wmax, primes)
+        head = _head_logs(k, wmax, primes)
         # the head primes for the beyond-cutoff families at every r below
         head_primes = HeadPrimes(primes)
         # exact V tables to order R, extended 16 orders at a time: the tail
         # rarely passes r = 16, and each chunk is rebuilt from scratch
         R = 16
-        v_tab, vb_tab, fam_digits = _v_chunk(k, wmax, R, digits)
-        head = prime_zeta_taylor(1, wmax, fam_digits).coeffs
-        for key, fv in v_tab[1].items():
-            n = sum(key[0]) + sum(key[1])
-            vals[key] += mp.mpf(fv.numerator) / fv.denominator * head[n]
-
+        v_tab, vb_tab, fam_digits, B = _v_chunk(k, wmax, R, digits)
+        vals = {key: to_fixed(v._mpf_, B) for key, v in head.items()}
         history = {key: deque(maxlen=3) for key in keys}
         gmax_hist = deque(maxlen=4)
         growth = deque(maxlen=3)
@@ -593,7 +616,7 @@ def _w_engine(k, wmax, digits, tol_f):
         streak = 0
         min_stop = max(8, wmax + 3)
         floor = mp.mpf(10) ** (-(digits + 6))
-        r = 1
+        r = 0
         while True:
             r += 1
             if r > 200:
@@ -604,26 +627,29 @@ def _w_engine(k, wmax, digits, tol_f):
                 )
             if r > R:
                 R += 16
-                v_tab, vb_tab, fam_digits = _v_chunk(k, wmax, R, digits)
+                v_tab, vb_tab, fam_digits, B_new = _v_chunk(k, wmax, R, digits)
+                # a larger L raises B: every stored integer moves up exactly
+                s, B = B_new - B, B_new
+                vals = {key: v << s for key, v in vals.items()}
+                for h in (*history.values(), gmax_hist):
+                    h.extend([h.popleft() << s for _ in range(len(h))])
             vr, vb = v_tab[r], vb_tab[r]
-            ct = prime_zeta_beyond(r, wmax, head_primes, fam_digits)
-            allsmall = True
-            tmax = mp.mpf(0)
+            # r = 1 takes the whole regularized family: _head_logs left out
+            # every head prime's leading 1/p part
+            fam = (prime_zeta_beyond(r, wmax, head_primes, fam_digits) if r > 1
+                   else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
+            fam = [to_fixed(c._mpf_, B) for c in fam]
+            allsmall, tmax = True, 0
             for key, fv in vr.items():
-                n = sum(key[0]) + sum(key[1])
-                term = mp.mpf(fv.numerator) / fv.denominator * ct[n]
-                vals[key] += term
+                term = fv.numerator * fam[weight[key]] // fv.denominator
+                v = vals[key] = vals[key] + term
                 mag = abs(term)
                 tmax = max(tmax, mag)
                 history[key].append(mag)
-                if mag >= tol_eff * (1 + abs(vals[key])):
-                    allsmall = False
+                allsmall = allsmall and _below_tol(mag, v, tn, td, B)
             gmax_hist.append(tmax)
             streak = streak + 1 if allsmall else 0
-            vb_max = max(
-                (mp.mpf(f.numerator) / f.denominator for f in vb.values()),
-                default=mp.mpf(0),
-            )
+            vb_max = max(vb.values(), default=0)
             if vb_prev_max:
                 growth.append(float(vb_max / vb_prev_max))
             vb_prev_max = vb_max
@@ -633,31 +659,25 @@ def _w_engine(k, wmax, digits, tol_f):
             # the last increments, plus the certified envelope, in which the
             # beyond-cutoff prime families shrink at least by 1/pcut per step
             # in r and the V majorant grows by a measured factor
-            q = 0.5
-            rats = [
-                float(gmax_hist[i + 1] / gmax_hist[i])
-                for i in range(len(gmax_hist) - 1)
-                if gmax_hist[i] > 0
-            ]
-            if rats:
-                q = min(0.9, max(1e-6, max(rats)))
-            qm = mp.mpf(q)
+            g = list(gmax_hist)
+            rats = [b / a for a, b in zip(g, g[1:]) if a > 0]
+            qm = mp.mpf(min(0.9, max(1e-6, max(rats))) if rats else 0.5)
             chat = mp.mpf(max([2.0, *growth]))
             envs = [envelope_bound(r, n, pcut) for n in range(wmax + 1)]
             errs = {}
             for key in keys:
                 h = history[key]
-                geo = mp.mpf("1.5") * max(h) * qm / (1 - qm) if h else mp.mpf(0)
+                geo = (mp.mpf("1.5") * mp.ldexp(max(h), -B) * qm / (1 - qm)
+                       if h else mp.mpf(0))
                 fb = vb.get(key)
                 env = mp.mpf(0)
                 if fb:
-                    n = sum(key[0]) + sum(key[1])
                     env = mp.mpf("1.5") * (
                         mp.mpf(fb.numerator) / fb.denominator
-                        * envs[n] * chat / (pcut - chat)
+                        * envs[weight[key]] * chat / (pcut - chat)
                     )
-                scale = 1 + abs(vals[key])
-                if geo + env >= tol_eff * scale:
+                scale = 1 + mp.ldexp(abs(vals[key]), -B)
+                if geo + env >= tol_f * scale:
                     break
                 errs[key] = geo + env + floor * scale
             else:
@@ -665,7 +685,7 @@ def _w_engine(k, wmax, digits, tol_f):
         meta = {"r_max_used": r, "prime_cutoff": pcut, "digits": digits,
                 "tol": tol_f}
     with mp.workdps(digits + 8):
-        vals = {key: +v for key, v in vals.items()}
+        vals = {key: mp.ldexp(v, -B) for key, v in vals.items()}
         errs = {key: +v for key, v in errs.items()}
     return vals, errs, meta
 

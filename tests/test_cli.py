@@ -290,6 +290,12 @@ class TestCommands:
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
+    def test_full_level_has_w_tail_oracle(self):
+        found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
+                 if label.startswith("W tail integer sum")]
+        assert len(found) == 1 and found[0][0] == "oracle"
+        found[0][1]()
+
     def test_full_level_has_head_power_sum_oracle(self):
         found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
                  if label.startswith("head-prime power sums")]

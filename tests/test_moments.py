@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from zetamoments import moments
-from zetamoments.cli import _check_head_log
+from zetamoments.cli import _check_head_log, _check_w_tail
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
@@ -18,6 +18,7 @@ from zetamoments.moments import (
     _a_seqs,
     _b_coeff,
     _b_series,
+    _below_tol,
     _gauss_square_poly,
     _head_logs,
     _local_ratios,
@@ -41,7 +42,7 @@ from zetamoments.symseries import (
     series_exp,
 )
 from zetamoments import zeta_numerics
-from zetamoments.zeta_numerics import HeadPrimes, primes_upto
+from zetamoments.zeta_numerics import HeadPrimes, _series_log_list, primes_upto
 
 F = Fraction
 
@@ -235,6 +236,21 @@ class TestVPoly:
             want[r] += F(2 * k - 1, r)
         assert _b_series(k, R, absolute) == tuple(want)
 
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("R", [16, 32, 40, 80])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_newton_identity_matches_series_log(self, k, R, absolute):
+        assert _b_series(k, R, absolute) == _b_series_by_series_log(k, R, absolute)
+
+    def test_arithmetic_factor_does_not_depend_on_the_route(self, monkeypatch):
+        # a_factor reads b_r through _b_coeff, at R = 40 * ceil(r / 40)
+        with mp.workdps(50):
+            got = [mp.nstr(a_factor(k, 40), 50) for k in range(1, 6)]
+        monkeypatch.setattr(moments, "_b_series", _b_series_by_series_log)
+        with mp.workdps(50):
+            want = [mp.nstr(a_factor(k, 40), 50) for k in range(1, 6)]
+        assert got == want
+
     def test_tail_does_not_depend_on_the_truncation(self):
         short, long_ = _v_series(2, 3, 8), _v_series(2, 3, 16)
         for r in range(1, 9):
@@ -253,6 +269,17 @@ class TestVPoly:
             V_poly(0, (), ())
         with pytest.raises(ValueError):
             V_poly(1, (1, 2), ())
+
+
+def _b_series_by_series_log(k, R, absolute=False):
+    """The local log coefficients by the scalar series log of 1 +- x, the
+    route _b_series' Newton identity replaced."""
+    sign = -1 if absolute else 1
+    s = [F(1)] + [F(0)] * R
+    for j in range(1, min(k - 1, R) + 1):
+        s[j] = sign * _gauss_square_poly(k)[j]
+    lg = _series_log_list(s)
+    return (F(0),) + tuple(sign * lg[r] + F(2 * k - 1, r) for r in range(1, R + 1))
 
 
 def _empty_key_reference(k, primes, wdps):
@@ -403,6 +430,48 @@ class TestWEngine:
                 # the tail estimate is formed from the terms themselves, so
                 # it moves in its last digits, never in the ones printed
                 assert abs(errs[key] - want_errs[key]) <= 1e-9 * want_errs[key]
+
+    @pytest.mark.parametrize(
+        "k, wmax, digits",
+        [(2, 4, 10), (3, 4, 15), (3, 0, 50), (4, 3, 12), (2, 4, 45)],
+    )
+    def test_integer_tail_matches_mpf_resummation(self, k, wmax, digits):
+        # head + V_1 P(1) + sum_{r>=2} V_r P_beyond(r) in mpf at digits + 20,
+        # over the engine's own r_max_used, within 10**-(digits+8) (1 + |v|);
+        # (2, 4, 45) stops at r = 17, past the first V chunk, where L rises
+        # from 5 to 6 and the integers shift left by 3 bits
+        _check_w_tail(k, wmax, digits)
+
+    def test_chunk_shift_matches_one_fixed_scale(self, monkeypatch):
+        # (2, 4, 45) shifts every stored integer left by 3 bits at r = 17;
+        # one scale above both chunks' from the start gives the same stop,
+        # values and errors
+        got, got_errs, meta = moments._w_engine(2, 4, 45, 1e-45)
+        real = moments._v_chunk
+        monkeypatch.setattr(moments, "_v_chunk", lambda *a: real(*a)[:3] + (400,))
+        want, want_errs, want_meta = moments._w_engine(2, 4, 45, 1e-45)
+        assert meta == want_meta and meta["r_max_used"] == 17
+        with mp.workdps(70):
+            for key, v in want.items():
+                assert abs(got[key] - v) <= mp.mpf(10) ** -54 * (1 + abs(v)), key
+                assert abs(got_errs[key] - want_errs[key]) <= 1e-9 * want_errs[key]
+
+    @pytest.mark.parametrize("tol_f", [1e-10, 1e-15, 3.7e-12, 1e-50, 2.0**-30])
+    def test_stop_test_is_exact(self, tol_f):
+        # one unit either side of the boundary tol * (2**B + |v|), and on
+        # it where it is an integer, against the same test in exact mpf
+        tn, td = tol_f.as_integer_ratio()
+        for B in (64, 200, 400):
+            one = 1 << B
+            for v in (0, 12345 << (B - 20), -(3 << B) + 7, -(5 << B)):
+                edge = F(tn, td) * (one + abs(v))
+                lo, hi = math.floor(edge), math.ceil(edge)
+                for mag in (lo - 1, lo, hi, hi + 1):
+                    with mp.workprec(2 * B + 200):
+                        want = mp.ldexp(mag, -B) < mp.mpf(tol_f) * (
+                            1 + mp.ldexp(abs(v), -B))
+                    assert _below_tol(mag, v, tn, td, B) == want, (B, v, mag)
+                    assert want == (mag < edge)
 
     def test_one_head_pass_serves_c0(self, monkeypatch):
         # c_0(3) at 50 digits stops at r = 14: one chunk, one absolute digit
