@@ -8,18 +8,21 @@ proportional to the skew dimension dim(mu, nu).  The same polynomials accept
 symbolic points: the k x k square and the complement of a fixed partition
 inside it, with coefficients that are polynomials in k.  That turns the
 dimension of a complement shape into an explicit polynomial identity, checked
-here by two independent constructions.
+here by two independent constructions.  The engine takes complement
+dimensions from a determinant (partitions); dim_fs is their oracle.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 
 from .characters import character_value
 from .partitions import (
     centralizer_order,
     check_partition,
     complement,
+    dim_complement,
     dim_hook,
     frobenius_coords,
     partitions_of,
@@ -263,13 +266,6 @@ def _laplace_det(rows):
     return total
 
 
-def _falling(n, m):
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
-
-
 def dim_fs(mu, nu):
     """Skew dimension dim(mu, nu) from the dimension polynomial of mu.
 
@@ -284,23 +280,7 @@ def dim_fs(mu, nu):
     if n < m:
         raise ValueError("dim_fs needs weight(nu) >= weight(mu)")
     val = Fraction(dim_hook(nu)) * fs_schur(mu, partition_point(nu))
-    return val / _falling(n, m)
-
-
-def dim_complement(kap, lam, k):
-    """dim(lam, complement of kap in the k x k square); 0 when kap does not fit.
-
-    Also 0 when lam outweighs the complement.  The value comes from the
-    dimension polynomial; partitions.dim_paths counts the same lattice paths.
-    """
-    kap = check_partition(kap)
-    lam = check_partition(lam)
-    hat = complement(kap, k, k)
-    if hat is None or sum(lam) > sum(hat):
-        return 0
-    val = dim_fs(lam, hat)
-    assert val.denominator == 1
-    return int(val)
+    return val / perm(n, m)
 
 
 class SkewDimPoly(tuple):
@@ -344,7 +324,7 @@ def dim_complement_poly(kap, lam):
     ys = []
     for k in xs:
         g = dim_hook((k,) * k)
-        val = Fraction(dim_complement(kap, lam, k) * _falling(k * k, N), g)
+        val = Fraction(dim_complement(kap, lam, k) * perm(k * k, N), g)
         ys.append(val)
     B = _interpolate(xs, ys)
     direct = fs_schur(kap, square_point()) * fs_schur(lam, complement_point(kap))

@@ -2,15 +2,17 @@
 
 The chain: the local Euler factor, expanded over pairs of partitions, gives
 one ratio series X_{mu nu}(Q) in Q = 1/p per key; at an integer k the V
-values are the Q**r coefficients of the pair-series logarithm of 1 + X; V
-combines with prime power sums into the W coefficients; exponentiating the
-W series and switching both slots to the Schur basis gives the d-table;
-d-entries paired with complement skew dimensions assemble every coefficient
-c_N(k) of the degree-k**2 moment polynomial for the 2k-th moment of zeta on
-the critical line.  The same V, as polynomials in k, come from contracting
-the rational f-table (the logarithm of an exact pair series) against
-monomial symmetric evaluations; that route is the paper's exact object and
-the oracle the engine is checked against.
+values are the Q**r coefficients of the pair-series logarithm of 1 + X,
+integers (but at the empty key) built with each Q-series packed into one
+int (_v_series); V combines with prime power sums into the W coefficients;
+exponentiating the W series and switching both slots to the Schur basis
+gives the d-table; d-entries paired with complement skew dimensions (a
+determinant, partitions.dim_complement) assemble every coefficient c_N(k)
+of the degree-k**2 moment polynomial for the 2k-th moment of zeta on the
+critical line.  The same V, as polynomials in k, come from
+contracting the rational f-table (the logarithm of an exact pair series)
+against monomial symmetric evaluations; that route is the paper's exact
+object and the oracle the engine is checked against.
 
 The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
@@ -53,8 +55,13 @@ from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, to_fixed
 
 from . import __version__
 from .characters import character_table
-from .frobenius_schur import dim_complement
-from .partitions import centralizer_order, check_partition, dim_hook, partitions_of
+from .partitions import (
+    centralizer_order,
+    check_partition,
+    dim_complement,
+    dim_hook,
+    partitions_of,
+)
 from .symseries import (
     EMPTY_KEY,
     POWERSUM,
@@ -269,74 +276,26 @@ def _a_seqs(k, wmax, U):
     return out
 
 
-class _QSeries:
-    """Power series in Q = 1/p cut after a fixed order, exact coefficients.
-
-    The coefficient ring series_log runs over for the exact tail: integer
-    coefficients over one common denominator, kept in lowest terms.  Sums
-    and scalar multiples act entrywise, and the product drops every power of
-    Q beyond the shorter operand.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        g = math.gcd(den, *num)
-        if g > 1:
-            num = [c // g for c in num]
-            den //= g
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        if isinstance(other, _QSeries):
-            return self.num == other.num and self.den == other.den
-        return other == 0 and not any(self.num)
-
-    def __add__(self, other):
-        if not isinstance(other, _QSeries):
-            if other != 0:
-                return NotImplemented
-            return self
-        d1, d2 = self.den, other.den
-        den = d1 // math.gcd(d1, d2) * d2
-        m1, m2 = den // d1, den // d2
-        return _QSeries([a * m1 + b * m2 for a, b in zip(self.num, other.num)], den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, _QSeries):
-            other = Fraction(other)
-            return _QSeries(
-                [a * other.numerator for a in self.num],
-                self.den * other.denominator,
-            )
-        a, b = self.num, other.num
-        n = min(len(a), len(b))
-        out = [0] * n
-        for i in range(n):
-            x = a[i]
-            if x:
-                for j in range(n - i):
-                    y = b[j]
-                    if y:
-                        out[i + j] += x * y
-        return _QSeries(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-
 @lru_cache(maxsize=None)
 def _v_series(k, wmax, R):
     """Exact V_r at integer k and termwise bounds on them, for r = 1..R.
 
-    V_r for the key (mu, nu) is n! times the Q**r coefficient of log(1 + X),
-    n = |mu| + |nu|, where X_{mu nu}(Q) = z_{mu nu}(Q) / z_0(Q) is the ratio
-    of local factor expansions and the log runs over the pair series.  The
-    same log of 1 - |X|, with every coefficient replaced by its magnitude,
-    gives a coefficientwise majorant.  The empty key is the scalar local
-    log.  Returns two lists indexed by r of {key: Fraction}, zeros omitted.
+    V_r for the key (mu, nu) of weight n is n! [Q**r] log(1 + X) over the
+    pair series, X_{mu nu} = z_{mu nu} / (z_0 nd), nd = _norm_den(mu) *
+    _norm_den(nu); log(1 - |X|) gives a coefficientwise majorant M.  The
+    empty key is the scalar local log.  Returns two lists indexed by r of
+    {key: value}, zeros omitted.
+
+    n!/nd counts the set partitions of an n-set into red blocks of shape mu
+    and blue ones of shape nu, so S = n! X is an integer series, and L = n!
+    log(1 + X) solves _exp_log's recurrence without division: L_out = S_out
+    - sum_{0<j<n} C(n-1, j-1) sum L_a S_b over plan.products[n][j]; M is the
+    same on -|S|, negated.  Each Q-series is one int at Q = 2**K: one product
+    per triple, summed per output and cut to its low R + 1 slots, exact
+    while each fits in K signed bits.  By induction |L| <= M, as is the sum
+    before the cut; over the keys of weight n, M sums to Lam_n = T_n +
+    sum_j C(n-1, j-1) Lam_j T_{n-j}, T_n their sum of |S| (each operand pair
+    meets once), so 2**(K-1) > max Lam will do.
     """
     aseq = _a_seqs(k, wmax, R)
     z0 = [a * a for a in aseq[()]]
@@ -344,28 +303,57 @@ def _v_series(k, wmax, R):
     inv = [1] + [0] * R
     for u in range(1, R + 1):
         inv[u] = -sum(z0[i] * inv[u - i] for i in range(1, u + 1))
-    signed, majorant = {EMPTY_KEY: 1}, {EMPTY_KEY: 1}
-    for m, nu in _plan(wmax).keys[1:]:
-        den = _norm_den(m) * _norm_den(nu)
-        z = [a * b for a, b in zip(aseq[m], aseq[nu])]
-        x = [sum(z[i] * inv[u - i] for i in range(u + 1)) for u in range(R + 1)]
-        signed[(m, nu)] = _QSeries(x, den)
-        majorant[(m, nu)] = _QSeries([-abs(c) for c in x], den)
-    vr = [{} for _ in range(R + 1)]
-    vb = [{} for _ in range(R + 1)]
-    for table, x, sign, b0 in (
-        (vr, signed, 1, _b_series(k, R)),
-        (vb, majorant, -1, _b_series(k, R, True)),
-    ):
+
+    def mul(a, b):
+        return [sum(a[i] * b[u - i] for i in range(u + 1)) for u in range(R + 1)]
+
+    plan = _plan(wmax)
+    keys, starts = plan.keys, plan.starts
+    # X and its log are symmetric in the two slots: mirror keys come once
+    twin = [plan.index[key[::-1]] for key in keys]
+    S, T = [], [[0] * (R + 1) for _ in range(wmax + 1)]
+    for i, (m, nu) in enumerate(keys):
+        n = sum(m) + sum(nu)
+        f = math.factorial(n) // (_norm_den(m) * _norm_den(nu))
+        S.append(S[twin[i]] if twin[i] < i else
+                 mul([f * a * b for a, b in zip(aseq[m], aseq[nu])], inv))
+        T[n] = [t + abs(c) for t, c in zip(T[n], S[i])]
+    lam = list(T)
+    for n in range(2, wmax + 1):
+        for j in range(1, n):
+            c = math.comb(n - 1, j - 1)
+            lam[n] = [t + c * x for t, x in zip(lam[n], mul(lam[j], T[n - j]))]
+    K = max(map(max, lam)).bit_length() + 1
+    slot, half, mask = (1 << K) - 1, 1 << (K - 1), (1 << K * (R + 1)) - 1
+    bias = mask // slot * half
+    tables = []
+    for sign in (1, -1):
+        table, b0 = [{} for _ in range(R + 1)], _b_series(k, R, sign < 0)
+        tables.append(table)
         for r in range(1, R + 1):
             if b0[r]:
                 table[r][EMPTY_KEY] = b0[r]
-        for key, s in series_log(PairSeries(POWERSUM, wmax, x)).coeffs.items():
-            fact = sign * math.factorial(sum(key[0]) + sum(key[1]))
+        P = [sum((c if sign > 0 else -abs(c)) << K * u for u, c in enumerate(s))
+             for s in S]
+        L = list(P)
+        for n in range(2, wmax + 1):
+            acc = [0] * len(keys)
+            for j in range(1, n):
+                c = math.comb(n - 1, j - 1)
+                cl = [0] * starts[j] + [c * v for v in L[starts[j]:starts[j + 1]]]
+                for out, a, b in plan.products[n][j]:
+                    if twin[out] >= out:
+                        acc[out] += cl[a] * P[b]
+            for i in range(starts[n], starts[n + 1]):
+                L[i] = (((L[i] - acc[i] + bias) & mask) - bias
+                        if twin[i] >= i else L[twin[i]])
+        for key, v in zip(keys[1:], L[1:]):
+            v += bias
             for r in range(1, R + 1):
-                if s.num[r]:
-                    table[r][key] = Fraction(fact * s.num[r], s.den)
-    return vr, vb
+                c = (v >> K * r & slot) - half
+                if c:
+                    table[r][key] = sign * c
+    return tuple(tables)
 
 
 _w_cache = {}
@@ -565,7 +553,7 @@ def _v_chunk(k, wmax, R, digits):
     2 * 10**-(digits+12+L), so the r <= 200 terms V_r * family move W by
     under 10**-(digits+9), below its floor."""
     v_tab, vb_tab = _v_series(k, wmax, R)
-    top = max(abs(f.numerator) // f.denominator for vr in v_tab for f in vr.values())
+    top = max(int(abs(f)) for vr in v_tab for f in vr.values())
     fam_digits = digits + 10 + len(str(top))
     return v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40
 

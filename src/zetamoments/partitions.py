@@ -5,12 +5,13 @@ trailing zeros.  Padding to a fixed length ("vectorizing") happens at the call
 sites that need it and is never part of the stored value.  Three independent
 routes to the skew dimension dim(kappa, lambda) live here: exhaustive path
 counting in the Young lattice, the hook length formula (for straight shapes),
-and a determinant of reciprocal factorials.
+and a determinant of reciprocal factorials in integers, the engine's route
+(dim_complement).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm, prod
 from typing import NamedTuple
 
 
@@ -36,6 +37,14 @@ ZERO_MARKER = _ZeroMarker()
 class FrobeniusCoordinates(NamedTuple):
     p: tuple  # arm lengths along the diagonal, strictly decreasing
     q: tuple  # leg lengths, strictly decreasing
+
+
+def _check_index(value, name, low=0):
+    """Reject anything but an int of at least low; booleans are not ints here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(
+            "%s must be an integer >= %d, got %r" % (name, low, value)
+        )
 
 
 def check_partition(lam):
@@ -197,51 +206,50 @@ def dim_hook(lam):
 
 
 def _det(rows):
-    """Determinant by Gaussian elimination; works for Fraction and mpf entries."""
-    n = len(rows)
+    """Determinant by Bareiss' fraction-free elimination, largest pivot
+    first; each division is exact, so integer entries stay integers."""
     m = [list(r) for r in rows]
-    det = 1
-    for c in range(n):
-        piv, pv = None, None
-        for r in range(c, n):
-            if m[r][c] != 0 and (pv is None or abs(m[r][c]) > pv):
-                piv, pv = r, abs(m[r][c])
-        if piv is None:
-            return 0 * det
+    n, sign, prev = len(m), 1, 1
+    exact = all(isinstance(x, int) for r in m for x in r)
+    for c in range(n - 1):
+        piv = max(range(c, n), key=lambda r: abs(m[r][c]))
+        if not m[piv][c]:
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c]
+            sign = -sign
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / inv
-                for cc in range(c, n):
-                    m[r][cc] = m[r][cc] - f * m[c][cc]
-    return det
+            for j in range(c + 1, n):
+                t = m[r][j] * m[c][c] - m[r][c] * m[c][j]
+                m[r][j] = t // prev if exact else t / prev
+        prev = m[c][c]
+    return sign * m[-1][-1] if n else 1
 
 
 def dim_skew_det(kap, lam):
-    """Skew dimension by the reciprocal-factorial determinant.
+    """Skew dimension by Aitken's determinant of reciprocal factorials.
 
     (weight(lam) - weight(kap))! * det[ 1/(lam_i - kap_j - i + j)! ] with 1/m! = 0
-    for negative m.  Independent of the path-count recursion; the two agree on
-    everything (see the test suite).
+    for negative m; with A_i = lam_i - i + r and B_j = kap_j - j + r over r
+    rows, row i times A_i! is the integer perm(A_i, B_j).  Independent of the
+    path-count recursion; the two agree on everything (see the test suite).
     """
     nl = sum(lam)
     nk = sum(kap)
     if nl < nk:
         return 0
     r = max(len(lam), len(kap))
-    if r == 0:
-        return 1
-    m = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            e = (lam[i] if i < len(lam) else 0) - (kap[j] if j < len(kap) else 0) - i + j
-            row.append(Fraction(1, factorial(e)) if e >= 0 else Fraction(0))
-        m.append(row)
-    val = factorial(nl - nk) * _det(m)
-    assert val.denominator == 1
-    return int(val)
+    A = [(lam[i] if i < len(lam) else 0) - i + r for i in range(r)]
+    B = [(kap[j] if j < len(kap) else 0) - j + r for j in range(r)]
+    det = _det([[perm(a, b) for b in B] for a in A])
+    return factorial(nl - nk) * det // prod(map(factorial, A))
+
+
+def dim_complement(kap, lam, k):
+    """dim(lam, complement of kap in the k x k square) by dim_skew_det; 0 when
+    kap does not fit or lam outweighs the complement."""
+    kap = check_partition(kap)
+    lam = check_partition(lam)
+    _check_index(k, "k")
+    hat = complement(kap, k, k)
+    return 0 if hat is None else dim_skew_det(lam, hat)

@@ -32,13 +32,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, mpf_log, to_fixed
 
-
-def _check_index(value, name, low=0):
-    """Reject anything but an int of at least low; booleans are not ints here."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(
-            "%s must be an integer >= %d, got %r" % (name, low, value)
-        )
+from .partitions import _check_index
 
 
 def mobius_int(m):

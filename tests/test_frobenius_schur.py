@@ -5,7 +5,6 @@ import pytest
 from zetamoments.frobenius_schur import (
     SkewDimPoly,
     complement_point,
-    dim_complement,
     dim_complement_poly,
     dim_fs,
     e_half_odds,
@@ -17,12 +16,13 @@ from zetamoments.frobenius_schur import (
 )
 from zetamoments.partitions import (
     complement,
+    dim_complement,
     dim_hook,
     dim_paths,
     dim_skew_det,
     partitions_of,
 )
-from zetamoments.symseries import KPoly
+from zetamoments.symseries import KPoly, _plan
 
 
 def all_partitions_upto(n):
@@ -163,6 +163,25 @@ class TestDimComplement:
             for kap in all_partitions_upto(4):
                 for lam in all_partitions_upto(4 - sum(kap)):
                     assert dim_complement(kap, lam, k) == dim_complement(lam, kap, k)
+
+    @pytest.mark.parametrize("k", [True, False, -1, 2.0, "3", None])
+    def test_rejects_a_bad_k(self, k):
+        with pytest.raises(ValueError):
+            dim_complement((), (), k)
+
+    @pytest.mark.parametrize("k,wmax", [(3, 9), (10, 4)])
+    def test_engine_route_matches_fs(self, k, wmax):
+        # every key of P_3, and the weight <= 4 keys at k = 10, against the
+        # dimension polynomial; paths are the second oracle where they are
+        # cheap (at k = 10 they take half a minute)
+        for kap, lam in _plan(wmax).keys:
+            hat = complement(kap, k, k)
+            want = 0
+            if hat is not None and sum(lam) <= sum(hat):
+                want = dim_fs(lam, hat)
+                if k == 3:
+                    assert dim_paths(lam, hat) == want
+            assert dim_complement(kap, lam, k) == want, (kap, lam)
 
 
 class TestDimComplementPoly:

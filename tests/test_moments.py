@@ -40,6 +40,7 @@ from zetamoments.symseries import (
     PairSeries,
     _plan,
     series_exp,
+    series_log,
 )
 from zetamoments import zeta_numerics
 from zetamoments.zeta_numerics import HeadPrimes, _series_log_list, primes_upto
@@ -263,6 +264,58 @@ class TestVPoly:
         for r in range(1, 15):
             for key, v in vr[r].items():
                 assert abs(v) <= vb[r][key], (r, key)
+
+    def test_packed_route_matches_v_poly(self):
+        # the integer Kronecker-packed log against the f-table contraction,
+        # k = 2..5, every key of weight <= 5, r <= 8
+        keys = _plan(5).keys
+        tables = {k: _v_series(k, 5, 8)[0] for k in range(2, 6)}
+        for r in range(1, 9):
+            for mu, nu in keys:
+                poly = V_poly(r, mu, nu)
+                for k, tail in tables.items():
+                    assert poly(k) == tail[r].get((mu, nu), 0), (k, r, mu, nu)
+
+    def test_packed_route_matches_series_log_over_q(self):
+        # both tables against the pair-series log of 1 + X and of 1 - |X|
+        # with X a polynomial in Q (KPoly), cut after Q**R
+        k, wmax, R = 3, 4, 8
+        aseq = _a_seqs(k, wmax, R)
+        z0 = KPoly([a * a for a in aseq[()]])
+        inv = [F(1)] + [F(0)] * R
+        for u in range(1, R + 1):
+            inv[u] = -sum(z0.coeffs[i] * inv[u - i] for i in range(1, u + 1))
+        signed, absolute = {EMPTY_KEY: 1}, {EMPTY_KEY: 1}
+        for m, nu in _plan(wmax).keys[1:]:
+            nd = moments._norm_den(m) * moments._norm_den(nu)
+            z = KPoly([a * b for a, b in zip(aseq[m], aseq[nu])]) * KPoly(inv)
+            x = [F(c, nd) for c in z.coeffs[:R + 1]]
+            signed[(m, nu)] = KPoly(x)
+            absolute[(m, nu)] = KPoly([-abs(c) for c in x])
+        vr, vb = _v_series(k, wmax, R)
+        for table, series, sign in ((vr, signed, 1), (vb, absolute, -1)):
+            lg = series_log(PairSeries(POWERSUM, wmax, series)).coeffs
+            for key in _plan(wmax).keys[1:]:
+                c = lg.get(key, KPoly()).coeffs
+                fact = sign * math.factorial(sum(key[0]) + sum(key[1]))
+                for r in range(1, R + 1):
+                    want = fact * c[r] if r < len(c) else 0
+                    got = table[r].get(key, 0)
+                    assert got == want and type(got) is int, (key, r)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_majorant_bounds_the_widest_slots(self, k):
+        vr, vb = _v_series(k, 5, 32)
+        for r in range(1, 33):
+            assert vr[r].keys() <= vb[r].keys()
+            for key, v in vr[r].items():
+                assert abs(v) <= vb[r][key], (r, key)
+
+    def test_order_16_is_a_prefix_of_order_32(self):
+        short, long_ = _v_series(4, 6, 16), _v_series(4, 6, 32)
+        for r in range(1, 17):
+            assert short[0][r] == long_[0][r]
+            assert short[1][r] == long_[1][r]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetamoments.frobenius_schur import _laplace_det
 from zetamoments.partitions import (
     ZERO_MARKER,
+    _det,
     centralizer_order,
     check_partition,
     complement,
@@ -223,6 +225,19 @@ class TestDimensions:
         for lam in all_partitions_upto(6):
             for kap in all_partitions_upto(weight(lam)):
                 assert dim_paths(kap, lam) == dim_skew_det(kap, lam)
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_determinant_matches_cofactor_expansion(self, rows):
+        # small entries make zero pivots and singular matrices common; integer
+        # entries stay exact, and Fractions divide exactly
+        want = _laplace_det(rows) if rows else 1
+        got = _det(rows)
+        assert got == want and type(got) is int
+        thirds = [[Fraction(x, 3) for x in r] for r in rows]
+        assert _det(thirds) == want * Fraction(1, 3) ** len(rows)
 
     def test_not_contained_gives_zero(self):
         assert dim_paths((2,), (1, 1)) == 0
