@@ -3,14 +3,15 @@
 character_value(lam, mu) is the exact integer value of the irreducible
 character indexed by lam on the conjugacy class of cycle type mu.  Values are
 memoized per (lam, mu) pair; character_table(n) materializes the full table
-for one weight, once per process.  Tables are cheap to rebuild, so none is
-persisted.
+for one weight, once per process.  power_dim_table(k, N) carries the
+complement skew dimensions of the k x k square to the power-sum basis of
+both slots, exactly.  Tables are cheap to rebuild, so none is persisted.
 """
 
 from functools import lru_cache
 from types import MappingProxyType
 
-from .partitions import check_partition, partitions_of
+from .partitions import check_partition, dim_complement, partitions_of
 
 
 def _strip_removals(beta, r):
@@ -67,3 +68,25 @@ def character_table(n):
         for lam in partitions_of(n)
         for mu in partitions_of(n)
     })
+
+
+@lru_cache(maxsize=None)
+def power_dim_table(k, N):
+    """D_k over the pairs (mu, nu) of total weight N, a read-only view:
+    D_k(mu, nu) = sum chi^kappa(mu) chi^lambda(nu) dim(lambda, complement of
+    kappa in the k x k square) over kappa |- |mu| and lambda |- |nu|, exact
+    integers.  Block (a, N - a) is X_a^T M X_{N-a}, X_n the weight-n
+    character matrix and M the dimensions, one slot at a time.
+    """
+    out = {}
+    for a in range(N + 1):
+        ka, kb = partitions_of(a), partitions_of(N - a)
+        ta, tb = character_table(a), character_table(N - a)
+        dims = [[dim_complement(kap, lam, k) for lam in kb] for kap in ka]
+        half = [[sum(d * tb[(lam, nu)] for d, lam in zip(row, kb) if d)
+                 for nu in kb] for row in dims]
+        for mu in ka:
+            col = [ta[(kap, mu)] for kap in ka]
+            for j, nu in enumerate(kb):
+                out[(mu, nu)] = sum(c * h[j] for c, h in zip(col, half))
+    return MappingProxyType(out)

@@ -547,7 +547,8 @@ def _check_w_tail(k=2, wmax=4, digits=10):
         primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
         want, head = _head_logs(k, wmax, primes), HeadPrimes(primes)
         for r in range(1, meta["r_max_used"] + 1):
-            v_tab, _, fam_digits, _ = _v_chunk(k, wmax, -(-r // 16) * 16, digits)
+            R = max(16, -(-r // 4) * 4)
+            v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
             fam = (prime_zeta_beyond(r, wmax, head, fam_digits) if r > 1
                    else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
             for (m, nu), fv in v_tab[r].items():
@@ -568,6 +569,24 @@ def _check_w_symmetry():
         other = dt[(lam, kap)]
         if abs(got.value - other.value) > got.error + other.error:
             raise AssertionError("d symmetry broken at %r %r" % (kap, lam))
+
+
+def _check_assembly_routes(k=3, digits=15):
+    # the Schur route the engine replaced: the d-table's entries against the
+    # complement dimensions; each c_N within the oracle's error, its own
+    # error no larger
+    poly = moment_polynomial(k, digits)
+    dt = d_table(k, k * k, digits)
+    with mp.workdps(digits + 10):
+        for N, value, err in poly.coefficients:
+            want = bar = 0
+            for (kap, lam), dv in dt.items():
+                if sum(kap) + sum(lam) == N:
+                    dm = dim_complement(kap, lam, k)
+                    want, bar = want + dv.value * dm, bar + dv.error * dm
+            fct = mp.factorial(k * k - N)
+            if abs(value - want / fct) > bar / fct or err > bar / fct:
+                raise AssertionError("c_%d off the Schur route" % N)
 
 
 FAST_CHECKS = [
@@ -597,6 +616,8 @@ FULL_CHECKS = [
     ),
     ("W tail integer sum vs mpf re-summation, k = 2, weight 4", "oracle",
      _check_w_tail),
+    ("c_N power-sum route vs Schur d_table route, k = 3, 15 digits", "oracle",
+     _check_assembly_routes),
     (
         "head-prime power sums vs mpf loop, r = 2..18 below 3200, nmax 4",
         "oracle",

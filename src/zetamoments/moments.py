@@ -5,14 +5,14 @@ one ratio series X_{mu nu}(Q) in Q = 1/p per key; at an integer k the V
 values are the Q**r coefficients of the pair-series logarithm of 1 + X,
 integers (but at the empty key) built with each Q-series packed into one
 int (_v_series); V combines with prime power sums into the W coefficients;
-exponentiating the W series and switching both slots to the Schur basis
-gives the d-table; d-entries paired with complement skew dimensions (a
-determinant, partitions.dim_complement) assemble every coefficient c_N(k)
+the exponential e of the W series, in the power-sum basis, paired with the
+exact integer table D_k (characters.power_dim_table: complement skew
+dimensions, by determinant, seen through characters) assembles every c_N(k)
 of the degree-k**2 moment polynomial for the 2k-th moment of zeta on the
-critical line.  The same V, as polynomials in k, come from
-contracting the rational f-table (the logarithm of an exact pair series)
-against monomial symmetric evaluations; that route is the paper's exact
-object and the oracle the engine is checked against.
+critical line; the Schur-basis d-table is the oracle route.  The same V, as
+polynomials in k, come from contracting the rational f-table (the logarithm
+of an exact pair series) against monomial symmetric evaluations; that route
+is the paper's exact object and the oracle the engine is checked against.
 
 The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
@@ -54,14 +54,8 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, to_fixed
 
 from . import __version__
-from .characters import character_table
-from .partitions import (
-    centralizer_order,
-    check_partition,
-    dim_complement,
-    dim_hook,
-    partitions_of,
-)
+from .characters import character_table, power_dim_table
+from .partitions import centralizer_order, check_partition, dim_hook, partitions_of
 from .symseries import (
     EMPTY_KEY,
     POWERSUM,
@@ -126,9 +120,11 @@ class MomentPolynomial(NamedTuple):
     metadata: dict
 
     def evaluate(self, x):
-        acc = mp.mpf(0)
-        for n, value, _ in self.coefficients:
-            acc += value * mp.mpf(x) ** (self.k * self.k - n)
+        """The polynomial at x by Horner's rule, at digits + 10."""
+        with mp.workdps(self.digits + 10):
+            acc, x = mp.mpf(0), mp.mpf(x)
+            for _, value, _ in self.coefficients:
+                acc = acc * x + value
         return acc
 
 
@@ -592,8 +588,8 @@ def _w_engine(k, wmax, digits, tol_f):
         head = _head_logs(k, wmax, primes)
         # the head primes for the beyond-cutoff families at every r below
         head_primes = HeadPrimes(primes)
-        # exact V tables to order R, extended 16 orders at a time: the tail
-        # rarely passes r = 16, and each chunk is rebuilt from scratch
+        # exact V tables to order R = 16, then 4 orders at a time: the tail
+        # rarely passes r = 16, and each table is built from scratch
         R = 16
         v_tab, vb_tab, fam_digits, B = _v_chunk(k, wmax, R, digits)
         vals = {key: to_fixed(v._mpf_, B) for key, v in head.items()}
@@ -614,7 +610,7 @@ def _w_engine(k, wmax, digits, tol_f):
                           "digits": digits, "tol": tol_f},
                 )
             if r > R:
-                R += 16
+                R += 4
                 v_tab, vb_tab, fam_digits, B_new = _v_chunk(k, wmax, R, digits)
                 # a larger L raises B: every stored integer moves up exactly
                 s, B = B_new - B, B_new
@@ -719,6 +715,22 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
     return ValueWithError(vals[(mu, nu)], errs[(mu, nu)])
 
 
+def _exp_w(k, n_max, digits, tol):
+    """(exp W_empty, its error, e, |e| * err W) at digits + 12: e the
+    power-sum series exp of the nonempty W to weight n_max, and the last
+    the first-order error series of e, its magnitudes times the W errors."""
+    vals, werr, _ = _w_full(k, n_max, digits, tol)
+    with mp.workdps(digits + 12):
+        expo = {key: v for key, v in vals.items() if key != EMPTY_KEY and v != 0}
+        eser = series_exp(PairSeries(POWERSUM, n_max, expo))
+        aval = mp.exp(vals[EMPTY_KEY])
+        mags = {key: abs(v) for key, v in eser.coeffs.items()}
+        errser = {key: v for key, v in werr.items() if key != EMPTY_KEY and v}
+        eerr = series_mul(PairSeries(POWERSUM, n_max, mags),
+                          PairSeries(POWERSUM, n_max, errser))
+        return aval, aval * werr[EMPTY_KEY], eser, eerr
+
+
 def d_table(k, n_max, digits=50, tol=None):
     """Schur-basis coefficients of the exponentiated W series, with errors.
 
@@ -726,29 +738,18 @@ def d_table(k, n_max, digits=50, tol=None):
     both slots to the Schur basis, and scales everything by the zeroth
     exponential factor.  Error bounds are first order: the magnitude series
     of the exponential convolved with the W error bounds, pushed through the
-    same basis change with absolute character values.
+    same basis change with absolute character values.  With complement
+    dimensions it is the oracle route to c_N; the engine uses _assemble's.
     """
     _check_request(k, digits, tol)
     _check_index(n_max, "n_max")
     if n_max > k * k:
         raise ValueError("n_max cannot exceed k**2")
-    vals, werr, _ = _w_full(k, n_max, digits, tol)
+    aval, a_err, eser, eerr = _exp_w(k, n_max, digits, tol)
     with mp.workdps(digits + 12):
-        expo = {key: v for key, v in vals.items() if key != EMPTY_KEY and v != 0}
-        eser = series_exp(PairSeries(POWERSUM, n_max, expo))
         sser = p_to_schur(eser)
-        aval = mp.exp(vals[EMPTY_KEY])
-        a_err = aval * werr[EMPTY_KEY]
-        mags = {key: abs(v) for key, v in eser.coeffs.items()}
-        errser = {
-            key: v for key, v in werr.items() if key != EMPTY_KEY and v != 0
-        }
         derrs = _switch_basis(
-            series_mul(
-                PairSeries(POWERSUM, n_max, mags),
-                PairSeries(POWERSUM, n_max, errser),
-            ),
-            POWERSUM, SCHUR,
+            eerr, POWERSUM, SCHUR,
             lambda n: {key: abs(v) for key, v in character_table(n).items()},
         )
         out = {}
@@ -935,24 +936,25 @@ def a_factor(k, digits=50):
         return +out
 
 
-def _assemble(N, k, digits, dtab):
+def _assemble(N, k, digits, expw):
+    """c_N = exp(W_empty) / (k**2 - N)! * sum e D_k over the weight-N pairs,
+    from _exp_w's output and power_dim_table, with the first-order error
+    (exp(W_empty) sum |D_k| (|e| * err W) + |sum e D_k| err(exp W_empty)) /
+    (k**2 - N)!, never above d_table's sum of dim |chi| |chi| err."""
+    aval, a_err, eser, eerr = expw
     with mp.workdps(digits + 10):
-        acc = mp.mpf(0)
-        err = mp.mpf(0)
-        plan = _plan(N)
-        for kap, lam in plan.keys[plan.starts[N]:]:
-            dm = dim_complement(kap, lam, k)
-            if dm:
-                dv = dtab[(kap, lam)]
-                acc += dv.value * dm
-                err += dv.error * dm
+        dot = bar = 0
+        for key, dv in power_dim_table(k, N).items():
+            dot += eser.coeffs.get(key, 0) * dv
+            bar += eerr.coeffs.get(key, 0) * abs(dv)
         fct = mp.factorial(k * k - N)
-        return ValueWithError(+(acc / fct), +(err / fct))
+        return ValueWithError(+(aval * dot / fct),
+                              +((aval * bar + abs(dot) * a_err) / fct))
 
 
 def c_coeff(N, k, digits=50, tol=None):
-    """Coefficient c_N(k): the weight-N d-entries against complement skew
-    dimensions, divided by (k**2 - N)!.
+    """Coefficient c_N(k): the weight-N power-sum coefficients of exp(W)
+    against the exact table D_k (_assemble), divided by (k**2 - N)!.
 
     N beyond k**2 is the degenerate regime where the assembly is empty; the
     value is exactly zero and a warning notes it.  The W table of the
@@ -972,14 +974,14 @@ def c_coeff(N, k, digits=50, tol=None):
         return ValueWithError(mp.mpf(0), mp.mpf(0))
     if k == 0:
         return ValueWithError(mp.mpf(1), mp.mpf(0))
-    return _assemble(N, k, digits, d_table(k, N, digits, tol))
+    return _assemble(N, k, digits, _exp_w(k, N, digits, tol))
 
 
 def moment_polynomial(k, digits=50, tol=None):
     """Every coefficient of the degree-k**2 moment polynomial at once.
 
-    One shared W engine run and one shared d-table cover all N; the k = 0
-    polynomial is the empty-product constant 1.
+    One shared W engine run and one shared exponential cover all N; the
+    k = 0 polynomial is the empty-product constant 1.
     """
     _check_request(k, digits, tol, k_min=0)
     if k == 0:
@@ -987,15 +989,9 @@ def moment_polynomial(k, digits=50, tol=None):
                 "cache_versions": {"zetamoments": __version__}}
         return MomentPolynomial(0, digits, ((0, mp.mpf(1), mp.mpf(0)),), meta)
     _, _, wmeta = _w_full(k, k * k, digits, tol)
-    dtab = d_table(k, k * k, digits, tol)
-    triples = []
-    for N in range(k * k + 1):
-        got = _assemble(N, k, digits, dtab)
-        triples.append((N, got.value, got.error))
-    meta = {
-        "r_max_used": wmeta.get("r_max_used"),
-        "prime_cutoff": wmeta.get("prime_cutoff"),
-        "tol": wmeta.get("tol"),
-        "cache_versions": {"zetamoments": __version__},
-    }
-    return MomentPolynomial(k, digits, tuple(triples), meta)
+    expw = _exp_w(k, k * k, digits, tol)
+    triples = tuple((N, *_assemble(N, k, digits, expw))
+                    for N in range(k * k + 1))
+    meta = {key: wmeta.get(key) for key in ("r_max_used", "prime_cutoff", "tol")}
+    meta["cache_versions"] = {"zetamoments": __version__}
+    return MomentPolynomial(k, digits, triples, meta)

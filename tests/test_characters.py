@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from zetamoments.characters import character_table, character_value
+from zetamoments.characters import character_table, character_value, power_dim_table
+from zetamoments.frobenius_schur import dim_complement_poly
+from zetamoments.moments import g_factor
 from zetamoments.partitions import centralizer_order, conjugate, dim_hook, partitions_of
 
 
@@ -117,3 +119,38 @@ def test_power_sum_expansion_of_products():
                 assert v == (-1) ** (len(lam) - 1)
             else:
                 assert v == 0
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_power_dim_table_is_symmetric(k):
+    for N in range(min(k * k, 8) + 1):
+        d = power_dim_table(k, N)
+        assert len(d) == sum(len(partitions_of(a)) * len(partitions_of(N - a))
+                             for a in range(N + 1))
+        for (mu, nu), v in d.items():
+            assert isinstance(v, int) and v == d[(nu, mu)]
+
+
+def test_power_dim_table_empty_entry_is_g():
+    for k in range(9):
+        assert power_dim_table(k, 0)[((), ())] == g_factor(k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_power_dim_table_is_the_k_polynomial(k):
+    # D_k (k**2)_N / g_k = sum chi^kappa(mu) chi^lambda(nu) B_{kappa lambda}(k)
+    for N in range(min(k * k, 4) + 1):
+        g = g_factor(k)
+        for (mu, nu), v in power_dim_table(k, N).items():
+            a, b = sum(mu), sum(nu)
+            want = sum(
+                character_value(kap, mu) * character_value(lam, nu)
+                * dim_complement_poly(kap, lam).B(k)
+                for kap in partitions_of(a) for lam in partitions_of(b)
+            )
+            assert Fraction(v * math.perm(k * k, N), g) == want, (k, mu, nu)
+
+
+def test_power_dim_table_is_read_only():
+    with pytest.raises(TypeError):
+        power_dim_table(2, 1)[((1,), ())] = 0

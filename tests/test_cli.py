@@ -302,6 +302,11 @@ class TestCommands:
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
+    def test_full_level_has_assembly_route_oracle(self):
+        found = [kind for label, kind, fn in cli.FULL_CHECKS
+                 if label.startswith("c_N power-sum route vs Schur d_table")]
+        assert found == ["oracle"]
+
     def test_exit_codes_for_bad_input(self, capsys):
         assert main(["coeff", "--k", "2", "--N", "-1"]) == 1
         assert main(["poly", "--k", "0"]) == 1

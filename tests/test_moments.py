@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from zetamoments import moments
-from zetamoments.cli import _check_head_log, _check_w_tail
+from zetamoments.cli import _check_assembly_routes, _check_head_log, _check_w_tail
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
@@ -486,27 +486,37 @@ class TestWEngine:
 
     @pytest.mark.parametrize(
         "k, wmax, digits",
-        [(2, 4, 10), (3, 4, 15), (3, 0, 50), (4, 3, 12), (2, 4, 45)],
+        [(2, 4, 10), (3, 4, 15), (3, 0, 50), (4, 3, 12), (2, 4, 45),
+         (2, 3, 40)],
     )
     def test_integer_tail_matches_mpf_resummation(self, k, wmax, digits):
         # head + V_1 P(1) + sum_{r>=2} V_r P_beyond(r) in mpf at digits + 20,
         # over the engine's own r_max_used, within 10**-(digits+8) (1 + |v|);
-        # (2, 4, 45) stops at r = 17, past the first V chunk, where L rises
-        # from 5 to 6 and the integers shift left by 3 bits
+        # (2, 4, 45) and (2, 3, 40) stop at r = 17, past the first V table;
+        # at (2, 3, 40) the R = 20 table raises L from 3 to 4 and the
+        # integers shift left by 4 bits
         _check_w_tail(k, wmax, digits)
 
     def test_chunk_shift_matches_one_fixed_scale(self, monkeypatch):
-        # (2, 4, 45) shifts every stored integer left by 3 bits at r = 17;
-        # one scale above both chunks' from the start gives the same stop,
-        # values and errors
-        got, got_errs, meta = moments._w_engine(2, 4, 45, 1e-45)
-        real = moments._v_chunk
+        # (2, 3, 40) takes the R = 16 table, then the R = 20 one at r = 17,
+        # which shifts every stored integer left by 4 bits; one scale above
+        # both tables' from the start gives the same stop, values and errors
+        real, orders = moments._v_chunk, []
+
+        def record(*a):
+            orders.append(a[2])
+            return real(*a)
+
+        monkeypatch.setattr(moments, "_v_chunk", record)
+        got, got_errs, meta = moments._w_engine(2, 3, 40, 1e-40)
+        assert orders == [16, 20]
+        assert real(2, 3, 20, 40)[3] == real(2, 3, 16, 40)[3] + 4
         monkeypatch.setattr(moments, "_v_chunk", lambda *a: real(*a)[:3] + (400,))
-        want, want_errs, want_meta = moments._w_engine(2, 4, 45, 1e-45)
+        want, want_errs, want_meta = moments._w_engine(2, 3, 40, 1e-40)
         assert meta == want_meta and meta["r_max_used"] == 17
         with mp.workdps(70):
             for key, v in want.items():
-                assert abs(got[key] - v) <= mp.mpf(10) ** -54 * (1 + abs(v)), key
+                assert abs(got[key] - v) <= mp.mpf(10) ** -49 * (1 + abs(v)), key
                 assert abs(got_errs[key] - want_errs[key]) <= 1e-9 * want_errs[key]
 
     @pytest.mark.parametrize("tol_f", [1e-10, 1e-15, 3.7e-12, 1e-50, 2.0**-30])
@@ -790,7 +800,22 @@ class TestAssembly:
             assert abs(c1 - 2 * mp.euler) < mp.mpf("1e-20")
             assert abs(c1 - 2 * mp.euler) <= e1
         x = mp.mpf("2.5")
-        assert abs(p.evaluate(x) - (c0 * x + c1)) < mp.mpf("1e-20")
+        with mp.workdps(35):
+            assert abs(p.evaluate(x) - (c0 * x + c1)) < mp.mpf("1e-20")
+
+    def test_evaluate_keeps_the_polynomial_digits(self):
+        # at the default 15 digits, Horner runs at the polynomial's 40
+        p = moment_polynomial(2, 30)
+        got = p.evaluate(10)
+        with mp.workdps(45):
+            want = sum(v * mp.mpf(10) ** (4 - n) for n, v, _ in p.coefficients)
+            assert abs(got - want) < mp.mpf("1e-32") * want
+            assert abs(got - mp.mpf("1481.6635270103112444")) < mp.mpf("1e-16")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_power_sum_route_within_schur_oracle(self, k):
+        # each c_N inside the d-table route's error, its own error no larger
+        _check_assembly_routes(k, 15)
 
     def test_c1_at_k1_standalone(self):
         got = c_coeff(1, 1, digits=25)
