@@ -5,7 +5,7 @@ character indexed by lam on the conjugacy class of cycle type mu.  Values are
 memoized per (lam, mu) pair; character_table(n) materializes the full table
 for one weight, once per process.  power_dim_table(k, N) carries the
 complement skew dimensions of the k x k square to the power-sum basis of
-both slots, exactly.  Tables are cheap to rebuild, so none is persisted.
+both slots, exactly, anew on each call: a request asks once per N.
 """
 
 from functools import lru_cache
@@ -70,9 +70,8 @@ def character_table(n):
     })
 
 
-@lru_cache(maxsize=None)
 def power_dim_table(k, N):
-    """D_k over the pairs (mu, nu) of total weight N, a read-only view:
+    """D_k over the pairs (mu, nu) of total weight N, a new dict per call:
     D_k(mu, nu) = sum chi^kappa(mu) chi^lambda(nu) dim(lambda, complement of
     kappa in the k x k square) over kappa |- |mu| and lambda |- |nu|, exact
     integers.  Block (a, N - a) is X_a^T M X_{N-a}, X_n the weight-n
@@ -89,4 +88,4 @@ def power_dim_table(k, N):
             col = [ta[(kap, mu)] for kap in ka]
             for j, nu in enumerate(kb):
                 out[(mu, nu)] = sum(c * h[j] for c, h in zip(col, half))
-    return MappingProxyType(out)
+    return out

@@ -1,12 +1,12 @@
 """Command-line front end: cached precomputation and rendered output.
 
-The cache is a directory of small JSON files, one prime zeta Taylor family
-each.  Files of any other kind, such as the character-table, coupling-table
-or dimension-polynomial entries older versions wrote, are ignored.  Big
-reals travel as decimal strings wide enough to restore every bit at the
-recorded precision.  Precomputing twice is a no-op: only entries whose stored
-precision falls short of the request are rebuilt.  Writes take a directory
-lock file; reads touch only immutable files and need no lock.
+The cache is a directory of small JSON files, pzeta_r<r>.json, one prime
+zeta Taylor family each; they serve k = 2, and k = 3 up to weight 4
+(PZETA_MARGIN).  Files of other kinds, which older versions wrote, are
+ignored.  Big reals travel as decimal strings wide enough to restore every
+bit at the recorded precision.  Precomputing twice is a no-op: only entries
+stored at too few digits or too low a weight are rebuilt.  Writes take a
+directory lock file; reads touch only immutable files and need no lock.
 """
 
 import argparse
@@ -18,7 +18,6 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import NamedTuple
 
 from mpmath import mp
 
@@ -30,10 +29,11 @@ from .moments import (
     NonConvergenceError,
     V_poly,
     W_coeff,
-    _b_coeff,
+    _b_series,
     _check_request,
     _gauss_square_poly,
     _head_logs,
+    _min_stop,
     _prime_cutoff,
     _ratio_numerators,
     _v_chunk,
@@ -85,21 +85,8 @@ class CacheError(Exception):
     """Cache directory problems: lock contention or malformed entries."""
 
 
-class CacheEntry(NamedTuple):
-    kind: str
-    params: dict
-    payload: dict
-    schema_version: int = SCHEMA_VERSION
-
-
 def _real_str(x, digits):
     return mp.nstr(x, digits, strip_zeros=False)
-
-
-def entry_filename(kind, params):
-    if kind == "pzeta":
-        return "pzeta_r%d.json" % params["r"]
-    raise CacheError("unknown cache kind %r" % (kind,))
 
 
 @contextmanager
@@ -124,20 +111,25 @@ def cache_lock(root):
             pass
 
 
-def save_entry(root, entry):
-    """Atomically write one entry; the caller holds the cache lock."""
-    doc = {
-        "schema_version": entry.schema_version,
-        "kind": entry.kind,
-        "params": entry.params,
-        "payload": entry.payload,
-    }
+def save_pzeta(root, pz):
+    """Atomically write one family as pzeta_r<r>.json; the caller holds the
+    cache lock.  Values are written wide enough to restore every bit."""
+    width = pz.digits + 12
+    with mp.workdps(width):
+        payload = {
+            "digits": pz.digits,
+            "coeffs": [_real_str(c, width) for c in pz.coeffs],
+            "tail_bounds": [_real_str(b, width) for b in pz.tail_bounds],
+        }
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "pzeta",
+           "params": {"r": pz.r, "n_max": len(pz.coeffs) - 1},
+           "payload": payload}
     data = json.dumps(doc, sort_keys=True, indent=1)
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
-        os.replace(tmp, os.path.join(root, entry_filename(entry.kind, entry.params)))
+        os.replace(tmp, os.path.join(root, "pzeta_r%d.json" % pz.r))
     except BaseException:
         try:
             os.unlink(tmp)
@@ -146,8 +138,9 @@ def save_entry(root, entry):
         raise
 
 
-def load_entry(root, filename):
-    path = os.path.join(root, filename)
+def load_pzeta(path):
+    """The family stored at path, or None if there is no file; CacheError
+    if it cannot be read, is malformed or uses a newer schema."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -161,88 +154,66 @@ def load_entry(root, filename):
                 "cache entry %s uses schema %d, newer than supported %d"
                 % (path, doc["schema_version"], SCHEMA_VERSION)
             )
-        return CacheEntry(
-            doc["kind"], doc["params"], doc["payload"], doc["schema_version"]
-        )
+        if doc["kind"] != "pzeta":
+            raise CacheError("cache entry %s is not a pzeta entry" % path)
+        payload = doc["payload"]
+        digits = payload["digits"]
+        # values carry working precision digits + 5; parsing at that same
+        # precision restores each one bit for bit, a wider parse would not
+        with mp.workdps(digits + 5):
+            coeffs = tuple(mp.mpf(s) for s in payload["coeffs"])
+            tails = tuple(mp.mpf(s) for s in payload["tail_bounds"])
+        return PrimeZetaCoeffs(doc["params"]["r"], coeffs, digits, tails)
     except (KeyError, TypeError) as exc:
         raise CacheError("malformed cache entry %s: %s" % (path, exc)) from exc
 
 
-def encode_pzeta(pz):
-    digits = pz.digits
-    width = digits + 12
-    with mp.workdps(width):
-        payload = {
-            "digits": digits,
-            "coeffs": [_real_str(c, width) for c in pz.coeffs],
-            "tail_bounds": [_real_str(b, width) for b in pz.tail_bounds],
-        }
-    return CacheEntry("pzeta", {"r": pz.r, "n_max": len(pz.coeffs) - 1}, payload)
+def _install_cache(root):
+    """Install every family stored under root and return them, {r: family}.
 
-
-def decode_pzeta(entry):
-    digits = entry.payload["digits"]
-    # values carry working precision digits + 5; parsing at that same
-    # precision restores each one bit for bit, a wider parse would not
-    with mp.workdps(digits + 5):
-        coeffs = tuple(mp.mpf(s) for s in entry.payload["coeffs"])
-        tails = tuple(mp.mpf(s) for s in entry.payload["tail_bounds"])
-    return PrimeZetaCoeffs(entry.params["r"], coeffs, digits, tails)
+    Families install behind a precision gate, so one with too few digits for
+    a later request is recomputed, never reused.  Files of any other kind,
+    such as those older versions wrote, are skipped unread.
+    """
+    found = {}
+    if os.path.isdir(root):
+        for filename in sorted(os.listdir(root)):
+            if filename.startswith("pzeta_") and filename.endswith(".json"):
+                pz = load_pzeta(os.path.join(root, filename))
+                if pz is not None:
+                    install_prime_zeta(pz.r, pz)
+                    found[pz.r] = pz
+    return found
 
 
 def load_cache(root):
-    """Install every cache entry under root; returns per-kind counts.
-
-    Prime zeta families install behind a precision gate, so an entry with
-    too few digits for a later request is recomputed, never reused.  Files
-    of any other kind, such as those older versions wrote, are skipped
-    unread.
-    """
-    counts = {"pzeta": 0}
-    if not os.path.isdir(root):
-        return counts
-    live = tuple(kind + "_" for kind in counts)
-    for filename in sorted(os.listdir(root)):
-        if not (filename.endswith(".json") and filename.startswith(live)):
-            continue
-        entry = load_entry(root, filename)
-        if entry is None or entry.kind not in counts:
-            continue
-        pz = decode_pzeta(entry)
-        install_prime_zeta(pz.r, pz)
-        counts[entry.kind] += 1
-    return counts
-
-
-def _truncation_horizon(n_max):
-    # the W tail walks r upward from 2 and may not stop before this floor
-    return max(8, n_max + 3) + 8
+    """Install every family stored under root; returns {"pzeta": count}."""
+    return {"pzeta": len(_install_cache(root))}
 
 
 def cmd_precompute(n_max, digits, cache_dir):
     """Build and persist the prime zeta families the pipeline wants,
-    skipping fresh ones."""
+    skipping those stored at enough digits and weight."""
     _check_index(n_max, "nmax", 1)
     _check_index(digits, "digits", 1)
     os.makedirs(cache_dir, exist_ok=True)
-    have = load_cache(cache_dir)
-    built = {"pzeta": 0}
-    reused = {"pzeta": 0}
+    store_digits = digits + PZETA_MARGIN
+    built = reused = 0
     with cache_lock(cache_dir):
-        store_digits = digits + PZETA_MARGIN
-        for r in range(1, _truncation_horizon(n_max) + 1):
-            old = load_entry(cache_dir, entry_filename("pzeta", {"r": r}))
-            if old is not None:
-                pz = decode_pzeta(old)
-                if pz.digits >= store_digits and len(pz.coeffs) > n_max:
-                    reused["pzeta"] += 1
-                    continue
+        have = _install_cache(cache_dir)
+        # the W tail may not stop before _min_stop; 8 more r cover its stop
+        for r in range(1, _min_stop(n_max) + 9):
+            old = have.get(r)
+            if (old is not None and old.digits >= store_digits
+                    and len(old.coeffs) > n_max):
+                reused += 1
+                continue
             pz = prime_zeta_taylor(r, n_max, store_digits)
-            save_entry(cache_dir, encode_pzeta(pz))
+            save_pzeta(cache_dir, pz)
             install_prime_zeta(r, pz)
-            built["pzeta"] += 1
-    return {"cache_dir": cache_dir, "loaded": have, "built": built,
-            "reused": reused}
+            built += 1
+    return {"cache_dir": cache_dir, "loaded": {"pzeta": len(have)},
+            "built": {"pzeta": built}, "reused": {"pzeta": reused}}
 
 
 def _render_real(x, digits):
@@ -291,7 +262,7 @@ def cmd_coeff(k, n_index, digits, fmt="text", cache_dir=None, tol=None):
 
 def cmd_poly(k, digits, fmt="text", cache_dir=None, tol=None):
     """The full coefficient family for one k, rendered."""
-    _check_request(k, digits, tol)
+    _check_request(k, digits, tol, k_min=0)
     if cache_dir:
         load_cache(cache_dir)
     poly = moment_polynomial(k, digits=digits, tol=tol)
@@ -396,7 +367,7 @@ def _check_v_identities():
                     raise AssertionError("asymmetry at r=%d" % r)
     for k in (2, 3):
         for r in range(1, 7):
-            if V_poly(r, (), ())(k) != _b_coeff(k, r):
+            if V_poly(r, (), ())(k) != _b_series(k, 6)[r]:
                 raise AssertionError("local log mismatch k=%d r=%d" % (k, r))
         # the engine's tail route against the f-table contraction
         tail = _v_series(k, 4, 6)[0]
@@ -546,9 +517,12 @@ def _check_w_tail(k=2, wmax=4, digits=10):
     with mp.workdps(digits + 20):
         primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
         want, head = _head_logs(k, wmax, primes), HeadPrimes(primes)
+        R = 0
         for r in range(1, meta["r_max_used"] + 1):
-            R = max(16, -(-r // 4) * 4)
-            v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
+            if r > R:
+                # the engine's tables: R = 16, then 4 orders at a time
+                R = max(16, R + 4)
+                v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
             fam = (prime_zeta_beyond(r, wmax, head, fam_digits) if r > 1
                    else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
             for (m, nu), fv in v_tab[r].items():
@@ -672,7 +646,11 @@ def build_parser():
                 "--format", choices=("text", "json", "csv"), default="text"
             )
 
-    p = sub.add_parser("precompute", help="build and persist the shared tables")
+    p = sub.add_parser(
+        "precompute", help="build and persist the prime zeta families",
+        description="Build and persist the prime zeta families, %d digits"
+        " beyond --digits: enough for k = 2, and k = 3 up to weight 4, not"
+        " for the full P_3 or P_4." % PZETA_MARGIN)
     p.add_argument("--nmax", type=int, required=True)
     common(p, request=False)
 

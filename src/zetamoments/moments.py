@@ -47,7 +47,6 @@ import math
 import warnings
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
@@ -193,14 +192,12 @@ def V_poly(r, mu, nu):
     return KPoly([scale * by_exp.get(e, Fraction(0)) for e in range(top + 1)])
 
 
-@lru_cache(maxsize=None)
 def _gauss_square_poly(k):
     """Polynomial part of the local Euler factor: squared binomial row k-1,
     the integer coefficients of P_k from the constant term up."""
     return tuple(math.comb(k - 1, j) ** 2 for j in range(k))
 
 
-@lru_cache(maxsize=None)
 def _b_series(k, R, absolute=False):
     """[Q^r] log of the local factor, split as (2k-1)/r plus log(1 + x), x
     the polynomial part less 1; absolute=True takes -log(1 - x) instead,
@@ -218,12 +215,6 @@ def _b_series(k, R, absolute=False):
     )
 
 
-def _b_coeff(k, r, absolute=False):
-    R = ((r + 39) // 40) * 40
-    return _b_series(k, R, absolute)[r]
-
-
-@lru_cache(maxsize=None)
 def _rho_inv(k):
     """Growth proxy for the local log coefficients, used to place cutoffs."""
     return 1 + max(math.comb(k - 1, j) ** 2 for j in range(k))
@@ -240,7 +231,6 @@ def _norm_den(mu):
     return den
 
 
-@lru_cache(maxsize=None)
 def _a_seqs(k, wmax, U):
     """Integer coefficient lists of the local numerator factors.
 
@@ -272,7 +262,6 @@ def _a_seqs(k, wmax, U):
     return out
 
 
-@lru_cache(maxsize=None)
 def _v_series(k, wmax, R):
     """Exact V_r at integer k and termwise bounds on them, for r = 1..R.
 
@@ -554,6 +543,11 @@ def _v_chunk(k, wmax, R, digits):
     return v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40
 
 
+def _min_stop(wmax):
+    """The first r at which the W tail of weight <= wmax may stop."""
+    return max(8, wmax + 3)
+
+
 def _below_tol(mag, v, tn, td, B):
     """mag < tn/td * (1 + |v|) for mag and v in units 2**-B, exactly."""
     return mag * td < tn * ((1 << B) + abs(v))
@@ -598,7 +592,7 @@ def _w_engine(k, wmax, digits, tol_f):
         growth = deque(maxlen=3)
         vb_prev_max = None
         streak = 0
-        min_stop = max(8, wmax + 3)
+        min_stop = _min_stop(wmax)
         floor = mp.mpf(10) ** (-(digits + 6))
         r = 0
         while True:
@@ -716,10 +710,11 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
 
 
 def _exp_w(k, n_max, digits, tol):
-    """(exp W_empty, its error, e, |e| * err W) at digits + 12: e the
-    power-sum series exp of the nonempty W to weight n_max, and the last
-    the first-order error series of e, its magnitudes times the W errors."""
-    vals, werr, _ = _w_full(k, n_max, digits, tol)
+    """((exp W_empty, its error, e, |e| * err W), meta) at digits + 12: e
+    the power-sum series exp of the nonempty W to weight n_max, |e| * err W
+    the first-order error series of e, its magnitudes times the W errors,
+    and meta the W engine's truncation."""
+    vals, werr, meta = _w_full(k, n_max, digits, tol)
     with mp.workdps(digits + 12):
         expo = {key: v for key, v in vals.items() if key != EMPTY_KEY and v != 0}
         eser = series_exp(PairSeries(POWERSUM, n_max, expo))
@@ -728,7 +723,7 @@ def _exp_w(k, n_max, digits, tol):
         errser = {key: v for key, v in werr.items() if key != EMPTY_KEY and v}
         eerr = series_mul(PairSeries(POWERSUM, n_max, mags),
                           PairSeries(POWERSUM, n_max, errser))
-        return aval, aval * werr[EMPTY_KEY], eser, eerr
+        return (aval, aval * werr[EMPTY_KEY], eser, eerr), meta
 
 
 def d_table(k, n_max, digits=50, tol=None):
@@ -745,7 +740,7 @@ def d_table(k, n_max, digits=50, tol=None):
     _check_index(n_max, "n_max")
     if n_max > k * k:
         raise ValueError("n_max cannot exceed k**2")
-    aval, a_err, eser, eerr = _exp_w(k, n_max, digits, tol)
+    (aval, a_err, eser, eerr), _ = _exp_w(k, n_max, digits, tol)
     with mp.workdps(digits + 12):
         sser = p_to_schur(eser)
         derrs = _switch_basis(
@@ -925,7 +920,7 @@ def a_factor(k, digits=50):
                 raise NonConvergenceError(
                     "Euler product tail not closed by r=400", meta={"k": k}
                 )
-            br = _b_coeff(k, r) - Fraction(k * k, r)
+            br = _b_series(k, r)[r] - Fraction(k * k, r)
             fam_digits = digits + 8 + len(str(abs(br.numerator) // br.denominator))
             tail0 = prime_zeta_beyond(r, 0, head, fam_digits)[0]
             term = mp.mpf(br.numerator) / br.denominator * tail0
@@ -974,7 +969,7 @@ def c_coeff(N, k, digits=50, tol=None):
         return ValueWithError(mp.mpf(0), mp.mpf(0))
     if k == 0:
         return ValueWithError(mp.mpf(1), mp.mpf(0))
-    return _assemble(N, k, digits, _exp_w(k, N, digits, tol))
+    return _assemble(N, k, digits, _exp_w(k, N, digits, tol)[0])
 
 
 def moment_polynomial(k, digits=50, tol=None):
@@ -988,8 +983,7 @@ def moment_polynomial(k, digits=50, tol=None):
         meta = {"r_max_used": 0, "prime_cutoff": 0, "tol": None,
                 "cache_versions": {"zetamoments": __version__}}
         return MomentPolynomial(0, digits, ((0, mp.mpf(1), mp.mpf(0)),), meta)
-    _, _, wmeta = _w_full(k, k * k, digits, tol)
-    expw = _exp_w(k, k * k, digits, tol)
+    expw, wmeta = _exp_w(k, k * k, digits, tol)
     triples = tuple((N, *_assemble(N, k, digits, expw))
                     for N in range(k * k + 1))
     meta = {key: wmeta.get(key) for key in ("r_max_used", "prime_cutoff", "tol")}

@@ -151,6 +151,7 @@ def test_power_dim_table_is_the_k_polynomial(k):
             assert Fraction(v * math.perm(k * k, N), g) == want, (k, mu, nu)
 
 
-def test_power_dim_table_is_read_only():
-    with pytest.raises(TypeError):
-        power_dim_table(2, 1)[((1,), ())] = 0
+def test_power_dim_table_is_not_shared():
+    # each call builds its own table, so a caller's edit reaches no other
+    power_dim_table(2, 1)[((1,), ())] = 0
+    assert power_dim_table(2, 1)[((1,), ())] != 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,10 @@ from zetamoments.cli import (
     SCHEMA_VERSION,
     CacheError,
     cache_lock,
-    decode_pzeta,
-    encode_pzeta,
-    entry_filename,
     load_cache,
-    load_entry,
+    load_pzeta,
     main,
-    save_entry,
+    save_pzeta,
 )
 from zetamoments.zeta_numerics import PrimeZetaCoeffs, install_prime_zeta
 
@@ -29,15 +27,6 @@ def pristine_installs():
     yield
     for r in range(1, 40):
         install_prime_zeta(r, None)
-
-
-def roundtrip(entry):
-    doc = json.loads(json.dumps(
-        {"schema_version": entry.schema_version, "kind": entry.kind,
-         "params": entry.params, "payload": entry.payload},
-        sort_keys=True))
-    return cli.CacheEntry(doc["kind"], doc["params"], doc["payload"],
-                          doc["schema_version"])
 
 
 # retired cache kinds that older versions wrote: (file name, kind, params,
@@ -76,7 +65,9 @@ class TestCacheFormat:
             tb = tuple(abs(mp.mpf(f.numerator) / max(1, f.denominator))
                        for f in tails)
         pz = PrimeZetaCoeffs(r, coeffs, digits, tb)
-        back = decode_pzeta(roundtrip(encode_pzeta(pz)))
+        with tempfile.TemporaryDirectory() as root:
+            save_pzeta(root, pz)
+            back = load_pzeta(os.path.join(root, "pzeta_r%d.json" % r))
         assert back.r == r and back.digits == digits
         assert len(back.coeffs) == len(coeffs)
         for a, b in zip(coeffs, back.coeffs):
@@ -88,35 +79,59 @@ class TestCacheFormat:
         with mp.workdps(20):
             pz = PrimeZetaCoeffs(3, (mp.mpf(1) / 7, -mp.mpf(2) / 3), 15,
                                  (mp.mpf("1e-20"),))
-        entry = encode_pzeta(pz)
-        name = entry_filename(entry.kind, entry.params)
         with cache_lock(str(tmp_path)):
-            save_entry(str(tmp_path), entry)
-            first = (tmp_path / name).read_bytes()
-            save_entry(str(tmp_path), entry)
-            second = (tmp_path / name).read_bytes()
+            save_pzeta(str(tmp_path), pz)
+            first = (tmp_path / "pzeta_r3.json").read_bytes()
+            save_pzeta(str(tmp_path), pz)
+            second = (tmp_path / "pzeta_r3.json").read_bytes()
         assert first == second
+        assert os.listdir(tmp_path) == ["pzeta_r3.json"]
+
+    def test_failed_overwrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        with mp.workdps(20):
+            old = PrimeZetaCoeffs(3, (mp.mpf(1) / 7,), 15, ())
+            new = PrimeZetaCoeffs(3, (mp.mpf(2) / 7,), 15, ())
+        save_pzeta(str(tmp_path), old)
+        data = (tmp_path / "pzeta_r3.json").read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_pzeta(str(tmp_path), new)
+        assert os.listdir(tmp_path) == ["pzeta_r3.json"]
+        assert (tmp_path / "pzeta_r3.json").read_bytes() == data
+
+    def test_missing_file_is_none(self, tmp_path):
+        assert load_pzeta(str(tmp_path / "pzeta_r1.json")) is None
 
     def test_newer_schema_is_rejected(self, tmp_path):
         write_doc(tmp_path / "pzeta_r1.json", "pzeta", {"r": 1, "n_max": 0},
                   {"digits": 15, "coeffs": ["1.0"], "tail_bounds": []},
                   schema_version=SCHEMA_VERSION + 1)
         with pytest.raises(CacheError, match="newer"):
-            load_entry(str(tmp_path), "pzeta_r1.json")
+            load_pzeta(str(tmp_path / "pzeta_r1.json"))
+
+    def test_other_kind_under_a_pzeta_name_is_rejected(self, tmp_path):
+        write_doc(tmp_path / "pzeta_r1.json", "ftable", {"max_weight": 2},
+                  {"entries": []})
+        with pytest.raises(CacheError, match="not a pzeta"):
+            load_pzeta(str(tmp_path / "pzeta_r1.json"))
 
     def test_older_entry_with_tolerances_still_loads(self, tmp_path):
         # older versions also wrote a "tolerances" key that nothing read
         write_doc(tmp_path / "pzeta_r4.json", "pzeta", {"r": 4, "n_max": 0},
                   {"digits": 15, "coeffs": ["0.5"], "tail_bounds": []},
                   tolerances={"requested_digits": 10, "stored_digits": 15})
-        pz = decode_pzeta(load_entry(str(tmp_path), "pzeta_r4.json"))
+        pz = load_pzeta(str(tmp_path / "pzeta_r4.json"))
         assert pz.r == 4 and pz.digits == 15 and pz.coeffs == (mp.mpf("0.5"),)
 
     def test_garbage_file_is_reported_with_path(self, tmp_path):
         path = tmp_path / "pzeta_r1.json"
         path.write_text("{not json")
         with pytest.raises(CacheError, match="pzeta_r1"):
-            load_entry(str(tmp_path), "pzeta_r1.json")
+            load_pzeta(str(path))
 
 
 class TestLock:
@@ -189,8 +204,7 @@ class TestPrecompute:
         assert (root / name).read_bytes() == keep
         for name, data in pz_before.items():
             assert (root / name).read_bytes() != data
-            entry = load_entry(str(root), name)
-            assert entry.payload["digits"] == 30 + cli.PZETA_MARGIN
+            assert load_pzeta(str(root / name)).digits == 30 + cli.PZETA_MARGIN
 
     def test_partial_cache_is_topped_up(self, tmp_path):
         root = str(tmp_path / "c")
@@ -309,10 +323,24 @@ class TestCommands:
 
     def test_exit_codes_for_bad_input(self, capsys):
         assert main(["coeff", "--k", "2", "--N", "-1"]) == 1
-        assert main(["poly", "--k", "0"]) == 1
+        assert main(["poly", "--k", "-1"]) == 1
         assert main(["nonsense"]) == 1
         assert main([]) == 1
         capsys.readouterr()
+
+    def test_poly_at_k0_is_the_constant_polynomial(self, capsys):
+        # the same k rule as moment_polynomial and coeff --k 0 --N 0
+        args = ["poly", "--k", "0", "--digits", "10", "--format"]
+        assert main(args + ["text"]) == 0
+        out = capsys.readouterr().out
+        assert "degree 0" in out and "c_0  = 1.000000000  (error <= 0.0" in out
+        assert main(args + ["json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["k"] == 0 and doc["coefficients"] == [
+            {"N": 0, "value": "1.000000000", "error": "0.0"}]
+        assert main(args + ["csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "N,value", "0,1.000000000"]
 
     @pytest.mark.parametrize("extra", [
         ["--digits", "0"], ["--digits", "-3"], ["--tol", "nan"],

@@ -1,12 +1,21 @@
 """Tests for the moment pipeline: exact tables, the W engine, assembly."""
 
+import contextlib
+import functools
+import importlib
+import io
 import math
+import os
+import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import zetamoments
 from zetamoments import moments
 from zetamoments.cli import _check_assembly_routes, _check_head_log, _check_w_tail
 from zetamoments.moments import (
@@ -16,7 +25,6 @@ from zetamoments.moments import (
     WPoly,
     W_coeff,
     _a_seqs,
-    _b_coeff,
     _b_series,
     _below_tol,
     _gauss_square_poly,
@@ -207,10 +215,11 @@ class TestVPoly:
     def test_empty_pair_matches_local_log_coefficients(self):
         # two independent builds of the same scalar sequence
         for k in (2, 3, 4):
+            b = _b_series(k, 8)
             for r in range(1, 9):
-                assert V_poly(r, (), ())(k) == _b_coeff(k, r)
-                assert _v_series(k, 0, 8)[0][r][EMPTY_KEY] == _b_coeff(k, r)
-                assert _v_series(k, 2, 8)[0][r][EMPTY_KEY] == _b_coeff(k, r)
+                assert V_poly(r, (), ())(k) == b[r]
+                assert _v_series(k, 0, 8)[0][r][EMPTY_KEY] == b[r]
+                assert _v_series(k, 2, 8)[0][r][EMPTY_KEY] == b[r]
 
     @pytest.mark.parametrize("absolute", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -244,7 +253,7 @@ class TestVPoly:
         assert _b_series(k, R, absolute) == _b_series_by_series_log(k, R, absolute)
 
     def test_arithmetic_factor_does_not_depend_on_the_route(self, monkeypatch):
-        # a_factor reads b_r through _b_coeff, at R = 40 * ceil(r / 40)
+        # a_factor reads b_r as _b_series(k, r)[r]
         with mp.workdps(50):
             got = [mp.nstr(a_factor(k, 40), 50) for k in range(1, 6)]
         monkeypatch.setattr(moments, "_b_series", _b_series_by_series_log)
@@ -613,6 +622,26 @@ class TestWEngine:
                 assert abs(lo.value - hi.value) <= lo.error
                 assert lo.error < mp.mpf("1e-8")
 
+    def test_engine_does_not_depend_on_the_history(self):
+        # the memos kept across requests (the plan, log zeta values, prime
+        # zeta families) must not move a result: the same run in a fresh
+        # process and after other requests agrees bit for bit
+        src = os.path.dirname(os.path.dirname(moments.__file__))
+        code = ("from zetamoments.moments import _w_engine\n"
+                "v, e, m = _w_engine(3, 4, 15, 1e-15)\n"
+                "print(sorted((repr(k), v[k]._mpf_, e[k]._mpf_) for k in v), m)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout
+        moment_polynomial(2, 12)
+        moments._w_engine(3, 6, 30, 1e-30)
+        moments._w_engine(3, 4, 50, 1e-50)
+        a_factor(3, 60)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            exec(code, {})
+        assert out.getvalue() == fresh
+
     def test_errors_at_the_stop_are_within_tolerance(self):
         # the stop rule tests the error it reports: tail part below tol
         vals, errs, meta = moments._w_full(2, 4, 10)
@@ -637,6 +666,32 @@ class TestWEngine:
             W_coeff((), (), 0)
         with pytest.raises(ValueError):
             W_coeff((1, 2), (), 2)
+
+
+# every memo in the package, each paying on the c_N path or serving an oracle
+# route (frobenius_schur, dim_paths, monomial_eval); a new one needs a reason
+MEMOS = {
+    "characters": {"_char_beta", "character_table"},
+    "frobenius_schur": {"_faulhaber_half", "_hook_class_data",
+                        "complement_point", "e_half_odds", "fs_hook",
+                        "super_power_sum"},
+    "partitions": {"conjugate", "dim_paths", "partitions_of"},
+    "symseries": {"_plan", "monomial_eval"},
+    "zeta_numerics": {"_bernoulli_ratio", "_compute_prime_zeta",
+                      "_euler_primes", "_log_zeta_fixed"},
+}
+
+
+def test_memo_census():
+    found = {}
+    for info in pkgutil.iter_modules(zetamoments.__path__):
+        mod = importlib.import_module("zetamoments." + info.name)
+        names = {name for name, obj in vars(mod).items()
+                 if isinstance(obj, functools._lru_cache_wrapper)
+                 and obj.__module__ == mod.__name__}
+        if names:
+            found[info.name] = names
+    assert found == MEMOS
 
 
 class TestDTable:

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import random
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +13,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from zetamoments import zeta_numerics
-from zetamoments.cli import encode_pzeta
+from zetamoments.cli import save_pzeta
 from zetamoments.zeta_numerics import (
     HeadPrimes,
     PrimeZetaCoeffs,
@@ -140,7 +143,10 @@ def test_boolean_order_cannot_poison_the_family_cache():
         prime_zeta_taylor(True, 0, 20)
     fam = prime_zeta_taylor(1, 0, 20)
     assert type(fam.r) is int
-    assert type(encode_pzeta(fam).params["r"]) is int
+    with tempfile.TemporaryDirectory() as root:
+        save_pzeta(root, fam)
+        with open(os.path.join(root, "pzeta_r1.json")) as fh:
+            assert type(json.load(fh)["params"]["r"]) is int
 
 
 @lru_cache(maxsize=None)
