@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import log_int_fixed
 
 from . import __version__
 from ._golden import golden_entries
@@ -66,7 +67,9 @@ from .zeta_numerics import (
     HeadPrimes,
     PrimeZetaCoeffs,
     _check_index,
+    bernoulli,
     install_prime_zeta,
+    int_log,
     prime_zeta_beyond,
     prime_zeta_direct,
     prime_zeta_taylor,
@@ -416,6 +419,18 @@ def _check_split_alphabet():
                         )
 
 
+def _check_constant_tables():
+    # the log table past mpmath's 2,000-entry log cache, and the Bernoulli
+    # table through two rebuilds, against mpmath's own routines
+    for B in (53, 300):
+        for j in range(1, 4000, 3):
+            if abs(int_log(j, B) - log_int_fixed(j, B)) > 2:
+                raise AssertionError("log %d at %d bits" % (j, B))
+    for n in range(121):
+        if bernoulli(n) != Fraction(*map(int, mp.bernfrac(n))):
+            raise AssertionError("Bernoulli number %d" % n)
+
+
 def _check_prime_zeta_routes():
     # log zeta(m*r) takes Euler-Maclaurin below x = 24..39 and the Euler
     # product past it: r = 30 takes only the product, every other row both;
@@ -570,6 +585,8 @@ FAST_CHECKS = [
     ("exp then log closure, weight <= 6", "exact", _check_exp_log_closure),
     ("V symmetry and scalar identity, r <= 6", "exact", _check_v_identities),
     ("dimension polynomial identity, k = 2..5", "exact", _check_dimpoly_identity),
+    ("integer log and Bernoulli tables vs mpmath", "oracle",
+     _check_constant_tables),
 ]
 
 FULL_CHECKS = [

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from . import __version__
 from .characters import character_table, power_dim_table
@@ -75,6 +75,7 @@ from .zeta_numerics import (
     HeadPrimes,
     _check_index,
     envelope_bound,
+    int_log,
     prime_zeta_beyond,
     prime_zeta_taylor,
     primes_upto,
@@ -293,9 +294,8 @@ def _v_series(k, wmax, R):
         return [sum(a[i] * b[u - i] for i in range(u + 1)) for u in range(R + 1)]
 
     plan = _plan(wmax)
-    keys, starts = plan.keys, plan.starts
+    keys, starts, twin = plan.keys, plan.starts, plan.twin
     # X and its log are symmetric in the two slots: mirror keys come once
-    twin = [plan.index[key[::-1]] for key in keys]
     S, T = [], [[0] * (R + 1) for _ in range(wmax + 1)]
     for i, (m, nu) in enumerate(keys):
         n = sum(m) + sum(nu)
@@ -471,9 +471,9 @@ def _head_logs(k, wmax, primes):
       and its bound from xbar about 2**33.  The Q-series of X has radius
       about 0.27 there, so no p = 2 majorant in Q converges; these are
       finite sums instead.
-    - L = log_int_fixed(p, B) is under 2 units off 2**B log p, so P_n =
-      floor(P_{n-1} L / 2**B) is off from (log p)**n by under 3n c**(n-1)
-      units, c = 1 + log(max prime).
+    - L = int_log(p, B) (the log table) is under 2 units off 2**B log p,
+      so P_n = floor(P_{n-1} L / 2**B) is off from (log p)**n by under
+      3n c**(n-1) units, c = 1 + log(max prime).
     - floor(n1 2**B / p) adds under one unit to lg - n1/p, whose size is at
       most Lam_n + k**2; the product with P_n is off by under G_n = (E_n + 1
       + 3n (Lam_n + k**2)) c**n units.
@@ -518,7 +518,7 @@ def _head_logs(k, wmax, primes):
         lg = _log_fixed(plan, s, B)
         for i, num, f in ones:
             lg[i] -= num // (f * p)
-        L, power = log_int_fixed(p, B), 1 << B
+        L, power = int_log(p, B), 1 << B
         for n in range(1, wmax + 1):
             power = power * L >> B
             lo, hi = plan.starts[n], plan.starts[n + 1]

@@ -238,13 +238,15 @@ class _Plan(NamedTuple):
     0..w, then partitions_of's order for mu and for nu; keys[starts[w]:
     starts[w + 1]] have weight w.  products[w][j] lists the index triples
     (out, a, b) with keys[a] of weight j, keys[b] of weight w - j and
-    keys[out] their product, both part multisets merged.
+    keys[out] their product, both part multisets merged.  twin[i] indexes
+    the mirror key of keys[i], its two partitions swapped.
     """
 
     keys: tuple
     index: dict
     starts: tuple
     products: tuple
+    twin: tuple
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +269,8 @@ def _plan(wmax):
               for j in range(w + 1))
         for w in range(wmax + 1)
     )
-    return _Plan(tuple(keys), index, tuple(starts), products)
+    twin = tuple(index[key[::-1]] for key in keys)
+    return _Plan(tuple(keys), index, tuple(starts), products, twin)
 
 
 def _dense(plan, series):
@@ -345,19 +348,24 @@ def _exp_log(series, log):
 def _log_fixed(plan, s, B):
     """The recurrence of _exp_log for the log, in units of 2**-B.
 
-    s lists integer coefficients over plan.keys, s[0] = 2**B, and the log
-    comes back the same way: lg_w = s_w - floor(sum_{0<j<w} (j lg_j) s_{w-j}
-    / (w * 2**B)), one floor per coefficient.  Its error analysis belongs to
-    the caller, which knows the sizes of s (moments._head_logs).
+    s lists integer coefficients over plan.keys, s[0] = 2**B, symmetric in
+    the two slots (s[i] == s[plan.twin[i]]), and the log comes back the same
+    way: lg_w = s_w - floor(sum_{0<j<w} (j lg_j) s_{w-j} / (w * 2**B)), one
+    floor per coefficient.  Mirror products pair off, so the log is exactly
+    symmetric too: only outputs with twin[i] >= i are summed, and each
+    mirror copies its twin.  Its error analysis belongs to the caller, which
+    knows the sizes of s (moments._head_logs).
     """
-    n = len(plan.keys)
+    n, twin = len(plan.keys), plan.twin
     lg, dl, cross = [0] * n, [0] * n, [0] * n
     for w in range(1, len(plan.starts) - 1):
         for j in range(1, w):
-            _accumulate(plan.products[w][j], dl, s, cross)
+            for out, a, b in plan.products[w][j]:
+                if twin[out] >= out:
+                    cross[out] += dl[a] * s[b]
         wB = w << B
         for i in range(plan.starts[w], plan.starts[w + 1]):
-            lg[i] = s[i] - cross[i] // wB
+            lg[i] = s[i] - cross[i] // wB if twin[i] >= i else lg[twin[i]]
             dl[i] = lg[i] * w
     return lg
 

@@ -14,11 +14,12 @@ per family (_moebius_fixed), whose log zeta at each argument, cached and
 shared by families, comes from one integer kernel (_log_zeta_fixed): an
 Euler-Maclaurin sum with exact Bernoulli fractions from the pole x = 1 (where
 it also gives the Stieltjes constants) to moderate x, and the Euler product
-over the primes beyond.  prime_zeta_direct sums sieved primes in plain mpf
-arithmetic and closes the tail with mpmath's own zeta derivatives; it shares
-only primes_upto's sieve (tested against trial division), mobius_int and the
-final rounding with the default route, and must stay so: it is the oracle
-the default route is checked against.
+over the primes beyond; integer logs come from one table (int_log), the
+Bernoulli fractions from the tangent numbers.  prime_zeta_direct sums sieved
+primes in plain mpf arithmetic and closes the tail with mpmath's own zeta
+derivatives; it shares only primes_upto's sieve (tested against trial
+division), mobius_int and the final rounding with the default route, and
+must stay so: it is the oracle the default route is checked against.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, log_int_fixed, mpf_log, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_log, to_fixed
 
 from .partitions import _check_index
 
@@ -72,8 +73,11 @@ def primes_upto(x):
 def bernoulli(n):
     """Exact Bernoulli number; the n = 1 value is -1/2."""
     _check_index(n, "Bernoulli index")
-    p, q = mp.bernfrac(n)
-    return Fraction(int(p), int(q))
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2 or not n:
+        return Fraction(int(not n))
+    return _bernoulli_ratio(n // 2) * math.factorial(n)
 
 
 def _round_out(values, digits):
@@ -125,16 +129,98 @@ def _em_head_length(x, nmax, digits):
     return cap
 
 
-def _log_int(j, B):
-    """log_int_fixed(j, B) at B rounded up to 128: mpmath recomputes on each rise."""
-    top = B + -B % 128
-    return log_int_fixed(j, top) >> (top - B)
+# (table, W, Bt): table[j] is 2**W log j less under 2**(W - Bt), j >= 1
+_logs = ([0, 0], 0, 0)
 
 
-@lru_cache(maxsize=None)
+def int_log(j, B):
+    """floor(2**B * log j) or one less, for integers j >= 1 and 0 <= B, read
+    from one table that grows on demand (_grow_logs): within 2 units of
+    2**B log j, never above it."""
+    tab, W, Bt = _logs
+    if j >= len(tab) or B > Bt:
+        tab, W, Bt = _grow_logs(j, B)
+    return tab[j] >> (W - B)
+
+
+def _grow_logs(j, B):
+    """Extend the log table to cover j and B; returns the new (table, W, Bt).
+
+    The size at least doubles (or reaches j + 1, or 256) and the precision
+    Bt rises by at least half (or to B, or 256), so a request that steps
+    through many (j, B) builds the table a few times.  In W = Bt + g bit
+    integers, log 2 = 2 atanh(1/3) and each prime p >= 3 takes log p =
+    log(p - 1) + 2 atanh(1/(2p - 1)); a composite adds two factors' entries.
+    2 atanh(1/m) = 2 sum_k m**-(2k+1)/(2k+1) sums floor(2**W / m**(2k+1)),
+    each exact to a floor (floor(floor(x)/m) = floor(x/m)), divided by 2k+1:
+    under K <= W/(2 log2 3) + 1/2 terms, each under a unit low, and the
+    dropped tail under 9/(8(2K+1)) units, so a leaf is under 2(W/3 + 2)
+    units low.  Entry j sums N(j) <= 2 log2 j - 1 leaves: N(2) = 1, N(3) =
+    2, N(ab) = N(a) + N(b), and a prime p >= 5 has N(p) = 2 + N((p-1)/2) <=
+    2 log2 (p-1) - 1; so it is under 4 bit_length(j) (W + 6) / 3 <= 2**g
+    units low, a unit of 2**-Bt.  Shifted down to B <= Bt bits it is then
+    floor(2**B log j) or one less.
+    """
+    global _logs
+    tab, W, Bt = _logs
+    n = max(j + 1, 2 * len(tab) if j >= len(tab) else len(tab), 256)
+    if B > Bt:
+        Bt = max(B, Bt + Bt // 2, 256)
+    nb, g = n.bit_length(), 1
+    while 4 * nb * (Bt + g + 6) > 3 << g:
+        g += 1
+    if Bt + g != W:
+        tab, W = [0, 0], Bt + g
+    one = 1 << W
+    fac = [0] * n
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if not fac[p]:
+            fac[p * p :: p] = [p] * len(range(p * p, n, p))
+    for i in range(len(tab), n):
+        f = fac[i]
+        if f:
+            tab.append(tab[f] + tab[i // f])
+            continue
+        m = 2 * i - 1
+        t, s, d, m2 = one // m, 0, 1, m * m
+        while t:
+            s += t // d
+            t //= m2
+            d += 2
+        tab.append(tab[i - 1] + 2 * s)
+    _logs = tab, W, Bt
+    return _logs
+
+
+_bernoulli_ratios = [None]  # B_2i / (2i)! at i >= 1, see _bernoulli_ratio
+
+
 def _bernoulli_ratio(i):
-    """B_2i / (2i)! as an exact fraction."""
-    return bernoulli(2 * i) / math.factorial(2 * i)
+    """B_2i / (2i)! as an exact fraction, i >= 1.
+
+    Read from one table, rebuilt at least twice its old size (or to i, or
+    40) when i passes its end.  The tangent numbers T_1..T_n come from
+    Brent and Harvey's integer recurrence ("Fast computation of Bernoulli,
+    tangent and secant numbers", 2011), and B_2k = (-1)**(k-1) * 2k * T_k /
+    (4**k * (4**k - 1)), so B_2k/(2k)! = (-1)**(k-1) * T_k / (4**k * (4**k
+    - 1) * (2k-1)!).
+    """
+    global _bernoulli_ratios
+    if i >= len(_bernoulli_ratios):
+        n = max(i, 2 * len(_bernoulli_ratios) - 2, 40)
+        T = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        out, fact = [None], 1
+        for k in range(1, n + 1):
+            fact *= max(1, 2 * k - 2) * (2 * k - 1)
+            q = 4 ** k
+            out.append(Fraction(T[k] if k % 2 else -T[k], q * (q - 1) * fact))
+        _bernoulli_ratios = out
+    return _bernoulli_ratios[i]
 
 
 def _em_fixed(n, nmax, M, digits):
@@ -162,9 +248,9 @@ def _em_fixed(n, nmax, M, digits):
     - head: under 2**(bit_length(M) + nmax*g + 2), as in prime_zeta_beyond
       (t_0 = floor(2**B / j**n), t_a = floor(t_{a-1} * L_j / 2**B / a));
     - e_u: e_0 = 2**B exactly and e_u = floor(e_{u-1} * L / 2**B / u), L
-      from log_int_fixed(M, B) (under 2 units off), so the error d_u obeys
-      d_u <= d_{u-1}*l/u + 2*(1+l)**(u-1) + 2, hence d_u < 4*(2+l)**u
-      <= D = 2**(2 + nu*g);
+      from int_log(M, B) (the log table: under 2 units off, as is each log j
+      of the head), so the error d_u obeys d_u <= d_{u-1}*l/u +
+      2*(1+l)**(u-1) + 2, hence d_u < 4*(2+l)**u <= D = 2**(2 + nu*g);
     - main_a and half_a: under (nmax + 2) * D together (a floor each);
     - correction i: one floor plus D * T_i, T_i = |N_i/D_i| * P_i(1) *
       M**(1-n-2i), which bounds the coefficient sum of P_i.  Since e_0 is
@@ -187,11 +273,11 @@ def _em_fixed(n, nmax, M, digits):
     for j in range(2, M):
         t = one // j ** n
         head[0] += t
-        L = _log_int(j, B) if nmax else 0
+        L = int_log(j, B) if nmax else 0
         for a in range(1, nmax + 1):
             t = ((t * L) >> B) // a
             head[a] += t
-    e, L = [one], _log_int(M, B) if nu else 0
+    e, L = [one], int_log(M, B) if nu else 0
     for u in range(1, nu + 1):
         e.append(((e[-1] * L) >> B) // u)
     c = n - 1
@@ -251,7 +337,8 @@ def _em_mpf(x, nmax, M, digits):
     prev_mag = mp.inf
     mfac = Mpow / (M * M)
     while True:
-        coef = mp.bernoulli(2 * i) / mp.factorial(2 * i) * mfac
+        q = _bernoulli_ratio(i)
+        coef = mp.mpf(q.numerator) / q.denominator * mfac
         terms = [coef * v for v in E]
         out = list(map(add, out, terms))
         mag = max(map(abs, terms))
@@ -364,12 +451,13 @@ def _log_zeta_euler(x, nmax, b, t):
 
     Term a of q, q**-x * (-log q)**a / (k * a!), is in units of 2**-B, B = b
     + 4*nmax + t + 6: t_0 = floor(2**B / (k * q**x)), t_a = floor(t_{a-1} *
-    k * L / 2**s / a), L = log_int_fixed(p, s) under 2 units off at s =
-    bit_length(floor(2**B / p**x) * p) + 4.  L's error adds under 2**(B+1-s)
-    * q**(1-x) <= 1/4 unit to a step, which floors once and scales the error
-    carried in by (1 + log q)/a, so term a is off by under 3 * (2 + log q)**a
-    < 2**(2 + 4a) (log q < 9.1), over the under 2**t q (those whose t_0 is
-    0, and every q after them, add only zeros) under 2**-(b+4).  For x >
+    k * L / 2**s / a), L = int_log(p, s), the log table's entry, under 2
+    units off at s = bit_length(floor(2**B / p**x) * p) + 4.  L's error
+    adds under 2**(B+1-s) * q**(1-x) <= 1/4 unit to a step, which floors
+    once and scales the error carried in by (1 + log q)/a, so term a is
+    off by under 3 * (2 + log q)**a < 2**(2 + 4a) (log q < 9.1), over the
+    under 2**t q (those whose t_0 is 0, and every q after them, add only
+    zeros) under 2**-(b+4).  For x >
     nmax and P >= 4, y**-x * (log y)**a falls on y >= P, so the integers
     past P add under its value at P plus its integral from P, at most
     2 * P**(1-x) * (1 + log P)**a <= 2**-(b+3).  With the final shift each
@@ -382,7 +470,7 @@ def _log_zeta_euler(x, nmax, b, t):
         if px > one:
             break
         s = (one // px * p).bit_length() + 4
-        L = _log_int(p, s) if nmax else 0
+        L = int_log(p, s) if nmax else 0
         k, q, qx = 1, p, px
         while q < P and k * qx <= one:
             v = one // (k * qx)
@@ -600,7 +688,7 @@ class HeadPrimes:
         for i in range(0, len(ps), self.BLOCK):
             block = ps[i : i + self.BLOCK]
             t = [one // p ** r0 for p in block]
-            logs = [log_int_fixed(p, B) for p in block] if nmax else ()
+            logs = [int_log(p, B) for p in block] if nmax else ()
             for j, row in enumerate(sums):
                 if j:
                     t = list(map(floordiv, t, block))
@@ -619,18 +707,20 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     accuracy, what a caller adding V_r times the family to O(1) values
     needs (the family is about max(primes)**(1-r)).
 
-    primes is a HeadPrimes, or any iterable of primes, which is validated
-    and summed as a one-r chunk; a caller stepping through r passes one
-    HeadPrimes to every call, so each prime takes one integer pass per
-    chunk of r.  The full family, prime_zeta_taylor at digits, is within
-    its tail_bounds, under 1.1 * 10**-(digits+4) for r >= 2; the head, the
-    subtraction at digits + 10 and the rounding add under 10**-(digits+5).
+    r must be at least 2 (ValueError): the r = 1 family is the regularized
+    one, and less the head sums it is no beyond-cutoff sum.  primes is a
+    HeadPrimes, or any iterable of primes, which is validated and summed as
+    a one-r chunk; a caller stepping through r passes one HeadPrimes to
+    every call, so each prime takes one integer pass per chunk of r.  The
+    full family, prime_zeta_taylor at digits, is within its tail_bounds,
+    under 1.1 * 10**-(digits+4); the head, the subtraction at digits + 10
+    and the rounding add under 10**-(digits+5).
 
     Head terms p**-r * l**n / n!, l = log p, are integers in units of
     2**-B: t_0 = floor(2**B / p**r), under a unit off (a chunk starts at
     floor(2**B / p**r0) and steps r by t_0 //= p, which keeps the floor
     exact: floor(floor(x)/p) = floor(x/p) for an integer p); L =
-    log_int_fixed(p, B), under 2 units off 2**B * l; and t_n =
+    int_log(p, B), from the log table, under 2 units off 2**B * l; and t_n =
     floor(t_{n-1} * L / 2**B / n).  Each step n scales the error carried in
     by L/2**B/n < (1+l)/n and adds under 3: its floor, plus L's error,
     under 2, times p**-r * l**(n-1)/(n-1)!/n <= p**(1-r) <= 1.  So term n
@@ -640,6 +730,7 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     len.bit_length() + nmax*g + 2.  B = prec + s + 10, prec the working
     precision of digits + 10, makes it 2**-(prec+10) < 10**-(digits+13).
     """
+    _check_index(r, "beyond-cutoff order r", 2)
     head = primes if isinstance(primes, HeadPrimes) else HeadPrimes(primes, 1)
     base = prime_zeta_taylor(r, nmax, digits)
     with mp.workdps(digits + 10):
@@ -691,6 +782,7 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
     and the final rounding.
     """
     _check_index(r, "direct route order r", 2)
+    _check_index(nmax, "nmax")
     _check_index(digits, "digits", 1)
     X = int(prime_cutoff)
     if X < 10:

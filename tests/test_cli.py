@@ -298,6 +298,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_fast_level_has_constant_table_oracle(self):
+        found = [(kind, fn) for label, kind, fn in cli.FAST_CHECKS
+                 if label.startswith("integer log and Bernoulli tables")]
+        assert len(found) == 1 and found[0][0] == "oracle"
+        found[0][1]()
+
     def test_full_level_has_head_log_oracle(self):
         found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
                  if label.startswith("head-prime integer log")]

@@ -677,8 +677,8 @@ MEMOS = {
                         "super_power_sum"},
     "partitions": {"conjugate", "dim_paths", "partitions_of"},
     "symseries": {"_plan", "monomial_eval"},
-    "zeta_numerics": {"_bernoulli_ratio", "_compute_prime_zeta",
-                      "_euler_primes", "_log_zeta_fixed"},
+    "zeta_numerics": {"_compute_prime_zeta", "_euler_primes",
+                      "_log_zeta_fixed"},
 }
 
 

@@ -246,14 +246,41 @@ class TestExpLog:
         assert series_log(s) == total
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mirror_halved_log_matches_full_recurrence(self, seed):
+        # _log_fixed sums only outputs with twin >= index and copies the
+        # mirrors; on symmetric input that is the full recurrence, exactly
+        rng = random.Random(seed)
+        B, wmax = 80, 6
+        plan = _plan(wmax)
+        assert all(plan.keys[t] == key[::-1]
+                   for key, t in zip(plan.keys, plan.twin))
+        s = [1 << B]
+        for i in range(1, len(plan.keys)):
+            t = plan.twin[i]
+            s.append(s[t] if t < i else rng.randrange(1 << (B + 2)))
+        full, dl, cross = ([0] * len(s) for _ in range(3))
+        for w in range(1, wmax + 1):
+            for j in range(1, w):
+                for out, a, b in plan.products[w][j]:
+                    cross[out] += dl[a] * s[b]
+            for i in range(plan.starts[w], plan.starts[w + 1]):
+                full[i] = s[i] - cross[i] // (w << B)
+                dl[i] = full[i] * w
+        assert _log_fixed(plan, s, B) == full
+        assert all(full[i] == full[t] for i, t in enumerate(plan.twin))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_log_within_its_bound(self, seed):
         # floors of a positive exact series through _log_fixed, against 2**B
         # times the exact log; each weight's summed error obeys the bound
-        # E_w of moments._head_logs
+        # E_w of moments._head_logs; like the head's ratios, the series is
+        # symmetric in the two slots, as _log_fixed requires
         rng = random.Random(seed)
         B, wmax = 64, 5
         plan = _plan(wmax)
-        x = {key: Fraction(rng.randrange(1, 300), 200) for key in plan.keys[1:]}
+        x = {}
+        for key in plan.keys[1:]:
+            x[key] = x.get(key[::-1]) or Fraction(rng.randrange(1, 300), 200)
         exact = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **x}))
         s = [1 << B] + [int(x[key] * 2**B) for key in plan.keys[1:]]
         lg = _log_fixed(plan, s, B)

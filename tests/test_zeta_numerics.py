@@ -2,6 +2,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +12,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
 
 from zetamoments import zeta_numerics
 from zetamoments.cli import save_pzeta
@@ -25,6 +27,7 @@ from zetamoments.zeta_numerics import (
     bernoulli,
     envelope_bound,
     install_prime_zeta,
+    int_log,
     mobius_int,
     prime_zeta_beyond,
     prime_zeta_direct,
@@ -45,6 +48,87 @@ def test_bernoulli_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+class TestConstantTables:
+    """The integer log table and the tangent-number Bernoulli table, against
+    mpmath's own routines, which the package no longer calls."""
+
+    @pytest.mark.parametrize("B", [8, 64, 333, 2000])
+    def test_log_table_against_mpmath(self, B, monkeypatch):
+        # j up to 10**4 passes mpmath's 2,000-entry log cache; the table
+        # gives floor(2**B log j) or one less, within 2 units of mpmath's
+        monkeypatch.setattr(zeta_numerics, "_logs", ([0, 0], 0, 0))
+        for j in range(1, 10_001, 1 if B < 2000 else 7):
+            got = int_log(j, B)
+            assert abs(got - log_int_fixed(j, B)) <= 2, j
+            floor = to_fixed(mpf_log(from_int(j), B + 40), B)
+            assert floor - 1 <= got <= floor, j
+
+    def test_log_table_grows_geometrically_and_never_at_import(self, monkeypatch):
+        # a fresh process has neither table; lead5's log requests (j <= 509,
+        # B <= 259) build the log table three times, and a smaller (j, B)
+        # reads it without a build
+        code = ("import zetamoments.cli\n"
+                "from zetamoments import zeta_numerics as z\n"
+                "print(len(z._logs[0]), len(z._bernoulli_ratios))")
+        src = os.path.dirname(os.path.dirname(zeta_numerics.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["2", "1"]
+        builds = []
+        real = zeta_numerics._grow_logs
+
+        def counted(j, B):
+            builds.append((j, B))
+            return real(j, B)
+
+        monkeypatch.setattr(zeta_numerics, "_logs", ([0, 0], 0, 0))
+        monkeypatch.setattr(zeta_numerics, "_grow_logs", counted)
+        for j, B in [(313, 150), (313, 194), (53, 259), (509, 215), (2, 6)]:
+            int_log(j, B)
+        assert len(builds) == 3
+        tab, W, Bt = zeta_numerics._logs
+        assert len(tab) > 509 and Bt >= 259
+
+    def test_bernoulli_against_mpmath(self, monkeypatch):
+        # rebuilt at i = 1, 41, 81 from a fresh table
+        monkeypatch.setattr(zeta_numerics, "_bernoulli_ratios", [None])
+        for n in range(201):
+            p, q = mp.bernfrac(n)
+            assert bernoulli(n) == Fraction(int(p), int(q)), n
+        assert len(zeta_numerics._bernoulli_ratios) == 161
+
+    @pytest.mark.parametrize("request_", ["lead5", "c0"])
+    def test_requests_take_no_mpmath_log_or_bernoulli(self, request_, monkeypatch):
+        from zetamoments import moments
+
+        def banned(*args, **kwargs):
+            raise AssertionError("mpmath log table or Bernoulli called")
+
+        for target, name in [(mp, "bernfrac"), (mp, "bernoulli"),
+                             (mpmath.libmp, "log_int_fixed"),
+                             (mpmath.libmp.libelefun, "log_int_fixed")]:
+            monkeypatch.setattr(target, name, banned)
+        # and any copy of mpmath's log bound by name in the package
+        for mod in (zeta_numerics, moments):
+            monkeypatch.setattr(mod, "log_int_fixed", banned, raising=False)
+        monkeypatch.setattr(zeta_numerics, "_logs", ([0, 0], 0, 0))
+        monkeypatch.setattr(zeta_numerics, "_bernoulli_ratios", [None])
+        monkeypatch.setattr(zeta_numerics, "_installed_pzeta", {})
+        monkeypatch.setattr(moments, "_w_cache", {})
+        zeta_numerics._log_zeta_fixed.cache_clear()
+        zeta_numerics._compute_prime_zeta.cache_clear()
+        if request_ == "lead5":
+            for N in (4, 3, 2, 1, 0):
+                moments.c_coeff(N, 3, digits=15)
+            assert len(zeta_numerics._logs[0]) > 2
+        else:
+            moments.c_coeff(0, 3, digits=50)
+            assert len(zeta_numerics._logs[0]) == 2
+        assert len(zeta_numerics._bernoulli_ratios) > 1
 
 
 def test_primes_and_mobius():
@@ -106,6 +190,9 @@ def test_mobius_matches_factorisation():
         (envelope_bound, (2.0, 0, 100)),
         (envelope_bound, (2, True, 100)),
         (envelope_bound, (2, 0.5, 100)),
+        (prime_zeta_beyond, (True, 0, [2])),
+        (prime_zeta_direct, (2, True)),
+        (prime_zeta_direct, (2, 1.0)),
     ],
     ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
 )
@@ -459,6 +546,17 @@ class TestPrimeZetaTaylor:
             prime_zeta_taylor(2, -1, 20)
         with pytest.raises(ValueError):
             prime_zeta_direct(1, 2, 20)
+        with pytest.raises(ValueError, match="nmax"):
+            prime_zeta_direct(2, -1, 20)
+
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_beyond_needs_r_at_least_2(self, r):
+        # at r = 1 the full family is the regularized one: less the head it
+        # is no beyond-cutoff sum
+        with pytest.raises(ValueError, match="order r"):
+            prime_zeta_beyond(r, 2, [2, 3], 20)
+        with pytest.raises(ValueError, match="order r"):
+            prime_zeta_beyond(r, 2, HeadPrimes([2, 3]), 20)
 
 
 def _mpf_stop_bound(r, nmax, digits, m):
