@@ -397,14 +397,15 @@ def _ratio_numerators(k, wmax):
 def _local_ratios(k, p, A, numer, B):
     """floor(2**B * X_{mu nu}(1/p) / nd) for every pair of numer (from
     _ratio_numerators), A = A_k(p): one Horner evaluation of Ntil(p) and
-    one integer floor each."""
-    base = p ** (k - 1) * A
+    one integer floor each, over p**(k-1) * A * (p-1)**n, formed once per n."""
+    base, wmax = p ** (k - 1) * A, max(n for n, _, _ in numer.values())
+    den = [base * (p - 1) ** n for n in range(wmax + 1)]
     out = {}
     for pair, (n, N, nd) in numer.items():
         t = 0
         for c in N:
             t = t * p + c
-        out[pair] = (t << B) // (base * (p - 1) ** n * nd)
+        out[pair] = (t << B) // (den[n] * nd)
     return out
 
 

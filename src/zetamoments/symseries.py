@@ -337,11 +337,13 @@ def _exp_log(series, log):
             _accumulate(plan.products[w][j], dl, s, cross)
         inv = Fraction(1, w)
         for i in range(plan.starts[w], plan.starts[w + 1]):
+            v = cross[i] if log else lg[i] * w + cross[i]
+            v = v / w if isinstance(v, mp.mpf) else v * inv  # an mpf rounds once
             if log:
-                lg[i] = s[i] + cross[i] * -inv
+                lg[i] = s[i] - v
+            else:
+                s[i] = v
             dl[i] = lg[i] * w
-            if not log:
-                s[i] = (dl[i] + cross[i]) * inv
     return _series(plan, lg if log else s)
 
 

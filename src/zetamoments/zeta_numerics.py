@@ -9,17 +9,17 @@ Stieltjes expansion around the pole, and of prime power sums
     sum over primes of p**(-r) * (-log p)**n / n!
 
 for integer r; the r = 1 family drops the logarithmic singularity.  The
-default route is the Moebius inversion of log zeta in one B-bit integer pass
-per family (_moebius_fixed), whose log zeta at each argument, cached and
-shared by families, comes from one integer kernel (_log_zeta_fixed): an
-Euler-Maclaurin sum with exact Bernoulli fractions from the pole x = 1 (where
-it also gives the Stieltjes constants) to moderate x, and the Euler product
-over the primes beyond; integer logs come from one table (int_log), the
-Bernoulli fractions from the tangent numbers.  prime_zeta_direct sums sieved
-primes in plain mpf arithmetic and closes the tail with mpmath's own zeta
-derivatives; it shares only primes_upto's sieve (tested against trial
-division), mobius_int and the final rounding with the default route, and
-must stay so: it is the oracle the default route is checked against.
+default route is the Moebius inversion of log zeta, one B-bit integer sum
+per family over one table of log zeta(y + u) per (nmax, digits) that every
+family reads (_log_zeta_table): one Euler-Maclaurin pass vectorized across
+y from the pole y = 1 (_em_fixed, which also serves zeta_taylor at integer
+points and the Stieltjes constants), one Euler-product pass beyond, and mu
+from one sieve.  Integer logs come from one table (int_log), the Bernoulli
+fractions from the tangent numbers.  prime_zeta_direct sums sieved primes in plain mpf
+arithmetic and closes the tail with mpmath's own zeta derivatives; it shares
+only the prime sieve (tested against trial division) and the final rounding
+with the default route, and must stay so: it is the oracle the default
+route is checked against.
 """
 
 import itertools
@@ -109,14 +109,12 @@ def _em_head_length(x, nmax, digits):
       correction 2 <= (x+1)(x+2)(x+3)/720 * M**(-x-3) * (1+log M)**nmax
                    <= B * ((x+3)/M)**2 / 720.
     For t**-x the derivatives alternate in sign, so the remainder after a
-    correction is below the next one (for a >= 1 the tests check the
-    result against mpmath).  The head is the smallest M >= 3 that
-    puts B times max(1, ((x+3)/M)**2/720) two digits below the tail loop's
-    stop threshold 10**-(digits+10) * max(1, |zeta(x)|) (compared in units of
-    2**-B on the integer route): the loop then stops after correction 1 and
-    the dropped remainder stays under 10**-(digits+12).  Large x needs only a
-    few terms (x = 460 at 131 digits takes M = 3).  The length is capped at
-    max(20, digits), the fixed head that small x needs anyway.
+    correction is below the next one (for a >= 1 the tests check against
+    mpmath).  The head is the smallest M >= 3 that puts B times max(1,
+    ((x+3)/M)**2/720) two digits below the stop threshold 10**-(digits+10)
+    * max(1, |zeta(x)|): the loop then stops after correction 1, with the
+    remainder under 10**-(digits+12).  Large x needs few terms (x = 460 at
+    131 digits takes M = 3); M is capped at max(20, digits).
     """
     cap = max(20, digits)
     goal = -(digits + 12) * math.log(10)
@@ -223,94 +221,85 @@ def _bernoulli_ratio(i):
     return _bernoulli_ratios[i]
 
 
-def _em_fixed(n, nmax, M, digits):
-    """Euler-Maclaurin sum for zeta^(a)(n)/a!, a <= nmax, at an integer n >= 2;
-    at the pole n = 1, the same for the regular part zeta(1+u) - 1/u.
+def _em_fixed(ys, nmax, M, digits):
+    """Euler-Maclaurin sums for zeta^(a)(y)/a!, a <= nmax, at each integer y
+    >= 2 of the range ys (step 1), and for a < nmax of zeta(1+u) - 1/u at
+    the pole y = 1, in one pass sharing M, B and the Bernoulli ratios; each
+    y has its own stop test and divergence check.  Returns (rows, B), rows[i]
+    ys[i]'s coefficients in units of 2**-B.
 
-    Everything is an integer in units of 2**-B; only log M and log j are
-    not exact rationals.  With l = log M, c = n - 1 and the magnitudes
-    e_u = l**u/u! (E_u = (-1)**u * e_u), coefficient a is (-1)**a times
-      head_a = sum_{j<M} j**-n * (log j)**a / a!,
+    With l = log M, c = y - 1 and e_u = l**u/u! (E_u = (-1)**u * e_u),
+    coefficient a is (-1)**a times
+      head_a = sum_{j<M} j**-y * (log j)**a / a!        (_dirichlet_sums),
       main_a = sum_u e_u * c**u / (c**(a+1) * M**c)   (from M**(1-s)/(s-1)),
-      half_a = e_a / (2 * M**n)                         (from M**-s / 2),
-    plus correction i, with B_2i/(2i)! = N_i/D_i exactly and
-    P_i = (n+u)(n+1+u)...(n+2i-2+u) an integer polynomial in u:
-      floor(N_i * (E * P_i)[a] / (D_i * M**(n+2i-1))),
-    the truncated product E * P_i carried from step to step.  At n = 1 the
-    main term's regular part (M**-u - 1)/u gives main_a = -e_{a+1}.  The
-    corrections stop at the first i whose largest term is below
-    10**-(digits+10) * max(1, |coefficient 0|), and raise RuntimeError once
-    they grow again after i = 3 or reach i = 4M (the terms are smallest
-    near 2i = 2*pi*M, where every supported call has long stopped).
+      half_a = e_a / (2 * M**y)                         (from M**-s / 2),
+    (at the pole main_a = -e_{a+1}) plus the corrections F_i = q_i *
+    M**(1-y-2i) * E * P_i, q_i = B_2i/(2i)!, P_i = (y+u)(y+1+u)...(y+2i-2+u):
+    F_1 = floor(E * (y+u) / (12 M**(y+1))), F_{i+1} = floor(F_i * Q_i * R_i
+    / 2**S), Q_i = (y+2i-1+u)(y+2i+u), R_i = floor(2**S * q_{i+1} / (q_i
+    M**2)), one integer per step for every y.  They stop at the first i
+    whose largest term mag_i is below thresh = 10**-(digits+10) * max(1,
+    |coefficient 0|), and raise RuntimeError once they grow after i = 3 or
+    reach i = I = 4M (the terms are smallest near 2i = 2*pi*M).
 
-    Error, in units, with g = bit_length(int(l) + 3), so 2 + l < 2**g, and
-    nu = nmax, or nmax + 1 at n = 1 (the highest e_u used):
-    - head: under 2**(bit_length(M) + nmax*g + 2), as in prime_zeta_beyond
-      (t_0 = floor(2**B / j**n), t_a = floor(t_{a-1} * L_j / 2**B / a));
-    - e_u: e_0 = 2**B exactly and e_u = floor(e_{u-1} * L / 2**B / u), L
-      from int_log(M, B) (the log table: under 2 units off, as is each log j
-      of the head), so the error d_u obeys d_u <= d_{u-1}*l/u +
-      2*(1+l)**(u-1) + 2, hence d_u < 4*(2+l)**u <= D = 2**(2 + nu*g);
-    - main_a and half_a: under (nmax + 2) * D together (a floor each);
-    - correction i: one floor plus D * T_i, T_i = |N_i/D_i| * P_i(1) *
-      M**(1-n-2i), which bounds the coefficient sum of P_i.  Since e_0 is
-      exact, the a = 0 term is T_i * n/(n+2i-1) to a unit, so T_i is under
-      2i times the step's largest term (plus a unit).  T_i < 1 for i <= 3
-      (|B_2i|/(2i)! < 4/(2*pi)**2i, n >= 1, M >= 3), so those terms are
-      below (1+l)**nmax < 2**(nu*g); later ones are no larger, or the loop
-      has raised.  Over I <= 4M steps the corrections are off by under
-      I + 2 * D * 2**(nu*g) * I*(I+1) < 2**(3 + 2*nu*g + 2*bit_length(4M)).
-    Each part is under 2**(s-2) with s = 2*nu*g + 2*bit_length(4M) + 5,
-    so B = prec + s + 10 keeps the sum within 2**-(prec+10) of the exact
-    truncated Euler-Maclaurin sum.  With nmax = 0 and n >= 2 no log is
-    taken.  Returns the coefficients as integers in units of 2**-B, with B.
+    Error in units, with 2 + l < 2**g, g = bit_length(int(l) + 3), K =
+    bit_length(4M): the head is off by under 2**(K + nmax*g + 2); e_0 = 2**B
+    and e_u = floor(e_{u-1} * L / 2**B / u), L = int_log(M, B), by d_u <=
+    d_{u-1}*l/u + 2*(1+l)**(u-1) + 2 < 4*(2+l)**u <= D = 2**(2 + nmax*g), so
+    main_a and half_a by (nmax+2) D.  With T_i = |q_i| P_i(1) M**(1-y-2i),
+    |F_i[a]| <= 2**B T_i (1+l)**a and |F_i[0]| >= 2**B T_i / (2i).  F_1 is
+    off by under 1 + D T_1; a step scales the error by T_{i+1}/T_i (times
+    under 1 + 2**-B) and adds under 2, its floor and R_i's (|F_i * Q_i|
+    2**-S <= (top+8M+1)**2 mag_i 2**-S < 1), so F_i is off by eps_i < (D +
+    2i) G, G >= T_i/T_j for j <= i.  While eps_i <= thresh/4 <= mag_j/4 (j
+    before the stop), mag_i <= mag_j for 3 <= j <= i gives T_i/T_j <= 4i
+    (1+l)**nmax; T_2/T_1 = (y+2)(y+3)/(60 M**2) and T_3/T_2 = (y+4)(y+5)/(42
+    M**2) are at most X = max(1, (top+5)**2/(42 M**2)) <= 2**x.  So G = 4I
+    2**(nmax*g) X**2, and the corrections are off by under 2**(5 + 2*nmax*g
+    + 3K + 2x).  Each part is under 2**(s-2), s = 2*nmax*g + 3K + 2x + 7, so
+    B = p0 + s + 10, p0 = max(prec, (digits+10) log2 10), puts the sum within
+    2**-(prec+10) of the truncated sum and thresh >= 2**(s+10) above 4
+    eps_i.  At nmax = 0 no log is taken.
     """
-    g = (int(math.log(M)) + 3).bit_length()
-    nu = nmax + (n == 1)
-    B = mp.prec + 2 * nu * g + 2 * (4 * M).bit_length() + 15
-    one = 1 << B
-    head = [one] + [0] * nmax
-    for j in range(2, M):
-        t = one // j ** n
-        head[0] += t
-        L = int_log(j, B) if nmax else 0
-        for a in range(1, nmax + 1):
-            t = ((t * L) >> B) // a
-            head[a] += t
-    e, L = [one], int_log(M, B) if nu else 0
-    for u in range(1, nu + 1):
+    top, K, g = ys[-1], (4 * M).bit_length(), (int(math.log(M)) + 3).bit_length()
+    x = max(0, math.ceil(math.log2((top + 5) ** 2 / (42 * M * M))))
+    s = 2 * nmax * g + 3 * K + 2 * x + 7
+    B = max(mp.prec, math.ceil((digits + 10) * math.log2(10))) + s + 10
+    one, S = 1 << B, B + s + 2 * (top + 8 * M + 1).bit_length()
+    heads = _dirichlet_sums(
+        [(j, 1, int_log(j, B) if nmax else 0) for j in range(1, M)], ys, nmax, B)
+    e, L = [one], int_log(M, B) if nmax else 0
+    for u in range(1, nmax + 1):
         e.append(((e[-1] * L) >> B) // u)
-    c = n - 1
-    Mc = M ** c
-    out = []
-    for a in range(nmax + 1):
-        main = -e[a + 1] if not c else (
-            sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
-        t = head[a] + main + e[a] // (2 * Mc * M)
-        out.append(-t if a % 2 else t)
-    E = [-v if u % 2 else v for u, v in enumerate(e[: nmax + 1])]
-    thresh = max(one, abs(out[0])) // 10 ** (digits + 10)
-    den = M ** (n + 1)
-    E = [n * p + lo for p, lo in zip(E, [0] + E)]
-    i = 1
-    while True:
-        q = _bernoulli_ratio(i)
-        d = q.denominator * den
-        terms = [q.numerator * v // d for v in E]
-        out = list(map(add, out, terms))
-        mag = max(map(abs, terms))
-        if mag < thresh:
-            break
-        if i > 3 and (mag > prev or i >= 4 * M):
-            raise RuntimeError(
-                "Euler-Maclaurin tail diverged before reaching %d digits" % digits
-            )
-        prev = mag
-        i += 1
-        for shift in (n + 2 * i - 3, n + 2 * i - 2):
-            E = [shift * p + lo for p, lo in zip(E, [0] + E)]
-        den *= M * M
-    return out, B
+    E = [-v if u % 2 else v for u, v in enumerate(e)]
+    rows, R = [], []
+    for y, head in zip(ys, heads):
+        c, A, Mc = y - 1, nmax + (y > 1), M ** (y - 1)  # the pole holds a < nmax
+        out = []
+        for a in range(A):
+            main = -e[a + 1] if not c else (
+                sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
+            t = head[a] + main + e[a] // (2 * Mc * M)
+            out.append(-t if a % 2 else t)
+        thresh = max(one, abs(out[0]) if A else 0) // 10 ** (digits + 10)
+        F = [(y * v + lo) // (12 * Mc * M * M) for v, lo in zip(E[:A], [0] + E)]
+        for i in itertools.count(1):
+            out = list(map(add, out, F))
+            mag = max(map(abs, F), default=0)
+            if mag < thresh:
+                break
+            if i > 3 and (mag > prev or i >= 4 * M):
+                raise RuntimeError("Euler-Maclaurin tail diverged before "
+                                   "reaching %d digits" % digits)
+            prev = mag
+            if len(R) < i:
+                rho = _bernoulli_ratio(i + 1) / _bernoulli_ratio(i)
+                R.append((rho.numerator << S) // (rho.denominator * M * M))
+            c0, c1 = (y + 2 * i - 1) * (y + 2 * i), 2 * (y + 2 * i) - 1
+            F = [(c0 * f + c1 * f1 + f2) * R[i - 1] >> S
+                 for f, f1, f2 in zip(F, [0] + F, [0, 0] + F)]
+        rows.append(out)
+    return rows, B
 
 
 def _em_mpf(x, nmax, M, digits):
@@ -379,7 +368,7 @@ def zeta_taylor(x0, nmax, digits=50):
     with mp.workdps(digits + extra):
         x = mp.mpf(1) * x0
         if mp.isint(x):
-            ints, B = _em_fixed(int(x), nmax, M, digits)
+            (ints,), B = _em_fixed(range(int(x), int(x) + 1), nmax, M, digits)
             out = [mp.ldexp(mp.mpf(v), -B) for v in ints]
         else:
             out = _em_mpf(x, nmax, M, digits)
@@ -405,7 +394,7 @@ def stieltjes_gamma(n, digits=50):
     f = math.factorial(n)
     d = digits + 5 + len(str(f))
     with mp.workdps(d):
-        ints, B = _em_fixed(1, n, _em_head_length(1, n, d), d)
+        (ints,), B = _em_fixed(range(1, 2), n + 1, _em_head_length(1, n, d), d)
     with mp.workdps(digits + 5):
         return mp.ldexp(mp.mpf((-1) ** n * f * ints[n]), -B)
 
@@ -415,157 +404,155 @@ def stieltjes_cumulant(n, digits=50):
 
     Coefficient n of the logarithm of s*zeta(1+s), rescaled by n! and an
     alternating sign; the n = 0 value is exactly 0.  It is read from
-    _log_zeta_fixed(1, n, b), whose b carries its 2**(2n+6) units through n!.
+    _log_zeta_em at y = 1, whose b carries its 2**(2n+6) units through n!.
     """
     _check_index(n, "cumulant index")
     _check_index(digits, "digits", 1)
     f = math.factorial(n)
     b = dps_to_prec(digits + 5) + 2 * n + 10 + f.bit_length()
     with mp.workdps(digits + 5):
-        return mp.ldexp(mp.mpf((-1) ** (n + 1) * f * _log_zeta_fixed(1, n, b)[n]), -b)
+        (lz,) = _log_zeta_em(range(1, 2), n, b)
+        return mp.ldexp(mp.mpf((-1) ** (n + 1) * f * lz[n]), -b)
 
 
-@lru_cache(maxsize=None)
-def _euler_primes(t):
-    """The primes below 2**t, t >= 2, from primes_upto's sieve."""
-    return tuple(itertools.compress(range(1 << t), _prime_flags((1 << t) - 1)))
+def _log_zeta_em(ys, nmax, b):
+    """Coefficients of log zeta(y + u) in u at each integer y >= 2 of the
+    range ys, and of the regular log(u * zeta(1 + u)) at the pole y = 1, as
+    tuples of integers in units of 2**-b, each within 2**(2*nmax + 6) units:
+    the series log of one Euler-Maclaurin pass (_em_fixed).
 
-
-def _euler_bits(x, nmax, b):
-    """t if log zeta(x + u) at b bits takes the Euler product over the primes
-    below P = 2**t, P**(x-1) >= 2**(b + 4*nmax + 4), else None: that needs
-    x > max(nmax, 1), t <= 13 and at most twice as many primes as the longest
-    Euler-Maclaurin head, max(20, d) terms at d = ceil(b*log10 2) - 9.  So
-    timed at x = 10..79, nmax 0, 4, 9, b = 150..450, it costs 0.1-0.7 of the
-    Euler-Maclaurin kernel (0.6-1.2 at 2.4-2.6 times as many primes); M(x)
-    for max(20, d) picks alike at x < 500, nmax <= 16, b <= 1200."""
-    t = max(2, -(-(b + 4 * nmax + 4) // (x - 1))) if x > max(nmax, 1) else 14
-    pi = (0, 1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028)  # below 2**t
-    cap = max(20, math.ceil(b * math.log10(2)) - 9)
-    return t if t <= 13 and pi[t] <= 2 * cap else None
-
-
-def _log_zeta_euler(x, nmax, b, t):
-    """Coefficients of log zeta(x + u) = sum over prime powers q = p**k of
-    q**-(x+u) / k, summed over q < P = 2**t, in units of 2**-b.
-
-    Term a of q, q**-x * (-log q)**a / (k * a!), is in units of 2**-B, B = b
-    + 4*nmax + t + 6: t_0 = floor(2**B / (k * q**x)), t_a = floor(t_{a-1} *
-    k * L / 2**s / a), L = int_log(p, s), the log table's entry, under 2
-    units off at s = bit_length(floor(2**B / p**x) * p) + 4.  L's error
-    adds under 2**(B+1-s) * q**(1-x) <= 1/4 unit to a step, which floors
-    once and scales the error carried in by (1 + log q)/a, so term a is
-    off by under 3 * (2 + log q)**a < 2**(2 + 4a) (log q < 9.1), over the
-    under 2**t q (those whose t_0 is 0, and every q after them, add only
-    zeros) under 2**-(b+4).  For x >
-    nmax and P >= 4, y**-x * (log y)**a falls on y >= P, so the integers
-    past P add under its value at P plus its integral from P, at most
-    2 * P**(1-x) * (1 + log P)**a <= 2**-(b+3).  With the final shift each
-    coefficient is within 2 units of 2**-b."""
-    B = b + 4 * nmax + t + 6
-    one, P = 1 << B, 1 << t
-    out = [0] * (nmax + 1)
-    for p in _euler_primes(t):
-        px = p ** x
-        if px > one:
-            break
-        s = (one // px * p).bit_length() + 4
-        L = int_log(p, s) if nmax else 0
-        k, q, qx = 1, p, px
-        while q < P and k * qx <= one:
-            v = one // (k * qx)
-            out[0] += v
-            for a in range(1, nmax + 1):
-                v = ((v * k * L) >> s) // a
-                out[a] += -v if a % 2 else v
-            k, q, qx = k + 1, q * p, qx * px
-    return tuple(v >> (B - b) for v in out)
-
-
-@lru_cache(maxsize=None)
-def _log_zeta_fixed(x0, nmax, b):
-    """Coefficients of log zeta(x0 + u) in u at an integer x0 >= 2, and of
-    the regular log(u * zeta(1 + u)) at the pole x0 = 1, as a tuple of
-    integers in units of 2**-b, each within 2**(2*nmax + 6) units.
-
-    _euler_bits picks the route from (x0, nmax, b) alone: the Euler product
-    (_log_zeta_euler), or the Euler-Maclaurin kernel and its series log.
-    Write z_a = zeta^(a)(x0)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a| and the
-    log coefficients are at most 2, and so is |z_a / z_0|: each is a sum
-    over j >= 2 of at most j**-2 * (log j)**a / a!, whose integral over
-    t >= 1 is 1 and whose largest term is below 1.  At the pole the series
-    is 1 + sum_a R_a u**(a+1), R_a the kernel's coefficients; on |u| = 2,
-    |zeta(1+u) - 1/u| < 0.71 and |log(u * zeta(1+u))| < 1.8 (sampled), so
-    by Cauchy both kinds are under 1.
-    - The kernel runs at working precision b with d = ceil(b*log10 2) - 9
-      digits: its integers are within 2**-(b+10) of the truncated sum, whose
-      last correction, under 10**-(d+10) * max(1, zeta(x0)), bounds the
-      dropped remainder by 2*10**-(d+10) <= 2**-b / 5.  Shifted down to b
-      bits (one floor), v_a is off by under 2 units; so is v_0 after it is
-      raised to at least 2**b, which only moves it toward 2**b * zeta(x0).
+    Write z_a = zeta^(a)(y)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a|, |z_a /
+    z_0| and the log coefficients are at most 2: each is a sum over j >= 2
+    of at most j**-2 * (log j)**a / a!, whose integral over t >= 1 is 1 and
+    largest term below 1.  At the pole the series is 1 + sum_a R_a
+    u**(a+1); on |u| = 2, |zeta(1+u) - 1/u| < 0.71 and |log(u * zeta(1+u))|
+    < 1.8 (sampled), so by Cauchy both kinds are under 1.
+    - At b bits and d = ceil(b*log10 2) - 9 digits the kernel is within
+      2**-(b+10) of the truncated sum, whose last correction, under
+      10**-(d+10) * max(1, zeta(y)), bounds the remainder by 2*10**-(d+10)
+      <= 2**-b / 5.  Shifted to b bits, v_a is off by under 2 units; so is
+      v_0 raised to at least 2**b, which moves it toward 2**b * zeta(y).
     - s_a = floor(v_a * 2**b / v_0) is off by under 2*(1 + 2) + 1 = 7 units
-      (at the pole s_a = v_{a-1}, under 2).
-    - lz_0 = log(v_0 * 2**-b) at b + 10 bits is off by under 4 (0 at the pole).
+      (at the pole s_a = v_{a-1}, under 2); lz_0 = log(v_0 * 2**-b) at b +
+      10 bits by under 4 (0 at the pole).
     - lz_w = s_w - floor(sum_{j<w} j * lz_j * s_{w-j} / (w * 2**b)) is off
       by e_w <= 1 + 7*(2w - 1) + 2.01 * sum_{j<w} e_j, with e_1 = 7, so
       e_w <= 56 * 4**w < 2**(2w + 6).
     """
-    if t := _euler_bits(x0, nmax, b):
-        return _log_zeta_euler(x0, nmax, b, t)
-    pole = x0 == 1
-    if pole and not nmax:
-        return (0,)
     d = math.ceil(b * math.log10(2)) - 9
     with mp.workprec(b):
-        ints, B = _em_fixed(x0, nmax - pole, _em_head_length(x0, nmax, d), d)
-    one = 1 << b
-    v = [x >> (B - b) for x in ints]
-    if pole:
-        s, lz = [one] + v, [0]
-    else:
-        v0 = max(v[0], one)
-        s = [one] + [(x << b) // v0 for x in v[1:]]
-        lz = [to_fixed(mpf_log(from_man_exp(v0, -b), b + 10), b)]
-    for w in range(1, nmax + 1):
-        acc = sum(j * lz[j] * s[w - j] for j in range(1, w))
-        lz.append(s[w] - acc // (w << b))
-    return tuple(lz)
+        rows, B = _em_fixed(ys, nmax, _em_head_length(ys[0], nmax, d), d)
+    one, out = 1 << b, []
+    for y, ints in zip(ys, rows):
+        v = [x >> (B - b) for x in ints]
+        if y == 1:
+            s, lz = [one] + v, [0]
+        else:
+            v0 = max(v[0], one)
+            s = [one] + [(x << b) // v0 for x in v[1:]]
+            lz = [to_fixed(mpf_log(from_man_exp(v0, -b), b + 10), b)]
+        for w in range(1, nmax + 1):
+            lz.append(s[w] - sum(j * lz[j] * s[w - j] for j in range(1, w)) // (w << b))
+        out.append(tuple(lz))
+    return out
 
 
-def _moebius_fixed(r, nmax, digits, stop):
-    """sum over 1 <= m < stop of mu(m)/m * log zeta(m*r + m*u), by
-    coefficient of u, as integers in units of 2**-B; returns (sums, B).  At
-    r = 1 the m = 1 term is the regular log(u * zeta(1 + u)).
+def _dirichlet_sums(cols, ys, nmax, B):
+    """[sum over the columns (q, k, L) of floor(w_a / q**y), a <= nmax] at
+    each y of the range ys, in units of 2**-B; q ascends, L is within 2k
+    units below 2**B log q.  w_a = floor(w_{a-1} * L / 2**B / a), w_0 =
+    floor(2**B / k), is under 3 * (1 + log q)**a below 2**B (log q)**a / (k
+    a!), and each y's term, the last floor-divided by q (floor(floor(x)/q) =
+    floor(x/q)), under 4 * (1 + log q)**a.  Columns whose terms are all 0
+    are cut from the end."""
+    qs, terms = [q for q, _, _ in cols], []
+    for q, k, L in cols:
+        w = [(1 << B) // k]
+        for a in range(1, nmax + 1):
+            w.append((w[-1] * L >> B) // a)
+        terms.append([v // q ** ys[0] for v in w])
+    terms, out = [list(col) for col in zip(*terms)], []
+    for y in ys:
+        if y > ys[0]:
+            terms = [list(map(floordiv, col, qs)) for col in terms]
+        while qs and not any(col[-1] for col in terms):
+            for col in (qs, *terms):
+                col.pop()
+        out.append([sum(col) for col in terms])
+    return out
 
-    Coefficient n of the m term is mu(m) * m**(n-1) * lz_n(m*r), so slot 0
-    takes floor(mu * lz_0 / m) and slot n >= 1 takes mu * m**(n-1) * lz_n.
-    x = m*r works at b(x) = c + (a+2)*bit_length(x) bits, a = max(nmax-1, 0),
-    c = T + 2*nmax + 8, 2**-T <= 10**-(digits+12): set by (x, nmax, digits)
-    alone, so families share their common (cached) _log_zeta_fixed calls; a
-    left shift carries each exactly to B = b(stop*r).  lz_n is within
-    2**(2*nmax + 6) units of 2**-b and m**(n-1) <= 2**(a*bit_length(x)), so
-    the m term adds under 2**(2*nmax + 6 - c) / x**2 <= 2**(2*nmax + 6 - c)
-    / m**2 to a slot, under 2**(2*nmax + 7 - c) over all m, and slot 0's
-    floors a unit of 2**-B < 2**-c / stop**2 each, under 2**-c: every slot
-    is within 2**-T of the exact sum.
+
+def _log_zeta_euler(ys, nmax, b, t):
+    """Coefficients of log zeta(y + u) = sum over prime powers q = p**k < P
+    = 2**t of q**-(y+u) / k at each integer y of the range ys, in units of
+    2**-b, each within 2 units; needs y > nmax, P**(y-1) >= 2**(b + 4*nmax
+    + 4) and 2 <= t <= 13.  At B = b + 4*nmax + t + 6 bits each q is a
+    column (q, k, k * int_log(p, B)) of _dirichlet_sums, off by under 4 * (1
+    + log q)**a < 2**(2 + 4a) units, under 2**-(b+4) over the under 2**t q.
+    For y > nmax and P >= 4, s**-y (log s)**a falls on s >= P, so the
+    integers past P add under its value at P plus its integral from P, 2 *
+    P**(1-y) * (1 + log P)**a <= 2**-(b+3).  The final shift floors.
     """
+    B, P, cols = b + 4 * nmax + t + 6, 1 << t, []
+    for p in itertools.compress(range(P), _prime_flags(P - 1)):
+        L = int_log(p, B) if nmax else 0
+        k, q = 1, p
+        while q < P:
+            cols.append((q, k, k * L))
+            k, q = k + 1, q * p
+    return [tuple((-v if a % 2 else v) >> (B - b) for a, v in enumerate(row))
+            for row in _dirichlet_sums(sorted(cols), ys, nmax, B)]
+
+
+def _crossover(nmax, b):
+    """(y_em, t): a table at b bits takes Euler-Maclaurin up to y_em and the
+    Euler product over the primes below 2**t beyond; t is the largest with
+    at most M (the pole's head length) primes below 2**t, so both start
+    with about as many columns, and y_em = max(nmax, ceil((b + 4*nmax + 4)
+    / t)).  Timed (median of 11 builds) at (nmax, digits) = (4, 37), (0,
+    68), (9, 60), (2, 15): 5.5, 3.2, 24 and 1.8 ms; t one lower or higher
+    moves each by under 6 %."""
+    M = _em_head_length(1, nmax, math.ceil(b * math.log10(2)) - 9)
+    pi = (0, 1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028)  # below 2**t
+    t = max(t for t in range(2, 14) if pi[t] <= M)
+    return max(nmax, -(-(b + 4 * nmax + 4) // t)), t
+
+
+def _moebius_stop(r, nmax, digits):
+    """The first m >= 1 with 4 * m**nmax * 2**(-m*r) < 10**-(digits+10)."""
+    stop, lhs = 1, 4 * 10 ** (digits + 10)
+    while lhs * stop ** nmax >= 1 << (stop * r):
+        stop += 1
+    return stop
+
+
+@lru_cache(maxsize=None)
+def _log_zeta_table(nmax, digits):
+    """(rows, mu, b) for the families at (nmax, digits): rows[y] holds log
+    zeta(y + u) (at y = 1 the regular log(u * zeta(1 + u))) in units of
+    2**-b, within 2**(2*nmax + 6), and mu[m] the Moebius function.  A family
+    reads y = m*r, m below its stop, so 4 * 10**(digits+10) * y**nmax >=
+    2**y, true only below Y = _moebius_stop(1, nmax, digits) (y log 2 -
+    nmax log y is convex).  b = c + (a+2) * bit_length(Y - 1), a = max(nmax
+    - 1, 0), c = T + 2*nmax + 8, 2**-T <= 10**-(digits+12), meets
+    _compute_prime_zeta's bound at its largest y."""
+    top = _moebius_stop(1, nmax, digits) - 1
     T = math.ceil((digits + 12) * math.log2(10))
-    c = T + 2 * nmax + 8
-    a = max(nmax - 1, 0)
-    B = c + (a + 2) * (stop * r).bit_length()
-    sums = [0] * (nmax + 1)
-    for m in range(1, stop):
-        mu = mobius_int(m)
-        if not mu:
-            continue
-        b = c + (a + 2) * (m * r).bit_length()
-        lz = _log_zeta_fixed(m * r, nmax, b)
-        f = mu << (B - b)
-        sums[0] += f * lz[0] // m
-        for n in range(1, nmax + 1):
-            sums[n] += f * lz[n]
-            f *= m
-    return sums, B
+    b = T + 2 * nmax + 8 + (max(nmax - 1, 0) + 2) * top.bit_length()
+    y_em, t = _crossover(nmax, b)
+    rows = _log_zeta_em(range(1, min(y_em, top) + 1), nmax, b)
+    if top > y_em:
+        rows += _log_zeta_euler(range(y_em + 1, top + 1), nmax, b, t)
+    return (None, *rows), _mobius_sieve(top), b
+
+
+def _mobius_sieve(n):
+    """[0, mu(1), ..., mu(n)], n >= 1, from one sieve of primes."""
+    mu = [0] + [1] * n
+    for p in itertools.compress(range(n + 1), _prime_flags(n)):
+        mu[p::p] = [-v for v in mu[p::p]]
+        mu[p * p :: p * p] = [0] * len(range(p * p, n + 1, p * p))
+    return mu
 
 
 class PrimeZetaCoeffs(NamedTuple):
@@ -596,9 +583,10 @@ def install_prime_zeta(r, entry):
 def prime_zeta_taylor(r, nmax, digits=50):
     """Coefficient family for sum_p p**(-r): index n carries (-log p)**n / n!.
 
-    Moebius inversion of log zeta along the arguments m*r, summed in B-bit
-    integers (_compute_prime_zeta).  For r = 1 the family is the regularized
-    one: the logarithmic blowup is removed before expanding, which shifts the
+    Moebius inversion of log zeta along the arguments m*r in B-bit integers
+    (_compute_prime_zeta), from the one log zeta table per (nmax, digits)
+    that every family reads.  For r = 1 the family is the regularized one:
+    the logarithmic blowup is removed before expanding, which shifts the
     n = 0 value to about -0.3157.  An installed cache entry is returned as
     is when it covers the requested order and digits.
     """
@@ -615,17 +603,26 @@ def prime_zeta_taylor(r, nmax, digits=50):
 def _compute_prime_zeta(r, nmax, digits):
     """The family by Moebius inversion of log zeta, rounded to digits.
 
-    One integer pass over squarefree m (_moebius_fixed; at r = 1 its m = 1
-    term is the regular log(u * zeta(1 + u))), within 10**-(digits+12) of
-    the truncated sum, which stops at the first m with 4 * m**nmax *
-    2**(-m*r) < 10**-(digits+10), compared exactly in integers.
+    sum_{m < stop} mu(m)/m * log zeta(m*r + m*u), stop = _moebius_stop(r,
+    nmax, digits), from the table at (nmax, digits) (b, c, a and T as
+    there): the m term puts mu(m) * m**(n-1) * lz_n(m*r) in slot n >= 1 and
+    floor(mu * lz_0 / m) in slot 0 (at r = 1 the m = 1 term is the regular
+    log(u * zeta(1 + u))).  lz_n is within 2**(2*nmax + 6) units of 2**-b
+    and m**(n-1) <= 2**(a * bit_length(m*r)), so the term adds under
+    2**(2*nmax + 6 - c) / m**2 to a slot; slot 0's floors, a unit of 2**-b
+    < 2**-c / (stop-1)**2 each, add under 2**-c: every slot is within 2**-T
+    <= 10**-(digits+12) of the truncated sum.
     """
+    stop, sums = _moebius_stop(r, nmax, digits), [0] * (nmax + 1)
+    rows, mu, b = _log_zeta_table(nmax, digits)
+    for m in range(1, stop):
+        lz, f = rows[m * r], mu[m]
+        sums[0] += f * lz[0] // m
+        for n in range(1, nmax + 1):
+            sums[n] += f * lz[n]
+            f *= m
     with mp.workdps(digits + 15):
-        stop, lhs = 1, 4 * 10 ** (digits + 10)
-        while lhs * stop ** nmax >= 1 << (stop * r):
-            stop += 1
-        sums, B = _moebius_fixed(r, nmax, digits, stop)
-        out = [mp.ldexp(mp.mpf(v), -B) for v in sums]
+        out = [mp.ldexp(mp.mpf(v), -b) for v in sums]
         bound = 4 * mp.mpf(stop) ** nmax * mp.mpf(2) ** (-stop * r)
         floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
         tb = _round_out([4 * bound + floor] * (nmax + 1), digits)

@@ -560,32 +560,27 @@ class TestWEngine:
         c_coeff(0, 3, 50)
         assert calls == [2]
 
-    def test_c0_runs_euler_maclaurin_only_below_the_crossover(self, monkeypatch):
-        # c_0(3) at 50 digits asks log zeta at 243 arguments; the Euler
-        # product serves those past the crossover, so the Euler-Maclaurin
-        # kernel runs 31 times (242 before the product route)
-        kernel, below = [], set()
-        real_kernel, real_bits = zeta_numerics._em_fixed, zeta_numerics._euler_bits
+    def test_c0_builds_one_log_zeta_table(self, monkeypatch):
+        # c_0(3) at 50 digits reads log zeta at 243 arguments from one table:
+        # one Euler-Maclaurin pass and one Euler-product pass in all
+        calls = []
+        for name in ("_em_fixed", "_log_zeta_euler"):
+            real = getattr(zeta_numerics, name)
 
-        def counted(*args):
-            kernel.append(args[0])
-            return real_kernel(*args)
+            def counted(ys, *args, real=real, name=name):
+                calls.append((name, ys[0], ys[-1]))
+                return real(ys, *args)
 
-        def bits(x, nmax, b):
-            t = real_bits(x, nmax, b)
-            if t is None:
-                below.add((x, nmax, b))
-            return t
-
-        monkeypatch.setattr(zeta_numerics, "_em_fixed", counted)
-        monkeypatch.setattr(zeta_numerics, "_euler_bits", bits)
+            monkeypatch.setattr(zeta_numerics, name, counted)
         monkeypatch.setattr(zeta_numerics, "_installed_pzeta", {})
         monkeypatch.setattr(moments, "_w_cache", {})
-        zeta_numerics._log_zeta_fixed.cache_clear()
+        zeta_numerics._log_zeta_table.cache_clear()
         zeta_numerics._compute_prime_zeta.cache_clear()
         c_coeff(0, 3, 50)
-        assert len(kernel) <= len(below)
-        assert len(kernel) == 31
+        assert zeta_numerics._log_zeta_table.cache_info().currsize == 1
+        (em, lo, y_em), (euler, start, top) = calls
+        assert (em, lo, euler, start) == ("_em_fixed", 1, "_log_zeta_euler", y_em + 1)
+        assert y_em < 40 and top >= 243
 
     def test_empty_key_at_k1_vanishes(self):
         got = W_coeff((), (), 1, digits=20)
@@ -677,8 +672,7 @@ MEMOS = {
                         "super_power_sum"},
     "partitions": {"conjugate", "dim_paths", "partitions_of"},
     "symseries": {"_plan", "monomial_eval"},
-    "zeta_numerics": {"_compute_prime_zeta", "_euler_primes",
-                      "_log_zeta_fixed"},
+    "zeta_numerics": {"_compute_prime_zeta", "_log_zeta_table"},
 }
 
 

@@ -119,7 +119,7 @@ class TestConstantTables:
         monkeypatch.setattr(zeta_numerics, "_bernoulli_ratios", [None])
         monkeypatch.setattr(zeta_numerics, "_installed_pzeta", {})
         monkeypatch.setattr(moments, "_w_cache", {})
-        zeta_numerics._log_zeta_fixed.cache_clear()
+        zeta_numerics._log_zeta_table.cache_clear()
         zeta_numerics._compute_prime_zeta.cache_clear()
         if request_ == "lead5":
             for N in (4, 3, 2, 1, 0):
@@ -169,6 +169,13 @@ def test_mobius_matches_factorisation():
     for m in (0, -1):
         with pytest.raises(ValueError):
             mobius_int(m)
+
+
+def test_mobius_sieve_matches_trial_division():
+    mu = zeta_numerics._mobius_sieve(10_000)
+    assert mu[0] == 0
+    assert mu[1:] == [mobius_int(m) for m in range(1, 10_001)]
+    assert zeta_numerics._mobius_sieve(1) == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -372,15 +379,33 @@ class TestZetaTaylor:
 
     @pytest.mark.parametrize("x, nmax, digits", _KERNEL_GRID)
     def test_integer_kernel_matches_mpf_reference(self, x, nmax, digits):
+        # within 2**-(prec+10) of the truncated sum, whose dropped remainder
+        # is below its last correction, under 10**-(digits+10) * max(1, zeta)
         M = _em_head_length(float(x), nmax, digits)
         with mp.workdps(digits + 15):
-            ints, B = _em_fixed(x, nmax, M, digits)
+            (ints,), B = _em_fixed(range(x, x + 1), nmax, M, digits)
             got = [mp.ldexp(mp.mpf(v), -B) for v in ints]
         ref = _em_reference(x, nmax, digits + 20)
         with mp.workdps(digits + 40):
             tol = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(ref[0]))
             for a in range(nmax + 1):
                 assert abs(got[a] - ref[a]) < tol, a
+                exact = mpmath.zeta(x, derivative=a) / mp.factorial(a)
+                assert abs(got[a] - exact) < 2 * tol, a
+
+    @pytest.mark.parametrize("nmax, digits", [(0, 30), (4, 60), (9, 131)])
+    def test_one_pass_matches_single_arguments(self, nmax, digits):
+        # a pass over 1..40 shares M and B; each row agrees with a pass over
+        # its own argument alone, both within their stop threshold
+        M = _em_head_length(1, nmax, digits)
+        with mp.workdps(digits + 15):
+            rows, B = _em_fixed(range(1, 41), nmax, M, digits)
+            assert len(rows[0]) == nmax and all(len(r) == nmax + 1 for r in rows[1:])
+            for y in (1, 2, 7, 40):
+                (one,), B1 = _em_fixed(range(y, y + 1), nmax, M, digits)
+                tol = mp.mpf(10) ** (-(digits + 10)) * 4
+                for a, v in enumerate(rows[y - 1]):
+                    assert abs(mp.ldexp(v, -B) - mp.ldexp(one[a], -B1)) < tol, (y, a)
 
     def test_first_derivative_matches_finite_difference(self):
         digits = 30
@@ -629,19 +654,27 @@ class TestMoebiusPass:
             want = _round_out([4 * bound + floor] * (nmax + 1), digits)
         assert [v._mpf_ for v in got.tail_bounds] == [v._mpf_ for v in want]
 
-    def test_family_is_the_same_from_cold_and_warm_caches(self):
-        # each log zeta depends on its arguments alone, so a family comes out
-        # the same whichever families filled the shared cache before it
+    def test_family_does_not_depend_on_the_history(self):
+        # each log zeta value depends on (y, nmax, digits) alone, so a family
+        # and every value it reads come out the same cold, or after families
+        # of other r, other digits and other orders filled their tables
+        def family_and_reads(r, nmax, digits):
+            rows, _, _ = zeta_numerics._log_zeta_table(nmax, digits)
+            stop = zeta_numerics._moebius_stop(r, nmax, digits)
+            fam = prime_zeta_taylor(r, nmax, digits)
+            return fam, [rows[m * r] for m in range(1, stop)]
+
         zeta_numerics._compute_prime_zeta.cache_clear()
-        zeta_numerics._log_zeta_fixed.cache_clear()
-        cold = prime_zeta_taylor(3, 4, 30)
+        zeta_numerics._log_zeta_table.cache_clear()
+        cold, cold_reads = family_and_reads(3, 4, 30)
         zeta_numerics._compute_prime_zeta.cache_clear()
-        for r in (1, 2, 6):
-            prime_zeta_taylor(r, 4, 30)
-        hits = zeta_numerics._log_zeta_fixed.cache_info().hits
-        warm = prime_zeta_taylor(3, 4, 30)
+        zeta_numerics._log_zeta_table.cache_clear()
+        for r, nmax, digits in [(7, 4, 30), (1, 4, 30), (3, 4, 50), (3, 9, 30),
+                                (2, 0, 30)]:
+            prime_zeta_taylor(r, nmax, digits)
+        warm, warm_reads = family_and_reads(3, 4, 30)
         assert warm is not cold
-        assert zeta_numerics._log_zeta_fixed.cache_info().hits > hits
+        assert warm_reads == cold_reads
         assert [v._mpf_ for v in warm.coeffs] == [v._mpf_ for v in cold.coeffs]
         assert warm.tail_bounds == cold.tail_bounds
 
@@ -657,43 +690,65 @@ class TestMoebiusPass:
         assert got == want
 
 
-def _route_window(nmax, b):
-    """x from 4 below to 4 past the first argument the Euler product takes."""
-    x = max(nmax, 1) + 1
-    while zeta_numerics._euler_bits(x, nmax, b) is None:
-        x += 1
-    return range(x - 4, x + 5)
+def _euler_bits(y, nmax, b):
+    """The least t with which the Euler product is within its bound at y."""
+    return max(2, -(-(b + 4 * nmax + 4) // (y - 1)))
 
 
 class TestLogZetaRoutes:
     @pytest.mark.parametrize("b", [120, 260, 480])
-    @pytest.mark.parametrize("nmax", [0, 4, 9])
-    def test_both_routes_agree_around_the_crossover(self, nmax, b, monkeypatch):
-        # each route is within 2**(2*nmax + 6) units of the exact log
-        for x in _route_window(nmax, b):
-            t = max(2, -(-(b + 4 * nmax + 4) // (x - 1)))
-            euler = zeta_numerics._log_zeta_euler(x, nmax, b, t)
-            monkeypatch.setattr(zeta_numerics, "_euler_bits", lambda *args: None)
-            em = zeta_numerics._log_zeta_fixed.__wrapped__(x, nmax, b)
-            monkeypatch.undo()
+    @pytest.mark.parametrize("nmax", [0, 4, 9, 16])
+    def test_both_routes_agree_around_the_crossover(self, nmax, b):
+        # each route is within 2**(2*nmax + 6) units of the exact log, on
+        # the four arguments each side of the table's crossover
+        y_em, _ = zeta_numerics._crossover(nmax, b)
+        ys = range(y_em - 3, y_em + 5)
+        assert ys[0] > nmax
+        em = zeta_numerics._log_zeta_em(ys, nmax, b)
+        for y, want in zip(ys, em):
+            (euler,) = zeta_numerics._log_zeta_euler(
+                range(y, y + 1), nmax, b, _euler_bits(y, nmax, b))
             for a in range(nmax + 1):
-                assert abs(euler[a] - em[a]) < 2 ** (2 * nmax + 7), (x, a)
+                assert abs(euler[a] - want[a]) < 2 ** (2 * nmax + 7), (y, a)
 
-    def test_crossover_splits_the_window(self):
-        # the window's first arguments take Euler-Maclaurin, its last the product
-        xs = _route_window(4, 260)
-        assert zeta_numerics._euler_bits(xs[3], 4, 260) is None
-        assert all(zeta_numerics._euler_bits(x, 4, 260) for x in xs[4:])
-        assert zeta_numerics._euler_bits(1, 4, 260) is None
-        # the rule's prime counts are those of the sieve the product runs over
-        pi = [len(zeta_numerics._euler_primes(t)) for t in range(2, 14)]
-        assert pi == [2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028]
+    @pytest.mark.parametrize("nmax, digits", [(0, 20), (4, 37), (0, 68), (9, 131)])
+    def test_table_splits_at_the_crossover(self, nmax, digits, monkeypatch):
+        # one Euler-Maclaurin pass over 1..y_em, one Euler product beyond,
+        # its primes those below 2**t, enough for its first argument
+        calls = []
+        for name in ("_log_zeta_em", "_log_zeta_euler"):
+            real = getattr(zeta_numerics, name)
+
+            def counted(ys, *args, real=real, name=name):
+                calls.append((name, ys[0], ys[-1]) + args[2:])
+                return real(ys, *args)
+
+            monkeypatch.setattr(zeta_numerics, name, counted)
+        zeta_numerics._log_zeta_table.cache_clear()
+        rows, mu, b = zeta_numerics._log_zeta_table(nmax, digits)
+        zeta_numerics._log_zeta_table.cache_clear()
+        y_em, t = zeta_numerics._crossover(nmax, b)
+        top = len(rows) - 1
+        assert calls == [("_log_zeta_em", 1, y_em),
+                         ("_log_zeta_euler", y_em + 1, top, t)]
+        assert t >= _euler_bits(y_em + 1, nmax, b) and 2 <= t <= 13
+        assert rows[0] is None and all(len(r) == nmax + 1 for r in rows[1:])
+        assert mu == zeta_numerics._mobius_sieve(top)
+
+    def test_table_covers_every_family(self):
+        # a family at (nmax, digits) reads y = m*r < the r = 1 stop
+        for nmax, digits in [(0, 20), (4, 37), (9, 60)]:
+            rows, _, _ = zeta_numerics._log_zeta_table(nmax, digits)
+            for r in range(1, 400):
+                stop = zeta_numerics._moebius_stop(r, nmax, digits)
+                assert (stop - 1) * r < len(rows), (nmax, digits, r)
+                assert stop <= len(rows), (nmax, digits, r)
 
     @pytest.mark.parametrize("nmax", [0, 4, 16])
     def test_pole_is_the_log_of_the_stieltjes_series(self, nmax):
         # log(u * zeta(1 + u)) from mpmath's Stieltjes constants
         b = 300
-        got = zeta_numerics._log_zeta_fixed(1, nmax, b)
+        (got,) = zeta_numerics._log_zeta_em(range(1, 2), nmax, b)
         with mp.workdps(110):
             gam = _mpmath_stieltjes()
             s = [mp.mpf(1)] + [(-1) ** n * gam[n] / mp.factorial(n) for n in range(nmax)]
