@@ -58,6 +58,8 @@ from .symseries import (
     EMPTY_KEY,
     POWERSUM,
     PairSeries,
+    _exp_log,
+    _exp_log_fixed,
     _plan,
     bump_gamburd_residual,
     series_exp,
@@ -431,6 +433,24 @@ def _check_constant_tables():
             raise AssertionError("Bernoulli number %d" % n)
 
 
+def _check_fixed_exp_log(wmax=6, B=64):
+    # both directions against the Fraction recurrence on a slot-symmetric
+    # dyadic series, each weight's summed error under the docstring's bound
+    plan = _plan(wmax)
+    at = [range(plan.starts[w], plan.starts[w + 1]) for w in range(wmax + 1)]
+    x = [Fraction(min(i, t) * 7919 % 257 - 128, 256) for i, t in enumerate(plan.twin)]
+    g = [sum(abs(x[i]) for i in at[w]) for w in range(wmax + 1)]
+    for log in (False, True):
+        x[0] = int(log)
+        want = _exp_log(PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x))), log)
+        got, E = _exp_log_fixed(plan, [int(v * 2**B) for v in x], B, log), [0]
+        for w in range(1, wmax + 1):
+            E.append(len(at[w]) + sum(Fraction(j, w) * (
+                E[j] * g[w - j] if log else g[j] * E[w - j]) for j in range(1, w)))
+            if sum(abs(got[i] - want.get(*plan.keys[i]) * 2**B) for i in at[w]) >= E[w]:
+                raise AssertionError("%s at weight %d" % ("log" if log else "exp", w))
+
+
 def _check_prime_zeta_routes():
     # log zeta(m*r) takes Euler-Maclaurin below x = 24..39 and the Euler
     # product past it: r = 30 takes only the product, every other row both;
@@ -587,6 +607,8 @@ FAST_CHECKS = [
     ("dimension polynomial identity, k = 2..5", "exact", _check_dimpoly_identity),
     ("integer log and Bernoulli tables vs mpmath", "oracle",
      _check_constant_tables),
+    ("fixed-point exp and log vs Fraction, weight <= 6", "exact",
+     _check_fixed_exp_log),
 ]
 
 FULL_CHECKS = [

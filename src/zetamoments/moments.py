@@ -5,11 +5,11 @@ one ratio series X_{mu nu}(Q) in Q = 1/p per key; at an integer k the V
 values are the Q**r coefficients of the pair-series logarithm of 1 + X,
 integers (but at the empty key) built with each Q-series packed into one
 int (_v_series); V combines with prime power sums into the W coefficients;
-the exponential e of the W series, in the power-sum basis, paired with the
-exact integer table D_k (characters.power_dim_table: complement skew
-dimensions, by determinant, seen through characters) assembles every c_N(k)
+the exponential e of the W series, power-sum basis, C-bit integers, dotted
+exactly with the integer table D_k (characters.power_dim_table: complement
+skew dimensions, by determinant, seen through characters) gives each c_N(k)
 of the degree-k**2 moment polynomial for the 2k-th moment of zeta on the
-critical line; the Schur-basis d-table is the oracle route.  The same V, as
+critical line in one mpf conversion; the d-table is the oracle.  The same V, as
 polynomials in k, come from contracting the rational f-table (the logarithm
 of an exact pair series) against monomial symmetric evaluations; that route
 is the paper's exact object and the oracle the engine is checked against.
@@ -50,7 +50,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div,
+                          mpf_mul, mpf_neg, to_fixed)
 
 from . import __version__
 from .characters import character_table, power_dim_table
@@ -61,15 +62,13 @@ from .symseries import (
     SCHUR,
     KPoly,
     PairSeries,
-    _log_fixed,
+    _exp_log_fixed,
     _plan,
     _switch_basis,
     monomial_eval,
     multinomial,
     p_to_schur,
-    series_exp,
     series_log,
-    series_mul,
 )
 from .zeta_numerics import (
     HeadPrimes,
@@ -78,7 +77,6 @@ from .zeta_numerics import (
     int_log,
     prime_zeta_beyond,
     prime_zeta_taylor,
-    primes_upto,
 )
 
 class ValueWithError(NamedTuple):
@@ -457,7 +455,7 @@ def _head_logs(k, wmax, primes):
     In units u = 2**-B, per prime:
     - x > 0 (z_{mu nu} and z_0 are series of nonnegative terms), so
       S = floor(2**B x) (_local_ratios) has 0 <= x - S u < u.
-    - _log_fixed's error e, summed over the K_w keys of weight w, obeys
+    - _exp_log_fixed's error e, summed over the K_w keys of weight w, obeys
       E_w <= 2 K_w + sum_{0<j<w} (j/w) (E_j X_{w-j} + Lam_j K_{w-j}) units:
       each output has its S floor and its own floor, and the cross term
       (j lg~_a) S_b - (j lg_a) x_b is e_a S_b + lg_a (S_b - x_b).  X_j and
@@ -516,7 +514,7 @@ def _head_logs(k, wmax, primes):
         for pair, v in _local_ratios(k, p, A, numer, B).items():
             i, j = where[pair]
             s[i] = s[j] = v
-        lg = _log_fixed(plan, s, B)
+        lg = _exp_log_fixed(plan, s, B, True)
         for i, num, f in ones:
             lg[i] -= num // (f * p)
         L, power = int_log(p, B), 1 << B
@@ -568,21 +566,20 @@ def _w_engine(k, wmax, digits, tol_f):
     resolve the last terms, whose magnitudes the closure's q and geo read,
     ten digits below the families' own accuracy, so the reported errors do
     not move with the scale.  A chunk that raises L shifts every stored
-    integer left, exactly.  mpf enters only in the closure and the final
-    conversion.
+    integer left, exactly.  The closure runs in the same units, each part
+    rounded up; mpf enters only in the final conversion, errors rounded up.
     """
     pcut = _prime_cutoff(k, digits, tol_f)
     keys = _plan(wmax).keys
     weight = {key: sum(key[0]) + sum(key[1]) for key in keys}
     tn, td = tol_f.as_integer_ratio()
     with mp.workdps(digits + 15):
-        primes = primes_upto(pcut)
+        # the head primes, for the beyond-cutoff families at every r below
+        head_primes = HeadPrimes.upto(pcut)
         # below the cutoff every key's local factor is an exact integer
         # ratio: one integer pass per head prime, the empty key's product
         # and the other keys' pair-series log, converted once at the end
-        head = _head_logs(k, wmax, primes)
-        # the head primes for the beyond-cutoff families at every r below
-        head_primes = HeadPrimes(primes)
+        head = _head_logs(k, wmax, head_primes.primes)
         # exact V tables to order R = 16, then 4 orders at a time: the tail
         # rarely passes r = 16, and each table is built from scratch
         R = 16
@@ -594,7 +591,6 @@ def _w_engine(k, wmax, digits, tol_f):
         vb_prev_max = None
         streak = 0
         min_stop = _min_stop(wmax)
-        floor = mp.mpf(10) ** (-(digits + 6))
         r = 0
         while True:
             r += 1
@@ -637,35 +633,32 @@ def _w_engine(k, wmax, digits, tol_f):
             # the reported error closes the tail: a geometric estimate from
             # the last increments, plus the certified envelope, in which the
             # beyond-cutoff prime families shrink at least by 1/pcut per step
-            # in r and the V majorant grows by a measured factor
+            # in r and the V majorant grows by a measured factor; units 2**-B
             g = list(gmax_hist)
             rats = [b / a for a, b in zip(g, g[1:]) if a > 0]
-            qm = mp.mpf(min(0.9, max(1e-6, max(rats))) if rats else 0.5)
-            chat = mp.mpf(max([2.0, *growth]))
-            envs = [envelope_bound(r, n, pcut) for n in range(wmax + 1)]
-            errs = {}
+            qn, qd = (min(0.9, max(1e-6, *rats)) if rats else 0.5).as_integer_ratio()
+            ch = Fraction(max([2.0, *growth]))
+            env_w = [math.ceil(Fraction(3 * man, 2) * Fraction(2) ** (e + B)
+                               * ch / (pcut - ch)) for _, man, e, _ in
+                     (envelope_bound(r, n, pcut)._mpf_ for n in range(wmax + 1))]
+            errs, pad = {}, 10 ** (digits + 6)
             for key in keys:
-                h = history[key]
-                geo = (mp.mpf("1.5") * mp.ldexp(max(h), -B) * qm / (1 - qm)
-                       if h else mp.mpf(0))
-                fb = vb.get(key)
-                env = mp.mpf(0)
+                v, fb = vals[key], vb.get(key)
+                err = -(-3 * qn * max(history[key], default=0)
+                        // (2 * (qd - qn)))
                 if fb:
-                    env = mp.mpf("1.5") * (
-                        mp.mpf(fb.numerator) / fb.denominator
-                        * envs[weight[key]] * chat / (pcut - chat)
-                    )
-                scale = 1 + mp.ldexp(abs(vals[key]), -B)
-                if geo + env >= tol_f * scale:
+                    err -= -fb.numerator * env_w[weight[key]] // fb.denominator
+                if not _below_tol(err, v, tn, td, B):
                     break
-                errs[key] = geo + env + floor * scale
+                errs[key] = err - (-((1 << B) + abs(v)) // pad)
             else:
                 break
         meta = {"r_max_used": r, "prime_cutoff": pcut, "digits": digits,
                 "tol": tol_f}
     with mp.workdps(digits + 8):
         vals = {key: mp.ldexp(v, -B) for key, v in vals.items()}
-        errs = {key: +v for key, v in errs.items()}
+        errs = {key: mp.make_mpf(from_man_exp(v, -B, mp.prec, "u"))
+                for key, v in errs.items()}
     return vals, errs, meta
 
 
@@ -711,20 +704,39 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
 
 
 def _exp_w(k, n_max, digits, tol):
-    """((exp W_empty, its error, e, |e| * err W), meta) at digits + 12: e
-    the power-sum series exp of the nonempty W to weight n_max, |e| * err W
-    the first-order error series of e, its magnitudes times the W errors,
-    and meta the W engine's truncation."""
+    """((exp W_empty, its error, e, ee, C), meta): e = exp of the nonempty W
+    to weight n_max and ee = sum |e_a| ceil(err W_b) its first-order error
+    series, power-sum {key: int} in units 2**-C and 2**-2C.  e is
+    _exp_log_fixed of L = floor(2**C W); its bound D_w, from floats with
+    every |L| raised by 10**-(digits+10), sets C = (digits + 10) log2 10 +
+    log2 max D + 2 (two bits for the floats), so e is within 10**-(digits+10)
+    of exp L and L within 2**-C of W, four digits under every W error's pad
+    10**-(digits+6).  W and its errors are exactly symmetric (tested): ee,
+    like e, sums one key per mirror pair.  meta is the W engine's."""
     vals, werr, meta = _w_full(k, n_max, digits, tol)
+    plan = _plan(n_max)
+    keys, starts, twin = plan.keys, plan.starts, plan.twin
+    lam, D = [0.0] * (n_max + 1), [1.0]
+    for (m, nu), v in vals.items():
+        lam[sum(m) + sum(nu)] += abs(float(v)) + 10.0 ** -(digits + 10)
+    for w in range(1, n_max + 1):
+        D.append(starts[w + 1] - starts[w]
+                 + sum(j * lam[j] * D[w - j] for j in range(1, w)) / w)
+    C = math.ceil((digits + 10) * math.log2(10) + math.log2(max(D))) + 2
+    L = [0] + [to_fixed(vals[key]._mpf_, C) for key in keys[1:]]
+    err = [0] + [-to_fixed(mpf_neg(werr[key]._mpf_), C) for key in keys[1:]]
+    e = _exp_log_fixed(plan, L, C, False)
+    ae, ee = list(map(abs, e)), [0] * len(keys)
+    for w in range(1, n_max + 1):
+        for j in range(w):
+            for out, a, b in plan.products[w][j]:
+                if twin[out] >= out:
+                    ee[out] += ae[a] * err[b]
+    ee = [ee[min(i, t)] for i, t in enumerate(twin)]
     with mp.workdps(digits + 12):
-        expo = {key: v for key, v in vals.items() if key != EMPTY_KEY and v != 0}
-        eser = series_exp(PairSeries(POWERSUM, n_max, expo))
         aval = mp.exp(vals[EMPTY_KEY])
-        mags = {key: abs(v) for key, v in eser.coeffs.items()}
-        errser = {key: v for key, v in werr.items() if key != EMPTY_KEY and v}
-        eerr = series_mul(PairSeries(POWERSUM, n_max, mags),
-                          PairSeries(POWERSUM, n_max, errser))
-        return (aval, aval * werr[EMPTY_KEY], eser, eerr), meta
+        return (aval, aval * werr[EMPTY_KEY], dict(zip(keys, e)),
+                dict(zip(keys, ee)), C), meta
 
 
 def d_table(k, n_max, digits=50, tol=None):
@@ -732,17 +744,22 @@ def d_table(k, n_max, digits=50, tol=None):
 
     Exponentiates the powersum-basis W series to total weight n_max, converts
     both slots to the Schur basis, and scales everything by the zeroth
-    exponential factor.  Error bounds are first order: the magnitude series
-    of the exponential convolved with the W error bounds, pushed through the
-    same basis change with absolute character values.  With complement
-    dimensions it is the oracle route to c_N; the engine uses _assemble's.
+    exponential factor.  Errors are first order in the nonempty W (the
+    magnitude series of the exponential times the W errors, through the
+    basis change with absolute characters) and aval (exp(err) - 1) for the
+    factor, above the engine's aval err.  With complement dimensions it is
+    the oracle route to c_N; the engine uses _assemble's.
     """
     _check_request(k, digits, tol)
     _check_index(n_max, "n_max")
     if n_max > k * k:
         raise ValueError("n_max cannot exceed k**2")
-    (aval, a_err, eser, eerr), _ = _exp_w(k, n_max, digits, tol)
+    (aval, a_err, e, ee, C), _ = _exp_w(k, n_max, digits, tol)
     with mp.workdps(digits + 12):
+        eser, eerr = (PairSeries(POWERSUM, n_max, {key: mp.ldexp(v, -s) for
+                                                   key, v in d.items()})
+                      for d, s in ((e, C), (ee, 2 * C)))
+        a_err = aval * mp.expm1(a_err / aval)
         sser = p_to_schur(eser)
         derrs = _switch_basis(
             eerr, POWERSUM, SCHUR,
@@ -754,130 +771,6 @@ def d_table(k, n_max, digits=50, tol=None):
             out[(kap, lam)] = ValueWithError(
                 +(aval * sval), +(aval * derrs.get(kap, lam) + abs(sval) * a_err)
             )
-    return out
-
-
-class WPoly:
-    """Polynomial with rational coefficients in formal per-key symbols.
-
-    terms maps each monomial, a sorted tuple of (mu, nu) keys read as a
-    multiset, to its coefficient.  The symbolic d-table uses these to keep
-    the exact dependence of every Schur coefficient on the W values visible
-    instead of substituting numbers.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[tuple(sorted(mono))] = Fraction(c)
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def symbol(cls, mu, nu):
-        return cls({((tuple(mu), tuple(nu)),): 1})
-
-    def substitute(self, values):
-        tot = 0
-        for mono, c in self.terms.items():
-            prod = c
-            for key in mono:
-                prod = prod * values[key]
-            tot = prod + tot
-        return tot
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, WPoly):
-            return self.terms == other.terms
-        if not self.terms:
-            return other == 0
-        only = self.terms.get(())
-        return len(self.terms) == 1 and only is not None and only == other
-
-    def __add__(self, other):
-        if not isinstance(other, WPoly):
-            other = WPoly.constant(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        ret = WPoly()
-        ret.terms = out
-        return ret
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        ret = WPoly()
-        ret.terms = {m: -c for m, c in self.terms.items()}
-        return ret
-
-    def __sub__(self, other):
-        return self + -1 * other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, WPoly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(sorted(m1 + m2))
-                    s = out.get(mono, 0) + c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            ret = WPoly()
-            ret.terms = out
-            return ret
-        if not other:
-            return WPoly()
-        ret = WPoly()
-        ret.terms = {m: c * other for m, c in self.terms.items()}
-        return ret
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return "WPoly(%r)" % (self.terms,)
-
-
-def d_table_symbolic(n_max):
-    """Schur-basis coefficients as explicit polynomials in the W symbols.
-
-    Runs the same exponential and basis change as d_table but with one
-    formal symbol per nonempty key, so each entry comes back as a WPoly with
-    rational coefficients.  The overall factor exp of the empty-key W is not
-    polynomial and stays outside: numeric d equals that factor times the
-    substituted entry.  Kept to small weights, where the expansion is
-    readable; the numeric pipeline covers the rest.
-    """
-    _check_index(n_max, "n_max")
-    if n_max > 3:
-        raise ValueError("symbolic mode is limited to n_max <= 3")
-    sym = {
-        key: WPoly.symbol(*key)
-        for key in _plan(n_max).keys[1:]
-    }
-    sser = p_to_schur(series_exp(PairSeries(POWERSUM, n_max, sym)))
-    out = {}
-    for kap, lam in _plan(n_max).keys:
-        got = sser.get(kap, lam)
-        out[(kap, lam)] = got if isinstance(got, WPoly) else WPoly.constant(got)
     return out
 
 
@@ -901,12 +794,11 @@ def a_factor(k, digits=50):
         return mp.mpf(1)
     cutoff = max(800, 4 * _rho_inv(k))
     with mp.workdps(digits + 15):
-        primes = primes_upto(cutoff)
-        head = HeadPrimes(primes)
+        head = HeadPrimes.upto(cutoff)
         e2 = (k - 1) ** 2
         pol = _gauss_square_poly(k)
         acc = mp.mpf(0)
-        for p in primes:
+        for p in head.primes:
             q = mp.mpf(1) / p
             loc = mp.mpf(0)
             for j in range(len(pol) - 1, -1, -1):
@@ -935,17 +827,19 @@ def a_factor(k, digits=50):
 def _assemble(N, k, digits, expw):
     """c_N = exp(W_empty) / (k**2 - N)! * sum e D_k over the weight-N pairs,
     from _exp_w's output and power_dim_table, with the first-order error
-    (exp(W_empty) sum |D_k| (|e| * err W) + |sum e D_k| err(exp W_empty)) /
-    (k**2 - N)!, never above d_table's sum of dim |chi| |chi| err."""
-    aval, a_err, eser, eerr = expw
-    with mp.workdps(digits + 10):
-        dot = bar = 0
-        for key, dv in power_dim_table(k, N).items():
-            dot += eser.coeffs.get(key, 0) * dv
-            bar += eerr.coeffs.get(key, 0) * abs(dv)
-        fct = mp.factorial(k * k - N)
-        return ValueWithError(+(aval * dot / fct),
-                              +((aval * bar + abs(dot) * a_err) / fct))
+    (exp(W_empty) sum |D_k| ee + |sum e D_k| err(exp W_empty)) / (k**2 - N)!,
+    never above d_table's: exact integer sums, the rest rounded up."""
+    aval, a_err, e, ee, C = expw
+    dot = bar = 0
+    for key, dv in power_dim_table(k, N).items():
+        dot += e[key] * dv
+        bar += ee[key] * abs(dv)
+    prec, fct = dps_to_prec(digits + 10), from_int(math.factorial(k * k - N))
+    err = mpf_add(mpf_mul(aval._mpf_, from_man_exp(bar, -2 * C), prec, "u"),
+                  mpf_mul(a_err._mpf_, from_man_exp(abs(dot), -C), prec, "u"),
+                  prec, "u")
+    value = mpf_div(mpf_mul(aval._mpf_, from_man_exp(dot, -C)), fct, prec, "n")
+    return ValueWithError(mp.make_mpf(value), mp.make_mpf(mpf_div(err, fct, prec, "u")))
 
 
 def c_coeff(N, k, digits=50, tol=None):

@@ -347,29 +347,34 @@ def _exp_log(series, log):
     return _series(plan, lg if log else s)
 
 
-def _log_fixed(plan, s, B):
-    """The recurrence of _exp_log for the log, in units of 2**-B.
+def _exp_log_fixed(plan, x, B, log):
+    """The recurrence of _exp_log in units of 2**-B, in either direction.
 
-    s lists integer coefficients over plan.keys, s[0] = 2**B, symmetric in
-    the two slots (s[i] == s[plan.twin[i]]), and the log comes back the same
-    way: lg_w = s_w - floor(sum_{0<j<w} (j lg_j) s_{w-j} / (w * 2**B)), one
-    floor per coefficient.  Mirror products pair off, so the log is exactly
-    symmetric too: only outputs with twin[i] >= i are summed, and each
-    mirror copies its twin.  Its error analysis belongs to the caller, which
-    knows the sizes of s (moments._head_logs).
+    x lists integers over plan.keys, symmetric in the two slots (x[i] ==
+    x[plan.twin[i]]), as is the result.  With log set x is S, S[0] = 2**B,
+    and L_w = S_w - floor(c_w / (w 2**B)); else x is L (L[0] unread) and
+    exp(L) is S_0 = 2**B, S_w = L_w + floor(c_w / (w 2**B)); c_w = sum_{0<j
+    <w} (j L_j) S_{w-j}, summed only into outputs with twin[i] >= i, as
+    mirror products pair off.  For exact x, each floor costs under a unit
+    and an error in the computed operand meets the given one once: summed
+    over the K_w keys of weight w, the errors are under K_w + sum_{0<j<w}
+    (j/w) E_j X_{w-j} units (log) or K_w + sum (j/w) Lam_j E_{w-j} (exp),
+    X and Lam the weight sums of |S| and |L| over 2**B.
     """
-    n, twin = len(plan.keys), plan.twin
-    lg, dl, cross = [0] * n, [0] * n, [0] * n
+    n, twin, sign = len(plan.keys), plan.twin, -1 if log else 1
+    s, lg = (x, [0] * n) if log else ([1 << B] + [0] * (n - 1), x)
+    out, dl, cross = lg if log else s, [0] * n, [0] * n
     for w in range(1, len(plan.starts) - 1):
         for j in range(1, w):
-            for out, a, b in plan.products[w][j]:
-                if twin[out] >= out:
-                    cross[out] += dl[a] * s[b]
+            for o, a, b in plan.products[w][j]:
+                if twin[o] >= o:
+                    cross[o] += dl[a] * s[b]
         wB = w << B
         for i in range(plan.starts[w], plan.starts[w + 1]):
-            lg[i] = s[i] - cross[i] // wB if twin[i] >= i else lg[twin[i]]
+            out[i] = (x[i] + sign * (cross[i] // wB) if twin[i] >= i
+                      else out[twin[i]])
             dl[i] = lg[i] * w
-    return lg
+    return out
 
 
 def series_log(series):

@@ -67,7 +67,7 @@ def primes_upto(x):
     n = int(x)
     if n < 2:
         return []
-    return list(itertools.compress(range(n + 1), _prime_flags(n)))
+    return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
 
 
 def bernoulli(n):
@@ -666,6 +666,15 @@ class HeadPrimes:
         # the current chunk: its first r, its (nmax, digits), its B and
         # its sums at r0, r0 + 1, ...
         self._r0 = self._key = self._B = self._sums = None
+
+    @classmethod
+    def upto(cls, x, span=16):
+        """The primes p <= x from one sieve, taken without a second check."""
+        if x > cls.MAX_PRIME:
+            raise ValueError("head primes must lie in [2, %d]" % cls.MAX_PRIME)
+        head = cls((), span)
+        head.primes = primes_upto(x)
+        return head
 
     def sums(self, r, nmax, digits):
         """(sums, B): sums[n] is the head's power sum at r, index n, as an

@@ -304,6 +304,12 @@ class TestCommands:
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
+    def test_fast_level_has_fixed_exp_log_check(self):
+        found = [(kind, fn) for label, kind, fn in cli.FAST_CHECKS
+                 if label.startswith("fixed-point exp and log vs Fraction")]
+        assert len(found) == 1 and found[0][0] == "exact"
+        found[0][1]()
+
     def test_full_level_has_head_log_oracle(self):
         found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
                  if label.startswith("head-prime integer log")]

@@ -17,12 +17,12 @@ from mpmath import mp
 
 import zetamoments
 from zetamoments import moments
+from zetamoments.characters import power_dim_table
 from zetamoments.cli import _check_assembly_routes, _check_head_log, _check_w_tail
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
     V_poly,
-    WPoly,
     W_coeff,
     _a_seqs,
     _b_series,
@@ -35,11 +35,11 @@ from zetamoments.moments import (
     a_factor,
     c_coeff,
     d_table,
-    d_table_symbolic,
     f_table,
     g_factor,
     moment_polynomial,
 )
+from zetamoments.oracles import WPoly, d_table_symbolic
 from zetamoments.partitions import centralizer_order, partitions_of
 from zetamoments.symseries import (
     EMPTY_KEY,
@@ -49,6 +49,7 @@ from zetamoments.symseries import (
     _plan,
     series_exp,
     series_log,
+    series_mul,
 )
 from zetamoments import zeta_numerics
 from zetamoments.zeta_numerics import HeadPrimes, _series_log_list, primes_upto
@@ -472,6 +473,32 @@ def _relative_families(monkeypatch, digits):
     monkeypatch.setattr(moments, "prime_zeta_beyond", beyond)
 
 
+PINNED_W_ERRORS = {
+    3: ['4.59979e-21', '1.64807e-20', '1.64807e-20', '1.70316e-20', '1.10025e-19',
+        '2.29721e-19', '1.70316e-20', '1.10025e-19', '1.87451e-20', '3.08466e-19',
+        '6.4127e-19', '2.90748e-19', '2.12541e-18', '2.90748e-19', '2.12541e-18',
+        '1.87451e-20', '3.08466e-19', '6.4127e-19', '7.85137e-20', '2.36618e-19',
+        '2.15677e-19', '2.9691e-18', '2.65202e-18', '3.32593e-19', '5.99381e-18',
+        '1.25783e-17', '3.38674e-19', '2.72051e-18', '2.72051e-18', '1.99547e-17',
+        '3.32593e-19', '5.99381e-18', '1.25783e-17', '7.85137e-20', '2.36618e-19',
+        '2.15677e-19', '2.9691e-18', '2.65202e-18'],
+    2: ['1.49787e-16', '2.72797e-16', '2.72797e-16', '1.33766e-16', '1.38359e-14',
+        '2.14869e-16', '1.33766e-16', '1.38359e-14', '4.42134e-16', '3.05053e-16',
+        '4.06054e-12', '4.22767e-16', '2.31965e-13', '4.22767e-16', '2.31965e-13',
+        '4.42134e-16', '3.05053e-16', '4.06054e-12', '3.59919e-15', '1.36031e-15',
+        '7.55952e-16', '7.27083e-16', '3.07004e-13', '5.89448e-15', '2.31533e-15',
+        '6.05962e-11', '6.7556e-15', '2.12523e-16', '2.12523e-16', '1.96454e-12',
+        '5.89448e-15', '2.31533e-15', '6.05962e-11', '3.59919e-15', '1.36031e-15',
+        '7.55952e-16', '7.27083e-16', '3.07004e-13'],
+}
+
+
+def _fraction(x):
+    """An mpf as the exact Fraction it stands for."""
+    sign, man, exp, _ = x._mpf_
+    return F(-man if sign else man) * F(2) ** exp
+
+
 class TestWEngine:
     @pytest.mark.parametrize(
         "k, wmax, digits", [(2, 4, 10), (3, 4, 15), (3, 0, 50), (4, 3, 12)]
@@ -581,6 +608,39 @@ class TestWEngine:
         (em, lo, y_em), (euler, start, top) = calls
         assert (em, lo, euler, start) == ("_em_fixed", 1, "_log_zeta_euler", y_em + 1)
         assert y_em < 40 and top >= 243
+
+    @pytest.mark.parametrize("k, wmax, digits", [(2, 4, 10), (3, 4, 15), (4, 3, 12)])
+    def test_values_and_errors_exactly_symmetric(self, k, wmax, digits):
+        # _exp_w sums one key of each mirror pair of exp W and its error
+        # series, which holds only while W and its errors are symmetric
+        vals, errs, _ = moments._w_engine(k, wmax, digits, 10.0 ** -digits)
+        for (m, nu), v in vals.items():
+            assert v._mpf_ == vals[(nu, m)]._mpf_, (m, nu)
+            assert errs[(m, nu)]._mpf_ == errs[(nu, m)]._mpf_, (m, nu)
+
+    @pytest.mark.parametrize("k, digits", [(3, 15), (2, 10)])
+    def test_errors_pinned(self, k, digits):
+        # lead5's table and P_2(10)'s, in _plan(4) order, to six digits, as
+        # the closure gave them in mpf before it moved to integers
+        _, errs, _ = moments._w_engine(k, 4, digits, 10.0 ** -digits)
+        got = [mp.nstr(errs[key], 6) for key in _plan(4).keys]
+        assert got == PINNED_W_ERRORS[k]
+
+    def test_errors_round_up(self, monkeypatch):
+        # each error converts from its integer bound rounded up
+        seen, real = [], moments.from_man_exp
+
+        def spy(man, exp, *rest):
+            got = real(man, exp, *rest)
+            if rest[1:] == ("u",):
+                seen.append((F(man) * F(2) ** exp, got))
+            return got
+
+        monkeypatch.setattr(moments, "from_man_exp", spy)
+        _, errs, _ = moments._w_engine(3, 4, 15, 1e-15)
+        assert len(seen) == len(errs)
+        assert all(_fraction(mp.make_mpf(got)) >= bound for bound, got in seen)
+        assert any(_fraction(mp.make_mpf(got)) > bound for bound, got in seen)
 
     def test_empty_key_at_k1_vanishes(self):
         got = W_coeff((), (), 1, digits=20)
@@ -715,18 +775,20 @@ class TestDTable:
         assert all(e.error > 0 for e in d.values())
 
     def test_grading_ignores_out_of_grade_keys(self, monkeypatch):
-        # a W table with every key zero but two, each exact
+        # a W table with every key zero but three, each exact and, like
+        # the engine's, symmetric in the two slots
         def table(entries):
             def w_full(k, wmax, digits, tol=None):
                 vals = {key: entries.get(key, mp.mpf(0)) for key in _plan(wmax).keys}
                 return vals, {key: mp.mpf(0) for key in vals}, {}
             return w_full
 
-        base = {((1,), (1,)): mp.mpf("0.25"), ((2,), ()): mp.mpf("0.125")}
+        base = {((1,), (1,)): mp.mpf("0.25"), ((2,), ()): mp.mpf("0.125"),
+                ((), (2,)): mp.mpf("0.125")}
         monkeypatch.setattr(moments, "_w_full", table(base))
         d1 = d_table(2, 2, digits=15)
         bumped = dict(base)
-        bumped[((2,), ())] = mp.mpf("0.5")
+        bumped[((2,), ())] = bumped[((), (2,))] = mp.mpf("0.5")
         monkeypatch.setattr(moments, "_w_full", table(bumped))
         d2 = d_table(2, 2, digits=15)
         # the entry in grade with the bumped key moves, the others hold still
@@ -860,6 +922,38 @@ class TestAssembly:
             want = sum(v * mp.mpf(10) ** (4 - n) for n, v, _ in p.coefficients)
             assert abs(got - want) < mp.mpf("1e-32") * want
             assert abs(got - mp.mpf("1481.6635270103112444")) < mp.mpf("1e-16")
+
+    @pytest.mark.parametrize("k, n_max, digits", [(2, 4, 10), (3, 6, 15)])
+    def test_integer_exp_and_error_series(self, k, n_max, digits):
+        # e within 10**-(digits+10) of the exact exp of the W values, and ee
+        # the exact product of |e| and the errors ceiled to 2**-C
+        (aval, a_err, e, ee, C), _ = moments._exp_w(k, n_max, digits, None)
+        vals, errs, _ = moments._w_full(k, n_max, digits)
+        keys = _plan(n_max).keys
+        w = {key: _fraction(vals[key]) for key in keys[1:]}
+        exact = series_exp(PairSeries(POWERSUM, n_max, w))
+        for key in keys:
+            assert abs(F(e[key], 2**C) - exact.get(*key)) <= F(1, 10 ** (digits + 10))
+        up = {key: -math.floor(-_fraction(errs[key]) * 2**C) for key in keys[1:]}
+        prod = series_mul(PairSeries(POWERSUM, n_max, {key: abs(v) for key, v in e.items()}),
+                          PairSeries(POWERSUM, n_max, up))
+        assert all(ee[key] == prod.get(*key) for key in keys)
+
+    @pytest.mark.parametrize("k, digits", [(2, 10), (3, 15), (2, 25)])
+    def test_bars_round_up(self, k, digits):
+        # every c_N bar at least the same bar recomputed exactly in Fraction
+        # from _exp_w's output, and above it by no more than the roundings;
+        # at (2, 25) N = 1 a division rounded down would land below it
+        expw, _ = moments._exp_w(k, k * k, digits, None)
+        aval, a_err, e, ee, C = expw
+        for N in range(k * k + 1):
+            dims = power_dim_table(k, N)
+            dot = sum(e[key] * dv for key, dv in dims.items())
+            bar = sum(ee[key] * abs(dv) for key, dv in dims.items())
+            want = (_fraction(aval) * F(bar, 2 ** (2 * C))
+                    + _fraction(a_err) * F(abs(dot), 2**C)) / math.factorial(k * k - N)
+            got = _fraction(moments._assemble(N, k, digits, expw).error)
+            assert want <= got <= want * (1 + F(1, 10 ** (digits + 8))), N
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_power_sum_route_within_schur_oracle(self, k):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetamoments.characters import character_value
-from zetamoments.moments import WPoly
+from zetamoments.oracles import WPoly
 from zetamoments.partitions import centralizer_order, contains, partitions_of
 from zetamoments.symseries import (
     EMPTY_KEY,
@@ -15,7 +15,7 @@ from zetamoments.symseries import (
     SCHUR,
     KPoly,
     PairSeries,
-    _log_fixed,
+    _exp_log_fixed,
     _plan,
     bump_gamburd_residual,
     monomial_eval,
@@ -247,7 +247,7 @@ class TestExpLog:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mirror_halved_log_matches_full_recurrence(self, seed):
-        # _log_fixed sums only outputs with twin >= index and copies the
+        # _exp_log_fixed sums only outputs with twin >= index and copies the
         # mirrors; on symmetric input that is the full recurrence, exactly
         rng = random.Random(seed)
         B, wmax = 80, 6
@@ -266,15 +266,43 @@ class TestExpLog:
             for i in range(plan.starts[w], plan.starts[w + 1]):
                 full[i] = s[i] - cross[i] // (w << B)
                 dl[i] = full[i] * w
-        assert _log_fixed(plan, s, B) == full
+        assert _exp_log_fixed(plan, s, B, True) == full
         assert all(full[i] == full[t] for i, t in enumerate(plan.twin))
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fixed_point_exp_and_log_match_fractions(self, seed, log):
+        # a slot-symmetric dyadic series of weight <= 6 taken exactly to
+        # units of 2**-B: each weight's summed error against the Fraction
+        # series_exp or series_log stays under _exp_log_fixed's bound
+        rng = random.Random(seed)
+        B, wmax = 80, 6
+        plan = _plan(wmax)
+        x = [Fraction(int(log))]
+        for i, t in enumerate(plan.twin[1:], 1):
+            x.append(x[t] if t < i else Fraction(rng.randrange(-2**20, 2**20),
+                                                 2**rng.randrange(18, 24)))
+        series = PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x)))
+        exact = series_log(series) if log else series_exp(series)
+        got = _exp_log_fixed(plan, [int(v * 2**B) for v in x], B, log)
+        assert all(got[i] == got[t] for i, t in enumerate(plan.twin))
+        at = [range(plan.starts[w], plan.starts[w + 1]) for w in range(wmax + 1)]
+        g = [sum(abs(x[i]) for i in block) for block in at]
+        E = [0]
+        for w in range(1, wmax + 1):
+            E.append(len(at[w]) + sum(
+                Fraction(j, w) * (E[j] * g[w - j] if log else g[j] * E[w - j])
+                for j in range(1, w)))
+            err = sum(abs(got[i] - exact.get(*plan.keys[i]) * 2**B) for i in at[w])
+            assert err < E[w], w
+        assert got[0] == (0 if log else 1 << B)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_log_within_its_bound(self, seed):
-        # floors of a positive exact series through _log_fixed, against 2**B
+        # floors of a positive exact series through _exp_log_fixed, against 2**B
         # times the exact log; each weight's summed error obeys the bound
         # E_w of moments._head_logs; like the head's ratios, the series is
-        # symmetric in the two slots, as _log_fixed requires
+        # symmetric in the two slots, as _exp_log_fixed requires
         rng = random.Random(seed)
         B, wmax = 64, 5
         plan = _plan(wmax)
@@ -283,7 +311,7 @@ class TestExpLog:
             x[key] = x.get(key[::-1]) or Fraction(rng.randrange(1, 300), 200)
         exact = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **x}))
         s = [1 << B] + [int(x[key] * 2**B) for key in plan.keys[1:]]
-        lg = _log_fixed(plan, s, B)
+        lg = _exp_log_fixed(plan, s, B, True)
         K, X, lam, E = [0], [0], [0], [0]
         for w in range(1, wmax + 1):
             block = plan.keys[plan.starts[w]:plan.starts[w + 1]]

@@ -152,6 +152,13 @@ def test_primes_at_the_cutoff_limit():
     assert len(primes_upto(2_000_000)) == 148_933
 
 
+@pytest.mark.parametrize("x", [4, 5, 631, 67_968, 67_969, 2_000_000])
+def test_odd_read_lists_every_flagged_number(x):
+    # the odd entries and 2 against a read of the whole sieve
+    flags = zeta_numerics._prime_flags(x)
+    assert primes_upto(x) == [j for j in range(x + 1) if flags[j]]
+
+
 def test_mobius_matches_factorisation():
     primes = primes_upto(2000)
     for m in range(1, 2001):
@@ -851,6 +858,26 @@ class TestBeyondAndEnvelope:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert HeadPrimes([1_999_993]).primes == [1_999_993]
+
+    @pytest.mark.parametrize("x", [2, 631, 67_968])
+    def test_upto_sieves_once(self, x, monkeypatch):
+        # the validating constructor sieves the list a second time; upto
+        # takes primes_upto's list as it is, with the same sums
+        calls = []
+        real = zeta_numerics._prime_flags
+        monkeypatch.setattr(zeta_numerics, "_prime_flags",
+                            lambda n: calls.append(n) or real(n))
+        head = HeadPrimes.upto(x)
+        assert calls == [x]
+        want = HeadPrimes(primes_upto(x))
+        assert head.primes == want.primes and head.span == want.span
+        assert head.sums(3, 2, 30) == want.sums(3, 2, 30)
+
+    def test_upto_rejects_past_the_cap(self):
+        with pytest.raises(ValueError):
+            HeadPrimes.upto(HeadPrimes.MAX_PRIME + 1)
+        assert HeadPrimes.upto(HeadPrimes.MAX_PRIME).primes[-1] == 1_999_993
+        assert HeadPrimes.upto(1).primes == HeadPrimes.upto(0).primes == []
 
     def test_beyond_nothing_is_full(self):
         with mp.workdps(30):
