@@ -433,12 +433,13 @@ def _check_constant_tables():
             raise AssertionError("Bernoulli number %d" % n)
 
 
-def _check_fixed_exp_log(wmax=6, B=64):
-    # both directions against the Fraction recurrence on a slot-symmetric
+def _check_fixed_exp_log(seed=0):
+    # both directions against the Fraction recurrence on a seeded symmetric
     # dyadic series, each weight's summed error under the docstring's bound
-    plan = _plan(wmax)
+    plan, wmax, B = _plan(6), 6, 80
     at = [range(plan.starts[w], plan.starts[w + 1]) for w in range(wmax + 1)]
-    x = [Fraction(min(i, t) * 7919 % 257 - 128, 256) for i, t in enumerate(plan.twin)]
+    x = [Fraction((min(i, t) * 7919 + seed * 104729) % 2**21 - 2**20,
+                  2 ** (18 + (min(i, t) + seed) % 6)) for i, t in enumerate(plan.twin)]
     g = [sum(abs(x[i]) for i in at[w]) for w in range(wmax + 1)]
     for log in (False, True):
         x[0] = int(log)
@@ -582,11 +583,12 @@ def _check_w_symmetry():
 
 def _check_assembly_routes(k=3, digits=15):
     # the Schur route the engine replaced: the d-table's entries against the
-    # complement dimensions; each c_N within the oracle's error, its own
-    # error no larger
+    # complement dimensions; each c_N within the oracle's error, its own at
+    # most 8 ulps above (rounded up; the bars are equal reals at N = 0, 1)
     poly = moment_polynomial(k, digits)
     dt = d_table(k, k * k, digits)
     with mp.workdps(digits + 10):
+        slack = 1 + mp.ldexp(1, 3 - mp.prec)
         for N, value, err in poly.coefficients:
             want = bar = 0
             for (kap, lam), dv in dt.items():
@@ -594,7 +596,7 @@ def _check_assembly_routes(k=3, digits=15):
                     dm = dim_complement(kap, lam, k)
                     want, bar = want + dv.value * dm, bar + dv.error * dm
             fct = mp.factorial(k * k - N)
-            if abs(value - want / fct) > bar / fct or err > bar / fct:
+            if abs(value - want / fct) > bar / fct or err > bar / fct * slack:
                 raise AssertionError("c_%d off the Schur route" % N)
 
 

@@ -62,6 +62,7 @@ from .symseries import (
     SCHUR,
     KPoly,
     PairSeries,
+    _accumulate_halved,
     _exp_log_fixed,
     _plan,
     _switch_basis,
@@ -324,9 +325,7 @@ def _v_series(k, wmax, R):
             for j in range(1, n):
                 c = math.comb(n - 1, j - 1)
                 cl = [0] * starts[j] + [c * v for v in L[starts[j]:starts[j + 1]]]
-                for out, a, b in plan.products[n][j]:
-                    if twin[out] >= out:
-                        acc[out] += cl[a] * P[b]
+                _accumulate_halved(plan.products[n][j], cl, P, acc, twin)
             for i in range(starts[n], starts[n + 1]):
                 L[i] = (((L[i] - acc[i] + bias) & mask) - bias
                         if twin[i] >= i else L[twin[i]])
@@ -704,15 +703,14 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
 
 
 def _exp_w(k, n_max, digits, tol):
-    """((exp W_empty, its error, e, ee, C), meta): e = exp of the nonempty W
-    to weight n_max and ee = sum |e_a| ceil(err W_b) its first-order error
-    series, power-sum {key: int} in units 2**-C and 2**-2C.  e is
-    _exp_log_fixed of L = floor(2**C W); its bound D_w, from floats with
-    every |L| raised by 10**-(digits+10), sets C = (digits + 10) log2 10 +
-    log2 max D + 2 (two bits for the floats), so e is within 10**-(digits+10)
-    of exp L and L within 2**-C of W, four digits under every W error's pad
-    10**-(digits+6).  W and its errors are exactly symmetric (tested): ee,
-    like e, sums one key per mirror pair.  meta is the W engine's."""
+    """((exp W_empty, its error, e, ee, C), meta), meta the W engine's: e =
+    exp of the nonempty W to weight n_max and ee = sum |e_a| ceil(err W_b) its
+    first-order error, power-sum {key: int} in units 2**-C and 2**-2C.  e is
+    _exp_log_fixed of L = floor(2**C W), whose bound D_w (floats, each |L|
+    raised by 10**-(digits+10)) sets C = (digits+10) log2 10 + log2 max D + 2
+    (2 bits for the floats): e is within 10**-(digits+10) of exp L, L within
+    2**-C of W, four digits under each W error's pad 10**-(digits+6).  W and
+    its errors are exactly symmetric (tested): ee sums one key per mirror pair."""
     vals, werr, meta = _w_full(k, n_max, digits, tol)
     plan = _plan(n_max)
     keys, starts, twin = plan.keys, plan.starts, plan.twin
@@ -727,11 +725,8 @@ def _exp_w(k, n_max, digits, tol):
     err = [0] + [-to_fixed(mpf_neg(werr[key]._mpf_), C) for key in keys[1:]]
     e = _exp_log_fixed(plan, L, C, False)
     ae, ee = list(map(abs, e)), [0] * len(keys)
-    for w in range(1, n_max + 1):
-        for j in range(w):
-            for out, a, b in plan.products[w][j]:
-                if twin[out] >= out:
-                    ee[out] += ae[a] * err[b]
+    for triples in (t for row in plan.products for t in row):
+        _accumulate_halved(triples, ae, err, ee, twin)
     ee = [ee[min(i, t)] for i, t in enumerate(twin)]
     with mp.workdps(digits + 12):
         aval = mp.exp(vals[EMPTY_KEY])
@@ -744,11 +739,10 @@ def d_table(k, n_max, digits=50, tol=None):
 
     Exponentiates the powersum-basis W series to total weight n_max, converts
     both slots to the Schur basis, and scales everything by the zeroth
-    exponential factor.  Errors are first order in the nonempty W (the
-    magnitude series of the exponential times the W errors, through the
-    basis change with absolute characters) and aval (exp(err) - 1) for the
-    factor, above the engine's aval err.  With complement dimensions it is
-    the oracle route to c_N; the engine uses _assemble's.
+    exponential factor.  Error bounds are first order: the magnitude series
+    of the exponential convolved with the W error bounds, pushed through the
+    same basis change with absolute character values.  With complement
+    dimensions it is the oracle route to c_N; the engine uses _assemble's.
     """
     _check_request(k, digits, tol)
     _check_index(n_max, "n_max")
@@ -759,7 +753,6 @@ def d_table(k, n_max, digits=50, tol=None):
         eser, eerr = (PairSeries(POWERSUM, n_max, {key: mp.ldexp(v, -s) for
                                                    key, v in d.items()})
                       for d, s in ((e, C), (ee, 2 * C)))
-        a_err = aval * mp.expm1(a_err / aval)
         sser = p_to_schur(eser)
         derrs = _switch_basis(
             eerr, POWERSUM, SCHUR,
@@ -828,7 +821,8 @@ def _assemble(N, k, digits, expw):
     """c_N = exp(W_empty) / (k**2 - N)! * sum e D_k over the weight-N pairs,
     from _exp_w's output and power_dim_table, with the first-order error
     (exp(W_empty) sum |D_k| ee + |sum e D_k| err(exp W_empty)) / (k**2 - N)!,
-    never above d_table's: exact integer sums, the rest rounded up."""
+    in exact arithmetic never above d_table's: exact integer sums, the rest
+    rounded up."""
     aval, a_err, e, ee, C = expw
     dot = bar = 0
     for key, dv in power_dim_table(k, N).items():

@@ -299,6 +299,13 @@ def _accumulate(triples, x, y, acc):
                 acc[out] = acc[out] + u * v
 
 
+def _accumulate_halved(triples, x, y, acc, twin):
+    """acc[out] += x[a] * y[b] where twin[out] >= out; the caller copies the mirrors."""
+    for out, a, b in triples:
+        if twin[out] >= out:
+            acc[out] += x[a] * y[b]
+
+
 def series_mul(a, b):
     """Product of two powersum-basis series, truncated at the smaller order."""
     if a.basis != b.basis:
@@ -354,21 +361,18 @@ def _exp_log_fixed(plan, x, B, log):
     x[plan.twin[i]]), as is the result.  With log set x is S, S[0] = 2**B,
     and L_w = S_w - floor(c_w / (w 2**B)); else x is L (L[0] unread) and
     exp(L) is S_0 = 2**B, S_w = L_w + floor(c_w / (w 2**B)); c_w = sum_{0<j
-    <w} (j L_j) S_{w-j}, summed only into outputs with twin[i] >= i, as
-    mirror products pair off.  For exact x, each floor costs under a unit
-    and an error in the computed operand meets the given one once: summed
-    over the K_w keys of weight w, the errors are under K_w + sum_{0<j<w}
-    (j/w) E_j X_{w-j} units (log) or K_w + sum (j/w) Lam_j E_{w-j} (exp),
-    X and Lam the weight sums of |S| and |L| over 2**B.
+    <w} (j L_j) S_{w-j} by _accumulate_halved.  For exact x, each floor costs
+    under a unit and an error in the computed operand meets the given one
+    once: summed over the K_w keys of weight w, the errors are under K_w +
+    sum_{0<j<w} (j/w) E_j X_{w-j} units (log) or K_w + sum (j/w) Lam_j E_{w-j}
+    (exp), X and Lam the weight sums of |S| and |L| over 2**B.
     """
     n, twin, sign = len(plan.keys), plan.twin, -1 if log else 1
     s, lg = (x, [0] * n) if log else ([1 << B] + [0] * (n - 1), x)
     out, dl, cross = lg if log else s, [0] * n, [0] * n
     for w in range(1, len(plan.starts) - 1):
         for j in range(1, w):
-            for o, a, b in plan.products[w][j]:
-                if twin[o] >= o:
-                    cross[o] += dl[a] * s[b]
+            _accumulate_halved(plan.products[w][j], dl, s, cross, twin)
         wB = w << B
         for i in range(plan.starts[w], plan.starts[w + 1]):
             out[i] = (x[i] + sign * (cross[i] // wB) if twin[i] >= i

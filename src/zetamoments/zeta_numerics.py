@@ -668,11 +668,11 @@ class HeadPrimes:
         self._r0 = self._key = self._B = self._sums = None
 
     @classmethod
-    def upto(cls, x, span=16):
+    def upto(cls, x):
         """The primes p <= x from one sieve, taken without a second check."""
         if x > cls.MAX_PRIME:
             raise ValueError("head primes must lie in [2, %d]" % cls.MAX_PRIME)
-        head = cls((), span)
+        head = cls(())
         head.primes = primes_upto(x)
         return head
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetamoments.characters import character_value
+from zetamoments.cli import _check_fixed_exp_log
 from zetamoments.oracles import WPoly
 from zetamoments.partitions import centralizer_order, contains, partitions_of
 from zetamoments.symseries import (
@@ -269,33 +270,12 @@ class TestExpLog:
         assert _exp_log_fixed(plan, s, B, True) == full
         assert all(full[i] == full[t] for i, t in enumerate(plan.twin))
 
-    @pytest.mark.parametrize("log", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_fixed_point_exp_and_log_match_fractions(self, seed, log):
-        # a slot-symmetric dyadic series of weight <= 6 taken exactly to
-        # units of 2**-B: each weight's summed error against the Fraction
-        # series_exp or series_log stays under _exp_log_fixed's bound
-        rng = random.Random(seed)
-        B, wmax = 80, 6
-        plan = _plan(wmax)
-        x = [Fraction(int(log))]
-        for i, t in enumerate(plan.twin[1:], 1):
-            x.append(x[t] if t < i else Fraction(rng.randrange(-2**20, 2**20),
-                                                 2**rng.randrange(18, 24)))
-        series = PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x)))
-        exact = series_log(series) if log else series_exp(series)
-        got = _exp_log_fixed(plan, [int(v * 2**B) for v in x], B, log)
-        assert all(got[i] == got[t] for i, t in enumerate(plan.twin))
-        at = [range(plan.starts[w], plan.starts[w + 1]) for w in range(wmax + 1)]
-        g = [sum(abs(x[i]) for i in block) for block in at]
-        E = [0]
-        for w in range(1, wmax + 1):
-            E.append(len(at[w]) + sum(
-                Fraction(j, w) * (E[j] * g[w - j] if log else g[j] * E[w - j])
-                for j in range(1, w)))
-            err = sum(abs(got[i] - exact.get(*plan.keys[i]) * 2**B) for i in at[w])
-            assert err < E[w], w
-        assert got[0] == (0 if log else 1 << B)
+    def test_fixed_point_exp_and_log_match_fractions(self, seed):
+        # the selftest row's check on three more series: _exp_log_fixed in
+        # both directions against Fraction series_exp and series_log, each
+        # weight's summed error under its docstring bound
+        _check_fixed_exp_log(seed)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_log_within_its_bound(self, seed):
