@@ -73,7 +73,6 @@ from .zeta_numerics import (
     install_prime_zeta,
     int_log,
     prime_zeta_beyond,
-    prime_zeta_direct,
     prime_zeta_taylor,
     primes_upto,
 )
@@ -453,6 +452,8 @@ def _check_fixed_exp_log(seed=0):
 
 
 def _check_prime_zeta_routes():
+    from .oracles import prime_zeta_direct
+
     # log zeta(m*r) takes Euler-Maclaurin below x = 24..39 and the Euler
     # product past it: r = 30 takes only the product, every other row both;
     # r = 2 at 80 digits runs the longest Bernoulli tails, and r = 3 at

@@ -21,13 +21,14 @@ leading 1/p part removed), and the r-sum is restarted on the primes beyond
 the cutoff only, where it converges geometrically; that sum, V_r times a
 family per key, and its stop test run in B-bit integers (_w_engine).  Each
 beyond-cutoff family is the Moebius-inverted prime-zeta family less the head
-primes' power sums (zeta_numerics.prime_zeta_beyond); the 16 families of a V
-chunk share one absolute accuracy (_v_chunk), their log zeta values and one
-HeadPrimes pass per prime.  Below the cutoff every key's local factor is an
-exact integer ratio at Q = 1/p (see below), so the head is one integer pass
-per prime: the empty key's part is one fixed-point product over the primes
-and a single log, and the other keys take one pair-series log per prime in
-B-bit integers (_head_logs).  The cutoff comes from the digit and tolerance
+primes' power sums, in the same integers (zeta_numerics.prime_zeta_fixed);
+the families of a V chunk share one absolute accuracy (_v_chunk), their log
+zeta values and one HeadPrimes pass per prime to the chunk's order.  Below
+the cutoff every key's local factor is an exact integer ratio at Q = 1/p
+(see below), so the head is one integer pass per prime: the empty key's
+part is one fixed-point product over the primes and a single log, and the
+other keys take one pair-series log per prime in B-bit integers
+(_head_logs).  The cutoff comes from the digit and tolerance
 request; tail estimates combine a certified envelope on the beyond-cutoff
 prime sums with the measured decay of the last few increments.
 
@@ -50,8 +51,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div,
-                          mpf_mul, mpf_neg, to_fixed)
+from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add,
+                          mpf_div, mpf_mul, mpf_neg, to_fixed)
 
 from . import __version__
 from .characters import character_table, power_dim_table
@@ -77,7 +78,7 @@ from .zeta_numerics import (
     envelope_bound,
     int_log,
     prime_zeta_beyond,
-    prime_zeta_taylor,
+    prime_zeta_fixed,
 )
 
 class ValueWithError(NamedTuple):
@@ -554,13 +555,14 @@ def _below_tol(mag, v, tn, td, B):
 def _w_engine(k, wmax, digits, tol_f):
     """(values, errors, meta) of every key of weight <= wmax.
 
-    The r-sum runs in units of 2**-B.  Each head value and family
-    coefficient x is taken once to f = floor(2**B x) (to_fixed), under a
-    unit off, and each term to floor(V.numerator * f / V.denominator), under
-    |V_r| + 1 units off 2**B V_r x.  With |V_r| < 10**L, r <= 200 terms and
-    the head leave a value under 200 (10**L + 1) + 1 < 2**8 10**L units off,
+    The r-sum runs in units of 2**-B.  Each head value x is taken once to
+    f = floor(2**B x) (to_fixed), under a unit off, and each family comes as
+    integers (zeta_numerics.prime_zeta_fixed), under 2 units off; each term
+    is floor(V.numerator * f / V.denominator), under 2 |V_r| + 1 units off
+    2**B V_r x.  With 10 <= 10**L, |V_r| < 10**L, r <= 200 terms and the
+    head leave a value under 200 (2 * 10**L + 1) + 1 < 2**9 10**L units off,
     and B = dps_to_prec(digits + 10 + L) + 40 > (digits + 10 + L) log2(10)
-    + 42 (_v_chunk) makes that under 10**-(digits+20), far below the
+    + 42 (_v_chunk) makes that under 10**-(digits+19), far below the
     families' 10**-(digits+9).  The 32 bits beyond the 8 the values need
     resolve the last terms, whose magnitudes the closure's q and geo read,
     ten digits below the families' own accuracy, so the reported errors do
@@ -609,10 +611,8 @@ def _w_engine(k, wmax, digits, tol_f):
                     h.extend([h.popleft() << s for _ in range(len(h))])
             vr, vb = v_tab[r], vb_tab[r]
             # r = 1 takes the whole regularized family: _head_logs left out
-            # every head prime's leading 1/p part
-            fam = (prime_zeta_beyond(r, wmax, head_primes, fam_digits) if r > 1
-                   else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
-            fam = [to_fixed(c._mpf_, B) for c in fam]
+            # every head prime's leading 1/p part; head sums stop at R
+            fam = prime_zeta_fixed(r, wmax, head_primes, fam_digits, B, R)
             allsmall, tmax = True, 0
             for key, fv in vr.items():
                 term = fv.numerator * fam[weight[key]] // fv.denominator
@@ -705,7 +705,10 @@ def W_coeff(mu, nu, k, digits=50, tol=None):
 def _exp_w(k, n_max, digits, tol):
     """((exp W_empty, its error, e, ee, C), meta), meta the W engine's: e =
     exp of the nonempty W to weight n_max and ee = sum |e_a| ceil(err W_b) its
-    first-order error, power-sum {key: int} in units 2**-C and 2**-2C.  e is
+    first-order error, power-sum {key: int} in units 2**-C and 2**-2C.
+    a = mp.exp(w) is within d/2 = 2**(1 - prec) of exp(w) relative, so for
+    W_empty within err <= 1 of w, |exp(W_empty) - a| <= a (1 + d) (err (1 +
+    err) + d), rounded up, bounds expm1(err) and a's rounding.  e is
     _exp_log_fixed of L = floor(2**C W), whose bound D_w (floats, each |L|
     raised by 10**-(digits+10)) sets C = (digits+10) log2 10 + log2 max D + 2
     (2 bits for the floats): e is within 10**-(digits+10) of exp L, L within
@@ -730,7 +733,10 @@ def _exp_w(k, n_max, digits, tol):
     ee = [ee[min(i, t)] for i, t in enumerate(twin)]
     with mp.workdps(digits + 12):
         aval = mp.exp(vals[EMPTY_KEY])
-        return (aval, aval * werr[EMPTY_KEY], dict(zip(keys, e)),
+        e0, d = werr[EMPTY_KEY]._mpf_, from_man_exp(1, 2 - mp.prec)
+        a_err = mpf_mul(mpf_mul(aval._mpf_, mpf_add(fone, d)),
+                        mpf_add(mpf_mul(e0, mpf_add(fone, e0)), d), mp.prec, "u")
+        return (aval, mp.make_mpf(a_err), dict(zip(keys, e)),
                 dict(zip(keys, ee)), C), meta
 
 

@@ -1,9 +1,14 @@
-"""Oracle routes no request imports: d_table_symbolic, the d-table's oracle."""
+"""Oracle routes no request imports: d_table_symbolic, the d-table's oracle,
+and prime_zeta_direct, the prime-zeta families' (with mobius_int)."""
 
 from fractions import Fraction
 
+import mpmath
+from mpmath import mp
+
 from .partitions import _check_index
 from .symseries import POWERSUM, PairSeries, _plan, p_to_schur, series_exp
+from .zeta_numerics import _round_out, _series_log_list, primes_upto
 
 
 class WPoly:
@@ -128,3 +133,85 @@ def d_table_symbolic(n_max):
         got = sser.get(kap, lam)
         out[(kap, lam)] = got if isinstance(got, WPoly) else WPoly.constant(got)
     return out
+
+
+def mobius_int(m):
+    """Moebius function of a positive integer, by trial division."""
+    _check_index(m, "Moebius argument", 1)
+    mu = 1
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if m > 1 else mu
+
+
+def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
+    """Independent evaluation of the r >= 2 family for cross-checking.
+
+    Sums the sieved primes up to the cutoff outright, then closes with
+    Moebius inversion of log zeta restricted to the remaining primes, taking
+    zeta derivatives from mpmath itself.  With prime_zeta_taylor it shares
+    only primes_upto's sieve (tested against trial division), mobius_int
+    and the final rounding.
+    """
+    _check_index(r, "direct route order r", 2)
+    _check_index(nmax, "nmax")
+    _check_index(digits, "digits", 1)
+    X = int(prime_cutoff)
+    if X < 10:
+        raise ValueError("prime cutoff too small to be useful")
+    ps = primes_upto(X)
+    with mp.workdps(digits + 15):
+        thresh = mp.mpf(10) ** (-(digits + 10))
+        tiny = mp.mpf(10) ** (-(digits + 14))
+        out = [mp.mpf(0)] * (nmax + 1)
+        for p in ps:
+            Lp = -mp.log(p)
+            t = mp.mpf(p) ** (-r)
+            out[0] += t
+            for n in range(1, nmax + 1):
+                t = t * Lp / n
+                out[n] += t
+        m = 1
+        while True:
+            x0 = m * r
+            bound = 4 * mp.mpf(m) ** nmax * mp.mpf(X) ** (1 - x0)
+            if bound < thresh:
+                break
+            mu = mobius_int(m)
+            if mu:
+                lz = [
+                    mpmath.zeta(mp.mpf(x0), derivative=a) / mp.factorial(a)
+                    for a in range(nmax + 1)
+                ]
+                z0 = lz[0]
+                s = [mp.mpf(1)] + [v / z0 for v in lz[1:]]
+                lo = _series_log_list(s)
+                lo[0] = mp.log(z0)
+                for p in ps:
+                    lp = mp.log(p)
+                    t = mp.mpf(p) ** (-x0)
+                    if t < tiny:
+                        break
+                    j = 1
+                    pj = t
+                    while pj / j > tiny:
+                        base = pj / j
+                        lo[0] -= base
+                        v = base
+                        for a in range(1, nmax + 1):
+                            v = v * (-j * lp) / a
+                            lo[a] -= v
+                        j += 1
+                        pj *= t
+                scale = mp.mpf(1)
+                for n in range(nmax + 1):
+                    out[n] += Fraction(mu, m) * scale * lo[n]
+                    scale *= m
+            m += 1
+    return _round_out(out, digits)

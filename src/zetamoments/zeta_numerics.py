@@ -9,17 +9,20 @@ Stieltjes expansion around the pole, and of prime power sums
     sum over primes of p**(-r) * (-log p)**n / n!
 
 for integer r; the r = 1 family drops the logarithmic singularity.  The
-default route is the Moebius inversion of log zeta, one B-bit integer sum
+default route is the Moebius inversion of log zeta, one b-bit integer sum
 per family over one table of log zeta(y + u) per (nmax, digits) that every
-family reads (_log_zeta_table): one Euler-Maclaurin pass vectorized across
-y from the pole y = 1 (_em_fixed, which also serves zeta_taylor at integer
-points and the Stieltjes constants), one Euler-product pass beyond, and mu
-from one sieve.  Integer logs come from one table (int_log), the Bernoulli
-fractions from the tangent numbers.  prime_zeta_direct sums sieved primes in plain mpf
-arithmetic and closes the tail with mpmath's own zeta derivatives; it shares
-only the prime sieve (tested against trial division) and the final rounding
-with the default route, and must stay so: it is the oracle the default
-route is checked against.
+family reads (_log_zeta_table): one Euler-Maclaurin pass stepping every y
+from the pole y = 1 at once (_em_fixed, which also serves zeta_taylor at
+integer points and the Stieltjes constants), no mpf log, one Euler-product
+pass beyond, and mu from one sieve.  The W engine reads each family less
+the head primes' power sums as integers (prime_zeta_fixed), and
+prime_zeta_taylor and prime_zeta_beyond are mpf views of that route.
+Integer logs come from one table (int_log), the Bernoulli fractions from
+the tangent numbers.  oracles.prime_zeta_direct sums sieved primes in plain
+mpf arithmetic and closes the tail with mpmath's own zeta derivatives; it
+shares only the prime sieve (tested against trial division) and the final
+rounding with the default route, and must stay so: it is the oracle the
+default route is checked against.
 """
 
 import itertools
@@ -29,26 +32,10 @@ from functools import lru_cache
 from operator import add, floordiv, lt, mul, rshift
 from typing import NamedTuple
 
-import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_log, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 from .partitions import _check_index
-
-
-def mobius_int(m):
-    """Moebius function of a positive integer, by trial division."""
-    _check_index(m, "Moebius argument", 1)
-    mu = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    return -mu if m > 1 else mu
 
 
 def _prime_flags(n):
@@ -240,7 +227,9 @@ def _em_fixed(ys, nmax, M, digits):
     M**2)), one integer per step for every y.  They stop at the first i
     whose largest term mag_i is below thresh = 10**-(digits+10) * max(1,
     |coefficient 0|), and raise RuntimeError once they grow after i = 3 or
-    reach i = I = 4M (the terms are smallest near 2i = 2*pi*M).
+    reach i = I = 4M (the terms are smallest near 2i = 2*pi*M).  A step is
+    one list per coefficient over the ys still live, each y's arithmetic
+    that of a pass over it alone.
 
     Error in units, with 2 + l < 2**g, g = bit_length(int(l) + 3), K =
     bit_length(4M): the head is off by under 2**(K + nmax*g + 2); e_0 = 2**B
@@ -272,7 +261,7 @@ def _em_fixed(ys, nmax, M, digits):
     for u in range(1, nmax + 1):
         e.append(((e[-1] * L) >> B) // u)
     E = [-v if u % 2 else v for u, v in enumerate(e)]
-    rows, R = [], []
+    rows, F, thresh = [], [], []
     for y, head in zip(ys, heads):
         c, A, Mc = y - 1, nmax + (y > 1), M ** (y - 1)  # the pole holds a < nmax
         out = []
@@ -281,25 +270,43 @@ def _em_fixed(ys, nmax, M, digits):
                 sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
             t = head[a] + main + e[a] // (2 * Mc * M)
             out.append(-t if a % 2 else t)
-        thresh = max(one, abs(out[0]) if A else 0) // 10 ** (digits + 10)
-        F = [(y * v + lo) // (12 * Mc * M * M) for v, lo in zip(E[:A], [0] + E)]
-        for i in itertools.count(1):
-            out = list(map(add, out, F))
-            mag = max(map(abs, F), default=0)
-            if mag < thresh:
-                break
-            if i > 3 and (mag > prev or i >= 4 * M):
+        thresh.append(max(one, abs(out[0]) if A else 0) // 10 ** (digits + 10))
+        # the pole's slot nmax stays 0: it is no coefficient, and a slot
+        # never feeds the ones below it
+        F.append([(y * v + lo) // (12 * Mc * M * M)
+                  for v, lo in zip(E[:A], [0] + E)] + [0] * (y == 1))
+        rows.append(out + [0] * (y == 1))
+    live, prev = list(range(len(ys))), [0] * len(ys)
+    F, out = [list(col) for col in zip(*F)], [list(col) for col in zip(*rows)]
+    for i in itertools.count(1):
+        out = [list(map(add, o, f)) for o, f in zip(out, F)]
+        keep = []
+        for pos, j, col in zip(itertools.count(), live, zip(*F)):
+            mag = max(map(abs, col))
+            if mag < thresh[j]:
+                rows[j] = [o[pos] for o in out][: nmax + (ys[j] > 1)]
+                continue
+            if i > 3 and (mag > prev[j] or i >= 4 * M):
                 raise RuntimeError("Euler-Maclaurin tail diverged before "
                                    "reaching %d digits" % digits)
-            prev = mag
-            if len(R) < i:
-                rho = _bernoulli_ratio(i + 1) / _bernoulli_ratio(i)
-                R.append((rho.numerator << S) // (rho.denominator * M * M))
-            c0, c1 = (y + 2 * i - 1) * (y + 2 * i), 2 * (y + 2 * i) - 1
-            F = [(c0 * f + c1 * f1 + f2) * R[i - 1] >> S
-                 for f, f1, f2 in zip(F, [0] + F, [0, 0] + F)]
-        rows.append(out)
-    return rows, B
+            prev[j] = mag
+            keep.append(pos)
+        if not keep:
+            return rows, B
+        if len(keep) < len(live):
+            live = [live[p] for p in keep]
+            F, out = ([[v[p] for p in keep] for v in cols] for cols in (F, out))
+        rho = _bernoulli_ratio(i + 1) / _bernoulli_ratio(i)
+        Ri = (rho.numerator << S) // (rho.denominator * M * M)
+        c0 = [(ys[j] + 2 * i - 1) * (ys[j] + 2 * i) for j in live]
+        c1 = [2 * (ys[j] + 2 * i) - 1 for j in live]
+        zero = [0] * len(live)
+        F = [[(a0 * f + a1 * f1 + f2) * Ri >> S
+              for a0, a1, f, f1, f2 in zip(c0, c1, F[a], F[a - 1] if a else zero,
+                                           F[a - 2] if a > 1 else zero)]
+             for a in range(nmax + 1)]
+        if ys[live[0]] == 1:
+            F[nmax][0] = 0
 
 
 def _em_mpf(x, nmax, M, digits):
@@ -433,8 +440,11 @@ def _log_zeta_em(ys, nmax, b):
       <= 2**-b / 5.  Shifted to b bits, v_a is off by under 2 units; so is
       v_0 raised to at least 2**b, which moves it toward 2**b * zeta(y).
     - s_a = floor(v_a * 2**b / v_0) is off by under 2*(1 + 2) + 1 = 7 units
-      (at the pole s_a = v_{a-1}, under 2); lz_0 = log(v_0 * 2**-b) at b +
-      10 bits by under 4 (0 at the pole).
+      (at the pole s_a = v_{a-1}, under 2).
+    - lz_0 = log(v_0 2**-b) = 2 atanh(t), t = (v_0 - 2**b)/(v_0 + 2**b) <
+      1/4, sums floor(t_k/(2k+1)) at W = b + bit_length(b) + 2 bits, t_k =
+      floor(t_{k-1} t2 / 2**W), t2 = floor(t_0**2 / 2**W): under 3W/4 + 5
+      units of 2**-W in all, 1.5 at b, and v_0's error adds 2 (no mpf log).
     - lz_w = s_w - floor(sum_{j<w} j * lz_j * s_{w-j} / (w * 2**b)) is off
       by e_w <= 1 + 7*(2w - 1) + 2.01 * sum_{j<w} e_j, with e_1 = 7, so
       e_w <= 56 * 4**w < 2**(2w + 6).
@@ -442,7 +452,7 @@ def _log_zeta_em(ys, nmax, b):
     d = math.ceil(b * math.log10(2)) - 9
     with mp.workprec(b):
         rows, B = _em_fixed(ys, nmax, _em_head_length(ys[0], nmax, d), d)
-    one, out = 1 << b, []
+    one, out, W = 1 << b, [], b + b.bit_length() + 2
     for y, ints in zip(ys, rows):
         v = [x >> (B - b) for x in ints]
         if y == 1:
@@ -450,7 +460,12 @@ def _log_zeta_em(ys, nmax, b):
         else:
             v0 = max(v[0], one)
             s = [one] + [(x << b) // v0 for x in v[1:]]
-            lz = [to_fixed(mpf_log(from_man_exp(v0, -b), b + 10), b)]
+            # log z_0 = 2 atanh(t) = 2 sum t**(2k+1)/(2k+1), t < 1/4
+            t = ((v0 - one) << W) // (v0 + one)
+            t2, acc, k = t * t >> W, 0, 1
+            while t:
+                acc, t, k = acc + t // k, t * t2 >> W, k + 2
+            lz = [acc >> (W - b - 1)]
         for w in range(1, nmax + 1):
             lz.append(s[w] - sum(j * lz[j] * s[w - j] for j in range(1, w)) // (w << b))
         out.append(tuple(lz))
@@ -580,28 +595,43 @@ def install_prime_zeta(r, entry):
         _installed_pzeta[r] = entry
 
 
+def _installed(r, nmax, digits):
+    """The installed entry for r if it covers nmax and digits, else None."""
+    entry = _installed_pzeta.get(r)
+    if entry is not None and entry.digits >= digits and len(entry.coeffs) > nmax:
+        return entry
+
+
 def prime_zeta_taylor(r, nmax, digits=50):
     """Coefficient family for sum_p p**(-r): index n carries (-log p)**n / n!.
 
     Moebius inversion of log zeta along the arguments m*r in B-bit integers
     (_compute_prime_zeta), from the one log zeta table per (nmax, digits)
-    that every family reads.  For r = 1 the family is the regularized one:
-    the logarithmic blowup is removed before expanding, which shifts the
-    n = 0 value to about -0.3157.  An installed cache entry is returned as
-    is when it covers the requested order and digits.
+    that every family reads, rounded to digits with its tail bounds.  For
+    r = 1 the family is the regularized one: the logarithmic blowup is
+    removed before expanding, which shifts the n = 0 value to about
+    -0.3157.  An installed cache entry is returned as is when it covers the
+    requested order and digits.
     """
     _check_index(r, "prime zeta order", 1)
     _check_index(nmax, "nmax")
     _check_index(digits, "digits", 1)
-    entry = _installed_pzeta.get(r)
-    if entry is not None and entry.digits >= digits and len(entry.coeffs) > nmax:
+    entry = _installed(r, nmax, digits)
+    if entry is not None:
         return entry
-    return _compute_prime_zeta(r, nmax, digits)
+    stop = _moebius_stop(r, nmax, digits)
+    with mp.workdps(digits + 15):
+        bound = 4 * mp.mpf(stop) ** nmax * mp.mpf(2) ** (-stop * r)
+        floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
+        tb = _round_out([4 * bound + floor] * (nmax + 1), digits)
+    coeffs = _round_out(_compute_prime_zeta(r, nmax, digits).coeffs, digits)
+    return PrimeZetaCoeffs(r, coeffs, digits, tb)
 
 
 @lru_cache(maxsize=None)
 def _compute_prime_zeta(r, nmax, digits):
-    """The family by Moebius inversion of log zeta, rounded to digits.
+    """The family by Moebius inversion of log zeta, as the exact values of
+    its b-bit integer sums (no tail bounds: prime_zeta_taylor adds them).
 
     sum_{m < stop} mu(m)/m * log zeta(m*r + m*u), stop = _moebius_stop(r,
     nmax, digits), from the table at (nmax, digits) (b, c, a and T as
@@ -621,12 +651,25 @@ def _compute_prime_zeta(r, nmax, digits):
         for n in range(1, nmax + 1):
             sums[n] += f * lz[n]
             f *= m
-    with mp.workdps(digits + 15):
-        out = [mp.ldexp(mp.mpf(v), -b) for v in sums]
-        bound = 4 * mp.mpf(stop) ** nmax * mp.mpf(2) ** (-stop * r)
-        floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
-        tb = _round_out([4 * bound + floor] * (nmax + 1), digits)
-    return PrimeZetaCoeffs(r, _round_out(out, digits), digits, tb)
+    return PrimeZetaCoeffs(
+        r, tuple(mp.make_mpf(from_man_exp(v, -b)) for v in sums), digits)
+
+
+def prime_zeta_fixed(r, nmax, head, digits, B, upto=None, coeffs=None):
+    """The family at r less the head's power sums (all of it at r = 1),
+    [n <= nmax] in units of 2**-B, under 2 units off coeffs less the exact
+    sums: coeffs (by default the installed entry or _compute_prime_zeta's
+    exact sums) to floor(2**B c), each head.sums(r, nmax, digits, upto)
+    value v at B_h bits to floor(v 2**(B - B_h))."""
+    if coeffs is None:
+        entry = _installed(r, nmax, digits) or _compute_prime_zeta(r, nmax, digits)
+        coeffs = entry.coeffs
+    out = [to_fixed(c._mpf_, B) for c in coeffs[: nmax + 1]]
+    if r > 1 and head.primes:
+        sums, Bh = head.sums(r, nmax, digits, upto)
+        out = [f + ((v if n % 2 else -v) << B >> Bh)
+               for n, (f, v) in enumerate(zip(out, sums))]
+    return out
 
 
 class HeadPrimes:
@@ -676,21 +719,24 @@ class HeadPrimes:
         head.primes = primes_upto(x)
         return head
 
-    def sums(self, r, nmax, digits):
+    def sums(self, r, nmax, digits, upto=None):
         """(sums, B): sums[n] is the head's power sum at r, index n, as an
-        integer in units of 2**-B (see prime_zeta_beyond)."""
-        if self._key != (nmax, digits) or not 0 <= r - self._r0 < self.span:
-            self._B, self._sums = self._pass(r, nmax, digits)
+        integer in units of 2**-B (see prime_zeta_beyond); all 0 for no
+        primes.  A new chunk stops at r + span - 1 or at upto, the last r
+        its caller reads."""
+        if self._key != (nmax, digits) or not 0 <= r - self._r0 < len(self._sums):
+            rows = self.span if upto is None else min(self.span, upto + 1 - r)
+            self._B, self._sums = self._pass(r, rows, nmax, digits)
             self._r0, self._key = r, (nmax, digits)
         return self._sums[r - self._r0], self._B
 
-    def _pass(self, r0, nmax, digits):
-        """One integer pass per prime over r0 .. r0 + span - 1; (B, sums)."""
+    def _pass(self, r0, rows, nmax, digits):
+        """One integer pass per prime over r0 .. r0 + rows - 1; (B, sums)."""
         ps = self.primes
-        g = (int(math.log(ps[-1])) + 3).bit_length()
+        g = (int(math.log(ps[-1])) + 3).bit_length() if ps else 0
         B = dps_to_prec(digits + 10) + len(ps).bit_length() + nmax * g + 12
         one = 1 << B
-        sums = [[0] * (nmax + 1) for _ in range(self.span)]
+        sums = [[0] * (nmax + 1) for _ in range(rows)]
         for i in range(0, len(ps), self.BLOCK):
             block = ps[i : i + self.BLOCK]
             t = [one // p ** r0 for p in block]
@@ -719,11 +765,12 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     a one-r chunk; a caller stepping through r passes one HeadPrimes to
     every call, so each prime takes one integer pass per chunk of r.  The
     full family, prime_zeta_taylor at digits, is within its tail_bounds,
-    under 1.1 * 10**-(digits+4); the head, the subtraction at digits + 10
+    under 1.1 * 10**-(digits+4); the head, the subtraction in units of
+    2**-prec(digits + 13) (prime_zeta_fixed, the W engine's route, under 2)
     and the rounding add under 10**-(digits+5).
 
     Head terms p**-r * l**n / n!, l = log p, are integers in units of
-    2**-B: t_0 = floor(2**B / p**r), under a unit off (a chunk starts at
+    2**-B (HeadPrimes' own B): t_0 = floor(2**B / p**r), under a unit off (a chunk starts at
     floor(2**B / p**r0) and steps r by t_0 //= p, which keeps the floor
     exact: floor(floor(x)/p) = floor(x/p) for an integer p); L =
     int_log(p, B), from the log table, under 2 units off 2**B * l; and t_n =
@@ -738,14 +785,10 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     """
     _check_index(r, "beyond-cutoff order r", 2)
     head = primes if isinstance(primes, HeadPrimes) else HeadPrimes(primes, 1)
-    base = prime_zeta_taylor(r, nmax, digits)
-    with mp.workdps(digits + 10):
-        out = list(base.coeffs[: nmax + 1])
-        if head.primes:
-            sums, B = head.sums(r, nmax, digits)
-            for n, v in enumerate(sums):
-                out[n] += mp.ldexp(mp.mpf(v if n % 2 else -v), -B)
-    return _round_out(out, digits)
+    base, B = prime_zeta_taylor(r, nmax, digits), dps_to_prec(digits + 13)
+    out = prime_zeta_fixed(r, nmax, head, digits, B, coeffs=base.coeffs)
+    with mp.workdps(digits + 5):
+        return tuple(mp.ldexp(v, -B) for v in out)
 
 
 def envelope_bound(r, n, M, digits=15):
@@ -776,70 +819,3 @@ def envelope_bound(r, n, M, digits=15):
             )
         integral *= mp.mpf(mprime) ** (1 - r)
         return +((total + integral) / mp.factorial(n))
-
-
-def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
-    """Independent evaluation of the r >= 2 family for cross-checking.
-
-    Sums the sieved primes up to the cutoff outright, then closes with
-    Moebius inversion of log zeta restricted to the remaining primes, taking
-    zeta derivatives from mpmath itself.  With prime_zeta_taylor it shares
-    only primes_upto's sieve (tested against trial division), mobius_int
-    and the final rounding.
-    """
-    _check_index(r, "direct route order r", 2)
-    _check_index(nmax, "nmax")
-    _check_index(digits, "digits", 1)
-    X = int(prime_cutoff)
-    if X < 10:
-        raise ValueError("prime cutoff too small to be useful")
-    ps = primes_upto(X)
-    with mp.workdps(digits + 15):
-        thresh = mp.mpf(10) ** (-(digits + 10))
-        tiny = mp.mpf(10) ** (-(digits + 14))
-        out = [mp.mpf(0)] * (nmax + 1)
-        for p in ps:
-            Lp = -mp.log(p)
-            t = mp.mpf(p) ** (-r)
-            out[0] += t
-            for n in range(1, nmax + 1):
-                t = t * Lp / n
-                out[n] += t
-        m = 1
-        while True:
-            x0 = m * r
-            bound = 4 * mp.mpf(m) ** nmax * mp.mpf(X) ** (1 - x0)
-            if bound < thresh:
-                break
-            mu = mobius_int(m)
-            if mu:
-                lz = [
-                    mpmath.zeta(mp.mpf(x0), derivative=a) / mp.factorial(a)
-                    for a in range(nmax + 1)
-                ]
-                z0 = lz[0]
-                s = [mp.mpf(1)] + [v / z0 for v in lz[1:]]
-                lo = _series_log_list(s)
-                lo[0] = mp.log(z0)
-                for p in ps:
-                    lp = mp.log(p)
-                    t = mp.mpf(p) ** (-x0)
-                    if t < tiny:
-                        break
-                    j = 1
-                    pj = t
-                    while pj / j > tiny:
-                        base = pj / j
-                        lo[0] -= base
-                        v = base
-                        for a in range(1, nmax + 1):
-                            v = v * (-j * lp) / a
-                            lo[a] -= v
-                        j += 1
-                        pj *= t
-                scale = mp.mpf(1)
-                for n in range(nmax + 1):
-                    out[n] += Fraction(mu, m) * scale * lo[n]
-                    scale *= m
-            m += 1
-    return _round_out(out, digits)

@@ -42,7 +42,8 @@ from zetamoments.partitions import (
     partitions_of,
 )
 from zetamoments.symseries import bump_gamburd_residual
-from zetamoments.zeta_numerics import prime_zeta_direct, prime_zeta_taylor
+from zetamoments.oracles import prime_zeta_direct
+from zetamoments.zeta_numerics import prime_zeta_taylor
 
 
 def run(number, label, box, fn):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, to_fixed
 
 import zetamoments
 from zetamoments import moments
@@ -461,16 +462,12 @@ def _relative_families(monkeypatch, digits):
     relative to its own size: beyond the cutoff that adds the cancelled
     ratio, r * log10(max prime / 2) + 8 digits."""
 
-    def taylor(r, nmax, _):
-        return zeta_numerics.prime_zeta_taylor(r, nmax, digits + 10)
+    def fixed(r, nmax, head, _, B, upto):
+        extra = int(r * math.log10(head.primes[-1] / 2.0)) + 8 if r > 1 else 0
+        return zeta_numerics.prime_zeta_fixed(
+            r, nmax, HeadPrimes(head.primes, 1), digits + 10 + extra, B, upto)
 
-    def beyond(r, nmax, head, _):
-        extra = int(r * math.log10(head.primes[-1] / 2.0)) + 8
-        return zeta_numerics.prime_zeta_beyond(
-            r, nmax, head.primes, digits + 10 + extra)
-
-    monkeypatch.setattr(moments, "prime_zeta_taylor", taylor)
-    monkeypatch.setattr(moments, "prime_zeta_beyond", beyond)
+    monkeypatch.setattr(moments, "prime_zeta_fixed", fixed)
 
 
 PINNED_W_ERRORS = {
@@ -574,18 +571,36 @@ class TestWEngine:
 
     def test_one_head_pass_serves_c0(self, monkeypatch):
         # c_0(3) at 50 digits stops at r = 14: one chunk, one absolute digit
-        # count, so the 6,771 head primes take one integer pass
+        # count, so the 6,771 head primes take one integer pass, its rows
+        # r = 2..16 as far as the V table of order 16 reaches
         calls = []
         real = HeadPrimes._pass
 
-        def counted(self, r0, nmax, digits):
-            calls.append(r0)
-            return real(self, r0, nmax, digits)
+        def counted(self, r0, rows, nmax, digits):
+            calls.append((r0, rows))
+            return real(self, r0, rows, nmax, digits)
 
         monkeypatch.setattr(HeadPrimes, "_pass", counted)
         monkeypatch.setattr(moments, "_w_cache", {})
         c_coeff(0, 3, 50)
-        assert calls == [2]
+        assert calls == [(2, 15)]
+
+    @pytest.mark.parametrize("wmax, digits", [(4, 15), (0, 50)])
+    def test_integer_families_match_the_public_views(self, wmax, digits):
+        # lead5's and c0's families, r = 1..16, at the engine's family
+        # digits, against the mpf views in units their rounding stays under
+        pcut = moments._prime_cutoff(3, digits, 10.0**-digits)
+        head = HeadPrimes.upto(pcut)
+        fam_digits = moments._v_chunk(3, wmax, 16, digits)[2]
+        B = dps_to_prec(fam_digits)
+        for r in range(1, 17):
+            got = zeta_numerics.prime_zeta_fixed(r, wmax, head, fam_digits, B)
+            view = (zeta_numerics.prime_zeta_beyond(r, wmax, head, fam_digits)
+                    if r > 1 else
+                    zeta_numerics.prime_zeta_taylor(1, wmax, fam_digits).coeffs)
+            want = [to_fixed(c._mpf_, B) for c in view]
+            assert len(got) == wmax + 1, r
+            assert all(abs(a - b) <= 2 for a, b in zip(got, want)), r
 
     def test_c0_builds_one_log_zeta_table(self, monkeypatch):
         # c_0(3) at 50 digits reads log zeta at 243 arguments from one table:
@@ -954,6 +969,13 @@ class TestAssembly:
                     + _fraction(a_err) * F(abs(dot), 2**C)) / math.factorial(k * k - N)
             got = _fraction(moments._assemble(N, k, digits, expw).error)
             assert want <= got <= want * (1 + F(1, 10 ** (digits + 8))), N
+        # N = 0's bar is a_err g_k / (k**2)!: a_err bounds exp(W_empty) over
+        # its whole error interval, the rounding of exp included
+        vals, errs, _ = moments._w_full(k, k * k, digits)
+        w, err = vals[EMPTY_KEY], errs[EMPTY_KEY]
+        with mp.workdps(2 * digits + 40):
+            for x in (w - err, w + err):
+                assert abs(mp.exp(x) - aval) < a_err
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_power_sum_route_within_schur_oracle(self, k):
@@ -1094,3 +1116,15 @@ class TestInputContract:
     def test_good_tol_values_pass(self):
         assert W_coeff((), (), 1, digits=10, tol=1e-8).error > 0
         assert W_coeff((), (), 1, digits=10, tol=1).error > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, digits, deeper", [(2, 30, 60), (3, 15, 45)])
+def test_bars_hold_against_a_deeper_request(k, digits, deeper):
+    # each bar covers its distance from the same request at more digits,
+    # that request's own bar included
+    got = moment_polynomial(k, digits).coefficients
+    want = moment_polynomial(k, deeper).coefficients
+    with mp.workdps(deeper + 10):
+        for (N, v, e), (_, w, ew) in zip(got, want):
+            assert abs(v - w) + ew <= e, N

@@ -16,6 +16,7 @@ from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
 
 from zetamoments import zeta_numerics
 from zetamoments.cli import save_pzeta
+from zetamoments.oracles import mobius_int, prime_zeta_direct
 from zetamoments.zeta_numerics import (
     HeadPrimes,
     PrimeZetaCoeffs,
@@ -28,9 +29,7 @@ from zetamoments.zeta_numerics import (
     envelope_bound,
     install_prime_zeta,
     int_log,
-    mobius_int,
     prime_zeta_beyond,
-    prime_zeta_direct,
     prime_zeta_taylor,
     primes_upto,
     stieltjes_cumulant,
@@ -384,6 +383,15 @@ class TestZetaTaylor:
         with pytest.raises(RuntimeError):
             zeta_taylor(x, nmax, 50)
 
+    @pytest.mark.parametrize("nmax", [0, 4])
+    def test_short_head_diverges_under_column_stepping(self, nmax):
+        # with M = 3 the arguments from 140 up converge and leave the live
+        # columns, while the small ones grow again and raise
+        rows, _ = _em_fixed(range(140, 161), nmax, 3, 50)
+        assert all(len(row) == nmax + 1 for row in rows)
+        with pytest.raises(RuntimeError, match="diverged"):
+            _em_fixed(range(1, 161), nmax, 3, 50)
+
     @pytest.mark.parametrize("x, nmax, digits", _KERNEL_GRID)
     def test_integer_kernel_matches_mpf_reference(self, x, nmax, digits):
         # within 2**-(prec+10) of the truncated sum, whose dropped remainder
@@ -645,7 +653,8 @@ class TestMoebiusPass:
     def test_family_matches_mpf_reference(self, r, nmax, digits):
         got = zeta_numerics._compute_prime_zeta.__wrapped__(r, nmax, digits)
         ref = _family_reference(r, nmax, digits + 20)
-        # the coefficients are rounded to digits + 5 digits on the way out
+        # the exact sums; the half ulp is the rounding to digits + 5 digits
+        # that prime_zeta_taylor adds on the way out
         half_ulp = mp.mpf(2) ** -dps_to_prec(digits + 5)
         with mp.workdps(digits + 40):
             for n in range(nmax + 1):
@@ -654,7 +663,8 @@ class TestMoebiusPass:
 
     @pytest.mark.parametrize("r, nmax, digits", _FAMILY_GRID)
     def test_stop_rule_keeps_the_mpf_tail_bounds(self, r, nmax, digits):
-        got = zeta_numerics._compute_prime_zeta.__wrapped__(r, nmax, digits)
+        # the public view adds the tail bounds to the memoized sums
+        got = prime_zeta_taylor(r, nmax, digits)
         with mp.workdps(digits + 15):
             _, bound = _mpf_stop_bound(r, nmax, digits, 2 if r == 1 else 1)
             floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
@@ -750,6 +760,35 @@ class TestLogZetaRoutes:
                 stop = zeta_numerics._moebius_stop(r, nmax, digits)
                 assert (stop - 1) * r < len(rows), (nmax, digits, r)
                 assert stop <= len(rows), (nmax, digits, r)
+
+    @pytest.mark.parametrize("nmax, digits", [(0, 68), (4, 37)])
+    def test_table_takes_no_mpf_log(self, nmax, digits, monkeypatch):
+        # c0's and lead5's tables built with mpmath's log banned, every row
+        # within 2**(2*nmax + 6) units of the series log of mpf references
+        def banned(*args, **kwargs):
+            raise AssertionError("mpf_log called")
+
+        with monkeypatch.context() as m:
+            for target in (mpmath.libmp.libelefun, mpmath.libmp):
+                m.setattr(target, "mpf_log", banned)
+            m.setattr(zeta_numerics, "mpf_log", banned, raising=False)
+            zeta_numerics._log_zeta_table.cache_clear()
+            rows, _, b = zeta_numerics._log_zeta_table(nmax, digits)
+        zeta_numerics._log_zeta_table.cache_clear()
+        d = math.ceil(b * math.log10(2)) + 5
+        with mp.workdps(d + 15):
+            tol = mp.ldexp(2 ** (2 * nmax + 6), -b)
+            gam = _mpmath_stieltjes() if nmax else ()
+            pole = [1] + [(-1) ** n * gam[n] / mp.factorial(n) for n in range(nmax)]
+            for y in range(1, len(rows)):
+                if y == 1:
+                    ref = _series_log_list(pole)
+                else:
+                    z = _em_mpf(mp.mpf(y), nmax, _em_head_length(y, nmax, d), d)
+                    ref = _series_log_list([1] + [v / z[0] for v in z[1:]])
+                    ref[0] = mp.log(z[0])
+                for a in range(nmax + 1):
+                    assert abs(mp.ldexp(rows[y][a], -b) - ref[a]) < tol, (y, a)
 
     @pytest.mark.parametrize("nmax", [0, 4, 16])
     def test_pole_is_the_log_of_the_stieltjes_series(self, nmax):
@@ -872,6 +911,12 @@ class TestBeyondAndEnvelope:
         want = HeadPrimes(primes_upto(x))
         assert head.primes == want.primes and head.span == want.span
         assert head.sums(3, 2, 30) == want.sums(3, 2, 30)
+
+    def test_empty_head_sums_are_zero(self):
+        head = HeadPrimes.upto(1)
+        assert head.sums(3, 2, 30)[0] == [0, 0, 0]
+        assert head.sums(5, 0, 30, 5)[0] == [0]
+        assert prime_zeta_beyond(3, 2, head, 30) == prime_zeta_beyond(3, 2, [], 30)
 
     def test_upto_rejects_past_the_cap(self):
         with pytest.raises(ValueError):
