@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add,
-                          mpf_div, mpf_mul, mpf_neg, to_fixed)
+                          mpf_div, mpf_exp, mpf_mul, mpf_neg, to_fixed)
 
 from . import __version__
 from .characters import character_table, power_dim_table
@@ -707,8 +707,9 @@ def _exp_w(k, n_max, digits, tol):
     exp of the nonempty W to weight n_max and ee = sum |e_a| ceil(err W_b) its
     first-order error, power-sum {key: int} in units 2**-C and 2**-2C.
     a = mp.exp(w) is within d/2 = 2**(1 - prec) of exp(w) relative, so for
-    W_empty within err <= 1 of w, |exp(W_empty) - a| <= a (1 + d) (err (1 +
-    err) + d), rounded up, bounds expm1(err) and a's rounding.  e is
+    W_empty within err of w, |exp(W_empty) - a| <= exp(w) (expm1(err) + d/2)
+    <= a (1 + d) (err E + d), E = mp.exp(err) (1 + d) >= exp(err), rounded
+    up: a bound for every err, the rounding of a included.  e is
     _exp_log_fixed of L = floor(2**C W), whose bound D_w (floats, each |L|
     raised by 10**-(digits+10)) sets C = (digits+10) log2 10 + log2 max D + 2
     (2 bits for the floats): e is within 10**-(digits+10) of exp L, L within
@@ -734,8 +735,9 @@ def _exp_w(k, n_max, digits, tol):
     with mp.workdps(digits + 12):
         aval = mp.exp(vals[EMPTY_KEY])
         e0, d = werr[EMPTY_KEY]._mpf_, from_man_exp(1, 2 - mp.prec)
+        E = mpf_mul(mpf_exp(e0, mp.prec), mpf_add(fone, d))
         a_err = mpf_mul(mpf_mul(aval._mpf_, mpf_add(fone, d)),
-                        mpf_add(mpf_mul(e0, mpf_add(fone, e0)), d), mp.prec, "u")
+                        mpf_add(mpf_mul(e0, E), d), mp.prec, "u")
         return (aval, mp.make_mpf(a_err), dict(zip(keys, e)),
                 dict(zip(keys, ee)), C), meta
 

@@ -659,8 +659,10 @@ def prime_zeta_fixed(r, nmax, head, digits, B, upto=None, coeffs=None):
     """The family at r less the head's power sums (all of it at r = 1),
     [n <= nmax] in units of 2**-B, under 2 units off coeffs less the exact
     sums: coeffs (by default the installed entry or _compute_prime_zeta's
-    exact sums) to floor(2**B c), each head.sums(r, nmax, digits, upto)
-    value v at B_h bits to floor(v 2**(B - B_h))."""
+    exact sums; prime_zeta_beyond passes prime_zeta_taylor's, whose
+    tail_bounds its accuracy rests on) to floor(2**B c), each
+    head.sums(r, nmax, digits, upto) value v at B_h bits to
+    floor(v 2**(B - B_h))."""
     if coeffs is None:
         entry = _installed(r, nmax, digits) or _compute_prime_zeta(r, nmax, digits)
         coeffs = entry.coeffs

@@ -977,6 +977,25 @@ class TestAssembly:
             for x in (w - err, w + err):
                 assert abs(mp.exp(x) - aval) < a_err
 
+    @pytest.mark.parametrize("err", [None, "2", "8"])
+    def test_exp_bar_holds_for_any_w_error(self, monkeypatch, err):
+        # at a loose tol, with the engine's W_empty error or one widened past
+        # 1, where expm1(err) > err (1 + err), a_err still bounds exp(W_empty)
+        real = moments._w_full
+
+        def widened(*args):
+            vals, errs, meta = real(*args)
+            return vals, {**errs, EMPTY_KEY: mp.mpf(err)}, meta
+
+        if err is not None:
+            monkeypatch.setattr(moments, "_w_full", widened)
+        (aval, a_err, *_), _ = moments._exp_w(3, 0, 10, 0.5)
+        vals, errs, _ = moments._w_full(3, 0, 10, 0.5)
+        w, e0 = vals[EMPTY_KEY], errs[EMPTY_KEY]
+        with mp.workdps(60):
+            for x in (w - e0, w + e0):
+                assert abs(mp.exp(x) - aval) < a_err
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_power_sum_route_within_schur_oracle(self, k):
         # each c_N inside the d-table route's error, its own error no larger
