@@ -3,9 +3,10 @@
 The cache is a directory of small JSON files, pzeta_r<r>.json, one prime
 zeta Taylor family each; they serve k = 2, and k = 3 up to weight 4
 (PZETA_MARGIN).  Files of other kinds, which older versions wrote, are
-ignored.  Big reals travel as decimal strings wide enough to restore every
-bit at the recorded precision.  Precomputing twice is a no-op: only entries
-stored at too few digits or too low a weight are rebuilt.  Writes take a
+ignored.  Each stored real is the exact [signed mantissa, exponent] pair
+of its binary value (pzeta schema 2); older schema-1 entries, decimal
+strings, still load.  Precomputing twice is a no-op: only entries stored
+at too few digits or too low a weight are rebuilt.  Writes take a
 directory lock file; reads touch only immutable files and need no lock.
 """
 
@@ -20,7 +21,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import log_int_fixed
+from mpmath.libmp import from_man_exp, log_int_fixed
 
 from . import __version__
 from ._golden import golden_entries
@@ -77,7 +78,8 @@ from .zeta_numerics import (
     primes_upto,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # the output documents
+PZETA_SCHEMA = 2  # cache entries: binary pairs since 2, decimals at 1
 CACHE_ENV = "ZETAMOMENTS_CACHE_DIR"
 # stored families carry 25 digits beyond the request: the W engine asks for
 # digits + 10 + L absolute ones, |V_r| < 10**L over r <= 16, served to L = 15:
@@ -87,10 +89,6 @@ PZETA_MARGIN = 25
 
 class CacheError(Exception):
     """Cache directory problems: lock contention or malformed entries."""
-
-
-def _real_str(x, digits):
-    return mp.nstr(x, digits, strip_zeros=False)
 
 
 @contextmanager
@@ -115,20 +113,27 @@ def cache_lock(root):
             pass
 
 
+def _pair(x):
+    # x's exact binary value as JSON ints: the signed mantissa and exponent
+    sign, man, exp, _ = x._mpf_
+    return [-man if sign else man, exp]
+
+
+def _from_pair(pair):
+    if type(pair) is not list or len(pair) != 2 or set(map(type, pair)) != {int}:
+        raise TypeError("%r is no [mantissa, exponent] pair" % (pair,))
+    return mp.make_mpf(from_man_exp(*pair))
+
+
 def save_pzeta(root, pz):
     """Atomically write one family as pzeta_r<r>.json; the caller holds the
-    cache lock.  Values are written wide enough to restore every bit."""
-    width = pz.digits + 12
-    with mp.workdps(width):
-        payload = {
-            "digits": pz.digits,
-            "coeffs": [_real_str(c, width) for c in pz.coeffs],
-            "tail_bounds": [_real_str(b, width) for b in pz.tail_bounds],
-        }
-    doc = {"schema_version": SCHEMA_VERSION, "kind": "pzeta",
+    cache lock.  Each value is stored as its exact pair [m, e], m * 2**e."""
+    payload = {"digits": pz.digits, "coeffs": list(map(_pair, pz.coeffs)),
+               "tail_bounds": list(map(_pair, pz.tail_bounds))}
+    doc = {"schema_version": PZETA_SCHEMA, "kind": "pzeta",
            "params": {"r": pz.r, "n_max": len(pz.coeffs) - 1},
            "payload": payload}
-    data = json.dumps(doc, sort_keys=True, indent=1)
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -153,22 +158,27 @@ def load_pzeta(path):
     except (OSError, ValueError) as exc:
         raise CacheError("unreadable cache entry %s: %s" % (path, exc)) from exc
     try:
-        if doc["schema_version"] > SCHEMA_VERSION:
+        schema = doc["schema_version"]
+        if schema > PZETA_SCHEMA:
             raise CacheError(
                 "cache entry %s uses schema %d, newer than supported %d"
-                % (path, doc["schema_version"], SCHEMA_VERSION)
+                % (path, schema, PZETA_SCHEMA)
             )
         if doc["kind"] != "pzeta":
             raise CacheError("cache entry %s is not a pzeta entry" % path)
         payload = doc["payload"]
         digits = payload["digits"]
-        # values carry working precision digits + 5; parsing at that same
-        # precision restores each one bit for bit, a wider parse would not
-        with mp.workdps(digits + 5):
-            coeffs = tuple(mp.mpf(s) for s in payload["coeffs"])
-            tails = tuple(mp.mpf(s) for s in payload["tail_bounds"])
+        if schema == PZETA_SCHEMA:
+            coeffs = tuple(map(_from_pair, payload["coeffs"]))
+            tails = tuple(map(_from_pair, payload["tail_bounds"]))
+        else:
+            # schema 1's decimals, parsed at the working precision digits +
+            # 5 they were rounded at, restore each value bit for bit
+            with mp.workdps(digits + 5):
+                coeffs = tuple(mp.mpf(s) for s in payload["coeffs"])
+                tails = tuple(mp.mpf(s) for s in payload["tail_bounds"])
         return PrimeZetaCoeffs(doc["params"]["r"], coeffs, digits, tails)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CacheError("malformed cache entry %s: %s" % (path, exc)) from exc
 
 
@@ -222,7 +232,7 @@ def cmd_precompute(n_max, digits, cache_dir):
 
 def _render_real(x, digits):
     with mp.workdps(digits + 5):
-        return _real_str(x, digits)
+        return mp.nstr(x, digits, strip_zeros=False)
 
 
 def _coeff_doc(k, n_index, digits, got, note):

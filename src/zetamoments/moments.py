@@ -749,7 +749,8 @@ def d_table(k, n_max, digits=50, tol=None):
     both slots to the Schur basis, and scales everything by the zeroth
     exponential factor.  Error bounds are first order: the magnitude series
     of the exponential convolved with the W error bounds, pushed through the
-    same basis change with absolute character values.  With complement
+    same basis change with absolute character values, scaled by the bound
+    aval + a_err on the zeroth factor (as _assemble's).  With complement
     dimensions it is the oracle route to c_N; the engine uses _assemble's.
     """
     _check_request(k, digits, tol)
@@ -769,9 +770,8 @@ def d_table(k, n_max, digits=50, tol=None):
         out = {}
         for kap, lam in _plan(n_max).keys:
             sval = sser.get(kap, lam)
-            out[(kap, lam)] = ValueWithError(
-                +(aval * sval), +(aval * derrs.get(kap, lam) + abs(sval) * a_err)
-            )
+            out[(kap, lam)] = ValueWithError(+(aval * sval), +(
+                (aval + a_err) * derrs.get(kap, lam) + abs(sval) * a_err))
     return out
 
 
@@ -787,8 +787,8 @@ def a_factor(k, digits=50):
     Local factors are evaluated outright up to a cutoff; the log of the
     remaining product is a series in beyond-cutoff prime power sums whose
     terms shrink geometrically, summed until two consecutive terms fall
-    below the target.  Each family runs at digits + 8 + L absolute digits,
-    |b_r| < 10**L, so the terms move the log by under 10**-(digits+8).
+    below the target.  Each family runs at digits + 8 + L absolute digits or
+    more, |b_r| < 10**L, so the terms move the log by under 10**-(digits+8).
     """
     _check_request(k, digits, None, k_min=0)
     if k == 0:
@@ -797,29 +797,37 @@ def a_factor(k, digits=50):
     with mp.workdps(digits + 15):
         head = HeadPrimes.upto(cutoff)
         e2 = (k - 1) ** 2
-        pol = _gauss_square_poly(k)
+        pol = _gauss_square_poly(k)[::-1]  # highest degree first (polyval)
         acc = mp.mpf(0)
         for p in head.primes:
             q = mp.mpf(1) / p
-            loc = mp.mpf(0)
-            for j in range(len(pol) - 1, -1, -1):
-                loc = loc * q + pol[j]
-            acc += e2 * mp.log(1 - q) + mp.log(loc)
+            acc += e2 * mp.log(1 - q) + mp.log(mp.polyval(pol, q))
         thresh = mp.mpf(10) ** (-(digits + 8))
-        small = 0
-        r = 1
-        while small < 2:
-            r += 1
-            if r > 400:
-                raise NonConvergenceError(
-                    "Euler product tail not closed by r=400", meta={"k": k}
-                )
-            br = _b_series(k, r)[r] - Fraction(k * k, r)
-            fam_digits = digits + 8 + len(str(abs(br.numerator) // br.denominator))
-            tail0 = prime_zeta_beyond(r, 0, head, fam_digits)[0]
-            term = mp.mpf(br.numerator) / br.denominator * tail0
-            acc += term
-            small = small + 1 if abs(term) < thresh * max(1, abs(acc)) else 0
+        # a first pass finds the last r the sum can read, where |b_r| times
+        # the tail's envelope falls below thresh twice, and takes the largest
+        # digits + 8 + L up to there: the families share one digit level, so
+        # one log zeta table.  In the sum a later r may raise the level.
+        fam_digits = small = 0
+        for predict in (True, False):
+            r = 1
+            while small < 2:
+                r += 1
+                if r > 400:
+                    raise NonConvergenceError(
+                        "Euler product tail not closed by r=400", meta={"k": k}
+                    )
+                br = _b_series(k, r)[r] - Fraction(k * k, r)
+                fam_digits = max(fam_digits, digits + 8 + len(
+                    str(abs(br.numerator) // br.denominator)))
+                if predict:
+                    env = envelope_bound(r, 0, cutoff) * abs(br.numerator)
+                    small = small + 1 if env < thresh * br.denominator else 0
+                    continue
+                tail0 = prime_zeta_beyond(r, 0, head, fam_digits)[0]
+                term = mp.mpf(br.numerator) / br.denominator * tail0
+                acc += term
+                small = small + 1 if abs(term) < thresh * max(1, abs(acc)) else 0
+            small = 0
         out = mp.exp(acc)
     with mp.workdps(digits + 5):
         return +out
@@ -828,16 +836,17 @@ def a_factor(k, digits=50):
 def _assemble(N, k, digits, expw):
     """c_N = exp(W_empty) / (k**2 - N)! * sum e D_k over the weight-N pairs,
     from _exp_w's output and power_dim_table, with the first-order error
-    (exp(W_empty) sum |D_k| ee + |sum e D_k| err(exp W_empty)) / (k**2 - N)!,
-    in exact arithmetic never above d_table's: exact integer sums, the rest
-    rounded up."""
+    ((a + a_err) sum |D_k| ee + |sum e D_k| a_err) / (k**2 - N)!, a + a_err
+    bounding exp(W_empty) (_exp_w), in exact arithmetic never above
+    d_table's: exact integer sums, the rest rounded up."""
     aval, a_err, e, ee, C = expw
     dot = bar = 0
     for key, dv in power_dim_table(k, N).items():
         dot += e[key] * dv
         bar += ee[key] * abs(dv)
     prec, fct = dps_to_prec(digits + 10), from_int(math.factorial(k * k - N))
-    err = mpf_add(mpf_mul(aval._mpf_, from_man_exp(bar, -2 * C), prec, "u"),
+    ahi = mpf_add(aval._mpf_, a_err._mpf_, prec, "u")
+    err = mpf_add(mpf_mul(ahi, from_man_exp(bar, -2 * C), prec, "u"),
                   mpf_mul(a_err._mpf_, from_man_exp(abs(dot), -C), prec, "u"),
                   prec, "u")
     value = mpf_div(mpf_mul(aval._mpf_, from_man_exp(dot, -C)), fct, prec, "n")

@@ -1,14 +1,26 @@
 """Oracle routes no request imports: d_table_symbolic, the d-table's oracle,
-and prime_zeta_direct, the prime-zeta families' (with mobius_int)."""
+and prime_zeta_direct, the prime-zeta families' (with mobius_int); and the
+zeta constants only tests read, from the engine's kernels: zeta_derivative,
+stieltjes_gamma and stieltjes_cumulant."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from .partitions import _check_index
 from .symseries import POWERSUM, PairSeries, _plan, p_to_schur, series_exp
-from .zeta_numerics import _round_out, _series_log_list, primes_upto
+from .zeta_numerics import (
+    _em_fixed,
+    _em_head_length,
+    _log_zeta_em,
+    _round_out,
+    _series_log_list,
+    primes_upto,
+    zeta_taylor,
+)
 
 
 class WPoly:
@@ -215,3 +227,43 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
                     scale *= m
             m += 1
     return _round_out(out, digits)
+
+
+def zeta_derivative(a, x, digits=50):
+    """a-th derivative of zeta at real x > 1.001."""
+    _check_index(a, "derivative order")
+    coeffs = zeta_taylor(x, a, digits)
+    with mp.workdps(digits + 5):
+        return +(coeffs[a] * mp.factorial(a))
+
+
+def stieltjes_gamma(n, digits=50):
+    """n-th Stieltjes constant gamma_n = (-1)**n * n! * R_n, R_n coefficient n
+    of zeta(1+u) - 1/u from the integer kernel at the pole (_em_fixed at 1).
+    At d = digits + 5 + len(str(n!)) digits R_n is within 10**-(d+3) (the
+    kernel's 2**-(prec+10) and dropped remainder), so gamma_n is within
+    10**-(digits+8)."""
+    _check_index(n, "Stieltjes index")
+    _check_index(digits, "digits", 1)
+    f = math.factorial(n)
+    d = digits + 5 + len(str(f))
+    with mp.workdps(d):
+        (ints,), B = _em_fixed(range(1, 2), n + 1, _em_head_length(1, n, d), d)
+    with mp.workdps(digits + 5):
+        return mp.ldexp(mp.mpf((-1) ** n * f * ints[n]), -B)
+
+
+def stieltjes_cumulant(n, digits=50):
+    """Cumulant-style recombination of the Stieltjes constants.
+
+    Coefficient n of the logarithm of s*zeta(1+s), rescaled by n! and an
+    alternating sign; the n = 0 value is exactly 0.  It is read from
+    _log_zeta_em at y = 1, whose b carries its 2**(2n+6) units through n!.
+    """
+    _check_index(n, "cumulant index")
+    _check_index(digits, "digits", 1)
+    f = math.factorial(n)
+    b = dps_to_prec(digits + 5) + 2 * n + 10 + f.bit_length()
+    with mp.workdps(digits + 5):
+        (lz,) = _log_zeta_em(range(1, 2), n, b)
+        return mp.ldexp(mp.mpf((-1) ** (n + 1) * f * lz[n]), -b)

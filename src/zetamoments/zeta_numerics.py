@@ -33,7 +33,8 @@ from operator import add, floordiv, lt, mul, rshift
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
+from mpmath.libmp import (
+    dps_to_prec, from_int, from_man_exp, from_rational, mpf_log, to_fixed)
 
 from .partitions import _check_index
 
@@ -362,7 +363,7 @@ def zeta_taylor(x0, nmax, digits=50):
     10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if they
     grow again first.  An integer x0 takes the B-bit integer kernel
     (_em_fixed), within 2**-(prec+10) of the truncated sum and with no log
-    at nmax = 0; any other real x0 (zeta_derivative at 1 + s, say) sums it
+    at nmax = 0; any other real x0 (oracles.zeta_derivative at 1 + s) sums it
     in mpf arithmetic.
     """
     _check_index(nmax, "nmax")
@@ -380,46 +381,6 @@ def zeta_taylor(x0, nmax, digits=50):
         else:
             out = _em_mpf(x, nmax, M, digits)
     return _round_out(out, digits)
-
-
-def zeta_derivative(a, x, digits=50):
-    """a-th derivative of zeta at real x > 1.001."""
-    _check_index(a, "derivative order")
-    coeffs = zeta_taylor(x, a, digits)
-    with mp.workdps(digits + 5):
-        return +(coeffs[a] * mp.factorial(a))
-
-
-def stieltjes_gamma(n, digits=50):
-    """n-th Stieltjes constant gamma_n = (-1)**n * n! * R_n, R_n coefficient n
-    of zeta(1+u) - 1/u from the integer kernel at the pole (_em_fixed at 1).
-    At d = digits + 5 + len(str(n!)) digits R_n is within 10**-(d+3) (the
-    kernel's 2**-(prec+10) and dropped remainder), so gamma_n is within
-    10**-(digits+8)."""
-    _check_index(n, "Stieltjes index")
-    _check_index(digits, "digits", 1)
-    f = math.factorial(n)
-    d = digits + 5 + len(str(f))
-    with mp.workdps(d):
-        (ints,), B = _em_fixed(range(1, 2), n + 1, _em_head_length(1, n, d), d)
-    with mp.workdps(digits + 5):
-        return mp.ldexp(mp.mpf((-1) ** n * f * ints[n]), -B)
-
-
-def stieltjes_cumulant(n, digits=50):
-    """Cumulant-style recombination of the Stieltjes constants.
-
-    Coefficient n of the logarithm of s*zeta(1+s), rescaled by n! and an
-    alternating sign; the n = 0 value is exactly 0.  It is read from
-    _log_zeta_em at y = 1, whose b carries its 2**(2n+6) units through n!.
-    """
-    _check_index(n, "cumulant index")
-    _check_index(digits, "digits", 1)
-    f = math.factorial(n)
-    b = dps_to_prec(digits + 5) + 2 * n + 10 + f.bit_length()
-    with mp.workdps(digits + 5):
-        (lz,) = _log_zeta_em(range(1, 2), n, b)
-        return mp.ldexp(mp.mpf((-1) ** (n + 1) * f * lz[n]), -b)
 
 
 def _log_zeta_em(ys, nmax, b):
@@ -796,28 +757,44 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
 def envelope_bound(r, n, M, digits=15):
     """Certified upper bound on sum over primes p > M of p**-r (log p)**n / n!.
 
-    Integers above M dominate the primes; the stretch where the integrand may
-    still rise is summed explicitly and the rest is the exact incomplete
-    integral, a finite sum after integrating by parts.
+    Integers above M dominate the primes; the stretch up to M' = max(M,
+    floor(exp(n/r)) + 1), where the integrand may still rise, is summed
+    explicitly and the rest, sum_{j > M'} <= int_{M'}^oo x**-r (log x)**n dx
+    = M'**(1-r) sum_{i<=n} n!/i! (log M')**i / (r-1)**(n+1-i), is an exact
+    finite sum.  Every term is positive, so logs taken high give a bound:
+    log j is taken as a_j / 2**s (_log_up), at least log j and within 3
+    units, and the sums and powers run in integers, each stretch term
+    rounded up to a unit of 2**-s times M'**-r.  The exact rational result
+    is rounded up once to prec(digits + 10); s = prec + 8 keeps it within
+    10**-(digits+5) relative of the formula evaluated exactly.
     """
     _check_index(r, "envelope order r", 2)
     _check_index(n, "envelope index n")
     _check_index(digits, "digits", 1)
     if M < 2:
         raise ValueError("M must be at least 2")
-    with mp.workdps(digits + 10):
-        mprime = max(int(M), int(math.exp(n / r)) + 1)
-        total = mp.mpf(0)
-        for j in range(int(M) + 1, mprime + 1):
-            total += mp.mpf(j) ** (-r) * mp.log(j) ** n
-        L = mp.log(mprime)
-        integral = mp.mpf(0)
-        for j in range(n + 1):
-            integral += (
-                mp.factorial(n)
-                / mp.factorial(j)
-                * L ** j
-                / mp.mpf(r - 1) ** (n + 1 - j)
-            )
-        integral *= mp.mpf(mprime) ** (1 - r)
-        return +((total + integral) / mp.factorial(n))
+    prec = dps_to_prec(digits + 10)
+    s, c = prec + 8, r - 1
+    mprime = max(int(M), int(math.exp(n / r)) + 1)
+    scale, tot = mprime**r << s, 0
+    for j in range(int(M) + 1, mprime + 1):
+        tot -= -(_log_up(j, s) ** n * scale) // j**r
+    # g = sum_{i<=n} n!/i! X**i 2**(s(n-i)), X = c a_M': g_m = X**m + m 2**s g_(m-1)
+    X, xp, g = c * _log_up(mprime, s), 1, 1
+    for m in range(1, n + 1):
+        xp *= X
+        g = xp + (m * g << s)
+    num = tot * c ** (n + 1) + (mprime * g << s)
+    den = c ** (n + 1) * scale * math.factorial(n) << s * n
+    return mp.make_mpf(from_rational(num, den, prec, "u"))
+
+
+def _log_up(j, s):
+    """An integer a with 2**s log j < a < 2**s log j + 3, for 2 <= j < 2**64.
+
+    mpmath's log works at 20 bits beyond the s + 8 asked for, a few units
+    off there; rounded up to s + 8 bits it is under 2**-(s+12) below log j
+    and under 2**-(s+2) above (log j < 64).  The floor to units of 2**-s
+    takes off under one more unit, and the two units added make the bound.
+    """
+    return to_fixed(mpf_log(from_int(j), s + 8, "u"), s) + 2

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from zetamoments import cli, zeta_numerics
+from zetamoments import cli, moments, zeta_numerics
 from zetamoments.cli import (
     SCHEMA_VERSION,
     CacheError,
@@ -19,7 +19,11 @@ from zetamoments.cli import (
     main,
     save_pzeta,
 )
-from zetamoments.zeta_numerics import PrimeZetaCoeffs, install_prime_zeta
+from zetamoments.zeta_numerics import (
+    PrimeZetaCoeffs,
+    install_prime_zeta,
+    prime_zeta_taylor,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -108,8 +112,8 @@ class TestCacheFormat:
 
     def test_newer_schema_is_rejected(self, tmp_path):
         write_doc(tmp_path / "pzeta_r1.json", "pzeta", {"r": 1, "n_max": 0},
-                  {"digits": 15, "coeffs": ["1.0"], "tail_bounds": []},
-                  schema_version=SCHEMA_VERSION + 1)
+                  {"digits": 15, "coeffs": [[1, 0]], "tail_bounds": []},
+                  schema_version=cli.PZETA_SCHEMA + 1)
         with pytest.raises(CacheError, match="newer"):
             load_pzeta(str(tmp_path / "pzeta_r1.json"))
 
@@ -126,6 +130,78 @@ class TestCacheFormat:
                   tolerances={"requested_digits": 10, "stored_digits": 15})
         pz = load_pzeta(str(tmp_path / "pzeta_r4.json"))
         assert pz.r == 4 and pz.digits == 15 and pz.coeffs == (mp.mpf("0.5"),)
+
+    def test_precomputed_entries_restore_every_bit(self, tmp_path):
+        root = str(tmp_path / "c")
+        cli.cmd_precompute(4, 10, root)
+        zero = PrimeZetaCoeffs(17, (mp.mpf(0), -mp.mpf(3) / 7), 35, (mp.mpf(0),))
+        save_pzeta(root, zero)
+        signs = set()
+        for r in range(1, 18):
+            install_prime_zeta(r, None)
+            want = zero if r == 17 else prime_zeta_taylor(r, 4, 35)
+            back = load_pzeta(os.path.join(root, "pzeta_r%d.json" % r))
+            assert (back.r, back.digits) == (r, 35)
+            for a, b in ((want.coeffs, back.coeffs),
+                         (want.tail_bounds, back.tail_bounds)):
+                assert [x._mpf_ for x in a] == [x._mpf_ for x in b], r
+            signs.update(int(mp.sign(c)) for c in back.coeffs)
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("pair", [
+        "0.5", 0.5, True, [1, -1, 0], [1], [True, 0], [1, 0.0], ["1", "0"],
+        None, "missing"], ids=repr)
+    def test_malformed_pair_is_a_cache_error(self, tmp_path, capsys, pair):
+        payload = {"digits": 35, "coeffs": [[1, -1], pair], "tail_bounds": []}
+        if pair == "missing":
+            del payload["coeffs"]
+        write_doc(tmp_path / "pzeta_r2.json", "pzeta", {"r": 2, "n_max": 1},
+                  payload, schema_version=cli.PZETA_SCHEMA)
+        with pytest.raises(CacheError, match="malformed.*pzeta_r2"):
+            load_pzeta(str(tmp_path / "pzeta_r2.json"))
+        assert main(["poly", "--k", "2", "--digits", "10",
+                     "--cache-dir", str(tmp_path)]) == 3
+        assert "pzeta_r2" in capsys.readouterr().err
+
+    def test_bad_schema_1_decimal_is_a_cache_error(self, tmp_path, capsys):
+        write_doc(tmp_path / "pzeta_r2.json", "pzeta", {"r": 2, "n_max": 0},
+                  {"digits": 15, "coeffs": ["abc"], "tail_bounds": []})
+        with pytest.raises(CacheError, match="malformed.*pzeta_r2"):
+            load_pzeta(str(tmp_path / "pzeta_r2.json"))
+        assert main(["poly", "--k", "2", "--digits", "10",
+                     "--cache-dir", str(tmp_path)]) == 3
+        capsys.readouterr()
+
+    def test_schema_1_entries_print_the_same_polynomial(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # the decimals older versions wrote, digits + 12 wide, load to the
+        # same bits, so poly prints the same bytes from either directory
+        new, old = tmp_path / "new", tmp_path / "old"
+        cli.cmd_precompute(4, 10, str(new))
+        old.mkdir()
+        for path in sorted(new.iterdir()):
+            pz = load_pzeta(str(path))
+            width = pz.digits + 12
+            with mp.workdps(width):
+                write_doc(old / path.name, "pzeta",
+                          {"r": pz.r, "n_max": len(pz.coeffs) - 1},
+                          {"digits": pz.digits, "tail_bounds": [
+                              mp.nstr(v, width, strip_zeros=False)
+                              for v in pz.tail_bounds],
+                           "coeffs": [mp.nstr(v, width, strip_zeros=False)
+                                      for v in pz.coeffs]},
+                          schema_version=1)
+            back = load_pzeta(str(old / path.name))
+            assert [x._mpf_ for x in back.coeffs] == [x._mpf_ for x in pz.coeffs]
+        outs = []
+        for root in (new, old):
+            for r in range(1, 40):
+                install_prime_zeta(r, None)
+            monkeypatch.setattr(moments, "_w_cache", {})
+            assert main(["poly", "--k", "2", "--digits", "10", "--format",
+                         "json", "--cache-dir", str(root)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_garbage_file_is_reported_with_path(self, tmp_path):
         path = tmp_path / "pzeta_r1.json"

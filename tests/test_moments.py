@@ -910,6 +910,22 @@ class TestAssembly:
             want = 6 / mp.pi**2
             assert abs(a_factor(2, digits=30) - want) < mp.mpf("1e-29")
 
+    def test_a_families_share_one_digit_level(self, monkeypatch):
+        # each family at digits + 8 + L or more, |b_r| < 10**L, and at k = 3
+        # all at one level, so they read one log zeta table, not 14
+        seen, real = [], moments.prime_zeta_beyond
+
+        def spy(r, nmax, primes, digits):
+            seen.append((r, digits))
+            return real(r, nmax, primes, digits)
+
+        monkeypatch.setattr(moments, "prime_zeta_beyond", spy)
+        a_factor(3, 50)
+        for r, d in seen:
+            br = moments._b_series(3, r)[r] - Fraction(9, r)
+            assert d >= 58 + len(str(abs(br.numerator) // br.denominator)), r
+        assert len(seen) > 20 and len({d for _, d in seen}) == 1
+
     def test_a_agrees_with_engine_route(self):
         w = W_coeff((), (), 3, digits=15)
         a = a_factor(3, digits=15)
@@ -961,18 +977,24 @@ class TestAssembly:
         # at (2, 25) N = 1 a division rounded down would land below it
         expw, _ = moments._exp_w(k, k * k, digits, None)
         aval, a_err, e, ee, C = expw
+        vals, errs, _ = moments._w_full(k, k * k, digits)
+        w, err = vals[EMPTY_KEY], errs[EMPTY_KEY]
+        with mp.workdps(2 * digits + 40):
+            top = _fraction(mp.exp(w + err))
         for N in range(k * k + 1):
             dims = power_dim_table(k, N)
             dot = sum(e[key] * dv for key, dv in dims.items())
             bar = sum(ee[key] * abs(dv) for key, dv in dims.items())
-            want = (_fraction(aval) * F(bar, 2 ** (2 * C))
-                    + _fraction(a_err) * F(abs(dot), 2**C)) / math.factorial(k * k - N)
+            fct = math.factorial(k * k - N)
+            rest = _fraction(a_err) * F(abs(dot), 2**C) / fct
+            want = (_fraction(aval) + _fraction(a_err)) * F(bar, 2 ** (2 * C)) / fct + rest
             got = _fraction(moments._assemble(N, k, digits, expw).error)
             assert want <= got <= want * (1 + F(1, 10 ** (digits + 8))), N
+            # the ee term takes exp(W_empty) at the top of its interval, not
+            # aval, which may lie below it
+            assert top * F(bar, 2 ** (2 * C)) / fct + rest <= got, N
         # N = 0's bar is a_err g_k / (k**2)!: a_err bounds exp(W_empty) over
         # its whole error interval, the rounding of exp included
-        vals, errs, _ = moments._w_full(k, k * k, digits)
-        w, err = vals[EMPTY_KEY], errs[EMPTY_KEY]
         with mp.workdps(2 * digits + 40):
             for x in (w - err, w + err):
                 assert abs(mp.exp(x) - aval) < a_err

@@ -16,7 +16,13 @@ from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
 
 from zetamoments import zeta_numerics
 from zetamoments.cli import save_pzeta
-from zetamoments.oracles import mobius_int, prime_zeta_direct
+from zetamoments.oracles import (
+    mobius_int,
+    prime_zeta_direct,
+    stieltjes_cumulant,
+    stieltjes_gamma,
+    zeta_derivative,
+)
 from zetamoments.zeta_numerics import (
     HeadPrimes,
     PrimeZetaCoeffs,
@@ -32,9 +38,6 @@ from zetamoments.zeta_numerics import (
     prime_zeta_beyond,
     prime_zeta_taylor,
     primes_upto,
-    stieltjes_cumulant,
-    stieltjes_gamma,
-    zeta_derivative,
     zeta_taylor,
 )
 
@@ -971,6 +974,34 @@ class TestBeyondAndEnvelope:
             b1 = envelope_bound(2, 2, 100)
             b2 = envelope_bound(2, 2, 1000)
             assert b2 < b1
+
+    @pytest.mark.parametrize("M", [2, 50, 59, 316, 67968])
+    @pytest.mark.parametrize("r", [2, 3, 10, 14])
+    def test_envelope_is_its_formula_rounded_up(self, r, M):
+        # never below the formula at 60 digits, and within 10**-(digits+5)
+        # of it relative; where n/r > log M the explicit stretch (M, M'] is
+        # not empty: (r, n) = (2, 12) sums (M, 403] for every M <= 316
+        for n in range(13):
+            mprime = max(M, int(math.exp(n / r)) + 1)
+            with mp.workdps(60):
+                stretch = sum(mp.mpf(j) ** -r * mp.log(j) ** n
+                              for j in range(M + 1, mprime + 1))
+                L = mp.log(mprime)
+                integral = sum(mp.factorial(n) / mp.factorial(i) * L**i
+                               / mp.mpf(r - 1) ** (n + 1 - i) for i in range(n + 1))
+                want = (stretch + mp.mpf(mprime) ** (1 - r) * integral) / mp.factorial(n)
+                for digits in (15, 30):
+                    got = envelope_bound(r, n, M, digits)
+                    assert want <= got <= want * (1 + mp.mpf(10) ** -(digits + 5)), (n, digits)
+
+    def test_envelope_leaves_the_log_table_alone(self):
+        # log M' comes from mpmath rounded up, not from int_log's shared
+        # table, which at M = 67968 would grow to 67968 entries
+        before = len(zeta_numerics._logs[0])
+        for n in (0, 4, 12):
+            envelope_bound(3, n, 67968)
+        envelope_bound(2, 12, 2)
+        assert len(zeta_numerics._logs[0]) == before
 
 
 class TestInstallHook:
