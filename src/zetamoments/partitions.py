@@ -51,7 +51,7 @@ def check_partition(lam):
     """Validate and normalize a partition given as any iterable of parts."""
     parts = tuple(lam)
     for i, x in enumerate(parts):
-        if not isinstance(x, int) or x < 1:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
             raise ValueError("partition parts must be positive integers: %r" % (parts,))
         if i and parts[i - 1] < x:
             raise ValueError("partition parts must be weakly decreasing: %r" % (parts,))

@@ -18,21 +18,13 @@ order.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
 from mpmath import mp
 
 from .characters import character_table
-from .partitions import (
-    ZERO_MARKER,
-    _det,
-    centralizer_order,
-    check_partition,
-    partitions_of,
-    sort_merge,
-)
+from .partitions import check_partition, partitions_of
 
 POWERSUM = "powersum"
 SCHUR = "schur"
@@ -154,32 +146,6 @@ def monomial_eval(mu, xs):
         rest = mu[:i] + mu[i + 1 :]
         total += last ** r * monomial_eval(rest, head)
     return total
-
-
-def schur_eval(lam, points):
-    """Schur polynomial s_lam at a finite alphabet, by the ratio of alternants.
-
-    Coincident points make the denominator vanish and are rejected; an alphabet
-    shorter than the number of rows gives 0.
-    """
-    lam = check_partition(lam)
-    points = tuple(points)
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points[i] == points[j]:
-                raise ValueError("alphabet points must be pairwise distinct")
-    if len(lam) > n:
-        return 0
-    if n == 0:
-        return 1
-    lamv = tuple(lam) + (0,) * (n - len(lam))
-    num = _det([[x ** (lamv[j] + n - 1 - j) for j in range(n)] for x in points])
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= points[i] - points[j]
-    return num / den
 
 
 class PairSeries:
@@ -424,48 +390,3 @@ def p_to_schur(series):
     this direction.
     """
     return _switch_basis(series, POWERSUM, SCHUR, character_table)
-
-
-def schur_to_p(series):
-    """Inverse transition; divides by both centralizer orders."""
-    return _switch_basis(series, SCHUR, POWERSUM, lambda n: {
-        (mu, kap): Fraction(v, centralizer_order(mu))
-        for (kap, mu), v in character_table(n).items()
-    })
-
-
-def bump_gamburd_residual(kap, lam, points):
-    """Residual of the split-alphabet identity for one pair and one alphabet.
-
-    The left side merges the two indices into a single Schur value on the full
-    alphabet (zero when the merge collides); the right side sums over balanced
-    splits of the alphabet, dividing by the full cross-difference product.
-    Expects an even alphabet with both indices at most half its size; returns
-    the absolute difference at the current working precision.
-    """
-    kap = check_partition(kap)
-    lam = check_partition(lam)
-    points = tuple(points)
-    if len(points) % 2:
-        raise ValueError("alphabet must have even size")
-    k = len(points) // 2
-    if len(kap) > k or len(lam) > k:
-        raise ValueError("indices must have at most half the alphabet in rows")
-    res = sort_merge(kap, lam, k, k)
-    if res is ZERO_MARKER:
-        lhs = mp.mpf(0)
-    else:
-        mu, omega = res
-        lhs = omega * schur_eval(mu, points)
-    rhs = mp.mpf(0)
-    idx = range(2 * k)
-    for chosen in combinations(idx, k):
-        inA = set(chosen)
-        A = tuple(points[i] for i in chosen)
-        B = tuple(points[i] for i in idx if i not in inA)
-        den = 1
-        for a in A:
-            for b in B:
-                den *= a - b
-        rhs += schur_eval(kap, A) * schur_eval(lam, B) / den
-    return abs(lhs - rhs)

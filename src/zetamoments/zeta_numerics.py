@@ -12,8 +12,8 @@ for integer r; the r = 1 family drops the logarithmic singularity.  The
 default route is the Moebius inversion of log zeta, one b-bit integer sum
 per family over one table of log zeta(y + u) per (nmax, digits) that every
 family reads (_log_zeta_table): one Euler-Maclaurin pass stepping every y
-from the pole y = 1 at once (_em_fixed, which also serves zeta_taylor at
-integer points and the Stieltjes constants), no mpf log, one Euler-product
+from the pole y = 1 at once (_em_fixed, which also serves the oracles'
+zeta_taylor and Stieltjes constants), no mpf log, one Euler-product
 pass beyond, and mu from one sieve.  The W engine reads each family less
 the head primes' power sums as integers (prime_zeta_fixed), and
 prime_zeta_taylor and prime_zeta_beyond are mpf views of that route.
@@ -58,31 +58,9 @@ def primes_upto(x):
     return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
 
 
-def bernoulli(n):
-    """Exact Bernoulli number; the n = 1 value is -1/2."""
-    _check_index(n, "Bernoulli index")
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 or not n:
-        return Fraction(int(not n))
-    return _bernoulli_ratio(n // 2) * math.factorial(n)
-
-
 def _round_out(values, digits):
     with mp.workdps(digits + 5):
         return tuple(+v for v in values)
-
-
-def _series_log_list(s):
-    """log of a scalar power series with s[0] = 1, same truncation order."""
-    n = len(s) - 1
-    out = [mp.mpf(0)] * (n + 1)
-    for w in range(1, n + 1):
-        acc = s[w]
-        for j in range(1, w):
-            acc -= Fraction(j, w) * out[j] * s[w - j]
-        out[w] = acc
-    return out
 
 
 def _em_head_length(x, nmax, digits):
@@ -308,79 +286,6 @@ def _em_fixed(ys, nmax, M, digits):
              for a in range(nmax + 1)]
         if ys[live[0]] == 1:
             F[nmax][0] = 0
-
-
-def _em_mpf(x, nmax, M, digits):
-    """The same Euler-Maclaurin sum in mpf arithmetic, for any real x > 1."""
-    out = [mp.mpf(0)] * (nmax + 1)
-    for j in range(1, M):
-        t = mp.mpf(j) ** (-x)
-        Lj = -mp.log(j)
-        out[0] += t
-        for a in range(1, nmax + 1):
-            t = t * Lj / a
-            out[a] += t
-    L = mp.log(M) if nmax else 0
-    E = [mp.mpf(1)]
-    for u in range(1, nmax + 1):
-        E.append(E[-1] * (-L) / u)
-    Mpow = mp.mpf(M) ** (1 - x)
-    C = [(-1) ** v / (x - 1) ** (v + 1) for v in range(nmax + 1)]
-    for a in range(nmax + 1):
-        out[a] += Mpow * (sum(E[u] * C[a - u] for u in range(a + 1)) + E[a] / (2 * M))
-    thresh = mp.mpf(10) ** (-(digits + 10)) * max(1, abs(out[0]))
-    E = [x * p + lo for p, lo in zip(E, [0] + E)]
-    i = 1
-    prev_mag = mp.inf
-    mfac = Mpow / (M * M)
-    while True:
-        q = _bernoulli_ratio(i)
-        coef = mp.mpf(q.numerator) / q.denominator * mfac
-        terms = [coef * v for v in E]
-        out = list(map(add, out, terms))
-        mag = max(map(abs, terms))
-        if mag < thresh:
-            break
-        if mag > prev_mag and i > 3:
-            raise RuntimeError(
-                "Euler-Maclaurin tail diverged before reaching %d digits" % digits
-            )
-        prev_mag = mag
-        i += 1
-        for shift in (x + 2 * i - 3, x + 2 * i - 2):
-            E = [shift * p + lo for p, lo in zip(E, [0] + E)]
-        mfac /= M * M
-    return out
-
-
-def zeta_taylor(x0, nmax, digits=50):
-    """Taylor coefficients of zeta around x0: zeta^(a)(x0)/a! for a <= nmax.
-
-    Euler-Maclaurin with the head length sized to the argument and the digit
-    request (see _em_head_length); only x0 > 1.001 is supported, so the
-    pole distance cannot eat the whole working precision silently.  The
-    Bernoulli corrections run until the largest term of a step drops below
-    10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if they
-    grow again first.  An integer x0 takes the B-bit integer kernel
-    (_em_fixed), within 2**-(prec+10) of the truncated sum and with no log
-    at nmax = 0; any other real x0 (oracles.zeta_derivative at 1 + s) sums it
-    in mpf arithmetic.
-    """
-    _check_index(nmax, "nmax")
-    _check_index(digits, "digits", 1)
-    xf = float(mp.mpf(1) * x0)
-    if not xf > 1 + 1e-3:
-        raise ValueError("zeta_taylor needs x0 > 1.001, got %r" % (x0,))
-    M = _em_head_length(xf, nmax, digits)
-    extra = int((nmax + 1) * max(0.0, -math.log10(xf - 1))) + 15
-    with mp.workdps(digits + extra):
-        x = mp.mpf(1) * x0
-        if mp.isint(x):
-            (ints,), B = _em_fixed(range(int(x), int(x) + 1), nmax, M, digits)
-            out = [mp.ldexp(mp.mpf(v), -B) for v in ints]
-        else:
-            out = _em_mpf(x, nmax, M, digits)
-    return _round_out(out, digits)
 
 
 def _log_zeta_em(ys, nmax, b):

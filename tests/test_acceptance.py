@@ -41,8 +41,7 @@ from zetamoments.partitions import (
     dim_skew_det,
     partitions_of,
 )
-from zetamoments.symseries import bump_gamburd_residual
-from zetamoments.oracles import prime_zeta_direct
+from zetamoments.oracles import bump_gamburd_residual, prime_zeta_direct
 from zetamoments.zeta_numerics import prime_zeta_taylor
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from zetamoments import cli, moments, zeta_numerics
+from zetamoments import cli, moments, oracles, zeta_numerics
 from zetamoments.cli import (
     SCHEMA_VERSION,
     CacheError,
@@ -209,6 +211,26 @@ class TestCacheFormat:
         with pytest.raises(CacheError, match="pzeta_r1"):
             load_pzeta(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", True), ("r", 2), ("r", 0), ("r", "3"), ("r", 3.0),
+        ("digits", "40"), ("digits", True), ("digits", 0), ("digits", 40.0)])
+    @pytest.mark.parametrize("command", [
+        ["poly", "--k", "2", "--digits", "10"],
+        ["precompute", "--nmax", "4", "--digits", "10"]], ids=["poly", "precompute"])
+    def test_bad_r_or_digits_is_exit_3(self, tmp_path, capsys, field, value,
+                                       command):
+        # r and digits must be ints >= 1, r the one in the file name: an
+        # entry with r = true would install the r = 3 family as r = 1
+        save_pzeta(str(tmp_path), prime_zeta_taylor(3, 4, 35))
+        path = tmp_path / "pzeta_r3.json"
+        doc = json.loads(path.read_text())
+        (doc["params"] if field == "r" else doc["payload"])[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheError, match="pzeta_r3"):
+            load_pzeta(str(path))
+        assert main(command + ["--cache-dir", str(tmp_path)]) == 3
+        assert "pzeta_r3" in capsys.readouterr().err
+
 
 class TestLock:
     def test_lock_is_created_and_released(self, tmp_path):
@@ -374,38 +396,65 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_selftest_runs_through_the_lazy_import(self, capsys):
+        assert main(["selftest"]) == 0
+        assert "8/8 checks passed (fast level)" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    def test_selftest_full_passes(self, capsys):
+        assert main(["selftest", "--level", "full"]) == 0
+        assert "17/17 checks passed (full level)" in capsys.readouterr().out
+
+    def test_requests_leave_the_oracles_unimported(self, tmp_path):
+        # a fresh process: poly loads neither the oracles nor their golden
+        # tables, but frobenius_schur, which perfbench's spans look up
+        code = ("import sys\n"
+                "import zetamoments.cli as cli\n"
+                "cli.main(['poly', '--k', '1', '--digits', '8', '--format',"
+                " 'json'])\n"
+                "print(*(m in sys.modules for m in ('zetamoments.oracles',"
+                " 'zetamoments._golden', 'zetamoments.frobenius_schur')))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             cwd=tmp_path, capture_output=True, text=True).stdout
+        assert json.loads(out[:out.rindex("}") + 1])["k"] == 1
+        assert out.split()[-3:] == ["False", "False", "True"]
+
     def test_fast_level_has_constant_table_oracle(self):
-        found = [(kind, fn) for label, kind, fn in cli.FAST_CHECKS
+        found = [(kind, fn) for label, kind, fn in oracles.FAST_CHECKS
                  if label.startswith("integer log and Bernoulli tables")]
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
     def test_fast_level_has_fixed_exp_log_check(self):
-        found = [(kind, fn) for label, kind, fn in cli.FAST_CHECKS
+        found = [(kind, fn) for label, kind, fn in oracles.FAST_CHECKS
                  if label.startswith("fixed-point exp and log vs Fraction")]
         assert len(found) == 1 and found[0][0] == "exact"
         found[0][1]()
 
     def test_full_level_has_head_log_oracle(self):
-        found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
+        found = [(kind, fn) for label, kind, fn in oracles.FULL_CHECKS
                  if label.startswith("head-prime integer log")]
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
     def test_full_level_has_w_tail_oracle(self):
-        found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
+        found = [(kind, fn) for label, kind, fn in oracles.FULL_CHECKS
                  if label.startswith("W tail integer sum")]
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
     def test_full_level_has_head_power_sum_oracle(self):
-        found = [(kind, fn) for label, kind, fn in cli.FULL_CHECKS
+        found = [(kind, fn) for label, kind, fn in oracles.FULL_CHECKS
                  if label.startswith("head-prime power sums")]
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
     def test_full_level_has_assembly_route_oracle(self):
-        found = [kind for label, kind, fn in cli.FULL_CHECKS
+        found = [kind for label, kind, fn in oracles.FULL_CHECKS
                  if label.startswith("c_N power-sum route vs Schur d_table")]
         assert found == ["oracle"]
 

@@ -19,7 +19,6 @@ from mpmath.libmp import dps_to_prec, to_fixed
 import zetamoments
 from zetamoments import moments
 from zetamoments.characters import power_dim_table
-from zetamoments.cli import _check_assembly_routes, _check_head_log, _check_w_tail
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
@@ -40,7 +39,14 @@ from zetamoments.moments import (
     g_factor,
     moment_polynomial,
 )
-from zetamoments.oracles import WPoly, d_table_symbolic
+from zetamoments.oracles import (
+    WPoly,
+    _check_assembly_routes,
+    _check_head_log,
+    _check_w_tail,
+    _series_log_list,
+    d_table_symbolic,
+)
 from zetamoments.partitions import centralizer_order, partitions_of
 from zetamoments.symseries import (
     EMPTY_KEY,
@@ -53,7 +59,7 @@ from zetamoments.symseries import (
     series_mul,
 )
 from zetamoments import zeta_numerics
-from zetamoments.zeta_numerics import HeadPrimes, _series_log_list, primes_upto
+from zetamoments.zeta_numerics import HeadPrimes, primes_upto
 
 F = Fraction
 
@@ -1153,6 +1159,13 @@ class TestInputContract:
         with pytest.raises(ValueError, match="^%s must be" % name):
             fn(*args)
         assert len(moments._w_cache) == before
+
+    def test_bool_part_is_refused(self):
+        # True would read as the part 1, (True,) as the key (1,)
+        before = dict(moments._w_cache)
+        with pytest.raises(ValueError, match="partition parts"):
+            W_coeff((True,), (), 2)
+        assert moments._w_cache == before
 
     def test_good_tol_values_pass(self):
         assert W_coeff((), (), 1, digits=10, tol=1e-8).error > 0

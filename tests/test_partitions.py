@@ -72,6 +72,10 @@ class TestBasics:
             check_partition((2, 0))
         with pytest.raises(ValueError):
             check_partition((2, -1))
+        with pytest.raises(ValueError):
+            check_partition((True,))
+        with pytest.raises(ValueError):
+            check_partition((2, True))
 
     @given(partition_st)
     def test_conjugate_involution(self, lam):

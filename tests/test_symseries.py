@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetamoments.characters import character_value
-from zetamoments.cli import _check_fixed_exp_log
-from zetamoments.oracles import WPoly
+from zetamoments.oracles import (
+    WPoly,
+    _check_fixed_exp_log,
+    bump_gamburd_residual,
+    schur_eval,
+    schur_to_p,
+)
 from zetamoments.partitions import centralizer_order, contains, partitions_of
 from zetamoments.symseries import (
     EMPTY_KEY,
@@ -18,12 +23,9 @@ from zetamoments.symseries import (
     PairSeries,
     _exp_log_fixed,
     _plan,
-    bump_gamburd_residual,
     monomial_eval,
     multinomial,
     p_to_schur,
-    schur_eval,
-    schur_to_p,
     series_exp,
     series_log,
     series_mul,

@@ -14,31 +14,31 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
 
-from zetamoments import zeta_numerics
+from zetamoments import oracles, zeta_numerics
 from zetamoments.cli import save_pzeta
 from zetamoments.oracles import (
+    _em_mpf,
+    _series_log_list,
+    bernoulli,
     mobius_int,
     prime_zeta_direct,
     stieltjes_cumulant,
     stieltjes_gamma,
     zeta_derivative,
+    zeta_taylor,
 )
 from zetamoments.zeta_numerics import (
     HeadPrimes,
     PrimeZetaCoeffs,
     _em_fixed,
     _em_head_length,
-    _em_mpf,
     _round_out,
-    _series_log_list,
-    bernoulli,
     envelope_bound,
     install_prime_zeta,
     int_log,
     prime_zeta_beyond,
     prime_zeta_taylor,
     primes_upto,
-    zeta_taylor,
 )
 
 
@@ -382,7 +382,7 @@ class TestZetaTaylor:
     def test_short_head_at_small_argument_diverges(self, x, nmax, monkeypatch):
         # with M = 3 the corrections are smallest near i = 3*pi, about
         # 1e-8, far above a 50 digit threshold, so both routes must raise
-        monkeypatch.setattr(zeta_numerics, "_em_head_length", lambda *args: 3)
+        monkeypatch.setattr(oracles, "_em_head_length", lambda *args: 3)
         with pytest.raises(RuntimeError):
             zeta_taylor(x, nmax, 50)
 
@@ -705,7 +705,7 @@ class TestMoebiusPass:
         def banned(*args, **kwargs):
             raise AssertionError("mpf series log called")
 
-        monkeypatch.setattr(zeta_numerics, "_series_log_list", banned)
+        monkeypatch.setattr(oracles, "_series_log_list", banned)
         got = zeta_numerics._compute_prime_zeta.__wrapped__(r, 4, 30)
         assert got == want
 
