@@ -3,12 +3,14 @@ selftest battery lives in oracles, imported for that command alone.
 
 The cache is a directory of small JSON files, pzeta_r<r>.json, one prime
 zeta Taylor family each; they serve k = 2, and k = 3 up to weight 4
-(PZETA_MARGIN).  Files of other kinds, which older versions wrote, are
-ignored.  Each stored real is the exact [signed mantissa, exponent] pair
-of its binary value (pzeta schema 2); older schema-1 entries, decimal
-strings, still load.  Precomputing twice is a no-op: only entries stored
-at too few digits or too low a weight are rebuilt.  Writes take a
-directory lock file; reads touch only immutable files and need no lock.
+(PZETA_MARGIN).  Each entry stores the digits and the coefficients that
+prime_zeta_taylor serves, every real as the exact [signed mantissa,
+exponent] pair of its binary value (pzeta schema 2).  Files of other kinds
+and entries of an older schema, which older versions wrote, are skipped;
+precompute rebuilds the entries.  Precomputing twice is a no-op: only
+entries stored at too few digits or too low a weight are rebuilt.  Writes
+take a directory lock file; reads touch only immutable files and need no
+lock.
 """
 
 import argparse
@@ -88,8 +90,7 @@ def _from_pair(pair):
 def save_pzeta(root, pz):
     """Atomically write one family as pzeta_r<r>.json; the caller holds the
     cache lock.  Each value is stored as its exact pair [m, e], m * 2**e."""
-    payload = {"digits": pz.digits, "coeffs": list(map(_pair, pz.coeffs)),
-               "tail_bounds": list(map(_pair, pz.tail_bounds))}
+    payload = {"digits": pz.digits, "coeffs": list(map(_pair, pz.coeffs))}
     doc = {"schema_version": PZETA_SCHEMA, "kind": "pzeta",
            "params": {"r": pz.r, "n_max": len(pz.coeffs) - 1},
            "payload": payload}
@@ -108,8 +109,9 @@ def save_pzeta(root, pz):
 
 
 def load_pzeta(path):
-    """The family stored at path, or None if there is no file; CacheError
-    if it cannot be read, is malformed or uses a newer schema."""
+    """The family stored at path, or None if there is no file or the entry
+    uses an older schema; CacheError if it cannot be read, is malformed or
+    uses a newer schema."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -119,11 +121,15 @@ def load_pzeta(path):
         raise CacheError("unreadable cache entry %s: %s" % (path, exc)) from exc
     try:
         schema = doc["schema_version"]
+        if type(schema) is not int:
+            raise CacheError("cache entry %s has schema %r" % (path, schema))
         if schema > PZETA_SCHEMA:
             raise CacheError(
                 "cache entry %s uses schema %d, newer than supported %d"
                 % (path, schema, PZETA_SCHEMA)
             )
+        if schema < PZETA_SCHEMA:
+            return None
         if doc["kind"] != "pzeta":
             raise CacheError("cache entry %s is not a pzeta entry" % path)
         payload = doc["payload"]
@@ -132,16 +138,7 @@ def load_pzeta(path):
         _check_index(digits, "digits", 1)
         if os.path.basename(path) != "pzeta_r%d.json" % r:
             raise CacheError("cache entry %s holds the family r = %d" % (path, r))
-        if schema == PZETA_SCHEMA:
-            coeffs = tuple(map(_from_pair, payload["coeffs"]))
-            tails = tuple(map(_from_pair, payload["tail_bounds"]))
-        else:
-            # schema 1's decimals, parsed at the working precision digits +
-            # 5 they were rounded at, restore each value bit for bit
-            with mp.workdps(digits + 5):
-                coeffs = tuple(mp.mpf(s) for s in payload["coeffs"])
-                tails = tuple(mp.mpf(s) for s in payload["tail_bounds"])
-        return PrimeZetaCoeffs(r, coeffs, digits, tails)
+        return PrimeZetaCoeffs(r, tuple(map(_from_pair, payload["coeffs"])), digits)
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheError("malformed cache entry %s: %s" % (path, exc)) from exc
 
@@ -150,8 +147,9 @@ def _install_cache(root):
     """Install every family stored under root and return them, {r: family}.
 
     Families install behind a precision gate, so one with too few digits for
-    a later request is recomputed, never reused.  Files of any other kind,
-    such as those older versions wrote, are skipped unread.
+    a later request is recomputed, never reused.  Files of any other kind
+    and entries of an older schema, such as those older versions wrote, are
+    skipped.
     """
     found = {}
     if os.path.isdir(root):
@@ -181,12 +179,11 @@ def cmd_precompute(n_max, digits, cache_dir):
         have = _install_cache(cache_dir)
         # the W tail may not stop before _min_stop; 8 more r cover its stop
         for r in range(1, _min_stop(n_max) + 9):
-            old = have.get(r)
-            if (old is not None and old.digits >= store_digits
-                    and len(old.coeffs) > n_max):
+            # the lookup serves a stored entry that covers the request
+            pz = prime_zeta_taylor(r, n_max, store_digits)
+            if pz is have.get(r):
                 reused += 1
                 continue
-            pz = prime_zeta_taylor(r, n_max, store_digits)
             save_pzeta(cache_dir, pz)
             install_prime_zeta(r, pz)
             built += 1

@@ -20,10 +20,11 @@ factors are accumulated over the primes up to a cutoff (with each prime's
 leading 1/p part removed), and the r-sum is restarted on the primes beyond
 the cutoff only, where it converges geometrically; that sum, V_r times a
 family per key, and its stop test run in B-bit integers (_w_engine).  Each
-beyond-cutoff family is the Moebius-inverted prime-zeta family less the head
-primes' power sums, in the same integers (zeta_numerics.prime_zeta_fixed);
-the families of a V chunk share one absolute accuracy (_v_chunk), their log
-zeta values and one HeadPrimes pass per prime to the chunk's order.  Below
+beyond-cutoff family is the Moebius-inverted prime-zeta family
+(zeta_numerics.prime_zeta_taylor) less the head primes' power sums, in the
+same integers (zeta_numerics.prime_zeta_fixed); the families of a V chunk
+share one absolute accuracy (_v_chunk), their log zeta values and one
+HeadPrimes pass per prime to the chunk's order.  Below
 the cutoff every key's local factor is an exact integer ratio at Q = 1/p
 (see below), so the head is one integer pass per prime: the empty key's
 part is one fixed-point product over the primes and a single log, and the
@@ -79,6 +80,7 @@ from .zeta_numerics import (
     int_log,
     prime_zeta_beyond,
     prime_zeta_fixed,
+    prime_zeta_taylor,
 )
 
 class ValueWithError(NamedTuple):
@@ -612,7 +614,8 @@ def _w_engine(k, wmax, digits, tol_f):
             vr, vb = v_tab[r], vb_tab[r]
             # r = 1 takes the whole regularized family: _head_logs left out
             # every head prime's leading 1/p part; head sums stop at R
-            fam = prime_zeta_fixed(r, wmax, head_primes, fam_digits, B, R)
+            fam = prime_zeta_fixed(prime_zeta_taylor(r, wmax, fam_digits).coeffs,
+                                   r, wmax, head_primes, fam_digits, B, R)
             allsmall, tmax = True, 0
             for key, fv in vr.items():
                 term = fv.numerator * fam[weight[key]] // fv.denominator
@@ -794,6 +797,11 @@ def a_factor(k, digits=50):
     if k == 0:
         return mp.mpf(1)
     cutoff = max(800, 4 * _rho_inv(k))
+    if cutoff > HeadPrimes.MAX_PRIME:
+        raise NonConvergenceError(
+            "Euler product cutoff %d beyond the supported range" % cutoff,
+            meta={"k": k, "cutoff": cutoff},
+        )
     with mp.workdps(digits + 15):
         head = HeadPrimes.upto(cutoff)
         e2 = (k - 1) ** 2

@@ -32,7 +32,7 @@ from .symseries import (
     _switch_basis, p_to_schur, series_exp, series_log)
 from .zeta_numerics import (
     HeadPrimes, _bernoulli_ratio, _em_fixed, _em_head_length, _log_zeta_em,
-    _round_out, int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
+    int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
 
 
 class WPoly:
@@ -230,6 +230,11 @@ def bump_gamburd_residual(kap, lam, points):
     return abs(lhs - rhs)
 
 
+def _round_out(values, digits):
+    with mp.workdps(digits + 5):
+        return tuple(+v for v in values)
+
+
 def mobius_int(m):
     """Moebius function of a positive integer, by trial division."""
     _check_index(m, "Moebius argument", 1)
@@ -251,8 +256,7 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
     Sums the sieved primes up to the cutoff outright, then closes with
     Moebius inversion of log zeta restricted to the remaining primes, taking
     zeta derivatives from mpmath itself.  With prime_zeta_taylor it shares
-    only primes_upto's sieve (tested against trial division), mobius_int
-    and the final rounding.
+    only the prime sieve (tested against trial division).
     """
     _check_index(r, "direct route order r", 2)
     _check_index(nmax, "nmax")

@@ -1,10 +1,8 @@
 """High precision constants from the zeta function and the primes.
 
-Everything here returns mpmath floats computed at an elevated internal
-precision and rounded to a few digits beyond the request, so callers can do
-further arithmetic at their own working precision.  The central objects are
-Taylor coefficient families: of zeta itself around a real point, of the
-Stieltjes expansion around the pole, and of prime power sums
+The central objects are Taylor coefficient families: of zeta itself around
+a real point, of the Stieltjes expansion around the pole, and of prime
+power sums
 
     sum over primes of p**(-r) * (-log p)**n / n!
 
@@ -14,14 +12,15 @@ per family over one table of log zeta(y + u) per (nmax, digits) that every
 family reads (_log_zeta_table): one Euler-Maclaurin pass stepping every y
 from the pole y = 1 at once (_em_fixed, which also serves the oracles'
 zeta_taylor and Stieltjes constants), no mpf log, one Euler-product
-pass beyond, and mu from one sieve.  The W engine reads each family less
-the head primes' power sums as integers (prime_zeta_fixed), and
-prime_zeta_taylor and prime_zeta_beyond are mpf views of that route.
-Integer logs come from one table (int_log), the Bernoulli fractions from
-the tangent numbers.  oracles.prime_zeta_direct sums sieved primes in plain
-mpf arithmetic and closes the tail with mpmath's own zeta derivatives; it
-shares only the prime sieve (tested against trial division) and the final
-rounding with the default route, and must stay so: it is the oracle the
+pass beyond, and mu from one sieve.  Each family is served, as the exact
+values of those sums, by one lookup (prime_zeta_taylor) to the W engine,
+which reads it less the head primes' power sums as integers
+(prime_zeta_fixed), to prime_zeta_beyond, an mpf view of that route, and
+to the cache.  Integer logs come from one table (int_log), the Bernoulli
+fractions from the tangent numbers.  oracles.prime_zeta_direct sums sieved
+primes in plain mpf arithmetic and closes the tail with mpmath's own zeta
+derivatives; it shares only the prime sieve (tested against trial
+division) with the default route, and must stay so: it is the oracle the
 default route is checked against.
 """
 
@@ -56,11 +55,6 @@ def primes_upto(x):
     if n < 2:
         return []
     return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
-
-
-def _round_out(values, digits):
-    with mp.workdps(digits + 5):
-        return tuple(+v for v in values)
 
 
 def _em_head_length(x, nmax, digits):
@@ -437,17 +431,12 @@ def _mobius_sieve(n):
 
 
 class PrimeZetaCoeffs(NamedTuple):
-    """Taylor family of a prime power sum: coeffs[n] pairs with (-log p)**n/n!.
-
-    tail_bounds[n] is an upper estimate on the numerical error of coeffs[n],
-    combining the certified truncation of the Moebius sum with the rounding
-    floor of the working precision.
-    """
+    """Taylor family of a prime power sum: coeffs[n] pairs with (-log p)**n/n!,
+    to the accuracy prime_zeta_taylor states for digits."""
 
     r: int
     coeffs: tuple
     digits: int
-    tail_bounds: tuple = ()
 
 
 _installed_pzeta = {}
@@ -461,43 +450,38 @@ def install_prime_zeta(r, entry):
         _installed_pzeta[r] = entry
 
 
-def _installed(r, nmax, digits):
-    """The installed entry for r if it covers nmax and digits, else None."""
-    entry = _installed_pzeta.get(r)
-    if entry is not None and entry.digits >= digits and len(entry.coeffs) > nmax:
-        return entry
-
-
 def prime_zeta_taylor(r, nmax, digits=50):
     """Coefficient family for sum_p p**(-r): index n carries (-log p)**n / n!.
 
-    Moebius inversion of log zeta along the arguments m*r in B-bit integers
+    The one lookup of a family: an installed cache entry is returned as is
+    when it covers the requested order and digits, else the memoized exact
+    values of the Moebius inversion of log zeta in B-bit integers
     (_compute_prime_zeta), from the one log zeta table per (nmax, digits)
-    that every family reads, rounded to digits with its tail bounds.  For
-    r = 1 the family is the regularized one: the logarithmic blowup is
-    removed before expanding, which shifts the n = 0 value to about
-    -0.3157.  An installed cache entry is returned as is when it covers the
-    requested order and digits.
+    that every family reads.  For r = 1 the family is the regularized one:
+    the logarithmic blowup is removed before expanding, which shifts the n
+    = 0 value to about -0.3157.
+
+    Each value is within 4 * T + 10**-(digits+12) of the full family, under
+    4.01 * 10**-(digits+10), with T = 4 * stop**nmax * 2**(-stop*r) and
+    stop = _moebius_stop(r, nmax, digits): the integer sums are within
+    10**-(digits+12) of the Moebius sum truncated before stop
+    (_compute_prime_zeta), and 4 * T estimates the terms m >= stop it
+    drops, term m adding about m**(n-1) * 2**(-m*r) * (log 2)**n / n! to
+    slot n; the tests check the bound against an mpf reference.
     """
     _check_index(r, "prime zeta order", 1)
     _check_index(nmax, "nmax")
     _check_index(digits, "digits", 1)
-    entry = _installed(r, nmax, digits)
-    if entry is not None:
+    entry = _installed_pzeta.get(r)
+    if entry is not None and entry.digits >= digits and len(entry.coeffs) > nmax:
         return entry
-    stop = _moebius_stop(r, nmax, digits)
-    with mp.workdps(digits + 15):
-        bound = 4 * mp.mpf(stop) ** nmax * mp.mpf(2) ** (-stop * r)
-        floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
-        tb = _round_out([4 * bound + floor] * (nmax + 1), digits)
-    coeffs = _round_out(_compute_prime_zeta(r, nmax, digits).coeffs, digits)
-    return PrimeZetaCoeffs(r, coeffs, digits, tb)
+    return _compute_prime_zeta(r, nmax, digits)
 
 
 @lru_cache(maxsize=None)
 def _compute_prime_zeta(r, nmax, digits):
     """The family by Moebius inversion of log zeta, as the exact values of
-    its b-bit integer sums (no tail bounds: prime_zeta_taylor adds them).
+    its b-bit integer sums.
 
     sum_{m < stop} mu(m)/m * log zeta(m*r + m*u), stop = _moebius_stop(r,
     nmax, digits), from the table at (nmax, digits) (b, c, a and T as
@@ -521,17 +505,12 @@ def _compute_prime_zeta(r, nmax, digits):
         r, tuple(mp.make_mpf(from_man_exp(v, -b)) for v in sums), digits)
 
 
-def prime_zeta_fixed(r, nmax, head, digits, B, upto=None, coeffs=None):
-    """The family at r less the head's power sums (all of it at r = 1),
-    [n <= nmax] in units of 2**-B, under 2 units off coeffs less the exact
-    sums: coeffs (by default the installed entry or _compute_prime_zeta's
-    exact sums; prime_zeta_beyond passes prime_zeta_taylor's, whose
-    tail_bounds its accuracy rests on) to floor(2**B c), each
-    head.sums(r, nmax, digits, upto) value v at B_h bits to
-    floor(v 2**(B - B_h))."""
-    if coeffs is None:
-        entry = _installed(r, nmax, digits) or _compute_prime_zeta(r, nmax, digits)
-        coeffs = entry.coeffs
+def prime_zeta_fixed(coeffs, r, nmax, head, digits, B, upto=None):
+    """The family at r, coeffs (prime_zeta_taylor's), less the head's power
+    sums (all of it at r = 1), [n <= nmax] in units of 2**-B, under 2 units
+    off coeffs less the exact sums: each c to floor(2**B c), each
+    head.sums(r, nmax, digits, upto) value v at B_h bits to floor(v 2**(B -
+    B_h))."""
     out = [to_fixed(c._mpf_, B) for c in coeffs[: nmax + 1]]
     if r > 1 and head.primes:
         sums, Bh = head.sums(r, nmax, digits, upto)
@@ -542,22 +521,22 @@ def prime_zeta_fixed(r, nmax, head, digits, B, upto=None, coeffs=None):
 
 class HeadPrimes:
     """The primes a beyond-cutoff family leaves out, with their power sums
-    for one chunk of `span` consecutive orders r at a time.
+    for one chunk of SPAN consecutive orders r at a time.
 
     The primes are validated and sorted once: each must be an int (not a
     bool), prime, at most MAX_PRIME (checked before the validating sieve
     runs) and listed once, or ValueError is raised.  sums(r, nmax,
     digits) serves every r of the current chunk, its B set by the absolute
     digits alone; any other r, nmax or digits starts a new chunk at that r.
-    Only the chunk's span * (nmax + 1) sums are kept, never an integer per
+    Only the chunk's SPAN * (nmax + 1) sums are kept, never an integer per
     prime, so the object stays small however many primes it holds.
     """
 
     BLOCK = 256  # primes per C-level map pass: short lists keep memory flat
+    SPAN = 16  # orders r per chunk: the W engine's first V table runs to 16
     MAX_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted
 
-    def __init__(self, primes, span=16):
-        _check_index(span, "chunk span", 1)
+    def __init__(self, primes):
         ps = list(primes)
         if not set(map(type, ps)) <= {int}:
             bad = next(p for p in ps if type(p) is not int)
@@ -573,7 +552,6 @@ class HeadPrimes:
                 bad = next(p for p in ps if not flags[p])
                 raise ValueError("head prime %d is not a prime" % bad)
         self.primes = ps
-        self.span = span
         # the current chunk: its first r, its (nmax, digits), its B and
         # its sums at r0, r0 + 1, ...
         self._r0 = self._key = self._B = self._sums = None
@@ -590,10 +568,10 @@ class HeadPrimes:
     def sums(self, r, nmax, digits, upto=None):
         """(sums, B): sums[n] is the head's power sum at r, index n, as an
         integer in units of 2**-B (see prime_zeta_beyond); all 0 for no
-        primes.  A new chunk stops at r + span - 1 or at upto, the last r
+        primes.  A new chunk stops at r + SPAN - 1 or at upto, the last r
         its caller reads."""
         if self._key != (nmax, digits) or not 0 <= r - self._r0 < len(self._sums):
-            rows = self.span if upto is None else min(self.span, upto + 1 - r)
+            rows = self.SPAN if upto is None else min(self.SPAN, upto + 1 - r)
             self._B, self._sums = self._pass(r, rows, nmax, digits)
             self._r0, self._key = r, (nmax, digits)
         return self._sums[r - self._r0], self._B
@@ -630,10 +608,10 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     r must be at least 2 (ValueError): the r = 1 family is the regularized
     one, and less the head sums it is no beyond-cutoff sum.  primes is a
     HeadPrimes, or any iterable of primes, which is validated and summed as
-    a one-r chunk; a caller stepping through r passes one HeadPrimes to
-    every call, so each prime takes one integer pass per chunk of r.  The
-    full family, prime_zeta_taylor at digits, is within its tail_bounds,
-    under 1.1 * 10**-(digits+4); the head, the subtraction in units of
+    a one-r chunk (upto = r); a caller stepping through r passes one
+    HeadPrimes to every call, so each prime takes one integer pass per chunk
+    of r.  The full family, prime_zeta_taylor at digits, is under 4.01 *
+    10**-(digits+10) off; the head, the subtraction in units of
     2**-prec(digits + 13) (prime_zeta_fixed, the W engine's route, under 2)
     and the rounding add under 10**-(digits+5).
 
@@ -652,9 +630,10 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     precision of digits + 10, makes it 2**-(prec+10) < 10**-(digits+13).
     """
     _check_index(r, "beyond-cutoff order r", 2)
-    head = primes if isinstance(primes, HeadPrimes) else HeadPrimes(primes, 1)
-    base, B = prime_zeta_taylor(r, nmax, digits), dps_to_prec(digits + 13)
-    out = prime_zeta_fixed(r, nmax, head, digits, B, coeffs=base.coeffs)
+    head, upto = ((primes, None) if isinstance(primes, HeadPrimes)
+                  else (HeadPrimes(primes), r))
+    coeffs, B = prime_zeta_taylor(r, nmax, digits).coeffs, dps_to_prec(digits + 13)
+    out = prime_zeta_fixed(coeffs, r, nmax, head, digits, B, upto)
     with mp.workdps(digits + 5):
         return tuple(mp.ldexp(v, -B) for v in out)
 

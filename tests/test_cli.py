@@ -60,17 +60,13 @@ class TestCacheFormat:
         r=st.integers(1, 20),
         digits=st.sampled_from([15, 25, 40]),
         nums=st.lists(st.fractions(), min_size=1, max_size=6),
-        tails=st.lists(st.fractions(), max_size=3),
     )
-    def test_pzeta_roundtrip_restores_every_bit(self, r, digits, nums, tails):
-        # mirror production: values rounded at working precision digits + 5
+    def test_pzeta_roundtrip_restores_every_bit(self, r, digits, nums):
         with mp.workdps(digits + 5):
             coeffs = tuple(
                 mp.mpf(f.numerator) / f.denominator for f in nums
             )
-            tb = tuple(abs(mp.mpf(f.numerator) / max(1, f.denominator))
-                       for f in tails)
-        pz = PrimeZetaCoeffs(r, coeffs, digits, tb)
+        pz = PrimeZetaCoeffs(r, coeffs, digits)
         with tempfile.TemporaryDirectory() as root:
             save_pzeta(root, pz)
             back = load_pzeta(os.path.join(root, "pzeta_r%d.json" % r))
@@ -78,13 +74,10 @@ class TestCacheFormat:
         assert len(back.coeffs) == len(coeffs)
         for a, b in zip(coeffs, back.coeffs):
             assert a == b
-        for a, b in zip(tb, back.tail_bounds):
-            assert a == b
 
     def test_saved_files_are_deterministic(self, tmp_path):
         with mp.workdps(20):
-            pz = PrimeZetaCoeffs(3, (mp.mpf(1) / 7, -mp.mpf(2) / 3), 15,
-                                 (mp.mpf("1e-20"),))
+            pz = PrimeZetaCoeffs(3, (mp.mpf(1) / 7, -mp.mpf(2) / 3), 15)
         with cache_lock(str(tmp_path)):
             save_pzeta(str(tmp_path), pz)
             first = (tmp_path / "pzeta_r3.json").read_bytes()
@@ -95,8 +88,8 @@ class TestCacheFormat:
 
     def test_failed_overwrite_keeps_the_old_file(self, tmp_path, monkeypatch):
         with mp.workdps(20):
-            old = PrimeZetaCoeffs(3, (mp.mpf(1) / 7,), 15, ())
-            new = PrimeZetaCoeffs(3, (mp.mpf(2) / 7,), 15, ())
+            old = PrimeZetaCoeffs(3, (mp.mpf(1) / 7,), 15)
+            new = PrimeZetaCoeffs(3, (mp.mpf(2) / 7,), 15)
         save_pzeta(str(tmp_path), old)
         data = (tmp_path / "pzeta_r3.json").read_bytes()
 
@@ -114,29 +107,31 @@ class TestCacheFormat:
 
     def test_newer_schema_is_rejected(self, tmp_path):
         write_doc(tmp_path / "pzeta_r1.json", "pzeta", {"r": 1, "n_max": 0},
-                  {"digits": 15, "coeffs": [[1, 0]], "tail_bounds": []},
+                  {"digits": 15, "coeffs": [[1, 0]]},
                   schema_version=cli.PZETA_SCHEMA + 1)
         with pytest.raises(CacheError, match="newer"):
             load_pzeta(str(tmp_path / "pzeta_r1.json"))
 
     def test_other_kind_under_a_pzeta_name_is_rejected(self, tmp_path):
         write_doc(tmp_path / "pzeta_r1.json", "ftable", {"max_weight": 2},
-                  {"entries": []})
+                  {"entries": []}, schema_version=cli.PZETA_SCHEMA)
         with pytest.raises(CacheError, match="not a pzeta"):
             load_pzeta(str(tmp_path / "pzeta_r1.json"))
 
     def test_older_entry_with_tolerances_still_loads(self, tmp_path):
-        # older versions also wrote a "tolerances" key that nothing read
+        # older versions also wrote "tolerances" and "tail_bounds" keys,
+        # which nothing reads
         write_doc(tmp_path / "pzeta_r4.json", "pzeta", {"r": 4, "n_max": 0},
-                  {"digits": 15, "coeffs": ["0.5"], "tail_bounds": []},
+                  {"digits": 15, "coeffs": [[1, -1]], "tail_bounds": [[1, -60]]},
+                  schema_version=cli.PZETA_SCHEMA,
                   tolerances={"requested_digits": 10, "stored_digits": 15})
         pz = load_pzeta(str(tmp_path / "pzeta_r4.json"))
-        assert pz.r == 4 and pz.digits == 15 and pz.coeffs == (mp.mpf("0.5"),)
+        assert pz == PrimeZetaCoeffs(4, (mp.mpf("0.5"),), 15)
 
     def test_precomputed_entries_restore_every_bit(self, tmp_path):
         root = str(tmp_path / "c")
         cli.cmd_precompute(4, 10, root)
-        zero = PrimeZetaCoeffs(17, (mp.mpf(0), -mp.mpf(3) / 7), 35, (mp.mpf(0),))
+        zero = PrimeZetaCoeffs(17, (mp.mpf(0), -mp.mpf(3) / 7), 35)
         save_pzeta(root, zero)
         signs = set()
         for r in range(1, 18):
@@ -144,9 +139,7 @@ class TestCacheFormat:
             want = zero if r == 17 else prime_zeta_taylor(r, 4, 35)
             back = load_pzeta(os.path.join(root, "pzeta_r%d.json" % r))
             assert (back.r, back.digits) == (r, 35)
-            for a, b in ((want.coeffs, back.coeffs),
-                         (want.tail_bounds, back.tail_bounds)):
-                assert [x._mpf_ for x in a] == [x._mpf_ for x in b], r
+            assert [x._mpf_ for x in want.coeffs] == [x._mpf_ for x in back.coeffs], r
             signs.update(int(mp.sign(c)) for c in back.coeffs)
         assert signs == {-1, 0, 1}
 
@@ -154,7 +147,7 @@ class TestCacheFormat:
         "0.5", 0.5, True, [1, -1, 0], [1], [True, 0], [1, 0.0], ["1", "0"],
         None, "missing"], ids=repr)
     def test_malformed_pair_is_a_cache_error(self, tmp_path, capsys, pair):
-        payload = {"digits": 35, "coeffs": [[1, -1], pair], "tail_bounds": []}
+        payload = {"digits": 35, "coeffs": [[1, -1], pair]}
         if pair == "missing":
             del payload["coeffs"]
         write_doc(tmp_path / "pzeta_r2.json", "pzeta", {"r": 2, "n_max": 1},
@@ -165,45 +158,29 @@ class TestCacheFormat:
                      "--cache-dir", str(tmp_path)]) == 3
         assert "pzeta_r2" in capsys.readouterr().err
 
-    def test_bad_schema_1_decimal_is_a_cache_error(self, tmp_path, capsys):
-        write_doc(tmp_path / "pzeta_r2.json", "pzeta", {"r": 2, "n_max": 0},
-                  {"digits": 15, "coeffs": ["abc"], "tail_bounds": []})
-        with pytest.raises(CacheError, match="malformed.*pzeta_r2"):
-            load_pzeta(str(tmp_path / "pzeta_r2.json"))
-        assert main(["poly", "--k", "2", "--digits", "10",
-                     "--cache-dir", str(tmp_path)]) == 3
-        capsys.readouterr()
-
     def test_schema_1_entries_print_the_same_polynomial(self, tmp_path,
                                                         capsys, monkeypatch):
-        # the decimals older versions wrote, digits + 12 wide, load to the
-        # same bits, so poly prints the same bytes from either directory
-        new, old = tmp_path / "new", tmp_path / "old"
-        cli.cmd_precompute(4, 10, str(new))
+        # the decimal entries older versions wrote are skipped, not loaded:
+        # poly prints what it prints with no cache, though these values are
+        # wrong, and precompute rebuilds every one
+        old = tmp_path / "old"
         old.mkdir()
-        for path in sorted(new.iterdir()):
-            pz = load_pzeta(str(path))
-            width = pz.digits + 12
-            with mp.workdps(width):
-                write_doc(old / path.name, "pzeta",
-                          {"r": pz.r, "n_max": len(pz.coeffs) - 1},
-                          {"digits": pz.digits, "tail_bounds": [
-                              mp.nstr(v, width, strip_zeros=False)
-                              for v in pz.tail_bounds],
-                           "coeffs": [mp.nstr(v, width, strip_zeros=False)
-                                      for v in pz.coeffs]},
-                          schema_version=1)
-            back = load_pzeta(str(old / path.name))
-            assert [x._mpf_ for x in back.coeffs] == [x._mpf_ for x in pz.coeffs]
+        for r in range(1, 17):
+            write_doc(old / ("pzeta_r%d.json" % r), "pzeta", {"r": r, "n_max": 4},
+                      {"digits": 35, "coeffs": ["0.9"] * 5,
+                       "tail_bounds": ["1e-40"] * 5}, schema_version=1)
+            assert load_pzeta(str(old / ("pzeta_r%d.json" % r))) is None
         outs = []
-        for root in (new, old):
-            for r in range(1, 40):
-                install_prime_zeta(r, None)
+        for root in (old, tmp_path / "none"):
             monkeypatch.setattr(moments, "_w_cache", {})
             assert main(["poly", "--k", "2", "--digits", "10", "--format",
                          "json", "--cache-dir", str(root)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+        assert main(["precompute", "--nmax", "4", "--digits", "10",
+                     "--cache-dir", str(old)]) == 0
+        assert "pzeta: built 16, reused 0" in capsys.readouterr().out
+        assert all(load_pzeta(str(path)).digits == 35 for path in old.iterdir())
 
     def test_garbage_file_is_reported_with_path(self, tmp_path):
         path = tmp_path / "pzeta_r1.json"
@@ -213,18 +190,21 @@ class TestCacheFormat:
 
     @pytest.mark.parametrize("field, value", [
         ("r", True), ("r", 2), ("r", 0), ("r", "3"), ("r", 3.0),
-        ("digits", "40"), ("digits", True), ("digits", 0), ("digits", 40.0)])
+        ("digits", "40"), ("digits", True), ("digits", 0), ("digits", 40.0),
+        ("schema_version", True), ("schema_version", "2"),
+        ("schema_version", 2.0), ("schema_version", None)])
     @pytest.mark.parametrize("command", [
         ["poly", "--k", "2", "--digits", "10"],
         ["precompute", "--nmax", "4", "--digits", "10"]], ids=["poly", "precompute"])
     def test_bad_r_or_digits_is_exit_3(self, tmp_path, capsys, field, value,
                                        command):
         # r and digits must be ints >= 1, r the one in the file name: an
-        # entry with r = true would install the r = 3 family as r = 1
+        # entry with r = true would install the r = 3 family as r = 1; the
+        # schema must be an int too, or true would read as an older one
         save_pzeta(str(tmp_path), prime_zeta_taylor(3, 4, 35))
         path = tmp_path / "pzeta_r3.json"
         doc = json.loads(path.read_text())
-        (doc["params"] if field == "r" else doc["payload"])[field] = value
+        {"r": doc["params"], "digits": doc["payload"]}.get(field, doc)[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CacheError, match="pzeta_r3"):
             load_pzeta(str(path))
@@ -273,6 +253,21 @@ class TestPrecompute:
         assert counts == {"pzeta": 16}
         pz = zeta_numerics._installed_pzeta[2]
         assert pz.digits == 15 + cli.PZETA_MARGIN and len(pz.coeffs) == 4
+
+    def test_cached_poly_computes_no_family(self, tmp_path, capsys, monkeypatch):
+        # the mechanism of the cached CLI workload: every family poly reads
+        # is served from the cache precompute wrote
+        root = str(tmp_path / "c")
+        assert main(["precompute", "--nmax", "4", "--digits", "10",
+                     "--cache-dir", root]) == 0
+        for r in range(1, 40):
+            install_prime_zeta(r, None)
+        monkeypatch.setattr(moments, "_w_cache", {})
+        zeta_numerics._compute_prime_zeta.cache_clear()
+        assert main(["poly", "--k", "2", "--digits", "10",
+                     "--cache-dir", root]) == 0
+        capsys.readouterr()
+        assert zeta_numerics._compute_prime_zeta.cache_info().misses == 0
 
     @pytest.mark.parametrize("name,kind,params,payload", RETIRED,
                              ids=[kind for _, kind, *_ in RETIRED])

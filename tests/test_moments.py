@@ -468,10 +468,12 @@ def _relative_families(monkeypatch, digits):
     relative to its own size: beyond the cutoff that adds the cancelled
     ratio, r * log10(max prime / 2) + 8 digits."""
 
-    def fixed(r, nmax, head, _, B, upto):
+    def fixed(_, r, nmax, head, __, B, upto):
         extra = int(r * math.log10(head.primes[-1] / 2.0)) + 8 if r > 1 else 0
+        fam_digits = digits + 10 + extra
         return zeta_numerics.prime_zeta_fixed(
-            r, nmax, HeadPrimes(head.primes, 1), digits + 10 + extra, B, upto)
+            zeta_numerics.prime_zeta_taylor(r, nmax, fam_digits).coeffs, r, nmax,
+            HeadPrimes(head.primes), fam_digits, B, r)
 
     monkeypatch.setattr(moments, "prime_zeta_fixed", fixed)
 
@@ -600,13 +602,37 @@ class TestWEngine:
         fam_digits = moments._v_chunk(3, wmax, 16, digits)[2]
         B = dps_to_prec(fam_digits)
         for r in range(1, 17):
-            got = zeta_numerics.prime_zeta_fixed(r, wmax, head, fam_digits, B)
+            got = zeta_numerics.prime_zeta_fixed(
+                zeta_numerics.prime_zeta_taylor(r, wmax, fam_digits).coeffs,
+                r, wmax, head, fam_digits, B)
             view = (zeta_numerics.prime_zeta_beyond(r, wmax, head, fam_digits)
                     if r > 1 else
                     zeta_numerics.prime_zeta_taylor(1, wmax, fam_digits).coeffs)
             want = [to_fixed(c._mpf_, B) for c in view]
             assert len(got) == wmax + 1, r
             assert all(abs(a - b) <= 2 for a, b in zip(got, want)), r
+
+    def test_every_family_comes_from_the_one_lookup(self, monkeypatch):
+        # each family the tail reads, r = 1..r_max_used, is the one
+        # prime_zeta_taylor served for that r
+        served, read = {}, []
+        taylor, fixed = moments.prime_zeta_taylor, moments.prime_zeta_fixed
+
+        def taylor_spy(r, nmax, digits):
+            entry = taylor(r, nmax, digits)
+            served[r] = entry.coeffs
+            return entry
+
+        def fixed_spy(coeffs, r, *args):
+            read.append((r, coeffs is served.get(r)))
+            return fixed(coeffs, r, *args)
+
+        monkeypatch.setattr(moments, "prime_zeta_taylor", taylor_spy)
+        monkeypatch.setattr(moments, "prime_zeta_fixed", fixed_spy)
+        _, _, meta = moments._w_engine(3, 4, 15, 1e-15)
+        want = range(1, meta["r_max_used"] + 1)
+        assert read == [(r, True) for r in want]
+        assert sorted(served) == list(want)
 
     def test_c0_builds_one_log_zeta_table(self, monkeypatch):
         # c_0(3) at 50 digits reads log zeta at 243 arguments from one table:
@@ -931,6 +957,17 @@ class TestAssembly:
             br = moments._b_series(3, r)[r] - Fraction(9, r)
             assert d >= 58 + len(str(abs(br.numerator) // br.denominator)), r
         assert len(seen) > 20 and len({d for _, d in seen}) == 1
+
+    def test_a_cutoff_past_the_head_cap_is_non_convergence(self, monkeypatch):
+        # max(800, 4 rho(k)) passes HeadPrimes.MAX_PRIME from k = 13 on: the
+        # request is refused before any sieve runs
+        def banned(n):
+            raise AssertionError("sieved to %d" % n)
+
+        monkeypatch.setattr(zeta_numerics, "_prime_flags", banned)
+        with pytest.raises(NonConvergenceError) as info:
+            a_factor(13, 5)
+        assert info.value.meta == {"k": 13, "cutoff": 4 * (1 + math.comb(12, 6) ** 2)}
 
     def test_a_agrees_with_engine_route(self):
         w = W_coeff((), (), 3, digits=15)

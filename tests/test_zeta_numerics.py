@@ -12,7 +12,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
+from mpmath.libmp import from_int, log_int_fixed, mpf_log, to_fixed
 
 from zetamoments import oracles, zeta_numerics
 from zetamoments.cli import save_pzeta
@@ -32,7 +32,6 @@ from zetamoments.zeta_numerics import (
     PrimeZetaCoeffs,
     _em_fixed,
     _em_head_length,
-    _round_out,
     envelope_bound,
     install_prime_zeta,
     int_log,
@@ -564,13 +563,6 @@ class TestPrimeZetaTaylor:
                 slack = envelope_bound(10, n, 2000)
                 assert abs(pz.coeffs[n] - head[n]) <= slack, n
 
-    def test_tail_bounds_populated_and_small(self):
-        with mp.workdps(30):
-            pz = prime_zeta_taylor(2, 4, 25)
-            assert len(pz.tail_bounds) == 5
-            for tb in pz.tail_bounds:
-                assert 0 < tb < mp.mpf("1e-20")
-
     def test_coeffs_within_full_prime_envelope(self):
         # |c_n| can never exceed the all-primes envelope
         with mp.workdps(30):
@@ -654,25 +646,21 @@ _FAMILY_GRID = [
 class TestMoebiusPass:
     @pytest.mark.parametrize("r, nmax, digits", _FAMILY_GRID)
     def test_family_matches_mpf_reference(self, r, nmax, digits):
-        got = zeta_numerics._compute_prime_zeta.__wrapped__(r, nmax, digits)
+        # within prime_zeta_taylor's stated accuracy, 4 * T + 10**-(digits+12)
+        got = prime_zeta_taylor(r, nmax, digits)
         ref = _family_reference(r, nmax, digits + 20)
-        # the exact sums; the half ulp is the rounding to digits + 5 digits
-        # that prime_zeta_taylor adds on the way out
-        half_ulp = mp.mpf(2) ** -dps_to_prec(digits + 5)
         with mp.workdps(digits + 40):
+            _, bound = _mpf_stop_bound(r, nmax, digits, 1)
+            tol = 4 * bound + mp.mpf(10) ** (-(digits + 12))
             for n in range(nmax + 1):
-                tol = mp.mpf(10) ** (-(digits + 10)) + abs(ref[n]) * half_ulp
                 assert abs(got.coeffs[n] - ref[n]) < tol, n
 
     @pytest.mark.parametrize("r, nmax, digits", _FAMILY_GRID)
     def test_stop_rule_keeps_the_mpf_tail_bounds(self, r, nmax, digits):
-        # the public view adds the tail bounds to the memoized sums
-        got = prime_zeta_taylor(r, nmax, digits)
+        # the integer stop test stops where the mpf one does
         with mp.workdps(digits + 15):
-            _, bound = _mpf_stop_bound(r, nmax, digits, 2 if r == 1 else 1)
-            floor = mp.mpf(10) ** (-(digits + 2 if r == 1 else digits + 4))
-            want = _round_out([4 * bound + floor] * (nmax + 1), digits)
-        assert [v._mpf_ for v in got.tail_bounds] == [v._mpf_ for v in want]
+            want, _ = _mpf_stop_bound(r, nmax, digits, 1)
+        assert zeta_numerics._moebius_stop(r, nmax, digits) == want
 
     def test_family_does_not_depend_on_the_history(self):
         # each log zeta value depends on (y, nmax, digits) alone, so a family
@@ -696,7 +684,6 @@ class TestMoebiusPass:
         assert warm is not cold
         assert warm_reads == cold_reads
         assert [v._mpf_ for v in warm.coeffs] == [v._mpf_ for v in cold.coeffs]
-        assert warm.tail_bounds == cold.tail_bounds
 
     @pytest.mark.parametrize("r", [2, 9])
     def test_higher_orders_take_no_mpf_series_log(self, r, monkeypatch):
@@ -912,7 +899,7 @@ class TestBeyondAndEnvelope:
         head = HeadPrimes.upto(x)
         assert calls == [x]
         want = HeadPrimes(primes_upto(x))
-        assert head.primes == want.primes and head.span == want.span
+        assert head.primes == want.primes
         assert head.sums(3, 2, 30) == want.sums(3, 2, 30)
 
     def test_empty_head_sums_are_zero(self):
