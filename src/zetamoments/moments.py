@@ -219,7 +219,10 @@ def _b_series(k, R, absolute=False):
 
 
 def _rho_inv(k):
-    """Growth proxy for the local log coefficients, used to place cutoffs."""
+    """Growth proxy for the local log coefficients, used to place cutoffs:
+    V_r and its family at cutoff P move the tail by about (rho/P)**r, so a
+    table of R orders reaches 10**-t at P = rho * 10**(t/(R-1))
+    (_prime_cutoff, _truncation); a_factor's cutoff is max(800, 4 rho)."""
     return 1 + max(math.comb(k - 1, j) ** 2 for j in range(k))
 
 
@@ -345,8 +348,18 @@ _w_cache = {}
 
 
 def _prime_cutoff(k, digits, tol_f):
+    """The cutoff of a 16-order V table, every weight >= 1 request's:
+    max(50, rho(k) * 10**(t/15)), t = 12 + max(digits, -log10 tol).  It
+    passes HeadPrimes.MAX_PRIME, a NonConvergenceError, from k = 11 at 15
+    digits and from 79 digits at k = 2.  Weight 0 trades head primes for
+    orders instead (_truncation), which moves those walls to k = 12 at 15
+    digits and to 151 digits at k = 2."""
     log10_t = 12 + max(digits, -math.log10(tol_f))
     cut = max(50.0, _rho_inv(k) * 10 ** (log10_t / 15))
+    return _checked_cutoff(cut, k, digits, tol_f)
+
+
+def _checked_cutoff(cut, k, digits, tol_f):
     if cut > HeadPrimes.MAX_PRIME:
         raise NonConvergenceError(
             "prime cutoff %.0f beyond the supported range; lower digits or tol"
@@ -354,6 +367,28 @@ def _prime_cutoff(k, digits, tol_f):
             meta={"k": k, "digits": digits, "tol": tol_f},
         )
     return int(math.ceil(cut))
+
+
+def _truncation(k, wmax, digits, tol_f):
+    """(pcut, R): the prime cutoff and the order of the first V table.
+
+    A table of R_w orders reaches the tail target 10**-t at rho * 10**(t/(R_w
+    - 1)) (_rho_inv).  R_w is 16 at weight >= 1, where V tables and head
+    logs are costly, which gives _prime_cutoff's value; at weight 0 the V
+    table is the scalar _b_series and a tail order costs one family and one
+    head-power row per head prime, so R_w = 28 there, never below
+    a_factor's max(800, 4 rho) nor above _prime_cutoff's.  R is the least
+    multiple of 4 from 16 that reaches t at pcut; the engine adds 4 orders
+    at a time if the tail has not closed by then.
+    """
+    log10_t = 12 + max(digits, -math.log10(tol_f))
+    rho = _rho_inv(k)
+    cut = min(max(50.0, rho * 10 ** (log10_t / 15)),
+              max(800, 4 * rho, rho * 10 ** (log10_t / (15 if wmax else 27))))
+    pcut, R = _checked_cutoff(cut, k, digits, tol_f), 16
+    while (R - 1) * math.log10(pcut / rho) < log10_t:
+        R += 4
+    return pcut, R
 
 
 def _w_full(k, wmax, digits, tol=None):
@@ -572,7 +607,7 @@ def _w_engine(k, wmax, digits, tol_f):
     integer left, exactly.  The closure runs in the same units, each part
     rounded up; mpf enters only in the final conversion, errors rounded up.
     """
-    pcut = _prime_cutoff(k, digits, tol_f)
+    pcut, R = _truncation(k, wmax, digits, tol_f)
     keys = _plan(wmax).keys
     weight = {key: sum(key[0]) + sum(key[1]) for key in keys}
     tn, td = tol_f.as_integer_ratio()
@@ -583,9 +618,8 @@ def _w_engine(k, wmax, digits, tol_f):
         # ratio: one integer pass per head prime, the empty key's product
         # and the other keys' pair-series log, converted once at the end
         head = _head_logs(k, wmax, head_primes.primes)
-        # exact V tables to order R = 16, then 4 orders at a time: the tail
-        # rarely passes r = 16, and each table is built from scratch
-        R = 16
+        # exact V tables to _truncation's order R, then 4 orders at a time:
+        # the tail rarely passes R, and each table is built from scratch
         v_tab, vb_tab, fam_digits, B = _v_chunk(k, wmax, R, digits)
         vals = {key: to_fixed(v._mpf_, B) for key, v in head.items()}
         history = {key: deque(maxlen=3) for key in keys}

@@ -21,8 +21,8 @@ from .characters import character_table
 from .frobenius_schur import dim_complement_poly, dim_fs
 from .moments import (
     V_poly, W_coeff, _b_series, _gauss_square_poly, _head_logs, _prime_cutoff,
-    _ratio_numerators, _v_chunk, _v_series, _w_engine, a_factor, c_coeff,
-    d_table, f_table, moment_polynomial)
+    _ratio_numerators, _truncation, _v_chunk, _v_series, _w_engine, a_factor,
+    c_coeff, d_table, f_table, moment_polynomial)
 from .partitions import (
     ZERO_MARKER, _check_index, _det, centralizer_order, check_partition,
     dim_complement, dim_hook, dim_paths, dim_skew_det, partitions_of,
@@ -687,13 +687,14 @@ def _check_w_tail(k=2, wmax=4, digits=10):
     # r_max_used: head + V_1 P(1) + sum_r V_r P_beyond(r) at its chunk's digits
     got, _, meta = _w_engine(k, wmax, digits, 10.0**-digits)
     with mp.workdps(digits + 20):
-        primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
+        # the engine's tables: _truncation's R, then 4 orders at a time
+        pcut, R = _truncation(k, wmax, digits, 10.0**-digits)
+        primes = primes_upto(pcut)
         want, head = _head_logs(k, wmax, primes), HeadPrimes(primes)
-        R = 0
+        v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
         for r in range(1, meta["r_max_used"] + 1):
             if r > R:
-                # the engine's tables: R = 16, then 4 orders at a time
-                R = max(16, R + 4)
+                R += 4
                 v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
             fam = (prime_zeta_beyond(r, wmax, head, fam_digits) if r > 1
                    else prime_zeta_taylor(1, wmax, fam_digits).coeffs)

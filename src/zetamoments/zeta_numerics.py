@@ -521,19 +521,19 @@ def prime_zeta_fixed(coeffs, r, nmax, head, digits, B, upto=None):
 
 class HeadPrimes:
     """The primes a beyond-cutoff family leaves out, with their power sums
-    for one chunk of SPAN consecutive orders r at a time.
+    for one chunk of consecutive orders r at a time.
 
     The primes are validated and sorted once: each must be an int (not a
     bool), prime, at most MAX_PRIME (checked before the validating sieve
     runs) and listed once, or ValueError is raised.  sums(r, nmax,
     digits) serves every r of the current chunk, its B set by the absolute
     digits alone; any other r, nmax or digits starts a new chunk at that r.
-    Only the chunk's SPAN * (nmax + 1) sums are kept, never an integer per
+    Only the chunk's rows of nmax + 1 sums are kept, never an integer per
     prime, so the object stays small however many primes it holds.
     """
 
     BLOCK = 256  # primes per C-level map pass: short lists keep memory flat
-    SPAN = 16  # orders r per chunk: the W engine's first V table runs to 16
+    SPAN = 16  # orders r per chunk when the caller names no last r
     MAX_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted
 
     def __init__(self, primes):
@@ -568,10 +568,10 @@ class HeadPrimes:
     def sums(self, r, nmax, digits, upto=None):
         """(sums, B): sums[n] is the head's power sum at r, index n, as an
         integer in units of 2**-B (see prime_zeta_beyond); all 0 for no
-        primes.  A new chunk stops at r + SPAN - 1 or at upto, the last r
-        its caller reads."""
+        primes.  A new chunk stops at upto, the last r its caller reads, or
+        without one at r + SPAN - 1."""
         if self._key != (nmax, digits) or not 0 <= r - self._r0 < len(self._sums):
-            rows = self.SPAN if upto is None else min(self.SPAN, upto + 1 - r)
+            rows = self.SPAN if upto is None else upto + 1 - r
             self._B, self._sums = self._pass(r, rows, nmax, digits)
             self._r0, self._key = r, (nmax, digits)
         return self._sums[r - self._r0], self._B

@@ -578,9 +578,9 @@ class TestWEngine:
                     assert want == (mag < edge)
 
     def test_one_head_pass_serves_c0(self, monkeypatch):
-        # c_0(3) at 50 digits stops at r = 14: one chunk, one absolute digit
-        # count, so the 6,771 head primes take one integer pass, its rows
-        # r = 2..16 as far as the V table of order 16 reaches
+        # c_0(3) at 50 digits takes pcut 990 and R = 28, and stops at r = 23:
+        # one chunk, one absolute digit count, so the 166 head primes take
+        # one integer pass, its rows r = 2..28 as far as the V table reaches
         calls = []
         real = HeadPrimes._pass
 
@@ -591,7 +591,7 @@ class TestWEngine:
         monkeypatch.setattr(HeadPrimes, "_pass", counted)
         monkeypatch.setattr(moments, "_w_cache", {})
         c_coeff(0, 3, 50)
-        assert calls == [(2, 15)]
+        assert calls == [(2, 27)]
 
     @pytest.mark.parametrize("wmax, digits", [(4, 15), (0, 50)])
     def test_integer_families_match_the_public_views(self, wmax, digits):
@@ -642,7 +642,7 @@ class TestWEngine:
             real = getattr(zeta_numerics, name)
 
             def counted(ys, *args, real=real, name=name):
-                calls.append((name, ys[0], ys[-1]))
+                calls.append((name, ys[0], ys[-1], args))
                 return real(ys, *args)
 
             monkeypatch.setattr(zeta_numerics, name, counted)
@@ -652,9 +652,9 @@ class TestWEngine:
         zeta_numerics._compute_prime_zeta.cache_clear()
         c_coeff(0, 3, 50)
         assert zeta_numerics._log_zeta_table.cache_info().currsize == 1
-        (em, lo, y_em), (euler, start, top) = calls
+        (em, lo, y_em, _), (euler, start, top, (nmax, b, t)) = calls
         assert (em, lo, euler, start) == ("_em_fixed", 1, "_log_zeta_euler", y_em + 1)
-        assert y_em < 40 and top >= 243
+        assert (y_em, t) == zeta_numerics._crossover(nmax, b) and top >= 243
 
     @pytest.mark.parametrize("k, wmax, digits", [(2, 4, 10), (3, 4, 15), (4, 3, 12)])
     def test_values_and_errors_exactly_symmetric(self, k, wmax, digits):
@@ -759,15 +759,68 @@ class TestWEngine:
         assert abs(loose.value - tight.value) <= loose.error + tight.error
 
     def test_unreachable_precision_raises(self):
-        with pytest.raises(NonConvergenceError) as info:
-            W_coeff((), (), 1, digits=120)
-        assert info.value.meta["digits"] == 120
+        # weight 1 keeps the 16-order cutoff, past HeadPrimes.MAX_PRIME at
+        # 120 digits; weight 0 passes it from 151 digits at k = 1
+        for mu, digits in [((1,), 120), ((), 200)]:
+            with pytest.raises(NonConvergenceError) as info:
+                W_coeff(mu, (), 1, digits=digits)
+            assert info.value.meta["digits"] == digits
+
+    def test_weight_zero_past_the_old_wall(self):
+        # A_1 = 1: the empty key's W at k = 1 is exactly 0
+        got = W_coeff((), (), 1, digits=120)
+        assert abs(got.value) <= got.error < mp.mpf(10) ** -120
 
     def test_validation(self):
         with pytest.raises(ValueError):
             W_coeff((), (), 0)
         with pytest.raises(ValueError):
             W_coeff((1, 2), (), 2)
+
+
+def _c0_against_the_euler_product(monkeypatch, k, digits):
+    # a fresh c_0 against a_k g_k / (k**2)!, a_factor at digits + 15: within
+    # its bar, and the bar within the request
+    monkeypatch.setattr(moments, "_w_cache", {})
+    got = c_coeff(0, k, digits)
+    with mp.workdps(digits + 30):
+        want = a_factor(k, digits + 15) * g_factor(k) / math.factorial(k * k)
+        assert abs(got.value - want) <= got.error
+        assert got.error <= mp.mpf(10) ** -digits * abs(got.value)
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_weight_one_and_up_keep_the_16_order_cutoff(self, k):
+        # every weight >= 1 request keeps _prime_cutoff's head and R = 16,
+        # or its refusal; the last two cases set a tolerance of their own
+        cases = [(d, 10.0 ** -d) for d in (5, 10, 15, 30, 50)]
+        cases += [(12, 1e-30), (10, 1e-80)]
+        for wmax in range(1, min(k * k, 9) + 1):
+            for digits, tol_f in cases:
+                try:
+                    want = moments._prime_cutoff(k, digits, tol_f), 16
+                except NonConvergenceError as refused:
+                    with pytest.raises(NonConvergenceError) as info:
+                        moments._truncation(k, wmax, digits, tol_f)
+                    assert str(info.value) == str(refused)
+                    assert info.value.meta == refused.meta
+                    continue
+                assert moments._truncation(k, wmax, digits, tol_f) == want
+
+    @pytest.mark.parametrize("k, digits", [
+        (k, d) for k in (1, 2, 3, 4, 5, 8) for d in (10, 15, 30, 50)
+        if (k, d) != (8, 50)])
+    def test_c0_against_the_euler_product(self, monkeypatch, k, digits):
+        _c0_against_the_euler_product(monkeypatch, k, digits)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k, digits", [(11, 15), (8, 50), (2, 100)])
+    def test_c0_past_the_16_order_walls(self, monkeypatch, k, digits):
+        # each refused by _prime_cutoff, served by weight 0's own cutoff
+        with pytest.raises(NonConvergenceError):
+            moments._prime_cutoff(k, digits, 10.0 ** -digits)
+        _c0_against_the_euler_product(monkeypatch, k, digits)
 
 
 # every memo in the package, each paying on the c_N path or serving an oracle
