@@ -24,14 +24,16 @@ beyond-cutoff family is the Moebius-inverted prime-zeta family
 (zeta_numerics.prime_zeta_taylor) less the head primes' power sums, in the
 same integers (zeta_numerics.prime_zeta_fixed); the families of a V chunk
 share one absolute accuracy (_v_chunk), their log zeta values and one
-HeadPrimes pass per prime to the chunk's order.  Below
-the cutoff every key's local factor is an exact integer ratio at Q = 1/p
-(see below), so the head is one integer pass per prime: the empty key's
-part is one fixed-point product over the primes and a single log, and the
-other keys take one pair-series log per prime in B-bit integers
-(_head_logs).  The cutoff comes from the digit and tolerance
-request; tail estimates combine a certified envelope on the beyond-cutoff
-prime sums with the measured decay of the last few increments.
+integer pass per head prime over the orders the chunk adds
+(zeta_numerics.head_power_sums), on the one list of head primes the
+request sieves.  Below the cutoff every key's local factor is an exact
+integer ratio at Q = 1/p (see below), so the head is one integer pass per
+prime: the empty key's part is one fixed-point product over the primes and
+a single log, and the other keys take one pair-series log per prime in
+B-bit integers (_head_logs).  The cutoff comes from the digit and
+tolerance request; tail estimates combine a certified envelope on the
+beyond-cutoff prime sums with the measured decay of the last few
+increments.
 
 The closed form.  The local numerator a_mu(u) of _a_seqs has generating
 function T**len(mu) * prod_m E_{m-1}(T) / (1-T)**(k+|mu|), E_j the Eulerian
@@ -74,13 +76,15 @@ from .symseries import (
     series_log,
 )
 from .zeta_numerics import (
-    HeadPrimes,
+    MAX_HEAD_PRIME,
     _check_index,
     envelope_bound,
+    head_power_sums,
     int_log,
     prime_zeta_beyond,
     prime_zeta_fixed,
     prime_zeta_taylor,
+    primes_upto,
 )
 
 class ValueWithError(NamedTuple):
@@ -350,17 +354,32 @@ _w_cache = {}
 def _prime_cutoff(k, digits, tol_f):
     """The cutoff of a 16-order V table, every weight >= 1 request's:
     max(50, rho(k) * 10**(t/15)), t = 12 + max(digits, -log10 tol).  It
-    passes HeadPrimes.MAX_PRIME, a NonConvergenceError, from k = 11 at 15
+    passes MAX_HEAD_PRIME, a NonConvergenceError, from k = 11 at 15
     digits and from 79 digits at k = 2.  Weight 0 trades head primes for
     orders instead (_truncation), which moves those walls to k = 12 at 15
     digits and to 151 digits at k = 2."""
-    log10_t = 12 + max(digits, -math.log10(tol_f))
-    cut = max(50.0, _rho_inv(k) * 10 ** (log10_t / 15))
+    cut = max(50.0, _order_cut(_rho_inv(k), _target(digits, tol_f), 16))
     return _checked_cutoff(cut, k, digits, tol_f)
 
 
+def _target(digits, tol_f):
+    """t = 12 + max(digits, -log10 tol), the tail's target 10**-t.  From 324
+    digits on the default tol, 10.0**-digits, underflows to 0.0; t is then
+    12 + digits, whose cutoff passes MAX_HEAD_PRIME at every k and weight,
+    so such a request is refused before any sieve or V table."""
+    return 12 + (max(digits, -math.log10(tol_f)) if tol_f else digits)
+
+
+def _order_cut(rho, t, orders):
+    """rho * 10**(t/(orders - 1)), where a V table of that many orders
+    reaches the target 10**-t (_rho_inv); inf once the power leaves the
+    float range, far past MAX_HEAD_PRIME."""
+    x = t / (orders - 1)
+    return rho * 10 ** x if x < 300 else math.inf
+
+
 def _checked_cutoff(cut, k, digits, tol_f):
-    if cut > HeadPrimes.MAX_PRIME:
+    if cut > MAX_HEAD_PRIME:
         raise NonConvergenceError(
             "prime cutoff %.0f beyond the supported range; lower digits or tol"
             % cut,
@@ -381,10 +400,9 @@ def _truncation(k, wmax, digits, tol_f):
     multiple of 4 from 16 that reaches t at pcut; the engine adds 4 orders
     at a time if the tail has not closed by then.
     """
-    log10_t = 12 + max(digits, -math.log10(tol_f))
-    rho = _rho_inv(k)
-    cut = min(max(50.0, rho * 10 ** (log10_t / 15)),
-              max(800, 4 * rho, rho * 10 ** (log10_t / (15 if wmax else 27))))
+    log10_t, rho = _target(digits, tol_f), _rho_inv(k)
+    cut = min(max(50.0, _order_cut(rho, log10_t, 16)),
+              max(800, 4 * rho, _order_cut(rho, log10_t, 16 if wmax else 28)))
     pcut, R = _checked_cutoff(cut, k, digits, tol_f), 16
     while (R - 1) * math.log10(pcut / rho) < log10_t:
         R += 4
@@ -568,15 +586,21 @@ def _head_logs(k, wmax, primes):
     return out
 
 
-def _v_chunk(k, wmax, R, digits):
-    """_v_series to order R, digits + 10 + L, |V_r| < 10**L, and the tail's
-    bits for it (_w_engine): a family at that many absolute digits is within
-    2 * 10**-(digits+12+L), so the r <= 200 terms V_r * family move W by
-    under 10**-(digits+9), below its floor."""
+def _v_chunk(k, wmax, r0, R, digits, primes):
+    """_v_series to order R, digits + 10 + L, |V_r| < 10**L, the tail's bits
+    for it (_w_engine), and (Bh, rows), the head primes' power sums at the
+    orders r0..R the chunk adds, rows[r - r0], from one head_power_sums pass
+    at those digits; r = 1 reads the whole family, so its row is 0.  A
+    family at that many absolute digits is within 2 * 10**-(digits+12+L),
+    so the r <= 200 terms V_r * family move W by under 10**-(digits+9),
+    below its floor."""
     v_tab, vb_tab = _v_series(k, wmax, R)
     top = max(int(abs(f)) for vr in v_tab for f in vr.values())
     fam_digits = digits + 10 + len(str(top))
-    return v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40
+    Bh, rows = head_power_sums(primes, max(r0, 2), R, wmax, fam_digits)
+    if r0 == 1:
+        rows.insert(0, [0] * (wmax + 1))
+    return v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40, (Bh, rows)
 
 
 def _min_stop(wmax):
@@ -612,15 +636,17 @@ def _w_engine(k, wmax, digits, tol_f):
     weight = {key: sum(key[0]) + sum(key[1]) for key in keys}
     tn, td = tol_f.as_integer_ratio()
     with mp.workdps(digits + 15):
-        # the head primes, for the beyond-cutoff families at every r below
-        head_primes = HeadPrimes.upto(pcut)
+        # the head primes, for the logs below and the families' head rows
+        primes = primes_upto(pcut)
         # below the cutoff every key's local factor is an exact integer
         # ratio: one integer pass per head prime, the empty key's product
         # and the other keys' pair-series log, converted once at the end
-        head = _head_logs(k, wmax, head_primes.primes)
+        head = _head_logs(k, wmax, primes)
         # exact V tables to _truncation's order R, then 4 orders at a time:
         # the tail rarely passes R, and each table is built from scratch
-        v_tab, vb_tab, fam_digits, B = _v_chunk(k, wmax, R, digits)
+        r0 = 1
+        v_tab, vb_tab, fam_digits, B, (Bh, rows) = _v_chunk(
+            k, wmax, r0, R, digits, primes)
         vals = {key: to_fixed(v._mpf_, B) for key, v in head.items()}
         history = {key: deque(maxlen=3) for key in keys}
         gmax_hist = deque(maxlen=4)
@@ -638,8 +664,9 @@ def _w_engine(k, wmax, digits, tol_f):
                           "digits": digits, "tol": tol_f},
                 )
             if r > R:
-                R += 4
-                v_tab, vb_tab, fam_digits, B_new = _v_chunk(k, wmax, R, digits)
+                r0, R = r, R + 4
+                v_tab, vb_tab, fam_digits, B_new, (Bh, rows) = _v_chunk(
+                    k, wmax, r0, R, digits, primes)
                 # a larger L raises B: every stored integer moves up exactly
                 s, B = B_new - B, B_new
                 vals = {key: v << s for key, v in vals.items()}
@@ -647,9 +674,9 @@ def _w_engine(k, wmax, digits, tol_f):
                     h.extend([h.popleft() << s for _ in range(len(h))])
             vr, vb = v_tab[r], vb_tab[r]
             # r = 1 takes the whole regularized family: _head_logs left out
-            # every head prime's leading 1/p part; head sums stop at R
+            # every head prime's leading 1/p part
             fam = prime_zeta_fixed(prime_zeta_taylor(r, wmax, fam_digits).coeffs,
-                                   r, wmax, head_primes, fam_digits, B, R)
+                                   wmax, B, rows[r - r0], Bh)
             allsmall, tmax = True, 0
             for key, fv in vr.items():
                 term = fv.numerator * fam[weight[key]] // fv.denominator
@@ -831,17 +858,17 @@ def a_factor(k, digits=50):
     if k == 0:
         return mp.mpf(1)
     cutoff = max(800, 4 * _rho_inv(k))
-    if cutoff > HeadPrimes.MAX_PRIME:
+    if cutoff > MAX_HEAD_PRIME:
         raise NonConvergenceError(
             "Euler product cutoff %d beyond the supported range" % cutoff,
             meta={"k": k, "cutoff": cutoff},
         )
     with mp.workdps(digits + 15):
-        head = HeadPrimes.upto(cutoff)
+        primes = primes_upto(cutoff)
         e2 = (k - 1) ** 2
         pol = _gauss_square_poly(k)[::-1]  # highest degree first (polyval)
         acc = mp.mpf(0)
-        for p in head.primes:
+        for p in primes:
             q = mp.mpf(1) / p
             acc += e2 * mp.log(1 - q) + mp.log(mp.polyval(pol, q))
         thresh = mp.mpf(10) ** (-(digits + 8))
@@ -865,7 +892,7 @@ def a_factor(k, digits=50):
                     env = envelope_bound(r, 0, cutoff) * abs(br.numerator)
                     small = small + 1 if env < thresh * br.denominator else 0
                     continue
-                tail0 = prime_zeta_beyond(r, 0, head, fam_digits)[0]
+                tail0 = prime_zeta_beyond(r, 0, primes, fam_digits)[0]
                 term = mp.mpf(br.numerator) / br.denominator * tail0
                 acc += term
                 small = small + 1 if abs(term) < thresh * max(1, abs(acc)) else 0

@@ -31,7 +31,7 @@ from .symseries import (
     EMPTY_KEY, POWERSUM, SCHUR, PairSeries, _exp_log, _exp_log_fixed, _plan,
     _switch_basis, p_to_schur, series_exp, series_log)
 from .zeta_numerics import (
-    HeadPrimes, _bernoulli_ratio, _em_fixed, _em_head_length, _log_zeta_em,
+    _bernoulli_ratio, _em_fixed, _em_head_length, _log_zeta_em, head_power_sums,
     int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
 
 
@@ -614,25 +614,23 @@ def _check_prime_zeta_routes():
 
 
 def _check_head_power_sums(pcut=3200, nmax=4, digits=30):
-    # one head for r = 2..18, past a chunk's end, at the absolute digits that
-    # carry `digits` relative ones to r = 18; the oracle is mpf, 20 digits up
+    # one table for r = 2..18 at the absolute digits that carry `digits`
+    # relative ones to r = 18, within its stated 10**-(digits+13) of the
+    # power sums; the oracle is an mpf loop, 30 digits up
     primes = primes_upto(pcut)
-    head = HeadPrimes(primes)
-    extra = int(18 * math.log10(pcut / 2.0)) + 8
-    for r in range(2, 19):
-        got = prime_zeta_beyond(r, nmax, head, digits + extra)
-        base = prime_zeta_taylor(r, nmax, digits + 20 + extra)
-        with mp.workdps(digits + 30 + extra):
-            want = list(base.coeffs[: nmax + 1])
+    d = digits + int(18 * math.log10(pcut / 2.0)) + 8
+    B, rows = head_power_sums(primes, 2, 18, nmax, d)
+    with mp.workdps(d + 30):
+        for r, row in enumerate(rows, 2):
+            want = [mp.mpf(0)] * (nmax + 1)
             for p in primes:
-                lp = -mp.log(p)
-                t = mp.mpf(p) ** -r
-                want[0] -= t
+                lp, t = mp.log(p), mp.mpf(p) ** -r
+                want[0] += t
                 for n in range(1, nmax + 1):
                     t = t * lp / n
-                    want[n] -= t
+                    want[n] += t
             for n in range(nmax + 1):
-                if abs(got[n] - want[n]) > mp.mpf(10) ** -(digits + 3) * abs(want[n]):
+                if abs(mp.ldexp(row[n], -B) - want[n]) > mp.mpf(10) ** -(d + 13):
                     raise AssertionError("r=%d n=%d" % (r, n))
 
 
@@ -690,13 +688,13 @@ def _check_w_tail(k=2, wmax=4, digits=10):
         # the engine's tables: _truncation's R, then 4 orders at a time
         pcut, R = _truncation(k, wmax, digits, 10.0**-digits)
         primes = primes_upto(pcut)
-        want, head = _head_logs(k, wmax, primes), HeadPrimes(primes)
-        v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
+        want = _head_logs(k, wmax, primes)
+        v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, 1, R, digits, primes)
         for r in range(1, meta["r_max_used"] + 1):
             if r > R:
                 R += 4
-                v_tab, _, fam_digits, _ = _v_chunk(k, wmax, R, digits)
-            fam = (prime_zeta_beyond(r, wmax, head, fam_digits) if r > 1
+                v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, r, R, digits, primes)
+            fam = (prime_zeta_beyond(r, wmax, primes, fam_digits) if r > 1
                    else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
             for (m, nu), fv in v_tab[r].items():
                 want[(m, nu)] += (mp.mpf(fv.numerator) / fv.denominator

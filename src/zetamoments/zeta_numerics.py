@@ -16,8 +16,11 @@ pass beyond, and mu from one sieve.  Each family is served, as the exact
 values of those sums, by one lookup (prime_zeta_taylor) to the W engine,
 which reads it less the head primes' power sums as integers
 (prime_zeta_fixed), to prime_zeta_beyond, an mpf view of that route, and
-to the cache.  Integer logs come from one table (int_log), the Bernoulli
-fractions from the tangent numbers.  oracles.prime_zeta_direct sums sieved
+to the cache.  The head's sums come from one integer pass per prime over a
+run of orders r (head_power_sums) on a list of primes, which the engine
+sieves (primes_upto) and outside input passes through checked_primes.
+Integer logs come from one table (int_log), the Bernoulli fractions from
+the tangent numbers.  oracles.prime_zeta_direct sums sieved
 primes in plain mpf arithmetic and closes the tail with mpmath's own zeta
 derivatives; it shares only the prime sieve (tested against trial
 division) with the default route, and must stay so: it is the oracle the
@@ -505,98 +508,81 @@ def _compute_prime_zeta(r, nmax, digits):
         r, tuple(mp.make_mpf(from_man_exp(v, -b)) for v in sums), digits)
 
 
-def prime_zeta_fixed(coeffs, r, nmax, head, digits, B, upto=None):
-    """The family at r, coeffs (prime_zeta_taylor's), less the head's power
-    sums (all of it at r = 1), [n <= nmax] in units of 2**-B, under 2 units
-    off coeffs less the exact sums: each c to floor(2**B c), each
-    head.sums(r, nmax, digits, upto) value v at B_h bits to floor(v 2**(B -
-    B_h))."""
-    out = [to_fixed(c._mpf_, B) for c in coeffs[: nmax + 1]]
-    if r > 1 and head.primes:
-        sums, Bh = head.sums(r, nmax, digits, upto)
-        out = [f + ((v if n % 2 else -v) << B >> Bh)
-               for n, (f, v) in enumerate(zip(out, sums))]
-    return out
+MAX_HEAD_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted
 
 
-class HeadPrimes:
-    """The primes a beyond-cutoff family leaves out, with their power sums
-    for one chunk of consecutive orders r at a time.
+def checked_primes(primes):
+    """primes as an ascending list, or ValueError: each must be an int (not
+    a bool), prime, at most MAX_HEAD_PRIME (checked before the validating
+    sieve runs) and listed once."""
+    ps = list(primes)
+    if not set(map(type, ps)) <= {int}:
+        bad = next(p for p in ps if type(p) is not int)
+        raise ValueError("head primes must be ints, got %r" % (bad,))
+    ps.sort()
+    if ps and not 2 <= ps[0] <= ps[-1] <= MAX_HEAD_PRIME:
+        raise ValueError("head primes must lie in [2, %d]" % MAX_HEAD_PRIME)
+    if not all(map(lt, ps, itertools.islice(ps, 1, None))):
+        raise ValueError("head primes must be distinct")
+    if ps:
+        flags = _prime_flags(ps[-1])
+        if not all(map(flags.__getitem__, ps)):
+            bad = next(p for p in ps if not flags[p])
+            raise ValueError("head prime %d is not a prime" % bad)
+    return ps
 
-    The primes are validated and sorted once: each must be an int (not a
-    bool), prime, at most MAX_PRIME (checked before the validating sieve
-    runs) and listed once, or ValueError is raised.  sums(r, nmax,
-    digits) serves every r of the current chunk, its B set by the absolute
-    digits alone; any other r, nmax or digits starts a new chunk at that r.
-    Only the chunk's rows of nmax + 1 sums are kept, never an integer per
-    prime, so the object stays small however many primes it holds.
+
+def head_power_sums(primes, r0, r1, nmax, digits):
+    """(B, rows): rows[r - r0][n], r0 <= r <= r1, is the power sum over the
+    primes (ascending, as checked_primes returns them) of p**-r * l**n / n!,
+    l = log p, as an integer in units of 2**-B, within 10**-(digits+13); all
+    0 for no primes.  One integer pass per prime over r0..r1; B is set by
+    the primes, nmax and digits alone, and each row is exact to a floor, so
+    no row depends on the r0 its pass starts from.
+
+    Terms are integers in units of 2**-B: t_0 = floor(2**B / p**r), under a
+    unit off (a pass starts at floor(2**B / p**r0) and steps r by t_0 //= p,
+    which keeps the floor exact: floor(floor(x)/p) = floor(x/p) for an
+    integer p); L = int_log(p, B), from the log table, under 2 units off
+    2**B * l; and t_n = floor(t_{n-1} * L / 2**B / n).  Each step n scales
+    the error carried in by L/2**B/n < (1+l)/n and adds under 3: its floor,
+    plus L's error, under 2, times p**-r * l**(n-1)/(n-1)!/n <= p**(1-r) <=
+    1.  So term n of one prime is off by under 3 * sum_{j<=n} (1+l)**j/j! <=
+    3 * (2+l)**n units, below 2**(2 + n*g) with g = bit_length(int(log max
+    p) + 3), and a sum over the primes by under 2**(s - B) units of 1, where
+    s = len.bit_length() + nmax*g + 2.  B = prec + s + 10, prec the working
+    precision of digits + 10, makes it 2**-(prec+10) < 10**-(digits+13).
+    The primes go 256 at a time through C-level map passes, which keeps
+    memory flat however many there are.
     """
+    g = (int(math.log(primes[-1])) + 3).bit_length() if primes else 0
+    B = dps_to_prec(digits + 10) + len(primes).bit_length() + nmax * g + 12
+    one = 1 << B
+    rows = [[0] * (nmax + 1) for _ in range(r0, r1 + 1)]
+    for i in range(0, len(primes), 256):
+        block = primes[i : i + 256]
+        t = [one // p ** r0 for p in block]
+        logs = [int_log(p, B) for p in block] if nmax else ()
+        for j, row in enumerate(rows):
+            if j:
+                t = list(map(floordiv, t, block))
+            row[0] += sum(t)
+            u = t
+            for n in range(1, nmax + 1):
+                u = map(rshift, map(mul, u, logs), itertools.repeat(B))
+                u = list(map(floordiv, u, itertools.repeat(n)))
+                row[n] += sum(u)
+    return B, rows
 
-    BLOCK = 256  # primes per C-level map pass: short lists keep memory flat
-    SPAN = 16  # orders r per chunk when the caller names no last r
-    MAX_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted
 
-    def __init__(self, primes):
-        ps = list(primes)
-        if not set(map(type, ps)) <= {int}:
-            bad = next(p for p in ps if type(p) is not int)
-            raise ValueError("head primes must be ints, got %r" % (bad,))
-        ps.sort()
-        if ps and not 2 <= ps[0] <= ps[-1] <= self.MAX_PRIME:
-            raise ValueError("head primes must lie in [2, %d]" % self.MAX_PRIME)
-        if not all(map(lt, ps, itertools.islice(ps, 1, None))):
-            raise ValueError("head primes must be distinct")
-        if ps:
-            flags = _prime_flags(ps[-1])
-            if not all(map(flags.__getitem__, ps)):
-                bad = next(p for p in ps if not flags[p])
-                raise ValueError("head prime %d is not a prime" % bad)
-        self.primes = ps
-        # the current chunk: its first r, its (nmax, digits), its B and
-        # its sums at r0, r0 + 1, ...
-        self._r0 = self._key = self._B = self._sums = None
-
-    @classmethod
-    def upto(cls, x):
-        """The primes p <= x from one sieve, taken without a second check."""
-        if x > cls.MAX_PRIME:
-            raise ValueError("head primes must lie in [2, %d]" % cls.MAX_PRIME)
-        head = cls(())
-        head.primes = primes_upto(x)
-        return head
-
-    def sums(self, r, nmax, digits, upto=None):
-        """(sums, B): sums[n] is the head's power sum at r, index n, as an
-        integer in units of 2**-B (see prime_zeta_beyond); all 0 for no
-        primes.  A new chunk stops at upto, the last r its caller reads, or
-        without one at r + SPAN - 1."""
-        if self._key != (nmax, digits) or not 0 <= r - self._r0 < len(self._sums):
-            rows = self.SPAN if upto is None else upto + 1 - r
-            self._B, self._sums = self._pass(r, rows, nmax, digits)
-            self._r0, self._key = r, (nmax, digits)
-        return self._sums[r - self._r0], self._B
-
-    def _pass(self, r0, rows, nmax, digits):
-        """One integer pass per prime over r0 .. r0 + rows - 1; (B, sums)."""
-        ps = self.primes
-        g = (int(math.log(ps[-1])) + 3).bit_length() if ps else 0
-        B = dps_to_prec(digits + 10) + len(ps).bit_length() + nmax * g + 12
-        one = 1 << B
-        sums = [[0] * (nmax + 1) for _ in range(rows)]
-        for i in range(0, len(ps), self.BLOCK):
-            block = ps[i : i + self.BLOCK]
-            t = [one // p ** r0 for p in block]
-            logs = [int_log(p, B) for p in block] if nmax else ()
-            for j, row in enumerate(sums):
-                if j:
-                    t = list(map(floordiv, t, block))
-                row[0] += sum(t)
-                u = t
-                for n in range(1, nmax + 1):
-                    u = map(rshift, map(mul, u, logs), itertools.repeat(B))
-                    u = list(map(floordiv, u, itertools.repeat(n)))
-                    row[n] += sum(u)
-        return B, sums
+def prime_zeta_fixed(coeffs, nmax, B, head_row, Bh):
+    """The family coeffs (prime_zeta_taylor's) less head_row, the head
+    primes' power sums at its r in units of 2**-Bh (head_power_sums; all 0
+    for the whole family), [n <= nmax] in units of 2**-B, under 2 units off
+    coeffs less the exact sums: each c to floor(2**B c), each head value v
+    to floor(v 2**(B - Bh))."""
+    return [to_fixed(c._mpf_, B) + ((v if n % 2 else -v) << B >> Bh)
+            for n, (c, v) in enumerate(zip(coeffs[: nmax + 1], head_row))]
 
 
 def prime_zeta_beyond(r, nmax, primes, digits=50):
@@ -606,34 +592,19 @@ def prime_zeta_beyond(r, nmax, primes, digits=50):
     needs (the family is about max(primes)**(1-r)).
 
     r must be at least 2 (ValueError): the r = 1 family is the regularized
-    one, and less the head sums it is no beyond-cutoff sum.  primes is a
-    HeadPrimes, or any iterable of primes, which is validated and summed as
-    a one-r chunk (upto = r); a caller stepping through r passes one
-    HeadPrimes to every call, so each prime takes one integer pass per chunk
-    of r.  The full family, prime_zeta_taylor at digits, is under 4.01 *
-    10**-(digits+10) off; the head, the subtraction in units of
-    2**-prec(digits + 13) (prime_zeta_fixed, the W engine's route, under 2)
-    and the rounding add under 10**-(digits+5).
-
-    Head terms p**-r * l**n / n!, l = log p, are integers in units of
-    2**-B (HeadPrimes' own B): t_0 = floor(2**B / p**r), under a unit off (a chunk starts at
-    floor(2**B / p**r0) and steps r by t_0 //= p, which keeps the floor
-    exact: floor(floor(x)/p) = floor(x/p) for an integer p); L =
-    int_log(p, B), from the log table, under 2 units off 2**B * l; and t_n =
-    floor(t_{n-1} * L / 2**B / n).  Each step n scales the error carried in
-    by L/2**B/n < (1+l)/n and adds under 3: its floor, plus L's error,
-    under 2, times p**-r * l**(n-1)/(n-1)!/n <= p**(1-r) <= 1.  So term n
-    of one prime is off by under 3 * sum_{j<=n} (1+l)**j/j! <= 3 * (2+l)**n
-    units, below 2**(2 + n*g) with g = bit_length(int(log max p) + 3), and
-    a sum over the primes by under 2**(s - B) units of 1, where s =
-    len.bit_length() + nmax*g + 2.  B = prec + s + 10, prec the working
-    precision of digits + 10, makes it 2**-(prec+10) < 10**-(digits+13).
+    one, and less the head sums it is no beyond-cutoff sum.  primes is any
+    iterable of primes, validated (checked_primes) and summed in a one-row
+    pass (head_power_sums, within 10**-(digits+13)).  The full family,
+    prime_zeta_taylor at digits, is under 4.01 * 10**-(digits+10) off; the
+    head, the subtraction in units of 2**-prec(digits + 13)
+    (prime_zeta_fixed, the W engine's route, under 2) and the rounding add
+    under 10**-(digits+5).
     """
     _check_index(r, "beyond-cutoff order r", 2)
-    head, upto = ((primes, None) if isinstance(primes, HeadPrimes)
-                  else (HeadPrimes(primes), r))
+    ps = checked_primes(primes)
     coeffs, B = prime_zeta_taylor(r, nmax, digits).coeffs, dps_to_prec(digits + 13)
-    out = prime_zeta_fixed(coeffs, r, nmax, head, digits, B, upto)
+    Bh, (row,) = head_power_sums(ps, r, r, nmax, digits)
+    out = prime_zeta_fixed(coeffs, nmax, B, row, Bh)
     with mp.workdps(digits + 5):
         return tuple(mp.ldexp(v, -B) for v in out)
 

@@ -460,6 +460,16 @@ class TestCommands:
         assert main([]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("digits", ["200", "330"])
+    def test_non_convergence_is_exit_2(self, tmp_path, capsys, digits):
+        # the prime cutoff passes the head-prime cap; at 330 digits the
+        # default tol underflows to 0.0 and takes the same refusal
+        rc = main(["coeff", "--k", "2", "--N", "0", "--digits", digits,
+                   "--cache-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("non-convergence: ") and "\nparameters: " in err
+
     def test_poly_at_k0_is_the_constant_polynomial(self, capsys):
         # the same k rule as moment_polynomial and coeff --k 0 --N 0
         args = ["poly", "--k", "0", "--digits", "10", "--format"]

@@ -59,7 +59,7 @@ from zetamoments.symseries import (
     series_mul,
 )
 from zetamoments import zeta_numerics
-from zetamoments.zeta_numerics import HeadPrimes, primes_upto
+from zetamoments.zeta_numerics import head_power_sums, primes_upto
 
 F = Fraction
 
@@ -468,13 +468,26 @@ def _relative_families(monkeypatch, digits):
     relative to its own size: beyond the cutoff that adds the cancelled
     ratio, r * log10(max prime / 2) + 8 digits."""
 
-    def fixed(_, r, nmax, head, __, B, upto):
-        extra = int(r * math.log10(head.primes[-1] / 2.0)) + 8 if r > 1 else 0
-        fam_digits = digits + 10 + extra
-        return zeta_numerics.prime_zeta_fixed(
-            zeta_numerics.prime_zeta_taylor(r, nmax, fam_digits).coeffs, r, nmax,
-            HeadPrimes(head.primes), fam_digits, B, r)
+    seen, taylor, sieve = {}, moments.prime_zeta_taylor, moments.primes_upto
 
+    def primes_upto(x):
+        seen["primes"] = sieve(x)
+        return seen["primes"]
+
+    def prime_zeta_taylor(r, *args):
+        seen["r"] = r
+        return taylor(r, *args)
+
+    def fixed(_, nmax, B, __, ___):
+        r, ps = seen["r"], seen["primes"]
+        extra = int(r * math.log10(ps[-1] / 2.0)) + 8 if r > 1 else 0
+        fam_digits = digits + 10 + extra
+        Bh, (row,) = head_power_sums(ps if r > 1 else [], r, r, nmax, fam_digits)
+        return zeta_numerics.prime_zeta_fixed(
+            taylor(r, nmax, fam_digits).coeffs, nmax, B, row, Bh)
+
+    monkeypatch.setattr(moments, "primes_upto", primes_upto)
+    monkeypatch.setattr(moments, "prime_zeta_taylor", prime_zeta_taylor)
     monkeypatch.setattr(moments, "prime_zeta_fixed", fixed)
 
 
@@ -545,14 +558,18 @@ class TestWEngine:
         real, orders = moments._v_chunk, []
 
         def record(*a):
-            orders.append(a[2])
+            orders.append(a[2:4])
             return real(*a)
+
+        def fixed_scale(*a):
+            v_tab, vb_tab, fam_digits, _, head = real(*a)
+            return v_tab, vb_tab, fam_digits, 400, head
 
         monkeypatch.setattr(moments, "_v_chunk", record)
         got, got_errs, meta = moments._w_engine(2, 3, 40, 1e-40)
-        assert orders == [16, 20]
-        assert real(2, 3, 20, 40)[3] == real(2, 3, 16, 40)[3] + 4
-        monkeypatch.setattr(moments, "_v_chunk", lambda *a: real(*a)[:3] + (400,))
+        assert orders == [(1, 16), (17, 20)]
+        assert real(2, 3, 17, 20, 40, [])[3] == real(2, 3, 1, 16, 40, [])[3] + 4
+        monkeypatch.setattr(moments, "_v_chunk", fixed_scale)
         want, want_errs, want_meta = moments._w_engine(2, 3, 40, 1e-40)
         assert meta == want_meta and meta["r_max_used"] == 17
         with mp.workdps(70):
@@ -578,34 +595,43 @@ class TestWEngine:
                     assert want == (mag < edge)
 
     def test_one_head_pass_serves_c0(self, monkeypatch):
-        # c_0(3) at 50 digits takes pcut 990 and R = 28, and stops at r = 23:
-        # one chunk, one absolute digit count, so the 166 head primes take
-        # one integer pass, its rows r = 2..28 as far as the V table reaches
-        calls = []
-        real = HeadPrimes._pass
+        # one head pass per V chunk, over the orders it adds (r = 1 reads
+        # the whole family): c_0(3) at 50 digits takes pcut 990 and R = 28
+        # and stops at r = 23, so its 166 head primes take one pass, r =
+        # 2..28; c_4(3) at 15 digits stays within R = 16; W at (2, 3, 40)
+        # adds the R = 20 table at r = 17
+        calls, real = [], moments.head_power_sums
 
-        def counted(self, r0, rows, nmax, digits):
-            calls.append((r0, rows))
-            return real(self, r0, rows, nmax, digits)
+        def counted(primes, r0, r1, nmax, digits):
+            calls.append((r0, r1))
+            return real(primes, r0, r1, nmax, digits)
 
-        monkeypatch.setattr(HeadPrimes, "_pass", counted)
+        monkeypatch.setattr(moments, "head_power_sums", counted)
         monkeypatch.setattr(moments, "_w_cache", {})
-        c_coeff(0, 3, 50)
-        assert calls == [(2, 27)]
+        for run, want in [(lambda: c_coeff(0, 3, 50), [(2, 28)]),
+                          (lambda: c_coeff(4, 3, 15), [(2, 16)]),
+                          (lambda: moments._w_engine(2, 3, 40, 1e-40),
+                           [(2, 16), (17, 20)])]:
+            calls.clear()
+            run()
+            assert calls == want
 
     @pytest.mark.parametrize("wmax, digits", [(4, 15), (0, 50)])
     def test_integer_families_match_the_public_views(self, wmax, digits):
-        # lead5's and c0's families, r = 1..16, at the engine's family
-        # digits, against the mpf views in units their rounding stays under
-        pcut = moments._prime_cutoff(3, digits, 10.0**-digits)
-        head = HeadPrimes.upto(pcut)
-        fam_digits = moments._v_chunk(3, wmax, 16, digits)[2]
+        # lead5's and c0's families, r = 1..R of their first V table (c0:
+        # pcut 990, R = 28), at the engine's family digits and head rows,
+        # against the mpf views in units their rounding stays under
+        pcut, R = moments._truncation(3, wmax, digits, 10.0**-digits)
+        primes = primes_upto(pcut)
+        _, _, fam_digits, _, (Bh, rows) = moments._v_chunk(
+            3, wmax, 1, R, digits, primes)
         B = dps_to_prec(fam_digits)
-        for r in range(1, 17):
+        assert len(rows) == R
+        for r, row in enumerate(rows, 1):
             got = zeta_numerics.prime_zeta_fixed(
                 zeta_numerics.prime_zeta_taylor(r, wmax, fam_digits).coeffs,
-                r, wmax, head, fam_digits, B)
-            view = (zeta_numerics.prime_zeta_beyond(r, wmax, head, fam_digits)
+                wmax, B, row, Bh)
+            view = (zeta_numerics.prime_zeta_beyond(r, wmax, primes, fam_digits)
                     if r > 1 else
                     zeta_numerics.prime_zeta_taylor(1, wmax, fam_digits).coeffs)
             want = [to_fixed(c._mpf_, B) for c in view]
@@ -623,15 +649,15 @@ class TestWEngine:
             served[r] = entry.coeffs
             return entry
 
-        def fixed_spy(coeffs, r, *args):
-            read.append((r, coeffs is served.get(r)))
-            return fixed(coeffs, r, *args)
+        def fixed_spy(coeffs, *args):
+            read.append(next(r for r, c in served.items() if c is coeffs))
+            return fixed(coeffs, *args)
 
         monkeypatch.setattr(moments, "prime_zeta_taylor", taylor_spy)
         monkeypatch.setattr(moments, "prime_zeta_fixed", fixed_spy)
         _, _, meta = moments._w_engine(3, 4, 15, 1e-15)
         want = range(1, meta["r_max_used"] + 1)
-        assert read == [(r, True) for r in want]
+        assert read == list(want)
         assert sorted(served) == list(want)
 
     def test_c0_builds_one_log_zeta_table(self, monkeypatch):
@@ -759,12 +785,34 @@ class TestWEngine:
         assert abs(loose.value - tight.value) <= loose.error + tight.error
 
     def test_unreachable_precision_raises(self):
-        # weight 1 keeps the 16-order cutoff, past HeadPrimes.MAX_PRIME at
+        # weight 1 keeps the 16-order cutoff, past MAX_HEAD_PRIME at
         # 120 digits; weight 0 passes it from 151 digits at k = 1
         for mu, digits in [((1,), 120), ((), 200)]:
             with pytest.raises(NonConvergenceError) as info:
                 W_coeff(mu, (), 1, digits=digits)
             assert info.value.meta["digits"] == digits
+
+    def test_default_tol_underflow_is_non_convergence(self, monkeypatch):
+        # from 324 digits on the default tol, 10.0**-digits, is 0.0: the
+        # cutoff comes from t = 12 + digits (k = 2: rho = 2), and the request
+        # is refused before any sieve or V table
+        def banned(*args):
+            raise AssertionError("work before the refusal")
+
+        monkeypatch.setattr(zeta_numerics, "_prime_flags", banned)
+        monkeypatch.setattr(moments, "_v_series", banned)
+        monkeypatch.setattr(moments, "_w_cache", {})
+        for call, digits, orders in [(lambda: c_coeff(0, 2, 330), 330, 28),
+                                     (lambda: W_coeff((1,), (), 2, digits=400),
+                                      400, 16)]:
+            with pytest.raises(NonConvergenceError) as info:
+                call()
+            assert info.value.meta == {"k": 2, "digits": digits, "tol": 0.0}
+            cut = 2 * 10 ** ((12 + digits) / (orders - 1))
+            assert "prime cutoff %.0f beyond" % cut in str(info.value)
+        # past 4,600 digits the 16-order cutoff leaves the float range
+        with pytest.raises(NonConvergenceError, match="prime cutoff inf"):
+            W_coeff((1,), (), 2, digits=5000)
 
     def test_weight_zero_past_the_old_wall(self):
         # A_1 = 1: the empty key's W at k = 1 is exactly 0
@@ -1012,7 +1060,7 @@ class TestAssembly:
         assert len(seen) > 20 and len({d for _, d in seen}) == 1
 
     def test_a_cutoff_past_the_head_cap_is_non_convergence(self, monkeypatch):
-        # max(800, 4 rho(k)) passes HeadPrimes.MAX_PRIME from k = 13 on: the
+        # max(800, 4 rho(k)) passes MAX_HEAD_PRIME from k = 13 on: the
         # request is refused before any sieve runs
         def banned(n):
             raise AssertionError("sieved to %d" % n)

@@ -12,7 +12,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_int, log_int_fixed, mpf_log, to_fixed
+from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
 
 from zetamoments import oracles, zeta_numerics
 from zetamoments.cli import save_pzeta
@@ -28,11 +28,12 @@ from zetamoments.oracles import (
     zeta_taylor,
 )
 from zetamoments.zeta_numerics import (
-    HeadPrimes,
     PrimeZetaCoeffs,
     _em_fixed,
     _em_head_length,
+    checked_primes,
     envelope_bound,
+    head_power_sums,
     install_prime_zeta,
     int_log,
     prime_zeta_beyond,
@@ -591,7 +592,7 @@ class TestPrimeZetaTaylor:
         with pytest.raises(ValueError, match="order r"):
             prime_zeta_beyond(r, 2, [2, 3], 20)
         with pytest.raises(ValueError, match="order r"):
-            prime_zeta_beyond(r, 2, HeadPrimes([2, 3]), 20)
+            prime_zeta_beyond(r, 2, iter([2, 3]), 20)
 
 
 def _mpf_stop_bound(r, nmax, digits, m):
@@ -835,41 +836,40 @@ class TestBeyondAndEnvelope:
                 assert abs(got[n] - ref[n]) < mp.mpf(10) ** -33 * abs(ref[n]), n
 
     def test_chunk_sums_are_exact_floors(self):
+        # one pass over r = 2..20: each row is an exact floor, the same as a
+        # pass of its own starting at that r
         ps = primes_upto(3200)
-        head = HeadPrimes(ps)
-        for r in range(2, 21):
-            sums, B = head.sums(r, 4, 40)
-            assert sums[0] == sum((1 << B) // p**r for p in ps), r
+        B, rows = head_power_sums(ps, 2, 20, 4, 40)
+        assert len(rows) == 19
+        for r, row in enumerate(rows, 2):
+            assert row[0] == sum((1 << B) // p**r for p in ps), r
+            assert head_power_sums(ps, r, r, 4, 40) == (B, [row]), r
+            assert head_power_sums(ps, r, 20, 4, 40)[1][0] == row, r
 
     @pytest.mark.parametrize(
         "pcut, nmax, digits", [(67968, 0, 60), (3200, 4, 40), (316, 4, 25)]
     )
     def test_shared_head_matches_fresh_list(self, pcut, nmax, digits):
+        # the engine's route, one table over r = 2..20 from one sieved list,
+        # is bit for bit prime_zeta_beyond's, which validates a fresh list
+        # and sums it one r at a time
         ps = primes_upto(pcut)
-        head = HeadPrimes(ps)
-        for r in range(2, 21):
-            shared = prime_zeta_beyond(r, nmax, head, digits)
-            fresh = prime_zeta_beyond(r, nmax, ps, digits)
-            assert [v._mpf_ for v in shared] == [v._mpf_ for v in fresh], r
-
-    def test_shared_head_restarts(self):
-        ps = primes_upto(500)
-        head = HeadPrimes(ps)
-        # r stepping backwards, nmax growing, digits changing, the last r of
-        # a chunk, and r past its end; each new chunk starts at the asked r
-        for r, nmax, digits, r0 in [(9, 2, 30, 9), (5, 2, 30, 5), (6, 4, 30, 6),
-                                    (7, 4, 45, 7), (22, 4, 45, 7), (23, 4, 45, 23)]:
-            got = prime_zeta_beyond(r, nmax, head, digits)
-            want = prime_zeta_beyond(r, nmax, ps, digits)
-            assert [v._mpf_ for v in got] == [v._mpf_ for v in want], r
-            assert head._r0 == r0
+        Bh, rows = head_power_sums(ps, 2, 20, nmax, digits)
+        B = dps_to_prec(digits + 13)
+        for r, row in enumerate(rows, 2):
+            coeffs = prime_zeta_taylor(r, nmax, digits).coeffs
+            shared = zeta_numerics.prime_zeta_fixed(coeffs, nmax, B, row, Bh)
+            fresh = prime_zeta_beyond(r, nmax, list(ps), digits)
+            with mp.workdps(digits + 5):
+                assert [mp.ldexp(v, -B)._mpf_ for v in shared] == [
+                    v._mpf_ for v in fresh], r
 
     @pytest.mark.parametrize(
         "primes", [[2.5], [2, 2], [1], [0], [-3], [True], [4], [2, 3, 9], [3, None]]
     )
     def test_bad_head_primes_rejected(self, primes):
         with pytest.raises(ValueError):
-            HeadPrimes(primes)
+            checked_primes(primes)
         with pytest.raises(ValueError):
             prime_zeta_beyond(3, 0, primes, 20)
 
@@ -879,40 +879,43 @@ class TestBeyondAndEnvelope:
         try:
             for primes in ([1_000_000_007], [2, 2_000_003]):
                 with pytest.raises(ValueError):
-                    HeadPrimes(primes)
+                    checked_primes(primes)
                 with pytest.raises(ValueError):
                     prime_zeta_beyond(2, 0, primes, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert HeadPrimes([1_999_993]).primes == [1_999_993]
+        assert checked_primes([1_999_993]) == [1_999_993]
+        assert checked_primes((p for p in [7, 2, 5])) == [2, 5, 7]
 
     @pytest.mark.parametrize("x", [2, 631, 67_968])
     def test_upto_sieves_once(self, x, monkeypatch):
-        # the validating constructor sieves the list a second time; upto
-        # takes primes_upto's list as it is, with the same sums
+        # the engine's list comes from one sieve: head_power_sums takes it
+        # as it is, while checked_primes sieves it a second time and passes
         calls = []
         real = zeta_numerics._prime_flags
         monkeypatch.setattr(zeta_numerics, "_prime_flags",
                             lambda n: calls.append(n) or real(n))
-        head = HeadPrimes.upto(x)
+        ps = primes_upto(x)
+        head_power_sums(ps, 3, 5, 2, 30)
         assert calls == [x]
-        want = HeadPrimes(primes_upto(x))
-        assert head.primes == want.primes
-        assert head.sums(3, 2, 30) == want.sums(3, 2, 30)
+        assert checked_primes(ps) == ps
+        assert calls == [x, ps[-1]]
 
     def test_empty_head_sums_are_zero(self):
-        head = HeadPrimes.upto(1)
-        assert head.sums(3, 2, 30)[0] == [0, 0, 0]
-        assert head.sums(5, 0, 30, 5)[0] == [0]
-        assert prime_zeta_beyond(3, 2, head, 30) == prime_zeta_beyond(3, 2, [], 30)
+        assert head_power_sums([], 3, 5, 2, 30)[1] == [[0, 0, 0]] * 3
+        assert head_power_sums([], 5, 5, 0, 30)[1] == [[0]]
+        assert head_power_sums(primes_upto(1), 2, 2, 1, 30)[1] == [[0, 0]]
 
     def test_upto_rejects_past_the_cap(self):
-        with pytest.raises(ValueError):
-            HeadPrimes.upto(HeadPrimes.MAX_PRIME + 1)
-        assert HeadPrimes.upto(HeadPrimes.MAX_PRIME).primes[-1] == 1_999_993
-        assert HeadPrimes.upto(1).primes == HeadPrimes.upto(0).primes == []
+        # the sieved list up to the cap passes the checks; one prime past it
+        # does not
+        ps = primes_upto(zeta_numerics.MAX_HEAD_PRIME)
+        assert ps[-1] == 1_999_993
+        assert checked_primes(ps) == ps
+        with pytest.raises(ValueError, match="lie in"):
+            checked_primes(ps + [2_000_003])
 
     def test_beyond_nothing_is_full(self):
         with mp.workdps(30):
