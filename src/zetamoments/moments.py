@@ -81,7 +81,6 @@ from .zeta_numerics import (
     envelope_bound,
     head_power_sums,
     int_log,
-    prime_zeta_beyond,
     prime_zeta_fixed,
     prime_zeta_taylor,
     primes_upto,
@@ -372,10 +371,11 @@ def _target(digits, tol_f):
 
 def _order_cut(rho, t, orders):
     """rho * 10**(t/(orders - 1)), where a V table of that many orders
-    reaches the target 10**-t (_rho_inv); inf once the power leaves the
-    float range, far past MAX_HEAD_PRIME."""
+    reaches the target 10**-t (_rho_inv); inf once its log10 reaches 300,
+    far past MAX_HEAD_PRIME, before the power or, from k = 518 on, the int
+    rho itself leaves the float range."""
     x = t / (orders - 1)
-    return rho * 10 ** x if x < 300 else math.inf
+    return rho * 10 ** x if math.log10(rho) + x < 300 else math.inf
 
 
 def _checked_cutoff(cut, k, digits, tol_f):
@@ -875,7 +875,9 @@ def a_factor(k, digits=50):
         # a first pass finds the last r the sum can read, where |b_r| times
         # the tail's envelope falls below thresh twice, and takes the largest
         # digits + 8 + L up to there: the families share one digit level, so
-        # one log zeta table.  In the sum a later r may raise the level.
+        # one log zeta table, and the head primes' power sums one pass to
+        # that r.  In the sum a later r may raise the level and takes a pass
+        # of its own.  Each family less the head sums is prime_zeta_beyond's.
         fam_digits = small = 0
         for predict in (True, False):
             r = 1
@@ -892,10 +894,20 @@ def a_factor(k, digits=50):
                     env = envelope_bound(r, 0, cutoff) * abs(br.numerator)
                     small = small + 1 if env < thresh * br.denominator else 0
                     continue
-                tail0 = prime_zeta_beyond(r, 0, primes, fam_digits)[0]
+                if r <= r_last:
+                    row = rows[r - 2]
+                else:
+                    Bh, (row,) = head_power_sums(primes, r, r, 0, fam_digits)
+                B = dps_to_prec(fam_digits + 13)
+                (tail0,) = prime_zeta_fixed(
+                    prime_zeta_taylor(r, 0, fam_digits).coeffs, 0, B, row, Bh)
+                with mp.workdps(fam_digits + 5):
+                    tail0 = mp.ldexp(tail0, -B)
                 term = mp.mpf(br.numerator) / br.denominator * tail0
                 acc += term
                 small = small + 1 if abs(term) < thresh * max(1, abs(acc)) else 0
+            if predict:
+                r_last, (Bh, rows) = r, head_power_sums(primes, 2, r, 0, fam_digits)
             small = 0
         out = mp.exp(acc)
     with mp.workdps(digits + 5):

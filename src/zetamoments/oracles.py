@@ -2,11 +2,13 @@
 (cmd_selftest, which cli.main imports for that command alone): the d-table's
 oracle d_table_symbolic, and schur_to_p; schur_eval and bump_gamburd_residual
 for the split-alphabet lemma; prime_zeta_direct (with mobius_int), the
-prime-zeta families'; zeta_taylor at any real point (_em_mpf off the
-integers) and bernoulli, the Euler-Maclaurin kernel's and Bernoulli table's;
-and the zeta constants only tests read, from the engine's kernels:
-zeta_derivative, stieltjes_gamma and stieltjes_cumulant."""
+prime-zeta families'; the integer Euler-Maclaurin kernel (_em_fixed,
+_log_zeta_em) with its Bernoulli table, the log zeta table's Borwein rows'
+(_check_log_zeta_routes), which also serves zeta_taylor at any real point
+(_em_mpf off the integers), bernoulli and the zeta constants only tests
+read: zeta_derivative, stieltjes_gamma and stieltjes_cumulant."""
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +33,7 @@ from .symseries import (
     EMPTY_KEY, POWERSUM, SCHUR, PairSeries, _exp_log, _exp_log_fixed, _plan,
     _switch_basis, p_to_schur, series_exp, series_log)
 from .zeta_numerics import (
-    _bernoulli_ratio, _em_fixed, _em_head_length, _log_zeta_em, head_power_sums,
+    _crossover, _dirichlet_sums, _log_series, _log_zeta_table, head_power_sums,
     int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
 
 
@@ -316,6 +318,185 @@ def prime_zeta_direct(r, nmax, digits=30, prime_cutoff=10000):
     return _round_out(out, digits)
 
 
+def _em_head_length(x, nmax, digits):
+    """Euler-Maclaurin head length M for zeta_taylor at real x > 1.
+
+    Correction i adds B_2i/(2i)! * M**(1-x-2i) * sum_u E_u * P_i[a-u] to
+    coefficient a, where E_u = (-log M)**u/u! and P_i is the u-polynomial
+    (x+u)(x+1+u)...(x+2i-2+u).  Bounding |E_u| by (1+log M)**nmax and the
+    coefficients of P_i by P_i at u = 1:
+      correction 1 <= (x+1)/12 * M**(-x-1) * (1+log M)**nmax <= B,
+          B = (x+nmax+2) * M**(-x-1) * (1+log M)**nmax,
+      correction 2 <= (x+1)(x+2)(x+3)/720 * M**(-x-3) * (1+log M)**nmax
+                   <= B * ((x+3)/M)**2 / 720.
+    For t**-x the derivatives alternate in sign, so the remainder after a
+    correction is below the next one (for a >= 1 the tests check against
+    mpmath).  The head is the smallest M >= 3 that puts B times max(1,
+    ((x+3)/M)**2/720) two digits below the stop threshold 10**-(digits+10)
+    * max(1, |zeta(x)|): the loop then stops after correction 1, with the
+    remainder under 10**-(digits+12).  Large x needs few terms (x = 460 at
+    131 digits takes M = 3); M is capped at max(20, digits).
+    """
+    cap = max(20, digits)
+    goal = -(digits + 12) * math.log(10)
+    lead, l720 = math.log(x + nmax + 2), math.log(720)
+    for M in range(3, cap):
+        lm = math.log(M)
+        first = lead - (x + 1) * lm + nmax * math.log1p(lm)
+        if first + max(0.0, 2 * math.log((x + 3) / M) - l720) < goal:
+            return M
+    return cap
+
+
+_bernoulli_ratios = [None]  # B_2i / (2i)! at i >= 1, see _bernoulli_ratio
+
+
+def _bernoulli_ratio(i):
+    """B_2i / (2i)! as an exact fraction, i >= 1.
+
+    Read from one table, rebuilt at least twice its old size (or to i, or
+    40) when i passes its end.  The tangent numbers T_1..T_n come from
+    Brent and Harvey's integer recurrence ("Fast computation of Bernoulli,
+    tangent and secant numbers", 2011), and B_2k = (-1)**(k-1) * 2k * T_k /
+    (4**k * (4**k - 1)), so B_2k/(2k)! = (-1)**(k-1) * T_k / (4**k * (4**k
+    - 1) * (2k-1)!).
+    """
+    global _bernoulli_ratios
+    if i >= len(_bernoulli_ratios):
+        n = max(i, 2 * len(_bernoulli_ratios) - 2, 40)
+        T = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        out, fact = [None], 1
+        for k in range(1, n + 1):
+            fact *= max(1, 2 * k - 2) * (2 * k - 1)
+            q = 4 ** k
+            out.append(Fraction(T[k] if k % 2 else -T[k], q * (q - 1) * fact))
+        _bernoulli_ratios = out
+    return _bernoulli_ratios[i]
+
+
+def _em_fixed(ys, nmax, M, digits):
+    """Euler-Maclaurin sums for zeta^(a)(y)/a!, a <= nmax, at each integer y
+    >= 2 of the range ys (step 1), and for a < nmax of zeta(1+u) - 1/u at
+    the pole y = 1, in one pass sharing M, B and the Bernoulli ratios; each
+    y has its own stop test and divergence check.  Returns (rows, B), rows[i]
+    ys[i]'s coefficients in units of 2**-B.
+
+    With l = log M, c = y - 1 and e_u = l**u/u! (E_u = (-1)**u * e_u),
+    coefficient a is (-1)**a times
+      head_a = sum_{j<M} j**-y * (log j)**a / a!        (_dirichlet_sums),
+      main_a = sum_u e_u * c**u / (c**(a+1) * M**c)   (from M**(1-s)/(s-1)),
+      half_a = e_a / (2 * M**y)                         (from M**-s / 2),
+    (at the pole main_a = -e_{a+1}) plus the corrections F_i = q_i *
+    M**(1-y-2i) * E * P_i, q_i = B_2i/(2i)!, P_i = (y+u)(y+1+u)...(y+2i-2+u):
+    F_1 = floor(E * (y+u) / (12 M**(y+1))), F_{i+1} = floor(F_i * Q_i * R_i
+    / 2**S), Q_i = (y+2i-1+u)(y+2i+u), R_i = floor(2**S * q_{i+1} / (q_i
+    M**2)), one integer per step for every y.  They stop at the first i
+    whose largest term mag_i is below thresh = 10**-(digits+10) * max(1,
+    |coefficient 0|), and raise RuntimeError once they grow after i = 3 or
+    reach i = I = 4M (the terms are smallest near 2i = 2*pi*M).  A step is
+    one list per coefficient over the ys still live, each y's arithmetic
+    that of a pass over it alone.
+
+    Error in units, with 2 + l < 2**g, g = bit_length(int(l) + 3), K =
+    bit_length(4M): the head is off by under 2**(K + nmax*g + 2); e_0 = 2**B
+    and e_u = floor(e_{u-1} * L / 2**B / u), L = int_log(M, B), by d_u <=
+    d_{u-1}*l/u + 2*(1+l)**(u-1) + 2 < 4*(2+l)**u <= D = 2**(2 + nmax*g), so
+    main_a and half_a by (nmax+2) D.  With T_i = |q_i| P_i(1) M**(1-y-2i),
+    |F_i[a]| <= 2**B T_i (1+l)**a and |F_i[0]| >= 2**B T_i / (2i).  F_1 is
+    off by under 1 + D T_1; a step scales the error by T_{i+1}/T_i (times
+    under 1 + 2**-B) and adds under 2, its floor and R_i's (|F_i * Q_i|
+    2**-S <= (top+8M+1)**2 mag_i 2**-S < 1), so F_i is off by eps_i < (D +
+    2i) G, G >= T_i/T_j for j <= i.  While eps_i <= thresh/4 <= mag_j/4 (j
+    before the stop), mag_i <= mag_j for 3 <= j <= i gives T_i/T_j <= 4i
+    (1+l)**nmax; T_2/T_1 = (y+2)(y+3)/(60 M**2) and T_3/T_2 = (y+4)(y+5)/(42
+    M**2) are at most X = max(1, (top+5)**2/(42 M**2)) <= 2**x.  So G = 4I
+    2**(nmax*g) X**2, and the corrections are off by under 2**(5 + 2*nmax*g
+    + 3K + 2x).  Each part is under 2**(s-2), s = 2*nmax*g + 3K + 2x + 7, so
+    B = p0 + s + 10, p0 = max(prec, (digits+10) log2 10), puts the sum within
+    2**-(prec+10) of the truncated sum and thresh >= 2**(s+10) above 4
+    eps_i.  At nmax = 0 no log is taken.
+    """
+    top, K, g = ys[-1], (4 * M).bit_length(), (int(math.log(M)) + 3).bit_length()
+    x = max(0, math.ceil(math.log2((top + 5) ** 2 / (42 * M * M))))
+    s = 2 * nmax * g + 3 * K + 2 * x + 7
+    B = max(mp.prec, math.ceil((digits + 10) * math.log2(10))) + s + 10
+    one, S = 1 << B, B + s + 2 * (top + 8 * M + 1).bit_length()
+    heads = _dirichlet_sums(
+        [(j, one, int_log(j, B) if nmax else 0) for j in range(1, M)], ys, nmax, B)
+    e, L = [one], int_log(M, B) if nmax else 0
+    for u in range(1, nmax + 1):
+        e.append(((e[-1] * L) >> B) // u)
+    E = [-v if u % 2 else v for u, v in enumerate(e)]
+    rows, F, thresh = [], [], []
+    for y, head in zip(ys, heads):
+        c, A, Mc = y - 1, nmax + (y > 1), M ** (y - 1)  # the pole holds a < nmax
+        out = []
+        for a in range(A):
+            main = -e[a + 1] if not c else (
+                sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
+            t = head[a] + main + e[a] // (2 * Mc * M)
+            out.append(-t if a % 2 else t)
+        thresh.append(max(one, abs(out[0]) if A else 0) // 10 ** (digits + 10))
+        # the pole's slot nmax stays 0: it is no coefficient, and a slot
+        # never feeds the ones below it
+        F.append([(y * v + lo) // (12 * Mc * M * M)
+                  for v, lo in zip(E[:A], [0] + E)] + [0] * (y == 1))
+        rows.append(out + [0] * (y == 1))
+    live, prev = list(range(len(ys))), [0] * len(ys)
+    F, out = [list(col) for col in zip(*F)], [list(col) for col in zip(*rows)]
+    for i in itertools.count(1):
+        out = [list(map(add, o, f)) for o, f in zip(out, F)]
+        keep = []
+        for pos, j, col in zip(itertools.count(), live, zip(*F)):
+            mag = max(map(abs, col))
+            if mag < thresh[j]:
+                rows[j] = [o[pos] for o in out][: nmax + (ys[j] > 1)]
+                continue
+            if i > 3 and (mag > prev[j] or i >= 4 * M):
+                raise RuntimeError("Euler-Maclaurin tail diverged before "
+                                   "reaching %d digits" % digits)
+            prev[j] = mag
+            keep.append(pos)
+        if not keep:
+            return rows, B
+        if len(keep) < len(live):
+            live = [live[p] for p in keep]
+            F, out = ([[v[p] for p in keep] for v in cols] for cols in (F, out))
+        rho = _bernoulli_ratio(i + 1) / _bernoulli_ratio(i)
+        Ri = (rho.numerator << S) // (rho.denominator * M * M)
+        c0 = [(ys[j] + 2 * i - 1) * (ys[j] + 2 * i) for j in live]
+        c1 = [2 * (ys[j] + 2 * i) - 1 for j in live]
+        zero = [0] * len(live)
+        F = [[(a0 * f + a1 * f1 + f2) * Ri >> S
+              for a0, a1, f, f1, f2 in zip(c0, c1, F[a], F[a - 1] if a else zero,
+                                           F[a - 2] if a > 1 else zero)]
+             for a in range(nmax + 1)]
+        if ys[live[0]] == 1:
+            F[nmax][0] = 0
+
+
+def _log_zeta_em(ys, nmax, b):
+    """Coefficients of log zeta(y + u) in u at each integer y >= 2 of the
+    range ys, and of the regular log(u * zeta(1 + u)) at the pole y = 1, as
+    tuples of integers in units of 2**-b, each within 2**(2*nmax + 6) units:
+    the series log (zeta_numerics._log_series) of one Euler-Maclaurin pass
+    (_em_fixed), the route _check_log_zeta_routes holds the table's Borwein
+    rows to.  At b bits and d = ceil(b*log10 2) - 9 digits the kernel is
+    within 2**-(b+10) of the truncated sum, whose last correction, under
+    10**-(d+10) * max(1, zeta(y)), bounds the remainder by 2*10**-(d+10) <=
+    2**-b / 5.  Shifted to b bits, each coefficient is off by under 2 units.
+    """
+    d = math.ceil(b * math.log10(2)) - 9
+    with mp.workprec(b):
+        rows, B = _em_fixed(ys, nmax, _em_head_length(ys[0], nmax, d), d)
+    return _log_series(ys, [[x >> (B - b) for x in ints] for ints in rows], nmax, b)
+
+
 def bernoulli(n):
     """Exact Bernoulli number; the n = 1 value is -1/2."""
     _check_index(n, "Bernoulli index")
@@ -588,11 +769,25 @@ def _check_fixed_exp_log(seed=0):
                 raise AssertionError("%s at weight %d" % ("log" if log else "exp", w))
 
 
+def _check_log_zeta_routes():
+    # the log zeta table's Borwein rows, y = 1..y_eta, against the
+    # Euler-Maclaurin kernel's, within the sum of the two kernels' bounds,
+    # 2**(2*nmax + 6) units each: c0's table (0, 75), lead5's (4, 37), the
+    # widest order (9, 60) and a short one (2, 15)
+    for nmax, digits in ((0, 75), (4, 37), (9, 60), (2, 15)):
+        rows, _, b = _log_zeta_table(nmax, digits)
+        ys = range(1, min(_crossover(nmax, b)[0], len(rows) - 1) + 1)
+        for y, want in zip(ys, _log_zeta_em(ys, nmax, b)):
+            if any(abs(u - v) >= 2 ** (2 * nmax + 7) for u, v in zip(rows[y], want)):
+                raise AssertionError("log zeta routes differ at y=%d, nmax=%d, "
+                                     "%d digits" % (y, nmax, digits))
+
+
 def _check_prime_zeta_routes():
-    # log zeta(m*r) takes Euler-Maclaurin below x = 24..39 and the Euler
-    # product past it: r = 30 takes only the product, every other row both;
-    # r = 2 at 80 digits runs the longest Bernoulli tails, and r = 3 at
-    # nmax = 9 the m**(n-1) amplification of the integer Moebius pass
+    # log zeta(m*r) takes Borwein's series up to x = 29..42 (the table's
+    # y_eta) and the Euler product past it, so every row reads both; r = 2
+    # at 80 digits runs the longest Moebius sum and Borwein series, and r =
+    # 3 at nmax = 9 the m**(n-1) amplification of the integer Moebius pass
     for r, nmax, digits, tol in (
         (2, 4, 25, "1e-20"),
         (3, 4, 25, "1e-20"),
@@ -757,6 +952,12 @@ FULL_CHECKS = [
         " digits and r = 3 at nmax 9",
         "identity",
         _check_prime_zeta_routes,
+    ),
+    (
+        "log zeta table's Borwein rows vs Euler-Maclaurin, (nmax, digits) ="
+        " (0, 75), (4, 37), (9, 60), (2, 15)",
+        "oracle",
+        _check_log_zeta_routes,
     ),
     ("W and d symmetry at k=2", "identity", _check_w_symmetry),
     (

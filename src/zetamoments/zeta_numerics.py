@@ -1,37 +1,37 @@
 """High precision constants from the zeta function and the primes.
 
-The central objects are Taylor coefficient families: of zeta itself around
-a real point, of the Stieltjes expansion around the pole, and of prime
-power sums
+The central objects are Taylor coefficient families of prime power sums
 
     sum over primes of p**(-r) * (-log p)**n / n!
 
 for integer r; the r = 1 family drops the logarithmic singularity.  The
-default route is the Moebius inversion of log zeta, one b-bit integer sum
-per family over one table of log zeta(y + u) per (nmax, digits) that every
-family reads (_log_zeta_table): one Euler-Maclaurin pass stepping every y
-from the pole y = 1 at once (_em_fixed, which also serves the oracles'
-zeta_taylor and Stieltjes constants), no mpf log, one Euler-product
-pass beyond, and mu from one sieve.  Each family is served, as the exact
-values of those sums, by one lookup (prime_zeta_taylor) to the W engine,
-which reads it less the head primes' power sums as integers
-(prime_zeta_fixed), to prime_zeta_beyond, an mpf view of that route, and
-to the cache.  The head's sums come from one integer pass per prime over a
-run of orders r (head_power_sums) on a list of primes, which the engine
-sieves (primes_upto) and outside input passes through checked_primes.
-Integer logs come from one table (int_log), the Bernoulli fractions from
-the tangent numbers.  oracles.prime_zeta_direct sums sieved
-primes in plain mpf arithmetic and closes the tail with mpmath's own zeta
-derivatives; it shares only the prime sieve (tested against trial
-division) with the default route, and must stay so: it is the oracle the
-default route is checked against.
+one route is the Moebius inversion of log zeta, one b-bit integer sum per
+family over one table of log zeta(y + u) per (nmax, digits) that every
+family reads (_log_zeta_table): zeta(y + u) from one pass of Borwein's
+alternating series for eta over every y from the pole y = 1 up
+(_zeta_borwein), divided by 1 - 2**(1-y-u), its series log (_log_series,
+no mpf log), one Euler-product pass beyond, and mu from one sieve.  Each
+family is served, as the exact values of those sums, by one lookup
+(prime_zeta_taylor) to the W engine, which reads it less the head primes'
+power sums as integers (prime_zeta_fixed), to prime_zeta_beyond, an mpf
+view of that route, and to the cache.  The head's sums come from one
+integer pass per prime over a run of orders r (head_power_sums) on a list
+of primes, which the engine sieves (primes_upto) and outside input passes
+through checked_primes.  Integer logs come from one table (int_log).
+oracles._check_log_zeta_routes holds the table's Borwein rows to the
+integer Euler-Maclaurin kernel, which shares the column sums, int_log and
+the series log with them and also serves the oracles' zeta_taylor and
+Stieltjes constants.  oracles.prime_zeta_direct, which sums sieved primes
+in plain mpf arithmetic and closes the tail with mpmath's own zeta
+derivatives, shares only the prime sieve (tested against trial division)
+with the default route, and must stay so: it is the oracle the default
+route is checked against.
 """
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
-from operator import add, floordiv, lt, mul, rshift
+from operator import floordiv, lt, mul, rshift
 from typing import NamedTuple
 
 from mpmath import mp
@@ -58,36 +58,6 @@ def primes_upto(x):
     if n < 2:
         return []
     return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
-
-
-def _em_head_length(x, nmax, digits):
-    """Euler-Maclaurin head length M for zeta_taylor at real x > 1.
-
-    Correction i adds B_2i/(2i)! * M**(1-x-2i) * sum_u E_u * P_i[a-u] to
-    coefficient a, where E_u = (-log M)**u/u! and P_i is the u-polynomial
-    (x+u)(x+1+u)...(x+2i-2+u).  Bounding |E_u| by (1+log M)**nmax and the
-    coefficients of P_i by P_i at u = 1:
-      correction 1 <= (x+1)/12 * M**(-x-1) * (1+log M)**nmax <= B,
-          B = (x+nmax+2) * M**(-x-1) * (1+log M)**nmax,
-      correction 2 <= (x+1)(x+2)(x+3)/720 * M**(-x-3) * (1+log M)**nmax
-                   <= B * ((x+3)/M)**2 / 720.
-    For t**-x the derivatives alternate in sign, so the remainder after a
-    correction is below the next one (for a >= 1 the tests check against
-    mpmath).  The head is the smallest M >= 3 that puts B times max(1,
-    ((x+3)/M)**2/720) two digits below the stop threshold 10**-(digits+10)
-    * max(1, |zeta(x)|): the loop then stops after correction 1, with the
-    remainder under 10**-(digits+12).  Large x needs few terms (x = 460 at
-    131 digits takes M = 3); M is capped at max(20, digits).
-    """
-    cap = max(20, digits)
-    goal = -(digits + 12) * math.log(10)
-    lead, l720 = math.log(x + nmax + 2), math.log(720)
-    for M in range(3, cap):
-        lm = math.log(M)
-        first = lead - (x + 1) * lm + nmax * math.log1p(lm)
-        if first + max(0.0, 2 * math.log((x + 3) / M) - l720) < goal:
-            return M
-    return cap
 
 
 # (table, W, Bt): table[j] is 2**W log j less under 2**(W - Bt), j >= 1
@@ -153,143 +123,125 @@ def _grow_logs(j, B):
     return _logs
 
 
-_bernoulli_ratios = [None]  # B_2i / (2i)! at i >= 1, see _bernoulli_ratio
+def _dirichlet_sums(cols, ys, nmax, B):
+    """[sum over the columns (q, w, L) of floor(w_a / q**y), a <= nmax] at
+    each y of the range ys, in units of 2**-B; q ascends.  With w under a
+    unit below 2**B c for some 0 < c <= 1 and L under 2/c units below 2**B
+    log q, w_a = floor(w_{a-1} * L / 2**B / a), w_0 = w, is under 3 * (1 +
+    log q)**a below 2**B c (log q)**a / a!, and each y's term, the last
+    floor-divided by q (floor(floor(x)/q) = floor(x/q)), under 4 * (1 + log
+    q)**a.  Columns whose terms are all 0 are cut from the end."""
+    qs, terms = [q for q, _, _ in cols], []
+    for q, w0, L in cols:
+        w = [w0]
+        for a in range(1, nmax + 1):
+            w.append((w[-1] * L >> B) // a)
+        terms.append([v // q ** ys[0] for v in w])
+    terms, out = [list(col) for col in zip(*terms)], []
+    for y in ys:
+        if y > ys[0]:
+            terms = [list(map(floordiv, col, qs)) for col in terms]
+        while qs and not any(col[-1] for col in terms):
+            for col in (qs, *terms):
+                col.pop()
+        out.append([sum(col) for col in terms])
+    return out
 
 
-def _bernoulli_ratio(i):
-    """B_2i / (2i)! as an exact fraction, i >= 1.
+def _borwein_size(nmax, b):
+    """(n, B): the length n of Borwein's series and the working bits B = b +
+    s of _zeta_borwein at b bits, n = ceil((B + nmax + 4) / 2.543) (2.543 <
+    log2(3 + sqrt 8)) and s = bit_length(n) + nmax*g + bit_length(nmax + 2)
+    + 7, 1 + log n < 2**g; s grows with n and n with s, so both are stepped
+    to the fixed point, a few steps."""
+    s = 0
+    while True:
+        n = -(-(b + s + nmax + 4) * 1000 // 2543)
+        g = (int(math.log(n)) + 2).bit_length()
+        need = n.bit_length() + nmax * g + (nmax + 2).bit_length() + 7
+        if need <= s:
+            return n, b + s
+        s = need
 
-    Read from one table, rebuilt at least twice its old size (or to i, or
-    40) when i passes its end.  The tangent numbers T_1..T_n come from
-    Brent and Harvey's integer recurrence ("Fast computation of Bernoulli,
-    tangent and secant numbers", 2011), and B_2k = (-1)**(k-1) * 2k * T_k /
-    (4**k * (4**k - 1)), so B_2k/(2k)! = (-1)**(k-1) * T_k / (4**k * (4**k
-    - 1) * (2k-1)!).
+
+def _zeta_borwein(ys, nmax, b):
+    """Coefficients zeta^(a)(y)/a!, a <= nmax, at each integer y >= 2 of the
+    range ys, and at the pole y = 1 those of zeta(1 + u) - 1/u, a < nmax, in
+    units of 2**-b, each under 2 units off: eta from Borwein's alternating
+    series ("An efficient algorithm for the Riemann zeta function", 2000,
+    Algorithm 2), one pass over every y, then one series division per y.
+
+    With (n, B) = _borwein_size(nmax, b), the integers d_k = n sum_{i<=k}
+    (n+i-1)! 4**i / ((n-i)! (2i)!), d_0 = 1, and c_k = (-1)**k (d_n - d_k) /
+    d_n, so |c_k| <= 1,
+      eta_n(s) = sum_{k<n} c_k (k+1)**-s,
+      |eta(s) - eta_n(s)| <= 3 (1 + 2|t|) e**(pi|t|/2) / (3 + sqrt 8)**n
+    for sigma >= 1/2.  On |u| = 1/2 about y >= 1 that is under 14 (3 +
+    sqrt 8)**-n, so by Cauchy coefficient a of eta - eta_n at y + u is under
+    2**(a+4) (3 + sqrt 8)**-n <= 2**-B.  Then, l_j = (log 2)**j / j!,
+      zeta(y + u) = eta(y + u) / D(u), D = 1 - 2**(1-y-u),
+          D_0 = 1 - 2**(1-y) >= 1/2, D_j = (-1)**(j+1) 2**(1-y) l_j  (y >= 2),
+      u zeta(1 + u) = eta(1 + u) / E(u), E = (1 - 2**-u)/u,
+          E_0 = log 2, E_j = (-1)**j l_{j+1},
+    so the pole needs no Bernoulli numbers.  Error in units of 2**-B, with n
+    < 2**nb and 1 + log n < 2**g:
+    - eta: the columns (k + 1, floor(2**B |c_k|), int_log(k + 1, B)) of each
+      parity of k are one _dirichlet_sums pass, the odd sum subtracted: each
+      column is under 4 * (1 + log n)**a off, so with the truncation eta_a is
+      off by under 1 + 4n 2**(a*g) <= eps = 2**(3 + nb + nmax*g).
+    - l_j: f_0 = 2**B and f_j = floor(f_{j-1} * int_log(2, B) / 2**B / j) are
+      under 3 * (1 + log 2)**j < 3 * 2**j low.  D_0 = 2**B - 2**(B+1-y) is
+      exact; D_j = +-floor(f_j / 2**(y-1)) is under 2**(j+1) off and no
+      larger than the exact value.  E_j = +-f_{j+1}.
+    - y >= 2: z_a = floor((2**B eta_a - sum_{1<=j<=a} D_j z_{a-j}) / D_0).
+      With |z_a| <= 2 (see _log_series) and sum_{j>=1} |D_j| / D_0 <=
+      sum_{j>=1} l_j = 1, z_a is off by e_a <= 1 + 2 eps + sum_{j<=a}
+      2**(j+3) + max_{j<a} e_j, so e_a <= (a + 1) (1 + 2 eps) + 2**(a+5).
+    - the pole: p_0 = 2**B exactly, p_a likewise over E_0 = int_log(2, B) >=
+      0.69 * 2**B, and |p_a| <= 1 (see _log_series): sum_{j>=1} |E_j| / E_0
+      < 0.45, and the E_j's errors, under 3 * 2**(j+1) (2 for E_0), add under
+      2**(a+5), so e_a <= 1 + 2 eps + 0.45 max_{j<a} e_j + 2**(a+5) <= 2 (1 +
+      2 eps) + 2**(a+6).
+    Both are under (nmax + 2) (1 + 2 eps) + 2**(nmax+6) < 2**(s-1), s = B -
+    b, so each coefficient floored to b bits is under 1/2 + 1 units of 2**-b
+    off.  At nmax = 0 no log is taken.
     """
-    global _bernoulli_ratios
-    if i >= len(_bernoulli_ratios):
-        n = max(i, 2 * len(_bernoulli_ratios) - 2, 40)
-        T = [0, 1] + [0] * (n - 1)
-        for k in range(2, n + 1):
-            T[k] = (k - 1) * T[k - 1]
-        for k in range(2, n + 1):
-            for j in range(k, n + 1):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-        out, fact = [None], 1
-        for k in range(1, n + 1):
-            fact *= max(1, 2 * k - 2) * (2 * k - 1)
-            q = 4 ** k
-            out.append(Fraction(T[k] if k % 2 else -T[k], q * (q - 1) * fact))
-        _bernoulli_ratios = out
-    return _bernoulli_ratios[i]
+    n, B = _borwein_size(nmax, b)
+    d, term = [1], 1
+    for i in range(1, n + 1):
+        term = term * 4 * (n + i - 1) * (n - i + 1) // (2 * i * (2 * i - 1))
+        d.append(d[-1] + term)
+    one, dn = 1 << B, d[n]
+    cols = [(k + 1, ((dn - d[k]) << B) // dn, int_log(k + 1, B) if nmax else 0)
+            for k in range(n)]
+    even, odd = (_dirichlet_sums(cols[i::2], ys, nmax, B) for i in (0, 1))
+    L2, f = int_log(2, B) if nmax else 0, [one]
+    for j in range(1, nmax + 2):
+        f.append((f[-1] * L2 >> B) // j)
+    rows = []
+    for y, pos, neg in zip(ys, even, odd):
+        eta = [v - w if a % 2 == 0 else w - v for a, (v, w) in enumerate(zip(pos, neg))]
+        if y == 1:
+            den, z = [(-1) ** j * v for j, v in enumerate(f[1:])], [one]
+        else:
+            c = y - 1
+            den = [one - (one >> c)] + [(-1) ** (j + 1) * (v >> c)
+                                       for j, v in enumerate(f[1:-1], 1)]
+            z = []
+        for a in range(len(z), nmax + 1):
+            z.append(((eta[a] << B) - sum(den[j] * z[a - j] for j in range(1, a + 1)))
+                     // den[0])
+        rows.append([v >> (B - b) for v in z[y == 1:]])
+    return rows
 
 
-def _em_fixed(ys, nmax, M, digits):
-    """Euler-Maclaurin sums for zeta^(a)(y)/a!, a <= nmax, at each integer y
-    >= 2 of the range ys (step 1), and for a < nmax of zeta(1+u) - 1/u at
-    the pole y = 1, in one pass sharing M, B and the Bernoulli ratios; each
-    y has its own stop test and divergence check.  Returns (rows, B), rows[i]
-    ys[i]'s coefficients in units of 2**-B.
-
-    With l = log M, c = y - 1 and e_u = l**u/u! (E_u = (-1)**u * e_u),
-    coefficient a is (-1)**a times
-      head_a = sum_{j<M} j**-y * (log j)**a / a!        (_dirichlet_sums),
-      main_a = sum_u e_u * c**u / (c**(a+1) * M**c)   (from M**(1-s)/(s-1)),
-      half_a = e_a / (2 * M**y)                         (from M**-s / 2),
-    (at the pole main_a = -e_{a+1}) plus the corrections F_i = q_i *
-    M**(1-y-2i) * E * P_i, q_i = B_2i/(2i)!, P_i = (y+u)(y+1+u)...(y+2i-2+u):
-    F_1 = floor(E * (y+u) / (12 M**(y+1))), F_{i+1} = floor(F_i * Q_i * R_i
-    / 2**S), Q_i = (y+2i-1+u)(y+2i+u), R_i = floor(2**S * q_{i+1} / (q_i
-    M**2)), one integer per step for every y.  They stop at the first i
-    whose largest term mag_i is below thresh = 10**-(digits+10) * max(1,
-    |coefficient 0|), and raise RuntimeError once they grow after i = 3 or
-    reach i = I = 4M (the terms are smallest near 2i = 2*pi*M).  A step is
-    one list per coefficient over the ys still live, each y's arithmetic
-    that of a pass over it alone.
-
-    Error in units, with 2 + l < 2**g, g = bit_length(int(l) + 3), K =
-    bit_length(4M): the head is off by under 2**(K + nmax*g + 2); e_0 = 2**B
-    and e_u = floor(e_{u-1} * L / 2**B / u), L = int_log(M, B), by d_u <=
-    d_{u-1}*l/u + 2*(1+l)**(u-1) + 2 < 4*(2+l)**u <= D = 2**(2 + nmax*g), so
-    main_a and half_a by (nmax+2) D.  With T_i = |q_i| P_i(1) M**(1-y-2i),
-    |F_i[a]| <= 2**B T_i (1+l)**a and |F_i[0]| >= 2**B T_i / (2i).  F_1 is
-    off by under 1 + D T_1; a step scales the error by T_{i+1}/T_i (times
-    under 1 + 2**-B) and adds under 2, its floor and R_i's (|F_i * Q_i|
-    2**-S <= (top+8M+1)**2 mag_i 2**-S < 1), so F_i is off by eps_i < (D +
-    2i) G, G >= T_i/T_j for j <= i.  While eps_i <= thresh/4 <= mag_j/4 (j
-    before the stop), mag_i <= mag_j for 3 <= j <= i gives T_i/T_j <= 4i
-    (1+l)**nmax; T_2/T_1 = (y+2)(y+3)/(60 M**2) and T_3/T_2 = (y+4)(y+5)/(42
-    M**2) are at most X = max(1, (top+5)**2/(42 M**2)) <= 2**x.  So G = 4I
-    2**(nmax*g) X**2, and the corrections are off by under 2**(5 + 2*nmax*g
-    + 3K + 2x).  Each part is under 2**(s-2), s = 2*nmax*g + 3K + 2x + 7, so
-    B = p0 + s + 10, p0 = max(prec, (digits+10) log2 10), puts the sum within
-    2**-(prec+10) of the truncated sum and thresh >= 2**(s+10) above 4
-    eps_i.  At nmax = 0 no log is taken.
-    """
-    top, K, g = ys[-1], (4 * M).bit_length(), (int(math.log(M)) + 3).bit_length()
-    x = max(0, math.ceil(math.log2((top + 5) ** 2 / (42 * M * M))))
-    s = 2 * nmax * g + 3 * K + 2 * x + 7
-    B = max(mp.prec, math.ceil((digits + 10) * math.log2(10))) + s + 10
-    one, S = 1 << B, B + s + 2 * (top + 8 * M + 1).bit_length()
-    heads = _dirichlet_sums(
-        [(j, 1, int_log(j, B) if nmax else 0) for j in range(1, M)], ys, nmax, B)
-    e, L = [one], int_log(M, B) if nmax else 0
-    for u in range(1, nmax + 1):
-        e.append(((e[-1] * L) >> B) // u)
-    E = [-v if u % 2 else v for u, v in enumerate(e)]
-    rows, F, thresh = [], [], []
-    for y, head in zip(ys, heads):
-        c, A, Mc = y - 1, nmax + (y > 1), M ** (y - 1)  # the pole holds a < nmax
-        out = []
-        for a in range(A):
-            main = -e[a + 1] if not c else (
-                sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
-            t = head[a] + main + e[a] // (2 * Mc * M)
-            out.append(-t if a % 2 else t)
-        thresh.append(max(one, abs(out[0]) if A else 0) // 10 ** (digits + 10))
-        # the pole's slot nmax stays 0: it is no coefficient, and a slot
-        # never feeds the ones below it
-        F.append([(y * v + lo) // (12 * Mc * M * M)
-                  for v, lo in zip(E[:A], [0] + E)] + [0] * (y == 1))
-        rows.append(out + [0] * (y == 1))
-    live, prev = list(range(len(ys))), [0] * len(ys)
-    F, out = [list(col) for col in zip(*F)], [list(col) for col in zip(*rows)]
-    for i in itertools.count(1):
-        out = [list(map(add, o, f)) for o, f in zip(out, F)]
-        keep = []
-        for pos, j, col in zip(itertools.count(), live, zip(*F)):
-            mag = max(map(abs, col))
-            if mag < thresh[j]:
-                rows[j] = [o[pos] for o in out][: nmax + (ys[j] > 1)]
-                continue
-            if i > 3 and (mag > prev[j] or i >= 4 * M):
-                raise RuntimeError("Euler-Maclaurin tail diverged before "
-                                   "reaching %d digits" % digits)
-            prev[j] = mag
-            keep.append(pos)
-        if not keep:
-            return rows, B
-        if len(keep) < len(live):
-            live = [live[p] for p in keep]
-            F, out = ([[v[p] for p in keep] for v in cols] for cols in (F, out))
-        rho = _bernoulli_ratio(i + 1) / _bernoulli_ratio(i)
-        Ri = (rho.numerator << S) // (rho.denominator * M * M)
-        c0 = [(ys[j] + 2 * i - 1) * (ys[j] + 2 * i) for j in live]
-        c1 = [2 * (ys[j] + 2 * i) - 1 for j in live]
-        zero = [0] * len(live)
-        F = [[(a0 * f + a1 * f1 + f2) * Ri >> S
-              for a0, a1, f, f1, f2 in zip(c0, c1, F[a], F[a - 1] if a else zero,
-                                           F[a - 2] if a > 1 else zero)]
-             for a in range(nmax + 1)]
-        if ys[live[0]] == 1:
-            F[nmax][0] = 0
-
-
-def _log_zeta_em(ys, nmax, b):
+def _log_series(ys, rows, nmax, b):
     """Coefficients of log zeta(y + u) in u at each integer y >= 2 of the
     range ys, and of the regular log(u * zeta(1 + u)) at the pole y = 1, as
     tuples of integers in units of 2**-b, each within 2**(2*nmax + 6) units:
-    the series log of one Euler-Maclaurin pass (_em_fixed).
+    the series log of rows, rows[i] the coefficients of zeta(ys[i] + u), a <=
+    nmax (at the pole those of zeta(1 + u) - 1/u, a < nmax), in units of
+    2**-b, each under 2 units off (_zeta_borwein; oracles._log_zeta_em).
 
     Write z_a = zeta^(a)(y)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a|, |z_a /
     z_0| and the log coefficients are at most 2: each is a sum over j >= 2
@@ -297,11 +249,8 @@ def _log_zeta_em(ys, nmax, b):
     largest term below 1.  At the pole the series is 1 + sum_a R_a
     u**(a+1); on |u| = 2, |zeta(1+u) - 1/u| < 0.71 and |log(u * zeta(1+u))|
     < 1.8 (sampled), so by Cauchy both kinds are under 1.
-    - At b bits and d = ceil(b*log10 2) - 9 digits the kernel is within
-      2**-(b+10) of the truncated sum, whose last correction, under
-      10**-(d+10) * max(1, zeta(y)), bounds the remainder by 2*10**-(d+10)
-      <= 2**-b / 5.  Shifted to b bits, v_a is off by under 2 units; so is
-      v_0 raised to at least 2**b, which moves it toward 2**b * zeta(y).
+    - v_a, row entry a, is off by under 2 units; so is v_0 raised to at
+      least 2**b, which moves it toward 2**b * zeta(y).
     - s_a = floor(v_a * 2**b / v_0) is off by under 2*(1 + 2) + 1 = 7 units
       (at the pole s_a = v_{a-1}, under 2).
     - lz_0 = log(v_0 2**-b) = 2 atanh(t), t = (v_0 - 2**b)/(v_0 + 2**b) <
@@ -312,12 +261,8 @@ def _log_zeta_em(ys, nmax, b):
       by e_w <= 1 + 7*(2w - 1) + 2.01 * sum_{j<w} e_j, with e_1 = 7, so
       e_w <= 56 * 4**w < 2**(2w + 6).
     """
-    d = math.ceil(b * math.log10(2)) - 9
-    with mp.workprec(b):
-        rows, B = _em_fixed(ys, nmax, _em_head_length(ys[0], nmax, d), d)
     one, out, W = 1 << b, [], b + b.bit_length() + 2
-    for y, ints in zip(ys, rows):
-        v = [x >> (B - b) for x in ints]
+    for y, v in zip(ys, rows):
         if y == 1:
             s, lz = [one] + v, [0]
         else:
@@ -335,38 +280,14 @@ def _log_zeta_em(ys, nmax, b):
     return out
 
 
-def _dirichlet_sums(cols, ys, nmax, B):
-    """[sum over the columns (q, k, L) of floor(w_a / q**y), a <= nmax] at
-    each y of the range ys, in units of 2**-B; q ascends, L is within 2k
-    units below 2**B log q.  w_a = floor(w_{a-1} * L / 2**B / a), w_0 =
-    floor(2**B / k), is under 3 * (1 + log q)**a below 2**B (log q)**a / (k
-    a!), and each y's term, the last floor-divided by q (floor(floor(x)/q) =
-    floor(x/q)), under 4 * (1 + log q)**a.  Columns whose terms are all 0
-    are cut from the end."""
-    qs, terms = [q for q, _, _ in cols], []
-    for q, k, L in cols:
-        w = [(1 << B) // k]
-        for a in range(1, nmax + 1):
-            w.append((w[-1] * L >> B) // a)
-        terms.append([v // q ** ys[0] for v in w])
-    terms, out = [list(col) for col in zip(*terms)], []
-    for y in ys:
-        if y > ys[0]:
-            terms = [list(map(floordiv, col, qs)) for col in terms]
-        while qs and not any(col[-1] for col in terms):
-            for col in (qs, *terms):
-                col.pop()
-        out.append([sum(col) for col in terms])
-    return out
-
-
 def _log_zeta_euler(ys, nmax, b, t):
     """Coefficients of log zeta(y + u) = sum over prime powers q = p**k < P
     = 2**t of q**-(y+u) / k at each integer y of the range ys, in units of
     2**-b, each within 2 units; needs y > nmax, P**(y-1) >= 2**(b + 4*nmax
     + 4) and 2 <= t <= 13.  At B = b + 4*nmax + t + 6 bits each q is a
-    column (q, k, k * int_log(p, B)) of _dirichlet_sums, off by under 4 * (1
-    + log q)**a < 2**(2 + 4a) units, under 2**-(b+4) over the under 2**t q.
+    column (q, floor(2**B / k), k * int_log(p, B)) of _dirichlet_sums, off
+    by under 4 * (1 + log q)**a < 2**(2 + 4a) units, under 2**-(b+4) over
+    the under 2**t q.
     For y > nmax and P >= 4, s**-y (log s)**a falls on s >= P, so the
     integers past P add under its value at P plus its integral from P, 2 *
     P**(1-y) * (1 + log P)**a <= 2**-(b+3).  The final shift floors.
@@ -376,23 +297,25 @@ def _log_zeta_euler(ys, nmax, b, t):
         L = int_log(p, B) if nmax else 0
         k, q = 1, p
         while q < P:
-            cols.append((q, k, k * L))
+            cols.append((q, (1 << B) // k, k * L))
             k, q = k + 1, q * p
     return [tuple((-v if a % 2 else v) >> (B - b) for a, v in enumerate(row))
             for row in _dirichlet_sums(sorted(cols), ys, nmax, B)]
 
 
 def _crossover(nmax, b):
-    """(y_em, t): a table at b bits takes Euler-Maclaurin up to y_em and the
-    Euler product over the primes below 2**t beyond; t is the largest with
-    at most M (the pole's head length) primes below 2**t, so both start
-    with about as many columns, and y_em = max(nmax, ceil((b + 4*nmax + 4)
-    / t)).  Timed (median of 11 builds) at (nmax, digits) = (4, 37), (0,
-    68), (9, 60), (2, 15): 5.5, 3.2, 24 and 1.8 ms; t one lower or higher
-    moves each by under 6 %."""
-    M = _em_head_length(1, nmax, math.ceil(b * math.log10(2)) - 9)
+    """(y_eta, t): a table at b bits takes Borwein's series up to y_eta and
+    the Euler product over the primes below 2**t beyond; t is the largest
+    with at most n/2 primes below 2**t, n Borwein's length (_borwein_size),
+    so the product starts with about as many columns as each parity of the
+    series, and y_eta = max(nmax, ceil((b + 4*nmax + 4) / t)).  Timed
+    (median of 11 builds, 2-core x86 host, pure-Python mpmath) at (nmax,
+    digits) = (4, 37), (0, 75), (9, 60), (2, 15): 4.3, 2.2, 18.7 and 1.4
+    ms, against 6.0, 3.5, 24.8 and 2.0 ms with Euler-Maclaurin rows; t one
+    lower is 1-12 % slower, one higher within 9 % either way."""
+    n, _ = _borwein_size(nmax, b)
     pi = (0, 1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028)  # below 2**t
-    t = max(t for t in range(2, 14) if pi[t] <= M)
+    t = max(t for t in range(2, 14) if 2 * pi[t] <= n)
     return max(nmax, -(-(b + 4 * nmax + 4) // t)), t
 
 
@@ -417,10 +340,11 @@ def _log_zeta_table(nmax, digits):
     top = _moebius_stop(1, nmax, digits) - 1
     T = math.ceil((digits + 12) * math.log2(10))
     b = T + 2 * nmax + 8 + (max(nmax - 1, 0) + 2) * top.bit_length()
-    y_em, t = _crossover(nmax, b)
-    rows = _log_zeta_em(range(1, min(y_em, top) + 1), nmax, b)
-    if top > y_em:
-        rows += _log_zeta_euler(range(y_em + 1, top + 1), nmax, b, t)
+    y_eta, t = _crossover(nmax, b)
+    ys = range(1, min(y_eta, top) + 1)
+    rows = _log_series(ys, _zeta_borwein(ys, nmax, b), nmax, b)
+    if top > y_eta:
+        rows += _log_zeta_euler(range(y_eta + 1, top + 1), nmax, b, t)
     return (None, *rows), _mobius_sieve(top), b
 
 

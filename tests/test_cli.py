@@ -398,7 +398,7 @@ class TestCommands:
     @pytest.mark.slow
     def test_selftest_full_passes(self, capsys):
         assert main(["selftest", "--level", "full"]) == 0
-        assert "17/17 checks passed (full level)" in capsys.readouterr().out
+        assert "18/18 checks passed (full level)" in capsys.readouterr().out
 
     def test_requests_leave_the_oracles_unimported(self, tmp_path):
         # a fresh process: poly loads neither the oracles nor their golden
@@ -448,6 +448,12 @@ class TestCommands:
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
+    def test_full_level_has_log_zeta_route_oracle(self):
+        found = [(kind, fn) for label, kind, fn in oracles.FULL_CHECKS
+                 if label.startswith("log zeta table's Borwein rows")]
+        assert len(found) == 1 and found[0][0] == "oracle"
+        found[0][1]()
+
     def test_full_level_has_assembly_route_oracle(self):
         found = [kind for label, kind, fn in oracles.FULL_CHECKS
                  if label.startswith("c_N power-sum route vs Schur d_table")]
@@ -469,6 +475,13 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.startswith("non-convergence: ") and "\nparameters: " in err
+
+    def test_k_past_the_float_range_is_exit_2(self, capsys):
+        # rho(600) is an int no float holds: refused, not a traceback
+        rc = main(["coeff", "--k", "600", "--N", "0", "--digits", "10"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("non-convergence: prime cutoff inf")
 
     def test_poly_at_k0_is_the_constant_polynomial(self, capsys):
         # the same k rule as moment_polynomial and coeff --k 0 --N 0

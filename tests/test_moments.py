@@ -662,9 +662,9 @@ class TestWEngine:
 
     def test_c0_builds_one_log_zeta_table(self, monkeypatch):
         # c_0(3) at 50 digits reads log zeta at 243 arguments from one table:
-        # one Euler-Maclaurin pass and one Euler-product pass in all
+        # one Borwein pass and one Euler-product pass in all
         calls = []
-        for name in ("_em_fixed", "_log_zeta_euler"):
+        for name in ("_zeta_borwein", "_log_zeta_euler"):
             real = getattr(zeta_numerics, name)
 
             def counted(ys, *args, real=real, name=name):
@@ -678,9 +678,9 @@ class TestWEngine:
         zeta_numerics._compute_prime_zeta.cache_clear()
         c_coeff(0, 3, 50)
         assert zeta_numerics._log_zeta_table.cache_info().currsize == 1
-        (em, lo, y_em, _), (euler, start, top, (nmax, b, t)) = calls
-        assert (em, lo, euler, start) == ("_em_fixed", 1, "_log_zeta_euler", y_em + 1)
-        assert (y_em, t) == zeta_numerics._crossover(nmax, b) and top >= 243
+        (eta, lo, y_eta, _), (euler, start, top, (nmax, b, t)) = calls
+        assert (eta, lo, euler, start) == ("_zeta_borwein", 1, "_log_zeta_euler", y_eta + 1)
+        assert (y_eta, t) == zeta_numerics._crossover(nmax, b) and top >= 243
 
     @pytest.mark.parametrize("k, wmax, digits", [(2, 4, 10), (3, 4, 15), (4, 3, 12)])
     def test_values_and_errors_exactly_symmetric(self, k, wmax, digits):
@@ -813,6 +813,20 @@ class TestWEngine:
         # past 4,600 digits the 16-order cutoff leaves the float range
         with pytest.raises(NonConvergenceError, match="prime cutoff inf"):
             W_coeff((1,), (), 2, digits=5000)
+
+    @pytest.mark.parametrize("k", [518, 600])
+    def test_rho_past_the_float_range_is_non_convergence(self, k, monkeypatch):
+        # from k = 518 rho(k) is an int no float holds; the cutoff is taken
+        # in log10, reads inf and is refused before any sieve
+        def banned(*args):
+            raise AssertionError("work before the refusal")
+
+        monkeypatch.setattr(zeta_numerics, "_prime_flags", banned)
+        monkeypatch.setattr(moments, "_w_cache", {})
+        assert math.log10(moments._rho_inv(k)) > 308
+        for call in (lambda: W_coeff((1,), (), k, 10), lambda: c_coeff(0, k, 10)):
+            with pytest.raises(NonConvergenceError, match="prime cutoff inf"):
+                call()
 
     def test_weight_zero_past_the_old_wall(self):
         # A_1 = 1: the empty key's W at k = 1 is exactly 0
@@ -1046,18 +1060,38 @@ class TestAssembly:
     def test_a_families_share_one_digit_level(self, monkeypatch):
         # each family at digits + 8 + L or more, |b_r| < 10**L, and at k = 3
         # all at one level, so they read one log zeta table, not 14
-        seen, real = [], moments.prime_zeta_beyond
+        seen, real = [], moments.prime_zeta_taylor
 
-        def spy(r, nmax, primes, digits):
+        def spy(r, nmax, digits):
             seen.append((r, digits))
-            return real(r, nmax, primes, digits)
+            return real(r, nmax, digits)
 
-        monkeypatch.setattr(moments, "prime_zeta_beyond", spy)
+        monkeypatch.setattr(moments, "prime_zeta_taylor", spy)
         a_factor(3, 50)
         for r, d in seen:
             br = moments._b_series(3, r)[r] - Fraction(9, r)
             assert d >= 58 + len(str(abs(br.numerator) // br.denominator)), r
         assert len(seen) > 20 and len({d for _, d in seen}) == 1
+
+    def test_a_head_takes_one_pass_to_the_predicted_r(self, monkeypatch):
+        # one head pass over r = 2..the predicted last r; with the
+        # prediction cut to r = 3, each later r takes a pass of its own and
+        # the product moves by under its digits
+        calls, real = [], moments.head_power_sums
+
+        def counted(primes, r0, r1, nmax, digits):
+            calls.append((r0, r1))
+            return real(primes, r0, r1, nmax, digits)
+
+        monkeypatch.setattr(moments, "head_power_sums", counted)
+        want = a_factor(3, 30)
+        assert len(calls) == 1 and calls[0][0] == 2 and calls[0][1] > 12
+        calls.clear()
+        monkeypatch.setattr(moments, "envelope_bound", lambda *args: 0)
+        got = a_factor(3, 30)
+        assert calls[0] == (2, 3) and calls[1:] == [(r, r) for r in range(4, len(calls) + 3)]
+        with mp.workdps(40):
+            assert abs(got - want) < mp.mpf(10) ** -35
 
     def test_a_cutoff_past_the_head_cap_is_non_convergence(self, monkeypatch):
         # max(800, 4 rho(k)) passes MAX_HEAD_PRIME from k = 13 on: the

@@ -17,6 +17,8 @@ from mpmath.libmp import dps_to_prec, from_int, log_int_fixed, mpf_log, to_fixed
 from zetamoments import oracles, zeta_numerics
 from zetamoments.cli import save_pzeta
 from zetamoments.oracles import (
+    _em_fixed,
+    _em_head_length,
     _em_mpf,
     _series_log_list,
     bernoulli,
@@ -29,8 +31,6 @@ from zetamoments.oracles import (
 )
 from zetamoments.zeta_numerics import (
     PrimeZetaCoeffs,
-    _em_fixed,
-    _em_head_length,
     checked_primes,
     envelope_bound,
     head_power_sums,
@@ -68,12 +68,12 @@ class TestConstantTables:
             assert floor - 1 <= got <= floor, j
 
     def test_log_table_grows_geometrically_and_never_at_import(self, monkeypatch):
-        # a fresh process has neither table; lead5's log requests (j <= 509,
-        # B <= 259) build the log table three times, and a smaller (j, B)
-        # reads it without a build
+        # a fresh process has neither table, the oracles' Bernoulli table
+        # included; lead5's log requests (j <= 509, B <= 259) build the log
+        # table three times, and a smaller (j, B) reads it without a build
         code = ("import zetamoments.cli\n"
-                "from zetamoments import zeta_numerics as z\n"
-                "print(len(z._logs[0]), len(z._bernoulli_ratios))")
+                "from zetamoments import oracles as o, zeta_numerics as z\n"
+                "print(len(z._logs[0]), len(o._bernoulli_ratios))")
         src = os.path.dirname(os.path.dirname(zeta_numerics.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -97,11 +97,11 @@ class TestConstantTables:
 
     def test_bernoulli_against_mpmath(self, monkeypatch):
         # rebuilt at i = 1, 41, 81 from a fresh table
-        monkeypatch.setattr(zeta_numerics, "_bernoulli_ratios", [None])
+        monkeypatch.setattr(oracles, "_bernoulli_ratios", [None])
         for n in range(201):
             p, q = mp.bernfrac(n)
             assert bernoulli(n) == Fraction(int(p), int(q)), n
-        assert len(zeta_numerics._bernoulli_ratios) == 161
+        assert len(oracles._bernoulli_ratios) == 161
 
     @pytest.mark.parametrize("request_", ["lead5", "c0"])
     def test_requests_take_no_mpmath_log_or_bernoulli(self, request_, monkeypatch):
@@ -118,7 +118,7 @@ class TestConstantTables:
         for mod in (zeta_numerics, moments):
             monkeypatch.setattr(mod, "log_int_fixed", banned, raising=False)
         monkeypatch.setattr(zeta_numerics, "_logs", ([0, 0], 0, 0))
-        monkeypatch.setattr(zeta_numerics, "_bernoulli_ratios", [None])
+        monkeypatch.setattr(oracles, "_bernoulli_ratios", [None])
         monkeypatch.setattr(zeta_numerics, "_installed_pzeta", {})
         monkeypatch.setattr(moments, "_w_cache", {})
         zeta_numerics._log_zeta_table.cache_clear()
@@ -130,7 +130,8 @@ class TestConstantTables:
         else:
             moments.c_coeff(0, 3, digits=50)
             assert len(zeta_numerics._logs[0]) == 2
-        assert len(zeta_numerics._bernoulli_ratios) > 1
+        # the log zeta table's Borwein rows need no Bernoulli numbers at all
+        assert oracles._bernoulli_ratios == [None]
 
 
 def test_primes_and_mobius():
@@ -709,11 +710,12 @@ class TestLogZetaRoutes:
     def test_both_routes_agree_around_the_crossover(self, nmax, b):
         # each route is within 2**(2*nmax + 6) units of the exact log, on
         # the four arguments each side of the table's crossover
-        y_em, _ = zeta_numerics._crossover(nmax, b)
-        ys = range(y_em - 3, y_em + 5)
+        y_eta, _ = zeta_numerics._crossover(nmax, b)
+        ys = range(y_eta - 3, y_eta + 5)
         assert ys[0] > nmax
-        em = zeta_numerics._log_zeta_em(ys, nmax, b)
-        for y, want in zip(ys, em):
+        borwein = zeta_numerics._log_series(
+            ys, zeta_numerics._zeta_borwein(ys, nmax, b), nmax, b)
+        for y, want in zip(ys, borwein):
             (euler,) = zeta_numerics._log_zeta_euler(
                 range(y, y + 1), nmax, b, _euler_bits(y, nmax, b))
             for a in range(nmax + 1):
@@ -721,10 +723,10 @@ class TestLogZetaRoutes:
 
     @pytest.mark.parametrize("nmax, digits", [(0, 20), (4, 37), (0, 68), (9, 131)])
     def test_table_splits_at_the_crossover(self, nmax, digits, monkeypatch):
-        # one Euler-Maclaurin pass over 1..y_em, one Euler product beyond,
-        # its primes those below 2**t, enough for its first argument
+        # one Borwein pass over 1..y_eta, one Euler product beyond, its
+        # primes those below 2**t, enough for its first argument
         calls = []
-        for name in ("_log_zeta_em", "_log_zeta_euler"):
+        for name in ("_zeta_borwein", "_log_zeta_euler"):
             real = getattr(zeta_numerics, name)
 
             def counted(ys, *args, real=real, name=name):
@@ -735,13 +737,31 @@ class TestLogZetaRoutes:
         zeta_numerics._log_zeta_table.cache_clear()
         rows, mu, b = zeta_numerics._log_zeta_table(nmax, digits)
         zeta_numerics._log_zeta_table.cache_clear()
-        y_em, t = zeta_numerics._crossover(nmax, b)
+        y_eta, t = zeta_numerics._crossover(nmax, b)
         top = len(rows) - 1
-        assert calls == [("_log_zeta_em", 1, y_em),
-                         ("_log_zeta_euler", y_em + 1, top, t)]
-        assert t >= _euler_bits(y_em + 1, nmax, b) and 2 <= t <= 13
+        assert calls == [("_zeta_borwein", 1, y_eta),
+                         ("_log_zeta_euler", y_eta + 1, top, t)]
+        assert t >= _euler_bits(y_eta + 1, nmax, b) and 2 <= t <= 13
         assert rows[0] is None and all(len(r) == nmax + 1 for r in rows[1:])
         assert mu == zeta_numerics._mobius_sieve(top)
+
+    def test_route_check_catches_a_short_borwein_series(self, monkeypatch):
+        # the oracle row passes on the table, and fails once Borwein's n is
+        # cut to half, its truncation then far above the kernels' bounds
+        oracles._check_log_zeta_routes()
+        real = zeta_numerics._borwein_size
+
+        def half(nmax, b):
+            n, B = real(nmax, b)
+            return n // 2, B
+
+        monkeypatch.setattr(zeta_numerics, "_borwein_size", half)
+        zeta_numerics._log_zeta_table.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="log zeta routes differ"):
+                oracles._check_log_zeta_routes()
+        finally:
+            zeta_numerics._log_zeta_table.cache_clear()
 
     def test_table_covers_every_family(self):
         # a family at (nmax, digits) reads y = m*r < the r = 1 stop
@@ -783,15 +803,19 @@ class TestLogZetaRoutes:
 
     @pytest.mark.parametrize("nmax", [0, 4, 16])
     def test_pole_is_the_log_of_the_stieltjes_series(self, nmax):
-        # log(u * zeta(1 + u)) from mpmath's Stieltjes constants
-        b = 300
-        (got,) = zeta_numerics._log_zeta_em(range(1, 2), nmax, b)
+        # log(u * zeta(1 + u)) from mpmath's Stieltjes constants, by the
+        # table's Borwein row and by the oracles' Euler-Maclaurin one
+        b, pole = 300, range(1, 2)
+        routes = [zeta_numerics._log_series(
+            pole, zeta_numerics._zeta_borwein(pole, nmax, b), nmax, b),
+            oracles._log_zeta_em(pole, nmax, b)]
         with mp.workdps(110):
             gam = _mpmath_stieltjes()
             s = [mp.mpf(1)] + [(-1) ** n * gam[n] / mp.factorial(n) for n in range(nmax)]
             ref = _series_log_list(s)
-            for a in range(nmax + 1):
-                assert abs(mp.ldexp(got[a], -b) - ref[a]) < mp.ldexp(2 ** (2 * nmax + 6), -b), a
+            for (got,) in routes:
+                for a in range(nmax + 1):
+                    assert abs(mp.ldexp(got[a], -b) - ref[a]) < mp.ldexp(2 ** (2 * nmax + 6), -b), a
 
 
 def _relative_extra(r, primes):
