@@ -11,7 +11,7 @@ both slots, exactly, anew on each call: a request asks once per N.
 from functools import lru_cache
 from types import MappingProxyType
 
-from .partitions import check_partition, dim_complement, partitions_of
+from .partitions import _check_index, check_partition, dim_complement, partitions_of
 
 
 def _strip_removals(beta, r):
@@ -71,14 +71,17 @@ def character_table(n):
 
 
 def power_dim_table(k, N):
-    """D_k over the pairs (mu, nu) of total weight N, a new dict per call:
-    D_k(mu, nu) = sum chi^kappa(mu) chi^lambda(nu) dim(lambda, complement of
-    kappa in the k x k square) over kappa |- |mu| and lambda |- |nu|, exact
-    integers.  Block (a, N - a) is X_a^T M X_{N-a}, X_n the weight-n
-    character matrix and M the dimensions, one slot at a time.
-    """
-    out = {}
-    for a in range(N + 1):
+    """D_k over the pairs (mu, nu) of total weight N <= k**2, a new dict per
+    call: D_k(mu, nu) = sum chi^kappa(mu) chi^lambda(nu) dim(lambda,
+    complement of kappa in the k x k square) over kappa |- |mu| and lambda
+    |- |nu|, exact integers.  Block (a, N - a) is X_a^T M X_{N-a}, X_n the
+    weight-n character matrix and M the dimensions, one slot at a time, for
+    a <= N - a; D_k(nu, mu) = D_k(mu, nu) gives the rest."""
+    _check_index(N, "N")
+    if N > k * k:
+        raise ValueError("N cannot exceed k**2")
+    blocks = {}
+    for a in range(N // 2 + 1):
         ka, kb = partitions_of(a), partitions_of(N - a)
         ta, tb = character_table(a), character_table(N - a)
         dims = [[dim_complement(kap, lam, k) for lam in kb] for kap in ka]
@@ -87,5 +90,7 @@ def power_dim_table(k, N):
         for mu in ka:
             col = [ta[(kap, mu)] for kap in ka]
             for j, nu in enumerate(kb):
-                out[(mu, nu)] = sum(c * h[j] for c, h in zip(col, half))
-    return out
+                blocks[(mu, nu)] = sum(c * h[j] for c, h in zip(col, half))
+    return {(mu, nu): blocks[(mu, nu) if 2 * a <= N else (nu, mu)]
+            for a in range(N + 1) for mu in partitions_of(a)
+            for nu in partitions_of(N - a)}

@@ -27,13 +27,13 @@ share one absolute accuracy (_v_chunk), their log zeta values and one
 integer pass per head prime over the orders the chunk adds
 (zeta_numerics.head_power_sums), on the one list of head primes the
 request sieves.  Below the cutoff every key's local factor is an exact
-integer ratio at Q = 1/p (see below), so the head is one integer pass per
-prime: the empty key's part is one fixed-point product over the primes and
-a single log, and the other keys take one pair-series log per prime in
-B-bit integers (_head_logs).  The cutoff comes from the digit and
-tolerance request; tail estimates combine a certified envelope on the
-beyond-cutoff prime sums with the measured decay of the last few
-increments.
+rational function of p (see below): the empty key's part is one product
+over the primes and a single log, the other keys' logs integer polynomials
+in p from one packed log per request (_head_polys, as in _v_series),
+dotted with power moments of the primes (_head_logs).  The cutoff comes
+from the digit and tolerance request; tail estimates combine a certified
+envelope on the beyond-cutoff prime sums with the measured decay of the
+last few increments.
 
 The closed form.  The local numerator a_mu(u) of _a_seqs has generating
 function T**len(mu) * prod_m E_{m-1}(T) / (1-T)**(k+|mu|), E_j the Eulerian
@@ -51,6 +51,7 @@ import math
 import warnings
 from collections import deque
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
@@ -67,9 +68,13 @@ from .symseries import (
     KPoly,
     PairSeries,
     _accumulate_halved,
-    _exp_log_fixed,
+    _exp_fixed,
+    _log_l1,
+    _pack,
+    _packed_log,
     _plan,
     _switch_basis,
+    _unpack,
     monomial_eval,
     multinomial,
     p_to_schur,
@@ -282,14 +287,9 @@ def _v_series(k, wmax, R):
 
     n!/nd counts the set partitions of an n-set into red blocks of shape mu
     and blue ones of shape nu, so S = n! X is an integer series, and L = n!
-    log(1 + X) solves _exp_log's recurrence without division: L_out = S_out
-    - sum_{0<j<n} C(n-1, j-1) sum L_a S_b over plan.products[n][j]; M is the
-    same on -|S|, negated.  Each Q-series is one int at Q = 2**K: one product
-    per triple, summed per output and cut to its low R + 1 slots, exact
-    while each fits in K signed bits.  By induction |L| <= M, as is the sum
-    before the cut; over the keys of weight n, M sums to Lam_n = T_n +
-    sum_j C(n-1, j-1) Lam_j T_{n-j}, T_n their sum of |S| (each operand pair
-    meets once), so 2**(K-1) > max Lam will do.
+    log(1 + X) and M are _packed_log's of S and -|S| cut to Q**R, each
+    Q-series one int at Q = 2**K, with K from _log_l1's bound taken per
+    power of Q (whole l1 norms would count the orders the cut drops).
     """
     aseq = _a_seqs(k, wmax, R)
     z0 = [a * a for a in aseq[()]]
@@ -302,7 +302,7 @@ def _v_series(k, wmax, R):
         return [sum(a[i] * b[u - i] for i in range(u + 1)) for u in range(R + 1)]
 
     plan = _plan(wmax)
-    keys, starts, twin = plan.keys, plan.starts, plan.twin
+    keys, twin = plan.keys, plan.twin
     # X and its log are symmetric in the two slots: mirror keys come once
     S, T = [], [[0] * (R + 1) for _ in range(wmax + 1)]
     for i, (m, nu) in enumerate(keys):
@@ -317,8 +317,6 @@ def _v_series(k, wmax, R):
             c = math.comb(n - 1, j - 1)
             lam[n] = [t + c * x for t, x in zip(lam[n], mul(lam[j], T[n - j]))]
     K = max(map(max, lam)).bit_length() + 1
-    slot, half, mask = (1 << K) - 1, 1 << (K - 1), (1 << K * (R + 1)) - 1
-    bias = mask // slot * half
     tables = []
     for sign in (1, -1):
         table, b0 = [{} for _ in range(R + 1)], _b_series(k, R, sign < 0)
@@ -326,23 +324,10 @@ def _v_series(k, wmax, R):
         for r in range(1, R + 1):
             if b0[r]:
                 table[r][EMPTY_KEY] = b0[r]
-        P = [sum((c if sign > 0 else -abs(c)) << K * u for u, c in enumerate(s))
-             for s in S]
-        L = list(P)
-        for n in range(2, wmax + 1):
-            acc = [0] * len(keys)
-            for j in range(1, n):
-                c = math.comb(n - 1, j - 1)
-                cl = [0] * starts[j] + [c * v for v in L[starts[j]:starts[j + 1]]]
-                _accumulate_halved(plan.products[n][j], cl, P, acc, twin)
-            for i in range(starts[n], starts[n + 1]):
-                L[i] = (((L[i] - acc[i] + bias) & mask) - bias
-                        if twin[i] >= i else L[twin[i]])
-        for key, v in zip(keys[1:], L[1:]):
-            v += bias
-            for r in range(1, R + 1):
-                c = (v >> K * r & slot) - half
-                if c:
+        P = [_pack(s if sign > 0 else [-abs(c) for c in s], K) for s in S]
+        for key, v in zip(keys[1:], _packed_log(plan, P, K, R + 1)[1:]):
+            for r, c in enumerate(_unpack(v, K, R + 1)):
+                if c and r:
                     table[r][key] = sign * c
     return tuple(tables)
 
@@ -447,116 +432,85 @@ def _ratio_numerators(k, wmax):
     return out
 
 
-def _local_ratios(k, p, A, numer, B):
-    """floor(2**B * X_{mu nu}(1/p) / nd) for every pair of numer (from
-    _ratio_numerators), A = A_k(p): one Horner evaluation of Ntil(p) and
-    one integer floor each, over p**(k-1) * A * (p-1)**n, formed once per n."""
-    base, wmax = p ** (k - 1) * A, max(n for n, _, _ in numer.values())
-    den = [base * (p - 1) ** n for n in range(wmax + 1)]
-    out = {}
-    for pair, (n, N, nd) in numer.items():
-        t = 0
-        for c in N:
-            t = t * p + c
-        out[pair] = (t << B) // (den[n] * nd)
-    return out
-
-
-def _head_growth(k, wmax, numer, top):
-    """Bits g with 2**g above every G_n of _head_logs, n = 1..wmax, from
-    the majorants at p = 2 and c = 1 + log(top); one bit covers the float
-    rounding."""
-    plan = _plan(wmax)
-    K = [plan.starts[w + 1] - plan.starts[w] for w in range(wmax + 1)]
-    X = [0.0] * (wmax + 1)
-    for (m, nu), (n, N, nd) in numer.items():
-        xbar = sum(abs(c) * 2.0 ** (n - i) for i, c in enumerate(N)) / nd
-        X[n] += xbar if m == nu else 2 * xbar
-    lam, E = [0.0] * (wmax + 1), [0.0] * (wmax + 1)
-    c = 1 + math.log(top)
-    G = 1.0
-    for w in range(1, wmax + 1):
-        lam[w] = X[w] + sum(j * lam[j] * X[w - j] for j in range(1, w)) / w
-        E[w] = 2 * K[w] + sum(
-            j * (E[j] * X[w - j] + lam[j] * K[w - j]) for j in range(1, w)
-        ) / w
-        G = max(G, (E[w] + 1 + 3 * w * (lam[w] + k * k)) * c ** w)
-    return math.ceil(math.log2(G)) + 1
+def _head_polys(k, wmax):
+    """(K, Lhat, Lam) for _head_logs: Lhat over _plan(wmax).keys, the
+    _packed_log of Shat at 2**K to (2k-1) wmax + 1 slots, K from the l1
+    norms of Shat, and Lam the _log_l1 bound from the sums of n! xbar."""
+    plan, numer, row = _plan(wmax), _ratio_numerators(k, wmax), _gauss_square_poly(k)
+    t1, t2, P = [0] * (wmax + 1), [0] * (wmax + 1), [0]
+    for m, nu in plan.keys[1:]:
+        n, N, nd = numer[min((m, nu), (nu, m))]
+        f = math.factorial(n) // nd
+        t1[n] += f * sum(map(abs, N)) * sum(row) ** (n - 1)
+        t2[n] += Fraction(f * _pack(map(abs, N[::-1]), 1), 4 ** (k - 1))
+    K = max(_log_l1(t1)).bit_length() + 1
+    d = [_pack((0,) * (k - 1) + row, K) ** j for j in range(wmax)]
+    for i, (m, nu) in enumerate(plan.keys[1:], 1):
+        n, N, nd = numer[min((m, nu), (nu, m))]
+        P.append(P[plan.twin[i]] if plan.twin[i] < i else
+                 math.factorial(n) // nd * _pack(N[::-1], K) * d[n - 1])
+    return K, _packed_log(plan, P, K, (2 * k - 1) * wmax + 1), _log_l1(t2)
 
 
 def _head_logs(k, wmax, primes):
     """The head primes' part of every key's W, {key: mpf} over _plan(wmax),
-    each within 2**-(prec+10) of the exact sum; one integer pass per prime.
+    each within 2**-(prec+10) of the exact sum, P primes; one integer pass
+    per prime.
 
-    The empty key takes the sum over the primes of log z_0(1/p) - k**2/p.
-    Each z_0(1/p) = A_k(p) * p**k / (p-1)**(2k-1) is a ratio of integers
-    (see the module docstring); their product is kept in B0-bit fixed point,
-    T = floor(T * A_k(p) * p**k / (p-1)**(2k-1)) from T = 2**B0, and
-    S = sum floor(k**2 * 2**B0 / p), so one log serves every prime.  Each
-    z_0 > 1 keeps T >= 2**B0, so each floor moves log T by under 2**(1-B0),
-    and each floor of S by under 2**-B0: with P primes the result is off by
-    under 3P * 2**-B0 < 2**-(prec+10) for B0 = prec + bit_length(P) + 12.
-    T only grows to about 2**B0 * exp(k**2 * sum 1/p), about 2**(B0+35) at
-    k = 3 and p < 67,968, so it needs no rescaling.  The log and the
-    subtraction run at B0 + 10 bits, and the value comes back at that
-    precision; the caller's next sum rounds it.
+    The empty key takes sum_p log z_0(1/p) - k**2/p, z_0(1/p) = A_k(p) p**k
+    / (p-1)**(2k-1) (module docstring), as one log of the product T =
+    floor(T A_k(p) p**k / (p-1)**(2k-1)) from T = 2**B0, less S = sum
+    floor(k**2 2**B0 / p).  z_0 > 1 keeps T >= 2**B0, so each floor moves
+    log T by under 2**(1-B0), and S by under 2**-B0: under 3P 2**-B0 <
+    2**-(prec+10) in all for B0 = prec + bit_length(P) + 12.  T grows to
+    about 2**B0 exp(k**2 sum 1/p), 2**(B0+35) at k = 3 and p < 67,968, with
+    no rescaling; the log and the subtraction run at B0 + 10 bits.
 
     A key (mu, nu) of weight n >= 1 takes the sum over the primes of
-    (-log p)**n * (lg_{mu nu} - [n1/p]): lg = log(1 + sum x) over the pair
-    series, x_{mu nu} = X_{mu nu}(1/p) / nd the L-free ratios, and n1 =
-    k**(2-len(mu)-len(nu)) / (mu_1! nu_1!) <= k**2 the leading 1/p part,
-    removed only where both partitions have at most one part.  The log is
-    graded by weight, so (-log p)**n leaves it and multiplies the result.
-    In units u = 2**-B, per prime:
-    - x > 0 (z_{mu nu} and z_0 are series of nonnegative terms), so
-      S = floor(2**B x) (_local_ratios) has 0 <= x - S u < u.
-    - _exp_log_fixed's error e, summed over the K_w keys of weight w, obeys
-      E_w <= 2 K_w + sum_{0<j<w} (j/w) (E_j X_{w-j} + Lam_j K_{w-j}) units:
-      each output has its S floor and its own floor, and the cross term
-      (j lg~_a) S_b - (j lg_a) x_b is e_a S_b + lg_a (S_b - x_b).  X_j and
-      Lam_j are the weight-j sums of x and of |lg|, and Lam_j is at most
-      [t**j] -log(1 - sum_w X_w t**w): -log(1 - |X|) majorizes log(1 + X)
-      coefficientwise, and setting every key of weight w to t**w only
-      gathers nonnegative terms.
-    - x <= xbar = sum_i |N_i| p**(n-i) / ((p-1)**n nd), since A_k(p) >=
-      p**(k-1), and each term decreases in p; the recurrences are monotone
-      in X, so X, Lam and E taken from xbar at p = 2 hold at every prime.
-      They grow with the weight: at k = 3, Lam_9 is about 2**22 at p = 2
-      and its bound from xbar about 2**33.  The Q-series of X has radius
-      about 0.27 there, so no p = 2 majorant in Q converges; these are
-      finite sums instead.
-    - L = int_log(p, B) (the log table) is under 2 units off 2**B log p,
-      so P_n = floor(P_{n-1} L / 2**B) is off from (log p)**n by under
-      3n c**(n-1) units, c = 1 + log(max prime).
-    - floor(n1 2**B / p) adds under one unit to lg - n1/p, whose size is at
-      most Lam_n + k**2; the product with P_n is off by under G_n = (E_n + 1
-      + 3n (Lam_n + k**2)) c**n units.
-    The products are summed over the primes exactly, at scale 2**(2B), and
-    floored once, so each key is off by under (P + 1) max G_n units, below
-    2**(bit_length(P) + g - B) with 2**g >= G_n (_head_growth), and
-    B = prec + bit_length(P) + g + 10 meets the target.  The values come
-    back exactly, as B-bit fixed point; the caller's next sum rounds them.
+    (-log p)**n lg', lg' = lg_{mu nu} - [n1/p]: lg = log(1 + sum x) over the
+    pair series, x_{mu nu} = X_{mu nu}(1/p) / nd, and n1 = k**(2-len(mu)-
+    len(nu)) / (mu_1! nu_1!) <= k**2 the leading 1/p part, removed only
+    where both partitions have at most one part.  With d = p**(k-1) A_k(p)
+    and D = d (p-1), n! x = Shat(p) / D**n, Shat = (n!/nd) Ntil d**(n-1)
+    (module docstring), and as the log is graded, n! lg = Lhat(p) / D**n,
+    Lhat the packed log of Shat (_head_polys); both have degree at most
+    (2k-1) n.  So with F_n = (log p)**n / (n! p D**n), M_{n,i} = sum_p
+    p**(i+1) F_n and Z_n = sum_p D**n F_n, the sum is (-1)**n (sum_i Lhat_i
+    M_{n,i} - n! n1 Z_n), as n! p D**n lg' = p Lhat - n! n1 D**n.  In units
+    u = 2**-B, with c = 1 + log(max prime):
+    - P_n = floor(P_{n-1} L / 2**B), L = int_log(p, B) under 2 units off,
+      is under 3n c**(n-1) units off 2**B (log p)**n, so F_n, kept as
+      floor(2**(S_n - B) P_n / (n! p D**n)) in units 2**-S_n, moves the sum
+      by under 3n c**(n-1) |lg'| u, and its floor by n! p D**n |lg'| 2**-S_n.
+    - |lg'| <= G_n = Lam_n / n! + k**2, Lam_n the _log_l1 bound from the
+      weight-n sums of n! xbar, xbar = sum_i |N_i| 2**(n-i) / nd >= x at
+      every prime (A_k(p) >= p**(k-1), each term decreases in p, and -log(1
+      - |X|) majorizes log(1 + X)); D grows with p, so S_n = B + bit_length(
+      P n! pmax D(pmax)**n G_n) keeps the floors under a unit in all.
+    - The dot products are exact, each floored once to B bits.
+    So a key is off by under (3n c**(n-1) G_n P + 2) u < 2**(g +
+    bit_length(P)) u for 2**(g-1) > 3n c**(n-1) G_n, and B = prec +
+    bit_length(P) + g + 10 meets the target.  Every value comes back
+    exactly; the caller's next sum rounds it.
     """
     plan = _plan(wmax)
-    keys = plan.keys
+    keys, starts, twin = plan.keys, plan.starts, plan.twin
     bits = mp.prec + len(primes).bit_length() + 10
     B0 = bits + 2
     T, S0 = 1 << B0, 0
     k2B = (k * k) << B0
     row = _gauss_square_poly(k)
-    acc = [0] * len(keys)
-    B = bits
-    if wmax and primes:
-        numer = _ratio_numerators(k, wmax)
-        B += _head_growth(k, wmax, numer, primes[-1])
-        where = {pair: (plan.index[pair], plan.index[pair[::-1]])
-                 for pair in numer}
-        ones = [
-            (plan.index[(m, nu)], (k ** (2 - len(m) - len(nu))) << B,
-             (math.factorial(m[0]) if m else 1)
-             * (math.factorial(nu[0]) if nu else 1))
-            for m, nu in keys[1:] if len(m) <= 1 and len(nu) <= 1
-        ]
+    if wmax:
+        K, L, lam = _head_polys(k, wmax)
+        G = [math.ceil(v / math.factorial(n)) + k * k for n, v in enumerate(lam)]
+        top = primes[-1] if primes else 2
+        lc = math.log2(1 + math.log(top))
+        B = bits + 2 + max(math.ceil(math.log2(3 * n * G[n]) + (n - 1) * lc)
+                           for n in range(1, wmax + 1))
+        Dtop = top ** (k - 1) * (top - 1) * sum(a * top ** j for j, a in enumerate(row))
+        S = [B + (len(primes) * math.factorial(n) * top * Dtop ** n * G[n])
+             .bit_length() for n in range(wmax + 1)]
+        M, Z = [[0] * ((2 * k - 1) * n + 1) for n in range(wmax + 1)], [0] * (wmax + 1)
     for p in primes:
         A = 0
         for c in row:
@@ -565,24 +519,28 @@ def _head_logs(k, wmax, primes):
         S0 += k2B // p
         if not wmax:
             continue
-        s = [1 << B] + [0] * (len(keys) - 1)
-        for pair, v in _local_ratios(k, p, A, numer, B).items():
-            i, j = where[pair]
-            s[i] = s[j] = v
-        lg = _exp_log_fixed(plan, s, B, True)
-        for i, num, f in ones:
-            lg[i] -= num // (f * p)
-        L, power = int_log(p, B), 1 << B
+        Dp, Dn, den, lp, power = p ** (k - 1) * A * (p - 1), 1, p, int_log(p, B), 1 << B
         for n in range(1, wmax + 1):
-            power = power * L >> B
-            lo, hi = plan.starts[n], plan.starts[n + 1]
-            acc[lo:hi] = [a + g * power for a, g in zip(acc[lo:hi], lg[lo:hi])]
+            power = power * lp >> B
+            Dn, den = Dn * Dp, den * n * Dp
+            F = (power << S[n] - B) // den
+            Z[n] += F * Dn
+            Mn = M[n]
+            for i in range(len(Mn)):
+                F *= p
+                Mn[i] += F
     with mp.workprec(B0 + 10):
         out = {EMPTY_KEY: mp.log(mp.ldexp(T, -B0)) - mp.ldexp(S0, -B0)}
     for n in range(1, wmax + 1):
-        sign = -1 if n % 2 else 1
-        for i in range(plan.starts[n], plan.starts[n + 1]):
-            out[keys[i]] = mp.make_mpf(from_man_exp(sign * (acc[i] >> B), -B))
+        for i in range(starts[n], starts[n + 1]):
+            m, nu = keys[i]
+            if twin[i] < i:
+                out[keys[i]] = out[keys[twin[i]]]
+                continue
+            acc = sum(map(mul, _unpack(L[i], K, len(M[n])), M[n]))
+            if len(m) <= 1 and len(nu) <= 1:
+                acc -= k ** (2 - len(m) - len(nu)) * math.comb(n, sum(m)) * Z[n]
+            out[keys[i]] = mp.make_mpf(from_man_exp((-1) ** n * (acc >> S[n] - B), -B))
     return out
 
 
@@ -630,8 +588,12 @@ def _w_engine(k, wmax, digits, tol_f):
     not move with the scale.  A chunk that raises L shifts every stored
     integer left, exactly.  The closure runs in the same units, each part
     rounded up; mpf enters only in the final conversion, errors rounded up.
+    A tol below 10**-digits raises these digits to ceil(-log10 tol) with the
+    tail's target, or the tail would chase the families' accuracy floor.
     """
     pcut, R = _truncation(k, wmax, digits, tol_f)
+    asked, digits = digits, (digits if tol_f >= 10.0 ** -digits
+                             else math.ceil(-math.log10(tol_f)))
     keys = _plan(wmax).keys
     weight = {key: sum(key[0]) + sum(key[1]) for key in keys}
     tn, td = tol_f.as_integer_ratio()
@@ -661,7 +623,7 @@ def _w_engine(k, wmax, digits, tol_f):
                 raise NonConvergenceError(
                     "W tail not converged by r=200 at k=%d" % k,
                     meta={"prime_cutoff": pcut, "r_max_used": r - 1,
-                          "digits": digits, "tol": tol_f},
+                          "digits": asked, "tol": tol_f},
                 )
             if r > R:
                 r0, R = r, R + 4
@@ -716,7 +678,7 @@ def _w_engine(k, wmax, digits, tol_f):
                 errs[key] = err - (-((1 << B) + abs(v)) // pad)
             else:
                 break
-        meta = {"r_max_used": r, "prime_cutoff": pcut, "digits": digits,
+        meta = {"r_max_used": r, "prime_cutoff": pcut, "digits": asked,
                 "tol": tol_f}
     with mp.workdps(digits + 8):
         vals = {key: mp.ldexp(v, -B) for key, v in vals.items()}
@@ -774,7 +736,7 @@ def _exp_w(k, n_max, digits, tol):
     W_empty within err of w, |exp(W_empty) - a| <= exp(w) (expm1(err) + d/2)
     <= a (1 + d) (err E + d), E = mp.exp(err) (1 + d) >= exp(err), rounded
     up: a bound for every err, the rounding of a included.  e is
-    _exp_log_fixed of L = floor(2**C W), whose bound D_w (floats, each |L|
+    _exp_fixed of L = floor(2**C W), whose bound D_w (floats, each |L|
     raised by 10**-(digits+10)) sets C = (digits+10) log2 10 + log2 max D + 2
     (2 bits for the floats): e is within 10**-(digits+10) of exp L, L within
     2**-C of W, four digits under each W error's pad 10**-(digits+6).  W and
@@ -791,7 +753,7 @@ def _exp_w(k, n_max, digits, tol):
     C = math.ceil((digits + 10) * math.log2(10) + math.log2(max(D))) + 2
     L = [0] + [to_fixed(vals[key]._mpf_, C) for key in keys[1:]]
     err = [0] + [-to_fixed(mpf_neg(werr[key]._mpf_), C) for key in keys[1:]]
-    e = _exp_log_fixed(plan, L, C, False)
+    e = _exp_fixed(plan, L, C)
     ae, ee = list(map(abs, e)), [0] * len(keys)
     for triples in (t for row in plan.products for t in row):
         _accumulate_halved(triples, ae, err, ee, twin)

@@ -30,8 +30,9 @@ from .partitions import (
     dim_complement, dim_hook, dim_paths, dim_skew_det, partitions_of,
     sort_merge)
 from .symseries import (
-    EMPTY_KEY, POWERSUM, SCHUR, PairSeries, _exp_log, _exp_log_fixed, _plan,
-    _switch_basis, p_to_schur, series_exp, series_log)
+    EMPTY_KEY, POWERSUM, SCHUR, PairSeries, _exp_fixed, _exp_log, _log_l1,
+    _packed_log, _plan, _switch_basis, _unpack, p_to_schur, series_exp,
+    series_log)
 from .zeta_numerics import (
     _crossover, _dirichlet_sums, _log_series, _log_zeta_table, head_power_sums,
     int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
@@ -751,22 +752,32 @@ def _check_constant_tables():
 
 
 def _check_fixed_exp_log(seed=0):
-    # both directions against the Fraction recurrence on a seeded symmetric
-    # dyadic series, each weight's summed error under the docstring's bound
+    # on a seeded symmetric dyadic series: _exp_fixed against the Fraction
+    # recurrence, each weight's summed error under its docstring bound, and
+    # _packed_log of integers S = n! X, exactly n! times the Fraction log
     plan, wmax, B = _plan(6), 6, 80
     at = [range(plan.starts[w], plan.starts[w + 1]) for w in range(wmax + 1)]
     x = [Fraction((min(i, t) * 7919 + seed * 104729) % 2**21 - 2**20,
                   2 ** (18 + (min(i, t) + seed) % 6)) for i, t in enumerate(plan.twin)]
     g = [sum(abs(x[i]) for i in at[w]) for w in range(wmax + 1)]
-    for log in (False, True):
-        x[0] = int(log)
-        want = _exp_log(PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x))), log)
-        got, E = _exp_log_fixed(plan, [int(v * 2**B) for v in x], B, log), [0]
-        for w in range(1, wmax + 1):
-            E.append(len(at[w]) + sum(Fraction(j, w) * (
-                E[j] * g[w - j] if log else g[j] * E[w - j]) for j in range(1, w)))
-            if sum(abs(got[i] - want.get(*plan.keys[i]) * 2**B) for i in at[w]) >= E[w]:
-                raise AssertionError("%s at weight %d" % ("log" if log else "exp", w))
+    x[0] = 0
+    want = _exp_log(PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x))), False)
+    got, E = _exp_fixed(plan, [int(v * 2**B) for v in x], B), [0]
+    for w in range(1, wmax + 1):
+        E.append(len(at[w]) + sum(Fraction(j, w) * g[j] * E[w - j]
+                                  for j in range(1, w)))
+        if sum(abs(got[i] - want.get(*plan.keys[i]) * 2**B) for i in at[w]) >= E[w]:
+            raise AssertionError("exp at weight %d" % w)
+    S = [v.numerator for v in x]
+    n = [sum(m) + sum(nu) for m, nu in plan.keys]
+    want = _exp_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **{
+        key: Fraction(s, math.factorial(w)) for key, s, w in zip(plan.keys, S, n)
+        if w}}), True)
+    t = [sum(abs(S[i]) for i in at[w]) for w in range(wmax + 1)]
+    K = max(_log_l1(t)).bit_length() + 1
+    for i, v in enumerate(_packed_log(plan, S, K, 1)[1:], 1):
+        if _unpack(v, K, 1) != [want.get(*plan.keys[i]) * math.factorial(n[i])]:
+            raise AssertionError("log at %r" % (plan.keys[i],))
 
 
 def _check_log_zeta_routes():
@@ -860,19 +871,22 @@ def _head_log_oracle(k, wmax, p):
     return out
 
 
-def _check_head_log(k=3, wmax=4, digits=15):
+def _check_head_log(*points):
     # one prime at a time, so each key's bound is 2**-(prec+10); p = 2 and
-    # 3 have the largest ratios, the last head prime the largest log powers
-    primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
-    for p in (2, 3, primes[-1]):
-        with mp.workdps(digits + 15):
-            got = _head_logs(k, wmax, [p])
-            tol = mp.ldexp(1, -(mp.prec + 10))
-        with mp.workdps(digits + 30):
-            want = _head_log_oracle(k, wmax, p)
-            for key, v in got.items():
-                if abs(v - want.get(key, 0)) > tol:
-                    raise AssertionError("p=%d at %r" % (p, key))
+    # 3 have the largest ratios, the last head prime the largest log powers;
+    # k = 1 has the single-part keys' 1/p fold on (p - 1)**n alone
+    for k, wmax, digits in points or ((3, 4, 15), (1, 1, 15), (1, 2, 15),
+                                      (1, 3, 15), (4, 6, 15)):
+        primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
+        for p in (2, 3, primes[-1]):
+            with mp.workdps(digits + 15):
+                got = _head_logs(k, wmax, [p])
+                tol = mp.ldexp(1, -(mp.prec + 10))
+            with mp.workdps(digits + 30):
+                want = _head_log_oracle(k, wmax, p)
+                for key, v in got.items():
+                    if abs(v - want.get(key, 0)) > tol:
+                        raise AssertionError("k=%d p=%d at %r" % (k, p, key))
 
 
 def _check_w_tail(k=2, wmax=4, digits=10):
@@ -961,7 +975,8 @@ FULL_CHECKS = [
     ),
     ("W and d symmetry at k=2", "identity", _check_w_symmetry),
     (
-        "head-prime integer log vs mpf series_log, k = 3, weight 4",
+        "head-prime integer log vs mpf series_log, k = 3 at weight 4, k = 1"
+        " at weights 1..3, k = 4 at weight 6",
         "oracle",
         _check_head_log,
     ),

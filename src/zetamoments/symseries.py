@@ -18,7 +18,7 @@ order.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from mpmath import mp
@@ -320,31 +320,64 @@ def _exp_log(series, log):
     return _series(plan, lg if log else s)
 
 
-def _exp_log_fixed(plan, x, B, log):
-    """The recurrence of _exp_log in units of 2**-B, in either direction.
-
-    x lists integers over plan.keys, symmetric in the two slots (x[i] ==
-    x[plan.twin[i]]), as is the result.  With log set x is S, S[0] = 2**B,
-    and L_w = S_w - floor(c_w / (w 2**B)); else x is L (L[0] unread) and
-    exp(L) is S_0 = 2**B, S_w = L_w + floor(c_w / (w 2**B)); c_w = sum_{0<j
-    <w} (j L_j) S_{w-j} by _accumulate_halved.  For exact x, each floor costs
-    under a unit and an error in the computed operand meets the given one
-    once: summed over the K_w keys of weight w, the errors are under K_w +
-    sum_{0<j<w} (j/w) E_j X_{w-j} units (log) or K_w + sum (j/w) Lam_j E_{w-j}
-    (exp), X and Lam the weight sums of |S| and |L| over 2**B.
-    """
-    n, twin, sign = len(plan.keys), plan.twin, -1 if log else 1
-    s, lg = (x, [0] * n) if log else ([1 << B] + [0] * (n - 1), x)
-    out, dl, cross = lg if log else s, [0] * n, [0] * n
+def _exp_fixed(plan, L, B):
+    """S = exp(L) in units of 2**-B, L symmetric over plan.keys, L[0] unread:
+    S_0 = 2**B, S_w = L_w + floor(sum_{0<j<w} (j L_j) S_{w-j} / (w 2**B)).
+    For exact L the errors summed over the K_w keys of weight w are under K_w
+    + sum_{0<j<w} (j/w) Lam_j E_{w-j} units, Lam the sums of |L| / 2**B."""
+    n, twin = len(plan.keys), plan.twin
+    s, dl, cross = [1 << B] + [0] * (n - 1), [0] * n, [0] * n
     for w in range(1, len(plan.starts) - 1):
         for j in range(1, w):
             _accumulate_halved(plan.products[w][j], dl, s, cross, twin)
         wB = w << B
         for i in range(plan.starts[w], plan.starts[w + 1]):
-            out[i] = (x[i] + sign * (cross[i] // wB) if twin[i] >= i
-                      else out[twin[i]])
-            dl[i] = lg[i] * w
-    return out
+            s[i] = L[i] + cross[i] // wB if twin[i] >= i else s[twin[i]]
+            dl[i] = L[i] * w
+    return s
+
+
+def _log_l1(t):
+    """Lam_n = t_n + sum_{0<j<n} C(n-1, j-1) Lam_j t_{n-j}: with t_n the l1
+    norms of S = n! X summed over the keys of weight n (or more), that of L =
+    n! log(1 + X), and of its partial sums in _packed_log's recurrence."""
+    lam = list(t)
+    for n in range(2, len(t)):
+        lam[n] += sum(comb(n - 1, j - 1) * lam[j] * t[n - j]
+                      for j in range(1, n))
+    return lam
+
+
+def _pack(coeffs, K):
+    """The polynomial with these coefficients, low first, at 2**K."""
+    return sum(c << K * u for u, c in enumerate(coeffs))
+
+
+def _packed_log(plan, P, K, slots):
+    """L = n! log(1 + X) over plan.keys from S = n! X, each packed into one
+    int at 2**K (P, P[0] unread): L_n = S_n - sum_{0<j<n} C(n-1, j-1) L_j
+    S_{n-j}, cut to `slots` slots, exact for K = bit_length(max _log_l1) +
+    1.  Each L comes back with 2**(K-1) added per slot, for _unpack."""
+    starts, twin, mask = plan.starts, plan.twin, (1 << K * slots) - 1
+    bias = mask // ((1 << K) - 1) << K - 1
+    L = list(P)
+    for n in range(2, len(starts) - 1):
+        acc = [0] * len(P)
+        for j in range(1, n):
+            c = comb(n - 1, j - 1)
+            cl = [0] * starts[j] + [c * v for v in L[starts[j]:starts[j + 1]]]
+            _accumulate_halved(plan.products[n][j], cl, P, acc, twin)
+        for i in range(starts[n], starts[n + 1]):
+            L[i] = (((L[i] - acc[i] + bias) & mask) - bias
+                    if twin[i] >= i else L[twin[i]])
+    for i, t in enumerate(twin):
+        L[i] = L[i] + bias if t >= i else L[t]
+    return L
+
+
+def _unpack(v, K, slots):
+    """The signed coefficients in the low slots of one of _packed_log's."""
+    return [(v >> K * u & (1 << K) - 1) - (1 << K - 1) for u in range(slots)]
 
 
 def series_log(series):

@@ -155,3 +155,12 @@ def test_power_dim_table_is_not_shared():
     # each call builds its own table, so a caller's edit reaches no other
     power_dim_table(2, 1)[((1,), ())] = 0
     assert power_dim_table(2, 1)[((1,), ())] != 0
+
+
+@pytest.mark.parametrize("k,N", [(2, -1), (2, True), (2, 1.0), (2, 5), (2, 100),
+                                 (3, "1"), (1, 2)])
+def test_power_dim_table_refuses_bad_n(k, N):
+    # refused before any table work, as d_table refuses n_max: N = 100 at
+    # k = 2 would otherwise run for minutes, True would read as 1
+    with pytest.raises(ValueError, match="^N "):
+        power_dim_table(k, N)

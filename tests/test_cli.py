@@ -476,6 +476,13 @@ class TestCommands:
         assert rc == 2 and out == ""
         assert err.startswith("non-convergence: ") and "\nparameters: " in err
 
+    def test_tol_far_below_digits_is_served(self, capsys):
+        # the tail's target follows tol, and so do the families' digits
+        rc = main(["coeff", "--k", "2", "--N", "1", "--digits", "5",
+                   "--tol", "1e-30"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == "" and out.startswith("c_1(2) = 0.69887  ")
+
     def test_k_past_the_float_range_is_exit_2(self, capsys):
         # rho(600) is an int no float holds: refused, not a traceback
         rc = main(["coeff", "--k", "600", "--N", "0", "--digits", "10"])

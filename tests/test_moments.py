@@ -29,7 +29,7 @@ from zetamoments.moments import (
     _below_tol,
     _gauss_square_poly,
     _head_logs,
-    _local_ratios,
+    _head_polys,
     _ratio_numerators,
     _v_series,
     a_factor,
@@ -54,6 +54,7 @@ from zetamoments.symseries import (
     KPoly,
     PairSeries,
     _plan,
+    _unpack,
     series_exp,
     series_log,
     series_mul,
@@ -424,27 +425,44 @@ def _ratio_reference(k, wmax, p, bits):
             for pair, (_, _, nd) in _ratio_numerators(k, wmax).items()}
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 313])
-def test_local_ratios_match_truncated_dot_products(k, p):
-    B, wmax = 120, 4
+def test_head_polys_are_the_exact_log(k, p):
+    # Lhat(p) = n! lg(p) D(p)**n exactly, lg the Fraction pair-series log of
+    # 1 + X(1/p), D = p**(k-1) A_k(p) (p-1), each of degree <= (2k-1) n; the
+    # closed-form X is within 2**-120 of the truncated dot products
+    wmax = {1: 3, 2: 4, 3: 4, 4: 5}[k]
+    plan, numer = _plan(wmax), _ratio_numerators(k, wmax)
     A = sum(c * p ** (k - 1 - j) for j, c in enumerate(_gauss_square_poly(k)))
-    got = _local_ratios(k, p, A, _ratio_numerators(k, wmax), B)
-    ref = _ratio_reference(k, wmax, p, B)
-    assert set(got) == set(ref)
-    slack = Fraction(1, 2**20)
-    for pair, s in got.items():
-        assert -slack < ref[pair] * 2**B - s < 1 + slack, pair
+    D = p ** (k - 1) * A * (p - 1)
+    x = {}
+    for pair, (n, N, nd) in numer.items():
+        x[pair] = x[pair[::-1]] = Fraction(
+            sum(c * p ** (len(N) - 1 - i) for i, c in enumerate(N)),
+            p ** (k - 1) * A * (p - 1) ** n * nd)
+    ref = _ratio_reference(k, wmax, p, 120)
+    assert all(abs(x[pair] - v) < Fraction(1, 2**120) for pair, v in ref.items())
+    lg = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **x}))
+    K, L, _ = _head_polys(k, wmax)
+    width = (2 * k - 1) * wmax + 1
+    for i, key in enumerate(plan.keys[1:], 1):
+        n = sum(key[0]) + sum(key[1])
+        c = _unpack(L[i], K, width)
+        assert c[(2 * k - 1) * n + 1:] == [0] * ((2 * k - 1) * (wmax - n)), key
+        got = sum(v * p**u for u, v in enumerate(c))
+        assert got == lg.get(*key) * math.factorial(n) * D**n, key
 
 
 class TestHeadLogs:
     """The integer head against the mpf pair-series log it replaced, with
     the leading 1/p part removed from the single-part keys."""
 
-    @pytest.mark.parametrize("k,wmax,digits", [(3, 4, 15), (2, 4, 30), (3, 9, 30)])
+    @pytest.mark.parametrize("k,wmax,digits", [(3, 4, 15), (2, 4, 30), (3, 9, 30),
+                                               (1, 1, 15), (1, 2, 15), (1, 3, 15),
+                                               (4, 6, 15)])
     def test_matches_mpf_series_log(self, k, wmax, digits):
         # p = 2, 3 and the last head prime, against the oracle at digits + 30
-        _check_head_log(k, wmax, digits)
+        _check_head_log((k, wmax, digits))
 
     def test_primes_add_up(self):
         primes = [2, 3, 5, 7, 11]
@@ -783,6 +801,30 @@ class TestWEngine:
         loose = W_coeff((1,), (1,), 2, digits=12, tol=1e-6)
         tight = W_coeff((1,), (1,), 2, digits=12)
         assert abs(loose.value - tight.value) <= loose.error + tight.error
+
+    @pytest.mark.parametrize("N,k", [(0, 1), (1, 2)])
+    def test_tol_far_below_digits_is_served(self, N, k):
+        # a tol past 10**-digits raises the families' and the working digits
+        # with the tail's target, which they would otherwise leave behind;
+        # the value lies within its bar of a deeper request
+        got = c_coeff(N, k, 5, tol=1e-30)
+        want = c_coeff(N, k, 40)
+        with mp.workdps(50):
+            assert abs(got.value - want.value) <= got.error + want.error
+
+    @pytest.mark.parametrize("tol,want", [(1e-12, 12), (1e-6, 12), (3e-20, 20),
+                                          (1e-30, 30)])
+    def test_family_digits_follow_tol(self, monkeypatch, tol, want):
+        # max(digits, ceil(-log10 tol)), so the default tol keeps digits
+        seen, real = [], moments._v_chunk
+
+        def spy(k, wmax, r0, R, digits, primes):
+            seen.append(digits)
+            return real(k, wmax, r0, R, digits, primes)
+
+        monkeypatch.setattr(moments, "_v_chunk", spy)
+        assert moments._w_engine(2, 2, 12, tol)[2]["digits"] == 12
+        assert set(seen) == {want}
 
     def test_unreachable_precision_raises(self):
         # weight 1 keeps the 16-order cutoff, past MAX_HEAD_PRIME at
@@ -1345,7 +1387,7 @@ class TestInputContract:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("k, digits, deeper", [(2, 30, 60), (3, 15, 45)])
+@pytest.mark.parametrize("k, digits, deeper", [(2, 30, 60), (3, 15, 45), (3, 30, 60)])
 def test_bars_hold_against_a_deeper_request(k, digits, deeper):
     # each bar covers its distance from the same request at more digits,
     # that request's own bar included

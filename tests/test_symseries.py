@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,8 +22,11 @@ from zetamoments.symseries import (
     SCHUR,
     KPoly,
     PairSeries,
-    _exp_log_fixed,
+    _log_l1,
+    _pack,
+    _packed_log,
     _plan,
+    _unpack,
     monomial_eval,
     multinomial,
     p_to_schur,
@@ -250,63 +254,63 @@ class TestExpLog:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mirror_halved_log_matches_full_recurrence(self, seed):
-        # _exp_log_fixed sums only outputs with twin >= index and copies the
-        # mirrors; on symmetric input that is the full recurrence, exactly
+        # _packed_log sums only outputs with twin >= index and copies the
+        # mirrors; on symmetric input that is the full recurrence, exactly,
+        # here on Q-series of 3 slots each
         rng = random.Random(seed)
-        B, wmax = 80, 6
+        wmax, slots = 6, 3
         plan = _plan(wmax)
         assert all(plan.keys[t] == key[::-1]
                    for key, t in zip(plan.keys, plan.twin))
-        s = [1 << B]
+        s = [[0] * slots]
         for i in range(1, len(plan.keys)):
             t = plan.twin[i]
-            s.append(s[t] if t < i else rng.randrange(1 << (B + 2)))
-        full, dl, cross = ([0] * len(s) for _ in range(3))
-        for w in range(1, wmax + 1):
+            s.append(s[t] if t < i else
+                     [rng.randrange(-2**20, 2**20) for _ in range(slots)])
+        full = [list(c) for c in s]
+        for w in range(2, wmax + 1):
             for j in range(1, w):
+                c = math.comb(w - 1, j - 1)
                 for out, a, b in plan.products[w][j]:
-                    cross[out] += dl[a] * s[b]
-            for i in range(plan.starts[w], plan.starts[w + 1]):
-                full[i] = s[i] - cross[i] // (w << B)
-                dl[i] = full[i] * w
-        assert _exp_log_fixed(plan, s, B, True) == full
-        assert all(full[i] == full[t] for i, t in enumerate(plan.twin))
+                    for u in range(slots):
+                        full[out][u] -= c * sum(full[a][i] * s[b][u - i]
+                                                for i in range(u + 1))
+        t = [sum(sum(map(abs, s[i])) for i in range(plan.starts[w], plan.starts[w + 1]))
+             for w in range(wmax + 1)]
+        K = max(_log_l1(t)).bit_length() + 1
+        got = _packed_log(plan, [_pack(x, K) for x in s], K, slots)
+        assert [_unpack(v, K, slots) for v in got[1:]] == full[1:]
+        assert all(got[i] is got[t] for i, t in enumerate(plan.twin) if t < i)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_exp_and_log_match_fractions(self, seed):
-        # the selftest row's check on three more series: _exp_log_fixed in
-        # both directions against Fraction series_exp and series_log, each
-        # weight's summed error under its docstring bound
+        # the selftest row's check on three more series: _exp_fixed against
+        # Fraction series_exp within its docstring bound, and _packed_log
+        # exactly n! times Fraction series_log
         _check_fixed_exp_log(seed)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_log_within_its_bound(self, seed):
-        # floors of a positive exact series through _exp_log_fixed, against 2**B
-        # times the exact log; each weight's summed error obeys the bound
-        # E_w of moments._head_logs; like the head's ratios, the series is
-        # symmetric in the two slots, as _exp_log_fixed requires
+        # the integer log L = n! log(1 + X) of a positive symmetric S = n! X
+        # through _packed_log is exact, and each weight's sum of |L| is under
+        # _log_l1's bound Lam, which sets its slot width
         rng = random.Random(seed)
-        B, wmax = 64, 5
+        wmax = 5
         plan = _plan(wmax)
-        x = {}
+        S, n = {}, {key: sum(key[0]) + sum(key[1]) for key in plan.keys}
         for key in plan.keys[1:]:
-            x[key] = x.get(key[::-1]) or Fraction(rng.randrange(1, 300), 200)
-        exact = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **x}))
-        s = [1 << B] + [int(x[key] * 2**B) for key in plan.keys[1:]]
-        lg = _exp_log_fixed(plan, s, B, True)
-        K, X, lam, E = [0], [0], [0], [0]
+            S[key] = S.get(key[::-1]) or rng.randrange(1, 2**12)
+        exact = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **{
+            key: Fraction(v, math.factorial(n[key])) for key, v in S.items()}}))
+        t = [sum(v for key, v in S.items() if n[key] == w) for w in range(wmax + 1)]
+        lam = _log_l1(t)
+        K = max(lam).bit_length() + 1
+        got = _packed_log(plan, [0] + [S[key] for key in plan.keys[1:]], K, 1)
         for w in range(1, wmax + 1):
-            block = plan.keys[plan.starts[w]:plan.starts[w + 1]]
-            K.append(len(block))
-            X.append(sum(x[key] for key in block))
-            lam.append(X[w] + Fraction(sum(j * lam[j] * X[w - j]
-                                           for j in range(1, w)), w))
-            E.append(2 * K[w] + Fraction(sum(j * (E[j] * X[w - j] + lam[j] * K[w - j])
-                                             for j in range(1, w)), w))
-            err = sum(abs(lg[plan.index[key]] - exact.get(*key) * 2**B)
-                      for key in block)
-            assert err <= E[w], w
-            assert sum(abs(exact.get(*key)) for key in block) <= lam[w], w
+            block = range(plan.starts[w], plan.starts[w + 1])
+            L = [_unpack(got[i], K, 1)[0] for i in block]
+            assert L == [exact.get(*plan.keys[i]) * math.factorial(w) for i in block]
+            assert sum(map(abs, L)) <= lam[w], w
 
     def test_exp_of_single_powersum(self):
         # exp(c * p_1 x 1) has coefficient c^m / m! on the m-fold key
