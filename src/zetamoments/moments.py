@@ -3,8 +3,9 @@
 The chain: the local Euler factor, expanded over pairs of partitions, gives
 one ratio series X_{mu nu}(Q) in Q = 1/p per key; at an integer k the V
 values are the Q**r coefficients of the pair-series logarithm of 1 + X,
-integers (but at the empty key) built with each Q-series packed into one
-int (_v_series); V combines with prime power sums into the W coefficients;
+integers (but at the empty key) read off the head's packed log by one
+integer series product per key (_v_series, and the closed form below); V
+combines with prime power sums into the W coefficients;
 the exponential e of the W series, power-sum basis, C-bit integers, dotted
 exactly with the integer table D_k (characters.power_dim_table: complement
 skew dimensions, by determinant, seen through characters) gives each c_N(k)
@@ -12,7 +13,8 @@ of the degree-k**2 moment polynomial for the 2k-th moment of zeta on the
 critical line in one mpf conversion; the d-table is the oracle.  The same V, as
 polynomials in k, come from contracting the rational f-table (the logarithm
 of an exact pair series) against monomial symmetric evaluations; that route
-is the paper's exact object and the oracle the engine is checked against.
+is the paper's exact object and the oracle the engine is checked against
+(oracles.V_poly).
 
 The naive r-sum defining W diverges for k >= 3 because the V side outgrows
 the decay of the prime family.  The engine therefore splits: local log
@@ -29,11 +31,11 @@ integer pass per head prime over the orders the chunk adds
 request sieves.  Below the cutoff every key's local factor is an exact
 rational function of p (see below): the empty key's part is one product
 over the primes and a single log, the other keys' logs integer polynomials
-in p from one packed log per request (_head_polys, as in _v_series),
-dotted with power moments of the primes (_head_logs).  The cutoff comes
-from the digit and tolerance request; tail estimates combine a certified
-envelope on the beyond-cutoff prime sums with the measured decay of the
-last few increments.
+in p from one packed log per request (_head_polys), dotted with power
+moments of the primes (_head_logs) and expanded in 1/p for V (_v_series).
+The cutoff comes from the digit and tolerance request; tail estimates
+combine a certified envelope on the beyond-cutoff prime sums with the
+measured decay of the last few increments.
 
 The closed form.  The local numerator a_mu(u) of _a_seqs has generating
 function T**len(mu) * prod_m E_{m-1}(T) / (1-T)**(k+|mu|), E_j the Eulerian
@@ -45,12 +47,20 @@ key's N is the Gauss square polynomial, so z_0(1/p) = A_k(p) p**k /
 (p-1)**(2k-1), A_k(p) = sum_j C(k-1, j)**2 p**(k-1-j), and X_{mu nu}(1/p) =
 z_{mu nu}(1/p) / z_0(1/p) = Ntil(p) / (p**(k-1) A_k(p) (p-1)**n), with
 Ntil(p) = sum_i N_i p**(D-i).
+
+V from the head.  In Q = 1/p the weight-n log n! lg = Lhat(p) / D(p)**n
+(_head_logs) is Lhatrev(Q) / Drev(Q)**n, Lhatrev the coefficients of Lhat
+reversed against degree (2k-1) n and Drev(Q) = Q**(2k-1) D(1/Q) = Atil(Q)
+(1 - Q), Atil(Q) = sum_j C(k-1, j)**2 Q**j.  Drev has constant term 1, so
+1/Drev**n has integer coefficients and V_r, r <= R, reads Lhatrev only to
+Q**R: the top R + 1 slots of Lhat (_v_series).
 """
 
 import math
 import warnings
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
@@ -60,25 +70,22 @@ from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add,
 
 from . import __version__
 from .characters import character_table, power_dim_table
-from .partitions import centralizer_order, check_partition, dim_hook, partitions_of
+from .partitions import check_partition, dim_hook, partitions_of
 from .symseries import (
     EMPTY_KEY,
     POWERSUM,
     SCHUR,
-    KPoly,
     PairSeries,
     _accumulate_halved,
     _exp_fixed,
     _log_l1,
+    _low_product,
     _pack,
     _packed_log,
     _plan,
     _switch_basis,
     _unpack,
-    monomial_eval,
-    multinomial,
     p_to_schur,
-    series_log,
 )
 from .zeta_numerics import (
     MAX_HEAD_PRIME,
@@ -110,13 +117,6 @@ class NonConvergenceError(RuntimeError):
         self.meta = meta
 
 
-class FTable(NamedTuple):
-    """Exact rational log-series table over equal-weight partition pairs."""
-
-    max_weight: int
-    entries: dict
-
-
 class MomentPolynomial(NamedTuple):
     """Full coefficient family of one moment polynomial.
 
@@ -136,71 +136,6 @@ class MomentPolynomial(NamedTuple):
             for _, value, _ in self.coefficients:
                 acc = acc * x + value
         return acc
-
-
-_f_store = {"built": None}
-
-
-def _f_entries(n_max):
-    built = _f_store["built"]
-    if built is None or built.max_weight < n_max:
-        coeffs = {EMPTY_KEY: 1}
-        for a in range(1, n_max + 1):
-            for ka in partitions_of(a):
-                za = centralizer_order(ka)
-                for la in partitions_of(a):
-                    coeffs[(ka, la)] = Fraction(1, za * centralizer_order(la))
-        series = PairSeries(POWERSUM, 2 * n_max, coeffs)
-        built = FTable(n_max, dict(series_log(series).coeffs))
-        _f_store["built"] = built
-    return built.entries
-
-
-def f_table(n_max):
-    """Exact coupling table: log coefficients of the diagonal pair series.
-
-    The series sums p_kappa (x) p_lambda over equal-weight pairs, each term
-    divided by both centralizer orders; entry (kappa, lambda) of the table is
-    the matching coefficient of its formal logarithm.  Entries exist exactly
-    for 1 <= |kappa| = |lambda| <= n_max.
-    """
-    _check_index(n_max, "n_max", 1)
-    entries = _f_entries(n_max)
-    picked = {key: v for key, v in entries.items() if sum(key[0]) <= n_max}
-    return FTable(n_max, picked)
-
-
-def V_poly(r, mu, nu):
-    """The weight-r mixing polynomial in k attached to the key (mu, nu).
-
-    Exact: a multinomial prefactor times the f-table at size r contracted
-    against monomial symmetric evaluations at the parts of each size-r
-    partition, with k carrying the length difference as its exponent.  The
-    degree never exceeds 2r - len(mu) - len(nu).
-    """
-    _check_index(r, "r", 1)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    ft = _f_entries(r)
-    scale = multinomial(sum(mu) + sum(nu), mu + nu)
-    by_exp = {}
-    for ka in partitions_of(r):
-        ma = monomial_eval(mu, ka)
-        if not ma:
-            continue
-        for la in partitions_of(r):
-            fv = ft.get((ka, la))
-            if not fv:
-                continue
-            mb = monomial_eval(nu, la)
-            if not mb:
-                continue
-            e = len(ka) + len(la) - len(mu) - len(nu)
-            by_exp[e] = by_exp.get(e, Fraction(0)) + fv * ma * mb
-    if not by_exp:
-        return KPoly()
-    top = max(by_exp)
-    return KPoly([scale * by_exp.get(e, Fraction(0)) for e in range(top + 1)])
 
 
 def _gauss_square_poly(k):
@@ -252,31 +187,15 @@ def _a_seqs(k, wmax, U):
     m of mu, the weighted geometric sum of u**(m-1) T**u.  Built by extending
     a parent sequence one part at a time.
     """
-    mus = sorted(
-        {m for a in range(wmax + 1) for m in partitions_of(a)},
-        key=lambda m: (len(m), m),
-    )
     out = {(): [math.comb(u + k - 1, k - 1) for u in range(U + 1)]}
-    wt_cache = {}
-    for m in mus:
-        if m in out:
-            continue
-        part = m[-1]
-        if part not in wt_cache:
-            wt_cache[part] = [0] + [u ** (part - 1) for u in range(1, U + 1)]
-        wt = wt_cache[part]
-        par = out[m[:-1]]
-        new = [0] * (U + 1)
-        for u in range(U + 1):
-            cu = par[u]
-            if cu:
-                for v in range(1, U + 1 - u):
-                    new[u + v] += cu * wt[v]
-        out[m] = new
+    for m in sorted({m for a in range(1, wmax + 1) for m in partitions_of(a)},
+                    key=lambda m: (len(m), m)):
+        wt = [0] + [u ** (m[-1] - 1) for u in range(1, U + 1)]
+        out[m] = _low_product(out[m[:-1]], wt, U)
     return out
 
 
-def _v_series(k, wmax, R):
+def _v_series(k, wmax, R, head):
     """Exact V_r at integer k and termwise bounds on them, for r = 1..R.
 
     V_r for the key (mu, nu) of weight n is n! [Q**r] log(1 + X) over the
@@ -285,50 +204,54 @@ def _v_series(k, wmax, R):
     empty key is the scalar local log.  Returns two lists indexed by r of
     {key: value}, zeros omitted.
 
-    n!/nd counts the set partitions of an n-set into red blocks of shape mu
-    and blue ones of shape nu, so S = n! X is an integer series, and L = n!
-    log(1 + X) and M are _packed_log's of S and -|S| cut to Q**R, each
-    Q-series one int at Q = 2**K, with K from _log_l1's bound taken per
-    power of Q (whole l1 norms would count the orders the cut drops).
+    V = Lhatrev / Drev**n, Drev = Atil (1 - Q) (module docstring), takes
+    the top R + 1 slots of head = _head_polys(k, wmax)'s Lhat: the Q**<=R
+    terms of a product read only those of its factors.  M is _packed_log's
+    of -|S|, S = n! X = (n!/nd) N / (Atil (1 - Q)**n), cut to Q**R, each
+    Q-series one int at 2**K, K from _log_l1's bound per power of Q.
     """
-    aseq = _a_seqs(k, wmax, R)
-    z0 = [a * a for a in aseq[()]]
-    # z0 has constant term 1, so its reciprocal has integer coefficients
+    K, L, _, numer = head
+    plan, row = _plan(wmax), _gauss_square_poly(k)
+    drev = [a - b for a, b in zip(row + (0,), (0,) + row)]
     inv = [1] + [0] * R
     for u in range(1, R + 1):
-        inv[u] = -sum(z0[i] * inv[u - i] for i in range(1, u + 1))
-
-    def mul(a, b):
-        return [sum(a[i] * b[u - i] for i in range(u + 1)) for u in range(R + 1)]
-
-    plan = _plan(wmax)
-    keys, twin = plan.keys, plan.twin
-    # X and its log are symmetric in the two slots: mirror keys come once
-    S, T = [], [[0] * (R + 1) for _ in range(wmax + 1)]
-    for i, (m, nu) in enumerate(keys):
-        n = sum(m) + sum(nu)
-        f = math.factorial(n) // (_norm_den(m) * _norm_den(nu))
-        S.append(S[twin[i]] if twin[i] < i else
-                 mul([f * a * b for a, b in zip(aseq[m], aseq[nu])], inv))
+        inv[u] = -sum(drev[i] * inv[u - i] for i in range(1, min(u, k) + 1))
+    # per weight 1/Drev**n, and 1/(Atil (1 - Q)**n) by prefix sums
+    rinv, ginv = [None, inv], [None, inv]
+    for n in range(2, wmax + 1):
+        rinv.append(_low_product(rinv[-1], inv, R))
+        ginv.append(list(accumulate(ginv[-1])))
+    # V and S are symmetric in the two slots: mirror keys come once
+    V, S, T = [None], [None], [[0] * (R + 1) for _ in range(wmax + 1)]
+    for i, (m, nu) in enumerate(plan.keys[1:], 1):
+        n, N, nd = numer[min((m, nu), (nu, m))]
+        if plan.twin[i] < i:
+            V.append(V[plan.twin[i]])
+            S.append(S[plan.twin[i]])
+        else:
+            lo = max(0, (2 * k - 1) * n - R)
+            high = _unpack(L[i] >> K * lo, K, (2 * k - 1) * n - lo + 1)
+            V.append(_low_product(high[::-1], rinv[n], R))
+            f = math.factorial(n) // nd
+            S.append([f * c for c in _low_product(N, ginv[n], R)])
         T[n] = [t + abs(c) for t, c in zip(T[n], S[i])]
     lam = list(T)
     for n in range(2, wmax + 1):
         for j in range(1, n):
             c = math.comb(n - 1, j - 1)
-            lam[n] = [t + c * x for t, x in zip(lam[n], mul(lam[j], T[n - j]))]
-    K = max(map(max, lam)).bit_length() + 1
+            lam[n] = [t + c * x for t, x in
+                      zip(lam[n], _low_product(lam[j], T[n - j], R))]
+    Km = max(map(max, lam)).bit_length() + 1
+    P = [0] + [_pack([-abs(c) for c in s], Km) for s in S[1:]]
+    M = [None] + [[-c for c in _unpack(v, Km, R + 1)]
+                  for v in _packed_log(plan, P, Km, R + 1)[1:]]
     tables = []
-    for sign in (1, -1):
-        table, b0 = [{} for _ in range(R + 1)], _b_series(k, R, sign < 0)
-        tables.append(table)
-        for r in range(1, R + 1):
-            if b0[r]:
-                table[r][EMPTY_KEY] = b0[r]
-        P = [_pack(s if sign > 0 else [-abs(c) for c in s], K) for s in S]
-        for key, v in zip(keys[1:], _packed_log(plan, P, K, R + 1)[1:]):
-            for r, c in enumerate(_unpack(v, K, R + 1)):
-                if c and r:
-                    table[r][key] = sign * c
+    for b0, rows in ((_b_series(k, R), V), (_b_series(k, R, True), M)):
+        tables.append([{EMPTY_KEY: b0[r]} if b0[r] else {} for r in range(R + 1)])
+        for key, cs in zip(plan.keys[1:], rows[1:]):
+            for r, c in enumerate(cs[1:], 1):
+                if c:
+                    tables[-1][r][key] = c
     return tuple(tables)
 
 
@@ -433,9 +356,10 @@ def _ratio_numerators(k, wmax):
 
 
 def _head_polys(k, wmax):
-    """(K, Lhat, Lam) for _head_logs: Lhat over _plan(wmax).keys, the
-    _packed_log of Shat at 2**K to (2k-1) wmax + 1 slots, K from the l1
-    norms of Shat, and Lam the _log_l1 bound from the sums of n! xbar."""
+    """(K, Lhat, Lam, numer) for _head_logs and _v_series: Lhat over
+    _plan(wmax).keys, the _packed_log of Shat at 2**K to (2k-1) wmax + 1
+    slots, K from the l1 norms of Shat, Lam the _log_l1 bound from the sums
+    of n! xbar, and numer _ratio_numerators(k, wmax)."""
     plan, numer, row = _plan(wmax), _ratio_numerators(k, wmax), _gauss_square_poly(k)
     t1, t2, P = [0] * (wmax + 1), [0] * (wmax + 1), [0]
     for m, nu in plan.keys[1:]:
@@ -449,13 +373,13 @@ def _head_polys(k, wmax):
         n, N, nd = numer[min((m, nu), (nu, m))]
         P.append(P[plan.twin[i]] if plan.twin[i] < i else
                  math.factorial(n) // nd * _pack(N[::-1], K) * d[n - 1])
-    return K, _packed_log(plan, P, K, (2 * k - 1) * wmax + 1), _log_l1(t2)
+    return K, _packed_log(plan, P, K, (2 * k - 1) * wmax + 1), _log_l1(t2), numer
 
 
-def _head_logs(k, wmax, primes):
+def _head_logs(k, wmax, primes, head):
     """The head primes' part of every key's W, {key: mpf} over _plan(wmax),
     each within 2**-(prec+10) of the exact sum, P primes; one integer pass
-    per prime.
+    per prime, head _head_polys(k, wmax).
 
     The empty key takes sum_p log z_0(1/p) - k**2/p, z_0(1/p) = A_k(p) p**k
     / (p-1)**(2k-1) (module docstring), as one log of the product T =
@@ -501,7 +425,7 @@ def _head_logs(k, wmax, primes):
     k2B = (k * k) << B0
     row = _gauss_square_poly(k)
     if wmax:
-        K, L, lam = _head_polys(k, wmax)
+        K, L, lam, _ = head
         G = [math.ceil(v / math.factorial(n)) + k * k for n, v in enumerate(lam)]
         top = primes[-1] if primes else 2
         lc = math.log2(1 + math.log(top))
@@ -544,7 +468,7 @@ def _head_logs(k, wmax, primes):
     return out
 
 
-def _v_chunk(k, wmax, r0, R, digits, primes):
+def _v_chunk(k, wmax, r0, R, digits, primes, head):
     """_v_series to order R, digits + 10 + L, |V_r| < 10**L, the tail's bits
     for it (_w_engine), and (Bh, rows), the head primes' power sums at the
     orders r0..R the chunk adds, rows[r - r0], from one head_power_sums pass
@@ -552,7 +476,7 @@ def _v_chunk(k, wmax, r0, R, digits, primes):
     family at that many absolute digits is within 2 * 10**-(digits+12+L),
     so the r <= 200 terms V_r * family move W by under 10**-(digits+9),
     below its floor."""
-    v_tab, vb_tab = _v_series(k, wmax, R)
+    v_tab, vb_tab = _v_series(k, wmax, R, head)
     top = max(int(abs(f)) for vr in v_tab for f in vr.values())
     fam_digits = digits + 10 + len(str(top))
     Bh, rows = head_power_sums(primes, max(r0, 2), R, wmax, fam_digits)
@@ -564,6 +488,13 @@ def _v_chunk(k, wmax, r0, R, digits, primes):
 def _min_stop(wmax):
     """The first r at which the W tail of weight <= wmax may stop."""
     return max(8, wmax + 3)
+
+
+def _work_digits(digits, tol):
+    """max(digits, ceil(-log10 tol)), the digits a request works at; tol
+    None stands for 10**-digits."""
+    small = tol is not None and tol < 10.0 ** -digits
+    return math.ceil(-math.log10(tol)) if small else digits
 
 
 def _below_tol(mag, v, tn, td, B):
@@ -589,11 +520,11 @@ def _w_engine(k, wmax, digits, tol_f):
     integer left, exactly.  The closure runs in the same units, each part
     rounded up; mpf enters only in the final conversion, errors rounded up.
     A tol below 10**-digits raises these digits to ceil(-log10 tol) with the
-    tail's target, or the tail would chase the families' accuracy floor.
+    tail's target (_work_digits), or the tail would chase the families'
+    accuracy floor.
     """
     pcut, R = _truncation(k, wmax, digits, tol_f)
-    asked, digits = digits, (digits if tol_f >= 10.0 ** -digits
-                             else math.ceil(-math.log10(tol_f)))
+    asked, digits = digits, _work_digits(digits, tol_f)
     keys = _plan(wmax).keys
     weight = {key: sum(key[0]) + sum(key[1]) for key in keys}
     tn, td = tol_f.as_integer_ratio()
@@ -603,12 +534,13 @@ def _w_engine(k, wmax, digits, tol_f):
         # below the cutoff every key's local factor is an exact integer
         # ratio: one integer pass per head prime, the empty key's product
         # and the other keys' pair-series log, converted once at the end
-        head = _head_logs(k, wmax, primes)
+        polys = _head_polys(k, wmax)
+        head = _head_logs(k, wmax, primes, polys)
         # exact V tables to _truncation's order R, then 4 orders at a time:
-        # the tail rarely passes R, and each table is built from scratch
+        # the tail rarely passes R, and each expands the same head logs
         r0 = 1
         v_tab, vb_tab, fam_digits, B, (Bh, rows) = _v_chunk(
-            k, wmax, r0, R, digits, primes)
+            k, wmax, r0, R, digits, primes, polys)
         vals = {key: to_fixed(v._mpf_, B) for key, v in head.items()}
         history = {key: deque(maxlen=3) for key in keys}
         gmax_hist = deque(maxlen=4)
@@ -626,9 +558,11 @@ def _w_engine(k, wmax, digits, tol_f):
                           "digits": asked, "tol": tol_f},
                 )
             if r > R:
-                r0, R = r, R + 4
+                # the old tables go first: with the head logs held, the
+                # next chunk's build sets the request's peak memory
+                r0, R, v_tab, vb_tab = r, R + 4, None, None
                 v_tab, vb_tab, fam_digits, B_new, (Bh, rows) = _v_chunk(
-                    k, wmax, r0, R, digits, primes)
+                    k, wmax, r0, R, digits, primes, polys)
                 # a larger L raises B: every stored integer moves up exactly
                 s, B = B_new - B, B_new
                 vals = {key: v << s for key, v in vals.items()}
@@ -739,9 +673,11 @@ def _exp_w(k, n_max, digits, tol):
     _exp_fixed of L = floor(2**C W), whose bound D_w (floats, each |L|
     raised by 10**-(digits+10)) sets C = (digits+10) log2 10 + log2 max D + 2
     (2 bits for the floats): e is within 10**-(digits+10) of exp L, L within
-    2**-C of W, four digits under each W error's pad 10**-(digits+6).  W and
-    its errors are exactly symmetric (tested): ee sums one key per mirror pair."""
+    2**-C of W, four digits under each W error's pad 10**-(digits+6), digits
+    the W engine's own (_work_digits).  W and its errors are exactly
+    symmetric (tested): ee sums one key per mirror pair."""
     vals, werr, meta = _w_full(k, n_max, digits, tol)
+    digits = _work_digits(digits, tol)
     plan = _plan(n_max)
     keys, starts, twin = plan.keys, plan.starts, plan.twin
     lam, D = [0.0] * (n_max + 1), [1.0]
@@ -784,7 +720,7 @@ def d_table(k, n_max, digits=50, tol=None):
     if n_max > k * k:
         raise ValueError("n_max cannot exceed k**2")
     (aval, a_err, e, ee, C), _ = _exp_w(k, n_max, digits, tol)
-    with mp.workdps(digits + 12):
+    with mp.workdps(_work_digits(digits, tol) + 12):
         eser, eerr = (PairSeries(POWERSUM, n_max, {key: mp.ldexp(v, -s) for
                                                    key, v in d.items()})
                       for d, s in ((e, C), (ee, 2 * C)))
@@ -878,7 +814,8 @@ def a_factor(k, digits=50):
 
 def _assemble(N, k, digits, expw):
     """c_N = exp(W_empty) / (k**2 - N)! * sum e D_k over the weight-N pairs,
-    from _exp_w's output and power_dim_table, with the first-order error
+    from _exp_w's output and power_dim_table at digits + 10, digits the W
+    engine's (_work_digits), with the first-order error
     ((a + a_err) sum |D_k| ee + |sum e D_k| a_err) / (k**2 - N)!, a + a_err
     bounding exp(W_empty) (_exp_w), in exact arithmetic never above
     d_table's: exact integer sums, the rest rounded up."""
@@ -918,7 +855,7 @@ def c_coeff(N, k, digits=50, tol=None):
         return ValueWithError(mp.mpf(0), mp.mpf(0))
     if k == 0:
         return ValueWithError(mp.mpf(1), mp.mpf(0))
-    return _assemble(N, k, digits, _exp_w(k, N, digits, tol)[0])
+    return _assemble(N, k, _work_digits(digits, tol), _exp_w(k, N, digits, tol)[0])
 
 
 def moment_polynomial(k, digits=50, tol=None):
@@ -933,7 +870,8 @@ def moment_polynomial(k, digits=50, tol=None):
                 "cache_versions": {"zetamoments": __version__}}
         return MomentPolynomial(0, digits, ((0, mp.mpf(1), mp.mpf(0)),), meta)
     expw, wmeta = _exp_w(k, k * k, digits, tol)
-    triples = tuple((N, *_assemble(N, k, digits, expw))
+    work = _work_digits(digits, tol)
+    triples = tuple((N, *_assemble(N, k, work, expw))
                     for N in range(k * k + 1))
     meta = {key: wmeta.get(key) for key in ("r_max_used", "prime_cutoff", "tol")}
     meta["cache_versions"] = {"zetamoments": __version__}

@@ -1,5 +1,6 @@
 """Oracle routes no request imports, and the selftest battery that runs them
-(cmd_selftest, which cli.main imports for that command alone): the d-table's
+(cmd_selftest, which cli.main imports for that command alone): V's,
+V_poly (with f_table, monomial_eval and multinomial); the d-table's
 oracle d_table_symbolic, and schur_to_p; schur_eval and bump_gamburd_residual
 for the split-alphabet lemma; prime_zeta_direct (with mobius_int), the
 prime-zeta families'; the integer Euler-Maclaurin kernel (_em_fixed,
@@ -11,8 +12,11 @@ read: zeta_derivative, stieltjes_gamma and stieltjes_cumulant."""
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from operator import add
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -22,20 +26,128 @@ from ._golden import golden_entries
 from .characters import character_table
 from .frobenius_schur import dim_complement_poly, dim_fs
 from .moments import (
-    V_poly, W_coeff, _b_series, _gauss_square_poly, _head_logs, _prime_cutoff,
-    _ratio_numerators, _truncation, _v_chunk, _v_series, _w_engine, a_factor,
-    c_coeff, d_table, f_table, moment_polynomial)
+    W_coeff, _b_series, _gauss_square_poly, _head_logs, _head_polys,
+    _prime_cutoff, _ratio_numerators, _truncation, _v_chunk, _v_series,
+    _w_engine, a_factor, c_coeff, d_table, moment_polynomial)
 from .partitions import (
     ZERO_MARKER, _check_index, _det, centralizer_order, check_partition,
     dim_complement, dim_hook, dim_paths, dim_skew_det, partitions_of,
     sort_merge)
 from .symseries import (
-    EMPTY_KEY, POWERSUM, SCHUR, PairSeries, _exp_fixed, _exp_log, _log_l1,
-    _packed_log, _plan, _switch_basis, _unpack, p_to_schur, series_exp,
-    series_log)
+    EMPTY_KEY, POWERSUM, SCHUR, KPoly, PairSeries, _exp_fixed, _exp_log,
+    _log_l1, _packed_log, _plan, _switch_basis, _unpack, p_to_schur,
+    series_exp, series_log)
 from .zeta_numerics import (
     _crossover, _dirichlet_sums, _log_series, _log_zeta_table, head_power_sums,
     int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
+
+
+def multinomial(n, parts):
+    """n! / prod(parts!), requiring the parts to sum to n."""
+    parts = tuple(parts)
+    if any((not isinstance(x, int)) or x < 0 for x in parts):
+        raise ValueError("multinomial parts must be nonnegative integers")
+    if sum(parts) != n:
+        raise ValueError("multinomial parts sum to %d, expected %d" % (sum(parts), n))
+    out = factorial(n)
+    for x in parts:
+        out //= factorial(x)
+    return out
+
+
+@lru_cache(maxsize=None)
+def monomial_eval(mu, xs):
+    """Monomial symmetric polynomial m_mu at the points xs (exact).
+
+    Recursion on the last variable: its exponent is either zero or consumes
+    one distinct part value of mu.
+    """
+    if not mu:
+        return 1
+    if not xs:
+        return 0
+    head, last = xs[:-1], xs[-1]
+    total = monomial_eval(mu, head)
+    seen = set()
+    for i, r in enumerate(mu):
+        if r in seen:
+            continue
+        seen.add(r)
+        rest = mu[:i] + mu[i + 1 :]
+        total += last ** r * monomial_eval(rest, head)
+    return total
+
+
+class FTable(NamedTuple):
+    """Exact rational log-series table over equal-weight partition pairs."""
+
+    max_weight: int
+    entries: dict
+
+
+_f_store = {"built": None}
+
+
+def _f_entries(n_max):
+    built = _f_store["built"]
+    if built is None or built.max_weight < n_max:
+        coeffs = {EMPTY_KEY: 1}
+        for a in range(1, n_max + 1):
+            for ka in partitions_of(a):
+                za = centralizer_order(ka)
+                for la in partitions_of(a):
+                    coeffs[(ka, la)] = Fraction(1, za * centralizer_order(la))
+        series = PairSeries(POWERSUM, 2 * n_max, coeffs)
+        built = FTable(n_max, dict(series_log(series).coeffs))
+        _f_store["built"] = built
+    return built.entries
+
+
+def f_table(n_max):
+    """Exact coupling table: log coefficients of the diagonal pair series.
+
+    The series sums p_kappa (x) p_lambda over equal-weight pairs, each term
+    divided by both centralizer orders; entry (kappa, lambda) of the table is
+    the matching coefficient of its formal logarithm.  Entries exist exactly
+    for 1 <= |kappa| = |lambda| <= n_max.
+    """
+    _check_index(n_max, "n_max", 1)
+    entries = _f_entries(n_max)
+    picked = {key: v for key, v in entries.items() if sum(key[0]) <= n_max}
+    return FTable(n_max, picked)
+
+
+def V_poly(r, mu, nu):
+    """The weight-r mixing polynomial in k attached to the key (mu, nu).
+
+    Exact: a multinomial prefactor times the f-table at size r contracted
+    against monomial symmetric evaluations at the parts of each size-r
+    partition, with k carrying the length difference as its exponent.  The
+    degree never exceeds 2r - len(mu) - len(nu).
+    """
+    _check_index(r, "r", 1)
+    mu = check_partition(mu)
+    nu = check_partition(nu)
+    ft = _f_entries(r)
+    scale = multinomial(sum(mu) + sum(nu), mu + nu)
+    by_exp = {}
+    for ka in partitions_of(r):
+        ma = monomial_eval(mu, ka)
+        if not ma:
+            continue
+        for la in partitions_of(r):
+            fv = ft.get((ka, la))
+            if not fv:
+                continue
+            mb = monomial_eval(nu, la)
+            if not mb:
+                continue
+            e = len(ka) + len(la) - len(mu) - len(nu)
+            by_exp[e] = by_exp.get(e, Fraction(0)) + fv * ma * mb
+    if not by_exp:
+        return KPoly()
+    top = max(by_exp)
+    return KPoly([scale * by_exp.get(e, Fraction(0)) for e in range(top + 1)])
 
 
 class WPoly:
@@ -692,8 +804,9 @@ def _check_v_identities():
         for r in range(1, 7):
             if V_poly(r, (), ())(k) != _b_series(k, 6)[r]:
                 raise AssertionError("local log mismatch k=%d r=%d" % (k, r))
-        # the engine's tail route against the f-table contraction
-        tail = _v_series(k, 4, 6)[0]
+        # the engine's route from the head's packed log against the f-table
+        # contraction
+        tail = _v_series(k, 4, 6, _head_polys(k, 4))[0]
         for r in range(1, 7):
             for mu, nu in _plan(4).keys:
                 if V_poly(r, mu, nu)(k) != tail[r].get((mu, nu), 0):
@@ -878,9 +991,10 @@ def _check_head_log(*points):
     for k, wmax, digits in points or ((3, 4, 15), (1, 1, 15), (1, 2, 15),
                                       (1, 3, 15), (4, 6, 15)):
         primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
+        polys = _head_polys(k, wmax)
         for p in (2, 3, primes[-1]):
             with mp.workdps(digits + 15):
-                got = _head_logs(k, wmax, [p])
+                got = _head_logs(k, wmax, [p], polys)
                 tol = mp.ldexp(1, -(mp.prec + 10))
             with mp.workdps(digits + 30):
                 want = _head_log_oracle(k, wmax, p)
@@ -897,12 +1011,14 @@ def _check_w_tail(k=2, wmax=4, digits=10):
         # the engine's tables: _truncation's R, then 4 orders at a time
         pcut, R = _truncation(k, wmax, digits, 10.0**-digits)
         primes = primes_upto(pcut)
-        want = _head_logs(k, wmax, primes)
-        v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, 1, R, digits, primes)
+        polys = _head_polys(k, wmax)
+        want = _head_logs(k, wmax, primes, polys)
+        v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, 1, R, digits, primes, polys)
         for r in range(1, meta["r_max_used"] + 1):
             if r > R:
                 R += 4
-                v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, r, R, digits, primes)
+                v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, r, R, digits, primes,
+                                                    polys)
             fam = (prime_zeta_beyond(r, wmax, primes, fam_digits) if r > 1
                    else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
             for (m, nu), fv in v_tab[r].items():

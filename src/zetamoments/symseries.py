@@ -18,7 +18,7 @@ order.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from mpmath import mp
@@ -110,42 +110,6 @@ class KPoly:
 
     def __repr__(self):
         return "KPoly(%r)" % (self.coeffs,)
-
-
-def multinomial(n, parts):
-    """n! / prod(parts!), requiring the parts to sum to n."""
-    parts = tuple(parts)
-    if any((not isinstance(x, int)) or x < 0 for x in parts):
-        raise ValueError("multinomial parts must be nonnegative integers")
-    if sum(parts) != n:
-        raise ValueError("multinomial parts sum to %d, expected %d" % (sum(parts), n))
-    out = factorial(n)
-    for x in parts:
-        out //= factorial(x)
-    return out
-
-
-@lru_cache(maxsize=None)
-def monomial_eval(mu, xs):
-    """Monomial symmetric polynomial m_mu at the points xs (exact).
-
-    Recursion on the last variable: its exponent is either zero or consumes
-    one distinct part value of mu.
-    """
-    if not mu:
-        return 1
-    if not xs:
-        return 0
-    head, last = xs[:-1], xs[-1]
-    total = monomial_eval(mu, head)
-    seen = set()
-    for i, r in enumerate(mu):
-        if r in seen:
-            continue
-        seen.add(r)
-        rest = mu[:i] + mu[i + 1 :]
-        total += last ** r * monomial_eval(rest, head)
-    return total
 
 
 class PairSeries:
@@ -378,6 +342,19 @@ def _packed_log(plan, P, K, slots):
 def _unpack(v, K, slots):
     """The signed coefficients in the low slots of one of _packed_log's."""
     return [(v >> K * u & (1 << K) - 1) - (1 << K - 1) for u in range(slots)]
+
+
+def _low_product(a, b, R):
+    """The Q**0..Q**R terms of a b, integer series listed low first, from
+    one product at 2**K: each |c_u| <= (R + 1) max|a| max|b| < 2**(K-1) for
+    K = bit_length(max|a|) + bit_length(max|b|) + bit_length(R + 1) + 1, so
+    with 2**(K-1) added per slot the low R + 1 slots hold them exactly; the
+    terms past Q**R add multiples of 2**(K (R + 1)), which _unpack skips."""
+    a, b = a[:R + 1], b[:R + 1]
+    K = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+         + (R + 1).bit_length() + 1)
+    bias = ((1 << K * (R + 1)) - 1) // ((1 << K) - 1) << K - 1
+    return _unpack(_pack(a, K) * _pack(b, K) + bias, K, R + 1)
 
 
 def series_log(series):

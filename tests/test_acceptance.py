@@ -25,12 +25,10 @@ from zetamoments.frobenius_schur import (
     dim_fs,
 )
 from zetamoments.moments import (
-    V_poly,
     W_coeff,
     a_factor,
     c_coeff,
     d_table,
-    f_table,
     g_factor,
     moment_polynomial,
 )
@@ -41,7 +39,12 @@ from zetamoments.partitions import (
     dim_skew_det,
     partitions_of,
 )
-from zetamoments.oracles import bump_gamburd_residual, prime_zeta_direct
+from zetamoments.oracles import (
+    V_poly,
+    bump_gamburd_residual,
+    f_table,
+    prime_zeta_direct,
+)
 from zetamoments.zeta_numerics import prime_zeta_taylor
 
 

@@ -402,13 +402,17 @@ class TestCommands:
 
     def test_requests_leave_the_oracles_unimported(self, tmp_path):
         # a fresh process: poly loads neither the oracles nor their golden
-        # tables, but frobenius_schur, which perfbench's spans look up
+        # tables, but frobenius_schur, which perfbench's spans look up; the
+        # request modules no longer carry V's f-table oracle
         code = ("import sys\n"
                 "import zetamoments.cli as cli\n"
                 "cli.main(['poly', '--k', '1', '--digits', '8', '--format',"
                 " 'json'])\n"
                 "print(*(m in sys.modules for m in ('zetamoments.oracles',"
-                " 'zetamoments._golden', 'zetamoments.frobenius_schur')))")
+                " 'zetamoments._golden', 'zetamoments.frobenius_schur')))\n"
+                "print(any(hasattr(sys.modules['zetamoments.' + m], n)"
+                " for m in ('moments', 'symseries') for n in ('V_poly',"
+                " 'f_table', 'monomial_eval', 'multinomial')))")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
         env["PYTHONPATH"] = os.pathsep.join(
@@ -416,7 +420,7 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              cwd=tmp_path, capture_output=True, text=True).stdout
         assert json.loads(out[:out.rindex("}") + 1])["k"] == 1
-        assert out.split()[-3:] == ["False", "False", "True"]
+        assert out.split()[-4:] == ["False", "False", "True", "False"]
 
     def test_fast_level_has_constant_table_oracle(self):
         found = [(kind, fn) for label, kind, fn in oracles.FAST_CHECKS

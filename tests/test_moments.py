@@ -22,7 +22,6 @@ from zetamoments.characters import power_dim_table
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
-    V_poly,
     W_coeff,
     _a_seqs,
     _b_series,
@@ -35,17 +34,18 @@ from zetamoments.moments import (
     a_factor,
     c_coeff,
     d_table,
-    f_table,
     g_factor,
     moment_polynomial,
 )
 from zetamoments.oracles import (
+    V_poly,
     WPoly,
     _check_assembly_routes,
     _check_head_log,
     _check_w_tail,
     _series_log_list,
     d_table_symbolic,
+    f_table,
 )
 from zetamoments.partitions import centralizer_order, partitions_of
 from zetamoments.symseries import (
@@ -140,6 +140,11 @@ def golden_entries(size):
 PARTS_W4 = [m for a in range(5) for m in partitions_of(a)]
 
 
+def _v_tables(k, wmax, R):
+    """The engine's V and majorant tables to order R, from the head's logs."""
+    return _v_series(k, wmax, R, _head_polys(k, wmax))
+
+
 class TestFTable:
     def test_golden_tables(self):
         ft = f_table(6)
@@ -216,7 +221,7 @@ class TestVPoly:
     def test_matches_fixed_k_tables(self):
         # the engine's Q-series route against the f-table contraction
         for k in (2, 3):
-            tail = _v_series(k, 4, 6)[0]
+            tail = _v_tables(k, 4, 6)[0]
             for r in range(1, 7):
                 for mu, nu in _plan(4).keys:
                     assert V_poly(r, mu, nu)(k) == tail[r].get((mu, nu), 0)
@@ -227,8 +232,8 @@ class TestVPoly:
             b = _b_series(k, 8)
             for r in range(1, 9):
                 assert V_poly(r, (), ())(k) == b[r]
-                assert _v_series(k, 0, 8)[0][r][EMPTY_KEY] == b[r]
-                assert _v_series(k, 2, 8)[0][r][EMPTY_KEY] == b[r]
+                assert _v_tables(k, 0, 8)[0][r][EMPTY_KEY] == b[r]
+                assert _v_tables(k, 2, 8)[0][r][EMPTY_KEY] == b[r]
 
     @pytest.mark.parametrize("absolute", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -271,23 +276,23 @@ class TestVPoly:
         assert got == want
 
     def test_tail_does_not_depend_on_the_truncation(self):
-        short, long_ = _v_series(2, 3, 8), _v_series(2, 3, 16)
+        short, long_ = _v_tables(2, 3, 8), _v_tables(2, 3, 16)
         for r in range(1, 9):
             assert short[0][r] == long_[0][r]
             assert short[1][r] == long_[1][r]
 
     @pytest.mark.parametrize("k,wmax", [(1, 2), (2, 4), (3, 4)])
     def test_majorant_bounds_every_value(self, k, wmax):
-        vr, vb = _v_series(k, wmax, 14)
+        vr, vb = _v_tables(k, wmax, 14)
         for r in range(1, 15):
             for key, v in vr[r].items():
                 assert abs(v) <= vb[r][key], (r, key)
 
     def test_packed_route_matches_v_poly(self):
-        # the integer Kronecker-packed log against the f-table contraction,
-        # k = 2..5, every key of weight <= 5, r <= 8
+        # V from the head's packed log against the f-table contraction, k =
+        # 1..6 (k = 1: Drev = 1 - Q), every key of weight <= 5, r <= 8
         keys = _plan(5).keys
-        tables = {k: _v_series(k, 5, 8)[0] for k in range(2, 6)}
+        tables = {k: _v_tables(k, 5, 8)[0] for k in range(1, 7)}
         for r in range(1, 9):
             for mu, nu in keys:
                 poly = V_poly(r, mu, nu)
@@ -310,7 +315,7 @@ class TestVPoly:
             x = [F(c, nd) for c in z.coeffs[:R + 1]]
             signed[(m, nu)] = KPoly(x)
             absolute[(m, nu)] = KPoly([-abs(c) for c in x])
-        vr, vb = _v_series(k, wmax, R)
+        vr, vb = _v_tables(k, wmax, R)
         for table, series, sign in ((vr, signed, 1), (vb, absolute, -1)):
             lg = series_log(PairSeries(POWERSUM, wmax, series)).coeffs
             for key in _plan(wmax).keys[1:]:
@@ -323,14 +328,14 @@ class TestVPoly:
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_majorant_bounds_the_widest_slots(self, k):
-        vr, vb = _v_series(k, 5, 32)
+        vr, vb = _v_tables(k, 5, 32)
         for r in range(1, 33):
             assert vr[r].keys() <= vb[r].keys()
             for key, v in vr[r].items():
                 assert abs(v) <= vb[r][key], (r, key)
 
     def test_order_16_is_a_prefix_of_order_32(self):
-        short, long_ = _v_series(4, 6, 16), _v_series(4, 6, 32)
+        short, long_ = _v_tables(4, 6, 16), _v_tables(4, 6, 32)
         for r in range(1, 17):
             assert short[0][r] == long_[0][r]
             assert short[1][r] == long_[1][r]
@@ -373,7 +378,7 @@ class TestEmptyKeyHead:
 
     def _check(self, k, primes):
         with mp.workdps(self.WDPS):
-            got = _head_logs(k, 0, primes)[EMPTY_KEY]
+            got = _head_logs(k, 0, primes, _head_polys(k, 0))[EMPTY_KEY]
         ref = _empty_key_reference(k, primes, self.WDPS + 20)
         with mp.workdps(self.WDPS + 20):
             assert abs(got - ref) < mp.mpf(10) ** -(self.WDPS + 2), (k, len(primes))
@@ -443,7 +448,7 @@ def test_head_polys_are_the_exact_log(k, p):
     ref = _ratio_reference(k, wmax, p, 120)
     assert all(abs(x[pair] - v) < Fraction(1, 2**120) for pair, v in ref.items())
     lg = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **x}))
-    K, L, _ = _head_polys(k, wmax)
+    K, L, *_ = _head_polys(k, wmax)
     width = (2 * k - 1) * wmax + 1
     for i, key in enumerate(plan.keys[1:], 1):
         n = sum(key[0]) + sum(key[1])
@@ -467,8 +472,9 @@ class TestHeadLogs:
     def test_primes_add_up(self):
         primes = [2, 3, 5, 7, 11]
         with mp.workdps(30):
-            whole = _head_logs(3, 3, primes)
-            parts = [_head_logs(3, 3, [p]) for p in primes]
+            polys = _head_polys(3, 3)
+            whole = _head_logs(3, 3, primes, polys)
+            parts = [_head_logs(3, 3, [p], polys) for p in primes]
             tol = len(primes) * mp.ldexp(1, -(mp.prec + 9))
         with mp.workdps(60):
             for key, v in whole.items():
@@ -476,7 +482,7 @@ class TestHeadLogs:
 
     def test_no_primes_is_zero(self):
         with mp.workdps(20):
-            got = _head_logs(2, 3, [])
+            got = _head_logs(2, 3, [], _head_polys(2, 3))
         assert set(got) == set(_plan(3).keys)
         assert all(v == 0 for v in got.values())
 
@@ -586,7 +592,9 @@ class TestWEngine:
         monkeypatch.setattr(moments, "_v_chunk", record)
         got, got_errs, meta = moments._w_engine(2, 3, 40, 1e-40)
         assert orders == [(1, 16), (17, 20)]
-        assert real(2, 3, 17, 20, 40, [])[3] == real(2, 3, 1, 16, 40, [])[3] + 4
+        polys = _head_polys(2, 3)
+        assert (real(2, 3, 17, 20, 40, [], polys)[3]
+                == real(2, 3, 1, 16, 40, [], polys)[3] + 4)
         monkeypatch.setattr(moments, "_v_chunk", fixed_scale)
         want, want_errs, want_meta = moments._w_engine(2, 3, 40, 1e-40)
         assert meta == want_meta and meta["r_max_used"] == 17
@@ -642,7 +650,7 @@ class TestWEngine:
         pcut, R = moments._truncation(3, wmax, digits, 10.0**-digits)
         primes = primes_upto(pcut)
         _, _, fam_digits, _, (Bh, rows) = moments._v_chunk(
-            3, wmax, 1, R, digits, primes)
+            3, wmax, 1, R, digits, primes, _head_polys(3, wmax))
         B = dps_to_prec(fam_digits)
         assert len(rows) == R
         for r, row in enumerate(rows, 1):
@@ -802,15 +810,20 @@ class TestWEngine:
         tight = W_coeff((1,), (1,), 2, digits=12)
         assert abs(loose.value - tight.value) <= loose.error + tight.error
 
-    @pytest.mark.parametrize("N,k", [(0, 1), (1, 2)])
-    def test_tol_far_below_digits_is_served(self, N, k):
-        # a tol past 10**-digits raises the families' and the working digits
-        # with the tail's target, which they would otherwise leave behind;
-        # the value lies within its bar of a deeper request
-        got = c_coeff(N, k, 5, tol=1e-30)
+    @pytest.mark.parametrize("N,k,tol", [(0, 1, 1e-30), (1, 2, 1e-30),
+                                         (2, 3, 1e-20), (6, 3, 1e-20)],
+                             ids=["0-1", "1-2", "2-3", "6-3"])
+    def test_tol_far_below_digits_is_served(self, N, k, tol):
+        # a tol past 10**-digits raises the families', the working, the
+        # exponential's and the assembly's digits with the tail's target,
+        # which they would otherwise leave behind; the value lies within its
+        # bar of a deeper request, and at these points the bar lies under
+        # tol (1 + |c_N|), where 5 digits alone leave it above 1e-19
+        got = c_coeff(N, k, 5, tol=tol)
         want = c_coeff(N, k, 40)
         with mp.workdps(50):
             assert abs(got.value - want.value) <= got.error + want.error
+            assert got.error <= tol * (1 + abs(got.value))
 
     @pytest.mark.parametrize("tol,want", [(1e-12, 12), (1e-6, 12), (3e-20, 20),
                                           (1e-30, 30)])
@@ -818,13 +831,51 @@ class TestWEngine:
         # max(digits, ceil(-log10 tol)), so the default tol keeps digits
         seen, real = [], moments._v_chunk
 
-        def spy(k, wmax, r0, R, digits, primes):
+        def spy(k, wmax, r0, R, digits, primes, head):
             seen.append(digits)
-            return real(k, wmax, r0, R, digits, primes)
+            return real(k, wmax, r0, R, digits, primes, head)
 
         monkeypatch.setattr(moments, "_v_chunk", spy)
         assert moments._w_engine(2, 2, 12, tol)[2]["digits"] == 12
         assert set(seen) == {want}
+
+    @pytest.mark.parametrize("k, wmax, digits, tol", [(2, 3, 40, 1e-40),
+                                                      (3, 4, 15, 1e-15),
+                                                      (3, 0, 50, 1e-50)])
+    def test_one_head_log_serves_every_chunk(self, monkeypatch, k, wmax,
+                                             digits, tol):
+        # _head_polys runs once per engine run, and its output reaches the
+        # head sums and every V chunk, (2, 3, 40)'s (1, 16) and (17, 20)
+        # included; _a_seqs never runs past order 2k - 1 + wmax
+        built, seen, orders = [], [], []
+        polys, logs, chunk, aseqs = (moments._head_polys, moments._head_logs,
+                                     moments._v_chunk, moments._a_seqs)
+
+        def count(*a):
+            built.append(polys(*a))
+            return built[-1]
+
+        def head_logs(k, wmax, primes, head):
+            seen.append(head)
+            return logs(k, wmax, primes, head)
+
+        def v_chunk(*a):
+            seen.append(a[-1])
+            orders.append(a[2:4])
+            return chunk(*a)
+
+        def a_seqs(k, wmax, U):
+            assert U <= 2 * k - 1 + wmax
+            return aseqs(k, wmax, U)
+
+        for name, fn in (("_head_polys", count), ("_head_logs", head_logs),
+                         ("_v_chunk", v_chunk), ("_a_seqs", a_seqs)):
+            monkeypatch.setattr(moments, name, fn)
+        moments._w_engine(k, wmax, digits, tol)
+        assert len(built) == 1 and all(h is built[0] for h in seen)
+        assert len(seen) == 1 + len(orders)
+        if k == 2:
+            assert orders == [(1, 16), (17, 20)]
 
     def test_unreachable_precision_raises(self):
         # weight 1 keeps the 16-order cutoff, past MAX_HEAD_PRIME at
@@ -934,8 +985,9 @@ MEMOS = {
     "frobenius_schur": {"_faulhaber_half", "_hook_class_data",
                         "complement_point", "e_half_odds", "fs_hook",
                         "super_power_sum"},
+    "oracles": {"monomial_eval"},
     "partitions": {"conjugate", "dim_paths", "partitions_of"},
-    "symseries": {"_plan", "monomial_eval"},
+    "symseries": {"_plan"},
     "zeta_numerics": {"_compute_prime_zeta", "_log_zeta_table"},
 }
 
@@ -953,6 +1005,14 @@ def test_memo_census():
 
 
 class TestDTable:
+    def test_tol_far_below_digits_is_served(self):
+        # the d-table works at max(digits, -log10 tol) with the W engine,
+        # so every entry lies within its bar of a 40-digit request
+        got, want = d_table(3, 4, 5, tol=1e-20), d_table(3, 4, 40)
+        with mp.workdps(60):
+            for key, v in got.items():
+                assert abs(v.value - want[key].value) <= v.error + want[key].error, key
+
     def test_empty_entry_is_exp_of_empty_w(self):
         d = d_table(2, 4, digits=25)
         w = W_coeff((), (), 2, digits=25)

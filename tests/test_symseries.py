@@ -12,6 +12,8 @@ from zetamoments.oracles import (
     WPoly,
     _check_fixed_exp_log,
     bump_gamburd_residual,
+    monomial_eval,
+    multinomial,
     schur_eval,
     schur_to_p,
 )
@@ -23,12 +25,11 @@ from zetamoments.symseries import (
     KPoly,
     PairSeries,
     _log_l1,
+    _low_product,
     _pack,
     _packed_log,
     _plan,
     _unpack,
-    monomial_eval,
-    multinomial,
     p_to_schur,
     series_exp,
     series_log,
@@ -311,6 +312,23 @@ class TestExpLog:
             L = [_unpack(got[i], K, 1)[0] for i in block]
             assert L == [exact.get(*plan.keys[i]) * math.factorial(w) for i in block]
             assert sum(map(abs, L)) <= lam[w], w
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("R", [0, 5, 18, 30])
+    def test_low_product_matches_naive_convolution(self, seed, R):
+        # signed series of 12 and 8 terms, whose product has 19: R = 0 and 5
+        # cut it, R = 18 takes all of it, R = 30 reads zeros past its end;
+        # the all-extreme pair puts |c_u| = (u + 1) max|a| max|b| at the
+        # slot bound, with both signs
+        rng = random.Random(seed)
+        pairs = [([rng.randrange(-2**60, 2**60) for _ in range(12)],
+                  [rng.randrange(-2**40, 2**40) for _ in range(8)]),
+                 ([-(2**60 - 1)] * 12, [2**40 - 1] * 8),
+                 ([2**seed - 1] * 12, [-1, 1] * 4)]
+        for a, b in pairs:
+            want = [sum(a[i] * b[u - i] for i in range(len(a))
+                        if 0 <= u - i < len(b)) for u in range(R + 1)]
+            assert _low_product(a, b, R) == want
 
     def test_exp_of_single_powersum(self):
         # exp(c * p_1 x 1) has coefficient c^m / m! on the m-fold key
