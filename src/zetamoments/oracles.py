@@ -5,9 +5,10 @@ oracle d_table_symbolic, and schur_to_p; schur_eval and bump_gamburd_residual
 for the split-alphabet lemma; prime_zeta_direct (with mobius_int), the
 prime-zeta families'; the integer Euler-Maclaurin kernel (_em_fixed,
 _log_zeta_em) with its Bernoulli table, the log zeta table's Borwein rows'
-(_check_log_zeta_routes), which also serves zeta_taylor at any real point
-(_em_mpf off the integers), bernoulli and the zeta constants only tests
-read: zeta_derivative, stieltjes_gamma and stieltjes_cumulant."""
+(_check_log_zeta_routes, with _small_prime_logs), which also serves
+zeta_taylor at any real point (_em_mpf off the integers), bernoulli and
+the zeta constants only tests read: zeta_derivative, stieltjes_gamma and
+stieltjes_cumulant."""
 
 import itertools
 import math
@@ -38,8 +39,8 @@ from .symseries import (
     _log_l1, _packed_log, _plan, _switch_basis, _unpack, p_to_schur,
     series_exp, series_log)
 from .zeta_numerics import (
-    _crossover, _dirichlet_sums, _log_series, _log_zeta_table, head_power_sums,
-    int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
+    SMALL_PRIMES, _crossover, _dirichlet_sums, _log_series, _log_zeta_table,
+    head_power_sums, int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
 
 
 def multinomial(n, parts):
@@ -610,6 +611,25 @@ def _log_zeta_em(ys, nmax, b):
     return _log_series(ys, [[x >> (B - b) for x in ints] for ints in rows], nmax, b)
 
 
+def _small_prime_logs(ys, nmax, b):
+    """[u**a] sum_{p < 11} log(1 - p**-(y+u)), a <= nmax, at each integer y
+    >= 1 of ys in units of 2**-b, each within a unit: mpf series logs at b +
+    20 bits, rounded.  log zeta(y + u) plus these is log zeta_11(y + u), what
+    the log zeta table holds (at y = 1 with log(u * zeta(1 + u)))."""
+    out = []
+    with mp.workprec(b + 20):
+        for y in ys:
+            acc = [mp.mpf(0)] * (nmax + 1)
+            for p in SMALL_PRIMES:
+                L, q = mp.log(p), mp.mpf(p) ** -y
+                f = [1 - q] + [-q * (-L) ** j / mp.factorial(j) for j in range(1, nmax + 1)]
+                lz = _series_log_list([v / f[0] for v in f])
+                lz[0] = mp.log(f[0])
+                acc = list(map(add, acc, lz))
+            out.append([int(mp.nint(mp.ldexp(v, b))) for v in acc])
+    return out
+
+
 def bernoulli(n):
     """Exact Bernoulli number; the n = 1 value is -1/2."""
     _check_index(n, "Bernoulli index")
@@ -894,15 +914,18 @@ def _check_fixed_exp_log(seed=0):
 
 
 def _check_log_zeta_routes():
-    # the log zeta table's Borwein rows, y = 1..y_eta, against the
-    # Euler-Maclaurin kernel's, within the sum of the two kernels' bounds,
-    # 2**(2*nmax + 6) units each: c0's table (0, 75), lead5's (4, 37), the
-    # widest order (9, 60) and a short one (2, 15)
+    # the log zeta table's Borwein rows, y = 1..y_eta, log zeta_11, against
+    # the Euler-Maclaurin kernel's log zeta plus the small primes' factor
+    # logs, within the sum of the two kernels' bounds, 56 * 4**nmax units
+    # each, and the factors' unit: under 2**(2*nmax + 7); c0's table (0,
+    # 75), lead5's (4, 37), the widest order (9, 60) and a short one (2, 15)
     for nmax, digits in ((0, 75), (4, 37), (9, 60), (2, 15)):
         rows, _, b = _log_zeta_table(nmax, digits)
         ys = range(1, min(_crossover(nmax, b)[0], len(rows) - 1) + 1)
-        for y, want in zip(ys, _log_zeta_em(ys, nmax, b)):
-            if any(abs(u - v) >= 2 ** (2 * nmax + 7) for u, v in zip(rows[y], want)):
+        for y, want, fac in zip(ys, _log_zeta_em(ys, nmax, b),
+                                _small_prime_logs(ys, nmax, b)):
+            if any(abs(u - v - f) >= 2 ** (2 * nmax + 7)
+                   for u, v, f in zip(rows[y], want, fac)):
                 raise AssertionError("log zeta routes differ at y=%d, nmax=%d, "
                                      "%d digits" % (y, nmax, digits))
 

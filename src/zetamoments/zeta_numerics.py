@@ -5,12 +5,18 @@ The central objects are Taylor coefficient families of prime power sums
     sum over primes of p**(-r) * (-log p)**n / n!
 
 for integer r; the r = 1 family drops the logarithmic singularity.  The
-one route is the Moebius inversion of log zeta, one b-bit integer sum per
-family over one table of log zeta(y + u) per (nmax, digits) that every
-family reads (_log_zeta_table): zeta(y + u) from one pass of Borwein's
-alternating series for eta over every y from the pole y = 1 up
-(_zeta_borwein), divided by 1 - 2**(1-y-u), its series log (_log_series,
-no mpf log), one Euler-product pass beyond, and mu from one sieve.  Each
+one route is the Moebius inversion of log zeta_11, zeta with the primes
+below 11 divided out (Cohen, "High precision computation of Hardy-Littlewood
+constants", 1998): sum_p p**-s = sum_{p < 11} p**-s + sum_m mu(m)/m log
+zeta_11(m s), zeta_11(s) = zeta(s) prod_{p < 11} (1 - p**-s), whose log
+decays like 11**-s.  That is one b-bit integer sum per family, plus the
+four small primes' power sums, over one table of log zeta_11(y + u) per
+(nmax, digits) that every family reads (_log_zeta_table): zeta(y + u) from
+one pass of Borwein's alternating series for eta over every y from the
+pole y = 1 up (_zeta_borwein), divided by 1 - 2**(1-y-u) and multiplied by
+the four factors, its series log (_log_series, no mpf log), at the pole
+the factors' logs added (_pole_factor_logs), one Euler-product pass over
+the primes from 11 beyond, and mu from one sieve.  Each
 family is served, as the exact values of those sums, by one lookup
 (prime_zeta_taylor) to the W engine, which reads it less the head primes'
 power sums as integers (prime_zeta_fixed), to prime_zeta_beyond, an mpf
@@ -19,19 +25,20 @@ integer pass per prime over a run of orders r (head_power_sums) on a list
 of primes, which the engine sieves (primes_upto) and outside input passes
 through checked_primes.  Integer logs come from one table (int_log).
 oracles._check_log_zeta_routes holds the table's Borwein rows to the
-integer Euler-Maclaurin kernel, which shares the column sums, int_log and
-the series log with them and also serves the oracles' zeta_taylor and
-Stieltjes constants.  oracles.prime_zeta_direct, which sums sieved primes
-in plain mpf arithmetic and closes the tail with mpmath's own zeta
-derivatives, shares only the prime sieve (tested against trial division)
+integer Euler-Maclaurin kernel's log zeta plus mpf logs of the four
+factors; the kernel shares the column sums, int_log and the series log with
+them and also serves the oracles' zeta_taylor and Stieltjes constants.
+oracles.prime_zeta_direct, which sums sieved primes in plain mpf arithmetic
+and closes the tail with mpmath's own zeta derivatives, shares only the prime sieve (tested against trial division)
 with the default route, and must stay so: it is the oracle the default
 route is checked against.
 """
 
 import itertools
 import math
+import numbers
 from functools import lru_cache
-from operator import floordiv, lt, mul, rshift
+from operator import add, floordiv, lt, mul, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
@@ -59,6 +66,8 @@ def primes_upto(x):
         return []
     return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
 
+
+SMALL_PRIMES = (2, 3, 5, 7)  # divided out of zeta in the log zeta table
 
 # (table, W, Bt): table[j] is 2**W log j less under 2**(W - Bt), j >= 1
 _logs = ([0, 0], 0, 0)
@@ -112,15 +121,21 @@ def _grow_logs(j, B):
         if f:
             tab.append(tab[f] + tab[i // f])
             continue
-        m = 2 * i - 1
-        t, s, d, m2 = one // m, 0, 1, m * m
-        while t:
-            s += t // d
-            t //= m2
-            d += 2
-        tab.append(tab[i - 1] + 2 * s)
+        tab.append(tab[i - 1] + 2 * _atanh_inv(2 * i - 1, W))
     _logs = tab, W, Bt
     return _logs
+
+
+def _atanh_inv(m, W):
+    """sum_k floor(floor(2**W / m**(2k+1)) / (2k+1)), m >= 3: under 2**W
+    atanh(1/m), each of its K <= W/(2 log2 m) + 1 terms under a unit low and
+    the dropped tail under 9/(8(2K+1)) units."""
+    t, s, d, m2 = (1 << W) // m, 0, 1, m * m
+    while t:
+        s += t // d
+        t //= m2
+        d += 2
+    return s
 
 
 def _dirichlet_sums(cols, ys, nmax, B):
@@ -165,11 +180,13 @@ def _borwein_size(nmax, b):
 
 
 def _zeta_borwein(ys, nmax, b):
-    """Coefficients zeta^(a)(y)/a!, a <= nmax, at each integer y >= 2 of the
-    range ys, and at the pole y = 1 those of zeta(1 + u) - 1/u, a < nmax, in
-    units of 2**-b, each under 2 units off: eta from Borwein's alternating
-    series ("An efficient algorithm for the Riemann zeta function", 2000,
-    Algorithm 2), one pass over every y, then one series division per y.
+    """Coefficients zeta_11^(a)(y)/a!, a <= nmax, at each integer y >= 2 of
+    the range ys, zeta_11(s) = zeta(s) prod_{p < 11} (1 - p**-s), and at the
+    pole y = 1 those of zeta(1 + u) - 1/u, a < nmax, in units of 2**-b, each
+    under 2 units off: eta from Borwein's alternating series ("An efficient
+    algorithm for the Riemann zeta function", 2000, Algorithm 2), one pass
+    over every y, then one series division per y, then the four factors,
+    one prime at a time over every row y >= 2.
 
     With (n, B) = _borwein_size(nmax, b), the integers d_k = n sum_{i<=k}
     (n+i-1)! 4**i / ((n-i)! (2i)!), d_0 = 1, and c_k = (-1)**k (d_n - d_k) /
@@ -202,9 +219,20 @@ def _zeta_borwein(ys, nmax, b):
       < 0.45, and the E_j's errors, under 3 * 2**(j+1) (2 for E_0), add under
       2**(a+5), so e_a <= 1 + 2 eps + 0.45 max_{j<a} e_j + 2**(a+5) <= 2 (1 +
       2 eps) + 2**(a+6).
-    Both are under (nmax + 2) (1 + 2 eps) + 2**(nmax+6) < 2**(s-1), s = B -
-    b, so each coefficient floored to b bits is under 1/2 + 1 units of 2**-b
-    off.  At nmax = 0 no log is taken.
+    - the factors, p = 2, 3, 5, 7 in turn: z_a -= floor(sum_{j<=a} E_j
+      z_{a-j} / (2**B p**y)), E_j = (-1)**j g_j, g_j the chain of (log
+      p)**j / j! like f_j, under 3 (1 + log p)**j < 3**(j+1) low.  Each
+      partial product is zeta(y + u) over the integers prime to the primes
+      done, so |z_a| <= 2 throughout; with sum_j (log p)**j / j! = p and p**y
+      >= 4 a factor scales the error carried in by under 1 + p**(1-y) <= 1 +
+      1/p and adds under 1 + 3**(a+2) / 3.  The four scale by under 2.75 and
+      add under 3**(a+4).
+    The pole is under 2 (1 + 2 eps) + 2**(nmax+6), the rows y >= 2 under
+    2.75 ((nmax + 2) (1 + 2 eps) + 2**(nmax+6)) + 3**(nmax+4); as n >= 16
+    (so nb >= 5 and g >= 2) and (nmax + 2) (1 + 2 eps) < 2**bit_length(nmax
+    + 2) + 2**(s-3), both are under 2**(s-1), s = B - b, so each coefficient
+    floored to b bits is under 1/2 + 1 units of 2**-b off.  At nmax = 0 no
+    log is taken.
     """
     n, B = _borwein_size(nmax, b)
     d, term = [1], 1
@@ -231,23 +259,41 @@ def _zeta_borwein(ys, nmax, b):
         for a in range(len(z), nmax + 1):
             z.append(((eta[a] << B) - sum(den[j] * z[a - j] for j in range(1, a + 1)))
                      // den[0])
-        rows.append([v >> (B - b) for v in z[y == 1:]])
-    return rows
+        rows.append(z)
+    # zeta_11: each row y >= 2 times 1 - p**-(y+u), one prime over every row
+    pole = ys[0] == 1
+    cols, pows = [list(col) for col in zip(*rows[pole:])], ys[pole:]
+    for p in SMALL_PRIMES if pows else ():
+        L, e = int_log(p, B) if nmax else 0, [one]
+        for j in range(1, nmax + 1):
+            e.append((e[-1] * L >> B) // j)
+        e = [-v if j % 2 else v for j, v in enumerate(e)]
+        den = [p ** y << B for y in pows]
+        for a in range(nmax, -1, -1):
+            acc = [v << B for v in cols[a]]
+            for j in range(1, a + 1):
+                acc = list(map(add, acc, map(mul, cols[a - j], itertools.repeat(e[j]))))
+            cols[a] = list(map(sub, cols[a], map(floordiv, acc, den)))
+    rows[pole:] = zip(*cols)
+    if pole:
+        rows[0] = rows[0][1:]
+    return [[v >> (B - b) for v in z] for z in rows]
 
 
 def _log_series(ys, rows, nmax, b):
-    """Coefficients of log zeta(y + u) in u at each integer y >= 2 of the
-    range ys, and of the regular log(u * zeta(1 + u)) at the pole y = 1, as
-    tuples of integers in units of 2**-b, each within 2**(2*nmax + 6) units:
-    the series log of rows, rows[i] the coefficients of zeta(ys[i] + u), a <=
-    nmax (at the pole those of zeta(1 + u) - 1/u, a < nmax), in units of
-    2**-b, each under 2 units off (_zeta_borwein; oracles._log_zeta_em).
+    """Coefficients of log Z(y + u) in u at each integer y >= 2 of the range
+    ys, Z = zeta or zeta_11, and of the regular log(u * zeta(1 + u)) at the
+    pole y = 1, as tuples of integers in units of 2**-b, each within 56 *
+    4**a < 2**(2*nmax + 6) units: the series log of rows, rows[i] the
+    coefficients of Z(ys[i] + u), a <= nmax (at the pole those of zeta(1 + u)
+    - 1/u, a < nmax), in units of 2**-b, each under 2 units off
+    (_zeta_borwein's zeta_11; oracles._log_zeta_em's zeta).
 
-    Write z_a = zeta^(a)(y)/a!, so 1 < z_0 < 2.  For a >= 1, |z_a|, |z_a /
-    z_0| and the log coefficients are at most 2: each is a sum over j >= 2
-    of at most j**-2 * (log j)**a / a!, whose integral over t >= 1 is 1 and
-    largest term below 1.  At the pole the series is 1 + sum_a R_a
-    u**(a+1); on |u| = 2, |zeta(1+u) - 1/u| < 0.71 and |log(u * zeta(1+u))|
+    Write z_a = Z^(a)(y)/a!, so 1 < z_0 < 2 (Z is an Euler product).  For a
+    >= 1, |z_a|, |z_a / z_0| and the log coefficients are at most 2: each is
+    a sum over j >= 2 (zeta_11 keeps only some j) of at most j**-2 * (log
+    j)**a / a!, whose integral over t >= 1 is 1 and largest term below 1.
+    At the pole the series is 1 + sum_a R_a u**(a+1); on |u| = 2, |zeta(1+u) - 1/u| < 0.71 and |log(u * zeta(1+u))|
     < 1.8 (sampled), so by Cauchy both kinds are under 1.
     - v_a, row entry a, is off by under 2 units; so is v_0 raised to at
       least 2**b, which moves it toward 2**b * zeta(y).
@@ -281,10 +327,10 @@ def _log_series(ys, rows, nmax, b):
 
 
 def _log_zeta_euler(ys, nmax, b, t):
-    """Coefficients of log zeta(y + u) = sum over prime powers q = p**k < P
-    = 2**t of q**-(y+u) / k at each integer y of the range ys, in units of
-    2**-b, each within 2 units; needs y > nmax, P**(y-1) >= 2**(b + 4*nmax
-    + 4) and 2 <= t <= 13.  At B = b + 4*nmax + t + 6 bits each q is a
+    """Coefficients of log zeta_11(y + u) = sum over prime powers q = p**k <
+    P = 2**t, p >= 11, of q**-(y+u) / k at each integer y of the range ys,
+    in units of 2**-b, each within 2 units; needs y > nmax, P**(y-1) >=
+    2**(b + 4*nmax + 4) and 2 <= t <= 13.  At B = b + 4*nmax + t + 6 bits each q is a
     column (q, floor(2**B / k), k * int_log(p, B)) of _dirichlet_sums, off
     by under 4 * (1 + log q)**a < 2**(2 + 4a) units, under 2**-(b+4) over
     the under 2**t q.
@@ -293,7 +339,7 @@ def _log_zeta_euler(ys, nmax, b, t):
     P**(1-y) * (1 + log P)**a <= 2**-(b+3).  The final shift floors.
     """
     B, P, cols = b + 4 * nmax + t + 6, 1 << t, []
-    for p in itertools.compress(range(P), _prime_flags(P - 1)):
+    for p in itertools.compress(range(11, P), _prime_flags(P - 1)[11:]):
         L = int_log(p, B) if nmax else 0
         k, q = 1, p
         while q < P:
@@ -307,12 +353,13 @@ def _crossover(nmax, b):
     """(y_eta, t): a table at b bits takes Borwein's series up to y_eta and
     the Euler product over the primes below 2**t beyond; t is the largest
     with at most n/2 primes below 2**t, n Borwein's length (_borwein_size),
-    so the product starts with about as many columns as each parity of the
-    series, and y_eta = max(nmax, ceil((b + 4*nmax + 4) / t)).  Timed
-    (median of 11 builds, 2-core x86 host, pure-Python mpmath) at (nmax,
-    digits) = (4, 37), (0, 75), (9, 60), (2, 15): 4.3, 2.2, 18.7 and 1.4
-    ms, against 6.0, 3.5, 24.8 and 2.0 ms with Euler-Maclaurin rows; t one
-    lower is 1-12 % slower, one higher within 9 % either way."""
+    so the product, which skips the four below 11, starts with under as many
+    columns as each parity of the series, and y_eta = max(nmax, ceil((b +
+    4*nmax + 4) / t)).  Timed (median of 11 builds, 2-core x86 host,
+    pure-Python mpmath) at (nmax, digits) = (0, 75), (4, 37), (9, 60), (2,
+    15): 1.5, 3.4, 16.5 and 1.0 ms, against 2.0, 4.0, 18.7 and 1.4 ms for the
+    log zeta table before the small primes came out; t one lower or higher
+    is within noise to 12 % slower."""
     n, _ = _borwein_size(nmax, b)
     pi = (0, 1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028)  # below 2**t
     t = max(t for t in range(2, 14) if 2 * pi[t] <= n)
@@ -320,22 +367,62 @@ def _crossover(nmax, b):
 
 
 def _moebius_stop(r, nmax, digits):
-    """The first m >= 1 with 4 * m**nmax * 2**(-m*r) < 10**-(digits+10)."""
+    """The first m >= 1 with 4 * m**nmax * 11**(-m*r) < 10**-(digits+10).
+
+    log zeta_11's coefficient n at y is a sum over the prime powers q = p**k,
+    p >= 11, of q**-y (k log p)**n / (n! k), led by 11**-y (log 11)**n / n!
+    <= 2.88 * 11**-y; so the terms m >= stop of a family add about m**(n-1)
+    times that to slot n, and 4 covers the next primes and m (the tests sum
+    the dropped terms in mpf against it)."""
     stop, lhs = 1, 4 * 10 ** (digits + 10)
-    while lhs * stop ** nmax >= 1 << (stop * r):
+    while lhs * stop ** nmax >= 11 ** (stop * r):
         stop += 1
     return stop
+
+
+def _pole_factor_logs(nmax, b):
+    """Coefficients of sum_{p < 11} log(1 - p**-(1+u)), a <= nmax, in units
+    of 2**-b, each within 5 units: what turns the pole's log(u * zeta(1 + u))
+    into log(u * zeta_11(1 + u)).
+
+    The constant is -sum_p 2 atanh(1/(2p - 1)) (log(1 - 1/p) = -log(p/(p -
+    1))), four _atanh_inv sums at W = b + bit_length(b) + 2 bits, under 0.83 W
+    + 4 < 2**(W - b - 1) units low in all, so within 2 units once floored:
+    no log table is built.  Coefficient a >= 1 of one prime is
+      -sum_k p**-k (-k l)**a / (a! k) = -(-l)**a / a! * T_{a-1} / (p-1)**a,
+    l = log p, T_n = (p-1)**(n+1) sum_k k**n p**-k, the integers T_0 = 1,
+    T_n = p sum_{i<n} C(n, i) (1-p)**(n-1-i) T_i (from (1 - 1/p) S_n =
+    sum_{k} (k**n - (k-1)**n) p**-k).  It is at most 2**a sum_k p**(-k/2) /
+    k < 1.23 * 2**a ((k l)**a / a! <= 2**a p**(k/2)); l is taken as int_log(p,
+    B) / 2**B, B = b + 2*nmax + 8, under 2 units low, so the power is under
+    2a / (0.69 * 2**B) low relative: under 3.6 a 2**(a-2*nmax-8) < 1/8 units
+    of 2**-b, and the floor adds one, under 1.2 per prime."""
+    W = b + b.bit_length() + 2
+    out = [-sum(_atanh_inv(2 * p - 1, W) for p in SMALL_PRIMES) >> (W - b - 1)]
+    out += [0] * nmax
+    B = b + 2 * nmax + 8
+    for p in SMALL_PRIMES if nmax else ():
+        L, T = int_log(p, B), [1]
+        for a in range(1, nmax + 1):
+            n = a - 1
+            if n:
+                T.append(p * sum(math.comb(n, i) * (1 - p) ** (n - 1 - i) * T[i]
+                                 for i in range(n)))
+            v, den = L ** a * T[n], (p - 1) ** a * math.factorial(a) << (a * B - b)
+            out[a] += (v if a % 2 else -v) // den
+    return out
 
 
 @lru_cache(maxsize=None)
 def _log_zeta_table(nmax, digits):
     """(rows, mu, b) for the families at (nmax, digits): rows[y] holds log
-    zeta(y + u) (at y = 1 the regular log(u * zeta(1 + u))) in units of
-    2**-b, within 2**(2*nmax + 6), and mu[m] the Moebius function.  A family
-    reads y = m*r, m below its stop, so 4 * 10**(digits+10) * y**nmax >=
-    2**y, true only below Y = _moebius_stop(1, nmax, digits) (y log 2 -
-    nmax log y is convex).  b = c + (a+2) * bit_length(Y - 1), a = max(nmax
-    - 1, 0), c = T + 2*nmax + 8, 2**-T <= 10**-(digits+12), meets
+    zeta_11(y + u) (at y = 1 the regular log(u * zeta_11(1 + u))) in units
+    of 2**-b, within 2**(2*nmax + 6) (the pole's 56 * 4**a plus 5), and mu[m]
+    the Moebius function.  A family reads y = m*r, m below its stop, so 4 *
+    10**(digits+10) * y**nmax >= 11**y, true only below Y =
+    _moebius_stop(1, nmax, digits) (y log 11 - nmax log y is convex): 82 rows
+    at (nmax, digits) = (0, 75), 52 at (4, 37).  b = c + (a+2) *
+    bit_length(Y - 1), a = max(nmax - 1, 0), c = T + 2*nmax + 8, 2**-T <= 10**-(digits+12), meets
     _compute_prime_zeta's bound at its largest y."""
     top = _moebius_stop(1, nmax, digits) - 1
     T = math.ceil((digits + 12) * math.log2(10))
@@ -343,6 +430,7 @@ def _log_zeta_table(nmax, digits):
     y_eta, t = _crossover(nmax, b)
     ys = range(1, min(y_eta, top) + 1)
     rows = _log_series(ys, _zeta_borwein(ys, nmax, b), nmax, b)
+    rows[0] = tuple(map(add, rows[0], _pole_factor_logs(nmax, b)))
     if top > y_eta:
         rows += _log_zeta_euler(range(y_eta + 1, top + 1), nmax, b, t)
     return (None, *rows), _mobius_sieve(top), b
@@ -382,19 +470,20 @@ def prime_zeta_taylor(r, nmax, digits=50):
 
     The one lookup of a family: an installed cache entry is returned as is
     when it covers the requested order and digits, else the memoized exact
-    values of the Moebius inversion of log zeta in B-bit integers
-    (_compute_prime_zeta), from the one log zeta table per (nmax, digits)
-    that every family reads.  For r = 1 the family is the regularized one:
-    the logarithmic blowup is removed before expanding, which shifts the n
-    = 0 value to about -0.3157.
+    values of the Moebius inversion of log zeta_11 in b-bit integers plus
+    the primes below 11 (_compute_prime_zeta), from the one log zeta_11
+    table per (nmax, digits) that every family reads.  For r = 1 the family
+    is the regularized one: the logarithmic blowup is removed before
+    expanding, which shifts the n = 0 value to about -0.3157.
 
     Each value is within 4 * T + 10**-(digits+12) of the full family, under
-    4.01 * 10**-(digits+10), with T = 4 * stop**nmax * 2**(-stop*r) and
+    4.01 * 10**-(digits+10), with T = 4 * stop**nmax * 11**(-stop*r) and
     stop = _moebius_stop(r, nmax, digits): the integer sums are within
-    10**-(digits+12) of the Moebius sum truncated before stop
-    (_compute_prime_zeta), and 4 * T estimates the terms m >= stop it
-    drops, term m adding about m**(n-1) * 2**(-m*r) * (log 2)**n / n! to
-    slot n; the tests check the bound against an mpf reference.
+    10**-(digits+12) of the Moebius sum truncated before stop plus the small
+    primes' sums (_compute_prime_zeta), and T estimates the terms m >= stop
+    it drops, term m adding about m**(n-1) * 11**(-m*r) * (log 11)**n / n!
+    to slot n; the tests sum those terms in mpf over the primes from 11 and
+    check the families against an mpf reference.
     """
     _check_index(r, "prime zeta order", 1)
     _check_index(nmax, "nmax")
@@ -407,27 +496,33 @@ def prime_zeta_taylor(r, nmax, digits=50):
 
 @lru_cache(maxsize=None)
 def _compute_prime_zeta(r, nmax, digits):
-    """The family by Moebius inversion of log zeta, as the exact values of
-    its b-bit integer sums.
+    """The family by Moebius inversion of log zeta_11, as the exact values
+    of its b-bit integer sums.
 
-    sum_{m < stop} mu(m)/m * log zeta(m*r + m*u), stop = _moebius_stop(r,
-    nmax, digits), from the table at (nmax, digits) (b, c, a and T as
-    there): the m term puts mu(m) * m**(n-1) * lz_n(m*r) in slot n >= 1 and
-    floor(mu * lz_0 / m) in slot 0 (at r = 1 the m = 1 term is the regular
-    log(u * zeta(1 + u))).  lz_n is within 2**(2*nmax + 6) units of 2**-b
-    and m**(n-1) <= 2**(a * bit_length(m*r)), so the term adds under
-    2**(2*nmax + 6 - c) / m**2 to a slot; slot 0's floors, a unit of 2**-b
-    < 2**-c / (stop-1)**2 each, add under 2**-c: every slot is within 2**-T
-    <= 10**-(digits+12) of the truncated sum.
+    sum_{p < 11} p**-(r+u) + sum_{m < stop} mu(m)/m * log zeta_11(m*r +
+    m*u), stop = _moebius_stop(r, nmax, digits), from the table at (nmax,
+    digits) (b, c, a and T as there): the m term puts mu(m) * m**(n-1) *
+    lz_n(m*r) in slot n >= 1 and floor(mu * lz_0 / m) in slot 0 (at r = 1
+    the m = 1 term is the regular log(u * zeta_11(1 + u))), each slot one
+    C-level pass over the squarefree m.  lz_n is within 2**(2*nmax + 6)
+    units of 2**-b and m**(n-1) <= 2**(a * bit_length(m*r)), so the term
+    adds under 2**(2*nmax + 6 - c) / m**2 to a slot, under 0.42 * 2**-T over
+    every m; slot 0's floors add under 2**-c.  The small primes' sums
+    (head_power_sums, within 10**-(digits+13)) are added with their signs
+    (-1)**n, each floored to b bits.  Every slot is within 0.42 * 2**-T +
+    10**-(digits+13) + 2**(1-c) < 10**-(digits+12) of the truncated sum.
     """
-    stop, sums = _moebius_stop(r, nmax, digits), [0] * (nmax + 1)
     rows, mu, b = _log_zeta_table(nmax, digits)
-    for m in range(1, stop):
-        lz, f = rows[m * r], mu[m]
-        sums[0] += f * lz[0] // m
-        for n in range(1, nmax + 1):
-            sums[n] += f * lz[n]
-            f *= m
+    ms = [m for m in range(1, _moebius_stop(r, nmax, digits)) if mu[m]]
+    f = [mu[m] for m in ms]
+    lz = list(zip(*[rows[m * r] for m in ms])) or [()] * (nmax + 1)
+    sums = [sum(map(floordiv, map(mul, f, lz[0]), ms))]
+    for n in range(1, nmax + 1):
+        sums.append(sum(map(mul, f, lz[n])))
+        f = list(map(mul, f, ms))
+    Bh, (head,) = head_power_sums(list(SMALL_PRIMES), r, r, nmax, digits)
+    sums = [v + ((-w if n % 2 else w) << b >> Bh)
+            for n, (v, w) in enumerate(zip(sums, head))]
     return PrimeZetaCoeffs(
         r, tuple(mp.make_mpf(from_man_exp(v, -b)) for v in sums), digits)
 
@@ -550,6 +645,10 @@ def envelope_bound(r, n, M, digits=15):
     _check_index(r, "envelope order r", 2)
     _check_index(n, "envelope index n")
     _check_index(digits, "digits", 1)
+    if not isinstance(M, (numbers.Real, mp.mpf)):
+        raise ValueError("M must be a real number, got %r" % (M,))
+    if not (isinstance(M, numbers.Rational) or mp.isfinite(M)):
+        raise ValueError("M must be finite, got %r" % (M,))
     if M < 2:
         raise ValueError("M must be at least 2")
     prec = dps_to_prec(digits + 10)

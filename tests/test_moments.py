@@ -687,7 +687,7 @@ class TestWEngine:
         assert sorted(served) == list(want)
 
     def test_c0_builds_one_log_zeta_table(self, monkeypatch):
-        # c_0(3) at 50 digits reads log zeta at 243 arguments from one table:
+        # c_0(3) at 50 digits reads log zeta_11 at 82 arguments from one table:
         # one Borwein pass and one Euler-product pass in all
         calls = []
         for name in ("_zeta_borwein", "_log_zeta_euler"):
@@ -706,7 +706,7 @@ class TestWEngine:
         assert zeta_numerics._log_zeta_table.cache_info().currsize == 1
         (eta, lo, y_eta, _), (euler, start, top, (nmax, b, t)) = calls
         assert (eta, lo, euler, start) == ("_zeta_borwein", 1, "_log_zeta_euler", y_eta + 1)
-        assert (y_eta, t) == zeta_numerics._crossover(nmax, b) and top >= 243
+        assert (y_eta, t) == zeta_numerics._crossover(nmax, b) and top >= 82
 
     @pytest.mark.parametrize("k, wmax, digits", [(2, 4, 10), (3, 4, 15), (4, 3, 12)])
     def test_values_and_errors_exactly_symmetric(self, k, wmax, digits):

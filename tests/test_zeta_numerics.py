@@ -607,6 +607,39 @@ def _mpf_stop_bound(r, nmax, digits, m):
         m += 1
 
 
+def _mpf_stop_bound_11(r, nmax, digits):
+    """The stop rule in mpf: the first m >= 1 with 4 * m**nmax * 11**(-m*r)
+    < 10**-(digits+10), and that bound."""
+    thresh, m = mp.mpf(10) ** (-(digits + 10)), 1
+    while 4 * mp.mpf(m) ** nmax * mp.mpf(11) ** (-m * r) >= thresh:
+        m += 1
+    return m, 4 * mp.mpf(m) ** nmax * mp.mpf(11) ** (-m * r)
+
+
+def _mpf_moebius_tail(r, nmax, stop):
+    """Upper bounds, slot by slot, on the Moebius terms m >= stop that
+    prime_zeta_taylor drops: sum over squarefree m of m**(n-1) (1/m in slot
+    0) times log zeta_11's coefficient n at y = m*r, a sum over the prime
+    powers q = p**k, p >= 11, of q**-y (log q)**n / (n! k).  q < 500 are
+    summed; the integers past 500 add under the integral from 500, and the
+    m past stop + 20 under 11**-(20 r) of the rest."""
+    Q = 500
+    qs = [(p ** k, k, mp.log(p ** k)) for p in primes_upto(Q) if p >= 11
+          for k in range(1, 3) if p ** k < Q]
+    LQ, out = mp.log(Q), [mp.mpf(0)] * (nmax + 1)
+    for m in range(stop, stop + 21):
+        if not mobius_int(m):
+            continue
+        y = m * r
+        pw = [(mp.mpf(q) ** -y / k, L) for q, k, L in qs]
+        for n in range(nmax + 1):
+            lz = sum(v * L ** n for v, L in pw) + mp.mpf(Q) ** (1 - y) * sum(
+                LQ ** i * mp.factorial(n) / (mp.factorial(i) * (y - 1) ** (n + 1 - i))
+                for i in range(n + 1))
+            out[n] += (mp.mpf(m) ** (n - 1) if n else mp.mpf(1) / m) * lz / mp.factorial(n)
+    return [v * (1 + mp.mpf(11) ** (-20 * r)) for v in out]
+
+
 def _family_reference(r, nmax, digits):
     """The family by the Moebius loop in mpf arithmetic: each log zeta series
     from zeta_taylor's rounded values, summed as Fraction(mu, m) * m**n * lz;
@@ -659,10 +692,13 @@ class TestMoebiusPass:
 
     @pytest.mark.parametrize("r, nmax, digits", _FAMILY_GRID)
     def test_stop_rule_keeps_the_mpf_tail_bounds(self, r, nmax, digits):
-        # the integer stop test stops where the mpf one does
+        # the integer stop test stops where the mpf one does, and the terms
+        # it drops, over the primes from 11 up, stay under its bound
         with mp.workdps(digits + 15):
-            want, _ = _mpf_stop_bound(r, nmax, digits, 1)
-        assert zeta_numerics._moebius_stop(r, nmax, digits) == want
+            want, bound = _mpf_stop_bound_11(r, nmax, digits)
+            assert zeta_numerics._moebius_stop(r, nmax, digits) == want
+            for n, tail in enumerate(_mpf_moebius_tail(r, nmax, want)):
+                assert tail < bound, n
 
     def test_family_does_not_depend_on_the_history(self):
         # each log zeta value depends on (y, nmax, digits) alone, so a family
@@ -787,11 +823,13 @@ class TestLogZetaRoutes:
             rows, _, b = zeta_numerics._log_zeta_table(nmax, digits)
         zeta_numerics._log_zeta_table.cache_clear()
         d = math.ceil(b * math.log10(2)) + 5
+        # log zeta_11 = log zeta plus the small primes' factor logs
+        facs = oracles._small_prime_logs(range(1, len(rows)), nmax, b)
         with mp.workdps(d + 15):
             tol = mp.ldexp(2 ** (2 * nmax + 6), -b)
             gam = _mpmath_stieltjes() if nmax else ()
             pole = [1] + [(-1) ** n * gam[n] / mp.factorial(n) for n in range(nmax)]
-            for y in range(1, len(rows)):
+            for y, fac in zip(range(1, len(rows)), facs):
                 if y == 1:
                     ref = _series_log_list(pole)
                 else:
@@ -799,7 +837,49 @@ class TestLogZetaRoutes:
                     ref = _series_log_list([1] + [v / z[0] for v in z[1:]])
                     ref[0] = mp.log(z[0])
                 for a in range(nmax + 1):
-                    assert abs(mp.ldexp(rows[y][a], -b) - ref[a]) < tol, (y, a)
+                    got = rows[y][a] - fac[a]
+                    assert abs(mp.ldexp(got, -b) - ref[a]) < tol, (y, a)
+
+    @pytest.mark.parametrize("nmax", [0, 4, 16])
+    def test_factor_rows_are_zeta_11(self, nmax):
+        # Borwein's rows y >= 2 carry the four factors 1 - p**-(y+u), each
+        # coefficient within 2 units of mpf zeta(y + u) times them; the
+        # pole row stays zeta(1 + u) - 1/u
+        b, ys = 200, range(1, 8)
+        rows = zeta_numerics._zeta_borwein(ys, nmax, b)
+        with mp.workdps(90):
+            for y, row in zip(ys[1:], rows[1:]):
+                z = zeta_taylor(y, nmax, 80)
+                for p in zeta_numerics.SMALL_PRIMES:
+                    q, L = mp.mpf(p) ** -y, mp.log(p)
+                    f = [1 - q] + [-q * (-L) ** j / mp.factorial(j) for j in range(1, nmax + 1)]
+                    z = [sum(z[a - j] * f[j] for j in range(a + 1)) for a in range(nmax + 1)]
+                for a in range(nmax + 1):
+                    assert abs(mp.ldexp(row[a], -b) - z[a]) < mp.ldexp(2, -b), (y, a)
+            gam = _mpmath_stieltjes()
+            for a, v in enumerate(rows[0]):
+                ref = (-1) ** a * gam[a] / mp.factorial(a)
+                assert abs(mp.ldexp(v, -b) - ref) < mp.ldexp(2, -b), a
+
+    @pytest.mark.parametrize("nmax", [0, 4, 16])
+    def test_pole_factor_logs_match_mpf(self, nmax, monkeypatch):
+        # sum_{p < 11} log(1 - p**-(1+u)) within 5 units, its constant from
+        # the atanh series alone: at nmax = 0 no log table is built
+        monkeypatch.setattr(zeta_numerics, "_logs", ([0, 0], 0, 0))
+        b = 300
+        got = zeta_numerics._pole_factor_logs(nmax, b)
+        assert len(got) == nmax + 1
+        if not nmax:
+            assert zeta_numerics._logs[0] == [0, 0]
+        with mp.workdps(120):
+            ref = [mp.mpf(0)] * (nmax + 1)
+            for p in zeta_numerics.SMALL_PRIMES:
+                for k in range(1, 1200):
+                    t = mp.mpf(p) ** -k / k
+                    for a in range(nmax + 1):
+                        ref[a] -= t * (-k * mp.log(p)) ** a / mp.factorial(a)
+            for a in range(nmax + 1):
+                assert abs(mp.ldexp(got[a], -b) - ref[a]) < mp.ldexp(5, -b), a
 
     @pytest.mark.parametrize("nmax", [0, 4, 16])
     def test_pole_is_the_log_of_the_stieltjes_series(self, nmax):
@@ -976,6 +1056,10 @@ class TestBeyondAndEnvelope:
                 ), n
 
     def test_envelope_validation(self):
+        for M in (float("inf"), float("-inf"), float("nan"), mp.inf, mp.nan,
+                  complex(100, 0), "100", None):
+            with pytest.raises(ValueError, match="M must be"):
+                envelope_bound(2, 0, M)
         with pytest.raises(ValueError):
             envelope_bound(1, 0, 100)
         with pytest.raises(ValueError):
