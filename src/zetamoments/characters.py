@@ -59,10 +59,11 @@ def character_value(lam, mu):
     return _char_beta(_beta_set(lam), mu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 2.0 or True never hits 2's or 1's entry
 def character_table(n):
     """Full character table of the symmetric group on n letters, as a
     read-only flat {(lam, mu): value} view built on the first call."""
+    _check_index(n, "n")
     return MappingProxyType({
         (lam, mu): _char_beta(_beta_set(lam), mu)
         for lam in partitions_of(n)

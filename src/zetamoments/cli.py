@@ -34,6 +34,7 @@ from .moments import (
     moment_polynomial,
 )
 from .zeta_numerics import (
+    MAX_WEIGHT,
     PrimeZetaCoeffs,
     _check_index,
     install_prime_zeta,
@@ -168,10 +169,14 @@ def load_cache(root):
 
 
 def cmd_precompute(n_max, digits, cache_dir):
-    """Build and persist the prime zeta families the pipeline wants,
-    skipping those stored at enough digits and weight."""
+    """Build and persist the prime zeta families the pipeline wants, to
+    nmax <= MAX_WEIGHT, skipping those stored at enough digits and weight."""
     _check_index(n_max, "nmax", 1)
     _check_index(digits, "digits", 1)
+    if n_max > MAX_WEIGHT:
+        raise NonConvergenceError(
+            "nmax %d beyond the supported MAX_WEIGHT = %d"
+            % (n_max, MAX_WEIGHT), meta={"nmax": n_max, "digits": digits})
     os.makedirs(cache_dir, exist_ok=True)
     store_digits = digits + PZETA_MARGIN
     built = reused = 0

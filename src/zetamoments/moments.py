@@ -76,7 +76,7 @@ from .symseries import (
     POWERSUM,
     SCHUR,
     PairSeries,
-    _accumulate_halved,
+    _accumulate,
     _exp_fixed,
     _log_l1,
     _low_product,
@@ -89,6 +89,7 @@ from .symseries import (
 )
 from .zeta_numerics import (
     MAX_HEAD_PRIME,
+    MAX_WEIGHT,
     _check_index,
     envelope_bound,
     head_power_sums,
@@ -306,12 +307,18 @@ def _truncation(k, wmax, digits, tol_f):
     head-power row per head prime, so R_w = 28 there, never below
     a_factor's max(800, 4 rho) nor above _prime_cutoff's.  R is the least
     multiple of 4 from 16 that reaches t at pcut; the engine adds 4 orders
-    at a time if the tail has not closed by then.
+    at a time if the tail has not closed by then.  A weight past MAX_WEIGHT
+    is refused, after the cutoff's own refusals.
     """
     log10_t, rho = _target(digits, tol_f), _rho_inv(k)
     cut = min(max(50.0, _order_cut(rho, log10_t, 16)),
               max(800, 4 * rho, _order_cut(rho, log10_t, 16 if wmax else 28)))
     pcut, R = _checked_cutoff(cut, k, digits, tol_f), 16
+    if wmax > MAX_WEIGHT:
+        raise NonConvergenceError(
+            "weight %d beyond the supported MAX_WEIGHT = %d" % (wmax, MAX_WEIGHT),
+            meta={"k": k, "weight": wmax, "digits": digits, "tol": tol_f},
+        )
     while (R - 1) * math.log10(pcut / rho) < log10_t:
         R += 4
     return pcut, R
@@ -692,7 +699,7 @@ def _exp_w(k, n_max, digits, tol):
     e = _exp_fixed(plan, L, C)
     ae, ee = list(map(abs, e)), [0] * len(keys)
     for triples in (t for row in plan.products for t in row):
-        _accumulate_halved(triples, ae, err, ee, twin)
+        _accumulate(triples, ae, err, ee)
     ee = [ee[min(i, t)] for i, t in enumerate(twin)]
     with mp.workdps(digits + 12):
         aval = mp.exp(vals[EMPTY_KEY])

@@ -35,8 +35,8 @@ from .partitions import (
     dim_complement, dim_hook, dim_paths, dim_skew_det, partitions_of,
     sort_merge)
 from .symseries import (
-    EMPTY_KEY, POWERSUM, SCHUR, KPoly, PairSeries, _exp_fixed, _exp_log,
-    _log_l1, _packed_log, _plan, _switch_basis, _unpack, p_to_schur,
+    EMPTY_KEY, POWERSUM, SCHUR, KPoly, PairSeries, _exp_fixed, _log_l1,
+    _packed_log, _plan, _switch_basis, _unpack, p_to_schur, pair_keys,
     series_exp, series_log)
 from .zeta_numerics import (
     SMALL_PRIMES, _crossover, _dirichlet_sums, _log_series, _log_zeta_table,
@@ -263,13 +263,10 @@ def d_table_symbolic(n_max):
     _check_index(n_max, "n_max")
     if n_max > 3:
         raise ValueError("symbolic mode is limited to n_max <= 3")
-    sym = {
-        key: WPoly.symbol(*key)
-        for key in _plan(n_max).keys[1:]
-    }
+    sym = {key: WPoly.symbol(*key) for key in pair_keys(n_max)[1:]}
     sser = p_to_schur(series_exp(PairSeries(POWERSUM, n_max, sym)))
     out = {}
-    for kap, lam in _plan(n_max).keys:
+    for kap, lam in pair_keys(n_max):
         got = sser.get(kap, lam)
         out[(kap, lam)] = got if isinstance(got, WPoly) else WPoly.constant(got)
     return out
@@ -828,7 +825,7 @@ def _check_v_identities():
         # contraction
         tail = _v_series(k, 4, 6, _head_polys(k, 4))[0]
         for r in range(1, 7):
-            for mu, nu in _plan(4).keys:
+            for mu, nu in pair_keys(4):
                 if V_poly(r, mu, nu)(k) != tail[r].get((mu, nu), 0):
                     raise AssertionError(
                         "tail route at k=%d r=%d %r %r" % (k, r, mu, nu)
@@ -885,16 +882,17 @@ def _check_constant_tables():
 
 
 def _check_fixed_exp_log(seed=0):
-    # on a seeded symmetric dyadic series: _exp_fixed against the Fraction
-    # recurrence, each weight's summed error under its docstring bound, and
-    # _packed_log of integers S = n! X, exactly n! times the Fraction log
+    # on a seeded symmetric dyadic series, the engine's recurrence against
+    # the defining power series in Fractions: _exp_fixed, each weight's
+    # summed error under its docstring bound, and _packed_log of integers
+    # S = n! X, exactly n! times the Fraction log
     plan, wmax, B = _plan(6), 6, 80
     at = [range(plan.starts[w], plan.starts[w + 1]) for w in range(wmax + 1)]
     x = [Fraction((min(i, t) * 7919 + seed * 104729) % 2**21 - 2**20,
                   2 ** (18 + (min(i, t) + seed) % 6)) for i, t in enumerate(plan.twin)]
     g = [sum(abs(x[i]) for i in at[w]) for w in range(wmax + 1)]
     x[0] = 0
-    want = _exp_log(PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x))), False)
+    want = series_exp(PairSeries(POWERSUM, wmax, dict(zip(plan.keys, x))))
     got, E = _exp_fixed(plan, [int(v * 2**B) for v in x], B), [0]
     for w in range(1, wmax + 1):
         E.append(len(at[w]) + sum(Fraction(j, w) * g[j] * E[w - j]
@@ -903,9 +901,9 @@ def _check_fixed_exp_log(seed=0):
             raise AssertionError("exp at weight %d" % w)
     S = [v.numerator for v in x]
     n = [sum(m) + sum(nu) for m, nu in plan.keys]
-    want = _exp_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **{
+    want = series_log(PairSeries(POWERSUM, wmax, {EMPTY_KEY: 1, **{
         key: Fraction(s, math.factorial(w)) for key, s, w in zip(plan.keys, S, n)
-        if w}}), True)
+        if w}}))
     t = [sum(abs(S[i]) for i in at[w]) for w in range(wmax + 1)]
     K = max(_log_l1(t)).bit_length() + 1
     for i, v in enumerate(_packed_log(plan, S, K, 1)[1:], 1):
@@ -986,7 +984,7 @@ def _head_log_oracle(k, wmax, p):
         A = A * p + c
     lp = -mp.log(p)
     numer = _ratio_numerators(k, wmax)
-    keys = _plan(wmax).keys
+    keys = pair_keys(wmax)
     x = {EMPTY_KEY: 1}
     for m, nu in keys[1:]:
         n, N, nd = numer[(m, nu) if m <= nu else (nu, m)]

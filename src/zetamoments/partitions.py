@@ -49,7 +49,11 @@ def _check_index(value, name, low=0):
 
 def check_partition(lam):
     """Validate and normalize a partition given as any iterable of parts."""
-    parts = tuple(lam)
+    try:
+        parts = tuple(lam)
+    except TypeError:
+        raise ValueError("partition must be an iterable of parts, got %r"
+                         % (lam,)) from None
     for i, x in enumerate(parts):
         if isinstance(x, bool) or not isinstance(x, int) or x < 1:
             raise ValueError("partition parts must be positive integers: %r" % (parts,))

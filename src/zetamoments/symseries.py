@@ -8,17 +8,19 @@ float coefficients.
 
 A PairSeries is a truncated series indexed by pairs (mu, nu) of partitions,
 graded by total weight.  In the powersum basis multiplication is the free
-commutative product (part multisets concatenate).  Every product comes from
-one plan per truncation weight, built once, of index triples grouped by the
-operand weights, so each coefficient ring only does arithmetic over it.  log
-and exp share one weight-by-weight recurrence obtained from the grading
-derivation, which matches the defining power series through the truncation
-order.
+commutative product (part multisets concatenate), taken weight by weight;
+exp and log sum their defining power series by repeated products.  The
+engine's exp and log run on integer lists over one plan per weight (_plan)
+by the grading derivation's recurrence, which the oracles check against
+the defining series; its series are symmetric under swapping the two
+partitions, so the plan keeps only the products the first key of each
+mirror pair needs.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from mpmath import mp
@@ -161,19 +163,25 @@ class PairSeries:
         return out
 
 
-class _Plan(NamedTuple):
-    """The pair keys of total weight <= wmax and every product among them.
+def pair_keys(wmax):
+    """The pair keys (mu, nu) of total weight <= wmax, by weight, within
+    weight w by |mu| = 0..w, then partitions_of's order for mu and for nu."""
+    return [(mu, nu) for w in range(wmax + 1) for a in range(w + 1)
+            for mu in partitions_of(a) for nu in partitions_of(w - a)]
 
-    keys runs through the weights in turn, and within weight w through |mu| =
-    0..w, then partitions_of's order for mu and for nu; keys[starts[w]:
-    starts[w + 1]] have weight w.  products[w][j] lists the index triples
-    (out, a, b) with keys[a] of weight j, keys[b] of weight w - j and
-    keys[out] their product, both part multisets merged.  twin[i] indexes
-    the mirror key of keys[i], its two partitions swapped.
+
+class _Plan(NamedTuple):
+    """The engine's products among the pair keys of total weight <= wmax.
+
+    keys is pair_keys(wmax), keys[starts[w]:starts[w + 1]] those of weight
+    w, and twin[i] indexes the mirror of keys[i], its partitions swapped.
+    products[w][j] lists the index triples (out, a, b), keys[a] of weight
+    j, keys[b] of weight w - j and keys[out] their product, both part
+    multisets merged, whose out is the first of its mirror pair, twin[out]
+    >= out: on symmetric series the caller copies the other outputs.
     """
 
     keys: tuple
-    index: dict
     starts: tuple
     products: tuple
     twin: tuple
@@ -181,13 +189,12 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _plan(wmax):
-    keys, starts = [], [0]
-    for w in range(wmax + 1):
-        keys += [(mu, nu) for a in range(w + 1) for mu in partitions_of(a)
-                 for nu in partitions_of(w - a)]
-        starts.append(len(keys))
+    keys = tuple(pair_keys(wmax))
+    weights = [sum(m) + sum(nu) for m, nu in keys]
+    starts = tuple(bisect_left(weights, w) for w in range(wmax + 2))
     index = {key: i for i, key in enumerate(keys)}
-    at = [tuple(range(starts[w], starts[w + 1])) for w in range(wmax + 1)]
+    twin = tuple(index[key[::-1]] for key in keys)
+    at = [range(starts[w], starts[w + 1]) for w in range(wmax + 1)]
 
     def times(a, b):
         (m1, n1), (m2, n2) = keys[a], keys[b]
@@ -195,105 +202,79 @@ def _plan(wmax):
                       tuple(sorted(n1 + n2, reverse=True)))]
 
     products = tuple(
-        tuple(tuple((times(a, b), a, b) for a in at[j] for b in at[w - j])
+        tuple(tuple((o, a, b) for a in at[j] for b in at[w - j]
+                    if twin[o := times(a, b)] >= o)
               for j in range(w + 1))
         for w in range(wmax + 1)
     )
-    twin = tuple(index[key[::-1]] for key in keys)
-    return _Plan(tuple(keys), index, tuple(starts), products, twin)
-
-
-def _dense(plan, series):
-    """Coefficients listed over plan.keys: 0 where absent, none past the plan."""
-    x = [0] * len(plan.keys)
-    for key, val in series.coeffs.items():
-        if key in plan.index:
-            x[plan.index[key]] = val
-    return x
-
-
-def _series(plan, x):
-    """The powersum series of a list over plan.keys, zeros dropped."""
-    out = PairSeries(POWERSUM, len(plan.starts) - 2)
-    out.coeffs = {key: v for key, v in zip(plan.keys, x) if v != 0}
-    return out
+    return _Plan(keys, starts, products, twin)
 
 
 def _accumulate(triples, x, y, acc):
-    """acc[out] += x[a] * y[b] over the triples, skipping zero operands."""
+    """acc[out] += x[a] * y[b] over the triples."""
     for out, a, b in triples:
-        u = x[a]
-        if u:
-            v = y[b]
-            if v:
-                acc[out] = acc[out] + u * v
-
-
-def _accumulate_halved(triples, x, y, acc, twin):
-    """acc[out] += x[a] * y[b] where twin[out] >= out; the caller copies the mirrors."""
-    for out, a, b in triples:
-        if twin[out] >= out:
-            acc[out] += x[a] * y[b]
+        acc[out] += x[a] * y[b]
 
 
 def series_mul(a, b):
-    """Product of two powersum-basis series, truncated at the smaller order."""
+    """Product of two powersum-basis series, truncated at the smaller order;
+    the terms pair weight by weight, so none past the truncation is formed."""
     if a.basis != b.basis:
         raise ValueError("cannot multiply series in different bases")
     if a.basis != POWERSUM:
         raise ValueError("series multiplication requires the powersum basis")
-    plan = _plan(min(a.max_weight, b.max_weight))
-    x, y = _dense(plan, a), _dense(plan, b)
-    acc = [0] * len(plan.keys)
-    for row in plan.products:
-        for triples in row:
-            _accumulate(triples, x, y, acc)
-    return _series(plan, acc)
+    wmax, x, y, acc = min(a.max_weight, b.max_weight), {}, {}, {}
+    for group, series in ((x, a), (y, b)):
+        for key, val in series.coeffs.items():
+            group.setdefault(sum(key[0]) + sum(key[1]), []).append((key, val))
+    for i, xs in x.items():
+        for j, ys in y.items():
+            if i + j > wmax:
+                continue
+            for (m1, n1), u in xs:
+                for (m2, n2), v in ys:
+                    key = (tuple(sorted(m1 + m2, reverse=True)),
+                           tuple(sorted(n1 + n2, reverse=True)))
+                    acc[key] = acc.get(key, 0) + u * v
+    out = PairSeries(POWERSUM, wmax)
+    out.coeffs = {key: v for key, v in acc.items() if v != 0}
+    return out
 
 
-def _exp_log(series, log):
-    """S = exp(L) from a powersum series L with zero constant term, or with
-    log set L = log(S) from one S with constant term exactly 1.
-
-    The grading derivation D (weight w times w) gives D S = (D L) S for
-    S = exp(L), so w S_w = w L_w + sum_{0<j<w} (D L)_j S_{w-j}: the same
-    cross sums serve both directions, solved for S_w or for L_w.  This
-    agrees with the defining power series through the truncation.
-    """
-    name = "series_log" if log else "series_exp"
+def _power_series(series, name, constant, divisor):
+    """exp (constant 0) or log (constant 1) by its defining power series:
+    1 - constant plus sum_{m>=1} x**m / divisor(m) through the truncation,
+    x the series less its constant term, which must be `constant`.  x**m
+    starts at weight m; an mpf rounds once per division."""
     if series.basis != POWERSUM:
         raise ValueError("%s requires the powersum basis" % name)
-    if series.coeffs.get(EMPTY_KEY, 0) != int(log):
-        raise ValueError("%s needs constant term %d" % (name, log))
-    plan = _plan(series.max_weight)
-    n, given = len(plan.keys), _dense(plan, series)
-    s, lg = (given, [0] * n) if log else ([1] + [0] * (n - 1), given)
-    dl, cross = [0] * n, [0] * n
-    for w in range(1, len(plan.starts) - 1):
-        for j in range(1, w):
-            _accumulate(plan.products[w][j], dl, s, cross)
-        inv = Fraction(1, w)
-        for i in range(plan.starts[w], plan.starts[w + 1]):
-            v = cross[i] if log else lg[i] * w + cross[i]
-            v = v / w if isinstance(v, mp.mpf) else v * inv  # an mpf rounds once
-            if log:
-                lg[i] = s[i] - v
-            else:
-                s[i] = v
-            dl[i] = lg[i] * w
-    return _series(plan, lg if log else s)
+    if series.coeffs.get(EMPTY_KEY, 0) != constant:
+        raise ValueError("%s needs constant term %d" % (name, constant))
+    x = series.copy()
+    x.coeffs.pop(EMPTY_KEY, None)
+    total, power = {EMPTY_KEY: 1 - constant}, x
+    for m in range(1, x.max_weight + 1):
+        d, inv = divisor(m), Fraction(1, divisor(m))
+        for key, v in power.coeffs.items():
+            total[key] = total.get(key, 0) + (
+                v / d if isinstance(v, mp.mpf) else v * inv)
+        power = series_mul(power, x)
+    x.coeffs = {key: v for key, v in total.items() if v != 0}
+    return x
 
 
 def _exp_fixed(plan, L, B):
     """S = exp(L) in units of 2**-B, L symmetric over plan.keys, L[0] unread:
-    S_0 = 2**B, S_w = L_w + floor(sum_{0<j<w} (j L_j) S_{w-j} / (w 2**B)).
+    S_0 = 2**B, S_w = L_w + floor(sum_{0<j<w} (j L_j) S_{w-j} / (w 2**B)),
+    the grading derivation's recurrence (D S = (D L) S, D multiplying weight
+    w by w) summed over the plan's outputs, the mirrors copied.
     For exact L the errors summed over the K_w keys of weight w are under K_w
     + sum_{0<j<w} (j/w) Lam_j E_{w-j} units, Lam the sums of |L| / 2**B."""
     n, twin = len(plan.keys), plan.twin
     s, dl, cross = [1 << B] + [0] * (n - 1), [0] * n, [0] * n
     for w in range(1, len(plan.starts) - 1):
         for j in range(1, w):
-            _accumulate_halved(plan.products[w][j], dl, s, cross, twin)
+            _accumulate(plan.products[w][j], dl, s, cross)
         wB = w << B
         for i in range(plan.starts[w], plan.starts[w + 1]):
             s[i] = L[i] + cross[i] // wB if twin[i] >= i else s[twin[i]]
@@ -330,7 +311,7 @@ def _packed_log(plan, P, K, slots):
         for j in range(1, n):
             c = comb(n - 1, j - 1)
             cl = [0] * starts[j] + [c * v for v in L[starts[j]:starts[j + 1]]]
-            _accumulate_halved(plan.products[n][j], cl, P, acc, twin)
+            _accumulate(plan.products[n][j], cl, P, acc)
         for i in range(starts[n], starts[n + 1]):
             L[i] = (((L[i] - acc[i] + bias) & mask) - bias
                     if twin[i] >= i else L[twin[i]])
@@ -358,13 +339,15 @@ def _low_product(a, b, R):
 
 
 def series_log(series):
-    """Logarithm of a powersum-basis series with constant term exactly 1."""
-    return _exp_log(series, log=True)
+    """Logarithm of a powersum-basis series S with constant term exactly 1:
+    sum_m (-1)**(m+1) (S - 1)**m / m."""
+    return _power_series(series, "series_log", 1, lambda m: m if m % 2 else -m)
 
 
 def series_exp(series):
-    """Exponential of a powersum-basis series with zero constant term."""
-    return _exp_log(series, log=False)
+    """Exponential of a powersum-basis series L with zero constant term:
+    sum_m L**m / m!."""
+    return _power_series(series, "series_exp", 0, factorial)
 
 
 def _switch_basis(series, src, dst, table):

@@ -528,6 +528,7 @@ def _compute_prime_zeta(r, nmax, digits):
 
 
 MAX_HEAD_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted
+MAX_WEIGHT = 16  # the largest key weight accepted, P_4's top; _plan(25) would form 78M products
 
 
 def checked_primes(primes):

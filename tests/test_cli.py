@@ -326,6 +326,23 @@ class TestPrecompute:
             cli.cmd_precompute(n_max, digits, str(root))
         assert not root.exists()
 
+    def test_weights_past_max_weight_are_refused(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # P_5 and a cache no request reads are refused with exit 2, before
+        # any plan past weight 16 or any cache directory
+        plan = moments._plan
+
+        def guarded(wmax):
+            assert wmax <= zeta_numerics.MAX_WEIGHT, "_plan(%d) started" % wmax
+            return plan(wmax)
+
+        monkeypatch.setattr(moments, "_plan", guarded)
+        assert main(["poly", "--k", "5", "--digits", "5"]) == 2
+        assert main(["precompute", "--nmax", "17", "--digits", "10",
+                     "--cache-dir", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.count("MAX_WEIGHT = 16") == 2
+        assert not (tmp_path / "c").exists()
+
     def test_tol_is_not_a_precompute_option(self, tmp_path, capsys):
         rc = main(["precompute", "--nmax", "1", "--digits", "10", "--tol",
                    "1e-5", "--cache-dir", str(tmp_path / "c")])

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import importlib
 import io
 import math
@@ -18,7 +19,7 @@ from mpmath.libmp import dps_to_prec, to_fixed
 
 import zetamoments
 from zetamoments import moments
-from zetamoments.characters import power_dim_table
+from zetamoments.characters import character_table, character_value, power_dim_table
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
@@ -47,7 +48,7 @@ from zetamoments.oracles import (
     d_table_symbolic,
     f_table,
 )
-from zetamoments.partitions import centralizer_order, partitions_of
+from zetamoments.partitions import centralizer_order, dim_complement, partitions_of
 from zetamoments.symseries import (
     EMPTY_KEY,
     POWERSUM,
@@ -60,7 +61,7 @@ from zetamoments.symseries import (
     series_mul,
 )
 from zetamoments import zeta_numerics
-from zetamoments.zeta_numerics import head_power_sums, primes_upto
+from zetamoments.zeta_numerics import MAX_WEIGHT, head_power_sums, primes_upto
 
 F = Fraction
 
@@ -977,6 +978,64 @@ class TestTruncation:
             moments._prime_cutoff(k, digits, 10.0 ** -digits)
         _c0_against_the_euler_product(monkeypatch, k, digits)
 
+    def test_weights_past_max_weight_are_refused(self, monkeypatch):
+        # P_5 and any other weight past P_4's 16 stop in _truncation, before
+        # a plan that would not finish; the cutoff's refusals come first
+        plan = moments._plan
+
+        def guarded(wmax):
+            assert wmax <= MAX_WEIGHT, "_plan(%d) started" % wmax
+            return plan(wmax)
+
+        monkeypatch.setattr(moments, "_plan", guarded)
+        for call in (lambda: moment_polynomial(5, 5),
+                     lambda: c_coeff(17, 5, 5),
+                     lambda: W_coeff((9,), (8,), 5, 5),
+                     lambda: d_table(5, 17, 5)):
+            with pytest.raises(NonConvergenceError, match="MAX_WEIGHT = 16"):
+                call()
+        for k, digits in ((11, 15), (2, 324)):
+            with pytest.raises(NonConvergenceError) as low:
+                moments._truncation(k, 1, digits, 10.0 ** -digits)
+            with pytest.raises(NonConvergenceError) as high:
+                moments._truncation(k, 25, digits, 10.0 ** -digits)
+            assert str(high.value) == str(low.value)
+            assert "prime cutoff" in str(high.value)
+
+
+# md5 digests of the exact tables at (k, wmax, R), each sorted by key:
+# _v_series's V and majorant M and the head's unpacked Lhat, which every
+# change to their routes keeps bit-identical
+EXACT_TABLE_DIGESTS = {
+    (3, 4, 16): ("639699d44e0bdb52939b39a249adb4d3",
+                 "1641d6a66f037e0c6cefe44857708fbd",
+                 "ebbe9251b461c58e3518cf793edcd596"),
+    (2, 4, 16): ("d4684993374a7da398b27850e99a2e7d",
+                 "eb1d014c7fe916b48d0c506be3e81d2d",
+                 "5a9b31239b962c46d908992d889ba7db"),
+    (3, 9, 20): ("6330be8c10c5e79f5335ac77f3f331d3",
+                 "80b7f1512f0d2d7f8bf0c50722a3fcfe",
+                 "d519620ad066a08bf6d63ff63a2af58d"),
+    (4, 8, 16): ("ddfa5791c6c375f95b3f92d1cdbc59b9",
+                 "11ead6dff7b9a6299f4d79cdeb88be91",
+                 "748be2a809910561a79e24b037e00187"),
+}
+
+
+@pytest.mark.parametrize("k, wmax, R", list(EXACT_TABLE_DIGESTS))
+def test_exact_tables_match_their_digests(k, wmax, R):
+    def digest(x):
+        return hashlib.md5(repr(x).encode()).hexdigest()
+
+    head = _head_polys(k, wmax)
+    V, M = _v_series(k, wmax, R, head)
+    K, L = head[:2]
+    width = (2 * k - 1) * wmax + 1
+    lhat = sorted(zip(_plan(wmax).keys[1:], (_unpack(v, K, width) for v in L[1:])))
+    assert (digest([sorted(t.items()) for t in V]),
+            digest([sorted(t.items()) for t in M]),
+            digest(lhat)) == EXACT_TABLE_DIGESTS[(k, wmax, R)]
+
 
 # every memo in the package, each paying on the c_N path or serving an oracle
 # route (frobenius_schur, dim_paths, monomial_eval); a new one needs a reason
@@ -1381,7 +1440,8 @@ BAD_REQUESTS = [
     (1, 10, "1e-5"),
 ]
 
-# entry points with a bad integer argument other than k, digits and tol
+# entry points with a bad integer argument other than k, digits and tol, or
+# a malformed partition
 BAD_INDICES = [
     (c_coeff, (True, 2), "N"),
     (c_coeff, (1.0, 2), "N"),
@@ -1398,6 +1458,13 @@ BAD_INDICES = [
     (a_factor, (2, True), "digits"),
     (V_poly, (True, (), ()), "r"),
     (V_poly, (1.0, (), ()), "r"),
+    (character_table, (-1,), "n"),
+    (character_table, (2.0,), "n"),
+    (W_coeff, (5, (), 2), "partition"),
+    (W_coeff, ((1,), None, 2), "partition"),
+    (character_value, (3, (3,)), "partition"),
+    (dim_complement, (2, (1,), 2), "partition"),
+    (PairSeries, (POWERSUM, 2, {(1, (1,)): 1}), "partition"),
 ]
 
 

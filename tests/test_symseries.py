@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetamoments.characters import character_value
+from zetamoments import oracles
 from zetamoments.oracles import (
     WPoly,
     _check_fixed_exp_log,
     bump_gamburd_residual,
+    d_table_symbolic,
+    f_table,
     monomial_eval,
     multinomial,
     schur_eval,
@@ -215,6 +218,16 @@ class TestPairSeriesBasics:
             series_exp(PairSeries(SCHUR, 3))
 
 
+def all_products(plan, w, j):
+    """Every (out, a, b) with keys[a] of weight j and keys[b] of weight w - j,
+    keys[out] their partitions merged, independent of plan.products."""
+    index = {key: i for i, key in enumerate(plan.keys)}
+    return [(index[tuple(tuple(sorted(x + y, reverse=True))
+                         for x, y in zip(plan.keys[a], plan.keys[b]))], a, b)
+            for a in range(plan.starts[j], plan.starts[j + 1])
+            for b in range(plan.starts[w - j], plan.starts[w - j + 1])]
+
+
 class TestExpLog:
     @given(series_dict_st)
     def test_exp_then_log_roundtrip(self, d):
@@ -255,9 +268,10 @@ class TestExpLog:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mirror_halved_log_matches_full_recurrence(self, seed):
-        # _packed_log sums only outputs with twin >= index and copies the
-        # mirrors; on symmetric input that is the full recurrence, exactly,
-        # here on Q-series of 3 slots each
+        # _packed_log sums only the plan's outputs, each the first of its
+        # mirror pair, and copies the mirrors; on symmetric input that is
+        # the full recurrence over every product of two keys, here merged
+        # by brute force, on Q-series of 3 slots each
         rng = random.Random(seed)
         wmax, slots = 6, 3
         plan = _plan(wmax)
@@ -272,7 +286,7 @@ class TestExpLog:
         for w in range(2, wmax + 1):
             for j in range(1, w):
                 c = math.comb(w - 1, j - 1)
-                for out, a, b in plan.products[w][j]:
+                for out, a, b in all_products(plan, w, j):
                     for u in range(slots):
                         full[out][u] -= c * sum(full[a][i] * s[b][u - i]
                                                 for i in range(u + 1))
@@ -282,6 +296,23 @@ class TestExpLog:
         got = _packed_log(plan, [_pack(x, K) for x in s], K, slots)
         assert [_unpack(v, K, slots) for v in got[1:]] == full[1:]
         assert all(got[i] is got[t] for i, t in enumerate(plan.twin) if t < i)
+
+    def test_plan_stores_each_mirror_pair_once(self):
+        # the plan keeps exactly the products whose output is the first of
+        # its mirror pair; with the mirrors (twin[o], twin[a], twin[b]) of
+        # those whose output is not its own mirror they make up every
+        # product once
+        for wmax in range(9):
+            plan = _plan(wmax)
+            twin = plan.twin
+            for w in range(wmax + 1):
+                for j in range(w + 1):
+                    got, full = list(plan.products[w][j]), all_products(plan, w, j)
+                    assert got == [t for t in full if twin[t[0]] >= t[0]]
+                    mirrors = [(twin[o], twin[a], twin[b])
+                               for o, a, b in got if twin[o] > o]
+                    assert sorted(got + mirrors) == sorted(full)
+        assert sum(len(t) for row in _plan(12).products for t in row) == 37903
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_point_exp_and_log_match_fractions(self, seed):
@@ -401,15 +432,18 @@ class TestPlanAcrossRings:
             PairSeries(POWERSUM, 0, {EMPTY_KEY: 5})
         )
 
-    def test_plan_is_built_once_per_weight(self):
-        _plan(5)
+    def test_symbolic_route_builds_no_plan(self, monkeypatch):
+        # series_mul, series_exp and series_log, the f-table built afresh and
+        # d_table_symbolic run on the coefficient dicts alone
         before = _plan.cache_info()
         s = PairSeries(POWERSUM, 5, {EMPTY_KEY: 1, ((1,), (2,)): 3})
         series_exp(series_log(s))
         series_mul(s, s)
+        monkeypatch.setitem(oracles._f_store, "built", None)
+        f_table(3)
+        d_table_symbolic(3)
         after = _plan.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + 3
+        assert after.hits + after.misses == before.hits + before.misses
 
     def test_plan_layout(self):
         plan = _plan(3)
