@@ -78,6 +78,7 @@ def power_dim_table(k, N):
     |- |nu|, exact integers.  Block (a, N - a) is X_a^T M X_{N-a}, X_n the
     weight-n character matrix and M the dimensions, one slot at a time, for
     a <= N - a; D_k(nu, mu) = D_k(mu, nu) gives the rest."""
+    _check_index(k, "k")
     _check_index(N, "N")
     if N > k * k:
         raise ValueError("N cannot exceed k**2")

@@ -25,10 +25,10 @@ family per key, and its stop test run in B-bit integers (_w_engine).  Each
 beyond-cutoff family is the Moebius-inverted prime-zeta family
 (zeta_numerics.prime_zeta_taylor) less the head primes' power sums, in the
 same integers (zeta_numerics.prime_zeta_fixed); the families of a V chunk
-share one absolute accuracy (_v_chunk), their log zeta values and one
-integer pass per head prime over the orders the chunk adds
-(zeta_numerics.head_power_sums), on the one list of head primes the
-request sieves.  Below the cutoff every key's local factor is an exact
+share one absolute accuracy (_v_chunk), their log zeta values and one pass
+of the integer power-sum kernel over the head primes and the orders the
+chunk adds (zeta_numerics.head_power_sums), on the one list of head primes
+the request sieves.  Below the cutoff every key's local factor is an exact
 rational function of p (see below): the empty key's part is one product
 over the primes and a single log, the other keys' logs integer polynomials
 in p from one packed log per request (_head_polys), dotted with power
@@ -479,10 +479,10 @@ def _v_chunk(k, wmax, r0, R, digits, primes, head):
     """_v_series to order R, digits + 10 + L, |V_r| < 10**L, the tail's bits
     for it (_w_engine), and (Bh, rows), the head primes' power sums at the
     orders r0..R the chunk adds, rows[r - r0], from one head_power_sums pass
-    at those digits; r = 1 reads the whole family, so its row is 0.  A
-    family at that many absolute digits is within 2 * 10**-(digits+12+L),
-    so the r <= 200 terms V_r * family move W by under 10**-(digits+9),
-    below its floor."""
+    at those digits, each head prime a column of the power-sum kernel; r = 1
+    reads the whole family, so its row is 0.  A family at that many absolute
+    digits is within 2 * 10**-(digits+12+L), so the r <= 200 terms V_r *
+    family move W by under 10**-(digits+9), below its floor."""
     v_tab, vb_tab = _v_series(k, wmax, R, head)
     top = max(int(abs(f)) for vr in v_tab for f in vr.values())
     fam_digits = digits + 10 + len(str(top))
@@ -780,8 +780,8 @@ def a_factor(k, digits=50):
         # a first pass finds the last r the sum can read, where |b_r| times
         # the tail's envelope falls below thresh twice, and takes the largest
         # digits + 8 + L up to there: the families share one digit level, so
-        # one log zeta table, and the head primes' power sums one pass to
-        # that r.  In the sum a later r may raise the level and takes a pass
+        # one log zeta table, and the head primes' power sums one kernel pass
+        # to that r; a later r in the sum may raise the level and take a pass
         # of its own.  Each family less the head sums is prime_zeta_beyond's.
         fam_digits = small = 0
         for predict in (True, False):

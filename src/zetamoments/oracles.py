@@ -953,25 +953,28 @@ def _check_prime_zeta_routes():
                     )
 
 
-def _check_head_power_sums(pcut=3200, nmax=4, digits=30):
-    # one table for r = 2..18 at the absolute digits that carry `digits`
-    # relative ones to r = 18, within its stated 10**-(digits+13) of the
-    # power sums; the oracle is an mpf loop, 30 digits up
-    primes = primes_upto(pcut)
-    d = digits + int(18 * math.log10(pcut / 2.0)) + 8
-    B, rows = head_power_sums(primes, 2, 18, nmax, d)
-    with mp.workdps(d + 30):
-        for r, row in enumerate(rows, 2):
-            want = [mp.mpf(0)] * (nmax + 1)
-            for p in primes:
-                lp, t = mp.log(p), mp.mpf(p) ** -r
-                want[0] += t
-                for n in range(1, nmax + 1):
-                    t = t * lp / n
-                    want[n] += t
-            for n in range(nmax + 1):
-                if abs(mp.ldexp(row[n], -B) - want[n]) > mp.mpf(10) ** -(d + 13):
-                    raise AssertionError("r=%d n=%d" % (r, n))
+def _check_head_power_sums(nmax=4):
+    # each table within its stated 10**-(d+13) of the power sums, the oracle
+    # an mpf loop 30 digits up: r = 2..18 below 3200 at the absolute digits
+    # that carry 30 relative ones to r = 18, and r = 2..40 below 1000 at 20,
+    # where all but the first few primes' terms reach 0 and the kernel cuts
+    # their columns
+    for pcut, r1, d in ((3200, 18, 30 + int(18 * math.log10(1600)) + 8),
+                        (1000, 40, 20)):
+        primes = primes_upto(pcut)
+        B, rows = head_power_sums(primes, 2, r1, nmax, d)
+        with mp.workdps(d + 30):
+            for r, row in enumerate(rows, 2):
+                want = [mp.mpf(0)] * (nmax + 1)
+                for p in primes:
+                    lp, t = mp.log(p), mp.mpf(p) ** -r
+                    want[0] += t
+                    for n in range(1, nmax + 1):
+                        t = t * lp / n
+                        want[n] += t
+                for n in range(nmax + 1):
+                    if abs(mp.ldexp(row[n], -B) - want[n]) > mp.mpf(10) ** -(d + 13):
+                        raise AssertionError("p <= %d, r=%d n=%d" % (pcut, r, n))
 
 
 def _head_log_oracle(k, wmax, p):
@@ -1122,7 +1125,8 @@ FULL_CHECKS = [
     ("c_N power-sum route vs Schur d_table route, k = 3, 15 digits", "oracle",
      _check_assembly_routes),
     (
-        "head-prime power sums vs mpf loop, r = 2..18 below 3200, nmax 4",
+        "head-prime power sums vs mpf loop, nmax 4, r = 2..18 below 3200"
+        " and r = 2..40 below 1000, where the column cut fires",
         "oracle",
         _check_head_power_sums,
     ),

@@ -66,9 +66,10 @@ def weight(lam):
     return sum(lam)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n):
     """All partitions of n in reverse lexicographic order."""
+    _check_index(n, "n")
     if n == 0:
         return ((),)
     out = []
@@ -86,9 +87,10 @@ def partitions_of(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def conjugate(lam):
     """Transpose of the diagram."""
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for q in lam if q > i) for i in range(lam[0]))
@@ -115,6 +117,7 @@ def contains(lam, kap):
 
 def frobenius_coords(lam):
     """Diagonal arm/leg coordinates (p | q)."""
+    lam = check_partition(lam)
     lt = conjugate(lam)
     d = 0
     while d < len(lam) and lam[d] > d:
@@ -140,6 +143,9 @@ def complement(lam, K, L):
     vectorized to K rows.  None is a "does not fit" signal, not an error; callers
     decide whether that means a zero contribution or bad input.
     """
+    lam = check_partition(lam)
+    _check_index(K, "K")
+    _check_index(L, "L")
     if len(lam) > K or (lam and lam[0] > L):
         return None
     v = list(lam) + [0] * (K - len(lam))
@@ -198,6 +204,7 @@ def dim_paths(kap, lam):
 
 def dim_hook(lam):
     """Standard tableaux of straight shape lam by the hook length formula."""
+    lam = check_partition(lam)
     n = sum(lam)
     if n == 0:
         return 1

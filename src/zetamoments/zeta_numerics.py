@@ -20,25 +20,26 @@ the primes from 11 beyond, and mu from one sieve.  Each
 family is served, as the exact values of those sums, by one lookup
 (prime_zeta_taylor) to the W engine, which reads it less the head primes'
 power sums as integers (prime_zeta_fixed), to prime_zeta_beyond, an mpf
-view of that route, and to the cache.  The head's sums come from one
-integer pass per prime over a run of orders r (head_power_sums) on a list
-of primes, which the engine sieves (primes_upto) and outside input passes
+view of that route, and to the cache.  One integer power-sum kernel
+(_dirichlet_sums) sums Borwein's series, the Euler product and the head
+primes' power sums over a run of orders r (head_power_sums), each prime a
+column, on a list the engine sieves (primes_upto) and outside input passes
 through checked_primes.  Integer logs come from one table (int_log).
 oracles._check_log_zeta_routes holds the table's Borwein rows to the
-integer Euler-Maclaurin kernel's log zeta plus mpf logs of the four
-factors; the kernel shares the column sums, int_log and the series log with
+integer Euler-Maclaurin route's log zeta plus mpf logs of the four
+factors; that route shares the kernel, int_log and the series log with
 them and also serves the oracles' zeta_taylor and Stieltjes constants.
 oracles.prime_zeta_direct, which sums sieved primes in plain mpf arithmetic
-and closes the tail with mpmath's own zeta derivatives, shares only the prime sieve (tested against trial division)
-with the default route, and must stay so: it is the oracle the default
-route is checked against.
+and closes the tail with mpmath's own zeta derivatives, shares only the
+prime sieve (tested against trial division) with the default route, and
+must stay so: it is the oracle the default route is checked against.
 """
 
 import itertools
 import math
 import numbers
 from functools import lru_cache
-from operator import add, floordiv, lt, mul, rshift, sub
+from operator import add, floordiv, itemgetter, lt, mul, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
@@ -140,26 +141,28 @@ def _atanh_inv(m, W):
 
 def _dirichlet_sums(cols, ys, nmax, B):
     """[sum over the columns (q, w, L) of floor(w_a / q**y), a <= nmax] at
-    each y of the range ys, in units of 2**-B; q ascends.  With w under a
-    unit below 2**B c for some 0 < c <= 1 and L under 2/c units below 2**B
-    log q, w_a = floor(w_{a-1} * L / 2**B / a), w_0 = w, is under 3 * (1 +
-    log q)**a below 2**B c (log q)**a / a!, and each y's term, the last
-    floor-divided by q (floor(floor(x)/q) = floor(x/q)), under 4 * (1 + log
-    q)**a.  Columns whose terms are all 0 are cut from the end."""
-    qs, terms = [q for q, _, _ in cols], []
-    for q, w0, L in cols:
-        w = [w0]
-        for a in range(1, nmax + 1):
-            w.append((w[-1] * L >> B) // a)
-        terms.append([v // q ** ys[0] for v in w])
-    terms, out = [list(col) for col in zip(*terms)], []
+    each y of the range ys, in units of 2**-B: the one integer power-sum
+    kernel, one C-level pass over all columns per order and per y.  With w
+    under a unit below 2**B c for some 0 < c <= 1 and L under 2/c units
+    below 2**B log q, w_a = floor(w_{a-1} * L / 2**B / a), w_0 = w, is under
+    3 * (1 + log q)**a below 2**B c (log q)**a / a!, and each y's term, the
+    last floor-divided by q (floor(floor(x)/q) = floor(x/q)), under 4 * (1 +
+    log q)**a.  Columns whose terms are all 0 are cut from the end: a term
+    at 0 stays 0, so the cut is exact in any column order, and ascending q
+    lets it fire early."""
+    qs, w, L = [*map(list, zip(*cols))] or ([], [], [])
+    terms, last = [w], itemgetter(-1)
+    for a in range(1, nmax + 1):
+        wL = map(rshift, map(mul, terms[-1], L), itertools.repeat(B))
+        terms.append(list(map(floordiv, wL, itertools.repeat(a))))
+    out = []
     for y in ys:
-        if y > ys[0]:
-            terms = [list(map(floordiv, col, qs)) for col in terms]
-        while qs and not any(col[-1] for col in terms):
+        div = qs if out else list(map(pow, qs, itertools.repeat(y)))
+        terms = [list(map(floordiv, col, div)) for col in terms]
+        while qs and not any(map(last, terms)):
             for col in (qs, *terms):
                 col.pop()
-        out.append([sum(col) for col in terms])
+        out.append(list(map(sum, terms)))
     return out
 
 
@@ -535,7 +538,10 @@ def checked_primes(primes):
     """primes as an ascending list, or ValueError: each must be an int (not
     a bool), prime, at most MAX_HEAD_PRIME (checked before the validating
     sieve runs) and listed once."""
-    ps = list(primes)
+    try:
+        ps = list(primes)
+    except TypeError:
+        raise ValueError("head primes must be an iterable, got %r" % (primes,)) from None
     if not set(map(type, ps)) <= {int}:
         bad = next(p for p in ps if type(p) is not int)
         raise ValueError("head primes must be ints, got %r" % (bad,))
@@ -556,43 +562,23 @@ def head_power_sums(primes, r0, r1, nmax, digits):
     """(B, rows): rows[r - r0][n], r0 <= r <= r1, is the power sum over the
     primes (ascending, as checked_primes returns them) of p**-r * l**n / n!,
     l = log p, as an integer in units of 2**-B, within 10**-(digits+13); all
-    0 for no primes.  One integer pass per prime over r0..r1; B is set by
-    the primes, nmax and digits alone, and each row is exact to a floor, so
-    no row depends on the r0 its pass starts from.
+    0 for no primes, and no rows for r1 < r0.  B is set by the primes, nmax
+    and digits alone, and each row is exact to a floor, so no row depends on
+    the r0 the pass starts from.
 
-    Terms are integers in units of 2**-B: t_0 = floor(2**B / p**r), under a
-    unit off (a pass starts at floor(2**B / p**r0) and steps r by t_0 //= p,
-    which keeps the floor exact: floor(floor(x)/p) = floor(x/p) for an
-    integer p); L = int_log(p, B), from the log table, under 2 units off
-    2**B * l; and t_n = floor(t_{n-1} * L / 2**B / n).  Each step n scales
-    the error carried in by L/2**B/n < (1+l)/n and adds under 3: its floor,
-    plus L's error, under 2, times p**-r * l**(n-1)/(n-1)!/n <= p**(1-r) <=
-    1.  So term n of one prime is off by under 3 * sum_{j<=n} (1+l)**j/j! <=
-    3 * (2+l)**n units, below 2**(2 + n*g) with g = bit_length(int(log max
-    p) + 3), and a sum over the primes by under 2**(s - B) units of 1, where
-    s = len.bit_length() + nmax*g + 2.  B = prec + s + 10, prec the working
+    The primes are the columns (p, 2**B, int_log(p, B)), no log taken at
+    nmax = 0, of one _dirichlet_sums pass over r0..r1: int_log is under 2
+    units below 2**B l, so term n of one prime is under 4 * (1 + l)**n
+    units off, below 2**(2 + n*g) with g = bit_length(int(log max p) + 3)
+    (1 + l < 2**g), and a row within 2**(s - B) of its exact value, where s
+    = len.bit_length() + nmax*g + 2.  B = prec + s + 10, prec the working
     precision of digits + 10, makes it 2**-(prec+10) < 10**-(digits+13).
-    The primes go 256 at a time through C-level map passes, which keeps
-    memory flat however many there are.
     """
     g = (int(math.log(primes[-1])) + 3).bit_length() if primes else 0
     B = dps_to_prec(digits + 10) + len(primes).bit_length() + nmax * g + 12
-    one = 1 << B
-    rows = [[0] * (nmax + 1) for _ in range(r0, r1 + 1)]
-    for i in range(0, len(primes), 256):
-        block = primes[i : i + 256]
-        t = [one // p ** r0 for p in block]
-        logs = [int_log(p, B) for p in block] if nmax else ()
-        for j, row in enumerate(rows):
-            if j:
-                t = list(map(floordiv, t, block))
-            row[0] += sum(t)
-            u = t
-            for n in range(1, nmax + 1):
-                u = map(rshift, map(mul, u, logs), itertools.repeat(B))
-                u = list(map(floordiv, u, itertools.repeat(n)))
-                row[n] += sum(u)
-    return B, rows
+    logs = map(int_log, primes, itertools.repeat(B)) if nmax else itertools.repeat(0)
+    cols = zip(primes, itertools.repeat(1 << B), logs)
+    return B, _dirichlet_sums(cols, range(r0, r1 + 1), nmax, B)
 
 
 def prime_zeta_fixed(coeffs, nmax, B, head_row, Bh):

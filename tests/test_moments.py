@@ -48,7 +48,15 @@ from zetamoments.oracles import (
     d_table_symbolic,
     f_table,
 )
-from zetamoments.partitions import centralizer_order, dim_complement, partitions_of
+from zetamoments.partitions import (
+    centralizer_order,
+    complement,
+    conjugate,
+    dim_complement,
+    dim_hook,
+    frobenius_coords,
+    partitions_of,
+)
 from zetamoments.symseries import (
     EMPTY_KEY,
     POWERSUM,
@@ -61,7 +69,8 @@ from zetamoments.symseries import (
     series_mul,
 )
 from zetamoments import zeta_numerics
-from zetamoments.zeta_numerics import MAX_WEIGHT, head_power_sums, primes_upto
+from zetamoments.zeta_numerics import (
+    MAX_WEIGHT, head_power_sums, prime_zeta_beyond, primes_upto)
 
 F = Fraction
 
@@ -1465,6 +1474,15 @@ BAD_INDICES = [
     (character_value, (3, (3,)), "partition"),
     (dim_complement, (2, (1,), 2), "partition"),
     (PairSeries, (POWERSUM, 2, {(1, (1,)): 1}), "partition"),
+    (prime_zeta_beyond, (2, 1, None), "head primes"),
+    (power_dim_table, (None, 0), "k"),
+    (power_dim_table, ("2", 1), "k"),
+    (dim_hook, ((2, 3),), "partition parts"),
+    (dim_hook, (None,), "partition"),
+    (frobenius_coords, ((1, 2),), "partition parts"),
+    (complement, ((1,), 2.0, 2), "K"),
+    (partitions_of, (2.0,), "n"),
+    (conjugate, ((1, 2),), "partition parts"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -740,7 +741,25 @@ def _euler_bits(y, nmax, b):
     return max(2, -(-(b + 4 * nmax + 4) // (y - 1)))
 
 
+# md5 of repr((rows, mu, b)) of each log zeta_11 table
+LOG_ZETA_DIGESTS = {
+    (0, 75): "0de3d267c317aed6234577bf35d1efed",
+    (4, 37): "47c314ba79d826f1817caf3e27ca32b3",
+    (9, 60): "1297619bd9bb240d5a19d06fb9bd5a7d",
+    (2, 15): "7596da76ca7b895be272e09935b16e91",
+    (16, 30): "52fd3b9c4c6140677a38b5c30d7d8bca",
+}
+
+
 class TestLogZetaRoutes:
+    @pytest.mark.parametrize("nmax, digits", list(LOG_ZETA_DIGESTS))
+    def test_tables_match_their_digests(self, nmax, digits):
+        # a fresh build, past the memo: the tables are exact, so a change to
+        # the power-sum kernel or the series code that moves any bit shows
+        table = zeta_numerics._log_zeta_table.__wrapped__(nmax, digits)
+        digest = hashlib.md5(repr(table).encode()).hexdigest()
+        assert digest == LOG_ZETA_DIGESTS[(nmax, digits)]
+
     @pytest.mark.parametrize("b", [120, 260, 480])
     @pytest.mark.parametrize("nmax", [0, 4, 9, 16])
     def test_both_routes_agree_around_the_crossover(self, nmax, b):
@@ -949,6 +968,33 @@ class TestBeyondAndEnvelope:
             assert row[0] == sum((1 << B) // p**r for p in ps), r
             assert head_power_sums(ps, r, r, 4, 40) == (B, [row]), r
             assert head_power_sums(ps, r, 20, 4, 40)[1][0] == row, r
+
+    def test_column_cut_is_exact_at_head_scale(self):
+        # at 5 digits B is 94 bits, so by r = 40 every prime but 2, 3 and 5
+        # has all its terms at 0 and the kernel has cut its column; each row
+        # is still, bit for bit, the per-prime sum of floor(w_n / p**r), w_n
+        # the chain from 2**B (a term at 0 stays 0, so a prime's loop ends
+        # once p**r passes its largest w_n)
+        ps, nmax = primes_upto(67968), 4
+        B, rows = head_power_sums(ps, 2, 40, nmax, 5)
+        want, live = [[0] * (nmax + 1) for _ in range(2, 41)], []
+        for p in ps:
+            w, L = [1 << B], int_log(p, B)
+            for n in range(1, nmax + 1):
+                w.append((w[-1] * L >> B) // n)
+            if p**40 <= max(w):
+                live.append(p)
+            for r in range(2, 41):
+                q = p**r
+                if q > max(w):
+                    break
+                for n, v in enumerate(w):
+                    want[r - 2][n] += v // q
+        assert live == [2, 3, 5]
+        assert rows == want
+        assert head_power_sums([], 2, 40, nmax, 5)[1] == [[0] * (nmax + 1)] * 39
+        assert head_power_sums(ps, 5, 4, nmax, 5) == (B, [])
+        assert head_power_sums([], 5, 4, nmax, 5)[1] == []
 
     @pytest.mark.parametrize(
         "pcut, nmax, digits", [(67968, 0, 60), (3200, 4, 40), (316, 4, 25)]
