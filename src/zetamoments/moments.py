@@ -17,12 +17,12 @@ is the paper's exact object and the oracle the engine is checked against
 (oracles.V_poly).
 
 The naive r-sum defining W diverges for k >= 3 because the V side outgrows
-the decay of the prime family.  The engine therefore splits: local log
-factors are accumulated over the primes up to a cutoff (with each prime's
-leading 1/p part removed), and the r-sum is restarted on the primes beyond
-the cutoff only, where it converges geometrically; that sum, V_r times a
-family per key, and its stop test run in B-bit integers (_w_engine).  Each
-beyond-cutoff family is the Moebius-inverted prime-zeta family
+the decay of the prime family.  The engine therefore splits: each prime's
+whole local log is accumulated over the primes up to a cutoff, and the
+r-sum is restarted on the primes beyond the cutoff only, where it converges
+geometrically; that sum, V_r times a family per key, and its stop test run
+in B-bit integers (_w_engine).  At every order r, r = 1 (the regularized
+family) included, the family is the Moebius-inverted prime-zeta family
 (zeta_numerics.prime_zeta_taylor) less the head primes' power sums, in the
 same integers (zeta_numerics.prime_zeta_fixed); the families of a V chunk
 share one absolute accuracy (_v_chunk), their log zeta values and one pass
@@ -306,9 +306,11 @@ def _truncation(k, wmax, digits, tol_f):
     table is the scalar _b_series and a tail order costs one family and one
     head-power row per head prime, so R_w = 28 there, never below
     a_factor's max(800, 4 rho) nor above _prime_cutoff's.  R is the least
-    multiple of 4 from 16 that reaches t at pcut; the engine adds 4 orders
-    at a time if the tail has not closed by then.  A weight past MAX_WEIGHT
-    is refused, after the cutoff's own refusals.
+    multiple of 4 from 16 that reaches t at pcut and the first order the
+    tail may stop at (_min_stop), so weights from 14 on build one table to
+    20 rather than a 16-order one the stop rule cannot use; the engine adds
+    4 orders at a time if the tail has not closed by then.  A weight past
+    MAX_WEIGHT is refused, after the cutoff's own refusals.
     """
     log10_t, rho = _target(digits, tol_f), _rho_inv(k)
     cut = min(max(50.0, _order_cut(rho, log10_t, 16)),
@@ -319,7 +321,7 @@ def _truncation(k, wmax, digits, tol_f):
             "weight %d beyond the supported MAX_WEIGHT = %d" % (wmax, MAX_WEIGHT),
             meta={"k": k, "weight": wmax, "digits": digits, "tol": tol_f},
         )
-    while (R - 1) * math.log10(pcut / rho) < log10_t:
+    while (R - 1) * math.log10(pcut / rho) < log10_t or R < _min_stop(wmax):
         R += 4
     return pcut, R
 
@@ -388,35 +390,34 @@ def _head_logs(k, wmax, primes, head):
     each within 2**-(prec+10) of the exact sum, P primes; one integer pass
     per prime, head _head_polys(k, wmax).
 
-    The empty key takes sum_p log z_0(1/p) - k**2/p, z_0(1/p) = A_k(p) p**k
-    / (p-1)**(2k-1) (module docstring), as one log of the product T =
-    floor(T A_k(p) p**k / (p-1)**(2k-1)) from T = 2**B0, less S = sum
-    floor(k**2 2**B0 / p).  z_0 > 1 keeps T >= 2**B0, so each floor moves
-    log T by under 2**(1-B0), and S by under 2**-B0: under 3P 2**-B0 <
-    2**-(prec+10) in all for B0 = prec + bit_length(P) + 12.  T grows to
-    about 2**B0 exp(k**2 sum 1/p), 2**(B0+35) at k = 3 and p < 67,968, with
-    no rescaling; the log and the subtraction run at B0 + 10 bits.
+    Every head prime's whole local log is kept: the tail subtracts the
+    head primes' power sums at every order r, r = 1 as well (_v_chunk).
+
+    The empty key takes sum_p log z_0(1/p), z_0(1/p) = A_k(p) p**k /
+    (p-1)**(2k-1) (module docstring), as one log of the product T =
+    floor(T A_k(p) p**k / (p-1)**(2k-1)) from T = 2**B0.  z_0 > 1 keeps T
+    >= 2**B0, so each floor moves log T by under 2**(1-B0): under 2P
+    2**-B0 < 2**-(prec+10) in all for B0 = prec + bit_length(P) + 12.  T
+    grows to about 2**B0 exp(k**2 sum 1/p), 2**(B0+35) at k = 3 and p <
+    67,968, with no rescaling; the log runs at B0 + 10 bits.
 
     A key (mu, nu) of weight n >= 1 takes the sum over the primes of
-    (-log p)**n lg', lg' = lg_{mu nu} - [n1/p]: lg = log(1 + sum x) over the
-    pair series, x_{mu nu} = X_{mu nu}(1/p) / nd, and n1 = k**(2-len(mu)-
-    len(nu)) / (mu_1! nu_1!) <= k**2 the leading 1/p part, removed only
-    where both partitions have at most one part.  With d = p**(k-1) A_k(p)
-    and D = d (p-1), n! x = Shat(p) / D**n, Shat = (n!/nd) Ntil d**(n-1)
-    (module docstring), and as the log is graded, n! lg = Lhat(p) / D**n,
-    Lhat the packed log of Shat (_head_polys); both have degree at most
-    (2k-1) n.  So with F_n = (log p)**n / (n! p D**n), M_{n,i} = sum_p
-    p**(i+1) F_n and Z_n = sum_p D**n F_n, the sum is (-1)**n (sum_i Lhat_i
-    M_{n,i} - n! n1 Z_n), as n! p D**n lg' = p Lhat - n! n1 D**n.  In units
-    u = 2**-B, with c = 1 + log(max prime):
+    (-log p)**n lg, lg = lg_{mu nu} = log(1 + sum x) over the pair series,
+    x_{mu nu} = X_{mu nu}(1/p) / nd.  With d = p**(k-1) A_k(p) and D = d
+    (p-1), n! x = Shat(p) / D**n, Shat = (n!/nd) Ntil d**(n-1) (module
+    docstring), and as the log is graded, n! lg = Lhat(p) / D**n, Lhat the
+    packed log of Shat (_head_polys); both have degree at most (2k-1) n.
+    So with F_n = (log p)**n / (n! p D**n) and M_{n,i} = sum_p p**(i+1)
+    F_n, the sum is (-1)**n sum_i Lhat_i M_{n,i}.  In units u = 2**-B,
+    with c = 1 + log(max prime):
     - P_n = floor(P_{n-1} L / 2**B), L = int_log(p, B) under 2 units off,
       is under 3n c**(n-1) units off 2**B (log p)**n, so F_n, kept as
       floor(2**(S_n - B) P_n / (n! p D**n)) in units 2**-S_n, moves the sum
-      by under 3n c**(n-1) |lg'| u, and its floor by n! p D**n |lg'| 2**-S_n.
-    - |lg'| <= G_n = Lam_n / n! + k**2, Lam_n the _log_l1 bound from the
-      weight-n sums of n! xbar, xbar = sum_i |N_i| 2**(n-i) / nd >= x at
-      every prime (A_k(p) >= p**(k-1), each term decreases in p, and -log(1
-      - |X|) majorizes log(1 + X)); D grows with p, so S_n = B + bit_length(
+      by under 3n c**(n-1) |lg| u, and its floor by n! p D**n |lg| 2**-S_n.
+    - |lg| <= G_n = Lam_n / n!, Lam_n the _log_l1 bound from the weight-n
+      sums of n! xbar, xbar = sum_i |N_i| 2**(n-i) / nd >= x at every
+      prime (A_k(p) >= p**(k-1), each term decreases in p, and -log(1 -
+      |X|) majorizes log(1 + X)); D grows with p, so S_n = B + bit_length(
       P n! pmax D(pmax)**n G_n) keeps the floors under a unit in all.
     - The dot products are exact, each floored once to B bits.
     So a key is off by under (3n c**(n-1) G_n P + 2) u < 2**(g +
@@ -428,12 +429,11 @@ def _head_logs(k, wmax, primes, head):
     keys, starts, twin = plan.keys, plan.starts, plan.twin
     bits = mp.prec + len(primes).bit_length() + 10
     B0 = bits + 2
-    T, S0 = 1 << B0, 0
-    k2B = (k * k) << B0
+    T = 1 << B0
     row = _gauss_square_poly(k)
     if wmax:
         K, L, lam, _ = head
-        G = [math.ceil(v / math.factorial(n)) + k * k for n, v in enumerate(lam)]
+        G = [math.ceil(v / math.factorial(n)) for n, v in enumerate(lam)]
         top = primes[-1] if primes else 2
         lc = math.log2(1 + math.log(top))
         B = bits + 2 + max(math.ceil(math.log2(3 * n * G[n]) + (n - 1) * lc)
@@ -441,36 +441,31 @@ def _head_logs(k, wmax, primes, head):
         Dtop = top ** (k - 1) * (top - 1) * sum(a * top ** j for j, a in enumerate(row))
         S = [B + (len(primes) * math.factorial(n) * top * Dtop ** n * G[n])
              .bit_length() for n in range(wmax + 1)]
-        M, Z = [[0] * ((2 * k - 1) * n + 1) for n in range(wmax + 1)], [0] * (wmax + 1)
+        M = [[0] * ((2 * k - 1) * n + 1) for n in range(wmax + 1)]
     for p in primes:
         A = 0
         for c in row:
             A = A * p + c
         T = T * A * p ** k // (p - 1) ** (2 * k - 1)
-        S0 += k2B // p
         if not wmax:
             continue
-        Dp, Dn, den, lp, power = p ** (k - 1) * A * (p - 1), 1, p, int_log(p, B), 1 << B
+        Dp, den, lp, power = p ** (k - 1) * A * (p - 1), p, int_log(p, B), 1 << B
         for n in range(1, wmax + 1):
             power = power * lp >> B
-            Dn, den = Dn * Dp, den * n * Dp
+            den *= n * Dp
             F = (power << S[n] - B) // den
-            Z[n] += F * Dn
             Mn = M[n]
             for i in range(len(Mn)):
                 F *= p
                 Mn[i] += F
     with mp.workprec(B0 + 10):
-        out = {EMPTY_KEY: mp.log(mp.ldexp(T, -B0)) - mp.ldexp(S0, -B0)}
+        out = {EMPTY_KEY: mp.log(mp.ldexp(T, -B0))}
     for n in range(1, wmax + 1):
         for i in range(starts[n], starts[n + 1]):
-            m, nu = keys[i]
             if twin[i] < i:
                 out[keys[i]] = out[keys[twin[i]]]
                 continue
             acc = sum(map(mul, _unpack(L[i], K, len(M[n])), M[n]))
-            if len(m) <= 1 and len(nu) <= 1:
-                acc -= k ** (2 - len(m) - len(nu)) * math.comb(n, sum(m)) * Z[n]
             out[keys[i]] = mp.make_mpf(from_man_exp((-1) ** n * (acc >> S[n] - B), -B))
     return out
 
@@ -479,17 +474,16 @@ def _v_chunk(k, wmax, r0, R, digits, primes, head):
     """_v_series to order R, digits + 10 + L, |V_r| < 10**L, the tail's bits
     for it (_w_engine), and (Bh, rows), the head primes' power sums at the
     orders r0..R the chunk adds, rows[r - r0], from one head_power_sums pass
-    at those digits, each head prime a column of the power-sum kernel; r = 1
-    reads the whole family, so its row is 0.  A family at that many absolute
-    digits is within 2 * 10**-(digits+12+L), so the r <= 200 terms V_r *
-    family move W by under 10**-(digits+9), below its floor."""
+    at those digits, each head prime a column of the power-sum kernel; every
+    order, r = 1 too, reads its family less them, as _head_logs keeps each
+    head prime's whole local log.  A family at that many absolute digits is
+    within 2 * 10**-(digits+12+L), so the r <= 200 terms V_r * family move W
+    by under 10**-(digits+9), below its floor."""
     v_tab, vb_tab = _v_series(k, wmax, R, head)
     top = max(int(abs(f)) for vr in v_tab for f in vr.values())
     fam_digits = digits + 10 + len(str(top))
-    Bh, rows = head_power_sums(primes, max(r0, 2), R, wmax, fam_digits)
-    if r0 == 1:
-        rows.insert(0, [0] * (wmax + 1))
-    return v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40, (Bh, rows)
+    return (v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40,
+            head_power_sums(primes, r0, R, wmax, fam_digits))
 
 
 def _min_stop(wmax):
@@ -576,8 +570,6 @@ def _w_engine(k, wmax, digits, tol_f):
                 for h in (*history.values(), gmax_hist):
                     h.extend([h.popleft() << s for _ in range(len(h))])
             vr, vb = v_tab[r], vb_tab[r]
-            # r = 1 takes the whole regularized family: _head_logs left out
-            # every head prime's leading 1/p part
             fam = prime_zeta_fixed(prime_zeta_taylor(r, wmax, fam_digits).coeffs,
                                    wmax, B, rows[r - r0], Bh)
             allsmall, tmax = True, 0

@@ -953,6 +953,19 @@ def _check_prime_zeta_routes():
                     )
 
 
+def _power_sums_mpf(primes, r, nmax):
+    """[sum over the primes of p**-r (log p)**n / n!, n <= nmax], an mpf
+    loop at the working precision: head_power_sums' oracle."""
+    out = [mp.mpf(0)] * (nmax + 1)
+    for p in primes:
+        lp, t = mp.log(p), mp.mpf(p) ** -r
+        out[0] += t
+        for n in range(1, nmax + 1):
+            t = t * lp / n
+            out[n] += t
+    return out
+
+
 def _check_head_power_sums(nmax=4):
     # each table within its stated 10**-(d+13) of the power sums, the oracle
     # an mpf loop 30 digits up: r = 2..18 below 3200 at the absolute digits
@@ -965,13 +978,7 @@ def _check_head_power_sums(nmax=4):
         B, rows = head_power_sums(primes, 2, r1, nmax, d)
         with mp.workdps(d + 30):
             for r, row in enumerate(rows, 2):
-                want = [mp.mpf(0)] * (nmax + 1)
-                for p in primes:
-                    lp, t = mp.log(p), mp.mpf(p) ** -r
-                    want[0] += t
-                    for n in range(1, nmax + 1):
-                        t = t * lp / n
-                        want[n] += t
+                want = _power_sums_mpf(primes, r, nmax)
                 for n in range(nmax + 1):
                     if abs(mp.ldexp(row[n], -B) - want[n]) > mp.mpf(10) ** -(d + 13):
                         raise AssertionError("p <= %d, r=%d n=%d" % (pcut, r, n))
@@ -980,8 +987,8 @@ def _check_head_power_sums(nmax=4):
 def _head_log_oracle(k, wmax, p):
     """One head prime's part of every key's W by the mpf pair-series log at
     the working precision, the route moments._head_logs replaced: the log
-    of 1 + X with each X_{mu nu}(1/p) scaled by (-log p)**n / nd, less the
-    leading 1/p part of the keys whose partitions have at most one part."""
+    of 1 + X with each X_{mu nu}(1/p) scaled by (-log p)**n / nd, and the
+    empty key's log z_0(1/p): the prime's whole local log."""
     A = 0
     for c in _gauss_square_poly(k):
         A = A * p + c
@@ -996,22 +1003,15 @@ def _head_log_oracle(k, wmax, p):
             t = t * p + c
         x[(m, nu)] = mp.mpf(t) / (p ** (k - 1) * A * (p - 1) ** n * nd) * lp**n
     out = series_log(PairSeries(POWERSUM, wmax, x)).coeffs
-    out[EMPTY_KEY] = (
-        mp.log(mp.mpf(A * p**k) / (p - 1) ** (2 * k - 1)) - mp.mpf(k * k) / p
-    )
-    for m, nu in keys[1:]:
-        if len(m) <= 1 and len(nu) <= 1:
-            n1 = mp.mpf(k ** (2 - len(m) - len(nu))) / (
-                math.factorial(sum(m)) * math.factorial(sum(nu))
-            )
-            out[(m, nu)] = out.get((m, nu), 0) - n1 * lp ** (sum(m) + sum(nu)) / p
+    out[EMPTY_KEY] = mp.log(mp.mpf(A * p**k) / (p - 1) ** (2 * k - 1))
     return out
 
 
 def _check_head_log(*points):
     # one prime at a time, so each key's bound is 2**-(prec+10); p = 2 and
     # 3 have the largest ratios, the last head prime the largest log powers;
-    # k = 1 has the single-part keys' 1/p fold on (p - 1)**n alone
+    # k = 1 has D = p - 1, so every key's log is a polynomial in p over
+    # (p - 1)**n alone
     for k, wmax, digits in points or ((3, 4, 15), (1, 1, 15), (1, 2, 15),
                                       (1, 3, 15), (4, 6, 15)):
         primes = primes_upto(_prime_cutoff(k, digits, 10.0**-digits))
@@ -1029,7 +1029,8 @@ def _check_head_log(*points):
 
 def _check_w_tail(k=2, wmax=4, digits=10):
     # the mpf sum the integer tail replaced, at digits + 20 over the engine's
-    # r_max_used: head + V_1 P(1) + sum_r V_r P_beyond(r) at its chunk's digits
+    # r_max_used: head + sum_r V_r P_beyond(r) at its chunk's digits, where
+    # P_beyond(1) is the regularized family less the mpf head power sums
     got, _, meta = _w_engine(k, wmax, digits, 10.0**-digits)
     with mp.workdps(digits + 20):
         # the engine's tables: _truncation's R, then 4 orders at a time
@@ -1044,7 +1045,9 @@ def _check_w_tail(k=2, wmax=4, digits=10):
                 v_tab, _, fam_digits, *_ = _v_chunk(k, wmax, r, R, digits, primes,
                                                     polys)
             fam = (prime_zeta_beyond(r, wmax, primes, fam_digits) if r > 1
-                   else prime_zeta_taylor(1, wmax, fam_digits).coeffs)
+                   else [c - (-1) ** n * h for n, (c, h) in enumerate(zip(
+                       prime_zeta_taylor(1, wmax, fam_digits).coeffs,
+                       _power_sums_mpf(primes, 1, wmax)))])
             for (m, nu), fv in v_tab[r].items():
                 want[(m, nu)] += (mp.mpf(fv.numerator) / fv.denominator
                                   * fam[sum(m) + sum(nu)])

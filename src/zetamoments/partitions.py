@@ -10,7 +10,7 @@ and a determinant of reciprocal factorials in integers, the engine's route
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial, perm, prod
 from typing import NamedTuple
 
@@ -47,6 +47,33 @@ def _check_index(value, name, low=0):
         )
 
 
+def _memo(name, kind):
+    """lru_cache(typed=True) that refuses an unhashable argument, such as a
+    list where a tuple is due, as malformed input: ValueError "<name> must
+    be <kind>".  The test runs only once the cache's own lookup has raised,
+    so a hit costs the lookup and one call; __wrapped__ is the cache."""
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=None, typed=True)(fn)
+
+        @wraps(cached)
+        def call(*args):
+            try:
+                return cached(*args)
+            except TypeError:
+                for a in args:
+                    try:
+                        hash(a)
+                    except TypeError:
+                        raise ValueError("%s must be %s, got %r"
+                                         % (name, kind, a)) from None
+                raise
+
+        return call
+
+    return wrap
+
+
 def check_partition(lam):
     """Validate and normalize a partition given as any iterable of parts."""
     try:
@@ -66,7 +93,7 @@ def weight(lam):
     return sum(lam)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo("n", "an integer >= 0")
 def partitions_of(n):
     """All partitions of n in reverse lexicographic order."""
     _check_index(n, "n")
@@ -87,7 +114,7 @@ def partitions_of(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_memo("partition", "a tuple of parts")
 def conjugate(lam):
     """Transpose of the diagram."""
     lam = check_partition(lam)
@@ -180,7 +207,7 @@ def sort_merge(kap, lam, K, L):
     return tuple(x for x in mu if x > 0), omega
 
 
-@lru_cache(maxsize=None)
+@_memo("partition", "a tuple of parts")
 def dim_paths(kap, lam):
     """Number of weight(lam) - weight(kap) step paths from kap to lam in the Young lattice.
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .characters import character_table
-from .partitions import check_partition, partitions_of
+from .partitions import _check_index, check_partition, partitions_of
 
 POWERSUM = "powersum"
 SCHUR = "schur"
@@ -122,8 +122,7 @@ class PairSeries:
     def __init__(self, basis, max_weight, coeffs=None):
         if basis not in (POWERSUM, SCHUR):
             raise ValueError("unknown basis %r" % (basis,))
-        if not isinstance(max_weight, int) or max_weight < 0:
-            raise ValueError("max_weight must be a nonnegative integer")
+        _check_index(max_weight, "max_weight")
         self.basis = basis
         self.max_weight = max_weight
         self.coeffs = {}
@@ -195,15 +194,18 @@ def _plan(wmax):
     index = {key: i for i, key in enumerate(keys)}
     twin = tuple(index[key[::-1]] for key in keys)
     at = [range(starts[w], starts[w + 1]) for w in range(wmax + 1)]
+    left = [sum(m) for m, _ in keys]
 
     def times(a, b):
         (m1, n1), (m2, n2) = keys[a], keys[b]
         return index[(tuple(sorted(m1 + m2, reverse=True)),
                       tuple(sorted(n1 + n2, reverse=True)))]
 
+    # a weight-w key comes before its mirror only if |mu| <= w/2 (pair_keys'
+    # order), so a pair whose merged |mu| passes w/2 is dropped unformed
     products = tuple(
         tuple(tuple((o, a, b) for a in at[j] for b in at[w - j]
-                    if twin[o := times(a, b)] >= o)
+                    if 2 * (left[a] + left[b]) <= w and twin[o := times(a, b)] >= o)
               for j in range(w + 1))
         for w in range(wmax + 1)
     )

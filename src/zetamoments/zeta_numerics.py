@@ -582,11 +582,11 @@ def head_power_sums(primes, r0, r1, nmax, digits):
 
 
 def prime_zeta_fixed(coeffs, nmax, B, head_row, Bh):
-    """The family coeffs (prime_zeta_taylor's) less head_row, the head
-    primes' power sums at its r in units of 2**-Bh (head_power_sums; all 0
-    for the whole family), [n <= nmax] in units of 2**-B, under 2 units off
-    coeffs less the exact sums: each c to floor(2**B c), each head value v
-    to floor(v 2**(B - Bh))."""
+    """The family coeffs (prime_zeta_taylor's, at r = 1 the regularized
+    one) less head_row, the head primes' power sums at its r in units of
+    2**-Bh (head_power_sums), [n <= nmax] in units of 2**-B, under 2 units
+    off coeffs less the exact sums: each c to floor(2**B c), each head
+    value v to floor(v 2**(B - Bh))."""
     return [to_fixed(c._mpf_, B) + ((v if n % 2 else -v) << B >> Bh)
             for n, (c, v) in enumerate(zip(coeffs[: nmax + 1], head_row))]
 

@@ -44,6 +44,7 @@ from zetamoments.oracles import (
     _check_assembly_routes,
     _check_head_log,
     _check_w_tail,
+    _power_sums_mpf,
     _series_log_list,
     d_table_symbolic,
     f_table,
@@ -54,6 +55,7 @@ from zetamoments.partitions import (
     conjugate,
     dim_complement,
     dim_hook,
+    dim_paths,
     frobenius_coords,
     partitions_of,
 )
@@ -370,7 +372,7 @@ def _b_series_by_series_log(k, R, absolute=False):
 
 def _empty_key_reference(k, primes, wdps):
     """The head part of W at the empty key as a per-prime mpf loop: the local
-    factor z0 summed from its integer coefficient row, then log z0 - k**2/p."""
+    factor z0 summed from its integer coefficient row, then log z0."""
     with mp.workdps(wdps):
         u_top = int((wdps * math.log(10) + 30) / math.log(2)) + 30
         row = _a_seqs(k, 0, u_top)[()]
@@ -379,7 +381,7 @@ def _empty_key_reference(k, primes, wdps):
             up = min(u_top, int((wdps * math.log(10) + 30) / math.log(p)) + 30)
             d = sum(row[u] ** 2 * p ** (up - u) for u in range(up + 1))
             z0 = mp.mpf(d) * mp.mpf(p) ** (-up)
-            out += mp.log(z0) - mp.mpf(k * k) / p
+            out += mp.log(z0)
         return out
 
 
@@ -469,8 +471,8 @@ def test_head_polys_are_the_exact_log(k, p):
 
 
 class TestHeadLogs:
-    """The integer head against the mpf pair-series log it replaced, with
-    the leading 1/p part removed from the single-part keys."""
+    """The integer head against the mpf pair-series log it replaced, each
+    head prime's whole local log."""
 
     @pytest.mark.parametrize("k,wmax,digits", [(3, 4, 15), (2, 4, 30), (3, 9, 30),
                                                (1, 1, 15), (1, 2, 15), (1, 3, 15),
@@ -497,6 +499,22 @@ class TestHeadLogs:
         assert all(v == 0 for v in got.values())
 
 
+@pytest.mark.parametrize("k, wmax", [(1, 3), (2, 4), (3, 4), (4, 6)])
+def test_v1_is_each_key_leading_inverse_p_part(k, wmax):
+    # V_1 times the head primes' r = 1 power sum is exactly the 1/p part
+    # the head once removed, so the tail can subtract it like any other r:
+    # V_1 is k**2 at the empty key, k**(2-len(mu)-len(nu)) C(n, |mu|) where
+    # both partitions have at most one part, and absent at every other key
+    v1 = _v_series(k, wmax, 1, _head_polys(k, wmax))[0][1]
+    want = {EMPTY_KEY: k * k}
+    for m, nu in _plan(wmax).keys[1:]:
+        if len(m) <= 1 and len(nu) <= 1:
+            n = sum(m) + sum(nu)
+            want[(m, nu)] = k ** (2 - len(m) - len(nu)) * math.comb(n, sum(m))
+    assert v1 == want
+    assert all(F(v).denominator == 1 for v in v1.values())
+
+
 def _relative_families(monkeypatch, digits):
     """Make the W engine take every prime family to digits + 10 digits
     relative to its own size: beyond the cutoff that adds the cancelled
@@ -516,7 +534,7 @@ def _relative_families(monkeypatch, digits):
         r, ps = seen["r"], seen["primes"]
         extra = int(r * math.log10(ps[-1] / 2.0)) + 8 if r > 1 else 0
         fam_digits = digits + 10 + extra
-        Bh, (row,) = head_power_sums(ps if r > 1 else [], r, r, nmax, fam_digits)
+        Bh, (row,) = head_power_sums(ps, r, r, nmax, fam_digits)
         return zeta_numerics.prime_zeta_fixed(
             taylor(r, nmax, fam_digits).coeffs, nmax, B, row, Bh)
 
@@ -631,11 +649,11 @@ class TestWEngine:
                     assert want == (mag < edge)
 
     def test_one_head_pass_serves_c0(self, monkeypatch):
-        # one head pass per V chunk, over the orders it adds (r = 1 reads
-        # the whole family): c_0(3) at 50 digits takes pcut 990 and R = 28
-        # and stops at r = 23, so its 166 head primes take one pass, r =
-        # 2..28; c_4(3) at 15 digits stays within R = 16; W at (2, 3, 40)
-        # adds the R = 20 table at r = 17
+        # one head pass per V chunk, over the orders it adds, r = 1 among
+        # them: c_0(3) at 50 digits takes pcut 990 and R = 28 and stops at
+        # r = 23, so its 166 head primes take one pass, r = 1..28; c_4(3)
+        # at 15 digits stays within R = 16; W at (2, 3, 40) adds the R = 20
+        # table at r = 17
         calls, real = [], moments.head_power_sums
 
         def counted(primes, r0, r1, nmax, digits):
@@ -644,10 +662,10 @@ class TestWEngine:
 
         monkeypatch.setattr(moments, "head_power_sums", counted)
         monkeypatch.setattr(moments, "_w_cache", {})
-        for run, want in [(lambda: c_coeff(0, 3, 50), [(2, 28)]),
-                          (lambda: c_coeff(4, 3, 15), [(2, 16)]),
+        for run, want in [(lambda: c_coeff(0, 3, 50), [(1, 28)]),
+                          (lambda: c_coeff(4, 3, 15), [(1, 16)]),
                           (lambda: moments._w_engine(2, 3, 40, 1e-40),
-                           [(2, 16), (17, 20)])]:
+                           [(1, 16), (17, 20)])]:
             calls.clear()
             run()
             assert calls == want
@@ -656,7 +674,8 @@ class TestWEngine:
     def test_integer_families_match_the_public_views(self, wmax, digits):
         # lead5's and c0's families, r = 1..R of their first V table (c0:
         # pcut 990, R = 28), at the engine's family digits and head rows,
-        # against the mpf views in units their rounding stays under
+        # against the mpf views in units their rounding stays under; r = 1
+        # is the regularized family less an mpf loop over the head primes
         pcut, R = moments._truncation(3, wmax, digits, 10.0**-digits)
         primes = primes_upto(pcut)
         _, _, fam_digits, _, (Bh, rows) = moments._v_chunk(
@@ -667,9 +686,13 @@ class TestWEngine:
             got = zeta_numerics.prime_zeta_fixed(
                 zeta_numerics.prime_zeta_taylor(r, wmax, fam_digits).coeffs,
                 wmax, B, row, Bh)
-            view = (zeta_numerics.prime_zeta_beyond(r, wmax, primes, fam_digits)
-                    if r > 1 else
-                    zeta_numerics.prime_zeta_taylor(1, wmax, fam_digits).coeffs)
+            if r > 1:
+                view = zeta_numerics.prime_zeta_beyond(r, wmax, primes, fam_digits)
+            else:
+                with mp.workdps(fam_digits + 10):
+                    view = [c - (-1) ** n * h for n, (c, h) in enumerate(zip(
+                        zeta_numerics.prime_zeta_taylor(1, wmax, fam_digits).coeffs,
+                        _power_sums_mpf(primes, 1, wmax)))]
             want = [to_fixed(c._mpf_, B) for c in view]
             assert len(got) == wmax + 1, r
             assert all(abs(a - b) <= 2 for a, b in zip(got, want)), r
@@ -973,6 +996,24 @@ class TestTruncation:
                     continue
                 assert moments._truncation(k, wmax, digits, tol_f) == want
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_first_table_reaches_the_first_stop(self, k):
+        # the first V table reaches the first order the tail may stop at,
+        # so P_4 builds one table (R = 20 at weight 16, where the 16-order
+        # cutoff alone gives 16 against a first stop of 19); below weight
+        # 14 R stays weight 1's
+        for digits in (5, 10, 15, 30):
+            tol_f = 10.0 ** -digits
+            try:
+                pcut, R1 = moments._truncation(k, 1, digits, tol_f)
+            except NonConvergenceError:
+                continue
+            for wmax in range(1, MAX_WEIGHT + 1):
+                got = moments._truncation(k, wmax, digits, tol_f)
+                assert got[1] >= moments._min_stop(wmax), (digits, wmax)
+                assert got == (pcut, R1 if wmax <= 13 else max(R1, 20)), (
+                    digits, wmax)
+
     @pytest.mark.parametrize("k, digits", [
         (k, d) for k in (1, 2, 3, 4, 5, 8) for d in (10, 15, 30, 50)
         if (k, d) != (8, 50)])
@@ -1047,7 +1088,8 @@ def test_exact_tables_match_their_digests(k, wmax, R):
 
 
 # every memo in the package, each paying on the c_N path or serving an oracle
-# route (frobenius_schur, dim_paths, monomial_eval); a new one needs a reason
+# route (frobenius_schur, dim_paths, monomial_eval); a new one needs a reason;
+# partitions' memos sit behind the wrapper that refuses unhashable input
 MEMOS = {
     "characters": {"_char_beta", "character_table"},
     "frobenius_schur": {"_faulhaber_half", "_hook_class_data",
@@ -1065,7 +1107,9 @@ def test_memo_census():
     for info in pkgutil.iter_modules(zetamoments.__path__):
         mod = importlib.import_module("zetamoments." + info.name)
         names = {name for name, obj in vars(mod).items()
-                 if isinstance(obj, functools._lru_cache_wrapper)
+                 if (isinstance(obj, functools._lru_cache_wrapper)
+                     or isinstance(getattr(obj, "__wrapped__", None),
+                                   functools._lru_cache_wrapper))
                  and obj.__module__ == mod.__name__}
         if names:
             found[info.name] = names
@@ -1483,6 +1527,10 @@ BAD_INDICES = [
     (complement, ((1,), 2.0, 2), "K"),
     (partitions_of, (2.0,), "n"),
     (conjugate, ((1, 2),), "partition parts"),
+    (conjugate, ([2, 1],), "partition"),
+    (partitions_of, ([2],), "n"),
+    (dim_paths, ([1], [2]), "partition"),
+    (PairSeries, (POWERSUM, True), "max_weight"),
 ]
 
 
