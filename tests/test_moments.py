@@ -501,10 +501,10 @@ class TestHeadLogs:
 
 @pytest.mark.parametrize("k, wmax", [(1, 3), (2, 4), (3, 4), (4, 6)])
 def test_v1_is_each_key_leading_inverse_p_part(k, wmax):
-    # V_1 times the head primes' r = 1 power sum is exactly the 1/p part
-    # the head once removed, so the tail can subtract it like any other r:
-    # V_1 is k**2 at the empty key, k**(2-len(mu)-len(nu)) C(n, |mu|) where
-    # both partitions have at most one part, and absent at every other key
+    # V_1 times the head primes' r = 1 power sum is the 1/p part of the
+    # head's local logs, which the tail subtracts like any other order: V_1
+    # is k**2 at the empty key, k**(2-len(mu)-len(nu)) C(n, |mu|) where both
+    # partitions have at most one part, and absent at every other key
     v1 = _v_series(k, wmax, 1, _head_polys(k, wmax))[0][1]
     want = {EMPTY_KEY: k * k}
     for m, nu in _plan(wmax).keys[1:]:
