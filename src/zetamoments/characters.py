@@ -3,15 +3,17 @@
 character_value(lam, mu) is the exact integer value of the irreducible
 character indexed by lam on the conjugacy class of cycle type mu.  Values are
 memoized per (lam, mu) pair; character_table(n) materializes the full table
-for one weight, once per process.  power_dim_table(k, N) carries the
+for one weight, once per process.  power_dim_pairs(k, N) carries the
 complement skew dimensions of the k x k square to the power-sum basis of
-both slots, exactly, anew on each call: a request asks once per N.
+both slots, exactly, once per mirror pair and anew on each call: a request
+asks once per N; power_dim_table(k, N) adds the mirrors.
 """
 
 from functools import lru_cache
 from types import MappingProxyType
 
-from .partitions import _check_index, check_partition, dim_complement, partitions_of
+from .partitions import (_check_index, _memo, check_partition, dim_complement,
+                         partitions_of)
 
 
 def _strip_removals(beta, r):
@@ -59,7 +61,7 @@ def character_value(lam, mu):
     return _char_beta(_beta_set(lam), mu)
 
 
-@lru_cache(maxsize=None, typed=True)  # so 2.0 or True never hits 2's or 1's entry
+@_memo("n", "an integer >= 0")
 def character_table(n):
     """Full character table of the symmetric group on n letters, as a
     read-only flat {(lam, mu): value} view built on the first call."""
@@ -71,28 +73,37 @@ def character_table(n):
     })
 
 
-def power_dim_table(k, N):
-    """D_k over the pairs (mu, nu) of total weight N <= k**2, a new dict per
+def power_dim_pairs(k, N):
+    """D_k once per mirror pair of total weight N <= k**2, a new dict per
     call: D_k(mu, nu) = sum chi^kappa(mu) chi^lambda(nu) dim(lambda,
     complement of kappa in the k x k square) over kappa |- |mu| and lambda
-    |- |nu|, exact integers.  Block (a, N - a) is X_a^T M X_{N-a}, X_n the
-    weight-n character matrix and M the dimensions, one slot at a time, for
-    a <= N - a; D_k(nu, mu) = D_k(mu, nu) gives the rest."""
+    |- |nu|, exact integers, over |mu| < |nu| and, where |mu| = |nu|, nu
+    not before mu in partitions_of's order.  Block (a, N - a) is X_a^T M
+    X_{N-a}, X_n the weight-n character matrix and M the dimensions, one
+    slot at a time, for a <= N - a; D_k(nu, mu) = D_k(mu, nu) gives the
+    rest (power_dim_table)."""
     _check_index(k, "k")
     _check_index(N, "N")
     if N > k * k:
         raise ValueError("N cannot exceed k**2")
-    blocks = {}
+    pairs = {}
     for a in range(N // 2 + 1):
         ka, kb = partitions_of(a), partitions_of(N - a)
         ta, tb = character_table(a), character_table(N - a)
         dims = [[dim_complement(kap, lam, k) for lam in kb] for kap in ka]
         half = [[sum(d * tb[(lam, nu)] for d, lam in zip(row, kb) if d)
                  for nu in kb] for row in dims]
-        for mu in ka:
+        for i, mu in enumerate(ka):
             col = [ta[(kap, mu)] for kap in ka]
-            for j, nu in enumerate(kb):
-                blocks[(mu, nu)] = sum(c * h[j] for c, h in zip(col, half))
-    return {(mu, nu): blocks[(mu, nu) if 2 * a <= N else (nu, mu)]
+            for j in range(i if 2 * a == N else 0, len(kb)):
+                pairs[(mu, kb[j])] = sum(c * h[j] for c, h in zip(col, half))
+    return pairs
+
+
+def power_dim_table(k, N):
+    """D_k over every pair (mu, nu) of total weight N <= k**2, a new dict
+    per call, from power_dim_pairs and D_k(nu, mu) = D_k(mu, nu)."""
+    pairs = power_dim_pairs(k, N)
+    return {(mu, nu): pairs[(mu, nu)] if (mu, nu) in pairs else pairs[(nu, mu)]
             for a in range(N + 1) for mu in partitions_of(a)
             for nu in partitions_of(N - a)}

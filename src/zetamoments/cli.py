@@ -2,12 +2,12 @@
 selftest battery lives in oracles, imported for that command alone.
 
 The cache is a directory of small JSON files, pzeta_r<r>.json, one prime
-zeta Taylor family each; they serve k = 2, and k = 3 up to weight 4
-(PZETA_MARGIN).  Each entry stores the digits and the coefficients that
-prime_zeta_taylor serves, every real as the exact [signed mantissa,
-exponent] pair of its binary value (pzeta schema 2).  Files of other kinds
-and entries of an older schema, which older versions wrote, are skipped;
-precompute rebuilds the entries.  Precomputing twice is a no-op: only
+zeta Taylor family each; they serve k = 2, k = 3 and k = 4 up to weight
+8, not the full P_4 (PZETA_MARGIN).  Each entry stores the digits and the
+coefficients that prime_zeta_taylor serves, every real as the exact [signed
+mantissa, exponent] pair of its binary value (pzeta schema 2).  Files of
+other kinds and entries of an older schema, which older versions wrote,
+are skipped; precompute rebuilds the entries.  Precomputing twice is a no-op: only
 entries stored at too few digits or too low a weight are rebuilt.  Writes
 take a directory lock file; reads touch only immutable files and need no
 lock.
@@ -45,8 +45,9 @@ SCHEMA_VERSION = 1  # the output documents
 PZETA_SCHEMA = 2  # cache entries: binary pairs since 2, decimals at 1
 CACHE_ENV = "ZETAMOMENTS_CACHE_DIR"
 # stored families carry 25 digits beyond the request: the W engine asks for
-# digits + 10 + L absolute ones, |V_r| < 10**L over r <= 16, served to L = 15:
-# k = 2 (L = 5) and k = 3 up to weight 4 (L = 12)
+# digits + 3 + L absolute ones, |V_r| < 10**L over its V table, served to
+# L = 22: k = 2 (L = 5), the full P_3 (L = 17) and k = 4 up to weight 8
+# (L = 20), not the full P_4 (L = 33)
 PZETA_MARGIN = 25
 
 
@@ -315,8 +316,8 @@ def build_parser():
     p = sub.add_parser(
         "precompute", help="build and persist the prime zeta families",
         description="Build and persist the prime zeta families, %d digits"
-        " beyond --digits: enough for k = 2, and k = 3 up to weight 4, not"
-        " for the full P_3 or P_4." % PZETA_MARGIN)
+        " beyond --digits: enough for k = 2, k = 3 and k = 4 up to weight 8,"
+        " not for the full P_4." % PZETA_MARGIN)
     p.add_argument("--nmax", type=int, required=True)
     common(p, request=False)
 

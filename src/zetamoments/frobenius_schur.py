@@ -19,6 +19,7 @@ from math import perm
 
 from .characters import character_value
 from .partitions import (
+    _memo,
     centralizer_order,
     check_partition,
     complement,
@@ -165,7 +166,7 @@ class ComplementPoint:
         return "ComplementPoint(%r)" % (self.kap,)
 
 
-@lru_cache(maxsize=None)
+@_memo("partition", "a tuple of parts")
 def complement_point(kap):
     return ComplementPoint(kap)
 

@@ -7,7 +7,7 @@ integers (but at the empty key) read off the head's packed log by one
 integer series product per key (_v_series, and the closed form below); V
 combines with prime power sums into the W coefficients;
 the exponential e of the W series, power-sum basis, C-bit integers, dotted
-exactly with the integer table D_k (characters.power_dim_table: complement
+exactly with the integer table D_k (characters.power_dim_pairs: complement
 skew dimensions, by determinant, seen through characters) gives each c_N(k)
 of the degree-k**2 moment polynomial for the 2k-th moment of zeta on the
 critical line in one mpf conversion; the d-table is the oracle.  The same V, as
@@ -69,7 +69,7 @@ from mpmath.libmp import (dps_to_prec, fone, from_int, from_man_exp, mpf_add,
                           mpf_div, mpf_exp, mpf_mul, mpf_neg, to_fixed)
 
 from . import __version__
-from .characters import character_table, power_dim_table
+from .characters import character_table, power_dim_pairs
 from .partitions import check_partition, dim_hook, partitions_of
 from .symseries import (
     EMPTY_KEY,
@@ -471,18 +471,22 @@ def _head_logs(k, wmax, primes, head):
 
 
 def _v_chunk(k, wmax, r0, R, digits, primes, head):
-    """_v_series to order R, digits + 10 + L, |V_r| < 10**L, the tail's bits
-    for it (_w_engine), and (Bh, rows), the head primes' power sums at the
-    orders r0..R the chunk adds, rows[r - r0], from one head_power_sums pass
-    at those digits, each head prime a column of the power-sum kernel; every
-    order, r = 1 too, reads its family less them, as _head_logs keeps each
-    head prime's whole local log.  A family at that many absolute digits is
-    within 2 * 10**-(digits+12+L), so the r <= 200 terms V_r * family move W
-    by under 10**-(digits+9), below its floor."""
+    """_v_series to order R, the families' digits digits + 3 + L, where
+    |V_r| < 10**L, the tail's bits B = dps_to_prec(digits + 10 + L) + 40
+    (_w_engine), and (Bh, rows), the head primes' power sums at the orders
+    r0..R the chunk adds, rows[r - r0], from one head_power_sums pass at
+    the families' digits, each head prime a column of the power-sum kernel;
+    every order, r = 1 too, reads its family less them, as _head_logs keeps
+    each head prime's whole local log.  A family at D absolute digits is within 4.01 *
+    10**-(D+10) (prime_zeta_taylor) and its head row within 10**-(D+13), so
+    at D = digits + 3 + L under 2 * 10**-(digits+12+L), and the r <= 200
+    terms V_r * family move W by under 4 * 10**-(digits+10), inside the
+    10**-(digits+9) _w_engine budgets for the families.  B is stated apart
+    from the families' digits: a chunk that raises L raises both."""
     v_tab, vb_tab = _v_series(k, wmax, R, head)
-    top = max(int(abs(f)) for vr in v_tab for f in vr.values())
-    fam_digits = digits + 10 + len(str(top))
-    return (v_tab, vb_tab, fam_digits, dps_to_prec(fam_digits) + 40,
+    L = len(str(max(int(abs(f)) for vr in v_tab for f in vr.values())))
+    fam_digits = digits + 3 + L
+    return (v_tab, vb_tab, fam_digits, dps_to_prec(digits + 10 + L) + 40,
             head_power_sums(primes, r0, R, wmax, fam_digits))
 
 
@@ -514,11 +518,15 @@ def _w_engine(k, wmax, digits, tol_f):
     head leave a value under 200 (2 * 10**L + 1) + 1 < 2**9 10**L units off,
     and B = dps_to_prec(digits + 10 + L) + 40 > (digits + 10 + L) log2(10)
     + 42 (_v_chunk) makes that under 10**-(digits+19), far below the
-    families' 10**-(digits+9).  The 32 bits beyond the 8 the values need
-    resolve the last terms, whose magnitudes the closure's q and geo read,
-    ten digits below the families' own accuracy, so the reported errors do
-    not move with the scale.  A chunk that raises L shifts every stored
-    integer left, exactly.  The closure runs in the same units, each part
+    families' own share: each family, asked at digits + 3 + L digits, is
+    within 2 * 10**-(digits+12+L), which moves W by under 10**-(digits+9)
+    (_v_chunk), and both sit under the pad 10**-(digits+6) every error
+    carries.  B is set by digits + 10 + L, not by the family digits: the 32
+    bits beyond the 8 the values need resolve the last terms, whose
+    magnitudes the closure's q and geo read, so the reported errors move
+    neither with the scale nor with the families' accuracy.  A chunk that
+    raises L raises the family digits and B and shifts every stored integer
+    left, exactly.  The closure runs in the same units, each part
     rounded up; mpf enters only in the final conversion, errors rounded up.
     A tol below 10**-digits raises these digits to ceil(-log10 tol) with the
     tail's target (_work_digits), or the tail would chase the families'
@@ -813,16 +821,20 @@ def a_factor(k, digits=50):
 
 def _assemble(N, k, digits, expw):
     """c_N = exp(W_empty) / (k**2 - N)! * sum e D_k over the weight-N pairs,
-    from _exp_w's output and power_dim_table at digits + 10, digits the W
+    from _exp_w's output and power_dim_pairs at digits + 10, digits the W
     engine's (_work_digits), with the first-order error
     ((a + a_err) sum |D_k| ee + |sum e D_k| a_err) / (k**2 - N)!, a + a_err
     bounding exp(W_empty) (_exp_w), in exact arithmetic never above
-    d_table's: exact integer sums, the rest rounded up."""
+    d_table's: exact integer sums, the rest rounded up.  e, ee and D_k are
+    exactly symmetric, so each sum runs once per mirror pair, the pairs off
+    the diagonal twice over."""
     aval, a_err, e, ee, C = expw
-    dot = bar = 0
-    for key, dv in power_dim_table(k, N).items():
-        dot += e[key] * dv
-        bar += ee[key] * abs(dv)
+    dot, bar = [0, 0], [0, 0]  # [diagonal, one of each mirror pair off it]
+    for (mu, nu), dv in power_dim_pairs(k, N).items():
+        off = mu != nu
+        dot[off] += e[(mu, nu)] * dv
+        bar[off] += ee[(mu, nu)] * abs(dv)
+    dot, bar = dot[0] + 2 * dot[1], bar[0] + 2 * bar[1]
     prec, fct = dps_to_prec(digits + 10), from_int(math.factorial(k * k - N))
     ahi = mpf_add(aval._mpf_, a_err._mpf_, prec, "u")
     err = mpf_add(mpf_mul(ahi, from_man_exp(bar, -2 * C), prec, "u"),

@@ -51,7 +51,8 @@ def _memo(name, kind):
     """lru_cache(typed=True) that refuses an unhashable argument, such as a
     list where a tuple is due, as malformed input: ValueError "<name> must
     be <kind>".  The test runs only once the cache's own lookup has raised,
-    so a hit costs the lookup and one call; __wrapped__ is the cache."""
+    so a hit costs the lookup and one call; __wrapped__ is the cache, whose
+    cache_info and cache_clear the wrapper passes through."""
 
     def wrap(fn):
         cached = lru_cache(maxsize=None, typed=True)(fn)
@@ -69,6 +70,7 @@ def _memo(name, kind):
                                          % (name, kind, a)) from None
                 raise
 
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
         return call
 
     return wrap

@@ -423,10 +423,11 @@ def _log_zeta_table(nmax, digits):
     of 2**-b, within 2**(2*nmax + 6) (the pole's 56 * 4**a plus 5), and mu[m]
     the Moebius function.  A family reads y = m*r, m below its stop, so 4 *
     10**(digits+10) * y**nmax >= 11**y, true only below Y =
-    _moebius_stop(1, nmax, digits) (y log 11 - nmax log y is convex): 82 rows
-    at (nmax, digits) = (0, 75), 52 at (4, 37).  b = c + (a+2) *
-    bit_length(Y - 1), a = max(nmax - 1, 0), c = T + 2*nmax + 8, 2**-T <= 10**-(digits+12), meets
-    _compute_prime_zeta's bound at its largest y."""
+    _moebius_stop(1, nmax, digits) (y log 11 - nmax log y is convex): 75 rows
+    at (nmax, digits) = (0, 68), c0's, and 45 at (4, 30), lead5's.  b = c +
+    (a+2) * bit_length(Y - 1), a = max(nmax - 1, 0), c = T + 2*nmax + 8,
+    2**-T <= 10**-(digits+12), meets _compute_prime_zeta's bound at its
+    largest y."""
     top = _moebius_stop(1, nmax, digits) - 1
     T = math.ceil((digits + 12) * math.log2(10))
     b = T + 2 * nmax + 8 + (max(nmax - 1, 0) + 2) * top.bit_length()

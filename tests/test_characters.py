@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zetamoments.characters import character_table, character_value, power_dim_table
+from zetamoments.characters import (character_table, character_value, power_dim_pairs,
+                                    power_dim_table)
 from zetamoments.frobenius_schur import dim_complement_poly
 from zetamoments.moments import g_factor
 from zetamoments.partitions import centralizer_order, conjugate, dim_hook, partitions_of
@@ -129,6 +130,16 @@ def test_power_dim_table_is_symmetric(k):
                              for a in range(N + 1))
         for (mu, nu), v in d.items():
             assert isinstance(v, int) and v == d[(nu, mu)]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_power_dim_pairs_hold_each_mirror_pair_once(k):
+    for N in range(min(k * k, 8) + 1):
+        d, pairs = power_dim_table(k, N), power_dim_pairs(k, N)
+        mirrors = {frozenset((key, key[::-1])) for key in d}
+        assert len(pairs) == len(mirrors)
+        assert {frozenset((key, key[::-1])) for key in pairs} == mirrors
+        assert all(d[key] == v for key, v in pairs.items())
 
 
 def test_power_dim_table_empty_entry_is_g():

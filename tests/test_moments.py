@@ -15,11 +15,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, to_fixed
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div,
+                          mpf_mul, to_fixed)
 
 import zetamoments
 from zetamoments import moments
 from zetamoments.characters import character_table, character_value, power_dim_table
+from zetamoments.frobenius_schur import complement_point
 from zetamoments.moments import (
     MomentPolynomial,
     NonConvergenceError,
@@ -719,10 +721,49 @@ class TestWEngine:
         assert read == list(want)
         assert sorted(served) == list(want)
 
+    def test_families_are_asked_at_digits_plus_3_plus_l(self, monkeypatch):
+        # lead5's W table: |V_r| < 10**12 over its R = 16 table, so every
+        # family, r = 1..r_max_used, is asked at 15 + 3 + 12 digits
+        asked, taylor = [], moments.prime_zeta_taylor
+
+        def taylor_spy(r, nmax, digits):
+            asked.append((r, digits))
+            return taylor(r, nmax, digits)
+
+        monkeypatch.setattr(moments, "prime_zeta_taylor", taylor_spy)
+        _, _, meta = moments._w_engine(3, 4, 15, 1e-15)
+        _, R = moments._truncation(3, 4, 15, 1e-15)
+        v_tab, _ = _v_series(3, 4, R, _head_polys(3, 4))
+        L = len(str(max(int(abs(f)) for vr in v_tab for f in vr.values())))
+        assert L == 12 and meta["r_max_used"] <= R
+        assert asked == [(r, 15 + 3 + L) for r in range(1, meta["r_max_used"] + 1)]
+
+    @pytest.mark.parametrize("k, wmax, digits", [(3, 4, 15), (2, 4, 45)])
+    def test_families_ten_digits_deeper_move_w_inside_the_budget(
+            self, monkeypatch, k, wmax, digits):
+        # the families' share of the W budget is 10**-(digits+9) (1 + |W|):
+        # the same run with every family and head row 10 digits deeper, B
+        # unchanged, lands within it; (2, 4, 45) also adds the R = 20 table
+        got, _, meta = moments._w_engine(k, wmax, digits, 10.0**-digits)
+        real = moments._v_chunk
+
+        def deeper(k, wmax, r0, R, digits, primes, head):
+            v_tab, vb_tab, fam_digits, B, _ = real(k, wmax, r0, R, digits, primes, head)
+            return (v_tab, vb_tab, fam_digits + 10, B,
+                    head_power_sums(primes, r0, R, wmax, fam_digits + 10))
+
+        monkeypatch.setattr(moments, "_v_chunk", deeper)
+        want, _, want_meta = moments._w_engine(k, wmax, digits, 10.0**-digits)
+        assert meta == want_meta
+        with mp.workdps(digits + 30):
+            for key, v in want.items():
+                assert abs(got[key] - v) <= mp.mpf(10) ** -(digits + 9) * (1 + abs(v)), key
+
     def test_c0_builds_one_log_zeta_table(self, monkeypatch):
-        # c_0(3) at 50 digits reads log zeta_11 at 82 arguments from one table:
-        # one Borwein pass and one Euler-product pass in all
-        calls = []
+        # c_0(3) at 50 digits asks every family at one digit count D and
+        # reads log zeta_11 at the _moebius_stop(1, 0, D) - 1 = 75 arguments
+        # of one table: one Borwein pass and one Euler-product pass in all
+        calls, asked, taylor = [], set(), moments.prime_zeta_taylor
         for name in ("_zeta_borwein", "_log_zeta_euler"):
             real = getattr(zeta_numerics, name)
 
@@ -731,6 +772,12 @@ class TestWEngine:
                 return real(ys, *args)
 
             monkeypatch.setattr(zeta_numerics, name, counted)
+
+        def taylor_spy(r, nmax, digits):
+            asked.add(digits)
+            return taylor(r, nmax, digits)
+
+        monkeypatch.setattr(moments, "prime_zeta_taylor", taylor_spy)
         monkeypatch.setattr(zeta_numerics, "_installed_pzeta", {})
         monkeypatch.setattr(moments, "_w_cache", {})
         zeta_numerics._log_zeta_table.cache_clear()
@@ -739,7 +786,9 @@ class TestWEngine:
         assert zeta_numerics._log_zeta_table.cache_info().currsize == 1
         (eta, lo, y_eta, _), (euler, start, top, (nmax, b, t)) = calls
         assert (eta, lo, euler, start) == ("_zeta_borwein", 1, "_log_zeta_euler", y_eta + 1)
-        assert (y_eta, t) == zeta_numerics._crossover(nmax, b) and top >= 82
+        assert (y_eta, t) == zeta_numerics._crossover(nmax, b)
+        (fam_digits,) = asked
+        assert top == zeta_numerics._moebius_stop(1, nmax, fam_digits) - 1 == 75
 
     @pytest.mark.parametrize("k, wmax, digits", [(2, 4, 10), (3, 4, 15), (4, 3, 12)])
     def test_values_and_errors_exactly_symmetric(self, k, wmax, digits):
@@ -1391,6 +1440,28 @@ class TestAssembly:
             for x in (w - err, w + err):
                 assert abs(mp.exp(x) - aval) < a_err
 
+    @pytest.mark.parametrize("k, nmax, digits", [(3, 9, 15), (4, 8, 8)])
+    def test_mirror_pair_sums_match_the_full_sums(self, k, nmax, digits):
+        # _assemble sums e D_k and ee |D_k| once per mirror pair, twice off
+        # the diagonal: every c_N of P_3(15), and c_0..c_8 of P_4 at 8
+        # digits, is the same mpf as the sums over the full table give
+        expw, _ = moments._exp_w(k, nmax, digits, None)
+        aval, a_err, e, ee, C = expw
+        prec = dps_to_prec(digits + 10)
+        for N in range(nmax + 1):
+            dims = power_dim_table(k, N)
+            dot = sum(e[key] * dv for key, dv in dims.items())
+            bar = sum(ee[key] * abs(dv) for key, dv in dims.items())
+            fct = from_int(math.factorial(k * k - N))
+            ahi = mpf_add(aval._mpf_, a_err._mpf_, prec, "u")
+            err = mpf_add(mpf_mul(ahi, from_man_exp(bar, -2 * C), prec, "u"),
+                          mpf_mul(a_err._mpf_, from_man_exp(abs(dot), -C), prec, "u"),
+                          prec, "u")
+            value = mpf_div(mpf_mul(aval._mpf_, from_man_exp(dot, -C)), fct, prec, "n")
+            want = (mp.make_mpf(value), mp.make_mpf(mpf_div(err, fct, prec, "u")))
+            got = moments._assemble(N, k, digits, expw)
+            assert repr(tuple(got)) == repr(want), N
+
     @pytest.mark.parametrize("err", [None, "2", "8"])
     def test_exp_bar_holds_for_any_w_error(self, monkeypatch, err):
         # at a loose tol, with the engine's W_empty error or one widened past
@@ -1531,6 +1602,8 @@ BAD_INDICES = [
     (partitions_of, ([2],), "n"),
     (dim_paths, ([1], [2]), "partition"),
     (PairSeries, (POWERSUM, True), "max_weight"),
+    (character_table, ([2],), "n"),
+    (complement_point, ([1],), "partition"),
 ]
 
 
@@ -1580,12 +1653,19 @@ class TestInputContract:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("k, digits, deeper", [(2, 30, 60), (3, 15, 45), (3, 30, 60)])
+@pytest.mark.parametrize("k, digits, deeper",
+                         [(2, 30, 60), (2, 45, 60), (3, 15, 45), (3, 30, 60)])
 def test_bars_hold_against_a_deeper_request(k, digits, deeper):
     # each bar covers its distance from the same request at more digits,
-    # that request's own bar included
+    # that request's own bar included.  P_2 at 45 digits stops at r = 17,
+    # where its beyond-cutoff families lie below their own absolute
+    # accuracy, so its closure reads terms nearest the families' floor.  On
+    # failure, log10((bar + deeper bar) / |difference|) per coefficient says
+    # how sharp each bar was
     got = moment_polynomial(k, digits).coefficients
     want = moment_polynomial(k, deeper).coefficients
     with mp.workdps(deeper + 10):
+        sharp = [mp.nstr(mp.log10((e + ew) / abs(v - w)), 4) if v != w else "inf"
+                 for (_, v, e), (_, w, ew) in zip(got, want)]
         for (N, v, e), (_, w, ew) in zip(got, want):
-            assert abs(v - w) + ew <= e, N
+            assert abs(v - w) + ew <= e, (N, sharp)
