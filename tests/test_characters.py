@@ -7,7 +7,8 @@ from zetamoments.characters import (character_table, character_value, power_dim_
                                     power_dim_table)
 from zetamoments.frobenius_schur import dim_complement_poly
 from zetamoments.moments import g_factor
-from zetamoments.partitions import centralizer_order, conjugate, dim_hook, partitions_of
+from zetamoments.partitions import (centralizer_order, conjugate, dim_complement, dim_hook,
+                                    partitions_of)
 
 
 def test_weight_one_and_empty():
@@ -134,12 +135,21 @@ def test_power_dim_table_is_symmetric(k):
 
 @pytest.mark.parametrize("k", range(1, 5))
 def test_power_dim_pairs_hold_each_mirror_pair_once(k):
+    # and the mirrors power_dim_table fills in from them are the D_k values
+    # summed out in full, the same-weight ones (mu, nu) with nu first included
     for N in range(min(k * k, 8) + 1):
         d, pairs = power_dim_table(k, N), power_dim_pairs(k, N)
         mirrors = {frozenset((key, key[::-1])) for key in d}
         assert len(pairs) == len(mirrors)
         assert {frozenset((key, key[::-1])) for key in pairs} == mirrors
         assert all(d[key] == v for key, v in pairs.items())
+        for mu, nu in d.keys() - pairs.keys():
+            if sum(mu) == sum(nu):
+                want = sum(character_value(kap, mu) * character_value(lam, nu)
+                           * dim_complement(kap, lam, k)
+                           for kap in partitions_of(sum(mu))
+                           for lam in partitions_of(sum(nu)))
+                assert d[(mu, nu)] == want, (k, mu, nu)
 
 
 def test_power_dim_table_empty_entry_is_g():

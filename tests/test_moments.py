@@ -1658,8 +1658,8 @@ class TestInputContract:
 def test_bars_hold_against_a_deeper_request(k, digits, deeper):
     # each bar covers its distance from the same request at more digits,
     # that request's own bar included.  P_2 at 45 digits stops at r = 17,
-    # where its beyond-cutoff families lie below their own absolute
-    # accuracy, so its closure reads terms nearest the families' floor.  On
+    # whose beyond-cutoff family lies below its own absolute accuracy, so
+    # its closure reads terms nearest the families' floor.  On
     # failure, log10((bar + deeper bar) / |difference|) per coefficient says
     # how sharp each bar was
     got = moment_polynomial(k, digits).coefficients
