@@ -16,7 +16,10 @@ one pass of Borwein's alternating series for eta over every y from the
 pole y = 1 up (_zeta_borwein), divided by 1 - 2**(1-y-u) and multiplied by
 the four factors, its series log (_log_series, no mpf log), at the pole
 the factors' logs added (_pole_factor_logs), one Euler-product pass over
-the primes from 11 beyond, and mu from one sieve.  Each
+the primes from 11 beyond, and mu from one sieve.  The division, the
+factors and the series log run one coefficient at a time over every row.
+The small primes' power sums come from one pass per table over the orders
+up to its last row (_small_prime_sums).  Each
 family is served, as the exact values of those sums, by one lookup
 (prime_zeta_taylor) to the W engine, which reads it less the head primes'
 power sums as integers (prime_zeta_fixed), to prime_zeta_beyond, an mpf
@@ -39,7 +42,7 @@ import itertools
 import math
 import numbers
 from functools import lru_cache
-from operator import add, floordiv, itemgetter, lt, mul, rshift, sub
+from operator import add, floordiv, itemgetter, lshift, lt, mul, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
@@ -61,8 +64,14 @@ def _prime_flags(n):
 
 
 def primes_upto(x):
-    """All primes p <= x, ascending (sieve of Eratosthenes)."""
-    n = int(x)
+    """All primes p <= x, ascending (sieve of Eratosthenes), or ValueError: x
+    must be a finite real number (not a bool, str or bytes); it is floored,
+    so below 2 no prime is listed."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Real, mp.mpf)):
+        raise ValueError("primes_upto needs a real number, got %r" % (x,))
+    if not (isinstance(x, numbers.Rational) or mp.isfinite(x)):
+        raise ValueError("primes_upto needs a finite number, got %r" % (x,))
+    n = math.floor(x)
     if n < 2:
         return []
     return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
@@ -188,8 +197,9 @@ def _zeta_borwein(ys, nmax, b):
     pole y = 1 those of zeta(1 + u) - 1/u, a < nmax, in units of 2**-b, each
     under 2 units off: eta from Borwein's alternating series ("An efficient
     algorithm for the Riemann zeta function", 2000, Algorithm 2), one pass
-    over every y, then one series division per y, then the four factors,
-    one prime at a time over every row y >= 2.
+    over every y, then the series division, the pole on its own and the
+    rows y >= 2 one coefficient z_a at a time over all of them, then the
+    four factors, one prime at a time over every row y >= 2.
 
     With (n, B) = _borwein_size(nmax, b), the integers d_k = n sum_{i<=k}
     (n+i-1)! 4**i / ((n-i)! (2i)!), d_0 = 1, and c_k = (-1)**k (d_n - d_k) /
@@ -224,7 +234,9 @@ def _zeta_borwein(ys, nmax, b):
       2 eps) + 2**(a+6).
     - the factors, p = 2, 3, 5, 7 in turn: z_a -= floor(sum_{j<=a} E_j
       z_{a-j} / (2**B p**y)), E_j = (-1)**j g_j, g_j the chain of (log
-      p)**j / j! like f_j, under 3 (1 + log p)**j < 3**(j+1) low.  Each
+      p)**j / j! like f_j, under 3 (1 + log p)**j < 3**(j+1) low; as E_0 =
+      2**B and floor(floor(x)/m) = floor(x/m), that is floor((z_a +
+      floor(S / 2**B)) / p**y), S the sum over j >= 1.  Each
       partial product is zeta(y + u) over the integers prime to the primes
       done, so |z_a| <= 2 throughout; with sum_j (log p)**j / j! = p and p**y
       >= 4 a factor scales the error carried in by under 1 + p**(1-y) <= 1 +
@@ -240,47 +252,52 @@ def _zeta_borwein(ys, nmax, b):
     n, B = _borwein_size(nmax, b)
     d, term = [1], 1
     for i in range(1, n + 1):
-        term = term * 4 * (n + i - 1) * (n - i + 1) // (2 * i * (2 * i - 1))
+        term = term * (4 * (n + i - 1) * (n - i + 1)) // (2 * i * (2 * i - 1))
         d.append(d[-1] + term)
-    one, dn = 1 << B, d[n]
+    one, dn, B_ = 1 << B, d[n], itertools.repeat(B)
     cols = [(k + 1, ((dn - d[k]) << B) // dn, int_log(k + 1, B) if nmax else 0)
             for k in range(n)]
-    even, odd = (_dirichlet_sums(cols[i::2], ys, nmax, B) for i in (0, 1))
+    even, odd = (zip(*_dirichlet_sums(cols[i::2], ys, nmax, B)) for i in (0, 1))
+    eta = [list(map(sub, v, w) if a % 2 == 0 else map(sub, w, v))
+           for a, (v, w) in enumerate(zip(even, odd))]
     L2, f = int_log(2, B) if nmax else 0, [one]
     for j in range(1, nmax + 2):
         f.append((f[-1] * L2 >> B) // j)
-    rows = []
-    for y, pos, neg in zip(ys, even, odd):
-        eta = [v - w if a % 2 == 0 else w - v for a, (v, w) in enumerate(zip(pos, neg))]
-        if y == 1:
-            den, z = [(-1) ** j * v for j, v in enumerate(f[1:])], [one]
-        else:
-            c = y - 1
-            den = [one - (one >> c)] + [(-1) ** (j + 1) * (v >> c)
-                                       for j, v in enumerate(f[1:-1], 1)]
-            z = []
-        for a in range(len(z), nmax + 1):
-            z.append(((eta[a] << B) - sum(den[j] * z[a - j] for j in range(1, a + 1)))
+    pole = 1 in ys[:1]
+    if pole:
+        den, z = [(-1) ** j * v for j, v in enumerate(f[1:])], [one]
+        for a in range(1, nmax + 1):
+            z.append(((eta[a][0] << B) - sum(den[j] * z[a - j] for j in range(1, a + 1)))
                      // den[0])
-        rows.append(z)
+    # the rows y >= 2 one column z_a at a time, den[j] the column of D_j
+    shifts = [y - 1 for y in ys[pole:]]
+    den = [[one - (one >> c) for c in shifts]]
+    den += [[v >> c if j % 2 else -(v >> c) for c in shifts]
+            for j, v in enumerate(f[1:-1], 1)]
+    zs = []
+    for a in range(nmax + 1):
+        acc = map(lshift, eta[a][pole:], B_)
+        for j in range(1, a + 1):
+            acc = map(sub, acc, map(mul, den[j], zs[a - j]))
+        zs.append(list(map(floordiv, acc, den[0])))
     # zeta_11: each row y >= 2 times 1 - p**-(y+u), one prime over every row
-    pole = ys[0] == 1
-    cols, pows = [list(col) for col in zip(*rows[pole:])], ys[pole:]
-    for p in SMALL_PRIMES if pows else ():
+    for p in SMALL_PRIMES if shifts else ():
         L, e = int_log(p, B) if nmax else 0, [one]
         for j in range(1, nmax + 1):
             e.append((e[-1] * L >> B) // j)
         e = [-v if j % 2 else v for j, v in enumerate(e)]
-        den = [p ** y << B for y in pows]
+        den = [p ** y for y in ys[pole:]]
         for a in range(nmax, -1, -1):
-            acc = [v << B for v in cols[a]]
+            S = itertools.repeat(0)
             for j in range(1, a + 1):
-                acc = list(map(add, acc, map(mul, cols[a - j], itertools.repeat(e[j]))))
-            cols[a] = list(map(sub, cols[a], map(floordiv, acc, den)))
-    rows[pole:] = zip(*cols)
+                S = map(add, S, map(mul, zs[a - j], itertools.repeat(e[j])))
+            acc = map(add, zs[a], map(rshift, S, B_))
+            zs[a] = list(map(sub, zs[a], map(floordiv, acc, den)))
+    rows = [list(row) for row in zip(*(map(rshift, col, itertools.repeat(B - b))
+                                       for col in zs))]
     if pole:
-        rows[0] = rows[0][1:]
-    return [[v >> (B - b) for v in z] for z in rows]
+        rows.insert(0, [v >> (B - b) for v in z[1:]])
+    return rows
 
 
 def _log_series(ys, rows, nmax, b):
@@ -310,23 +327,32 @@ def _log_series(ys, rows, nmax, b):
       by e_w <= 1 + 7*(2w - 1) + 2.01 * sum_{j<w} e_j, with e_1 = 7, so
       e_w <= 56 * 4**w < 2**(2w + 6).
     """
-    one, out, W = 1 << b, [], b + b.bit_length() + 2
-    for y, v in zip(ys, rows):
-        if y == 1:
-            s, lz = [one] + v, [0]
-        else:
-            v0 = max(v[0], one)
-            s = [one] + [(x << b) // v0 for x in v[1:]]
-            # log z_0 = 2 atanh(t) = 2 sum t**(2k+1)/(2k+1), t < 1/4
-            t = ((v0 - one) << W) // (v0 + one)
-            t2, acc, k = t * t >> W, 0, 1
-            while t:
-                acc, t, k = acc + t // k, t * t2 >> W, k + 2
-            lz = [acc >> (W - b - 1)]
-        for w in range(1, nmax + 1):
-            lz.append(s[w] - sum(j * lz[j] * s[w - j] for j in range(1, w)) // (w << b))
-        out.append(tuple(lz))
-    return out
+    one, W, b_ = 1 << b, b + b.bit_length() + 2, itertools.repeat(b)
+    pole = 1 in ys[:1]
+    # s_a = floor(v_a 2**b / v_0) one column a at a time over every row
+    v0 = [max(v[0], one) for v in rows[pole:]]
+    s = [None]
+    for a in range(1, nmax + 1):
+        col = map(floordiv, map(lshift, map(itemgetter(a), rows[pole:]), b_), v0)
+        s.append([rows[0][a - 1], *col] if pole else list(col))
+    lz = [[0] * pole]
+    for v in v0:
+        # log z_0 = 2 atanh(t) = 2 sum t**(2k+1)/(2k+1), t < 1/4: row by row,
+        # as t falls fast in y and the rows need very different term counts
+        t = ((v - one) << W) // (v + one)
+        t2, acc, k = t * t >> W, 0, 1
+        while t:
+            acc, t, k = acc + t // k, t * t2 >> W, k + 2
+        lz[0].append(acc >> (W - b - 1))
+    # lz_w = s_w - floor(sum_{j<w} j lz_j s_{w-j} / (w 2**b)), jlz_j = j lz_j
+    jlz = [None]
+    for w in range(1, nmax + 1):
+        S = itertools.repeat(0)
+        for j in range(1, w):
+            S = map(add, S, map(mul, jlz[j], s[w - j]))
+        lz.append(list(map(sub, s[w], map(floordiv, S, itertools.repeat(w << b)))))
+        jlz.append([w * v for v in lz[w]])
+    return list(zip(*lz))
 
 
 def _log_zeta_euler(ys, nmax, b, t):
@@ -377,9 +403,10 @@ def _moebius_stop(r, nmax, digits):
     <= 2.88 * 11**-y; so the terms m >= stop of a family add about m**(n-1)
     times that to slot n, and 4 covers the next primes and m (the tests sum
     the dropped terms in mpf against it)."""
-    stop, lhs = 1, 4 * 10 ** (digits + 10)
-    while lhs * stop ** nmax >= 11 ** (stop * r):
-        stop += 1
+    stop, lhs, q = 1, 4 * 10 ** (digits + 10), 11 ** r
+    rhs = q  # 11**(stop*r), one product per step
+    while lhs * stop ** nmax >= rhs:
+        stop, rhs = stop + 1, rhs * q
     return stop
 
 
@@ -512,23 +539,40 @@ def _compute_prime_zeta(r, nmax, digits):
     units of 2**-b and m**(n-1) <= 2**(a * bit_length(m*r)), so the term
     adds under 2**(2*nmax + 6 - c) / m**2 to a slot, under 0.42 * 2**-T over
     every m; slot 0's floors add under 2**-c.  The small primes' sums
-    (head_power_sums, within 10**-(digits+13)) are added with their signs
-    (-1)**n, each floored to b bits.  Every slot is within 0.42 * 2**-T +
-    10**-(digits+13) + 2**(1-c) < 10**-(digits+12) of the truncated sum.
+    (head_power_sums, within 10**-(digits+13): row r of the table's
+    _small_prime_sums, or past its last row a pass of its own) are added
+    with their signs (-1)**n, each floored to b bits.  Every slot is within
+    0.42 * 2**-T + 10**-(digits+13) + 2**(1-c) < 10**-(digits+12) of the
+    truncated sum.
     """
     rows, mu, b = _log_zeta_table(nmax, digits)
-    ms = [m for m in range(1, _moebius_stop(r, nmax, digits)) if mu[m]]
-    f = [mu[m] for m in ms]
-    lz = list(zip(*[rows[m * r] for m in ms])) or [()] * (nmax + 1)
+    stop = _moebius_stop(r, nmax, digits)
+    mus = mu[1:stop]  # the squarefree m below stop read rows m*r
+    ms, f = list(itertools.compress(range(1, stop), mus)), list(filter(None, mus))
+    lz = list(zip(*itertools.compress(rows[r : stop * r : r], mus))) or [()] * (nmax + 1)
     sums = [sum(map(floordiv, map(mul, f, lz[0]), ms))]
     for n in range(1, nmax + 1):
         sums.append(sum(map(mul, f, lz[n])))
         f = list(map(mul, f, ms))
-    Bh, (head,) = head_power_sums(list(SMALL_PRIMES), r, r, nmax, digits)
+    Bh, heads = _small_prime_sums(nmax, digits)
+    if r <= len(heads):
+        head = heads[r - 1]
+    else:
+        Bh, (head,) = head_power_sums(list(SMALL_PRIMES), r, r, nmax, digits)
     sums = [v + ((-w if n % 2 else w) << b >> Bh)
             for n, (v, w) in enumerate(zip(sums, head))]
     return PrimeZetaCoeffs(
         r, tuple(mp.make_mpf(from_man_exp(v, -b)) for v in sums), digits)
+
+
+@lru_cache(maxsize=None)
+def _small_prime_sums(nmax, digits):
+    """(B, rows): rows[r - 1], 1 <= r <= top, the four small primes' power
+    sums of head_power_sums at (nmax, digits), top the last row of the log
+    zeta table, from one pass over every order: each row is exact to a
+    floor, so it is the one a pass of its own at r returns."""
+    top = len(_log_zeta_table(nmax, digits)[0]) - 1
+    return head_power_sums(list(SMALL_PRIMES), 1, top, nmax, digits)
 
 
 MAX_HEAD_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted

@@ -152,6 +152,23 @@ def test_primes_match_trial_division():
     assert [primes_upto(x) for x in (0, 1, 2, 3)] == [[], [], [2], [2, 3]]
 
 
+@pytest.mark.parametrize("x", ["10", b"10", True, False, None, float("nan"),
+                               float("inf"), -float("inf"), mp.inf, mp.nan, 1j, [10]],
+                         ids=repr)
+def test_primes_upto_refuses_what_is_no_finite_real(x):
+    with pytest.raises(ValueError) as err:
+        primes_upto(x)
+    assert repr(x) in str(err.value)
+
+
+@pytest.mark.parametrize("x, want", [
+    (10, [2, 3, 5, 7]), (10.9, [2, 3, 5, 7]), (Fraction(23, 2), [2, 3, 5, 7, 11]),
+    (mp.mpf("13.5"), [2, 3, 5, 7, 11, 13]), (2.0, [2]), (1.99, []), (0, []),
+    (-0.5, []), (-7, []), (Fraction(-9, 2), [])])
+def test_primes_upto_floors_a_finite_real(x, want):
+    assert primes_upto(x) == want
+
+
 def test_primes_at_the_cutoff_limit():
     assert len(primes_upto(2_000_000)) == 148_933
 
@@ -701,6 +718,21 @@ class TestMoebiusPass:
             for n, tail in enumerate(_mpf_moebius_tail(r, nmax, want)):
                 assert tail < bound, n
 
+    def test_stop_matches_the_power_per_step_loop(self):
+        # the running power of 11**r stops where recomputing 11**(stop*r)
+        # at every step does
+        def loop(r, nmax, digits):
+            stop, lhs = 1, 4 * 10 ** (digits + 10)
+            while lhs * stop ** nmax >= 11 ** (stop * r):
+                stop += 1
+            return stop
+
+        for r in (1, 2, 3, 5, 8, 13, 28, 60, 200):
+            for nmax in (0, 1, 4, 9, 16):
+                for digits in (1, 10, 15, 30, 68, 150, 400):
+                    assert (zeta_numerics._moebius_stop(r, nmax, digits)
+                            == loop(r, nmax, digits)), (r, nmax, digits)
+
     def test_family_does_not_depend_on_the_history(self):
         # each log zeta value depends on (y, nmax, digits) alone, so a family
         # and every value it reads come out the same cold, or after families
@@ -748,6 +780,15 @@ LOG_ZETA_DIGESTS = {
     (9, 60): "1297619bd9bb240d5a19d06fb9bd5a7d",
     (2, 15): "7596da76ca7b895be272e09935b16e91",
     (16, 30): "52fd3b9c4c6140677a38b5c30d7d8bca",
+    (4, 30): "8e81f917d670b77322ae68c0712eac8c",
+    (0, 68): "af7254262f8049e540ff1bf28998bf98",
+}
+
+# md5 of repr of the exact coefficients (each _mpf_) of every family r = 1..top
+# + 2 at (nmax, digits), top the table's last row, so the orders past it too
+FAMILY_DIGESTS = {
+    (4, 30): (45, "e7f7273e6fdd2b4268a5dcc51c776cda"),
+    (0, 68): (75, "57059241ad4f010cbcf538f347f8801a"),
 }
 
 
@@ -759,6 +800,14 @@ class TestLogZetaRoutes:
         table = zeta_numerics._log_zeta_table.__wrapped__(nmax, digits)
         digest = hashlib.md5(repr(table).encode()).hexdigest()
         assert digest == LOG_ZETA_DIGESTS[(nmax, digits)]
+
+    @pytest.mark.parametrize("nmax, digits", list(FAMILY_DIGESTS))
+    def test_families_match_their_digests(self, nmax, digits):
+        top, want = FAMILY_DIGESTS[(nmax, digits)]
+        assert zeta_numerics._moebius_stop(1, nmax, digits) - 1 == top
+        fams = [tuple(v._mpf_ for v in zeta_numerics._compute_prime_zeta.__wrapped__(
+            r, nmax, digits).coeffs) for r in range(1, top + 3)]
+        assert hashlib.md5(repr(fams).encode()).hexdigest() == want
 
     @pytest.mark.parametrize("b", [120, 260, 480])
     @pytest.mark.parametrize("nmax", [0, 4, 9, 16])
@@ -959,15 +1008,17 @@ class TestBeyondAndEnvelope:
                 assert abs(got[n] - ref[n]) < mp.mpf(10) ** -33 * abs(ref[n]), n
 
     def test_chunk_sums_are_exact_floors(self):
-        # one pass over r = 2..20: each row is an exact floor, the same as a
-        # pass of its own starting at that r
-        ps = primes_upto(3200)
-        B, rows = head_power_sums(ps, 2, 20, 4, 40)
-        assert len(rows) == 19
-        for r, row in enumerate(rows, 2):
-            assert row[0] == sum((1 << B) // p**r for p in ps), r
-            assert head_power_sums(ps, r, r, 4, 40) == (B, [row]), r
-            assert head_power_sums(ps, r, 20, 4, 40)[1][0] == row, r
+        # one pass over r = r0..r1: each row is an exact floor, the same as
+        # a pass of its own starting at that r; the second input is the
+        # small primes' pass of the (4, 30) table, orders 1..top
+        for ps, r0, r1, nmax, digits in [(primes_upto(3200), 2, 20, 4, 40),
+                                         (list(zeta_numerics.SMALL_PRIMES), 1, 45, 4, 30)]:
+            B, rows = head_power_sums(ps, r0, r1, nmax, digits)
+            assert len(rows) == r1 - r0 + 1
+            for r, row in enumerate(rows, r0):
+                assert row[0] == sum((1 << B) // p**r for p in ps), r
+                assert head_power_sums(ps, r, r, nmax, digits) == (B, [row]), r
+                assert head_power_sums(ps, r, r1, nmax, digits)[1][0] == row, r
 
     def test_column_cut_is_exact_at_head_scale(self):
         # at 5 digits B is 94 bits, so by r = 40 every prime but 2, 3 and 5
