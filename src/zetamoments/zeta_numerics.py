@@ -384,11 +384,12 @@ def _crossover(nmax, b):
     with at most n/2 primes below 2**t, n Borwein's length (_borwein_size),
     so the product, which skips the four below 11, starts with under as many
     columns as each parity of the series, and y_eta = max(nmax, ceil((b +
-    4*nmax + 4) / t)).  Timed (median of 11 builds, 2-core x86 host,
+    4*nmax + 4) / t)).  Timed (medians of 11 builds, 2-core x86 host,
     pure-Python mpmath) at (nmax, digits) = (0, 75), (4, 37), (9, 60), (2,
-    15): 1.5, 3.4, 16.5 and 1.0 ms, against 2.0, 4.0, 18.7 and 1.4 ms for the
-    log zeta table before the small primes came out; t one lower or higher
-    is within noise to 12 % slower."""
+    15): 1.05, 2.6, 12.6 and 0.74 ms.  t one lower is 1 to 12 % slower; t
+    one higher is 2 to 7 % faster at nmax = 4 and 9, within noise at nmax =
+    2 and up to 7 % slower at nmax = 0.  t stays as it is: it decides which
+    rows each route builds, so a new t moves bits of the table."""
     n, _ = _borwein_size(nmax, b)
     pi = (0, 1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028)  # below 2**t
     t = max(t for t in range(2, 14) if 2 * pi[t] <= n)
