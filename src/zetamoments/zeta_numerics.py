@@ -18,8 +18,7 @@ the four factors, its series log (_log_series, no mpf log), at the pole
 the factors' logs added (_pole_factor_logs), one Euler-product pass over
 the primes from 11 beyond, and mu from one sieve.  The division, the
 factors and the series log run one coefficient at a time over every row.
-The small primes' power sums come from one pass per table over the orders
-up to its last row (_small_prime_sums).  Each
+Each
 family is served, as the exact values of those sums, by one lookup
 (prime_zeta_taylor) to the W engine, which reads it less the head primes'
 power sums as integers (prime_zeta_fixed), to prime_zeta_beyond, an mpf
@@ -65,13 +64,15 @@ def _prime_flags(n):
 
 def primes_upto(x):
     """All primes p <= x, ascending (sieve of Eratosthenes), or ValueError: x
-    must be a finite real number (not a bool, str or bytes); it is floored,
-    so below 2 no prime is listed."""
-    if isinstance(x, bool) or not isinstance(x, (numbers.Real, mp.mpf)):
-        raise ValueError("primes_upto needs a real number, got %r" % (x,))
-    if not (isinstance(x, numbers.Rational) or mp.isfinite(x)):
-        raise ValueError("primes_upto needs a finite number, got %r" % (x,))
-    n = math.floor(x)
+    must be a finite number math.floor takes (an int, float, Fraction,
+    Decimal or mpf, not a bool); it is floored, so below 2 no prime is
+    listed."""
+    try:
+        n = None if isinstance(x, bool) else math.floor(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None:
+        raise ValueError("primes_upto needs a finite real number, got %r" % (x,))
     if n < 2:
         return []
     return [2, *itertools.compress(range(3, n + 1, 2), _prime_flags(n)[3::2])]
@@ -540,40 +541,23 @@ def _compute_prime_zeta(r, nmax, digits):
     units of 2**-b and m**(n-1) <= 2**(a * bit_length(m*r)), so the term
     adds under 2**(2*nmax + 6 - c) / m**2 to a slot, under 0.42 * 2**-T over
     every m; slot 0's floors add under 2**-c.  The small primes' sums
-    (head_power_sums, within 10**-(digits+13): row r of the table's
-    _small_prime_sums, or past its last row a pass of its own) are added
-    with their signs (-1)**n, each floored to b bits.  Every slot is within
-    0.42 * 2**-T + 10**-(digits+13) + 2**(1-c) < 10**-(digits+12) of the
-    truncated sum.
+    (head_power_sums, within 10**-(digits+13)) are added with their signs
+    (-1)**n, each floored to b bits.  Every slot is within 0.42 * 2**-T +
+    10**-(digits+13) + 2**(1-c) < 10**-(digits+12) of the truncated sum.
     """
     rows, mu, b = _log_zeta_table(nmax, digits)
-    stop = _moebius_stop(r, nmax, digits)
-    mus = mu[1:stop]  # the squarefree m below stop read rows m*r
-    ms, f = list(itertools.compress(range(1, stop), mus)), list(filter(None, mus))
-    lz = list(zip(*itertools.compress(rows[r : stop * r : r], mus))) or [()] * (nmax + 1)
+    ms = [m for m in range(1, _moebius_stop(r, nmax, digits)) if mu[m]]
+    f = [mu[m] for m in ms]
+    lz = list(zip(*[rows[m * r] for m in ms])) or [()] * (nmax + 1)
     sums = [sum(map(floordiv, map(mul, f, lz[0]), ms))]
     for n in range(1, nmax + 1):
         sums.append(sum(map(mul, f, lz[n])))
         f = list(map(mul, f, ms))
-    Bh, heads = _small_prime_sums(nmax, digits)
-    if r <= len(heads):
-        head = heads[r - 1]
-    else:
-        Bh, (head,) = head_power_sums(list(SMALL_PRIMES), r, r, nmax, digits)
+    Bh, (head,) = head_power_sums(list(SMALL_PRIMES), r, r, nmax, digits)
     sums = [v + ((-w if n % 2 else w) << b >> Bh)
             for n, (v, w) in enumerate(zip(sums, head))]
     return PrimeZetaCoeffs(
         r, tuple(mp.make_mpf(from_man_exp(v, -b)) for v in sums), digits)
-
-
-@lru_cache(maxsize=None)
-def _small_prime_sums(nmax, digits):
-    """(B, rows): rows[r - 1], 1 <= r <= top, the four small primes' power
-    sums of head_power_sums at (nmax, digits), top the last row of the log
-    zeta table, from one pass over every order: each row is exact to a
-    floor, so it is the one a pass of its own at r returns."""
-    top = len(_log_zeta_table(nmax, digits)[0]) - 1
-    return head_power_sums(list(SMALL_PRIMES), 1, top, nmax, digits)
 
 
 MAX_HEAD_PRIME = 2_000_000  # the largest head prime, and prime cutoff, accepted

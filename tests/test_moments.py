@@ -1147,9 +1147,7 @@ MEMOS = {
     "oracles": {"monomial_eval"},
     "partitions": {"conjugate", "dim_paths", "partitions_of"},
     "symseries": {"_plan"},
-    # _small_prime_sums: the four small primes' power sums, one pass per
-    # log zeta table instead of one per family
-    "zeta_numerics": {"_compute_prime_zeta", "_log_zeta_table", "_small_prime_sums"},
+    "zeta_numerics": {"_compute_prime_zeta", "_log_zeta_table"},
 }
 
 

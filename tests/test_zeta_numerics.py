@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -153,7 +154,8 @@ def test_primes_match_trial_division():
 
 
 @pytest.mark.parametrize("x", ["10", b"10", True, False, None, float("nan"),
-                               float("inf"), -float("inf"), mp.inf, mp.nan, 1j, [10]],
+                               float("inf"), -float("inf"), mp.inf, mp.nan, 1j, [10],
+                               Decimal("NaN"), Decimal("Infinity")],
                          ids=repr)
 def test_primes_upto_refuses_what_is_no_finite_real(x):
     with pytest.raises(ValueError) as err:
@@ -163,8 +165,9 @@ def test_primes_upto_refuses_what_is_no_finite_real(x):
 
 @pytest.mark.parametrize("x, want", [
     (10, [2, 3, 5, 7]), (10.9, [2, 3, 5, 7]), (Fraction(23, 2), [2, 3, 5, 7, 11]),
-    (mp.mpf("13.5"), [2, 3, 5, 7, 11, 13]), (2.0, [2]), (1.99, []), (0, []),
-    (-0.5, []), (-7, []), (Fraction(-9, 2), [])])
+    (mp.mpf("13.5"), [2, 3, 5, 7, 11, 13]), (Decimal("10"), [2, 3, 5, 7]),
+    (Decimal("12.5"), [2, 3, 5, 7, 11]), (2.0, [2]), (1.99, []), (0, []),
+    (-0.5, []), (-7, []), (Fraction(-9, 2), []), (Decimal("-3"), [])])
 def test_primes_upto_floors_a_finite_real(x, want):
     assert primes_upto(x) == want
 
@@ -1010,7 +1013,7 @@ class TestBeyondAndEnvelope:
     def test_chunk_sums_are_exact_floors(self):
         # one pass over r = r0..r1: each row is an exact floor, the same as
         # a pass of its own starting at that r; the second input is the
-        # small primes' pass of the (4, 30) table, orders 1..top
+        # four small primes from r = 1 to the (4, 30) table's last row
         for ps, r0, r1, nmax, digits in [(primes_upto(3200), 2, 20, 4, 40),
                                          (list(zeta_numerics.SMALL_PRIMES), 1, 45, 4, 30)]:
             B, rows = head_power_sums(ps, r0, r1, nmax, digits)
