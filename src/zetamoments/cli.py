@@ -263,6 +263,7 @@ def cmd_poly(k, digits, fmt="text", cache_dir=None, tol=None):
             ],
             "truncation": {
                 "r_max_used": meta.get("r_max_used"),
+                "prime_cutoff": meta.get("prime_cutoff"),
                 "tol": meta.get("tol"),
             },
             "cache": {"versions": meta.get("cache_versions", {})},

@@ -3,14 +3,12 @@
 V_poly (with f_table, monomial_eval and multinomial); the d-table's
 oracle d_table_symbolic, and schur_to_p; schur_eval and bump_gamburd_residual
 for the split-alphabet lemma; prime_zeta_direct (with mobius_int), the
-prime-zeta families'; the integer Euler-Maclaurin kernel (_em_fixed,
-_log_zeta_em) with its Bernoulli table, the log zeta table's Borwein rows'
-(_check_log_zeta_routes, with _small_prime_logs), which also serves
-zeta_taylor at any real point (_em_mpf off the integers), bernoulli and
-the zeta constants only tests read: zeta_derivative, stieltjes_gamma and
-stieltjes_cumulant."""
+prime-zeta families'; and one zeta route, zeta_taylor, the mpf
+Euler-Maclaurin sum (_em_mpf) at any real point, whose log (_log_zeta_mpf,
+with mpmath's Stieltjes constants at the pole) is the log zeta table's
+reference (_check_log_zeta_routes, with _small_prime_logs), sharing none
+of the table's kernels."""
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +19,7 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, log_int_fixed
+from mpmath.libmp import log_int_fixed
 
 from ._golden import golden_entries
 from .characters import character_table
@@ -39,8 +37,8 @@ from .symseries import (
     _packed_log, _plan, _switch_basis, _unpack, p_to_schur, pair_keys,
     series_exp, series_log)
 from .zeta_numerics import (
-    SMALL_PRIMES, _crossover, _dirichlet_sums, _log_series, _log_zeta_table,
-    head_power_sums, int_log, prime_zeta_beyond, prime_zeta_taylor, primes_upto)
+    SMALL_PRIMES, _log_zeta_table, head_power_sums, int_log, prime_zeta_beyond,
+    prime_zeta_taylor, primes_upto)
 
 
 def multinomial(n, parts):
@@ -459,155 +457,6 @@ def _em_head_length(x, nmax, digits):
     return cap
 
 
-_bernoulli_ratios = [None]  # B_2i / (2i)! at i >= 1, see _bernoulli_ratio
-
-
-def _bernoulli_ratio(i):
-    """B_2i / (2i)! as an exact fraction, i >= 1.
-
-    Read from one table, rebuilt at least twice its old size (or to i, or
-    40) when i passes its end.  The tangent numbers T_1..T_n come from
-    Brent and Harvey's integer recurrence ("Fast computation of Bernoulli,
-    tangent and secant numbers", 2011), and B_2k = (-1)**(k-1) * 2k * T_k /
-    (4**k * (4**k - 1)), so B_2k/(2k)! = (-1)**(k-1) * T_k / (4**k * (4**k
-    - 1) * (2k-1)!).
-    """
-    global _bernoulli_ratios
-    if i >= len(_bernoulli_ratios):
-        n = max(i, 2 * len(_bernoulli_ratios) - 2, 40)
-        T = [0, 1] + [0] * (n - 1)
-        for k in range(2, n + 1):
-            T[k] = (k - 1) * T[k - 1]
-        for k in range(2, n + 1):
-            for j in range(k, n + 1):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-        out, fact = [None], 1
-        for k in range(1, n + 1):
-            fact *= max(1, 2 * k - 2) * (2 * k - 1)
-            q = 4 ** k
-            out.append(Fraction(T[k] if k % 2 else -T[k], q * (q - 1) * fact))
-        _bernoulli_ratios = out
-    return _bernoulli_ratios[i]
-
-
-def _em_fixed(ys, nmax, M, digits):
-    """Euler-Maclaurin sums for zeta^(a)(y)/a!, a <= nmax, at each integer y
-    >= 2 of the range ys (step 1), and for a < nmax of zeta(1+u) - 1/u at
-    the pole y = 1, in one pass sharing M, B and the Bernoulli ratios; each
-    y has its own stop test and divergence check.  Returns (rows, B), rows[i]
-    ys[i]'s coefficients in units of 2**-B.
-
-    With l = log M, c = y - 1 and e_u = l**u/u! (E_u = (-1)**u * e_u),
-    coefficient a is (-1)**a times
-      head_a = sum_{j<M} j**-y * (log j)**a / a!        (_dirichlet_sums),
-      main_a = sum_u e_u * c**u / (c**(a+1) * M**c)   (from M**(1-s)/(s-1)),
-      half_a = e_a / (2 * M**y)                         (from M**-s / 2),
-    (at the pole main_a = -e_{a+1}) plus the corrections F_i = q_i *
-    M**(1-y-2i) * E * P_i, q_i = B_2i/(2i)!, P_i = (y+u)(y+1+u)...(y+2i-2+u):
-    F_1 = floor(E * (y+u) / (12 M**(y+1))), F_{i+1} = floor(F_i * Q_i * R_i
-    / 2**S), Q_i = (y+2i-1+u)(y+2i+u), R_i = floor(2**S * q_{i+1} / (q_i
-    M**2)), one integer per step for every y.  They stop at the first i
-    whose largest term mag_i is below thresh = 10**-(digits+10) * max(1,
-    |coefficient 0|), and raise RuntimeError once they grow after i = 3 or
-    reach i = I = 4M (the terms are smallest near 2i = 2*pi*M).  A step is
-    one list per coefficient over the ys still live, each y's arithmetic
-    that of a pass over it alone.
-
-    Error in units, with 2 + l < 2**g, g = bit_length(int(l) + 3), K =
-    bit_length(4M): the head is off by under 2**(K + nmax*g + 2); e_0 = 2**B
-    and e_u = floor(e_{u-1} * L / 2**B / u), L = int_log(M, B), by d_u <=
-    d_{u-1}*l/u + 2*(1+l)**(u-1) + 2 < 4*(2+l)**u <= D = 2**(2 + nmax*g), so
-    main_a and half_a by (nmax+2) D.  With T_i = |q_i| P_i(1) M**(1-y-2i),
-    |F_i[a]| <= 2**B T_i (1+l)**a and |F_i[0]| >= 2**B T_i / (2i).  F_1 is
-    off by under 1 + D T_1; a step scales the error by T_{i+1}/T_i (times
-    under 1 + 2**-B) and adds under 2, its floor and R_i's (|F_i * Q_i|
-    2**-S <= (top+8M+1)**2 mag_i 2**-S < 1), so F_i is off by eps_i < (D +
-    2i) G, G >= T_i/T_j for j <= i.  While eps_i <= thresh/4 <= mag_j/4 (j
-    before the stop), mag_i <= mag_j for 3 <= j <= i gives T_i/T_j <= 4i
-    (1+l)**nmax; T_2/T_1 = (y+2)(y+3)/(60 M**2) and T_3/T_2 = (y+4)(y+5)/(42
-    M**2) are at most X = max(1, (top+5)**2/(42 M**2)) <= 2**x.  So G = 4I
-    2**(nmax*g) X**2, and the corrections are off by under 2**(5 + 2*nmax*g
-    + 3K + 2x).  Each part is under 2**(s-2), s = 2*nmax*g + 3K + 2x + 7, so
-    B = p0 + s + 10, p0 = max(prec, (digits+10) log2 10), puts the sum within
-    2**-(prec+10) of the truncated sum and thresh >= 2**(s+10) above 4
-    eps_i.  At nmax = 0 no log is taken.
-    """
-    top, K, g = ys[-1], (4 * M).bit_length(), (int(math.log(M)) + 3).bit_length()
-    x = max(0, math.ceil(math.log2((top + 5) ** 2 / (42 * M * M))))
-    s = 2 * nmax * g + 3 * K + 2 * x + 7
-    B = max(mp.prec, math.ceil((digits + 10) * math.log2(10))) + s + 10
-    one, S = 1 << B, B + s + 2 * (top + 8 * M + 1).bit_length()
-    heads = _dirichlet_sums(
-        [(j, one, int_log(j, B) if nmax else 0) for j in range(1, M)], ys, nmax, B)
-    e, L = [one], int_log(M, B) if nmax else 0
-    for u in range(1, nmax + 1):
-        e.append(((e[-1] * L) >> B) // u)
-    E = [-v if u % 2 else v for u, v in enumerate(e)]
-    rows, F, thresh = [], [], []
-    for y, head in zip(ys, heads):
-        c, A, Mc = y - 1, nmax + (y > 1), M ** (y - 1)  # the pole holds a < nmax
-        out = []
-        for a in range(A):
-            main = -e[a + 1] if not c else (
-                sum(e[u] * c ** u for u in range(a + 1)) // (c ** (a + 1) * Mc))
-            t = head[a] + main + e[a] // (2 * Mc * M)
-            out.append(-t if a % 2 else t)
-        thresh.append(max(one, abs(out[0]) if A else 0) // 10 ** (digits + 10))
-        # the pole's slot nmax stays 0: it is no coefficient, and a slot
-        # never feeds the ones below it
-        F.append([(y * v + lo) // (12 * Mc * M * M)
-                  for v, lo in zip(E[:A], [0] + E)] + [0] * (y == 1))
-        rows.append(out + [0] * (y == 1))
-    live, prev = list(range(len(ys))), [0] * len(ys)
-    F, out = [list(col) for col in zip(*F)], [list(col) for col in zip(*rows)]
-    for i in itertools.count(1):
-        out = [list(map(add, o, f)) for o, f in zip(out, F)]
-        keep = []
-        for pos, j, col in zip(itertools.count(), live, zip(*F)):
-            mag = max(map(abs, col))
-            if mag < thresh[j]:
-                rows[j] = [o[pos] for o in out][: nmax + (ys[j] > 1)]
-                continue
-            if i > 3 and (mag > prev[j] or i >= 4 * M):
-                raise RuntimeError("Euler-Maclaurin tail diverged before "
-                                   "reaching %d digits" % digits)
-            prev[j] = mag
-            keep.append(pos)
-        if not keep:
-            return rows, B
-        if len(keep) < len(live):
-            live = [live[p] for p in keep]
-            F, out = ([[v[p] for p in keep] for v in cols] for cols in (F, out))
-        rho = _bernoulli_ratio(i + 1) / _bernoulli_ratio(i)
-        Ri = (rho.numerator << S) // (rho.denominator * M * M)
-        c0 = [(ys[j] + 2 * i - 1) * (ys[j] + 2 * i) for j in live]
-        c1 = [2 * (ys[j] + 2 * i) - 1 for j in live]
-        zero = [0] * len(live)
-        F = [[(a0 * f + a1 * f1 + f2) * Ri >> S
-              for a0, a1, f, f1, f2 in zip(c0, c1, F[a], F[a - 1] if a else zero,
-                                           F[a - 2] if a > 1 else zero)]
-             for a in range(nmax + 1)]
-        if ys[live[0]] == 1:
-            F[nmax][0] = 0
-
-
-def _log_zeta_em(ys, nmax, b):
-    """Coefficients of log zeta(y + u) in u at each integer y >= 2 of the
-    range ys, and of the regular log(u * zeta(1 + u)) at the pole y = 1, as
-    tuples of integers in units of 2**-b, each within 2**(2*nmax + 6) units:
-    the series log (zeta_numerics._log_series) of one Euler-Maclaurin pass
-    (_em_fixed), the route _check_log_zeta_routes holds the table's Borwein
-    rows to.  At b bits and d = ceil(b*log10 2) - 9 digits the kernel is
-    within 2**-(b+10) of the truncated sum, whose last correction, under
-    10**-(d+10) * max(1, zeta(y)), bounds the remainder by 2*10**-(d+10) <=
-    2**-b / 5.  Shifted to b bits, each coefficient is off by under 2 units.
-    """
-    d = math.ceil(b * math.log10(2)) - 9
-    with mp.workprec(b):
-        rows, B = _em_fixed(ys, nmax, _em_head_length(ys[0], nmax, d), d)
-    return _log_series(ys, [[x >> (B - b) for x in ints] for ints in rows], nmax, b)
-
-
 def _small_prime_logs(ys, nmax, b):
     """[u**a] sum_{p < 11} log(1 - p**-(y+u)), a <= nmax, at each integer y
     >= 1 of ys in units of 2**-b, each within a unit: mpf series logs at b +
@@ -627,16 +476,6 @@ def _small_prime_logs(ys, nmax, b):
     return out
 
 
-def bernoulli(n):
-    """Exact Bernoulli number; the n = 1 value is -1/2."""
-    _check_index(n, "Bernoulli index")
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 or not n:
-        return Fraction(int(not n))
-    return _bernoulli_ratio(n // 2) * math.factorial(n)
-
-
 def _series_log_list(s):
     """log of a scalar power series with s[0] = 1, same truncation order."""
     n = len(s) - 1
@@ -650,11 +489,16 @@ def _series_log_list(s):
 
 
 def _em_mpf(x, nmax, M, digits):
-    """The same Euler-Maclaurin sum in mpf arithmetic, for any real x > 1."""
+    """Euler-Maclaurin sums for zeta^(a)(x)/a!, a <= nmax, at real x > 1 in
+    mpf arithmetic at the working precision: the head sum_{j<M} j**-x (-log
+    j)**a / a!, then M**(1-x)/(x-1) + M**-x / 2 expanded in u, then the
+    corrections of _em_head_length, B_2i/(2i)! from mp.bernfrac, until the
+    largest term of a step drops below 10**-(digits+10) * max(1, |zeta(x)|);
+    RuntimeError if they grow again after i = 3.  No log at nmax = 0."""
     out = [mp.mpf(0)] * (nmax + 1)
     for j in range(1, M):
         t = mp.mpf(j) ** (-x)
-        Lj = -mp.log(j)
+        Lj = -mp.log(j) if nmax else 0
         out[0] += t
         for a in range(1, nmax + 1):
             t = t * Lj / a
@@ -673,8 +517,8 @@ def _em_mpf(x, nmax, M, digits):
     prev_mag = mp.inf
     mfac = Mpow / (M * M)
     while True:
-        q = _bernoulli_ratio(i)
-        coef = mp.mpf(q.numerator) / q.denominator * mfac
+        num, den = mp.bernfrac(2 * i)
+        coef = mp.mpf(num) / (den * math.factorial(2 * i)) * mfac
         terms = [coef * v for v in E]
         out = list(map(add, out, terms))
         mag = max(map(abs, terms))
@@ -695,15 +539,12 @@ def _em_mpf(x, nmax, M, digits):
 def zeta_taylor(x0, nmax, digits=50):
     """Taylor coefficients of zeta around x0: zeta^(a)(x0)/a! for a <= nmax.
 
-    Euler-Maclaurin with the head length sized to the argument and the digit
-    request (see _em_head_length); only x0 > 1.001 is supported, so the
-    pole distance cannot eat the whole working precision silently.  The
-    Bernoulli corrections run until the largest term of a step drops below
-    10**-(digits+10) * max(1, |zeta(x0)|), and raise RuntimeError if they
-    grow again first.  An integer x0 takes the B-bit integer kernel
-    (_em_fixed), within 2**-(prec+10) of the truncated sum and with no log
-    at nmax = 0; any other real x0 (oracles.zeta_derivative at 1 + s) sums it
-    in mpf arithmetic.
+    The mpf Euler-Maclaurin sum (_em_mpf) with the head length sized to the
+    argument and the digit request (see _em_head_length); only x0 > 1.001
+    is supported, so the pole distance cannot eat the whole working
+    precision silently.  The Bernoulli corrections run until the largest
+    term of a step drops below 10**-(digits+10) * max(1, |zeta(x0)|), and
+    raise RuntimeError if they grow again first.
     """
     _check_index(nmax, "nmax")
     _check_index(digits, "digits", 1)
@@ -713,53 +554,33 @@ def zeta_taylor(x0, nmax, digits=50):
     M = _em_head_length(xf, nmax, digits)
     extra = int((nmax + 1) * max(0.0, -math.log10(xf - 1))) + 15
     with mp.workdps(digits + extra):
-        x = mp.mpf(1) * x0
-        if mp.isint(x):
-            (ints,), B = _em_fixed(range(int(x), int(x) + 1), nmax, M, digits)
-            out = [mp.ldexp(mp.mpf(v), -B) for v in ints]
-        else:
-            out = _em_mpf(x, nmax, M, digits)
+        out = _em_mpf(mp.mpf(1) * x0, nmax, M, digits)
     return _round_out(out, digits)
 
 
-def zeta_derivative(a, x, digits=50):
-    """a-th derivative of zeta at real x > 1.001."""
-    _check_index(a, "derivative order")
-    coeffs = zeta_taylor(x, a, digits)
-    with mp.workdps(digits + 5):
-        return +(coeffs[a] * mp.factorial(a))
-
-
-def stieltjes_gamma(n, digits=50):
-    """n-th Stieltjes constant gamma_n = (-1)**n * n! * R_n, R_n coefficient n
-    of zeta(1+u) - 1/u from the integer kernel at the pole (_em_fixed at 1).
-    At d = digits + 5 + len(str(n!)) digits R_n is within 10**-(d+3) (the
-    kernel's 2**-(prec+10) and dropped remainder), so gamma_n is within
-    10**-(digits+8)."""
-    _check_index(n, "Stieltjes index")
-    _check_index(digits, "digits", 1)
-    f = math.factorial(n)
-    d = digits + 5 + len(str(f))
-    with mp.workdps(d):
-        (ints,), B = _em_fixed(range(1, 2), n + 1, _em_head_length(1, n, d), d)
-    with mp.workdps(digits + 5):
-        return mp.ldexp(mp.mpf((-1) ** n * f * ints[n]), -B)
-
-
-def stieltjes_cumulant(n, digits=50):
-    """Cumulant-style recombination of the Stieltjes constants.
-
-    Coefficient n of the logarithm of s*zeta(1+s), rescaled by n! and an
-    alternating sign; the n = 0 value is exactly 0.  It is read from
-    _log_zeta_em at y = 1, whose b carries its 2**(2n+6) units through n!.
-    """
-    _check_index(n, "cumulant index")
-    _check_index(digits, "digits", 1)
-    f = math.factorial(n)
-    b = dps_to_prec(digits + 5) + 2 * n + 10 + f.bit_length()
-    with mp.workdps(digits + 5):
-        (lz,) = _log_zeta_em(range(1, 2), n, b)
-        return mp.ldexp(mp.mpf((-1) ** (n + 1) * f * lz[n]), -b)
+@lru_cache(maxsize=None)
+def _log_zeta_mpf(ys, nmax, b):
+    """Coefficients of log zeta(y + u) in u at each integer y >= 2 of ys,
+    and of the regular log(u * zeta(1 + u)) at the pole y = 1, a <= nmax,
+    in units of 2**-b, each within a unit: mpf series logs at b + 20 bits
+    of zeta_taylor's coefficients at ceil(b log10 2) + 5 digits, at the pole
+    of 1 + sum_n (-1)**n gamma_n u**(n+1) / n! from mpmath.stieltjes,
+    rounded.  The log zeta table's reference (_check_log_zeta_routes): it
+    shares no kernel, integer log or series log with the table, and is
+    memoized, as it reads nothing the table's code can change."""
+    d, out = math.ceil(b * math.log10(2)) + 5, []
+    with mp.workprec(b + 20):
+        for y in ys:
+            if y == 1:
+                lz = _series_log_list([mp.mpf(1)] + [
+                    (-1) ** n * mpmath.stieltjes(n) / math.factorial(n)
+                    for n in range(nmax)])
+            else:
+                z = zeta_taylor(y, nmax, d)
+                lz = _series_log_list([mp.mpf(1)] + [v / z[0] for v in z[1:]])
+                lz[0] = mp.log(z[0])
+            out.append(tuple(int(mp.nint(mp.ldexp(v, b))) for v in lz))
+    return tuple(out)
 
 
 def _check_golden_tables():
@@ -870,15 +691,12 @@ def _check_split_alphabet():
 
 
 def _check_constant_tables():
-    # the log table past mpmath's 2,000-entry log cache, and the Bernoulli
-    # table through two rebuilds, against mpmath's own routines
+    # the log table past mpmath's 2,000-entry log cache, against mpmath's own
+    # routine
     for B in (53, 300):
         for j in range(1, 4000, 3):
             if abs(int_log(j, B) - log_int_fixed(j, B)) > 2:
                 raise AssertionError("log %d at %d bits" % (j, B))
-    for n in range(121):
-        if bernoulli(n) != Fraction(*map(int, mp.bernfrac(n))):
-            raise AssertionError("Bernoulli number %d" % n)
 
 
 def _check_fixed_exp_log(seed=0):
@@ -912,15 +730,15 @@ def _check_fixed_exp_log(seed=0):
 
 
 def _check_log_zeta_routes():
-    # the log zeta table's Borwein rows, y = 1..y_eta, log zeta_11, against
-    # the Euler-Maclaurin kernel's log zeta plus the small primes' factor
-    # logs, within the sum of the two kernels' bounds, 56 * 4**nmax units
-    # each, and the factors' unit: under 2**(2*nmax + 7); c0's table (0,
-    # 75), lead5's (4, 37), the widest order (9, 60) and a short one (2, 15)
+    # every row of the log zeta_11 table, Borwein's to y_eta and the Euler
+    # product's beyond, against the mpf reference's log zeta plus the small
+    # primes' factor logs, within the table's 2**(2*nmax + 6) units and the
+    # two mpf units: under 2**(2*nmax + 7); c0's table (0, 75), lead5's (4,
+    # 37), the widest order (9, 60) and a short one (2, 15)
     for nmax, digits in ((0, 75), (4, 37), (9, 60), (2, 15)):
         rows, _, b = _log_zeta_table(nmax, digits)
-        ys = range(1, min(_crossover(nmax, b)[0], len(rows) - 1) + 1)
-        for y, want, fac in zip(ys, _log_zeta_em(ys, nmax, b),
+        ys = range(1, len(rows))
+        for y, want, fac in zip(ys, _log_zeta_mpf(ys, nmax, b),
                                 _small_prime_logs(ys, nmax, b)):
             if any(abs(u - v - f) >= 2 ** (2 * nmax + 7)
                    for u, v, f in zip(rows[y], want, fac)):
@@ -1094,8 +912,7 @@ FAST_CHECKS = [
     ("exp then log closure, weight <= 6", "exact", _check_exp_log_closure),
     ("V symmetry and scalar identity, r <= 6", "exact", _check_v_identities),
     ("dimension polynomial identity, k = 2..5", "exact", _check_dimpoly_identity),
-    ("integer log and Bernoulli tables vs mpmath", "oracle",
-     _check_constant_tables),
+    ("integer log table vs mpmath", "oracle", _check_constant_tables),
     ("fixed-point exp and log vs Fraction, weight <= 6", "exact",
      _check_fixed_exp_log),
 ]
@@ -1111,8 +928,9 @@ FULL_CHECKS = [
         _check_prime_zeta_routes,
     ),
     (
-        "log zeta table's Borwein rows vs Euler-Maclaurin, (nmax, digits) ="
-        " (0, 75), (4, 37), (9, 60), (2, 15)",
+        "log zeta table, every row, vs mpf Euler-Maclaurin and mpmath's"
+        " Stieltjes constants, (nmax, digits) = (0, 75), (4, 37), (9, 60),"
+        " (2, 15)",
         "oracle",
         _check_log_zeta_routes,
     ),

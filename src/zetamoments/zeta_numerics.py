@@ -27,10 +27,9 @@ view of that route, and to the cache.  One integer power-sum kernel
 primes' power sums over a run of orders r (head_power_sums), each prime a
 column, on a list the engine sieves (primes_upto) and outside input passes
 through checked_primes.  Integer logs come from one table (int_log).
-oracles._check_log_zeta_routes holds the table's Borwein rows to the
-integer Euler-Maclaurin route's log zeta plus mpf logs of the four
-factors; that route shares the kernel, int_log and the series log with
-them and also serves the oracles' zeta_taylor and Stieltjes constants.
+oracles._check_log_zeta_routes holds every row of the table to mpf log
+zeta (Euler-Maclaurin, mpmath's Stieltjes constants at the pole) plus mpf
+logs of the four factors: it shares no kernel, int_log or series log.
 oracles.prime_zeta_direct, which sums sieved primes in plain mpf arithmetic
 and closes the tail with mpmath's own zeta derivatives, shares only the
 prime sieve (tested against trial division) with the default route, and
@@ -303,12 +302,11 @@ def _zeta_borwein(ys, nmax, b):
 
 def _log_series(ys, rows, nmax, b):
     """Coefficients of log Z(y + u) in u at each integer y >= 2 of the range
-    ys, Z = zeta or zeta_11, and of the regular log(u * zeta(1 + u)) at the
-    pole y = 1, as tuples of integers in units of 2**-b, each within 56 *
-    4**a < 2**(2*nmax + 6) units: the series log of rows, rows[i] the
-    coefficients of Z(ys[i] + u), a <= nmax (at the pole those of zeta(1 + u)
-    - 1/u, a < nmax), in units of 2**-b, each under 2 units off
-    (_zeta_borwein's zeta_11; oracles._log_zeta_em's zeta).
+    ys, Z = zeta_11, and of the regular log(u * zeta(1 + u)) at the pole y =
+    1, as tuples of integers in units of 2**-b, each within 56 * 4**a <
+    2**(2*nmax + 6) units: the series log of _zeta_borwein's rows, rows[i]
+    the coefficients of Z(ys[i] + u), a <= nmax (at the pole those of
+    zeta(1 + u) - 1/u, a < nmax), in units of 2**-b, each under 2 units off.
 
     Write z_a = Z^(a)(y)/a!, so 1 < z_0 < 2 (Z is an Euler product).  For a
     >= 1, |z_a|, |z_a / z_0| and the log coefficients are at most 2: each is

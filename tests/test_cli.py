@@ -385,7 +385,8 @@ class TestCommands:
             assert set(c) == {"N", "value", "error"}
             assert isinstance(c["value"], str)
             assert isinstance(c["error"], str)
-        assert set(doc["truncation"]) == {"r_max_used", "tol"}
+        assert set(doc["truncation"]) == {"r_max_used", "prime_cutoff", "tol"}
+        assert doc["truncation"]["prime_cutoff"] > 0
         assert "versions" in doc["cache"]
 
     def test_json_output_is_byte_identical_across_runs(self, capsys):
@@ -441,7 +442,7 @@ class TestCommands:
 
     def test_fast_level_has_constant_table_oracle(self):
         found = [(kind, fn) for label, kind, fn in oracles.FAST_CHECKS
-                 if label.startswith("integer log and Bernoulli tables")]
+                 if label.startswith("integer log table vs mpmath")]
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 
@@ -471,7 +472,7 @@ class TestCommands:
 
     def test_full_level_has_log_zeta_route_oracle(self):
         found = [(kind, fn) for label, kind, fn in oracles.FULL_CHECKS
-                 if label.startswith("log zeta table's Borwein rows")]
+                 if label.startswith("log zeta table, every row")]
         assert len(found) == 1 and found[0][0] == "oracle"
         found[0][1]()
 

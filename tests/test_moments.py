@@ -1144,7 +1144,7 @@ MEMOS = {
     "frobenius_schur": {"_faulhaber_half", "_hook_class_data",
                         "complement_point", "e_half_odds", "fs_hook",
                         "super_power_sum"},
-    "oracles": {"monomial_eval"},
+    "oracles": {"_log_zeta_mpf", "monomial_eval"},
     "partitions": {"conjugate", "dim_paths", "partitions_of"},
     "symseries": {"_plan"},
     "zeta_numerics": {"_compute_prime_zeta", "_log_zeta_table"},
@@ -1652,20 +1652,41 @@ class TestInputContract:
         assert W_coeff((), (), 1, digits=10, tol=1).error > 0
 
 
+_AUDIT_GRID = [
+    # (k, Ns, digits, tol, deeper): Ns None asks for the whole polynomial
+    (2, None, 30, None, 60),
+    (2, None, 45, None, 60),
+    (3, None, 15, None, 45),
+    (3, None, 30, None, 60),
+    (5, (12,), 15, None, 30),
+    (8, (4,), 15, None, 25),
+    (4, tuple(range(10, -1, -1)), 12, None, 20),
+    (3, None, 5, 1e-20, 25),
+]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("k, digits, deeper",
-                         [(2, 30, 60), (2, 45, 60), (3, 15, 45), (3, 30, 60)])
-def test_bars_hold_against_a_deeper_request(k, digits, deeper):
+@pytest.mark.parametrize("k, Ns, digits, tol, deeper", _AUDIT_GRID, ids=[
+    "k%d-%s-d%d-%s-vs%d" % (k, "N%d..%d" % (Ns[0], Ns[-1]) if Ns else "poly",
+                            digits, "tol%g" % tol if tol else "tolNone", deeper)
+    for k, Ns, digits, tol, deeper in _AUDIT_GRID])
+def test_bars_hold_against_a_deeper_request(k, Ns, digits, tol, deeper):
     # each bar covers its distance from the same request at more digits,
-    # that request's own bar included.  P_2 at 45 digits stops at r = 17,
-    # whose beyond-cutoff family lies below its own absolute accuracy, so
-    # its closure reads terms nearest the families' floor.  On
-    # failure, log10((bar + deeper bar) / |difference|) per coefficient says
-    # how sharp each bar was
-    got = moment_polynomial(k, digits).coefficients
-    want = moment_polynomial(k, deeper).coefficients
+    # that request's own bar included; c_N are asked one at a time in the
+    # order Ns gives, and each side starts from an empty W cache.  P_2 at 45
+    # digits stops at r = 17, whose beyond-cutoff family lies below its own
+    # absolute accuracy, so its closure reads terms nearest the families'
+    # floor.  On failure, the sharpness log10((bar + deeper bar) /
+    # |difference|) per coefficient says how sharp each bar was
+    def side(d, t):
+        moments._w_cache.clear()
+        if Ns is None:
+            return list(moment_polynomial(k, d, t).coefficients)
+        return [(N, *c_coeff(N, k, d, t)) for N in Ns]
+
+    got, want = side(digits, tol), side(deeper, None)
     with mp.workdps(deeper + 10):
-        sharp = [mp.nstr(mp.log10((e + ew) / abs(v - w)), 4) if v != w else "inf"
-                 for (_, v, e), (_, w, ew) in zip(got, want)]
+        sharp = [(N, mp.nstr(mp.log10((e + ew) / abs(v - w)), 4) if v != w else "inf")
+                 for (N, v, e), (_, w, ew) in zip(got, want)]
         for (N, v, e), (_, w, ew) in zip(got, want):
             assert abs(v - w) + ew <= e, (N, sharp)
